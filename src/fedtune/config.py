@@ -23,7 +23,7 @@ _DEFAULTS = {
     "alpha": 0.5,
     "split": [0.6, 0.2, 0.2],
     "server_val_fraction": 0.1,
-    "model": {"kind": "mlp", "hidden_dim": 16, "dropout_rate": 0.0},
+    "model": {"kind": "mlp", "hidden_dim": 16},
     "search_space": "default",
     "tuned": ["learning_rate", "weight_decay", "epochs"],
     "hp_defaults": {
@@ -44,6 +44,15 @@ _DEFAULTS = {
     "early_stop_patience": 0,
     "seeds": [1],
     "output_dir": "fedtune_out",
+}
+
+
+# Fixed-schema sections whose keys are checked like top-level ones.
+_SECTION_FIELDS = {
+    "dataset": {*_DEFAULTS["dataset"], "path"},
+    "model": set(_DEFAULTS["model"]),
+    "grouping": set(_DEFAULTS["grouping"]),
+    "latency": set(_DEFAULTS["latency"]),
 }
 
 
@@ -104,9 +113,13 @@ def _require(cond: bool, field_name: str, message: str):
 
 def validate_config(raw: dict) -> dict:
     """Check every field; error messages name the offending field."""
-    known = set(_DEFAULTS)
     for key in raw:
-        _require(key in known, key, "unknown configuration field")
+        _require(key in _DEFAULTS, key, "unknown configuration field")
+    for section, known in _SECTION_FIELDS.items():
+        if section in raw:
+            _require(isinstance(raw[section], dict), section, "must be a mapping")
+            for key in raw[section]:
+                _require(key in known, f"{section}.{key}", "unknown configuration field")
     cfg = _merge(_DEFAULTS, raw)
 
     ds = cfg["dataset"]
@@ -137,8 +150,6 @@ def validate_config(raw: dict) -> dict:
     if model["kind"] == "mlp":
         _require(int(model.get("hidden_dim", 0)) >= 1, "model.hidden_dim",
                  "must be >= 1 for mlp")
-    _require(0.0 <= float(model.get("dropout_rate", 0.0)) < 1.0, "model.dropout_rate",
-             "must be in [0, 1)")
 
     _require(cfg["sampler"] in SAMPLERS, "sampler", f"must be one of {SAMPLERS}")
     _require(0.0 <= float(cfg["epsilon"]) <= 1.0, "epsilon", "must be in [0, 1]")

@@ -8,6 +8,7 @@ server-side validation set.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,6 @@ class ClientState:
     client_id: int
     shard: DataShard
     latency: sched.LatencyProfile
-    local_weights: WeightVector | None = None
 
 
 @dataclass
@@ -118,75 +118,79 @@ def weighted_objective(losses_and_counts) -> float:
     return sum(loss * n for loss, n in losses_and_counts) / total
 
 
+def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
+                 cohort: list[ClientState], round_index: int, seed_key: tuple):
+    """Train every cohort member from global_w under config, then FedAvg.
+
+    Members train in client_id order; client c draws its batches from
+    derive_seed(*seed_key, c.client_id). A diverging client raises
+    NumericDivergenceError naming the client, round_index and config.
+    Returns (aggregate weights, [(client_id, validation loss)] in
+    client_id order).
+    """
+    hp = to_train_hp(config, world.hp_defaults)
+    updates = []
+    val_losses = []
+    for c in sorted(cohort, key=lambda c: c.client_id):
+        try:
+            new_w, vl = models.local_train(
+                world.model_spec, global_w, hp,
+                c.shard.train.features, c.shard.train.labels,
+                c.shard.val.features, c.shard.val.labels,
+                derive_seed(*seed_key, c.client_id),
+            )
+        except NumericDivergenceError as err:
+            raise NumericDivergenceError(
+                f"client {c.client_id} diverged in round {round_index}: {err}",
+                client_id=c.client_id,
+                round_index=round_index,
+                config_id=config.config_id,
+            ) from err
+        updates.append((new_w, len(c.shard.train)))
+        val_losses.append((c.client_id, vl))
+    return fedavg_aggregate(updates, world.agg_mode), val_losses
+
+
+def cohort_time(cohort: list[ClientState], epochs: int, seed_key: tuple) -> float:
+    """Simulated duration of one cohort training pass: the slowest member.
+
+    Client c's latency jitter is drawn from derive_seed(*seed_key, c.client_id).
+    """
+    return max(
+        sched.completion_time(c.latency, epochs, max(1, len(c.shard.train)),
+                              derive_seed(*seed_key, c.client_id))
+        for c in cohort
+    )
+
+
 def run_round(state: RoundState, clients: list[ClientState], world: ExperimentWorld,
               trial_index: int = 0):
     """Execute one communication round over the given cohort.
 
-    Returns (next RoundState, feedback records). Clients are processed in
-    client_id order so aggregation is independent of any worker ordering.
-    A global feedback record is appended on evaluation-cadence rounds.
+    Returns (next RoundState, one "local" feedback record per client in
+    client_id order). Scoring the new global model is left to run_trial.
     """
     if not clients:
         raise AggregationError("run_round: empty cohort")
-    hp = to_train_hp(state.current_hp, world.hp_defaults)
-    spec = world.model_spec
     j = state.round_index
-    updates = []
-    feedbacks = []
-    for c in sorted(clients, key=lambda c: c.client_id):
-        seed = derive_seed(world.base_seed, "train", trial_index, j, c.client_id)
-        try:
-            new_w, tl, vl = models.local_train(
-                spec, state.global_weights, hp,
-                c.shard.train.features, c.shard.train.labels,
-                c.shard.val.features, c.shard.val.labels,
-                seed,
-            )
-        except NumericDivergenceError as err:
-            raise NumericDivergenceError(
-                f"client {c.client_id} diverged in round {j}: {err}",
-                client_id=c.client_id,
-                round_index=j,
-                config_id=state.current_hp.config_id,
-            ) from err
-        c.local_weights = new_w
-        updates.append((new_w, len(c.shard.train)))
-        feedbacks.append(FeedbackRecord(
+    new_global, val_losses = train_cohort(
+        world, state.global_weights, state.current_hp, clients, j,
+        (world.base_seed, "train", trial_index, j),
+    )
+    feedbacks = [
+        FeedbackRecord(
             config_id=state.current_hp.config_id,
             round_index=j,
             kind="local",
-            train_loss=tl,
+            train_loss=math.nan,
             val_loss=vl,
             group_size=len(clients),
-            client_id=c.client_id,
-        ))
-    new_global = fedavg_aggregate(updates, world.agg_mode)
-    if j % world.evaluator.cadence == 0:
-        gl, _ = models.evaluate(
-            spec, new_global,
-            world.evaluator.val_set.features, world.evaluator.val_set.labels,
+            client_id=cid,
         )
-        feedbacks.append(FeedbackRecord(
-            config_id=state.current_hp.config_id,
-            round_index=j,
-            kind="global",
-            train_loss=gl,
-            val_loss=gl,
-            group_size=len(clients),
-        ))
+        for cid, vl in val_losses
+    ]
     next_state = RoundState(j + 1, state.max_rounds, new_global, state.current_hp)
     return next_state, feedbacks
-
-
-def _round_time(clients, hp: TrainHp, world, trial_index: int, round_index: int) -> float:
-    """Simulated duration of one round: the slowest cohort member."""
-    times = []
-    for c in clients:
-        seed = derive_seed(world.base_seed, "time", trial_index, round_index, c.client_id)
-        times.append(sched.completion_time(
-            c.latency, hp.local_epochs, max(1, len(c.shard.train)), seed
-        ))
-    return max(times)
 
 
 def run_trial(
@@ -199,6 +203,11 @@ def run_trial(
     patience: int = 0,
 ) -> TrialResult:
     """Train a fresh model for budget_rounds under hp and score it.
+
+    Every evaluation-cadence round scores the new global model on the
+    server validation set once; that loss goes to the trace, to a
+    "global" feedback record following the round's local records, and to
+    on_cadence.
 
     on_cadence, when given, is called after every evaluation-cadence
     round as on_cadence(state, clients, world, trial_index, global_loss)
@@ -219,15 +228,23 @@ def run_trial(
     best_gl = np.inf
     stall = 0
     for j in range(1, budget_rounds + 1):
-        train_hp = to_train_hp(state.current_hp, world.hp_defaults)
+        epochs = to_train_hp(state.current_hp, world.hp_defaults).local_epochs
         next_state, feedbacks = run_round(state, cohort, world, trial_index)
-        sim_time += _round_time(cohort, train_hp, world, trial_index, j)
+        sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
         all_feedbacks.extend(feedbacks)
         if j % world.evaluator.cadence == 0:
             gl, gacc = models.evaluate(
                 spec, next_state.global_weights,
                 world.evaluator.val_set.features, world.evaluator.val_set.labels,
             )
+            all_feedbacks.append(FeedbackRecord(
+                config_id=state.current_hp.config_id,
+                round_index=j,
+                kind="global",
+                train_loss=gl,
+                val_loss=gl,
+                group_size=len(cohort),
+            ))
             trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": sim_time})
             if on_cadence is not None:
                 new_cfg, extra = on_cadence(next_state, cohort, world, trial_index, gl)

@@ -171,11 +171,6 @@ class HpConfig:
         return HpConfig(vals)
 
 
-def validate_on_grid(space: SearchSpace, config: HpConfig):
-    for name, value in config.values.items():
-        grid_index(space[name], value)
-
-
 @dataclass
 class FeedbackRecord:
     """One loss feedback event tied to a config and communication round."""
@@ -183,7 +178,7 @@ class FeedbackRecord:
     config_id: str
     round_index: int
     kind: str  # "local", "global" or "probe"
-    train_loss: float
+    train_loss: float  # server validation loss; nan on "local" records
     val_loss: float
     group_size: int = 1
     probe_target: str | None = None
@@ -224,10 +219,6 @@ class FeedbackStore:
             if detail is not None:
                 self.history.append(detail)
 
-    def append_history(self, record: FeedbackRecord):
-        with self._lock:
-            self.history.append(record)
-
     def mean(self, config_id: str) -> float:
         with self._lock:
             return self._sum[config_id] / self._count[config_id]
@@ -235,10 +226,6 @@ class FeedbackStore:
     def count(self, config_id: str) -> int:
         with self._lock:
             return self._count.get(config_id, 0)
-
-    def config_ids(self) -> list[str]:
-        with self._lock:
-            return list(self._count)
 
     def export_jsonl(self, path):
         with open(path, "w", newline="\n") as fh:

@@ -28,7 +28,6 @@ class ModelSpec:
     input_dim: int
     num_classes: int
     hidden_dim: int = 0
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (LOGISTIC, MLP):
@@ -39,8 +38,6 @@ class ModelSpec:
             raise ConfigurationError("model.num_classes: must be >= 2")
         if self.kind == MLP and self.hidden_dim < 1:
             raise ConfigurationError("model.hidden_dim: must be >= 1 for mlp")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError("model.dropout_rate: must be in [0, 1)")
 
     @property
     def layout_id(self) -> str:
@@ -216,10 +213,10 @@ def local_train(
 ):
     """Run hp.local_epochs epochs of mini-batch SGD on one client shard.
 
-    Returns (updated weights, train loss, val loss); losses are measured
-    after training with dropout disabled. Deterministic in all inputs;
-    batch order reshuffles each epoch from rng_seed. An empty validation
-    split falls back to the training loss.
+    Returns (updated weights, validation loss), the loss measured after
+    training with dropout disabled. Deterministic in all inputs; batch
+    order reshuffles each epoch from rng_seed. An empty validation split
+    falls back to the loss on the training split.
     """
     if len(train_labels) == 0:
         raise DataError("local_train: empty training split")
@@ -247,11 +244,10 @@ def local_train(
         if not np.all(np.isfinite(values)):
             raise NumericDivergenceError("non-finite weights after epoch")
     new_w = WeightVector(values, w.layout_id)
-    train_loss, _ = evaluate(spec, new_w, train_features, train_labels)
     if len(val_labels) > 0:
         val_loss, _ = evaluate(spec, new_w, val_features, val_labels)
     else:
-        val_loss = train_loss
-    if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+        val_loss, _ = evaluate(spec, new_w, train_features, train_labels)
+    if not np.isfinite(val_loss):
         raise NumericDivergenceError("non-finite post-training loss")
-    return new_w, float(train_loss), float(val_loss)
+    return new_w, float(val_loss)

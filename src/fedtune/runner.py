@@ -126,7 +126,6 @@ def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
         input_dim=ds.features.shape[1],
         num_classes=num_classes,
         hidden_dim=int(model_cfg.get("hidden_dim", 0)) if model_cfg["kind"] == "mlp" else 0,
-        dropout_rate=float(model_cfg.get("dropout_rate", 0.0)),
     )
     return ExperimentWorld(
         model_spec=spec,
@@ -159,43 +158,30 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
 def run_probe_cycle(state, cohort, world, trial_index, sampler, pending):
     """Step-wise feedback: evaluate the probe set and move the config.
 
-    Each probe config is trained for its own epoch count by every cohort
-    member from the current global weights; the probe updates are
-    aggregated and scored on the server validation set, then combined
-    with the local validation losses. Probe feedback is queued in
-    `pending` for commit at the evaluation's simulated finish time.
+    Each probe config trains the whole cohort from the current global
+    weights with flcore.train_cohort; the probe aggregate is scored on
+    the server validation set and combined with the cohort's local
+    validation losses. The cycle's simulated time is the sum of the
+    probes' cohort times. Probe feedback is queued in `pending` for
+    commit at the evaluation's simulated finish time.
     """
     current = state.current_hp
     probes = sampler.probes(current)
-    spec = world.model_spec
+    val_set = world.evaluator.val_set
     n = len(cohort)
     results = []
     extra_time = 0.0
     for p in probes:
-        probe_hp = to_train_hp(p, world.hp_defaults)
-        lf = []
-        updates = []
-        times = []
-        for c in cohort:
-            pseed = derive_seed(world.base_seed, "probe", trial_index,
-                                state.round_index, p.config_id, c.client_id)
-            w, _, vl = models.local_train(
-                spec, state.global_weights, probe_hp,
-                c.shard.train.features, c.shard.train.labels,
-                c.shard.val.features, c.shard.val.labels, pseed,
-            )
-            lf.append(vl)
-            updates.append((w, len(c.shard.train)))
-            times.append(sched.completion_time(
-                c.latency, probe_hp.local_epochs, max(1, len(c.shard.train)), pseed
-            ))
-        wp = flcore.fedavg_aggregate(updates, world.agg_mode)
-        gf, _ = models.evaluate(
-            spec, wp, world.evaluator.val_set.features, world.evaluator.val_set.labels
+        seed_key = (world.base_seed, "probe", trial_index, state.round_index, p.config_id)
+        wp, val_losses = flcore.train_cohort(
+            world, state.global_weights, p, cohort, state.round_index, seed_key
         )
-        combined = combine_feedback(lf, gf, n)
+        gf, _ = models.evaluate(world.model_spec, wp, val_set.features, val_set.labels)
+        combined = combine_feedback([vl for _, vl in val_losses], gf, n)
         results.append((p, combined))
-        extra_time += max(times)
+        extra_time += flcore.cohort_time(
+            cohort, to_train_hp(p, world.hp_defaults).local_epochs, seed_key
+        )
         target = hpo.probe_target_of(sampler.space, current, p)
         pending.append((p.config_id, combined, FeedbackRecord(
             config_id=p.config_id,
@@ -210,13 +196,16 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, pending):
     return new_cfg, extra_time
 
 
-def _run_one_eval(cfg, world, store, sampler, group, config, eval_index, seed):
-    """Run one HP evaluation (a full trial) on a group's cohort.
+def _run_one_eval(cfg, world, store, sampler, group, config, eval_index, seed, rounds):
+    """Run one HP evaluation (a trial of `rounds` rounds) on a group's cohort.
 
-    Returns (TrialRow, duration, commit) where commit records the trial's
-    feedback into the store.
+    sampler drives the adaptive sampler's probe cycles; other samplers
+    ignore it (halving passes None).
+    Returns (TrialRow, duration, commit, final weights) where commit
+    records the trial's feedback into the store.
     """
-    cohort = [c for c in world.clients if c.client_id in set(group.members)]
+    members = set(group.members)
+    cohort = [c for c in world.clients if c.client_id in members]
     pending: list = []
     adaptive = cfg["sampler"] == "adaptive"
 
@@ -225,7 +214,7 @@ def _run_one_eval(cfg, world, store, sampler, group, config, eval_index, seed):
 
     try:
         result = flcore.run_trial(
-            config, int(cfg["rounds_per_trial"]), world, cohort,
+            config, rounds, world, cohort,
             trial_index=eval_index,
             on_cadence=on_cadence if adaptive else None,
             patience=int(cfg["early_stop_patience"]),
@@ -288,16 +277,14 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
     world = build_world(cfg, seed)
     space = cfg.search_space()
     store = FeedbackStore()
-    tuned = list(cfg["tuned"])
-    if cfg["sampler"] == "adaptive":
-        sampler = hpo.AdaptiveSampler(space, tuned, float(cfg["epsilon"]),
-                                      derive_seed(seed, "sampler"))
-    else:
-        sampler = hpo.RandomSampler(space, derive_seed(seed, "sampler"))
-
     if cfg["sampler"] == "halving":
         rows, events, makespan, weights_by_id = _run_halving(cfg, world, space, store, seed)
     else:
+        if cfg["sampler"] == "adaptive":
+            sampler = hpo.AdaptiveSampler(space, list(cfg["tuned"]), float(cfg["epsilon"]),
+                                          derive_seed(seed, "sampler"))
+        else:
+            sampler = hpo.RandomSampler(space, derive_seed(seed, "sampler"))
         groups = make_groups(cfg, world, seed)
         rows_by_eval: dict[int, TrialRow] = {}
         weights_by_id: dict[str, models.WeightVector] = {}
@@ -307,7 +294,8 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
 
         def run_eval(group, config, eval_index):
             row, duration, commit, weights = _run_one_eval(
-                cfg, world, store, sampler, group, config, eval_index, seed
+                cfg, world, store, sampler, group, config, eval_index, seed,
+                int(cfg["rounds_per_trial"]),
             )
             rows_by_eval[eval_index] = row
             if weights is not None:
@@ -357,15 +345,13 @@ def _run_halving(cfg, world, space, store, seed):
     sim_clock = 0.0
     eval_counter = 0
     survivors = list(configs)
-    sampler = hpo.RandomSampler(space, derive_seed(seed, "sampler"))
     while True:
         scored = []
         for config in survivors:
             events.append(sched.ScheduleEvent(sim_clock, "issue", 0,
                                               config.config_id, eval_counter))
             row, duration, commit, weights = _run_one_eval(
-                _with_rounds(cfg, rounds), world, store, sampler, group,
-                config, eval_counter, seed,
+                cfg, world, store, None, group, config, eval_counter, seed, rounds,
             )
             commit()
             sim_clock += duration
@@ -386,12 +372,6 @@ def _run_halving(cfg, world, space, store, seed):
     for i, row in enumerate(rows):
         row.trial_index = i
     return rows, events, sim_clock, weights_by_id
-
-
-def _with_rounds(cfg: ExperimentConfig, rounds: int) -> ExperimentConfig:
-    raw = cfg.to_dict()
-    raw["rounds_per_trial"] = rounds
-    return ExperimentConfig(raw)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

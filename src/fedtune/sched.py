@@ -32,8 +32,6 @@ class LatencyProfile:
 class ClientGroup:
     group_id: int
     members: list[int]  # client ids, sorted
-    formation_time: float = 0.0
-    hp_under_eval: str | None = None
 
 
 def completion_time(profile: LatencyProfile, local_epochs: int, n_samples: int, rng_seed: int) -> float:
@@ -64,11 +62,11 @@ def form_groups(completions, window: float) -> list[ClientGroup]:
     anchor = ordered[0][1]
     for cid, t in ordered[1:]:
         if t > anchor + window:
-            groups.append(ClientGroup(len(groups), sorted(members), anchor))
+            groups.append(ClientGroup(len(groups), sorted(members)))
             members, anchor = [cid], t
         else:
             members.append(cid)
-    groups.append(ClientGroup(len(groups), sorted(members), anchor))
+    groups.append(ClientGroup(len(groups), sorted(members)))
     return groups
 
 
@@ -96,7 +94,6 @@ class ScheduleEvent:
 class DispatchResult:
     events: list[ScheduleEvent]
     makespan: float
-    assignments: list[tuple[int, int]]  # (eval_index, group_id)
 
 
 def dispatch(groups: list[ClientGroup], num_evals: int, issue, run_eval) -> DispatchResult:
@@ -117,7 +114,6 @@ def dispatch(groups: list[ClientGroup], num_evals: int, issue, run_eval) -> Disp
     done_evals = {g.group_id: 0 for g in groups}
     pending: list[tuple[float, int, object]] = []  # (finish, seq, commit)
     events: list[ScheduleEvent] = []
-    assignments = []
     makespan = 0.0
     for e in range(num_evals):
         t, gid = heapq.heappop(free)
@@ -127,7 +123,6 @@ def dispatch(groups: list[ClientGroup], num_evals: int, issue, run_eval) -> Disp
                 commit()
         group = by_id[gid]
         config = issue(group, e)
-        group.hp_under_eval = config.config_id
         events.append(ScheduleEvent(t, "issue", gid, config.config_id, done_evals[gid]))
         duration, commit = run_eval(group, config, e)
         finish = t + duration
@@ -137,15 +132,16 @@ def dispatch(groups: list[ClientGroup], num_evals: int, issue, run_eval) -> Disp
             ScheduleEvent(finish, "feedback", gid, config.config_id,
                           done_evals[gid], staleness=duration)
         )
-        assignments.append((e, gid))
         makespan = max(makespan, finish)
         heapq.heappush(free, (finish, gid))
     while pending:
         _, _, commit = heapq.heappop(pending)
         if commit is not None:
             commit()
-    events.sort(key=lambda ev: (ev.sim_time, ev.group_id, ev.event_kind))
-    return DispatchResult(events, makespan, assignments)
+    # An issue of round k and the feedback that ends it carry rounds k and
+    # k + 1, so a zero-duration evaluation still lists its issue first.
+    events.sort(key=lambda ev: (ev.sim_time, ev.group_id, ev.round_index, ev.event_kind))
+    return DispatchResult(events, makespan)
 
 
 def export_events_jsonl(events, path):

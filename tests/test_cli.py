@@ -45,6 +45,20 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="no_such_field"):
             config_from_dict(dict(SMALL, no_such_field=1))
 
+    @pytest.mark.parametrize("section,key", [
+        ("model", "dropout_rate"), ("model", "hiden_dim"), ("dataset", "seperation"),
+        ("grouping", "windw"), ("latency", "jitter"),
+    ])
+    def test_unknown_section_field_rejected(self, section, key):
+        bad = dict(SMALL, **{section: {**SMALL.get(section, {}), key: 1}})
+        with pytest.raises(ConfigurationError,
+                           match=f"^{section}\\.{key}: unknown configuration field$"):
+            config_from_dict(bad)
+
+    def test_section_must_be_mapping(self):
+        with pytest.raises(ConfigurationError, match="^model: must be a mapping$"):
+            config_from_dict(dict(SMALL, model="mlp"))
+
     def test_set_override(self, config_path):
         cfg = load_config(config_path, overrides=["budget_configs=7",
                                                   "grouping.mode=async"])
@@ -63,6 +77,11 @@ class TestCliCommands:
 
     def test_validate_bad_config_exit_code(self, config_path):
         assert cli.main(["validate", config_path, "--set", "alpha=-3"]) == cli.EXIT_CONFIG
+
+    def test_unknown_section_field_exit_code(self, config_path, capsys):
+        code = cli.main(["validate", config_path, "--set", "model.dropout_rate=0.2"])
+        assert code == cli.EXIT_CONFIG
+        assert "model.dropout_rate: unknown configuration field" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self):
         assert cli.main(["validate", "/nonexistent.yaml"]) == cli.EXIT_CONFIG

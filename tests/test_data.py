@@ -29,8 +29,8 @@ class TestGenSynthetic:
         hp = TrainHp(0.1, 0.0, 1, 16, 0.0)
         w = models.init_weights(spec, 0)
         for _ in range(30):
-            w, _, _ = models.local_train(spec, w, hp, ds.features, ds.labels,
-                                         ds.features, ds.labels, 0)
+            w, _ = models.local_train(spec, w, hp, ds.features, ds.labels,
+                                      ds.features, ds.labels, 0)
         _, acc = models.evaluate(spec, w, ds.features, ds.labels)
         assert acc > 0.99
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fedtune import data, flcore, models, sched
-from fedtune.common import AggregationError
+from fedtune import data, flcore, hpo, models, runner, sched
+from fedtune.common import AggregationError, NumericDivergenceError, derive_seed
 from fedtune.data import EvalSet
 from fedtune.flcore import (
     ClientState,
@@ -12,6 +12,8 @@ from fedtune.flcore import (
     fedavg_aggregate,
     run_round,
     run_trial,
+    to_train_hp,
+    train_cohort,
     weighted_objective,
 )
 from fedtune.hpo import HpConfig
@@ -118,16 +120,6 @@ class TestRunRound:
         solo, _ = run_round(state, [c], world)
         assert np.allclose(nxt.global_weights.values, solo.global_weights.values)
 
-    def test_global_feedback_on_cadence_rounds(self):
-        world = make_world(cadence=5)
-        w = models.init_weights(world.model_spec, 0)
-        state = RoundState(1, 20, w, hp_config())
-        global_rounds = []
-        for _ in range(20):
-            state, fbs = run_round(state, world.clients, world)
-            global_rounds += [f.round_index for f in fbs if f.kind == "global"]
-        assert global_rounds == [5, 10, 15, 20]
-
     def test_local_feedback_per_client(self):
         world = make_world(n_clients=3)
         w = models.init_weights(world.model_spec, 0)
@@ -138,7 +130,73 @@ class TestRunRound:
         assert all(f.group_size == 3 for f in local)
 
 
+class TestTrainCohort:
+    def test_shuffled_cohort_matches_per_client_loop(self):
+        world = make_world(n_clients=4, alpha=0.5)
+        cfg = hp_config(epochs=2)
+        w0 = models.init_weights(world.model_spec, 0)
+        key = (world.base_seed, "train", 3, 4)
+        shuffled = [world.clients[i] for i in (2, 0, 3, 1)]
+        agg, losses = train_cohort(world, w0, cfg, shuffled, 4, key)
+        hp = to_train_hp(cfg, world.hp_defaults)
+        updates, expected = [], []
+        for c in world.clients:
+            w, vl = models.local_train(
+                world.model_spec, w0, hp, c.shard.train.features, c.shard.train.labels,
+                c.shard.val.features, c.shard.val.labels, derive_seed(*key, c.client_id),
+            )
+            updates.append((w, len(c.shard.train)))
+            expected.append((c.client_id, vl))
+        assert np.array_equal(agg.values, fedavg_aggregate(updates).values)
+        assert losses == expected
+
+    def test_diverging_probe_names_client_round_and_config(self):
+        world = make_world(n_clients=3)
+        world.clients[1].shard.train.features[:] = np.nan
+        cfg = hp_config()
+        sampler = hpo.AdaptiveSampler(hpo.default_search_space(), ["learning_rate"])
+        state = RoundState(5, 10, models.init_weights(world.model_spec, 0), cfg)
+        with pytest.raises(NumericDivergenceError) as info:
+            runner.run_probe_cycle(state, world.clients, world, 0, sampler, [])
+        assert info.value.client_id == 1
+        assert info.value.round_index == 5
+        assert info.value.config_id == sampler.probes(cfg)[0].config_id
+
+
 class TestRunTrial:
+    def test_global_feedback_on_cadence_rounds(self):
+        world = make_world(n_clients=3, cadence=5)
+        result = run_trial(hp_config(), 20, world)
+        expected = []
+        for j in range(1, 21):
+            expected += [("local", j)] * 3
+            if j % 5 == 0:
+                expected.append(("global", j))
+        assert [(f.kind, f.round_index) for f in result.feedbacks] == expected
+        assert [f.val_loss for f in result.feedbacks if f.kind == "global"] == \
+            [point["loss"] for point in result.trace]
+
+    def test_one_evaluation_per_score(self, monkeypatch):
+        # server validation once per cadence round; each client's validation
+        # split once per round plus once for the objective; no training split
+        world = make_world(n_clients=3, cadence=2)
+        calls = []
+        real_evaluate = models.evaluate
+
+        def counting_evaluate(spec, w, features, labels):
+            calls.append(id(features))
+            return real_evaluate(spec, w, features, labels)
+
+        monkeypatch.setattr(models, "evaluate", counting_evaluate)
+        run_trial(hp_config(), 6, world)
+        assert calls.count(id(world.evaluator.val_set.features)) == 3
+        for c in world.clients:
+            assert len(c.shard.val) > 0
+            assert calls.count(id(c.shard.val.features)) == 6 + 1
+            assert calls.count(id(c.shard.train.features)) == 0
+            assert calls.count(id(c.shard.test.features)) == 1
+        assert len(calls) == 3 + 3 * (7 + 1)
+
     def test_trace_length_one_for_single_round_budget(self):
         world = make_world(cadence=1)
         result = run_trial(hp_config(), 1, world)

@@ -50,8 +50,6 @@ class TestInitWeights:
             ModelSpec("mlp", 4, 2, hidden_dim=0)
         with pytest.raises(ConfigurationError):
             ModelSpec("logistic", 4, 1)
-        with pytest.raises(ConfigurationError):
-            ModelSpec("logistic", 4, 2, dropout_rate=1.0)
 
 
 class TestSgdStep:
@@ -72,19 +70,20 @@ class TestLocalTrain:
         x, y = make_blob(0)
         spec = ModelSpec("logistic", 4, 2)
         w = models.init_weights(spec, 1)
-        out, _, _ = models.local_train(spec, w, default_hp(learning_rate=0.0),
-                                       x, y, x, y, rng_seed=3)
+        out, _ = models.local_train(spec, w, default_hp(learning_rate=0.0),
+                                    x, y, x, y, rng_seed=3)
         assert np.array_equal(out.values, w.values)
 
     def test_zero_epochs_is_noop(self):
         x, y = make_blob(0)
         spec = ModelSpec("mlp", 4, 2, hidden_dim=6)
         w = models.init_weights(spec, 1)
-        out, tl, vl = models.local_train(spec, w, default_hp(local_epochs=0),
-                                         x, y, x, y, rng_seed=3)
+        out, _ = models.local_train(spec, w, default_hp(local_epochs=0),
+                                    x, y, x, y, rng_seed=3)
         assert np.array_equal(out.values, w.values)
         pre, _ = models.evaluate(spec, w, x, y)
-        assert tl == pytest.approx(pre)
+        post, _ = models.evaluate(spec, out, x, y)
+        assert post == pytest.approx(pre)
 
     def test_deterministic(self):
         x, y = make_blob(5)
@@ -110,7 +109,7 @@ class TestLocalTrain:
         w = WeightVector(np.ones(spec.num_params()), spec.layout_id)
         x = np.zeros((10, 4))
         y = np.array([0, 1] * 5)
-        out, _, _ = models.local_train(
+        out, _ = models.local_train(
             spec, w, default_hp(learning_rate=0.01, weight_decay=0.1, local_epochs=2),
             x, y, x, y, 0)
         wm = out.values[:8]  # weight matrix entries see only the decay term
@@ -121,8 +120,9 @@ class TestLocalTrain:
         spec = ModelSpec("logistic", 4, 2)
         w = models.init_weights(spec, 1)
         before, _ = models.evaluate(spec, w, x, y)
-        out, after, _ = models.local_train(spec, w, default_hp(local_epochs=5),
-                                           x, y, x, y, 0)
+        out, _ = models.local_train(spec, w, default_hp(local_epochs=5),
+                                    x, y, x, y, 0)
+        after, _ = models.evaluate(spec, out, x, y)
         assert after < before
 
 
@@ -148,8 +148,8 @@ class TestEvaluate:
         spec = ModelSpec("logistic", 4, 2)
         w = models.init_weights(spec, 1)
         for _ in range(20):
-            w, _, _ = models.local_train(spec, w, default_hp(local_epochs=1),
-                                         x, y, x, y, 0)
+            w, _ = models.local_train(spec, w, default_hp(local_epochs=1),
+                                      x, y, x, y, 0)
         _, acc = models.evaluate(spec, w, x, y)
         assert acc == 1.0
 
@@ -161,7 +161,7 @@ class TestEvaluate:
 
     def test_pure_function_independent_of_rng(self):
         x, y = make_blob(8)
-        spec = ModelSpec("mlp", 4, 2, hidden_dim=6, dropout_rate=0.5)
+        spec = ModelSpec("mlp", 4, 2, hidden_dim=6)
         w = models.init_weights(spec, 3)
         np.random.seed(1)
         a = models.evaluate(spec, w, x, y)

@@ -136,6 +136,17 @@ class TestDispatch:
             res, _, _ = scripted_dispatch(durations, e, cfgs)
             assert res.makespan <= e * sync_cost + 1e-9
 
+    def test_zero_duration_eval_lists_issue_before_feedback(self):
+        # a diverged trial or epochs=0 reports zero simulated duration
+        durations = [1.0, 0.0, 1.0]
+        cfgs = [HpConfig({"learning_rate": float(i)}) for i in range(3)]
+        result = dispatch([ClientGroup(0, [0])], 3, lambda g, e: cfgs[e],
+                          lambda g, cfg, e: (durations[e], None))
+        order = [(ev.event_kind, ev.config_id) for ev in result.events]
+        for cfg in cfgs:
+            assert order.index(("issue", cfg.config_id)) < \
+                order.index(("feedback", cfg.config_id))
+
     def test_events_exportable(self, tmp_path):
         cfgs = [HpConfig({"learning_rate": 0.1})]
         res, _, _ = scripted_dispatch({0: 1.0}, 1, cfgs)
