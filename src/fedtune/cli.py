@@ -42,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.overrides)
     out_dir = args.output or cfg["output_dir"]
+    runner.prepare_output_dir(out_dir)  # fail before any compute
     report = runner.run_experiment(cfg)
     for sr in report.per_seed:
         for t in sr.trials:

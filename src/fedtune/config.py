@@ -53,7 +53,11 @@ _SECTION_FIELDS = {
     "model": set(_DEFAULTS["model"]),
     "grouping": set(_DEFAULTS["grouping"]),
     "latency": set(_DEFAULTS["latency"]),
+    "hp_defaults": set(_DEFAULTS["hp_defaults"]),
 }
+# Keys of one custom search_space entry.
+_DIM_FIELDS = {"name", "scale", "low", "high", "step", "integer"}
+_INT_HPS = ("epochs", "batch_size")
 
 
 @dataclass
@@ -111,6 +115,14 @@ def _require(cond: bool, field_name: str, message: str):
         raise ConfigurationError(f"{field_name}: {message}")
 
 
+def _num(value, field_name: str, kind=float):
+    """value as kind (int or float); anything else is an error naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{field_name}: must be a number") from None
+
+
 def validate_config(raw: dict) -> dict:
     """Check every field; error messages name the offending field."""
     for key in raw:
@@ -126,51 +138,55 @@ def validate_config(raw: dict) -> dict:
     _require(ds.get("type") in ("synthetic", "csv"), "dataset.type",
              "must be 'synthetic' or 'csv'")
     if ds["type"] == "synthetic":
-        _require(int(ds.get("num_classes", 0)) >= 2, "dataset.num_classes", "must be >= 2")
-        _require(int(ds.get("input_dim", 0)) >= 1, "dataset.input_dim", "must be >= 1")
-        _require(int(ds.get("n", 0)) >= int(ds["num_classes"]), "dataset.n",
-                 "must be >= num_classes")
-        _require(float(ds.get("class_sep", 0)) > 0, "dataset.class_sep", "must be > 0")
+        _require(_num(ds.get("num_classes", 0), "dataset.num_classes", int) >= 2,
+                 "dataset.num_classes", "must be >= 2")
+        _require(_num(ds.get("input_dim", 0), "dataset.input_dim", int) >= 1,
+                 "dataset.input_dim", "must be >= 1")
+        _require(_num(ds.get("n", 0), "dataset.n", int) >= int(ds["num_classes"]),
+                 "dataset.n", "must be >= num_classes")
+        _require(_num(ds.get("class_sep", 0), "dataset.class_sep") > 0,
+                 "dataset.class_sep", "must be > 0")
     else:
         _require(bool(ds.get("path")), "dataset.path", "required for csv datasets")
 
-    _require(int(cfg["n_clients"]) >= 1, "n_clients", "must be >= 1")
-    _require(float(cfg["alpha"]) > 0, "alpha", "must be > 0")
+    _require(_num(cfg["n_clients"], "n_clients", int) >= 1, "n_clients", "must be >= 1")
+    _require(_num(cfg["alpha"], "alpha") > 0, "alpha", "must be > 0")
     split = cfg["split"]
     _require(isinstance(split, list) and len(split) == 3, "split",
              "must be [train, val, test]")
-    _require(abs(sum(float(f) for f in split) - 1.0) <= 1e-9, "split",
+    _require(abs(sum(_num(f, "split") for f in split) - 1.0) <= 1e-9, "split",
              "fractions must sum to 1")
-    _require(0.0 <= float(cfg["server_val_fraction"]) < 1.0, "server_val_fraction",
-             "must be in [0, 1)")
+    _require(0.0 <= _num(cfg["server_val_fraction"], "server_val_fraction") < 1.0,
+             "server_val_fraction", "must be in [0, 1)")
 
     model = cfg["model"]
     _require(model.get("kind") in ("logistic", "mlp"), "model.kind",
              "must be 'logistic' or 'mlp'")
     if model["kind"] == "mlp":
-        _require(int(model.get("hidden_dim", 0)) >= 1, "model.hidden_dim",
-                 "must be >= 1 for mlp")
+        _require(_num(model.get("hidden_dim", 0), "model.hidden_dim", int) >= 1,
+                 "model.hidden_dim", "must be >= 1 for mlp")
 
     _require(cfg["sampler"] in SAMPLERS, "sampler", f"must be one of {SAMPLERS}")
-    _require(0.0 <= float(cfg["epsilon"]) <= 1.0, "epsilon", "must be in [0, 1]")
-    _require(int(cfg["budget_configs"]) >= 1, "budget_configs", "must be >= 1")
-    _require(int(cfg["rounds_per_trial"]) >= 1, "rounds_per_trial", "must be >= 1")
-    _require(int(cfg["eval_cadence"]) >= 1, "eval_cadence", "must be >= 1")
-    _require(int(cfg["early_stop_patience"]) >= 0, "early_stop_patience", "must be >= 0")
+    _require(0.0 <= _num(cfg["epsilon"], "epsilon") <= 1.0, "epsilon", "must be in [0, 1]")
+    for name, low in (("budget_configs", 1), ("rounds_per_trial", 1), ("eval_cadence", 1),
+                      ("early_stop_patience", 0)):
+        _require(_num(cfg[name], name, int) >= low, name, f"must be >= {low}")
 
     grouping = cfg["grouping"]
     _require(grouping.get("mode") in GROUP_MODES, "grouping.mode",
              f"must be one of {GROUP_MODES}")
     window = grouping.get("window", "auto")
     if window != "auto":
-        _require(float(window) > 0, "grouping.window", "must be > 0 or 'auto'")
+        _require(_num(window, "grouping.window") > 0, "grouping.window",
+                 "must be > 0 or 'auto'")
 
     lat = cfg["latency"]
-    _require(float(lat.get("base_min", 0)) > 0, "latency.base_min", "must be > 0")
-    _require(float(lat.get("base_max", 0)) >= float(lat["base_min"]), "latency.base_max",
-             "must be >= base_min")
-    _require(float(lat.get("jitter_sigma", 0)) >= 0, "latency.jitter_sigma",
-             "must be >= 0")
+    _require(_num(lat.get("base_min", 0), "latency.base_min") > 0, "latency.base_min",
+             "must be > 0")
+    _require(_num(lat.get("base_max", 0), "latency.base_max") >= float(lat["base_min"]),
+             "latency.base_max", "must be >= base_min")
+    _require(_num(lat.get("jitter_sigma", 0), "latency.jitter_sigma") >= 0,
+             "latency.jitter_sigma", "must be >= 0")
 
     _require(cfg["aggregation"] in ("weighted", "uniform"), "aggregation",
              "must be 'weighted' or 'uniform'")
@@ -181,13 +197,25 @@ def validate_config(raw: dict) -> dict:
 
     tuned = cfg["tuned"]
     _require(isinstance(tuned, list), "tuned", "must be a list of HP names")
-    space_names = {d["name"] for d in cfg["search_space"]} \
-        if cfg["search_space"] != "default" else \
-        {"learning_rate", "weight_decay", "epochs", "batch_size", "dropout"}
+    space = cfg["search_space"]
+    if space == "default":
+        space_names = set(_DEFAULTS["hp_defaults"])
+    else:
+        _require(isinstance(space, list), "search_space", "must be 'default' or a list")
+        for dim in space:
+            _require(isinstance(dim, dict), "search_space", "entries must be mappings")
+            for key in dim:
+                _require(key in _DIM_FIELDS, f"search_space.{key}",
+                         "unknown configuration field")
+            for key in ("name", "scale", "low", "high", "step"):
+                _require(key in dim, f"search_space.{key}", "required")
+            for key in ("low", "high", "step"):
+                _num(dim[key], f"search_space.{key}")
+        space_names = {d["name"] for d in space}
     for name in tuned:
         _require(name in space_names, "tuned", f"unknown hyperparameter {name!r}")
-    for name in ("learning_rate", "weight_decay", "epochs", "batch_size", "dropout"):
-        _require(name in cfg["hp_defaults"], "hp_defaults", f"missing {name!r}")
+    for name, value in cfg["hp_defaults"].items():
+        _num(value, f"hp_defaults.{name}", int if name in _INT_HPS else float)
     return cfg
 
 

@@ -176,23 +176,38 @@ def label_entropy(labels: np.ndarray, num_classes: int) -> float:
 
 
 def load_csv(path) -> Dataset:
-    """Load (features..., integer label) rows; a non-numeric header is skipped."""
-    rows = []
+    """Load (features..., integer label) rows; a non-numeric header is skipped.
+
+    Rejects ragged rows, non-finite features and labels that are not
+    non-negative integers.
+    """
+    rows, line_numbers = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader):
             if not row:
                 continue
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError:
                 if i == 0:
                     continue  # header row
                 raise DataError(f"{path}: non-numeric value on line {i + 1}")
+            if rows and len(values) != len(rows[0]):
+                raise DataError(f"{path}: line {i + 1} has {len(values)} columns, "
+                                f"expected {len(rows[0])}")
+            rows.append(values)
+            line_numbers.append(i + 1)
     if not rows:
         raise DataError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=float)
-    labels = arr[:, -1]
-    if not np.allclose(labels, np.round(labels)):
+    features, labels = arr[:, :-1], arr[:, -1]
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if len(bad):
+        raise DataError(f"{path}: non-finite feature value on line {line_numbers[bad[0]]}")
+    if not (np.all(np.isfinite(labels)) and np.allclose(labels, np.round(labels))):
         raise DataError(f"{path}: final column must hold integer labels")
-    return Dataset(arr[:, :-1], labels.astype(np.int64))
+    bad = np.flatnonzero(labels < 0)
+    if len(bad):
+        raise DataError(f"{path}: negative label on line {line_numbers[bad[0]]}")
+    return Dataset(features, labels.astype(np.int64))

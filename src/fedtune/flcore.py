@@ -122,33 +122,33 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
                  cohort: list[ClientState], round_index: int, seed_key: tuple):
     """Train every cohort member from global_w under config, then FedAvg.
 
-    Members train in client_id order; client c draws its batches from
-    derive_seed(*seed_key, c.client_id). A diverging client raises
-    NumericDivergenceError naming the client, round_index and config.
+    All members train together in one models.train_stack pass; client c
+    draws its batches from derive_seed(*seed_key, c.client_id). If any
+    client diverges, NumericDivergenceError names the lowest such
+    client_id, round_index and config.
     Returns (aggregate weights, [(client_id, validation loss)] in
     client_id order).
     """
     hp = to_train_hp(config, world.hp_defaults)
-    updates = []
-    val_losses = []
-    for c in sorted(cohort, key=lambda c: c.client_id):
-        try:
-            new_w, vl = models.local_train(
-                world.model_spec, global_w, hp,
-                c.shard.train.features, c.shard.train.labels,
-                c.shard.val.features, c.shard.val.labels,
-                derive_seed(*seed_key, c.client_id),
-            )
-        except NumericDivergenceError as err:
+    members = sorted(cohort, key=lambda c: c.client_id)
+    trained, val_losses, failures = models.train_stack(
+        world.model_spec, global_w, hp,
+        [(c.shard.train.features, c.shard.train.labels,
+          c.shard.val.features, c.shard.val.labels) for c in members],
+        [derive_seed(*seed_key, c.client_id) for c in members],
+    )
+    for c, failure in zip(members, failures):
+        if failure is not None:
             raise NumericDivergenceError(
-                f"client {c.client_id} diverged in round {round_index}: {err}",
+                f"client {c.client_id} diverged in round {round_index}: {failure}",
                 client_id=c.client_id,
                 round_index=round_index,
                 config_id=config.config_id,
-            ) from err
-        updates.append((new_w, len(c.shard.train)))
-        val_losses.append((c.client_id, vl))
-    return fedavg_aggregate(updates, world.agg_mode), val_losses
+            )
+    updates = [(WeightVector(v, global_w.layout_id), len(c.shard.train))
+               for v, c in zip(trained, members)]
+    return (fedavg_aggregate(updates, world.agg_mode),
+            [(c.client_id, float(vl)) for c, vl in zip(members, val_losses)])
 
 
 def cohort_time(cohort: list[ClientState], epochs: int, seed_key: tuple) -> float:

@@ -385,11 +385,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def emit_metrics(report: ExperimentReport, output_dir) -> dict:
-    """Write trials.csv, curves.csv, report.json, events.jsonl, best_weights.json."""
+def prepare_output_dir(output_dir):
+    """Create output_dir if needed; raise OSError unless it is writable."""
     os.makedirs(output_dir, exist_ok=True)
     if not os.access(output_dir, os.W_OK):
         raise OSError(f"output directory {output_dir} is not writable")
+
+
+def emit_metrics(report: ExperimentReport, output_dir) -> dict:
+    """Write trials.csv, curves.csv, report.json, events.jsonl, best_weights.json."""
+    prepare_output_dir(output_dir)
     paths = {name: os.path.join(output_dir, name) for name in (
         "trials.csv", "curves.csv", "report.json", "events.jsonl", "best_weights.json",
     )}

@@ -181,6 +181,7 @@ def test_criterion_07_straggler_makespan_dominance():
            f"min gap {min(gaps):.2f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_adaptive_beats_random_direction():
     t0 = time.time()
     base = {

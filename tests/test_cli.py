@@ -47,13 +47,32 @@ class TestConfig:
 
     @pytest.mark.parametrize("section,key", [
         ("model", "dropout_rate"), ("model", "hiden_dim"), ("dataset", "seperation"),
-        ("grouping", "windw"), ("latency", "jitter"),
+        ("grouping", "windw"), ("latency", "jitter"), ("hp_defaults", "lerning_rate"),
     ])
     def test_unknown_section_field_rejected(self, section, key):
         bad = dict(SMALL, **{section: {**SMALL.get(section, {}), key: 1}})
         with pytest.raises(ConfigurationError,
                            match=f"^{section}\\.{key}: unknown configuration field$"):
             config_from_dict(bad)
+
+    def test_unknown_search_space_field_rejected(self):
+        space = [{"name": "learning_rate", "scale": "log10", "low": 1e-4, "high": 1e-1,
+                  "step": 10.0, "foo": 1}]
+        with pytest.raises(ConfigurationError,
+                           match="^search_space\\.foo: unknown configuration field$"):
+            config_from_dict(dict(SMALL, search_space=space, tuned=["learning_rate"]))
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("n_clients", "abc", "n_clients"), ("alpha", [1], "alpha"),
+        ("split", [0.5, "x", 0.5], "split"),
+        ("hp_defaults", {"epochs": "many"}, "hp_defaults.epochs"),
+        ("latency", {"base_min": "fast"}, "latency.base_min"),
+        ("search_space", [{"name": "learning_rate", "scale": "log10", "low": "tiny",
+                           "high": 1e-1, "step": 10.0}], "search_space.low"),
+    ])
+    def test_non_numeric_value_rejected(self, key, value, field):
+        with pytest.raises(ConfigurationError, match=f"^{field}: must be a number$"):
+            config_from_dict(dict(SMALL, **{key: value}, tuned=["learning_rate"]))
 
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigurationError, match="^model: must be a mapping$"):
@@ -82,6 +101,30 @@ class TestCliCommands:
         code = cli.main(["validate", config_path, "--set", "model.dropout_rate=0.2"])
         assert code == cli.EXIT_CONFIG
         assert "model.dropout_rate: unknown configuration field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,field", [
+        ("n_clients=abc", "n_clients"), ("latency.base_min=fast", "latency.base_min"),
+    ])
+    def test_non_numeric_value_exit_code(self, config_path, capsys, override, field):
+        assert cli.main(["validate", config_path, "--set", override]) == cli.EXIT_CONFIG
+        assert f"config error: {field}: must be a number" in capsys.readouterr().err
+
+    def test_unknown_hp_default_exit_code(self, config_path, capsys):
+        code = cli.main(["validate", config_path, "--set", "hp_defaults.lerning_rate=0.1"])
+        assert code == cli.EXIT_CONFIG
+        assert "hp_defaults.lerning_rate: unknown configuration field" in \
+            capsys.readouterr().err
+
+    def test_unusable_output_dir_fails_before_compute(self, config_path, tmp_path,
+                                                      monkeypatch):
+        def no_compute(cfg):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(runner, "run_experiment", no_compute)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["run", config_path, "--output", str(blocker / "out")])
+        assert code == cli.EXIT_RUNTIME
 
     def test_missing_file_exit_code(self):
         assert cli.main(["validate", "/nonexistent.yaml"]) == cli.EXIT_CONFIG

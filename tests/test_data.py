@@ -116,6 +116,19 @@ class TestCsvLoader:
         ds = data.load_csv(path)
         assert len(ds) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("0.5,1.5,0\n-1.0,2.0,-1\n", "negative label on line 2"),
+        ("f1,f2,label\n0.5,nan,0\n", "non-finite feature value on line 2"),
+        ("0.5,1.5,0\n-1.0,inf,1\n", "non-finite feature value on line 2"),
+        ("0.5,1.5,0\n-1.0,2.0,inf\n", "integer labels"),
+        ("0.5,1.5,0\n-1.0,1\n", "line 2 has 2 columns, expected 3"),
+    ], ids=["negative-label", "nan-feature", "inf-feature", "inf-label", "ragged-row"])
+    def test_bad_rows_rejected(self, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            data.load_csv(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")

@@ -162,6 +162,20 @@ class TestTrainCohort:
         assert info.value.round_index == 5
         assert info.value.config_id == sampler.probes(cfg)[0].config_id
 
+    def test_lowest_diverging_client_is_named(self):
+        world = make_world(n_clients=4, alpha=0.5)
+        for cid in (3, 1):
+            world.clients[cid].shard.train.features[:] = np.nan
+        shuffled = [world.clients[i] for i in (3, 2, 1, 0)]
+        cfg = hp_config()
+        with pytest.raises(NumericDivergenceError,
+                           match="^client 1 diverged in round 2: non-finite training loss$"
+                           ) as info:
+            train_cohort(world, models.init_weights(world.model_spec, 0), cfg,
+                         shuffled, 2, (0, "train", 0, 2))
+        assert (info.value.client_id, info.value.round_index, info.value.config_id) == \
+            (1, 2, cfg.config_id)
+
 
 class TestRunTrial:
     def test_global_feedback_on_cadence_rounds(self):
@@ -178,16 +192,17 @@ class TestRunTrial:
 
     def test_one_evaluation_per_score(self, monkeypatch):
         # server validation once per cadence round; each client's validation
-        # split once per round plus once for the objective; no training split
+        # split once per round plus once for the objective; no training split.
+        # Every scoring pass goes through models.evaluate_stack, one entry per set.
         world = make_world(n_clients=3, cadence=2)
         calls = []
-        real_evaluate = models.evaluate
+        real_evaluate_stack = models.evaluate_stack
 
-        def counting_evaluate(spec, w, features, labels):
-            calls.append(id(features))
-            return real_evaluate(spec, w, features, labels)
+        def counting_evaluate_stack(spec, values, sets, block=None):
+            calls.extend(id(features) for features, _ in sets)
+            return real_evaluate_stack(spec, values, sets, block)
 
-        monkeypatch.setattr(models, "evaluate", counting_evaluate)
+        monkeypatch.setattr(models, "evaluate_stack", counting_evaluate_stack)
         run_trial(hp_config(), 6, world)
         assert calls.count(id(world.evaluator.val_set.features)) == 3
         for c in world.clients:

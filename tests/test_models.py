@@ -126,6 +126,120 @@ class TestLocalTrain:
         assert after < before
 
 
+def reference_train(spec, w, hp, x, y, rng_seed):
+    """Per-client SGD loop on unpadded batches, drawing dropout per batch."""
+    values = w.values.copy()
+    rng = np.random.default_rng(rng_seed)
+    keep = 1.0 - hp.dropout
+    for _ in range(hp.local_epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), hp.batch_size):
+            idx = order[start : start + hp.batch_size]
+            mask = None
+            if spec.kind == "mlp" and hp.dropout > 0.0:
+                mask = (rng.random((len(idx), spec.hidden_dim)) < keep) / keep
+            _, grad = models.loss_and_grad(spec, values, x[idx], y[idx], dropout_mask=mask)
+            values = models.sgd_step(values, grad, hp.learning_rate, hp.weight_decay)
+    return WeightVector(values, w.layout_id)
+
+
+ENGINE_CASES = [
+    (ModelSpec("logistic", 4, 3), default_hp(batch_size=8, local_epochs=2)),
+    (ModelSpec("mlp", 4, 3, hidden_dim=5),
+     default_hp(batch_size=8, local_epochs=2, dropout=0.3, weight_decay=1e-3)),
+]
+
+
+def engine_shards(c=3):
+    # train sizes with batch_size 8: < batch_size (5; 2 pads to a narrower
+    # width), a 1-row tail (17 = 2 * 8 + 1), exact batches, and an empty
+    # validation split (9, 0)
+    shards = []
+    for seed, n_train, n_val in ((0, 5, 7), (1, 17, 3), (2, 16, 20), (3, 40, 9), (4, 9, 0),
+                                 (5, 2, 4)):
+        x, y = make_blob(seed, n=n_train + n_val, c=c)
+        shards.append((x[:n_train], y[:n_train], x[n_train:], y[n_train:]))
+    return shards
+
+
+class TestTrainStack:
+    @pytest.mark.parametrize("spec,hp", ENGINE_CASES)
+    def test_composition_invariance(self, spec, hp):
+        # a row's weights and validation loss do not depend on its stack-mates
+        shards = engine_shards()
+        assert len({models._padded_width(len(s[1]), hp.batch_size) for s in shards}) == 2
+        seeds = [11, 12, 13, 14, 15, 16]
+        w = models.init_weights(spec, 2)
+        together, losses, failures = models.train_stack(spec, w, hp, shards, seeds)
+        assert failures == [None] * 6
+        perm = [3, 5, 0, 4, 2, 1]
+        shuffled, shuffled_losses, _ = models.train_stack(
+            spec, w, hp, [shards[i] for i in perm], [seeds[i] for i in perm])
+        for i, shard in enumerate(shards):
+            alone, alone_loss = models.local_train(spec, w, hp, *shard, seeds[i])
+            assert np.array_equal(together[i], alone.values)
+            assert losses[i] == alone_loss
+            j = perm.index(i)
+            assert np.array_equal(shuffled[j], alone.values)
+            assert shuffled_losses[j] == alone_loss
+
+    @pytest.mark.parametrize("spec,hp", ENGINE_CASES)
+    def test_ragged_shards_match_unpadded_loop(self, spec, hp):
+        shards = engine_shards()
+        w = models.init_weights(spec, 4)
+        trained, losses, _ = models.train_stack(spec, w, hp, shards, [7] * len(shards))
+        for row, (tx, ty, vx, vy) in enumerate(shards):
+            ref = reference_train(spec, w, hp, tx, ty, 7)
+            assert np.allclose(trained[row], ref.values, rtol=1e-12, atol=1e-12)
+            # an empty validation split falls back to the training split
+            ex, ey = (vx, vy) if len(vy) else (tx, ty)
+            ref_loss, _ = models.evaluate(spec, ref, ex, ey)
+            assert losses[row] == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+
+    def test_short_shards_pad_to_own_width(self, monkeypatch):
+        # batches pad to batch_size, cut by 4 while the shard fits: the width
+        # depends on the shard alone, and padding at most quadruples it
+        assert [models._padded_width(n, 256) for n in (1, 4, 16, 17, 64, 65, 300)] == \
+            [1, 4, 16, 64, 64, 256, 256]
+        assert models._padded_width(20, 100) == 25
+        spec, hp = ENGINE_CASES[0]
+        calls = []
+        real_loss_and_grad = models.loss_and_grad
+
+        def recording(spec, values, features, labels, dropout_mask=None):
+            calls.append(features.shape[:2])
+            return real_loss_and_grad(spec, values, features, labels, dropout_mask)
+
+        monkeypatch.setattr(models, "loss_and_grad", recording)
+        shards = engine_shards()
+        models.train_stack(spec, models.init_weights(spec, 0), hp, shards, [0] * len(shards))
+        # the 2-row shard trains at width 2 (one step per epoch), the rest at 8
+        assert calls.count((1, 2)) == hp.local_epochs
+        assert {width for _, width in calls} == {2, hp.batch_size}
+
+    def test_zero_epochs_scores_initial_weights(self):
+        spec, hp = ENGINE_CASES[1]
+        shards = engine_shards()
+        w = models.init_weights(spec, 4)
+        trained, losses, failures = models.train_stack(
+            spec, w, default_hp(local_epochs=0), shards, [0] * len(shards))
+        assert failures == [None] * len(shards)
+        for row, (tx, ty, vx, vy) in enumerate(shards):
+            assert np.array_equal(trained[row], w.values)
+            ex, ey = (vx, vy) if len(vy) else (tx, ty)
+            assert losses[row] == pytest.approx(models.evaluate(spec, w, ex, ey)[0], rel=1e-12)
+
+    def test_failure_reported_per_row(self):
+        spec, hp = ENGINE_CASES[0]
+        shards = engine_shards()
+        bad = list(shards[1])
+        bad[0] = np.full_like(bad[0], np.nan)
+        shards[1] = tuple(bad)
+        _, _, failures = models.train_stack(spec, models.init_weights(spec, 0), hp,
+                                            shards, [0] * len(shards))
+        assert failures == [None, "non-finite training loss", None, None, None, None]
+
+
 class TestEvaluate:
     def test_loss_nonnegative(self):
         x, y = make_blob(3)
