@@ -116,11 +116,24 @@ def _require(cond: bool, field_name: str, message: str):
 
 
 def _num(value, field_name: str, kind=float):
-    """value as kind (int or float); anything else is an error naming the field."""
+    """value as kind (int or float); anything else is an error naming the field.
+
+    An int field takes only a whole number that is not a bool, since int()
+    would read 2.7 as 2 and True as 1.
+    """
     try:
-        return kind(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{field_name}: must be a number") from None
+    if kind is float:
+        return number
+    try:
+        whole = int(value)
+    except (ValueError, OverflowError):  # "2.5", inf, nan
+        whole = None
+    _require(whole == number and not isinstance(value, bool), field_name,
+             "must be an integer")
+    return whole
 
 
 def validate_config(raw: dict) -> dict:
@@ -175,6 +188,10 @@ def validate_config(raw: dict) -> dict:
     grouping = cfg["grouping"]
     _require(grouping.get("mode") in GROUP_MODES, "grouping.mode",
              f"must be one of {GROUP_MODES}")
+    # A rung must finish before the next is promoted, so halving runs on
+    # the one all-clients group.
+    _require(cfg["sampler"] != "halving" or grouping["mode"] == "sync", "grouping.mode",
+             "must be 'sync' for the halving sampler")
     window = grouping.get("window", "auto")
     if window != "auto":
         _require(_num(window, "grouping.window") > 0, "grouping.window",
@@ -193,7 +210,8 @@ def validate_config(raw: dict) -> dict:
     seeds = cfg["seeds"]
     _require(isinstance(seeds, list) and len(seeds) >= 1, "seeds",
              "must be a nonempty list")
-    _require(all(isinstance(s, int) for s in seeds), "seeds", "must be integers")
+    _require(all(isinstance(s, int) and not isinstance(s, bool) for s in seeds), "seeds",
+             "must be integers")
 
     tuned = cfg["tuned"]
     _require(isinstance(tuned, list), "tuned", "must be a list of HP names")

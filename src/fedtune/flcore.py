@@ -7,7 +7,6 @@ on evaluation-cadence rounds, scores the new global model on the
 server-side validation set.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +39,6 @@ class GlobalEvaluator:
 @dataclass
 class RoundState:
     round_index: int
-    max_rounds: int
     global_weights: WeightVector
     current_hp: HpConfig
 
@@ -60,7 +58,6 @@ class ExperimentWorld:
 @dataclass
 class TrialResult:
     config: HpConfig  # final config (may differ from initial under adaptive stepping)
-    initial_config_id: str
     objective: float  # sample-count-weighted final validation loss
     test_accuracy: float
     trace: list = field(default_factory=list)  # rows: round, loss, accuracy, sim_time
@@ -189,7 +186,7 @@ def run_round(state: RoundState, clients: list[ClientState], world: ExperimentWo
         )
         for cid, vl in val_losses
     ]
-    next_state = RoundState(j + 1, state.max_rounds, new_global, state.current_hp)
+    next_state = RoundState(j + 1, new_global, state.current_hp)
     return next_state, feedbacks
 
 
@@ -221,7 +218,7 @@ def run_trial(
     cohort = sorted(clients or world.clients, key=lambda c: c.client_id)
     spec = world.model_spec
     w0 = models.init_weights(spec, derive_seed(world.base_seed, "init", trial_index))
-    state = RoundState(1, budget_rounds, w0, hp)
+    state = RoundState(1, w0, hp)
     sim_time = 0.0
     trace = []
     all_feedbacks = []
@@ -276,41 +273,10 @@ def run_trial(
         if test_hits else 0.0
     return TrialResult(
         config=state.current_hp,
-        initial_config_id=hp.config_id,
         objective=float(objective),
         test_accuracy=float(test_acc),
         trace=trace,
         sim_time=sim_time,
         final_weights=final_w,
         feedbacks=all_feedbacks,
-    )
-
-
-STATE_FORMAT_VERSION = 1
-
-
-def save_round_state(state: RoundState, path):
-    """Serialize a RoundState snapshot as versioned JSON."""
-    doc = {
-        "version": STATE_FORMAT_VERSION,
-        "round_index": state.round_index,
-        "max_rounds": state.max_rounds,
-        "layout_id": state.global_weights.layout_id,
-        "weights": state.global_weights.values.tolist(),
-        "hp_values": state.current_hp.values,
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
-
-
-def load_round_state(path) -> RoundState:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != STATE_FORMAT_VERSION:
-        raise ValueError(f"unsupported state version {doc.get('version')}")
-    return RoundState(
-        round_index=doc["round_index"],
-        max_rounds=doc["max_rounds"],
-        global_weights=WeightVector(np.asarray(doc["weights"]), doc["layout_id"]),
-        current_hp=HpConfig(doc["hp_values"]),
     )

@@ -1,10 +1,11 @@
 """Search space, low-fidelity grids, samplers and the feedback store.
 
 The search space restricts every hyperparameter to a coarse grid
-(low-fidelity mode). Two samplers are provided: uniform random search
-over the grid and a step-wise adaptive sampler that, each feedback
-cycle, probes one grid neighbor per tuned hyperparameter and performs a
-coordinate-descent move using only the latest probe feedback.
+(low-fidelity mode). Three samplers are provided: uniform random search
+over the grid, a step-wise adaptive sampler that, each feedback cycle,
+probes one grid neighbor per tuned hyperparameter and performs a
+coordinate-descent move using only the latest probe feedback, and
+successive halving over random grid configs.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import ConfigurationError, FeedbackError
+from .common import ConfigurationError, FeedbackError, derive_seed
 
 SCALES = ("log10", "log_e", "linear", "pow2")
 
@@ -343,15 +344,7 @@ class RandomSampler:
         self.seed = seed
 
     def start_config(self, eval_index: int, store: FeedbackStore) -> HpConfig:
-        from .common import derive_seed
-
         return suggest_random(self.space, derive_seed(self.seed, "rand-cfg", eval_index))
-
-    def probes(self, current):
-        return None
-
-    def step(self, current, probe_results):
-        return current
 
 
 class AdaptiveSampler:
@@ -396,3 +389,61 @@ class AdaptiveSampler:
                     self.directions[name] = 1 if delta > 0 else -1
         self._seen[new.config_id] = new
         return new
+
+
+def halving_rungs(n_configs: int, max_rounds: int) -> list[tuple[int, int]]:
+    """The successive-halving plan: (configs kept, rounds) per rung.
+
+    The first rung runs all n_configs for max_rounds // 2**floor(log2 n)
+    rounds (at least 1). Each next rung keeps ceil(n/2) configs at double
+    the rounds, capped at max_rounds, until one config is left or a rung
+    runs max_rounds.
+    """
+    levels = max(1, int(math.floor(math.log2(n_configs)))) if n_configs > 1 else 0
+    n, rounds = n_configs, max(1, max_rounds // (2 ** levels))
+    rungs = [(n, rounds)]
+    while n > 1 and rounds < max_rounds:
+        n, rounds = math.ceil(n / 2), min(max_rounds, rounds * 2)
+        rungs.append((n, rounds))
+    return rungs
+
+
+class HalvingSampler:
+    """Successive halving over random grid configs.
+
+    Evaluation e belongs to one rung of the plan and runs for that rung's
+    rounds. Each rung issues its configs in order; the first issue of the
+    next rung promotes the best ceil(n/2) by (objective, config_id).
+    Objectives arrive through observe(), which the runner calls from an
+    evaluation's deferred commit, so promotion sees only feedback that has
+    arrived in simulated time: every evaluation of a rung must have
+    finished before the next rung is issued, which holds on one group.
+    """
+
+    def __init__(self, space: SearchSpace, seed: int, n_configs: int, max_rounds: int):
+        self.configs = [suggest_random(space, derive_seed(seed, "halving", i))
+                        for i in range(n_configs)]
+        self.rungs = halving_rungs(n_configs, max_rounds)
+        # (rung, position in the rung) of every evaluation, in issue order
+        self._slots = [(r, i) for r, (n, _) in enumerate(self.rungs) for i in range(n)]
+        self.num_evals = len(self._slots)
+        self._survivors = list(self.configs)
+        self._scored: list[tuple[float, HpConfig]] = []  # (objective, config), this rung
+
+    def rounds(self, eval_index: int) -> int:
+        """Round budget of evaluation eval_index: its rung's rounds."""
+        return self.rungs[self._slots[eval_index][0]][1]
+
+    def start_config(self, eval_index: int, store: FeedbackStore) -> HpConfig:
+        rung, i = self._slots[eval_index]
+        if rung > 0 and i == 0:
+            if len(self._scored) != len(self._survivors):
+                raise FeedbackError(f"rung {rung - 1} promoted before all its feedback arrived")
+            self._scored.sort(key=lambda t: (t[0], t[1].config_id))
+            self._survivors = [c for _, c in self._scored[: self.rungs[rung][0]]]
+            self._scored = []
+        return self._survivors[i]
+
+    def observe(self, config: HpConfig, objective: float):
+        """Take the objective of a finished evaluation of the current rung."""
+        self._scored.append((objective, config))

@@ -199,8 +199,9 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, pending):
 def _run_one_eval(cfg, world, store, sampler, group, config, eval_index, seed, rounds):
     """Run one HP evaluation (a trial of `rounds` rounds) on a group's cohort.
 
-    sampler drives the adaptive sampler's probe cycles; other samplers
-    ignore it (halving passes None).
+    sampler drives the adaptive sampler's probe cycles, and the halving
+    sampler observes the trial's objective at commit; the random sampler
+    ignores it.
     Returns (TrialRow, duration, commit, final weights) where commit
     records the trial's feedback into the store.
     """
@@ -222,8 +223,7 @@ def _run_one_eval(cfg, world, store, sampler, group, config, eval_index, seed, r
         failed = False
     except NumericDivergenceError:
         result = flcore.TrialResult(
-            config=config, initial_config_id=config.config_id,
-            objective=math.inf, test_accuracy=0.0, sim_time=0.0, failed=True,
+            config=config, objective=math.inf, test_accuracy=0.0, sim_time=0.0, failed=True,
         )
         failed = True
 
@@ -269,6 +269,8 @@ def _run_one_eval(cfg, world, store, sampler, group, config, eval_index, seed, r
                 val_loss=combined,
                 group_size=len(cohort),
             ))
+        if cfg["sampler"] == "halving":
+            sampler.observe(config, result.objective)
 
     return row, result.sim_time, commit, result.final_weights
 
@@ -277,35 +279,41 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
     world = build_world(cfg, seed)
     space = cfg.search_space()
     store = FeedbackStore()
+    num_evals = int(cfg["budget_configs"])
+    rounds = int(cfg["rounds_per_trial"])
     if cfg["sampler"] == "halving":
-        rows, events, makespan, weights_by_id = _run_halving(cfg, world, space, store, seed)
+        sampler = hpo.HalvingSampler(space, seed, num_evals, rounds)
+        num_evals = sampler.num_evals
+    elif cfg["sampler"] == "adaptive":
+        sampler = hpo.AdaptiveSampler(space, list(cfg["tuned"]), float(cfg["epsilon"]),
+                                      derive_seed(seed, "sampler"))
     else:
-        if cfg["sampler"] == "adaptive":
-            sampler = hpo.AdaptiveSampler(space, list(cfg["tuned"]), float(cfg["epsilon"]),
-                                          derive_seed(seed, "sampler"))
-        else:
-            sampler = hpo.RandomSampler(space, derive_seed(seed, "sampler"))
-        groups = make_groups(cfg, world, seed)
-        rows_by_eval: dict[int, TrialRow] = {}
-        weights_by_id: dict[str, models.WeightVector] = {}
+        sampler = hpo.RandomSampler(space, derive_seed(seed, "sampler"))
+    groups = make_groups(cfg, world, seed)
+    rows_by_eval: dict[int, TrialRow] = {}
+    weights_by_id: dict[str, models.WeightVector] = {}
 
-        def issue(group, eval_index):
-            return sampler.start_config(eval_index, store)
+    def issue(group, eval_index):
+        return sampler.start_config(eval_index, store)
 
-        def run_eval(group, config, eval_index):
-            row, duration, commit, weights = _run_one_eval(
-                cfg, world, store, sampler, group, config, eval_index, seed,
-                int(cfg["rounds_per_trial"]),
-            )
-            rows_by_eval[eval_index] = row
-            if weights is not None:
-                weights_by_id[row.config_id] = weights
-            return duration, commit
+    def run_eval(group, config, eval_index):
+        budget = sampler.rounds(eval_index) if cfg["sampler"] == "halving" else rounds
+        row, duration, commit, weights = _run_one_eval(
+            cfg, world, store, sampler, group, config, eval_index, seed, budget,
+        )
+        rows_by_eval[eval_index] = row
+        if weights is not None:
+            weights_by_id[row.config_id] = weights
+        return duration, commit
 
-        result = sched.dispatch(groups, int(cfg["budget_configs"]), issue, run_eval)
-        rows = [rows_by_eval[e] for e in sorted(rows_by_eval)]
-        events = result.events
-        makespan = result.makespan
+    result = sched.dispatch(groups, num_evals, issue, run_eval)
+    rows = [rows_by_eval[e] for e in sorted(rows_by_eval)]
+    if cfg["sampler"] == "halving":
+        # One row per initial config: its last rung, numbered by its position.
+        last_by_id = {row.config_id: row for row in rows}
+        rows = [last_by_id[c.config_id] for c in sampler.configs]
+        for i, row in enumerate(rows):
+            row.trial_index = i
 
     ok = [r for r in rows if not r.failed]
     if ok:
@@ -323,55 +331,11 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
         seed=seed,
         best=best,
         trials=rows,
-        events=events,
-        makespan=makespan,
+        events=result.events,
+        makespan=result.makespan,
         best_weights=weights_by_id.get(best_row.config_id),
         feedback_history=list(store.history),
     )
-
-
-def _run_halving(cfg, world, space, store, seed):
-    """Successive halving over random grid configs (sync cohort only)."""
-    n0 = int(cfg["budget_configs"])
-    k_max = int(cfg["rounds_per_trial"])
-    levels = max(1, int(math.floor(math.log2(n0)))) if n0 > 1 else 0
-    rounds = max(1, k_max // (2 ** levels))
-    configs = [hpo.suggest_random(space, derive_seed(seed, "halving", i))
-               for i in range(n0)]
-    group = sched.ClientGroup(0, sorted(c.client_id for c in world.clients))
-    rows_by_id: dict[str, TrialRow] = {}
-    weights_by_id: dict[str, models.WeightVector] = {}
-    events: list[sched.ScheduleEvent] = []
-    sim_clock = 0.0
-    eval_counter = 0
-    survivors = list(configs)
-    while True:
-        scored = []
-        for config in survivors:
-            events.append(sched.ScheduleEvent(sim_clock, "issue", 0,
-                                              config.config_id, eval_counter))
-            row, duration, commit, weights = _run_one_eval(
-                cfg, world, store, None, group, config, eval_counter, seed, rounds,
-            )
-            commit()
-            sim_clock += duration
-            events.append(sched.ScheduleEvent(sim_clock, "feedback", 0,
-                                              config.config_id, eval_counter,
-                                              staleness=duration))
-            rows_by_id[config.config_id] = row
-            if weights is not None:
-                weights_by_id[row.config_id] = weights
-            scored.append((row.objective, config))
-            eval_counter += 1
-        if len(survivors) <= 1 or rounds >= k_max:
-            break
-        scored.sort(key=lambda t: (t[0], t[1].config_id))
-        survivors = [c for _, c in scored[: max(1, math.ceil(len(scored) / 2))]]
-        rounds = min(k_max, rounds * 2)
-    rows = [rows_by_id[c.config_id] for c in configs]
-    for i, row in enumerate(rows):
-        row.trial_index = i
-    return rows, events, sim_clock, weights_by_id
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

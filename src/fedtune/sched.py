@@ -6,7 +6,6 @@ completion times are close, so slow clients never block fast groups.
 """
 
 import heapq
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,9 +141,3 @@ def dispatch(groups: list[ClientGroup], num_evals: int, issue, run_eval) -> Disp
     # k + 1, so a zero-duration evaluation still lists its issue first.
     events.sort(key=lambda ev: (ev.sim_time, ev.group_id, ev.round_index, ev.event_kind))
     return DispatchResult(events, makespan)
-
-
-def export_events_jsonl(events, path):
-    with open(path, "w", newline="\n") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev.to_dict(), sort_keys=True) + "\n")

@@ -25,8 +25,7 @@ def test_adaptive_probes_escape_tiny_learning_rate():
     world = separable_world()
     space = default_search_space()
     sampler = AdaptiveSampler(space, ["learning_rate"], epsilon=0.0, seed=0)
-    state = RoundState(1, 50, models.init_weights(world.model_spec, 0),
-                       HpConfig(dict(HP_DEFAULTS)))
+    state = RoundState(1, models.init_weights(world.model_spec, 0), HpConfig(dict(HP_DEFAULTS)))
     accepted = 0
     pending = []
     for _ in range(12):

@@ -1,10 +1,11 @@
 import json
+import math
 import os
 
 import pytest
 import yaml
 
-from fedtune import cli, runner
+from fedtune import cli, flcore, runner
 from fedtune.common import ConfigurationError
 from fedtune.config import config_from_dict, load_config
 
@@ -69,10 +70,21 @@ class TestConfig:
         ("latency", {"base_min": "fast"}, "latency.base_min"),
         ("search_space", [{"name": "learning_rate", "scale": "log10", "low": "tiny",
                            "high": 1e-1, "step": 10.0}], "search_space.low"),
+        ("n_clients", 2.7, "n_clients"), ("rounds_per_trial", 1.5, "rounds_per_trial"),
+        ("budget_configs", True, "budget_configs"), ("dataset", {"n": 300.5}, "dataset.n"),
+        ("model", {"hidden_dim": False}, "model.hidden_dim"),
+        ("hp_defaults", {"batch_size": 32.5}, "hp_defaults.batch_size"),
     ])
     def test_non_numeric_value_rejected(self, key, value, field):
-        with pytest.raises(ConfigurationError, match=f"^{field}: must be a number$"):
+        leaf = value.get(field.split(".")[-1]) if isinstance(value, dict) else value
+        kind = "an integer" if isinstance(leaf, (int, float)) else "a number"
+        with pytest.raises(ConfigurationError, match=f"^{field}: must be {kind}$"):
             config_from_dict(dict(SMALL, **{key: value}, tuned=["learning_rate"]))
+
+    def test_halving_with_async_grouping_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="^grouping.mode: must be 'sync' for the halving sampler$"):
+            config_from_dict(dict(SMALL, sampler="halving", grouping={"mode": "async"}))
 
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigurationError, match="^model: must be a mapping$"):
@@ -104,10 +116,19 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("override,field", [
         ("n_clients=abc", "n_clients"), ("latency.base_min=fast", "latency.base_min"),
+        ("n_clients=2.7", "n_clients"), ("hp_defaults.epochs=true", "hp_defaults.epochs"),
     ])
     def test_non_numeric_value_exit_code(self, config_path, capsys, override, field):
+        value = yaml.safe_load(override.split("=", 1)[1])
+        kind = "an integer" if isinstance(value, (int, float)) else "a number"
         assert cli.main(["validate", config_path, "--set", override]) == cli.EXIT_CONFIG
-        assert f"config error: {field}: must be a number" in capsys.readouterr().err
+        assert f"config error: {field}: must be {kind}" in capsys.readouterr().err
+
+    def test_halving_with_async_grouping_exit_code(self, config_path, capsys):
+        code = cli.main(["validate", config_path, "--set", "sampler=halving",
+                         "--set", "grouping.mode=async"])
+        assert code == cli.EXIT_CONFIG
+        assert "grouping.mode: must be 'sync'" in capsys.readouterr().err
 
     def test_unknown_hp_default_exit_code(self, config_path, capsys):
         code = cli.main(["validate", config_path, "--set", "hp_defaults.lerning_rate=0.1"])
@@ -142,10 +163,13 @@ class TestCliCommands:
                      "events.jsonl", "best_weights.json"):
             assert (out / name).exists()
 
-    def test_run_twice_byte_identical(self, config_path, tmp_path):
-        assert cli.main(["run", config_path, "--output", str(tmp_path / "a")]) == 0
-        assert cli.main(["run", config_path, "--output", str(tmp_path / "b")]) == 0
-        for name in ("trials.csv", "curves.csv", "report.json", "events.jsonl"):
+    @pytest.mark.parametrize("sampler", ["random", "adaptive", "halving"])
+    def test_run_twice_byte_identical(self, config_path, tmp_path, sampler):
+        for out in ("a", "b"):
+            assert cli.main(["run", config_path, "--output", str(tmp_path / out),
+                             "--set", f"sampler={sampler}"]) == 0
+        for name in ("trials.csv", "curves.csv", "report.json", "events.jsonl",
+                     "best_weights.json"):
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
@@ -209,6 +233,42 @@ class TestEmitMetrics:
                                         budget_configs=4, seeds=[1])
         rows = open(paths["trials.csv"]).read().splitlines()[1:]
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("sampler", ["random", "adaptive", "halving"])
+    def test_feedback_round_is_issue_round_plus_one(self, tmp_path, sampler):
+        _, paths = self.run_report(tmp_path, sampler=sampler, budget_configs=4, seeds=[1])
+        events = [json.loads(line) for line in open(paths["events.jsonl"])]
+        issues = [e for e in events if e["event_kind"] == "issue"]
+        feedbacks = [e for e in events if e["event_kind"] == "feedback"]
+        assert [e["round"] for e in issues] == list(range(len(issues)))
+        assert [e["round"] for e in feedbacks] == list(range(1, len(issues) + 1))
+        for issue, feedback in zip(issues, feedbacks):
+            assert feedback["config_id"] == issue["config_id"]
+            assert feedback["sim_time"] == pytest.approx(issue["sim_time"] + feedback["staleness"])
+
+    def test_halving_promotes_best_half_through_dispatch(self, tmp_path, monkeypatch):
+        calls = []  # (config_id, rounds, objective) per evaluation, in issue order
+        run_trial = flcore.run_trial
+
+        def recording_run_trial(hp, budget_rounds, *args, **kwargs):
+            result = run_trial(hp, budget_rounds, *args, **kwargs)
+            calls.append((hp.config_id, budget_rounds, result.objective))
+            return result
+
+        monkeypatch.setattr(flcore, "run_trial", recording_run_trial)
+        report, _ = self.run_report(tmp_path, sampler="halving", budget_configs=5,
+                                    rounds_per_trial=14, seeds=[1])
+        assert [r for _, r, _ in calls] == [3] * 5 + [6] * 3 + [12] * 2 + [14]
+        rungs = [[c for c in calls if c[1] == r] for r in (3, 6, 12, 14)]
+        for rung, promoted in zip(rungs, rungs[1:]):
+            best = sorted(rung, key=lambda c: (c[2], c[0]))[:math.ceil(len(rung) / 2)]
+            assert [c[0] for c in promoted] == [c[0] for c in best]
+        # trials.csv keeps one row per initial config: its last rung
+        rows = report.per_seed[0].trials
+        assert [r.trial_index for r in rows] == list(range(5))
+        assert [r.config_id for r in rows] == [c[0] for c in rungs[0]]
+        last = {cid: objective for cid, _, objective in calls}
+        assert [r.objective for r in rows] == [last[r.config_id] for r in rows]
 
     def test_unwritable_directory_raises_before_compute(self, tmp_path):
         cfg = config_from_dict(SMALL)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedtune import data, flcore, hpo, models, runner, sched
+from fedtune import data, hpo, models, runner, sched
 from fedtune.common import AggregationError, NumericDivergenceError, derive_seed
 from fedtune.data import EvalSet
 from fedtune.flcore import (
@@ -106,7 +106,7 @@ class TestRunRound:
     def test_zero_epochs_keeps_global_weights(self):
         world = make_world(n_clients=1)
         w0 = models.init_weights(world.model_spec, 0)
-        state = RoundState(1, 5, w0, hp_config(epochs=0))
+        state = RoundState(1, w0, hp_config(epochs=0))
         nxt, _ = run_round(state, world.clients, world)
         assert np.array_equal(nxt.global_weights.values, w0.values)
 
@@ -115,7 +115,7 @@ class TestRunRound:
         c = world.clients[0]
         twin = ClientState(c.client_id, c.shard, c.latency)
         w0 = models.init_weights(world.model_spec, 0)
-        state = RoundState(1, 5, w0, hp_config())
+        state = RoundState(1, w0, hp_config())
         nxt, _ = run_round(state, [c, twin], world)
         solo, _ = run_round(state, [c], world)
         assert np.allclose(nxt.global_weights.values, solo.global_weights.values)
@@ -123,7 +123,7 @@ class TestRunRound:
     def test_local_feedback_per_client(self):
         world = make_world(n_clients=3)
         w = models.init_weights(world.model_spec, 0)
-        state = RoundState(1, 5, w, hp_config())
+        state = RoundState(1, w, hp_config())
         _, fbs = run_round(state, world.clients, world)
         local = [f for f in fbs if f.kind == "local"]
         assert sorted(f.client_id for f in local) == [0, 1, 2]
@@ -155,7 +155,7 @@ class TestTrainCohort:
         world.clients[1].shard.train.features[:] = np.nan
         cfg = hp_config()
         sampler = hpo.AdaptiveSampler(hpo.default_search_space(), ["learning_rate"])
-        state = RoundState(5, 10, models.init_weights(world.model_spec, 0), cfg)
+        state = RoundState(5, models.init_weights(world.model_spec, 0), cfg)
         with pytest.raises(NumericDivergenceError) as info:
             runner.run_probe_cycle(state, world.clients, world, 0, sampler, [])
         assert info.value.client_id == 1
@@ -239,19 +239,3 @@ class TestRunTrial:
         result = run_trial(hp_config(learning_rate=1e-5, epochs=0), 30, world,
                            patience=2)
         assert result.trace[-1]["round"] < 30
-
-
-class TestSnapshot:
-    def test_round_trip_reproduces_next_round(self, tmp_path):
-        world = make_world()
-        w0 = models.init_weights(world.model_spec, 0)
-        state = RoundState(1, 10, w0, hp_config())
-        for _ in range(3):
-            state, _ = run_round(state, world.clients, world)
-        path = tmp_path / "state.json"
-        flcore.save_round_state(state, path)
-        restored = flcore.load_round_state(path)
-        assert restored.round_index == state.round_index
-        nxt_a, _ = run_round(state, world.clients, world)
-        nxt_b, _ = run_round(restored, world.clients, world)
-        assert np.array_equal(nxt_a.global_weights.values, nxt_b.global_weights.values)

@@ -8,16 +8,19 @@ from fedtune.common import FeedbackError
 from fedtune.hpo import (
     AdaptiveSampler,
     FeedbackStore,
+    HalvingSampler,
     HpConfig,
     HpDim,
     combine_feedback,
     default_search_space,
     grid,
+    halving_rungs,
     probe_set,
     snap,
     suggest_adaptive,
     suggest_random,
 )
+from fedtune.sched import ClientGroup, dispatch
 
 SPACE = default_search_space()
 
@@ -258,6 +261,49 @@ class TestAdaptiveSampler:
         sampler._seen[better.config_id] = better
         store.record(better.config_id, 0.1)
         assert sampler.start_config(1, store) == better
+
+
+class TestHalvingSampler:
+    def test_rung_plan(self):
+        assert halving_rungs(8, 50) == [(8, 6), (4, 12), (2, 24), (1, 48)]
+        assert halving_rungs(5, 20) == [(5, 5), (3, 10), (2, 20)]
+        assert halving_rungs(5, 14) == [(5, 3), (3, 6), (2, 12), (1, 14)]
+        assert halving_rungs(1, 7) == [(1, 7)]
+
+    def test_promotes_best_half_by_objective_then_config_id(self):
+        sampler = HalvingSampler(SPACE, 0, 5, 14)
+        c = sampler.configs
+        assert len({x.config_id for x in c}) == 5
+        tie = min(c[0], c[2], key=lambda x: x.config_id)  # c0 and c2 tie on rung 0
+        objective = {
+            3: {c[0]: 0.3, c[1]: 0.1, c[2]: 0.3, c[3]: 0.2, c[4]: math.inf},
+            6: {c[1]: 0.05, c[3]: 0.01, tie: 0.02},
+            12: {c[3]: 0.5, tie: 0.4},
+            14: {tie: 0.0},
+        }
+        issued = []
+
+        def run_eval(group, cfg, e):
+            rounds = sampler.rounds(e)
+            issued.append((cfg, rounds))
+            # the sampler learns the objective only at the deferred commit
+            return 1.0, lambda: sampler.observe(cfg, objective[rounds][cfg])
+
+        dispatch([ClientGroup(0, [0])], sampler.num_evals,
+                 lambda g, e: sampler.start_config(e, FeedbackStore()), run_eval)
+        assert issued == ([(x, 3) for x in c] + [(c[1], 6), (c[3], 6), (tie, 6)]
+                          + [(c[3], 12), (tie, 12)] + [(tie, 14)])
+
+    def test_promotion_before_rung_feedback_arrives_raises(self):
+        sampler = HalvingSampler(SPACE, 0, 4, 8)
+
+        def run_eval(group, cfg, e):
+            duration = 1.0 if group.group_id == 0 else 100.0
+            return duration, lambda: sampler.observe(cfg, 0.0)
+
+        with pytest.raises(FeedbackError, match="rung 0"):
+            dispatch([ClientGroup(0, [0]), ClientGroup(1, [1])], sampler.num_evals,
+                     lambda g, e: sampler.start_config(e, FeedbackStore()), run_eval)
 
 
 def test_config_id_order_independent():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fedtune import sched
 from fedtune.hpo import HpConfig
 from fedtune.sched import (
     ClientGroup,
@@ -146,12 +145,3 @@ class TestDispatch:
         for cfg in cfgs:
             assert order.index(("issue", cfg.config_id)) < \
                 order.index(("feedback", cfg.config_id))
-
-    def test_events_exportable(self, tmp_path):
-        cfgs = [HpConfig({"learning_rate": 0.1})]
-        res, _, _ = scripted_dispatch({0: 1.0}, 1, cfgs)
-        path = tmp_path / "events.jsonl"
-        sched.export_events_jsonl(res.events, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2  # issue + feedback
-        assert '"event_kind": "issue"' in lines[0]
