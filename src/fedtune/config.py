@@ -212,6 +212,7 @@ def validate_config(raw: dict) -> dict:
              "must be a nonempty list")
     _require(all(isinstance(s, int) and not isinstance(s, bool) for s in seeds), "seeds",
              "must be integers")
+    _require(len(set(seeds)) == len(seeds), "seeds", "must be distinct")
 
     tuned = cfg["tuned"]
     _require(isinstance(tuned, list), "tuned", "must be a list of HP names")

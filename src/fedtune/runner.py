@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data, flcore, hpo, models, sched
-from .common import NumericDivergenceError, derive_seed
+from .common import FedTuneError, NumericDivergenceError, derive_seed
 from .config import ExperimentConfig
 from .data import EvalSet
 from .flcore import ExperimentWorld, GlobalEvaluator, to_train_hp
@@ -338,8 +338,52 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
     )
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_seeds_in_pool(cfg: ExperimentConfig, seeds: list, workers: int) -> list[SeedReport]:
+    # Imported here so that one-seed runs do not pay for the modules.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, where the platform has it: forkserver and spawn workers re-import
+    # numpy and fedtune, which costs most of the gain on short runs, and they
+    # fail in a caller's script that has no __main__ guard.
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+    try:
+        futures = [pool.submit(_run_seed, cfg, seed) for seed in seeds]
+        return [f.result() for f in futures]
+    except BrokenProcessPool as err:
+        raise FedTuneError(f"a seed's worker process died: {err}") from err
+    finally:
+        # After a failure, cancel the seeds the pool has not yet queued for
+        # its workers (it queues up to workers + 1 ahead).
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    per_seed = [_run_seed(cfg, seed) for seed in cfg["seeds"]]
+    """Run every seed of cfg and collect one SeedReport per seed.
+
+    Seeds are independent: each builds its own world, sampler, feedback
+    store and RNG streams. With more than one seed and more than one usable
+    CPU they run in min(seeds, usable CPUs) worker processes; otherwise
+    inline, starting no process. per_seed follows cfg["seeds"] order either
+    way, and each report equals that seed's one-seed run. A failing seed
+    raises its own error, the first in seed order, and the seeds not yet
+    queued for a worker are cancelled; a worker process that dies raises
+    FedTuneError.
+    """
+    seeds = cfg["seeds"]
+    workers = min(len(seeds), _usable_cpus())
+    if workers > 1:
+        per_seed = _run_seeds_in_pool(cfg, seeds, workers)
+    else:
+        per_seed = [_run_seed(cfg, seed) for seed in seeds]
     return ExperimentReport(config=cfg.to_dict(), per_seed=per_seed)
 
 

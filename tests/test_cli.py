@@ -86,6 +86,10 @@ class TestConfig:
                            match="^grouping.mode: must be 'sync' for the halving sampler$"):
             config_from_dict(dict(SMALL, sampler="halving", grouping={"mode": "async"}))
 
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ConfigurationError, match="^seeds: must be distinct$"):
+            config_from_dict(dict(SMALL, seeds=[1, 2, 1]))
+
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigurationError, match="^model: must be a mapping$"):
             config_from_dict(dict(SMALL, model="mlp"))
@@ -129,6 +133,11 @@ class TestCliCommands:
                          "--set", "grouping.mode=async"])
         assert code == cli.EXIT_CONFIG
         assert "grouping.mode: must be 'sync'" in capsys.readouterr().err
+
+    def test_duplicate_seeds_exit_code(self, config_path, capsys):
+        code = cli.main(["run", config_path, "--set", "seeds=[1, 1]"])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: seeds: must be distinct" in capsys.readouterr().err
 
     def test_unknown_hp_default_exit_code(self, config_path, capsys):
         code = cli.main(["validate", config_path, "--set", "hp_defaults.lerning_rate=0.1"])
