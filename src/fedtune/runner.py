@@ -350,11 +350,7 @@ def _run_seeds_in_pool(cfg: ExperimentConfig, seeds: list, workers: int) -> list
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # fork, where the platform has it: forkserver and spawn workers re-import
-    # numpy and fedtune, which costs most of the gain on short runs, and they
-    # fail in a caller's script that has no __main__ guard.
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = [pool.submit(_run_seed, cfg, seed) for seed in seeds]
         return [f.result() for f in futures]
@@ -371,16 +367,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     Seeds are independent: each builds its own world, sampler, feedback
     store and RNG streams. With more than one seed and more than one usable
-    CPU they run in min(seeds, usable CPUs) worker processes; otherwise
-    inline, starting no process. per_seed follows cfg["seeds"] order either
-    way, and each report equals that seed's one-seed run. A failing seed
-    raises its own error, the first in seed order, and the seeds not yet
-    queued for a worker are cancelled; a worker process that dies raises
-    FedTuneError.
+    CPU, on a platform with os.fork, they run in min(seeds, usable CPUs)
+    forked worker processes; otherwise inline, starting no process. Each
+    worker holds its own world, so peak memory grows with the number of
+    workers. per_seed follows cfg["seeds"] order either way, and each
+    report equals that seed's one-seed run. A failing seed raises its own
+    error, the first in seed order, and the seeds not yet queued for a
+    worker are cancelled; a worker process that dies raises FedTuneError.
     """
     seeds = cfg["seeds"]
     workers = min(len(seeds), _usable_cpus())
-    if workers > 1:
+    if workers > 1 and hasattr(os, "fork"):
         per_seed = _run_seeds_in_pool(cfg, seeds, workers)
     else:
         per_seed = [_run_seed(cfg, seed) for seed in seeds]

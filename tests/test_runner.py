@@ -93,22 +93,22 @@ class TestSeedPool:
         path = write_config(tmp_path)
         forks = count_forks(monkeypatch)
         outputs = {}
-        for cpus in (2, 1):
+        for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
             out = tmp_path / f"cpus-{cpus}"
             assert cli.main(["run", path, "--output", str(out)]) == cli.EXIT_OK
             outputs[cpus] = read_outputs(out)
+            if cpus == 1:
+                assert forks == []
         assert len(forks) == 2  # both from the two-CPU run
         for name in OUTPUT_FILES:
             assert outputs[2][name] == outputs[1][name], name
 
-    @pytest.mark.parametrize("seeds,cpus", [([1], 2), ([1, 2], 1)])
-    def test_inline_run_starts_no_process(self, monkeypatch, seeds, cpus):
-        usable_cpus(monkeypatch, cpus)
-        forks = count_forks(monkeypatch)
-        report = runner.run_experiment(config_from_dict({**TINY, "seeds": seeds}))
-        assert [sr.seed for sr in report.per_seed] == seeds
-        assert forks == []
+    def test_runs_inline_without_fork(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        report = runner.run_experiment(config_from_dict(TINY))
+        assert [sr.seed for sr in report.per_seed] == [1, 2]
 
     def test_one_seed_run_imports_no_pool_module(self):
         code = (
