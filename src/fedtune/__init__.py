@@ -1,9 +1,8 @@
 """fedtune: deterministic federated-learning HPO simulator."""
 
-from . import cli, common, config, data, flcore, hpo, models, runner, sched
+from . import common, config, data, flcore, hpo, models, runner, sched
 
 __all__ = [
-    "cli",
     "common",
     "config",
     "data",

@@ -7,7 +7,6 @@ on evaluation-cadence rounds, scores the new global model on the
 server-side validation set.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from . import models, sched
 from .common import AggregationError, NumericDivergenceError, derive_seed
 from .data import DataShard, EvalSet
-from .hpo import FeedbackRecord, HpConfig
+from .hpo import HpConfig
 from .models import ModelSpec, TrainHp, WeightVector
 
 
@@ -62,9 +61,10 @@ class TrialResult:
     test_accuracy: float
     trace: list = field(default_factory=list)  # rows: round, loss, accuracy, sim_time
     sim_time: float = 0.0
-    failed: bool = False
     final_weights: WeightVector | None = None
-    feedbacks: list = field(default_factory=list)
+    last_round: int = 0  # the last round run
+    local_losses: list = field(default_factory=list)  # its (client_id, val loss) pairs
+    global_loss: float | None = None  # the latest cadence round's server loss
 
 
 def fedavg_aggregate(updates, mode: str = "weighted") -> WeightVector:
@@ -164,7 +164,7 @@ def run_round(state: RoundState, clients: list[ClientState], world: ExperimentWo
               trial_index: int = 0):
     """Execute one communication round over the given cohort.
 
-    Returns (next RoundState, one "local" feedback record per client in
+    Returns (next RoundState, [(client_id, local validation loss)] in
     client_id order). Scoring the new global model is left to run_trial.
     """
     if not clients:
@@ -174,20 +174,7 @@ def run_round(state: RoundState, clients: list[ClientState], world: ExperimentWo
         world, state.global_weights, state.current_hp, clients, j,
         (world.base_seed, "train", trial_index, j),
     )
-    feedbacks = [
-        FeedbackRecord(
-            config_id=state.current_hp.config_id,
-            round_index=j,
-            kind="local",
-            train_loss=math.nan,
-            val_loss=vl,
-            group_size=len(clients),
-            client_id=cid,
-        )
-        for cid, vl in val_losses
-    ]
-    next_state = RoundState(j + 1, new_global, state.current_hp)
-    return next_state, feedbacks
+    return RoundState(j + 1, new_global, state.current_hp), val_losses
 
 
 def run_trial(
@@ -202,9 +189,8 @@ def run_trial(
     """Train a fresh model for budget_rounds under hp and score it.
 
     Every evaluation-cadence round scores the new global model on the
-    server validation set once; that loss goes to the trace, to a
-    "global" feedback record following the round's local records, and to
-    on_cadence.
+    server validation set once; that loss goes to the trace, to on_cadence
+    and, if it is the latest, to the result's global_loss.
 
     on_cadence, when given, is called after every evaluation-cadence
     round as on_cadence(state, clients, world, trial_index, global_loss)
@@ -221,27 +207,19 @@ def run_trial(
     state = RoundState(1, w0, hp)
     sim_time = 0.0
     trace = []
-    all_feedbacks = []
+    local_losses, global_loss = [], None
     best_gl = np.inf
     stall = 0
     for j in range(1, budget_rounds + 1):
         epochs = to_train_hp(state.current_hp, world.hp_defaults).local_epochs
-        next_state, feedbacks = run_round(state, cohort, world, trial_index)
+        next_state, local_losses = run_round(state, cohort, world, trial_index)
         sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
-        all_feedbacks.extend(feedbacks)
         if j % world.evaluator.cadence == 0:
             gl, gacc = models.evaluate(
                 spec, next_state.global_weights,
                 world.evaluator.val_set.features, world.evaluator.val_set.labels,
             )
-            all_feedbacks.append(FeedbackRecord(
-                config_id=state.current_hp.config_id,
-                round_index=j,
-                kind="global",
-                train_loss=gl,
-                val_loss=gl,
-                group_size=len(cohort),
-            ))
+            global_loss = gl
             trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": sim_time})
             if on_cadence is not None:
                 new_cfg, extra = on_cadence(next_state, cohort, world, trial_index, gl)
@@ -278,5 +256,7 @@ def run_trial(
         trace=trace,
         sim_time=sim_time,
         final_weights=final_w,
-        feedbacks=all_feedbacks,
+        last_round=state.round_index - 1,
+        local_losses=local_losses,
+        global_loss=global_loss,
     )

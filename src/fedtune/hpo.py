@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import threading
+from collections import ChainMap
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,12 +179,11 @@ class FeedbackRecord:
 
     config_id: str
     round_index: int
-    kind: str  # "local", "global" or "probe"
-    train_loss: float  # server validation loss; nan on "local" records
+    kind: str  # "global" or "probe"
+    train_loss: float  # server validation loss
     val_loss: float
     group_size: int = 1
     probe_target: str | None = None
-    client_id: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -194,7 +194,6 @@ class FeedbackRecord:
             "val_loss": self.val_loss,
             "group_size": self.group_size,
             "probe_target": self.probe_target,
-            "client_id": self.client_id,
         }
 
 
@@ -354,12 +353,15 @@ class AdaptiveSampler:
     combined feedback seen so far); within an evaluation the config moves
     by coordinate descent on the latest probe results. A per-HP direction
     memory biases the next probe toward the last accepted improvement.
+    An evaluation moves its own walk(), which explores with an rng keyed by
+    the evaluation index and changes this sampler only through commit().
     """
 
     def __init__(self, space: SearchSpace, tuned, epsilon: float = 0.1, seed: int = 0):
         self.space = space
         self.tuned = list(tuned)
         self.epsilon = epsilon
+        self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.directions: dict[str, int] = {}
         self._seen: dict[str, HpConfig] = {}
@@ -370,9 +372,22 @@ class AdaptiveSampler:
             if store.count(cid) > 0 and store.mean(cid) < best_mean:
                 best, best_mean = cfg, store.mean(cid)
         if best is None:
-            best = suggest_random(self.space, self.rng)
-        self._seen[best.config_id] = best
+            best = suggest_random(self.space, derive_seed(self.seed, "start", eval_index))
         return best
+
+    def walk(self, eval_index: int, start: HpConfig) -> "AdaptiveSampler":
+        """This sampler's copy for the evaluation eval_index starting at start."""
+        walk = AdaptiveSampler(self.space, self.tuned, self.epsilon,
+                               derive_seed(self.seed, "explore", eval_index))
+        # writes land in the first map: the walk's own direction changes
+        walk.directions = ChainMap({}, dict(self.directions))
+        walk._seen = {start.config_id: start}
+        return walk
+
+    def commit(self, walk: "AdaptiveSampler"):
+        """Merge a finished walk's direction changes and visited configs."""
+        self.directions.update(walk.directions.maps[0])
+        self._seen.update(walk._seen)
 
     def probes(self, current: HpConfig) -> list[HpConfig]:
         return probe_set(self.space, current, self.tuned, self.directions)
@@ -415,7 +430,7 @@ class HalvingSampler:
     rounds. Each rung issues its configs in order; the first issue of the
     next rung promotes the best ceil(n/2) by (objective, config_id).
     Objectives arrive through observe(), which the runner calls from an
-    evaluation's deferred commit, so promotion sees only feedback that has
+    evaluation's commit, so promotion sees only feedback that has
     arrived in simulated time: every evaluation of a rung must have
     finished before the next rung is issued, which holds on one group.
     """

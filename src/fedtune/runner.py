@@ -155,23 +155,23 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     return sched.form_groups(completions, float(window))
 
 
-def run_probe_cycle(state, cohort, world, trial_index, sampler, pending):
+def run_probe_cycle(state, cohort, world, trial_index, sampler):
     """Step-wise feedback: evaluate the probe set and move the config.
 
     Each probe config trains the whole cohort from the current global
     weights with flcore.train_cohort; the probe aggregate is scored on
     the server validation set and combined with the cohort's local
     validation losses. The cycle's simulated time is the sum of the
-    probes' cohort times. Probe feedback is queued in `pending` for
-    commit at the evaluation's simulated finish time.
+    probes' cohort times.
+    Returns (new config, extra simulated time, [(config_id, combined,
+    FeedbackRecord)] for the store, one per probe).
     """
     current = state.current_hp
-    probes = sampler.probes(current)
     val_set = world.evaluator.val_set
     n = len(cohort)
-    results = []
+    results, records = [], []
     extra_time = 0.0
-    for p in probes:
+    for p in sampler.probes(current):
         seed_key = (world.base_seed, "probe", trial_index, state.round_index, p.config_id)
         wp, val_losses = flcore.train_cohort(
             world, state.global_weights, p, cohort, state.round_index, seed_key
@@ -182,52 +182,73 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, pending):
         extra_time += flcore.cohort_time(
             cohort, to_train_hp(p, world.hp_defaults).local_epochs, seed_key
         )
-        target = hpo.probe_target_of(sampler.space, current, p)
-        pending.append((p.config_id, combined, FeedbackRecord(
+        records.append((p.config_id, combined, FeedbackRecord(
             config_id=p.config_id,
             round_index=state.round_index,
             kind="probe",
             train_loss=gf,
             val_loss=combined,
             group_size=n,
-            probe_target=target,
+            probe_target=hpo.probe_target_of(sampler.space, current, p),
         )))
-    new_cfg = sampler.step(current, results)
-    return new_cfg, extra_time
+    return sampler.step(current, results), extra_time, records
 
 
-def _run_one_eval(cfg, world, store, sampler, group, config, eval_index, seed, rounds):
+@dataclass
+class EvalOutcome:
+    """What one HP evaluation produced; commit applies it at its finish."""
+
+    config: hpo.HpConfig  # as issued
+    row: TrialRow
+    weights: models.WeightVector | None
+    records: list  # (config_id, combined, FeedbackRecord), in record order
+    walk: hpo.AdaptiveSampler | None = None  # the adaptive sampler's moves
+
+
+def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds) -> EvalOutcome:
     """Run one HP evaluation (a trial of `rounds` rounds) on a group's cohort.
 
-    sampler drives the adaptive sampler's probe cycles, and the halving
-    sampler observes the trial's objective at commit; the random sampler
-    ignores it.
-    Returns (TrialRow, duration, commit, final weights) where commit
-    records the trial's feedback into the store.
+    Under the adaptive sampler, probe cycles move a walk of the sampler
+    that holds only feedback committed before this evaluation was issued.
+    Nothing outside the evaluation changes until its outcome is committed.
     """
     members = set(group.members)
     cohort = [c for c in world.clients if c.client_id in members]
-    pending: list = []
-    adaptive = cfg["sampler"] == "adaptive"
+    walk = sampler.walk(eval_index, config) if cfg["sampler"] == "adaptive" else None
+    records: list = []
 
     def on_cadence(state, clients, world_, trial_index, gl):
-        return run_probe_cycle(state, clients, world_, trial_index, sampler, pending)
+        new_cfg, extra_time, cycle = run_probe_cycle(state, clients, world_, trial_index, walk)
+        records.extend(cycle)
+        return new_cfg, extra_time
 
     try:
         result = flcore.run_trial(
             config, rounds, world, cohort,
             trial_index=eval_index,
-            on_cadence=on_cadence if adaptive else None,
+            on_cadence=on_cadence if walk is not None else None,
             patience=int(cfg["early_stop_patience"]),
         )
         failed = False
     except NumericDivergenceError:
-        result = flcore.TrialResult(
-            config=config, objective=math.inf, test_accuracy=0.0, sim_time=0.0, failed=True,
-        )
+        result = flcore.TrialResult(config=config, objective=math.inf, test_accuracy=0.0)
         failed = True
 
     final = result.config
+    if math.isfinite(result.objective):
+        gl = combined = result.objective
+        if result.global_loss is not None:
+            gl = result.global_loss
+            losses = [vl for _, vl in result.local_losses]
+            combined = combine_feedback(losses, gl, len(losses))
+        records.append((final.config_id, combined, FeedbackRecord(
+            config_id=final.config_id,
+            round_index=result.last_round,
+            kind="global",
+            train_loss=gl,
+            val_loss=combined,
+            group_size=len(cohort),
+        )))
     hp_values = to_train_hp(final, world.hp_defaults)
     row = TrialRow(
         seed=seed,
@@ -248,31 +269,7 @@ def _run_one_eval(cfg, world, store, sampler, group, config, eval_index, seed, r
         trace=result.trace,
         failed=failed,
     )
-
-    def commit():
-        for config_id, combined, rec in pending:
-            store.record(config_id, combined, rec)
-        if not failed and math.isfinite(result.objective):
-            last_round = result.feedbacks[-1].round_index if result.feedbacks else 0
-            local_vals = [f.val_loss for f in result.feedbacks
-                          if f.kind == "local" and f.round_index == last_round]
-            global_vals = [f.train_loss for f in result.feedbacks if f.kind == "global"]
-            if local_vals and global_vals:
-                combined = combine_feedback(local_vals, global_vals[-1], len(local_vals))
-            else:
-                combined = result.objective
-            store.record(final.config_id, combined, FeedbackRecord(
-                config_id=final.config_id,
-                round_index=last_round,
-                kind="global",
-                train_loss=global_vals[-1] if global_vals else result.objective,
-                val_loss=combined,
-                group_size=len(cohort),
-            ))
-        if cfg["sampler"] == "halving":
-            sampler.observe(config, result.objective)
-
-    return row, result.sim_time, commit, result.final_weights
+    return EvalOutcome(config, row, result.final_weights, records, walk)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
@@ -290,50 +287,51 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
     else:
         sampler = hpo.RandomSampler(space, derive_seed(seed, "sampler"))
     groups = make_groups(cfg, world, seed)
-    rows_by_eval: dict[int, TrialRow] = {}
-    weights_by_id: dict[str, models.WeightVector] = {}
+    committed: dict[int, EvalOutcome] = {}
+
+    def commit(outcome: EvalOutcome):
+        """Apply an evaluation's effects; runs at its simulated finish."""
+        for config_id, combined, rec in outcome.records:
+            store.record(config_id, combined, rec)
+        if outcome.walk is not None:
+            sampler.commit(outcome.walk)
+        if cfg["sampler"] == "halving":
+            sampler.observe(outcome.config, outcome.row.objective)
+        committed[outcome.row.trial_index] = outcome
 
     def issue(group, eval_index):
         return sampler.start_config(eval_index, store)
 
     def run_eval(group, config, eval_index):
         budget = sampler.rounds(eval_index) if cfg["sampler"] == "halving" else rounds
-        row, duration, commit, weights = _run_one_eval(
-            cfg, world, store, sampler, group, config, eval_index, seed, budget,
-        )
-        rows_by_eval[eval_index] = row
-        if weights is not None:
-            weights_by_id[row.config_id] = weights
-        return duration, commit
+        outcome = _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, budget)
+        return outcome.row.sim_time, lambda: commit(outcome)
 
     result = sched.dispatch(groups, num_evals, issue, run_eval)
-    rows = [rows_by_eval[e] for e in sorted(rows_by_eval)]
+    outcomes = [committed[e] for e in sorted(committed)]
     if cfg["sampler"] == "halving":
         # One row per initial config: its last rung, numbered by its position.
-        last_by_id = {row.config_id: row for row in rows}
-        rows = [last_by_id[c.config_id] for c in sampler.configs]
-        for i, row in enumerate(rows):
-            row.trial_index = i
+        last_by_id = {o.row.config_id: o for o in outcomes}
+        outcomes = [last_by_id[c.config_id] for c in sampler.configs]
+        for i, o in enumerate(outcomes):
+            o.row.trial_index = i
 
-    ok = [r for r in rows if not r.failed]
-    if ok:
-        best_row = max(ok, key=lambda r: (r.accuracy, -r.objective, -r.trial_index))
-    else:
-        best_row = rows[0]
-    best = {
-        "config_id": best_row.config_id,
-        "hp": best_row.hp_values,
-        "objective": _jsonable(best_row.objective),
-        "accuracy": best_row.accuracy,
-        "trial": best_row.trial_index,
-    }
+    ok = [o for o in outcomes if not o.row.failed] or outcomes[:1]
+    best = max(ok, key=lambda o: (o.row.accuracy, -o.row.objective, -o.row.trial_index))
+    best_row = best.row
     return SeedReport(
         seed=seed,
-        best=best,
-        trials=rows,
+        best={
+            "config_id": best_row.config_id,
+            "hp": best_row.hp_values,
+            "objective": _jsonable(best_row.objective),
+            "accuracy": best_row.accuracy,
+            "trial": best_row.trial_index,
+        },
+        trials=[o.row for o in outcomes],
         events=result.events,
         makespan=result.makespan,
-        best_weights=weights_by_id.get(best_row.config_id),
+        best_weights=best.weights,
         feedback_history=list(store.history),
     )
 
@@ -347,19 +345,23 @@ def _usable_cpus() -> int:
 def _run_seeds_in_pool(cfg: ExperimentConfig, seeds: list, workers: int) -> list[SeedReport]:
     # Imported here so that one-seed runs do not pay for the modules.
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(_run_seed, cfg, seed) for seed in seeds]
-        return [f.result() for f in futures]
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            # One seed per worker at a time, in seed order; none after a failure.
+            futures = []
+            for seed in seeds:
+                running = [f for f in futures if not f.done()]
+                if len(running) >= workers:
+                    wait(running, return_when=FIRST_COMPLETED)
+                if any(f.done() and f.exception() for f in futures):
+                    break
+                futures.append(pool.submit(_run_seed, cfg, seed))
+            return [f.result() for f in futures]
     except BrokenProcessPool as err:
         raise FedTuneError(f"a seed's worker process died: {err}") from err
-    finally:
-        # After a failure, cancel the seeds the pool has not yet queued for
-        # its workers (it queues up to workers + 1 ahead).
-        pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -372,8 +374,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     worker holds its own world, so peak memory grows with the number of
     workers. per_seed follows cfg["seeds"] order either way, and each
     report equals that seed's one-seed run. A failing seed raises its own
-    error, the first in seed order, and the seeds not yet queued for a
-    worker are cancelled; a worker process that dies raises FedTuneError.
+    error, the first in seed order. Seeds start in seed order, at most one
+    per worker at a time, and none starts once a seed has failed; a worker
+    process that dies raises FedTuneError.
     """
     seeds = cfg["seeds"]
     workers = min(len(seeds), _usable_cpus())

@@ -262,6 +262,32 @@ class TestAdaptiveSampler:
         store.record(better.config_id, 0.1)
         assert sampler.start_config(1, store) == better
 
+    def test_walk_changes_sampler_only_at_commit(self):
+        sampler = AdaptiveSampler(SPACE, ["learning_rate", "weight_decay"], epsilon=0.0)
+        sampler.directions["weight_decay"] = -1
+        cur = config_at(learning_rate=1e-3, weight_decay=grid(SPACE["weight_decay"])[3])
+        walk = sampler.walk(0, cur)
+        probes = walk.probes(cur)
+        assert probes[2].values["weight_decay"] < cur.values["weight_decay"]
+        new = walk.step(cur, [(probes[0], 0.5), (probes[1], 0.2), (probes[2], 0.9)])
+        assert new.values["learning_rate"] == 1e-2
+        assert walk.directions["learning_rate"] == 1
+        assert sampler.directions == {"weight_decay": -1}
+        assert sampler._seen == {}
+        # an evaluation committed meanwhile turns weight_decay; the walk did not
+        sampler.directions["weight_decay"] = 1
+        sampler.commit(walk)
+        assert sampler.directions == {"weight_decay": 1, "learning_rate": 1}
+        assert list(sampler._seen) == [cur.config_id, new.config_id]
+
+    def test_walk_exploration_keyed_by_eval_index(self):
+        sampler = AdaptiveSampler(SPACE, ["learning_rate"], epsilon=1.0, seed=5)
+        cur = config_at()
+        draws = [sampler.walk(e, cur).rng.random() for e in (0, 1, 0)]
+        assert draws[0] == draws[2] != draws[1]
+        sampler.rng.random()  # the parent's stream does not feed walks
+        assert sampler.walk(0, cur).rng.random() == draws[0]
+
 
 class TestHalvingSampler:
     def test_rung_plan(self):

@@ -131,6 +131,7 @@ class TestSeedPool:
             env=env_with_fedtune(), capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning" not in done.stderr
         usable_cpus(monkeypatch, 1)
         assert cli.main(["run", path, "--output", str(tmp_path / "inline")]) == cli.EXIT_OK
         assert read_outputs(tmp_path / "entry") == read_outputs(tmp_path / "inline")
@@ -172,8 +173,7 @@ class TestSeedPoolFailures:
         with pytest.raises(PartitionError, match="^seed 1 failed$"):
             runner.run_experiment(config_from_dict({**TINY, "seeds": seeds}))
         started = sorted(int(p.name.split("-")[1]) for p in tmp_path.glob("seed-*"))
-        assert started[:2] == [1, 2]
-        assert len(started) < len(seeds)
+        assert started == [1, 2]
 
     def test_dead_worker_exits_3(self, tmp_path, monkeypatch, capsys):
         parent = os.getpid()
