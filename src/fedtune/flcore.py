@@ -84,13 +84,15 @@ def fedavg_aggregate(updates, mode: str = "weighted") -> WeightVector:
             )
         if mode == "weighted" and n < 1:
             raise AggregationError("weighted mode requires n_samples >= 1")
+    stack = np.array([w.values for w, _ in updates])
     if mode == "weighted":
-        total = float(sum(n for _, n in updates))
-        acc = np.zeros_like(updates[0][0].values)
-        for w, n in updates:
-            acc += (n / total) * w.values
+        counts = np.array([n for _, n in updates], dtype=float)
+        stack *= (counts / counts.sum())[:, None]
+        # For P >= 2 numpy adds the rows in order to the zero start, so this
+        # equals a running sum bit for bit.
+        acc = stack.sum(axis=0, initial=0.0)
     else:
-        acc = np.mean([w.values for w, _ in updates], axis=0)
+        acc = stack.mean(axis=0)
     if not np.all(np.isfinite(acc)):
         raise AggregationError("aggregate produced non-finite entries")
     return WeightVector(acc, layout)
@@ -151,13 +153,18 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
 def cohort_time(cohort: list[ClientState], epochs: int, seed_key: tuple) -> float:
     """Simulated duration of one cohort training pass: the slowest member.
 
-    Client c's latency jitter is drawn from derive_seed(*seed_key, c.client_id).
+    Member c takes base_time * epochs * (n/100) * jitter for its n
+    training samples (at least 1). The pass draws one lognormal(0,
+    jitter_sigma) jitter per member, in client_id order, from a single
+    generator seeded with derive_seed(*seed_key), so a member's jitter
+    depends on the pass key and on its position in the cohort.
     """
-    return max(
-        sched.completion_time(c.latency, epochs, max(1, len(c.shard.train)),
-                              derive_seed(*seed_key, c.client_id))
-        for c in cohort
-    )
+    members = sorted(cohort, key=lambda c: c.client_id)
+    rng = np.random.default_rng(derive_seed(*seed_key))
+    jitter = rng.lognormal(0.0, [c.latency.jitter_sigma for c in members])
+    base = np.array([c.latency.base_time * epochs * (max(1, len(c.shard.train)) / 100.0)
+                     for c in members])
+    return float((base * jitter).max())
 
 
 def run_round(state: RoundState, clients: list[ClientState], world: ExperimentWorld,
@@ -175,6 +182,12 @@ def run_round(state: RoundState, clients: list[ClientState], world: ExperimentWo
         (world.base_seed, "train", trial_index, j),
     )
     return RoundState(j + 1, new_global, state.current_hp), val_losses
+
+
+def _score(spec: ModelSpec, w: WeightVector, sets: list[EvalSet]):
+    """(losses, accuracies) of w on each set, in one models.evaluate_stack call."""
+    values = np.broadcast_to(w.values, (len(sets), len(w.values)))
+    return models.evaluate_stack(spec, values, [(s.features, s.labels) for s in sets])
 
 
 def run_trial(
@@ -197,7 +210,12 @@ def run_trial(
     and may return (new HpConfig, extra simulated time) to implement
     step-wise adaptive hyperparameter updates mid-trial. patience > 0
     stops early after that many cadence evaluations without improvement
-    of the global validation loss.
+    of the global validation loss. A NumericDivergenceError leaves with
+    its sim_time raised by the simulated time of the rounds run, the
+    diverging round's cohort pass included.
+
+    The final weights are scored on the cohort's validation splits in one
+    models.evaluate_stack call and on its test splits in another.
     """
     if budget_rounds < 1:
         raise ValueError("budget_rounds must be >= 1")
@@ -210,45 +228,47 @@ def run_trial(
     local_losses, global_loss = [], None
     best_gl = np.inf
     stall = 0
-    for j in range(1, budget_rounds + 1):
-        epochs = to_train_hp(state.current_hp, world.hp_defaults).local_epochs
-        next_state, local_losses = run_round(state, cohort, world, trial_index)
-        sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
-        if j % world.evaluator.cadence == 0:
-            gl, gacc = models.evaluate(
-                spec, next_state.global_weights,
-                world.evaluator.val_set.features, world.evaluator.val_set.labels,
-            )
-            global_loss = gl
-            trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": sim_time})
-            if on_cadence is not None:
-                new_cfg, extra = on_cadence(next_state, cohort, world, trial_index, gl)
-                sim_time += extra
-                if new_cfg is not None:
-                    next_state.current_hp = new_cfg
-            if patience > 0:
-                if gl < best_gl - 1e-12:
-                    best_gl, stall = gl, 0
-                else:
-                    stall += 1
-                    if stall >= patience:
-                        state = next_state
-                        break
-        state = next_state
+    try:
+        for j in range(1, budget_rounds + 1):
+            epochs = to_train_hp(state.current_hp, world.hp_defaults).local_epochs
+            sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
+            next_state, local_losses = run_round(state, cohort, world, trial_index)
+            if j % world.evaluator.cadence == 0:
+                gl, gacc = models.evaluate(
+                    spec, next_state.global_weights,
+                    world.evaluator.val_set.features, world.evaluator.val_set.labels,
+                )
+                global_loss = gl
+                trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": sim_time})
+                if on_cadence is not None:
+                    new_cfg, extra = on_cadence(next_state, cohort, world, trial_index, gl)
+                    sim_time += extra
+                    if new_cfg is not None:
+                        next_state.current_hp = new_cfg
+                if patience > 0:
+                    if gl < best_gl - 1e-12:
+                        best_gl, stall = gl, 0
+                    else:
+                        stall += 1
+                        if stall >= patience:
+                            state = next_state
+                            break
+            state = next_state
+    except NumericDivergenceError as err:
+        err.sim_time += sim_time  # the rounds run, the diverging one included
+        raise
     final_w = state.global_weights
-    val_losses = []
-    test_hits = []
-    for c in cohort:
-        vl, _ = models.evaluate(spec, final_w, c.shard.val.features, c.shard.val.labels) \
-            if len(c.shard.val) else (np.nan, 0.0)
-        if len(c.shard.val):
-            val_losses.append((vl, len(c.shard.train)))
-        if len(c.shard.test):
-            _, acc = models.evaluate(spec, final_w, c.shard.test.features, c.shard.test.labels)
-            test_hits.append((acc, len(c.shard.test)))
-    objective = weighted_objective(val_losses) if val_losses else np.inf
-    test_acc = (sum(a * n for a, n in test_hits) / sum(n for _, n in test_hits)) \
-        if test_hits else 0.0
+    val_members = [c for c in cohort if len(c.shard.val)]
+    test_members = [c for c in cohort if len(c.shard.test)]
+    objective, test_acc = np.inf, 0.0
+    if val_members:
+        losses, _ = _score(spec, final_w, [c.shard.val for c in val_members])
+        objective = weighted_objective(
+            [(vl, len(c.shard.train)) for vl, c in zip(losses.tolist(), val_members)])
+    if test_members:
+        _, accs = _score(spec, final_w, [c.shard.test for c in test_members])
+        counts = [len(c.shard.test) for c in test_members]
+        test_acc = sum(a * n for a, n in zip(accs.tolist(), counts)) / sum(counts)
     return TrialResult(
         config=state.current_hp,
         objective=float(objective),

@@ -11,7 +11,6 @@ successive halving over random grid configs.
 import hashlib
 import json
 import math
-import threading
 from collections import ChainMap
 from dataclasses import dataclass
 
@@ -198,14 +197,9 @@ class FeedbackRecord:
 
 
 class FeedbackStore:
-    """Per-config running mean of combined feedback plus full history.
-
-    Access is serialized with a lock so concurrent record/read calls
-    behave as if executed in some total order.
-    """
+    """Per-config running mean of combined feedback plus full history."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._sum: dict[str, float] = {}
         self._count: dict[str, int] = {}
         self.history: list[FeedbackRecord] = []
@@ -213,19 +207,16 @@ class FeedbackStore:
     def record(self, config_id: str, combined: float, detail: FeedbackRecord | None = None):
         if not math.isfinite(combined):
             raise FeedbackError(f"non-finite combined feedback for {config_id}")
-        with self._lock:
-            self._sum[config_id] = self._sum.get(config_id, 0.0) + combined
-            self._count[config_id] = self._count.get(config_id, 0) + 1
-            if detail is not None:
-                self.history.append(detail)
+        self._sum[config_id] = self._sum.get(config_id, 0.0) + combined
+        self._count[config_id] = self._count.get(config_id, 0) + 1
+        if detail is not None:
+            self.history.append(detail)
 
     def mean(self, config_id: str) -> float:
-        with self._lock:
-            return self._sum[config_id] / self._count[config_id]
+        return self._sum[config_id] / self._count[config_id]
 
     def count(self, config_id: str) -> int:
-        with self._lock:
-            return self._count.get(config_id, 0)
+        return self._count.get(config_id, 0)
 
     def export_jsonl(self, path):
         with open(path, "w", newline="\n") as fh:

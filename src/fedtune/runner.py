@@ -162,7 +162,8 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
     weights with flcore.train_cohort; the probe aggregate is scored on
     the server validation set and combined with the cohort's local
     validation losses. The cycle's simulated time is the sum of the
-    probes' cohort times.
+    probes' cohort times; a diverging probe's NumericDivergenceError
+    carries the cohort times of the probes run, its own included.
     Returns (new config, extra simulated time, [(config_id, combined,
     FeedbackRecord)] for the store, one per probe).
     """
@@ -173,15 +174,19 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
     extra_time = 0.0
     for p in sampler.probes(current):
         seed_key = (world.base_seed, "probe", trial_index, state.round_index, p.config_id)
-        wp, val_losses = flcore.train_cohort(
-            world, state.global_weights, p, cohort, state.round_index, seed_key
-        )
-        gf, _ = models.evaluate(world.model_spec, wp, val_set.features, val_set.labels)
-        combined = combine_feedback([vl for _, vl in val_losses], gf, n)
-        results.append((p, combined))
         extra_time += flcore.cohort_time(
             cohort, to_train_hp(p, world.hp_defaults).local_epochs, seed_key
         )
+        try:
+            wp, val_losses = flcore.train_cohort(
+                world, state.global_weights, p, cohort, state.round_index, seed_key
+            )
+        except NumericDivergenceError as err:
+            err.sim_time += extra_time  # the probes run, the diverging one included
+            raise
+        gf, _ = models.evaluate(world.model_spec, wp, val_set.features, val_set.labels)
+        combined = combine_feedback([vl for _, vl in val_losses], gf, n)
+        results.append((p, combined))
         records.append((p.config_id, combined, FeedbackRecord(
             config_id=p.config_id,
             round_index=state.round_index,
@@ -230,8 +235,9 @@ def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds) 
             patience=int(cfg["early_stop_patience"]),
         )
         failed = False
-    except NumericDivergenceError:
-        result = flcore.TrialResult(config=config, objective=math.inf, test_accuracy=0.0)
+    except NumericDivergenceError as err:
+        result = flcore.TrialResult(config=config, objective=math.inf, test_accuracy=0.0,
+                                    sim_time=err.sim_time)
         failed = True
 
     final = result.config

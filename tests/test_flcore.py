@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from fedtune import data, hpo, models, runner, sched
+from fedtune import data, flcore, hpo, models, runner, sched
 from fedtune.common import AggregationError, NumericDivergenceError, derive_seed
+from fedtune.config import config_from_dict
 from fedtune.data import EvalSet
 from fedtune.flcore import (
     ClientState,
     ExperimentWorld,
     GlobalEvaluator,
     RoundState,
+    cohort_time,
     fedavg_aggregate,
     run_round,
     run_trial,
@@ -94,12 +96,58 @@ class TestFedAvg:
                 expected[i] = s / total
             assert np.max(np.abs(out.values - expected)) < 1e-12
 
+    def test_stack_sum_matches_sequential_accumulate(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k = int(rng.integers(1, 30))
+            d = int(rng.integers(2, 300))  # a model has at least 2 weights
+            vecs = [wv(rng.standard_normal(d), layout="x") for _ in range(k)]
+            counts = [int(rng.integers(1, 500)) for _ in range(k)]
+            total = float(sum(counts))
+            weighted = np.zeros(d)
+            uniform = np.zeros(d)
+            for v, n in zip(vecs, counts):
+                weighted += (n / total) * v.values
+                uniform += v.values
+            uniform /= k
+            for mode, expected in (("weighted", weighted), ("uniform", uniform)):
+                out = fedavg_aggregate(list(zip(vecs, counts)), mode)
+                assert out.values.tobytes() == expected.tobytes()
+
     def test_modes_coincide_for_equal_counts(self):
         rng = np.random.default_rng(4)
         vecs = [wv(rng.standard_normal(5), layout="x") for _ in range(4)]
         a = fedavg_aggregate([(v, 7) for v in vecs], "weighted")
         b = fedavg_aggregate([(v, 7) for v in vecs], "uniform")
         assert np.max(np.abs(a.values - b.values)) < 1e-12
+
+
+def expected_cohort_time(cohort, epochs, seed_key):
+    members = sorted(cohort, key=lambda c: c.client_id)
+    rng = np.random.default_rng(derive_seed(*seed_key))
+    jitter = rng.lognormal(0.0, [c.latency.jitter_sigma for c in members])
+    return max(c.latency.base_time * epochs * (len(c.shard.train) / 100.0) * j
+               for c, j in zip(members, jitter))
+
+
+class TestCohortTime:
+    def test_slowest_member_of_one_jitter_draw(self):
+        world = make_world(n_clients=4, alpha=0.5)
+        for c, sigma in zip(world.clients, (0.0, 0.3, 0.8, 0.5)):
+            c.latency = sched.LatencyProfile(c.latency.base_time, sigma)
+        for key in [(0, "time", 0, 1), (0, "time", 2, 7), (9, "probe", 1, 5, "abc")]:
+            t = cohort_time(world.clients, 3, key)
+            assert t == expected_cohort_time(world.clients, 3, key)
+            shuffled = [world.clients[i] for i in (2, 0, 3, 1)]
+            assert cohort_time(shuffled, 3, key) == t
+
+    def test_no_jitter_is_the_exact_base_time(self):
+        world = make_world(n_clients=3, alpha=0.5)
+        for c in world.clients:
+            c.latency = sched.LatencyProfile(c.latency.base_time, 0.0)
+        t = cohort_time(world.clients, 2, (0, "time", 0, 1))
+        assert t == max(c.latency.base_time * 2 * (len(c.shard.train) / 100.0)
+                        for c in world.clients)
 
 
 class TestRunRound:
@@ -208,6 +256,20 @@ class TestRunTrial:
             assert calls.count(id(c.shard.test.features)) == 1
         assert len(calls) == 3 + 3 * (7 + 1)
 
+    def test_scores_match_per_client_evaluate(self):
+        world = make_world(n_clients=4, alpha=0.5)
+        result = run_trial(hp_config(), 3, world)
+        spec, w = world.model_spec, result.final_weights
+        val, hits = [], []
+        for c in world.clients:
+            vl, _ = models.evaluate(spec, w, c.shard.val.features, c.shard.val.labels)
+            val.append((vl, len(c.shard.train)))
+            _, acc = models.evaluate(spec, w, c.shard.test.features, c.shard.test.labels)
+            hits.append((acc, len(c.shard.test)))
+        assert len({len(c.shard.val) for c in world.clients}) > 1
+        assert abs(result.objective - weighted_objective(val)) <= 1e-12
+        assert result.test_accuracy == sum(a * n for a, n in hits) / sum(n for _, n in hits)
+
     def test_trace_length_one_for_single_round_budget(self):
         world = make_world(cadence=1)
         result = run_trial(hp_config(), 1, world)
@@ -235,3 +297,72 @@ class TestRunTrial:
         result = run_trial(hp_config(learning_rate=1e-5, epochs=0), 30, world,
                            patience=2)
         assert result.trace[-1]["round"] < 30
+
+
+# One seed, one group, one evaluation: rounds 1 and 2 of trial 0 train the
+# whole cohort, and the cadence-1 adaptive variant runs a probe cycle after
+# round 1.
+DIVERGING = {
+    "dataset": {"type": "synthetic", "num_classes": 3, "input_dim": 6,
+                "n": 300, "class_sep": 4.0},
+    "n_clients": 3,
+    "alpha": 1.0,
+    "model": {"kind": "logistic"},
+    "sampler": "random",
+    "budget_configs": 1,
+    "rounds_per_trial": 4,
+    "eval_cadence": 5,
+    "seeds": [1],
+}
+
+
+def diverge_at_call(monkeypatch, n):
+    """Make the n-th models.train_stack call report client 0 as diverged."""
+    real = models.train_stack
+    calls = []
+
+    def train_stack(*args):
+        calls.append(1)
+        trained, losses, failures = real(*args)
+        if len(calls) == n:
+            failures[0] = "non-finite training loss"
+        return trained, losses, failures
+
+    monkeypatch.setattr(models, "train_stack", train_stack)
+
+
+def charged_time(report):
+    sr = report.per_seed[0]
+    (row,) = sr.trials
+    (feedback,) = [e for e in sr.events if e.event_kind == "feedback"]
+    assert row.failed
+    assert feedback.sim_time == row.sim_time
+    return row.sim_time
+
+
+class TestDivergedTrialTime:
+    def test_charges_the_rounds_up_to_the_diverging_one(self, monkeypatch):
+        cfg = config_from_dict(DIVERGING)
+        world = runner.build_world(cfg, 1)
+        diverge_at_call(monkeypatch, 2)
+        report = runner.run_experiment(cfg)
+        epochs = report.per_seed[0].trials[0].hp_values["epochs"]
+        expected = sum(cohort_time(world.clients, epochs, (1, "time", 0, j)) for j in (1, 2))
+        assert expected > 0
+        assert charged_time(report) == expected
+
+    def test_charges_the_probes_run_in_the_diverging_cycle(self, monkeypatch):
+        cfg = config_from_dict({**DIVERGING, "sampler": "adaptive", "eval_cadence": 1})
+        passes = []
+        real = flcore.cohort_time
+
+        def recording_cohort_time(cohort, epochs, seed_key):
+            passes.append((seed_key[1], real(cohort, epochs, seed_key)))
+            return passes[-1][1]
+
+        monkeypatch.setattr(flcore, "cohort_time", recording_cohort_time)
+        # call 1 trains round 1, calls 2 and 3 the cycle's first two probes
+        diverge_at_call(monkeypatch, 3)
+        charged = charged_time(runner.run_experiment(cfg))
+        assert [kind for kind, _ in passes] == ["time", "probe", "probe"]
+        assert charged == pytest.approx(sum(t for _, t in passes), rel=1e-12)

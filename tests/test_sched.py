@@ -136,7 +136,7 @@ class TestDispatch:
             assert res.makespan <= e * sync_cost + 1e-9
 
     def test_zero_duration_eval_lists_issue_before_feedback(self):
-        # a diverged trial or epochs=0 reports zero simulated duration
+        # a trial with epochs=0 reports zero simulated duration
         durations = [1.0, 0.0, 1.0]
         cfgs = [HpConfig({"learning_rate": float(i)}) for i in range(3)]
         result = dispatch([ClientGroup(0, [0])], 3, lambda g, e: cfgs[e],
