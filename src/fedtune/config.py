@@ -1,12 +1,13 @@
 """Experiment configuration: YAML loading, validation and CLI overrides."""
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import yaml
 
 from .common import ConfigurationError
-from .hpo import HpDim, SearchSpace, default_search_space
+from .hpo import HpDim, SearchSpace, default_search_space, grid
+from .models import TrainHp
 
 SAMPLERS = ("random", "adaptive", "halving")
 GROUP_MODES = ("sync", "async")
@@ -56,8 +57,9 @@ _SECTION_FIELDS = {
     "hp_defaults": set(_DEFAULTS["hp_defaults"]),
 }
 # Keys of one custom search_space entry.
-_DIM_FIELDS = {"name", "scale", "low", "high", "step", "integer"}
-_INT_HPS = ("epochs", "batch_size")
+_DIM_FIELDS = {"name", "scale", "low", "high", "step"}
+# The tunable hyperparameters and their types (int or float) are TrainHp's fields.
+_HP_TYPES = {f.name: f.type for f in fields(TrainHp)}
 
 
 @dataclass
@@ -76,20 +78,14 @@ class ExperimentConfig:
         return _deep_copy(self.raw)
 
     def search_space(self) -> SearchSpace:
+        """The default space, or one dim per entry, integer where its TrainHp field is."""
         spec = self.raw["search_space"]
         if spec == "default":
             return default_search_space()
-        dims = []
-        for d in spec:
-            dims.append(HpDim(
-                name=d["name"],
-                scale=d["scale"],
-                low=float(d["low"]),
-                high=float(d["high"]),
-                step=float(d["step"]),
-                integer=bool(d.get("integer", False)),
-            ))
-        return SearchSpace(tuple(dims))
+        return SearchSpace(tuple(
+            HpDim(d["name"], d["scale"], float(d["low"]), float(d["high"]), float(d["step"]),
+                  integer=_HP_TYPES[d["name"]] is int)
+            for d in spec))
 
 
 def _deep_copy(obj):
@@ -217,10 +213,9 @@ def validate_config(raw: dict) -> dict:
     tuned = cfg["tuned"]
     _require(isinstance(tuned, list), "tuned", "must be a list of HP names")
     space = cfg["search_space"]
-    if space == "default":
-        space_names = set(_DEFAULTS["hp_defaults"])
-    else:
+    if space != "default":
         _require(isinstance(space, list), "search_space", "must be 'default' or a list")
+        seen = set()
         for dim in space:
             _require(isinstance(dim, dict), "search_space", "entries must be mappings")
             for key in dim:
@@ -228,13 +223,31 @@ def validate_config(raw: dict) -> dict:
                          "unknown configuration field")
             for key in ("name", "scale", "low", "high", "step"):
                 _require(key in dim, f"search_space.{key}", "required")
+            name = dim["name"]
+            _require(isinstance(name, str) and name in _HP_TYPES, "search_space.name",
+                     f"unknown hyperparameter {name!r}, must be one of {tuple(_HP_TYPES)}")
+            _require(name not in seen, "search_space.name", f"{name!r} appears twice")
+            seen.add(name)
             for key in ("low", "high", "step"):
                 _num(dim[key], f"search_space.{key}")
-        space_names = {d["name"] for d in space}
+    hp_defaults = cfg["hp_defaults"]
+    for name, value in hp_defaults.items():
+        _num(value, f"hp_defaults.{name}", _HP_TYPES[name])
+    try:
+        grids = {d.name: grid(d) for d in ExperimentConfig(cfg).search_space().dims}
+    except ConfigurationError as err:
+        raise ConfigurationError(f"search_space.{err}") from None
+    # TrainHp's own checks on the defaults and on every grid point
+    checks = [("hp_defaults", hp_defaults)] + [
+        ("search_space", {**hp_defaults, name: v}) for name, points in grids.items()
+        for v in points]
+    for section, values in checks:
+        try:
+            TrainHp(**{name: kind(values[name]) for name, kind in _HP_TYPES.items()})
+        except ConfigurationError as err:
+            raise ConfigurationError(f"{section}.{err}") from None
     for name in tuned:
-        _require(name in space_names, "tuned", f"unknown hyperparameter {name!r}")
-    for name, value in cfg["hp_defaults"].items():
-        _num(value, f"hp_defaults.{name}", int if name in _INT_HPS else float)
+        _require(name in grids, "tuned", f"unknown hyperparameter {name!r}")
     return cfg
 
 

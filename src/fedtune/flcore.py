@@ -7,7 +7,7 @@ on evaluation-cadence rounds, scores the new global model on the
 server-side validation set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,15 +100,8 @@ def fedavg_aggregate(updates, mode: str = "weighted") -> WeightVector:
 
 def to_train_hp(config: HpConfig, defaults: dict) -> TrainHp:
     """Build a TrainHp from a sampled config, filling untuned fields from defaults."""
-    v = dict(defaults)
-    v.update(config.values)
-    return TrainHp(
-        learning_rate=float(v["learning_rate"]),
-        weight_decay=float(v["weight_decay"]),
-        local_epochs=int(v["epochs"]),
-        batch_size=int(v["batch_size"]),
-        dropout=float(v["dropout"]),
-    )
+    v = {**defaults, **config.values}
+    return TrainHp(**{f.name: f.type(v[f.name]) for f in fields(TrainHp)})
 
 
 def weighted_objective(losses_and_counts) -> float:
@@ -153,18 +146,14 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
 def cohort_time(cohort: list[ClientState], epochs: int, seed_key: tuple) -> float:
     """Simulated duration of one cohort training pass: the slowest member.
 
-    Member c takes base_time * epochs * (n/100) * jitter for its n
-    training samples (at least 1). The pass draws one lognormal(0,
-    jitter_sigma) jitter per member, in client_id order, from a single
-    generator seeded with derive_seed(*seed_key), so a member's jitter
-    depends on the pass key and on its position in the cohort.
+    sched.completion_time times the pass over the cohort in client_id
+    order with the generator seeded derive_seed(*seed_key), so a member's
+    jitter depends on the pass key and on its position in the cohort.
     """
     members = sorted(cohort, key=lambda c: c.client_id)
-    rng = np.random.default_rng(derive_seed(*seed_key))
-    jitter = rng.lognormal(0.0, [c.latency.jitter_sigma for c in members])
-    base = np.array([c.latency.base_time * epochs * (max(1, len(c.shard.train)) / 100.0)
-                     for c in members])
-    return float((base * jitter).max())
+    return float(sched.completion_time(
+        [c.latency for c in members], epochs, [len(c.shard.train) for c in members],
+        derive_seed(*seed_key)).max())
 
 
 def run_round(state: RoundState, clients: list[ClientState], world: ExperimentWorld,
@@ -230,7 +219,7 @@ def run_trial(
     stall = 0
     try:
         for j in range(1, budget_rounds + 1):
-            epochs = to_train_hp(state.current_hp, world.hp_defaults).local_epochs
+            epochs = to_train_hp(state.current_hp, world.hp_defaults).epochs
             sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
             next_state, local_losses = run_round(state, cohort, world, trial_index)
             if j % world.evaluator.cadence == 0:

@@ -320,8 +320,7 @@ def suggest_adaptive(
         name = tuned[int(rng.integers(len(tuned)))]
         g = grid(space[name])
         values[name] = g[int(rng.integers(len(g)))]
-    values = {n: snap(space[n], v) if not space[n].integer else int(snap(space[n], v))
-              for n, v in values.items()}
+    values = {n: snap(space[n], v) for n, v in values.items()}  # grid points keep their type
     return HpConfig(values)
 
 

@@ -66,11 +66,11 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class TrainHp:
-    """One local-training hyperparameter assignment."""
+    """One local-training assignment; its typed fields are the hyperparameter schema."""
 
     learning_rate: float
     weight_decay: float
-    local_epochs: int
+    epochs: int
     batch_size: int
     dropout: float
 
@@ -79,8 +79,8 @@ class TrainHp:
             raise ConfigurationError("learning_rate: must be >= 0")
         if self.weight_decay < 0:
             raise ConfigurationError("weight_decay: must be >= 0")
-        if self.local_epochs < 0:
-            raise ConfigurationError("local_epochs: must be >= 0")
+        if self.epochs < 0:
+            raise ConfigurationError("epochs: must be >= 0")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size: must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -283,7 +283,7 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds, widt
 
     Returns ((k, P) weights, failures), both in shard order.
     """
-    k, epochs, hidden = len(shards), hp.local_epochs, spec.hidden_dim
+    k, epochs, hidden = len(shards), hp.epochs, spec.hidden_dim
     batches = np.array([-(-len(s[1]) // width) for s in shards], dtype=np.int64)
     # Longest rows first, so the rows still training at any step are a prefix.
     rows = np.argsort(-batches, kind="stable")
@@ -386,7 +386,7 @@ def local_train(
     val_labels: np.ndarray,
     rng_seed: int,
 ):
-    """Run hp.local_epochs epochs of mini-batch SGD on one client shard.
+    """Run hp.epochs epochs of mini-batch SGD on one client shard.
 
     The one-shard case of train_stack. Returns (updated weights,
     validation loss), the loss measured after training with dropout

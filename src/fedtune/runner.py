@@ -4,18 +4,18 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import data, flcore, hpo, models, sched
-from .common import FedTuneError, NumericDivergenceError, derive_seed
+from .common import ConfigurationError, FedTuneError, NumericDivergenceError, derive_seed
 from .config import ExperimentConfig
 from .data import EvalSet
 from .flcore import ExperimentWorld, GlobalEvaluator, to_train_hp
 from .hpo import FeedbackRecord, FeedbackStore, combine_feedback
 
-HP_COLUMNS = ("learning_rate", "weight_decay", "epochs", "batch_size", "dropout")
+HP_COLUMNS = tuple(f.name for f in fields(models.TrainHp))
 
 
 @dataclass
@@ -100,6 +100,9 @@ def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
     rng = np.random.default_rng(derive_seed(seed, "server-val"))
     order = rng.permutation(len(ds))
     n_server = int(round(frac * len(ds)))
+    if n_server == 0:
+        raise ConfigurationError(
+            f"server_val_fraction: {frac} of {len(ds)} rows leaves no server validation set")
     server_idx, client_idx = order[:n_server], order[n_server:]
     server_val = EvalSet(ds.features[server_idx], ds.labels[server_idx])
     client_ds = data.Dataset(ds.features[client_idx], ds.labels[client_idx])
@@ -142,13 +145,12 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     if cfg["grouping"]["mode"] == "sync":
         return [sched.ClientGroup(0, sorted(c.client_id for c in world.clients))]
     epochs = max(1, int(world.hp_defaults["epochs"]))
-    completions = []
-    for c in world.clients:
-        t = sched.completion_time(
-            c.latency, epochs, max(1, len(c.shard.train)),
-            derive_seed(seed, "calibration", c.client_id),
-        )
-        completions.append((c.client_id, t))
+    completions = [  # each client timed as a one-member pass
+        (c.client_id, float(sched.completion_time(
+            [c.latency], epochs, [len(c.shard.train)],
+            derive_seed(seed, "calibration", c.client_id))[0]))
+        for c in world.clients
+    ]
     window = cfg["grouping"]["window"]
     if window == "auto":
         window = 0.25 * float(np.median([t for _, t in completions]))
@@ -175,7 +177,7 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
     for p in sampler.probes(current):
         seed_key = (world.base_seed, "probe", trial_index, state.round_index, p.config_id)
         extra_time += flcore.cohort_time(
-            cohort, to_train_hp(p, world.hp_defaults).local_epochs, seed_key
+            cohort, to_train_hp(p, world.hp_defaults).epochs, seed_key
         )
         try:
             wp, val_losses = flcore.train_cohort(
@@ -255,20 +257,13 @@ def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds) 
             val_loss=combined,
             group_size=len(cohort),
         )))
-    hp_values = to_train_hp(final, world.hp_defaults)
     row = TrialRow(
         seed=seed,
         sampler=cfg["sampler"],
         trial_index=eval_index,
         group_id=group.group_id,
         config_id=final.config_id,
-        hp_values={
-            "learning_rate": hp_values.learning_rate,
-            "weight_decay": hp_values.weight_decay,
-            "epochs": hp_values.local_epochs,
-            "batch_size": hp_values.batch_size,
-            "dropout": hp_values.dropout,
-        },
+        hp_values=asdict(to_train_hp(final, world.hp_defaults)),
         objective=result.objective,
         accuracy=result.test_accuracy,
         sim_time=result.sim_time,

@@ -33,15 +33,17 @@ class ClientGroup:
     members: list[int]  # client ids, sorted
 
 
-def completion_time(profile: LatencyProfile, local_epochs: int, n_samples: int, rng_seed: int) -> float:
-    """base_time * epochs * (n/100) scaled by a seeded log-normal multiplier."""
-    if n_samples < 1:
-        raise ConfigurationError("completion_time: n_samples must be >= 1")
-    t = profile.base_time * local_epochs * (n_samples / 100.0)
-    if profile.jitter_sigma > 0:
-        rng = np.random.default_rng(rng_seed)
-        t *= rng.lognormal(0.0, profile.jitter_sigma)
-    return t
+def completion_time(profiles, epochs: int, sizes, rng_seed: int) -> np.ndarray:
+    """Simulated duration of one training pass for each of its members.
+
+    Member i takes base_time * epochs * (max(1, n_i)/100) times one
+    lognormal(0, jitter_sigma) jitter, drawn in member order from one
+    generator seeded with rng_seed.
+    """
+    base = np.array([p.base_time for p in profiles]) * epochs
+    jitter = np.random.default_rng(rng_seed).lognormal(
+        0.0, [p.jitter_sigma for p in profiles])
+    return base * (np.maximum(1, sizes) / 100.0) * jitter
 
 
 def form_groups(completions, window: float) -> list[ClientGroup]:

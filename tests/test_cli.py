@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import re
 
 import pytest
 import yaml
 
-from fedtune import cli, flcore, runner
+from fedtune import cli, flcore, hpo, runner
 from fedtune.common import ConfigurationError
 from fedtune.config import config_from_dict, load_config
 
@@ -30,6 +31,9 @@ def config_path(tmp_path):
     cfg["output_dir"] = str(tmp_path / "out")
     path.write_text(yaml.safe_dump(cfg))
     return str(path)
+
+
+LR_DIM = {"name": "learning_rate", "scale": "log10", "low": 1e-4, "high": 1e-1, "step": 10.0}
 
 
 class TestConfig:
@@ -80,6 +84,46 @@ class TestConfig:
         kind = "an integer" if isinstance(leaf, (int, float)) else "a number"
         with pytest.raises(ConfigurationError, match=f"^{field}: must be {kind}$"):
             config_from_dict(dict(SMALL, **{key: value}, tuned=["learning_rate"]))
+
+    @pytest.mark.parametrize("space,message", [
+        ([{**LR_DIM, "name": "lerning_rate"}],
+         "search_space.name: unknown hyperparameter 'lerning_rate'"),
+        ([LR_DIM, LR_DIM], "search_space.name: 'learning_rate' appears twice"),
+        ([{**LR_DIM, "integer": True}], "search_space.integer: unknown configuration field"),
+        ([{**LR_DIM, "scale": "log2"}], "search_space.learning_rate: unknown scale 'log2'"),
+        ([{**LR_DIM, "low": 0.1}], "search_space.learning_rate: low must be < high"),
+        ([{**LR_DIM, "scale": "linear", "step": 0}],
+         "search_space.learning_rate: step must be > 0"),
+        ([{**LR_DIM, "low": 0}], "search_space.learning_rate: log scales need low > 0"),
+        ([{**LR_DIM, "step": 1.0}],
+         "search_space.learning_rate: multiplicative step must be > 1"),
+        ([LR_DIM, {"name": "dropout", "scale": "linear", "low": 0.2, "high": 1.0,
+                   "step": 0.4}], "search_space.dropout: must be in [0, 1)"),
+        ([LR_DIM, {"name": "batch_size", "scale": "linear", "low": 0.1, "high": 0.4,
+                   "step": 0.1}], "search_space.batch_size: must be >= 1"),
+    ], ids=["unknown-name", "repeated-name", "integer-key", "scale", "low-high", "step",
+            "log-low", "multiplicative-step", "dropout-grid", "integer-grid"])
+    def test_bad_search_space_rejected(self, space, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+            config_from_dict(dict(SMALL, search_space=space, tuned=["learning_rate"]))
+
+    @pytest.mark.parametrize("hp,message", [
+        ({"batch_size": 0}, "hp_defaults.batch_size: must be >= 1"),
+        ({"dropout": 1.0}, "hp_defaults.dropout: must be in [0, 1)"),
+        ({"learning_rate": -0.1}, "hp_defaults.learning_rate: must be >= 0"),
+        ({"epochs": -1}, "hp_defaults.epochs: must be >= 0"),
+    ])
+    def test_bad_hp_default_rejected(self, hp, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            config_from_dict(dict(SMALL, hp_defaults=hp))
+
+    def test_custom_dim_integer_follows_hyperparameter(self):
+        space = [LR_DIM, {"name": "epochs", "scale": "linear", "low": 1, "high": 3,
+                          "step": 1}]
+        cfg = config_from_dict(dict(SMALL, search_space=space, tuned=["epochs"]))
+        epochs = hpo.grid(cfg.search_space()["epochs"])
+        assert epochs == [1, 2, 3] and all(type(v) is int for v in epochs)
+        assert all(type(v) is float for v in hpo.grid(cfg.search_space()["learning_rate"]))
 
     def test_halving_with_async_grouping_rejected(self):
         with pytest.raises(ConfigurationError,
@@ -144,6 +188,26 @@ class TestCliCommands:
         assert code == cli.EXIT_CONFIG
         assert "hp_defaults.lerning_rate: unknown configuration field" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,message", [
+        ("search_space=[{name: lerning_rate, scale: log10, low: 0.0001, high: 0.1, "
+         "step: 10}]", "search_space.name: unknown hyperparameter 'lerning_rate'"),
+        ("hp_defaults.batch_size=0", "hp_defaults.batch_size: must be >= 1"),
+    ])
+    def test_bad_hyperparameter_exit_code(self, config_path, capsys, override, message):
+        assert cli.main(["validate", config_path, "--set", override]) == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["0", "0.001"])
+    def test_empty_server_val_set_fails_before_training(self, config_path, capsys,
+                                                         monkeypatch, fraction):
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_trial called")
+
+        monkeypatch.setattr(flcore, "run_trial", no_training)
+        code = cli.main(["run", config_path, "--set", f"server_val_fraction={fraction}"])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: server_val_fraction: " in capsys.readouterr().err
 
     def test_unusable_output_dir_fails_before_compute(self, config_path, tmp_path,
                                                       monkeypatch):

@@ -17,7 +17,7 @@ def make_blob(seed, n=40, d=4, c=2, sep=6.0):
 
 
 def default_hp(**kw):
-    base = dict(learning_rate=0.1, weight_decay=0.0, local_epochs=1,
+    base = dict(learning_rate=0.1, weight_decay=0.0, epochs=1,
                 batch_size=8, dropout=0.0)
     base.update(kw)
     return TrainHp(**base)
@@ -78,7 +78,7 @@ class TestLocalTrain:
         x, y = make_blob(0)
         spec = ModelSpec("mlp", 4, 2, hidden_dim=6)
         w = models.init_weights(spec, 1)
-        out, _ = models.local_train(spec, w, default_hp(local_epochs=0),
+        out, _ = models.local_train(spec, w, default_hp(epochs=0),
                                     x, y, x, y, rng_seed=3)
         assert np.array_equal(out.values, w.values)
         pre, _ = models.evaluate(spec, w, x, y)
@@ -89,7 +89,7 @@ class TestLocalTrain:
         x, y = make_blob(5)
         spec = ModelSpec("mlp", 4, 2, hidden_dim=6)
         w = models.init_weights(spec, 2)
-        hp = default_hp(local_epochs=3, dropout=0.2)
+        hp = default_hp(epochs=3, dropout=0.2)
         a = models.local_train(spec, w, hp, x, y, x, y, rng_seed=11)
         b = models.local_train(spec, w, hp, x, y, x, y, rng_seed=11)
         assert np.array_equal(a[0].values, b[0].values)
@@ -110,7 +110,7 @@ class TestLocalTrain:
         x = np.zeros((10, 4))
         y = np.array([0, 1] * 5)
         out, _ = models.local_train(
-            spec, w, default_hp(learning_rate=0.01, weight_decay=0.1, local_epochs=2),
+            spec, w, default_hp(learning_rate=0.01, weight_decay=0.1, epochs=2),
             x, y, x, y, 0)
         wm = out.values[:8]  # weight matrix entries see only the decay term
         assert np.linalg.norm(wm) < np.linalg.norm(w.values[:8])
@@ -120,7 +120,7 @@ class TestLocalTrain:
         spec = ModelSpec("logistic", 4, 2)
         w = models.init_weights(spec, 1)
         before, _ = models.evaluate(spec, w, x, y)
-        out, _ = models.local_train(spec, w, default_hp(local_epochs=5),
+        out, _ = models.local_train(spec, w, default_hp(epochs=5),
                                     x, y, x, y, 0)
         after, _ = models.evaluate(spec, out, x, y)
         assert after < before
@@ -131,7 +131,7 @@ def reference_train(spec, w, hp, x, y, rng_seed):
     values = w.values.copy()
     rng = np.random.default_rng(rng_seed)
     keep = 1.0 - hp.dropout
-    for _ in range(hp.local_epochs):
+    for _ in range(hp.epochs):
         order = rng.permutation(len(y))
         for start in range(0, len(y), hp.batch_size):
             idx = order[start : start + hp.batch_size]
@@ -144,9 +144,9 @@ def reference_train(spec, w, hp, x, y, rng_seed):
 
 
 ENGINE_CASES = [
-    (ModelSpec("logistic", 4, 3), default_hp(batch_size=8, local_epochs=2)),
+    (ModelSpec("logistic", 4, 3), default_hp(batch_size=8, epochs=2)),
     (ModelSpec("mlp", 4, 3, hidden_dim=5),
-     default_hp(batch_size=8, local_epochs=2, dropout=0.3, weight_decay=1e-3)),
+     default_hp(batch_size=8, epochs=2, dropout=0.3, weight_decay=1e-3)),
 ]
 
 
@@ -214,7 +214,7 @@ class TestTrainStack:
         shards = engine_shards()
         models.train_stack(spec, models.init_weights(spec, 0), hp, shards, [0] * len(shards))
         # the 2-row shard trains at width 2 (one step per epoch), the rest at 8
-        assert calls.count((1, 2)) == hp.local_epochs
+        assert calls.count((1, 2)) == hp.epochs
         assert {width for _, width in calls} == {2, hp.batch_size}
 
     def test_zero_epochs_scores_initial_weights(self):
@@ -222,7 +222,7 @@ class TestTrainStack:
         shards = engine_shards()
         w = models.init_weights(spec, 4)
         trained, losses, failures = models.train_stack(
-            spec, w, default_hp(local_epochs=0), shards, [0] * len(shards))
+            spec, w, default_hp(epochs=0), shards, [0] * len(shards))
         assert failures == [None] * len(shards)
         for row, (tx, ty, vx, vy) in enumerate(shards):
             assert np.array_equal(trained[row], w.values)
@@ -262,7 +262,7 @@ class TestEvaluate:
         spec = ModelSpec("logistic", 4, 2)
         w = models.init_weights(spec, 1)
         for _ in range(20):
-            w, _ = models.local_train(spec, w, default_hp(local_epochs=1),
+            w, _ = models.local_train(spec, w, default_hp(epochs=1),
                                       x, y, x, y, 0)
         _, acc = models.evaluate(spec, w, x, y)
         assert acc == 1.0

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from fedtune import runner, sched
+from fedtune.common import derive_seed
+from fedtune.config import config_from_dict
 from fedtune.hpo import HpConfig
 from fedtune.sched import (
     ClientGroup,
@@ -14,23 +17,52 @@ from fedtune.sched import (
 class TestCompletionTime:
     def test_identity_scaling(self):
         p = LatencyProfile(1.0, 0.0)
-        assert completion_time(p, 1, 100, 0) == pytest.approx(1.0)
+        assert completion_time([p, p], 1, [100, 100], 0).tolist() == \
+            pytest.approx([1.0, 1.0])
 
     def test_linear_in_epochs(self):
         p = LatencyProfile(1.0, 0.0)
-        one = completion_time(p, 1, 100, 0)
-        two = completion_time(p, 2, 100, 0)
-        assert two == pytest.approx(2.0 * one)
+        one = completion_time([p], 1, [100], 0)
+        two = completion_time([p], 2, [100], 0)
+        assert two[0] == pytest.approx(2.0 * one[0])
 
     def test_deterministic_with_jitter(self):
-        p = LatencyProfile(1.5, 0.4)
-        assert completion_time(p, 2, 150, 7) == completion_time(p, 2, 150, 7)
+        ps = [LatencyProfile(1.5, 0.4), LatencyProfile(0.7, 0.2)]
+        a = completion_time(ps, 2, [150, 40], 7)
+        assert a.tolist() == completion_time(ps, 2, [150, 40], 7).tolist()
 
     def test_lognormal_median_near_jitter_free(self):
-        p = LatencyProfile(1.0, 0.5)
-        base = completion_time(LatencyProfile(1.0, 0.0), 1, 100, 0)
-        samples = [completion_time(p, 1, 100, s) for s in range(10000)]
+        base = completion_time([LatencyProfile(1.0, 0.0)], 1, [100], 0)[0]
+        samples = completion_time([LatencyProfile(1.0, 0.5)] * 10000, 1, [100] * 10000, 0)
         assert abs(np.median(samples) - base) / base < 0.02
+
+
+def calibration_reference(client, epochs, seed):
+    """One client's calibration time, drawn from its own generator."""
+    t = client.latency.base_time * epochs * (max(1, len(client.shard.train)) / 100.0)
+    if client.latency.jitter_sigma > 0:
+        rng = np.random.default_rng(derive_seed(seed, "calibration", client.client_id))
+        t *= rng.lognormal(0.0, client.latency.jitter_sigma)
+    return t
+
+
+class TestCalibration:
+    def test_completions_equal_per_client_generator_reference(self, monkeypatch):
+        seen = []
+        form = sched.form_groups
+        monkeypatch.setattr(sched, "form_groups",
+                            lambda comps, window: seen.append(comps) or form(comps, window))
+        for seed, sigma, epochs in [(1, 0.25, 1), (7, 0.0, 2), (3, 0.9, 3)]:
+            cfg = config_from_dict({
+                "dataset": {"type": "synthetic", "num_classes": 3, "input_dim": 4,
+                            "n": 1200, "class_sep": 2.0},
+                "n_clients": 12, "alpha": 0.5, "grouping": {"mode": "async"},
+                "latency": {"jitter_sigma": sigma}, "hp_defaults": {"epochs": epochs},
+            })
+            world = runner.build_world(cfg, seed)
+            runner.make_groups(cfg, world, seed)
+            assert seen.pop() == [(c.client_id, calibration_reference(c, epochs, seed))
+                                  for c in world.clients]
 
 
 class TestFormGroups:
