@@ -247,7 +247,8 @@ def validate_config(raw: dict) -> dict:
         except ConfigurationError as err:
             raise ConfigurationError(f"{section}.{err}") from None
     for name in tuned:
-        _require(name in grids, "tuned", f"unknown hyperparameter {name!r}")
+        _require(isinstance(name, str) and name in grids, "tuned", f"unknown hyperparameter {name!r}")
+        _require(tuned.count(name) == 1, "tuned", f"{name!r} appears twice")
     return cfg
 
 

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from collections import ChainMap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,15 @@ SCALES = ("log10", "log_e", "linear", "pow2")
 
 @dataclass(frozen=True)
 class HpDim:
-    """One hyperparameter domain with its low-fidelity step rule."""
+    """One hyperparameter domain and its low-fidelity grid.
+
+    The grid is built once, at construction, into `points`: all admissible
+    values from low to high. Multiplicative scales step by the given factor
+    (log10 -> x10, log_e -> xe, pow2 -> x2); linear scales step
+    arithmetically. The grid always contains `low` and never exceeds
+    `high`. An integer grid rounds its points and keeps each whole number
+    once, in order.
+    """
 
     name: str
     scale: str
@@ -31,6 +39,7 @@ class HpDim:
     high: float
     step: float
     integer: bool = False
+    points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scale not in SCALES:
@@ -41,74 +50,42 @@ class HpDim:
             raise ConfigurationError(f"{self.name}: step must be > 0")
         if self.scale in ("log10", "log_e", "pow2") and self.low <= 0:
             raise ConfigurationError(f"{self.name}: log scales need low > 0")
+        vals = []
+        if self.scale == "linear":
+            k = 0
+            while True:
+                x = self.low + k * self.step
+                if x > self.high * (1 + 1e-12) + 1e-12:
+                    break
+                vals.append(round(x, 12))
+                k += 1
+        else:
+            # multiplicative scales: step is the per-point factor
+            if self.step <= 1:
+                raise ConfigurationError(f"{self.name}: multiplicative step must be > 1")
+            k = 0
+            while True:
+                x = self.low * self.step**k
+                if x > self.high * (1 + 1e-9):
+                    break
+                vals.append(x)
+                k += 1
+        if self.integer:
+            vals = dict.fromkeys(int(round(v)) for v in vals)
+        object.__setattr__(self, "points", tuple(vals))
 
 
 def grid(dim: HpDim) -> list:
-    """The low-fidelity grid: all admissible values from low to high.
-
-    Multiplicative scales step by the given factor (log10 -> x10,
-    log_e -> xe, pow2 -> x2); linear scales step arithmetically. The grid
-    always contains `low` and never exceeds `high`.
-    """
-    vals = []
-    if dim.scale == "linear":
-        k = 0
-        while True:
-            x = dim.low + k * dim.step
-            if x > dim.high * (1 + 1e-12) + 1e-12:
-                break
-            vals.append(round(x, 12))
-            k += 1
-    else:
-        # multiplicative scales: step is the per-point factor
-        factor = dim.step
-        if factor <= 1:
-            raise ConfigurationError(f"{dim.name}: multiplicative step must be > 1")
-        k = 0
-        while True:
-            x = dim.low * factor**k
-            if x > dim.high * (1 + 1e-9):
-                break
-            vals.append(x)
-            k += 1
-    if dim.integer:
-        vals = [int(round(v)) for v in vals]
-    return vals
-
-
-def _coord(dim: HpDim, x: float) -> float:
-    if dim.scale == "log10":
-        return math.log10(x)
-    if dim.scale == "log_e":
-        return math.log(x)
-    if dim.scale == "pow2":
-        return math.log2(x)
-    return float(x)
-
-
-def snap(dim: HpDim, x: float):
-    """Clamp x into [low, high], then take the nearest grid point in the
-    dim's scale coordinate; ties resolve toward the lower grid point."""
-    x = min(max(x, dim.low), dim.high)
-    g = grid(dim)
-    cx = _coord(dim, x)
-    best, best_d = g[0], abs(_coord(dim, g[0]) - cx)
-    for v in g[1:]:
-        d = abs(_coord(dim, v) - cx)
-        if d < best_d - 1e-12:
-            best, best_d = v, d
-    return best
+    """The dim's low-fidelity grid points, as a new list."""
+    return list(dim.points)
 
 
 def grid_index(dim: HpDim, x) -> int:
-    """Index of x on the dim's grid (x must lie on the grid)."""
-    g = grid(dim)
-    cx = _coord(dim, x)
-    diffs = [abs(_coord(dim, v) - cx) for v in g]
-    i = int(np.argmin(diffs))
-    if diffs[i] > 1e-9:
-        raise ConfigurationError(f"{dim.name}: value {x} is not on the grid")
-    return i
+    """Index of x on the dim's grid (x must be one of its points)."""
+    try:
+        return dim.points.index(x)
+    except ValueError:
+        raise ConfigurationError(f"{dim.name}: value {x} is not on the grid") from None
 
 
 @dataclass(frozen=True)
@@ -243,8 +220,7 @@ def suggest_random(space: SearchSpace, rng) -> HpConfig:
         rng = np.random.default_rng(rng)
     values = {}
     for dim in space.dims:
-        g = grid(dim)
-        values[dim.name] = g[int(rng.integers(len(g)))]
+        values[dim.name] = dim.points[int(rng.integers(len(dim.points)))]
     return HpConfig(values)
 
 
@@ -266,19 +242,18 @@ def probe_set(
     out = [current]
     for name in tuned:
         dim = space[name]
-        g = grid(dim)
-        if len(g) < 2:
+        if len(dim.points) < 2:
             continue
         i = grid_index(dim, current.values[name])
         d = directions.get(name, +1)
         j = i + d
-        if not 0 <= j < len(g):
+        if not 0 <= j < len(dim.points):
             j = i - d
-        out.append(current.replace(name, g[j]))
+        out.append(current.replace(name, dim.points[j]))
     return out
 
 
-def probe_target_of(space: SearchSpace, current: HpConfig, probe: HpConfig) -> str | None:
+def probe_target_of(current: HpConfig, probe: HpConfig) -> str | None:
     """Name of the single HP in which a probe differs from current."""
     diff = [n for n in current.values if probe.values[n] != current.values[n]]
     return diff[0] if diff else None
@@ -297,7 +272,8 @@ def suggest_adaptive(
     For each tuned HP independently the neighbor's value is adopted when
     its combined feedback is strictly lower than the current config's.
     With probability epsilon one tuned HP is replaced by a uniform grid
-    draw. The result is snapped back onto the grid.
+    draw. Every value is a grid point: the current config's, a probe
+    neighbor's or a grid draw.
     """
     if not latest_probe_results:
         return current
@@ -311,16 +287,15 @@ def suggest_adaptive(
     for cfg, comb in latest_probe_results:
         if cfg.config_id == current.config_id:
             continue
-        name = probe_target_of(space, current, cfg)
+        name = probe_target_of(current, cfg)
         if name is None or name not in tuned:
             continue
         if comb < cur_combined:
             values[name] = cfg.values[name]
     if epsilon > 0 and rng is not None and tuned and rng.random() < epsilon:
         name = tuned[int(rng.integers(len(tuned)))]
-        g = grid(space[name])
-        values[name] = g[int(rng.integers(len(g)))]
-    values = {n: snap(space[n], v) for n, v in values.items()}  # grid points keep their type
+        points = space[name].points
+        values[name] = points[int(rng.integers(len(points)))]
     return HpConfig(values)
 
 

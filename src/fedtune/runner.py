@@ -196,7 +196,7 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
             train_loss=gf,
             val_loss=combined,
             group_size=n,
-            probe_target=hpo.probe_target_of(sampler.space, current, p),
+            probe_target=hpo.probe_target_of(current, p),
         )))
     return sampler.step(current, results), extra_time, records
 

@@ -4,10 +4,11 @@ that see only the feedback committed before they were issued."""
 import math
 
 from fedtune import data, models, runner, sched
+from fedtune.common import derive_seed
 from fedtune.config import config_from_dict
 from fedtune.data import EvalSet
 from fedtune.flcore import ClientState, ExperimentWorld, GlobalEvaluator, RoundState, run_round
-from fedtune.hpo import AdaptiveSampler, HpConfig, default_search_space
+from fedtune.hpo import AdaptiveSampler, HpConfig, default_search_space, suggest_random
 from fedtune.models import ModelSpec
 
 HP_DEFAULTS = {"learning_rate": 1e-5, "weight_decay": 1e-5, "epochs": 1,
@@ -100,3 +101,22 @@ def test_evaluation_shapes_no_evaluation_issued_before_it_finishes(monkeypatch):
         assert a in changed  # the perturbation moved evaluation a
         issued_before = {e for e, (issue, _) in times.items() if e != a and issue < times[a][1]}
         assert issued_before and not issued_before & changed
+
+
+def test_async_groups_at_least_budget_issue_every_evaluation_at_time_zero():
+    # With as many async groups as evaluations, every evaluation is issued
+    # before any finishes, so each starts from its random fallback config.
+    cfg = config_from_dict({
+        "dataset": {"type": "synthetic", "num_classes": 10, "input_dim": 16, "n": 1200,
+                    "class_sep": 3.0},
+        "n_clients": 20, "model": {"kind": "logistic"}, "grouping": {"mode": "async"},
+        "sampler": "adaptive", "budget_configs": 4, "rounds_per_trial": 5, "seeds": [1],
+    })
+    assert len(runner.make_groups(cfg, runner.build_world(cfg, 1), 1)) == 8
+    events = runner.run_experiment(cfg).per_seed[0].events
+    issues = [ev for ev in events if ev.event_kind == "issue"]
+    assert [ev.sim_time for ev in issues] == [0.0] * 4
+    space, sampler_seed = cfg.search_space(), derive_seed(1, "sampler")
+    assert [ev.config_id for ev in issues] == [
+        suggest_random(space, derive_seed(sampler_seed, "start", e)).config_id
+        for e in range(4)]

@@ -193,6 +193,8 @@ class TestCliCommands:
         ("search_space=[{name: lerning_rate, scale: log10, low: 0.0001, high: 0.1, "
          "step: 10}]", "search_space.name: unknown hyperparameter 'lerning_rate'"),
         ("hp_defaults.batch_size=0", "hp_defaults.batch_size: must be >= 1"),
+        ("tuned=[learning_rate, learning_rate]", "tuned: 'learning_rate' appears twice"),
+        ("tuned=[[learning_rate]]", "tuned: unknown hyperparameter ['learning_rate']"),
     ])
     def test_bad_hyperparameter_exit_code(self, config_path, capsys, override, message):
         assert cli.main(["validate", config_path, "--set", override]) == cli.EXIT_CONFIG
@@ -228,6 +230,14 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "learning_rate" in out
         assert "grid cardinality: 8250" in out  # 5 * 10 * 11 * 5 * 3
+
+    def test_grid_integer_points_once(self, config_path, capsys):
+        space = ("search_space=[{name: learning_rate, scale: log10, low: 0.001, high: 0.1, "
+                 "step: 10}, {name: epochs, scale: linear, low: 0, high: 1, step: 0.25}]")
+        assert cli.main(["grid", config_path, "--set", space, "--set", "tuned=[epochs]"]) == 0
+        out = capsys.readouterr().out
+        assert "epochs (linear, 2 points): 0, 1\n" in out
+        assert "grid cardinality: 6" in out
 
     def test_run_writes_all_outputs(self, config_path, tmp_path):
         assert cli.main(["run", config_path]) == 0

@@ -16,7 +16,6 @@ from fedtune.hpo import (
     grid,
     halving_rungs,
     probe_set,
-    snap,
     suggest_adaptive,
     suggest_random,
 )
@@ -58,21 +57,9 @@ class TestGrid:
             assert g[0] == dim.low
             assert all(dim.low <= v <= dim.high * (1 + 1e-9) for v in g)
 
-
-class TestSnap:
-    def test_on_grid_unchanged(self):
-        assert snap(SPACE["learning_rate"], 1e-3) == 1e-3
-
-    def test_nearest_in_log_coordinate(self):
-        # log10(0.004) = -2.40 is nearer to -2 than to -3
-        assert snap(SPACE["learning_rate"], 0.004) == 1e-2
-
-    def test_tie_goes_to_lower_point(self):
-        assert snap(SPACE["epochs"], 5.5) == 5
-
-    def test_clamps_out_of_range(self):
-        assert snap(SPACE["learning_rate"], 1.0) == 1e-1
-        assert snap(SPACE["learning_rate"], 0.0) == 1e-5
+    def test_integer_grid_keeps_each_whole_number_once(self):
+        assert grid(HpDim("epochs", "linear", 0, 1, 0.25, integer=True)) == [0, 1]
+        assert grid(HpDim("batch_size", "pow2", 1, 4, 1.1, integer=True)) == [1, 2, 3, 4]
 
 
 class TestSuggestRandom:
@@ -123,6 +110,11 @@ class TestProbeSet:
         cur = config_at(learning_rate=1e-5)
         probes = probe_set(SPACE, cur, ["learning_rate"])
         assert probes[1].values["learning_rate"] == 1e-4
+
+    def test_integer_grid_neighbor_is_next_whole_number(self):
+        space = hpo.SearchSpace((HpDim("epochs", "linear", 0, 1, 0.25, integer=True),))
+        cur = HpConfig({"epochs": 0})
+        assert probe_set(space, cur, ["epochs"]) == [cur, HpConfig({"epochs": 1})]
 
     def test_single_point_grid_skipped(self):
         space = hpo.SearchSpace((HpDim("lr", "linear", 0.0, 0.5, 1.0),))
