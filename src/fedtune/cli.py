@@ -21,21 +21,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Budgeted hyperparameter optimization for a simulated "
                     "federated-learning world.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", help="path to the YAML experiment config")
+    common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        dest="overrides", help="override a config field (dotted keys)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run the experiment described by a config file")
-    p_run.add_argument("config", help="path to the YAML experiment config")
-    p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       dest="overrides", help="override a config field (dotted keys)")
+    p_run = sub.add_parser("run", parents=[common],
+                           help="run the experiment described by a config file")
     p_run.add_argument("--output", default=None, help="override the output directory")
-
-    p_val = sub.add_parser("validate", help="validate a config file and exit")
-    p_val.add_argument("config")
-    p_val.add_argument("--set", action="append", default=[], dest="overrides")
-
-    p_grid = sub.add_parser("grid", help="print the low-fidelity grid and its size")
-    p_grid.add_argument("config")
-    p_grid.add_argument("--set", action="append", default=[], dest="overrides")
+    sub.add_parser("validate", parents=[common], help="validate a config file and exit")
+    sub.add_parser("grid", parents=[common], help="print the low-fidelity grid and its size")
     return parser
 
 

@@ -1,12 +1,13 @@
 """Experiment configuration: YAML loading, validation and CLI overrides."""
 
+import copy
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import yaml
 
 from .common import ConfigurationError
-from .hpo import HpDim, SearchSpace, default_search_space, grid
+from .hpo import HP_TYPES, HpDim, SearchSpace, default_search_space, grid
 from .models import TrainHp
 
 SAMPLERS = ("random", "adaptive", "halving")
@@ -58,8 +59,6 @@ _SECTION_FIELDS = {
 }
 # Keys of one custom search_space entry.
 _DIM_FIELDS = {"name", "scale", "low", "high", "step"}
-# The tunable hyperparameters and their types (int or float) are TrainHp's fields.
-_HP_TYPES = {f.name: f.type for f in fields(TrainHp)}
 
 
 @dataclass
@@ -71,38 +70,26 @@ class ExperimentConfig:
     def __getitem__(self, key):
         return self.raw[key]
 
-    def __eq__(self, other):
-        return isinstance(other, ExperimentConfig) and self.raw == other.raw
-
     def to_dict(self) -> dict:
-        return _deep_copy(self.raw)
+        return copy.deepcopy(self.raw)
 
     def search_space(self) -> SearchSpace:
-        """The default space, or one dim per entry, integer where its TrainHp field is."""
+        """The default space, or one dim per custom entry."""
         spec = self.raw["search_space"]
         if spec == "default":
             return default_search_space()
         return SearchSpace(tuple(
-            HpDim(d["name"], d["scale"], float(d["low"]), float(d["high"]), float(d["step"]),
-                  integer=_HP_TYPES[d["name"]] is int)
+            HpDim(d["name"], d["scale"], float(d["low"]), float(d["high"]), float(d["step"]))
             for d in spec))
 
 
-def _deep_copy(obj):
-    if isinstance(obj, dict):
-        return {k: _deep_copy(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_deep_copy(v) for v in obj]
-    return obj
-
-
 def _merge(base: dict, override: dict) -> dict:
-    out = _deep_copy(base)
+    out = copy.deepcopy(base)
     for k, v in override.items():
         if isinstance(v, dict) and isinstance(out.get(k), dict):
             out[k] = _merge(out[k], v)
         else:
-            out[k] = _deep_copy(v)
+            out[k] = copy.deepcopy(v)
     return out
 
 
@@ -224,15 +211,15 @@ def validate_config(raw: dict) -> dict:
             for key in ("name", "scale", "low", "high", "step"):
                 _require(key in dim, f"search_space.{key}", "required")
             name = dim["name"]
-            _require(isinstance(name, str) and name in _HP_TYPES, "search_space.name",
-                     f"unknown hyperparameter {name!r}, must be one of {tuple(_HP_TYPES)}")
+            _require(isinstance(name, str) and name in HP_TYPES, "search_space.name",
+                     f"unknown hyperparameter {name!r}, must be one of {tuple(HP_TYPES)}")
             _require(name not in seen, "search_space.name", f"{name!r} appears twice")
             seen.add(name)
             for key in ("low", "high", "step"):
                 _num(dim[key], f"search_space.{key}")
     hp_defaults = cfg["hp_defaults"]
     for name, value in hp_defaults.items():
-        _num(value, f"hp_defaults.{name}", _HP_TYPES[name])
+        _num(value, f"hp_defaults.{name}", HP_TYPES[name])
     try:
         grids = {d.name: grid(d) for d in ExperimentConfig(cfg).search_space().dims}
     except ConfigurationError as err:
@@ -243,7 +230,7 @@ def validate_config(raw: dict) -> dict:
         for v in points]
     for section, values in checks:
         try:
-            TrainHp(**{name: kind(values[name]) for name, kind in _HP_TYPES.items()})
+            TrainHp(**{name: kind(values[name]) for name, kind in HP_TYPES.items()})
         except ConfigurationError as err:
             raise ConfigurationError(f"{section}.{err}") from None
     for name in tuned:

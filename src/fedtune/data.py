@@ -18,15 +18,6 @@ class Dataset:
 
 
 @dataclass
-class EvalSet:
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self):
-        return len(self.labels)
-
-
-@dataclass
 class DataShard:
     """One client's allocation, split into disjoint train/val/test parts.
 
@@ -35,9 +26,9 @@ class DataShard:
     """
 
     client_id: int
-    train: EvalSet
-    val: EvalSet
-    test: EvalSet
+    train: Dataset
+    val: Dataset
+    test: Dataset
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
@@ -154,9 +145,9 @@ def partition_dirichlet(
         shards.append(
             DataShard(
                 client_id=cid,
-                train=EvalSet(ds.features[tr], ds.labels[tr]),
-                val=EvalSet(ds.features[va], ds.labels[va]),
-                test=EvalSet(ds.features[te], ds.labels[te]),
+                train=Dataset(ds.features[tr], ds.labels[tr]),
+                val=Dataset(ds.features[va], ds.labels[va]),
+                test=Dataset(ds.features[te], ds.labels[te]),
                 train_idx=tr,
                 val_idx=va,
                 test_idx=te,

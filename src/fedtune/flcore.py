@@ -13,7 +13,7 @@ import numpy as np
 
 from . import models, sched
 from .common import AggregationError, NumericDivergenceError, derive_seed
-from .data import DataShard, EvalSet
+from .data import DataShard, Dataset
 from .hpo import HpConfig
 from .models import ModelSpec, TrainHp, WeightVector
 
@@ -26,16 +26,6 @@ class ClientState:
 
 
 @dataclass
-class GlobalEvaluator:
-    val_set: EvalSet
-    cadence: int = 5
-
-    def __post_init__(self):
-        if self.cadence < 1:
-            raise ValueError("eval cadence must be >= 1")
-
-
-@dataclass
 class RoundState:
     round_index: int
     global_weights: WeightVector
@@ -44,14 +34,22 @@ class RoundState:
 
 @dataclass
 class ExperimentWorld:
-    """Everything a trial needs: model, clients, server evaluator, seeds."""
+    """Everything a trial needs: model, clients, server validation set, seeds.
+
+    The global model is scored on val_set every eval_cadence rounds.
+    """
 
     model_spec: ModelSpec
     clients: list[ClientState]
-    evaluator: GlobalEvaluator
+    val_set: Dataset
+    eval_cadence: int
     hp_defaults: dict
     base_seed: int
     agg_mode: str = "weighted"
+
+    def __post_init__(self):
+        if self.eval_cadence < 1:
+            raise ValueError("eval cadence must be >= 1")
 
 
 @dataclass
@@ -173,7 +171,7 @@ def run_round(state: RoundState, clients: list[ClientState], world: ExperimentWo
     return RoundState(j + 1, new_global, state.current_hp), val_losses
 
 
-def _score(spec: ModelSpec, w: WeightVector, sets: list[EvalSet]):
+def _score(spec: ModelSpec, w: WeightVector, sets: list[Dataset]):
     """(losses, accuracies) of w on each set, in one models.evaluate_stack call."""
     values = np.broadcast_to(w.values, (len(sets), len(w.values)))
     return models.evaluate_stack(spec, values, [(s.features, s.labels) for s in sets])
@@ -191,17 +189,17 @@ def run_trial(
     """Train a fresh model for budget_rounds under hp and score it.
 
     Every evaluation-cadence round scores the new global model on the
-    server validation set once; that loss goes to the trace, to on_cadence
-    and, if it is the latest, to the result's global_loss.
+    server validation set once; that loss goes to the trace and, if it is
+    the latest, to the result's global_loss.
 
     on_cadence, when given, is called after every evaluation-cadence
-    round as on_cadence(state, clients, world, trial_index, global_loss)
-    and may return (new HpConfig, extra simulated time) to implement
-    step-wise adaptive hyperparameter updates mid-trial. patience > 0
-    stops early after that many cadence evaluations without improvement
-    of the global validation loss. A NumericDivergenceError leaves with
-    its sim_time raised by the simulated time of the rounds run, the
-    diverging round's cohort pass included.
+    round as on_cadence(state) and returns (next HpConfig, extra simulated
+    time) to implement step-wise adaptive hyperparameter updates
+    mid-trial. patience > 0 stops early after that many cadence
+    evaluations without improvement of the global validation loss. A
+    NumericDivergenceError leaves with its sim_time raised by the
+    simulated time of the rounds run, the diverging round's cohort pass
+    included.
 
     The final weights are scored on the cohort's validation splits in one
     models.evaluate_stack call and on its test splits in another.
@@ -222,18 +220,14 @@ def run_trial(
             epochs = to_train_hp(state.current_hp, world.hp_defaults).epochs
             sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
             next_state, local_losses = run_round(state, cohort, world, trial_index)
-            if j % world.evaluator.cadence == 0:
-                gl, gacc = models.evaluate(
-                    spec, next_state.global_weights,
-                    world.evaluator.val_set.features, world.evaluator.val_set.labels,
-                )
+            if j % world.eval_cadence == 0:
+                gl, gacc = models.evaluate(spec, next_state.global_weights,
+                                           world.val_set.features, world.val_set.labels)
                 global_loss = gl
                 trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": sim_time})
                 if on_cadence is not None:
-                    new_cfg, extra = on_cadence(next_state, cohort, world, trial_index, gl)
+                    next_state.current_hp, extra = on_cadence(next_state)
                     sim_time += extra
-                    if new_cfg is not None:
-                        next_state.current_hp = new_cfg
                 if patience > 0:
                     if gl < best_gl - 1e-12:
                         best_gl, stall = gl, 0
@@ -256,8 +250,8 @@ def run_trial(
             [(vl, len(c.shard.train)) for vl, c in zip(losses.tolist(), val_members)])
     if test_members:
         _, accs = _score(spec, final_w, [c.shard.test for c in test_members])
-        counts = [len(c.shard.test) for c in test_members]
-        test_acc = sum(a * n for a, n in zip(accs.tolist(), counts)) / sum(counts)
+        test_acc = weighted_objective(
+            [(a, len(c.shard.test)) for a, c in zip(accs.tolist(), test_members)])
     return TrialResult(
         config=state.current_hp,
         objective=float(objective),

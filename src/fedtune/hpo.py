@@ -12,13 +12,16 @@ import hashlib
 import json
 import math
 from collections import ChainMap
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .common import ConfigurationError, FeedbackError, derive_seed
+from .models import TrainHp
 
 SCALES = ("log10", "log_e", "linear", "pow2")
+# The tunable hyperparameters and their types (int or float) are TrainHp's fields.
+HP_TYPES = {f.name: f.type for f in fields(TrainHp)}
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,8 @@ class HpDim:
     values from low to high. Multiplicative scales step by the given factor
     (log10 -> x10, log_e -> xe, pow2 -> x2); linear scales step
     arithmetically. The grid always contains `low` and never exceeds
-    `high`. An integer grid rounds its points and keeps each whole number
-    once, in order.
+    `high`. A grid is integer when its hyperparameter's TrainHp field is
+    int: it rounds its points and keeps each whole number once, in order.
     """
 
     name: str
@@ -38,7 +41,6 @@ class HpDim:
     low: float
     high: float
     step: float
-    integer: bool = False
     points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -70,7 +72,7 @@ class HpDim:
                     break
                 vals.append(x)
                 k += 1
-        if self.integer:
+        if HP_TYPES.get(self.name) is int:
             vals = dict.fromkeys(int(round(v)) for v in vals)
         object.__setattr__(self, "points", tuple(vals))
 
@@ -98,9 +100,6 @@ class SearchSpace:
                 return d
         raise KeyError(name)
 
-    def names(self) -> list[str]:
-        return [d.name for d in self.dims]
-
 
 def default_search_space() -> SearchSpace:
     """The five low-fidelity hyperparameter grids used throughout."""
@@ -108,8 +107,8 @@ def default_search_space() -> SearchSpace:
         dims=(
             HpDim("learning_rate", "log10", 1e-5, 1e-1, 10.0),
             HpDim("weight_decay", "log_e", 1e-5, 1e-1, math.e),
-            HpDim("epochs", "linear", 0, 10, 1, integer=True),
-            HpDim("batch_size", "pow2", 16, 256, 2.0, integer=True),
+            HpDim("epochs", "linear", 0, 10, 1),
+            HpDim("batch_size", "pow2", 16, 256, 2.0),
             HpDim("dropout", "linear", 0.1, 0.5, 0.2),
         )
     )
@@ -154,23 +153,12 @@ class FeedbackRecord:
     """One loss feedback event tied to a config and communication round."""
 
     config_id: str
-    round_index: int
+    round: int
     kind: str  # "global" or "probe"
     train_loss: float  # server validation loss
     val_loss: float
     group_size: int = 1
     probe_target: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "round": self.round_index,
-            "kind": self.kind,
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "group_size": self.group_size,
-            "probe_target": self.probe_target,
-        }
 
 
 class FeedbackStore:
@@ -198,7 +186,7 @@ class FeedbackStore:
     def export_jsonl(self, path):
         with open(path, "w", newline="\n") as fh:
             for rec in self.history:
-                fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
 
 
 def combine_feedback(lf, gf: float, n_j: int) -> float:
@@ -392,23 +380,27 @@ class HalvingSampler:
     """Successive halving over random grid configs.
 
     Evaluation e belongs to one rung of the plan and runs for that rung's
-    rounds. Each rung issues its configs in order; the first issue of the
-    next rung promotes the best ceil(n/2) by (objective, config_id).
-    Objectives arrive through observe(), which the runner calls from an
-    evaluation's commit, so promotion sees only feedback that has
-    arrived in simulated time: every evaluation of a rung must have
-    finished before the next rung is issued, which holds on one group.
+    rounds. Each rung issues its survivors in order; the first issue of
+    the next rung promotes the best ceil(n/2) by (objective, config_id,
+    position). A survivor is a position in `configs`, so a config drawn
+    twice is two candidates. Objectives arrive through observe(), which
+    the runner calls from an evaluation's commit, so promotion sees only
+    feedback that has arrived in simulated time: every evaluation of a
+    rung must have finished before the next rung is issued, which holds
+    on one group. last_eval[i] is the index of the last evaluation of
+    configs[i] observed so far.
     """
 
     def __init__(self, space: SearchSpace, seed: int, n_configs: int, max_rounds: int):
         self.configs = [suggest_random(space, derive_seed(seed, "halving", i))
                         for i in range(n_configs)]
         self.rungs = halving_rungs(n_configs, max_rounds)
-        # (rung, position in the rung) of every evaluation, in issue order
+        # (rung, index in the rung's survivors) of every evaluation, in issue order
         self._slots = [(r, i) for r, (n, _) in enumerate(self.rungs) for i in range(n)]
         self.num_evals = len(self._slots)
-        self._survivors = list(self.configs)
-        self._scored: list[tuple[float, HpConfig]] = []  # (objective, config), this rung
+        self._survivors = list(range(n_configs))  # positions in configs
+        self._scored: list[tuple[float, str, int]] = []  # (objective, config_id, position)
+        self.last_eval: list[int | None] = [None] * n_configs
 
     def rounds(self, eval_index: int) -> int:
         """Round budget of evaluation eval_index: its rung's rounds."""
@@ -419,11 +411,13 @@ class HalvingSampler:
         if rung > 0 and i == 0:
             if len(self._scored) != len(self._survivors):
                 raise FeedbackError(f"rung {rung - 1} promoted before all its feedback arrived")
-            self._scored.sort(key=lambda t: (t[0], t[1].config_id))
-            self._survivors = [c for _, c in self._scored[: self.rungs[rung][0]]]
+            self._scored.sort()
+            self._survivors = [pos for _, _, pos in self._scored[: self.rungs[rung][0]]]
             self._scored = []
-        return self._survivors[i]
+        return self.configs[self._survivors[i]]
 
-    def observe(self, config: HpConfig, objective: float):
+    def observe(self, eval_index: int, objective: float):
         """Take the objective of a finished evaluation of the current rung."""
-        self._scored.append((objective, config))
+        pos = self._survivors[self._slots[eval_index][1]]
+        self._scored.append((objective, self.configs[pos].config_id, pos))
+        self.last_eval[pos] = eval_index

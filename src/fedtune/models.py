@@ -57,9 +57,6 @@ class WeightVector:
     values: np.ndarray
     layout_id: str
 
-    def copy(self) -> "WeightVector":
-        return WeightVector(self.values.copy(), self.layout_id)
-
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.values)))
 

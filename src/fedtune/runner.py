@@ -4,18 +4,17 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import data, flcore, hpo, models, sched
 from .common import ConfigurationError, FedTuneError, NumericDivergenceError, derive_seed
 from .config import ExperimentConfig
-from .data import EvalSet
-from .flcore import ExperimentWorld, GlobalEvaluator, to_train_hp
+from .flcore import ExperimentWorld, to_train_hp
 from .hpo import FeedbackRecord, FeedbackStore, combine_feedback
 
-HP_COLUMNS = tuple(f.name for f in fields(models.TrainHp))
+HP_COLUMNS = tuple(hpo.HP_TYPES)
 
 
 @dataclass
@@ -104,7 +103,7 @@ def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
         raise ConfigurationError(
             f"server_val_fraction: {frac} of {len(ds)} rows leaves no server validation set")
     server_idx, client_idx = order[:n_server], order[n_server:]
-    server_val = EvalSet(ds.features[server_idx], ds.labels[server_idx])
+    server_val = data.Dataset(ds.features[server_idx], ds.labels[server_idx])
     client_ds = data.Dataset(ds.features[client_idx], ds.labels[client_idx])
 
     shards = data.partition_dirichlet(
@@ -133,7 +132,8 @@ def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
     return ExperimentWorld(
         model_spec=spec,
         clients=clients,
-        evaluator=GlobalEvaluator(server_val, int(cfg["eval_cadence"])),
+        val_set=server_val,
+        eval_cadence=int(cfg["eval_cadence"]),
         hp_defaults=dict(cfg["hp_defaults"]),
         base_seed=seed,
         agg_mode=cfg["aggregation"],
@@ -166,11 +166,11 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
     validation losses. The cycle's simulated time is the sum of the
     probes' cohort times; a diverging probe's NumericDivergenceError
     carries the cohort times of the probes run, its own included.
-    Returns (new config, extra simulated time, [(config_id, combined,
-    FeedbackRecord)] for the store, one per probe).
+    Returns (new config, extra simulated time, [FeedbackRecord] for the
+    store, one per probe, each with its combined feedback as val_loss).
     """
     current = state.current_hp
-    val_set = world.evaluator.val_set
+    val_set = world.val_set
     n = len(cohort)
     results, records = [], []
     extra_time = 0.0
@@ -189,15 +189,15 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
         gf, _ = models.evaluate(world.model_spec, wp, val_set.features, val_set.labels)
         combined = combine_feedback([vl for _, vl in val_losses], gf, n)
         results.append((p, combined))
-        records.append((p.config_id, combined, FeedbackRecord(
+        records.append(FeedbackRecord(
             config_id=p.config_id,
-            round_index=state.round_index,
+            round=state.round_index,
             kind="probe",
             train_loss=gf,
             val_loss=combined,
             group_size=n,
             probe_target=hpo.probe_target_of(current, p),
-        )))
+        ))
     return sampler.step(current, results), extra_time, records
 
 
@@ -205,10 +205,9 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
 class EvalOutcome:
     """What one HP evaluation produced; commit applies it at its finish."""
 
-    config: hpo.HpConfig  # as issued
     row: TrialRow
     weights: models.WeightVector | None
-    records: list  # (config_id, combined, FeedbackRecord), in record order
+    records: list[FeedbackRecord]  # in record order
     walk: hpo.AdaptiveSampler | None = None  # the adaptive sampler's moves
 
 
@@ -222,10 +221,10 @@ def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds) 
     members = set(group.members)
     cohort = [c for c in world.clients if c.client_id in members]
     walk = sampler.walk(eval_index, config) if cfg["sampler"] == "adaptive" else None
-    records: list = []
+    records: list[FeedbackRecord] = []
 
-    def on_cadence(state, clients, world_, trial_index, gl):
-        new_cfg, extra_time, cycle = run_probe_cycle(state, clients, world_, trial_index, walk)
+    def on_cadence(state):
+        new_cfg, extra_time, cycle = run_probe_cycle(state, cohort, world, eval_index, walk)
         records.extend(cycle)
         return new_cfg, extra_time
 
@@ -249,14 +248,14 @@ def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds) 
             gl = result.global_loss
             losses = [vl for _, vl in result.local_losses]
             combined = combine_feedback(losses, gl, len(losses))
-        records.append((final.config_id, combined, FeedbackRecord(
+        records.append(FeedbackRecord(
             config_id=final.config_id,
-            round_index=result.last_round,
+            round=result.last_round,
             kind="global",
             train_loss=gl,
             val_loss=combined,
             group_size=len(cohort),
-        )))
+        ))
     row = TrialRow(
         seed=seed,
         sampler=cfg["sampler"],
@@ -270,7 +269,7 @@ def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds) 
         trace=result.trace,
         failed=failed,
     )
-    return EvalOutcome(config, row, result.final_weights, records, walk)
+    return EvalOutcome(row, result.final_weights, records, walk)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
@@ -292,12 +291,12 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
 
     def commit(outcome: EvalOutcome):
         """Apply an evaluation's effects; runs at its simulated finish."""
-        for config_id, combined, rec in outcome.records:
-            store.record(config_id, combined, rec)
+        for rec in outcome.records:
+            store.record(rec.config_id, rec.val_loss, rec)
         if outcome.walk is not None:
             sampler.commit(outcome.walk)
         if cfg["sampler"] == "halving":
-            sampler.observe(outcome.config, outcome.row.objective)
+            sampler.observe(outcome.row.trial_index, outcome.row.objective)
         committed[outcome.row.trial_index] = outcome
 
     def issue(group, eval_index):
@@ -309,13 +308,13 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
         return outcome.row.sim_time, lambda: commit(outcome)
 
     result = sched.dispatch(groups, num_evals, issue, run_eval)
-    outcomes = [committed[e] for e in sorted(committed)]
     if cfg["sampler"] == "halving":
         # One row per initial config: its last rung, numbered by its position.
-        last_by_id = {o.row.config_id: o for o in outcomes}
-        outcomes = [last_by_id[c.config_id] for c in sampler.configs]
+        outcomes = [committed[e] for e in sampler.last_eval]
         for i, o in enumerate(outcomes):
             o.row.trial_index = i
+    else:
+        outcomes = [committed[e] for e in sorted(committed)]
 
     ok = [o for o in outcomes if not o.row.failed] or outcomes[:1]
     best = max(ok, key=lambda o: (o.row.accuracy, -o.row.objective, -o.row.trial_index))
@@ -424,11 +423,7 @@ def emit_metrics(report: ExperimentReport, output_dir) -> dict:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["seed", "sampler", "round", "accuracy", "loss"])
         for sr in report.per_seed:
-            best_trial = next(
-                (t for t in sr.trials if t.trial_index == sr.best["trial"]), None
-            )
-            if best_trial is None:
-                continue
+            best_trial = next(t for t in sr.trials if t.trial_index == sr.best["trial"])
             for point in best_trial.trace:
                 writer.writerow([
                     sr.seed, best_trial.sampler, point["round"],
@@ -442,9 +437,7 @@ def emit_metrics(report: ExperimentReport, output_dir) -> dict:
     with open(paths["events.jsonl"], "w", newline="\n") as fh:
         for sr in report.per_seed:
             for ev in sr.events:
-                doc = ev.to_dict()
-                doc["seed"] = sr.seed
-                fh.write(json.dumps(doc, sort_keys=True) + "\n")
+                fh.write(json.dumps({**asdict(ev), "seed": sr.seed}, sort_keys=True) + "\n")
 
     checkpoints = {}
     for sr in report.per_seed:

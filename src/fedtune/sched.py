@@ -77,18 +77,8 @@ class ScheduleEvent:
     event_kind: str  # "issue" or "feedback"
     group_id: int
     config_id: str
-    round_index: int
+    round: int
     staleness: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "sim_time": self.sim_time,
-            "event_kind": self.event_kind,
-            "group_id": self.group_id,
-            "config_id": self.config_id,
-            "round": self.round_index,
-            "staleness": self.staleness,
-        }
 
 
 @dataclass
@@ -141,5 +131,5 @@ def dispatch(groups: list[ClientGroup], num_evals: int, issue, run_eval) -> Disp
             commit()
     # An issue of round k and the feedback that ends it carry rounds k and
     # k + 1, so a zero-duration evaluation still lists its issue first.
-    events.sort(key=lambda ev: (ev.sim_time, ev.group_id, ev.round_index, ev.event_kind))
+    events.sort(key=lambda ev: (ev.sim_time, ev.group_id, ev.round, ev.event_kind))
     return DispatchResult(events, makespan)

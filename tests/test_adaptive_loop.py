@@ -6,8 +6,7 @@ import math
 from fedtune import data, models, runner, sched
 from fedtune.common import derive_seed
 from fedtune.config import config_from_dict
-from fedtune.data import EvalSet
-from fedtune.flcore import ClientState, ExperimentWorld, GlobalEvaluator, RoundState, run_round
+from fedtune.flcore import ClientState, ExperimentWorld, RoundState, run_round
 from fedtune.hpo import AdaptiveSampler, HpConfig, default_search_space, suggest_random
 from fedtune.models import ModelSpec
 
@@ -17,13 +16,12 @@ HP_DEFAULTS = {"learning_rate": 1e-5, "weight_decay": 1e-5, "epochs": 1,
 
 def separable_world(seed=0):
     ds = data.gen_synthetic(2, 4, 360, 8.0, seed=seed)
-    server_val = EvalSet(ds.features[:40], ds.labels[:40])
+    server_val = data.Dataset(ds.features[:40], ds.labels[:40])
     rest = data.Dataset(ds.features[40:], ds.labels[40:])
     shards = data.partition_dirichlet(rest, 3, 1000.0, seed=seed)
     clients = [ClientState(s.client_id, s, sched.LatencyProfile(1.0)) for s in shards]
     spec = ModelSpec("logistic", 4, 2)
-    return ExperimentWorld(spec, clients, GlobalEvaluator(server_val, 1),
-                           dict(HP_DEFAULTS), base_seed=seed)
+    return ExperimentWorld(spec, clients, server_val, 1, dict(HP_DEFAULTS), base_seed=seed)
 
 
 def test_adaptive_probes_escape_tiny_learning_rate():

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -119,11 +120,15 @@ class TestConfig:
 
     def test_custom_dim_integer_follows_hyperparameter(self):
         space = [LR_DIM, {"name": "epochs", "scale": "linear", "low": 1, "high": 3,
-                          "step": 1}]
+                          "step": 1},
+                 {"name": "weight_decay", "scale": "linear", "low": 1, "high": 3, "step": 1}]
         cfg = config_from_dict(dict(SMALL, search_space=space, tuned=["epochs"]))
         epochs = hpo.grid(cfg.search_space()["epochs"])
         assert epochs == [1, 2, 3] and all(type(v) is int for v in epochs)
         assert all(type(v) is float for v in hpo.grid(cfg.search_space()["learning_rate"]))
+        # a float hyperparameter stays float on a grid of whole numbers
+        weight_decay = hpo.grid(cfg.search_space()["weight_decay"])
+        assert weight_decay == [1.0, 2.0, 3.0] and all(type(v) is float for v in weight_decay)
 
     def test_halving_with_async_grouping_rejected(self):
         with pytest.raises(ConfigurationError,
@@ -268,12 +273,12 @@ class TestEmitMetrics:
 
     def test_trials_row_count(self, tmp_path):
         report, paths = self.run_report(tmp_path)
-        lines = open(paths["trials.csv"]).read().splitlines()
+        lines = Path(paths["trials.csv"]).read_text().splitlines()
         assert len(lines) == 1 + len(SMALL["seeds"]) * SMALL["budget_configs"]
 
     def test_every_trial_exactly_one_row(self, tmp_path):
         report, paths = self.run_report(tmp_path)
-        rows = open(paths["trials.csv"]).read().splitlines()[1:]
+        rows = Path(paths["trials.csv"]).read_text().splitlines()[1:]
         keys = [tuple(r.split(",")[:3]) for r in rows]  # (seed, sampler, trial)
         assert len(keys) == len(set(keys))
         issued = {(str(sr.seed), t.sampler, str(t.trial_index), t.config_id)
@@ -284,20 +289,20 @@ class TestEmitMetrics:
 
     def test_accuracy_in_unit_interval(self, tmp_path):
         _, paths = self.run_report(tmp_path)
-        rows = open(paths["trials.csv"]).read().splitlines()[1:]
+        rows = Path(paths["trials.csv"]).read_text().splitlines()[1:]
         for r in rows:
             acc = float(r.split(",")[-1])
             assert 0.0 <= acc <= 1.0
 
     def test_curves_have_round_column(self, tmp_path):
         _, paths = self.run_report(tmp_path)
-        lines = open(paths["curves.csv"]).read().splitlines()
+        lines = Path(paths["curves.csv"]).read_text().splitlines()
         assert lines[0] == "seed,sampler,round,accuracy,loss"
         assert len(lines) > 1
 
     def test_report_json_parses(self, tmp_path):
         report, paths = self.run_report(tmp_path)
-        doc = json.load(open(paths["report.json"]))
+        doc = json.loads(Path(paths["report.json"]).read_text())
         assert len(doc["seeds"]) == len(SMALL["seeds"])
         for seed_doc in doc["seeds"]:
             assert "best" in seed_doc and "trials" in seed_doc
@@ -306,7 +311,7 @@ class TestEmitMetrics:
         _, paths = self.run_report(tmp_path, grouping={"mode": "async",
                                                        "window": "auto"},
                                    n_clients=6, budget_configs=4)
-        lines = open(paths["events.jsonl"]).read().splitlines()
+        lines = Path(paths["events.jsonl"]).read_text().splitlines()
         events = [json.loads(l) for l in lines]
         assert {e["event_kind"] for e in events} == {"issue", "feedback"}
         assert all("sim_time" in e and "config_id" in e for e in events)
@@ -314,13 +319,14 @@ class TestEmitMetrics:
     def test_halving_sampler_runs(self, tmp_path):
         report, paths = self.run_report(tmp_path, sampler="halving",
                                         budget_configs=4, seeds=[1])
-        rows = open(paths["trials.csv"]).read().splitlines()[1:]
+        rows = Path(paths["trials.csv"]).read_text().splitlines()[1:]
         assert len(rows) == 4
 
     @pytest.mark.parametrize("sampler", ["random", "adaptive", "halving"])
     def test_feedback_round_is_issue_round_plus_one(self, tmp_path, sampler):
         _, paths = self.run_report(tmp_path, sampler=sampler, budget_configs=4, seeds=[1])
-        events = [json.loads(line) for line in open(paths["events.jsonl"])]
+        lines = Path(paths["events.jsonl"]).read_text().splitlines()
+        events = [json.loads(line) for line in lines]
         issues = [e for e in events if e["event_kind"] == "issue"]
         feedbacks = [e for e in events if e["event_kind"] == "feedback"]
         assert [e["round"] for e in issues] == list(range(len(issues)))
@@ -352,6 +358,20 @@ class TestEmitMetrics:
         assert [r.config_id for r in rows] == [c[0] for c in rungs[0]]
         last = {cid: objective for cid, _, objective in calls}
         assert [r.objective for r in rows] == [last[r.config_id] for r in rows]
+
+    def test_halving_repeated_config_keeps_one_row_per_position(self, tmp_path):
+        # On seed 1 the 2-point grid draws learning_rate 0.1, 0.01, 0.1: one
+        # config at positions 0 and 2.
+        space = [{**LR_DIM, "low": 0.01}]
+        report, paths = self.run_report(tmp_path, sampler="halving", budget_configs=3,
+                                        search_space=space, tuned=["learning_rate"],
+                                        seeds=[1])
+        cfg = config_from_dict({**SMALL, "search_space": space, "tuned": ["learning_rate"]})
+        configs = hpo.HalvingSampler(cfg.search_space(), 1, 3, SMALL["rounds_per_trial"]).configs
+        assert configs[0] == configs[2] != configs[1]
+        rows = [r.split(",") for r in Path(paths["trials.csv"]).read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["0", "1", "2"]
+        assert [r[3] for r in rows] == [c.config_id for c in configs]
 
     def test_unwritable_directory_raises_before_compute(self, tmp_path):
         cfg = config_from_dict(SMALL)

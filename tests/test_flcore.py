@@ -4,11 +4,9 @@ import pytest
 from fedtune import data, flcore, hpo, models, runner, sched
 from fedtune.common import AggregationError, NumericDivergenceError, derive_seed
 from fedtune.config import config_from_dict
-from fedtune.data import EvalSet
 from fedtune.flcore import (
     ClientState,
     ExperimentWorld,
-    GlobalEvaluator,
     RoundState,
     cohort_time,
     fedavg_aggregate,
@@ -33,7 +31,7 @@ def make_world(n_clients=3, num_classes=2, seed=0, sep=8.0, n=360, alpha=1000.0,
                cadence=5, input_dim=4):
     ds = data.gen_synthetic(num_classes, input_dim, n, sep, seed=seed)
     hold = n // 10
-    server_val = EvalSet(ds.features[:hold], ds.labels[:hold])
+    server_val = data.Dataset(ds.features[:hold], ds.labels[:hold])
     rest = data.Dataset(ds.features[hold:], ds.labels[hold:])
     shards = data.partition_dirichlet(rest, n_clients, alpha, seed=seed)
     clients = [
@@ -41,8 +39,8 @@ def make_world(n_clients=3, num_classes=2, seed=0, sep=8.0, n=360, alpha=1000.0,
         for s in shards
     ]
     spec = ModelSpec("logistic", input_dim, num_classes)
-    return ExperimentWorld(spec, clients, GlobalEvaluator(server_val, cadence),
-                           dict(HP_DEFAULTS), base_seed=seed)
+    return ExperimentWorld(spec, clients, server_val, cadence, dict(HP_DEFAULTS),
+                           base_seed=seed)
 
 
 def hp_config(**kw):
@@ -248,7 +246,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(models, "evaluate_stack", counting_evaluate_stack)
         run_trial(hp_config(), 6, world)
-        assert calls.count(id(world.evaluator.val_set.features)) == 3
+        assert calls.count(id(world.val_set.features)) == 3
         for c in world.clients:
             assert len(c.shard.val) > 0
             assert calls.count(id(c.shard.val.features)) == 6 + 1
@@ -283,6 +281,10 @@ class TestRunTrial:
         assert a.trace == b.trace
         assert a.objective == b.objective
         assert a.sim_time == b.sim_time
+
+    def test_eval_cadence_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^eval cadence must be >= 1$"):
+            make_world(cadence=0)
 
     def test_eq1_objective_oracle(self):
         assert weighted_objective([(1.0, 10), (3.0, 30)]) == pytest.approx(2.5)

@@ -5,6 +5,7 @@ import pytest
 
 from fedtune import hpo
 from fedtune.common import FeedbackError
+from fedtune.config import config_from_dict
 from fedtune.hpo import (
     AdaptiveSampler,
     FeedbackStore,
@@ -57,9 +58,25 @@ class TestGrid:
             assert g[0] == dim.low
             assert all(dim.low <= v <= dim.high * (1 + 1e-9) for v in g)
 
+    def test_default_space_equals_its_custom_entries(self):
+        entries = [
+            {"name": "learning_rate", "scale": "log10", "low": 1e-5, "high": 1e-1, "step": 10},
+            {"name": "weight_decay", "scale": "log_e", "low": 1e-5, "high": 1e-1,
+             "step": math.e},
+            {"name": "epochs", "scale": "linear", "low": 0, "high": 10, "step": 1},
+            {"name": "batch_size", "scale": "pow2", "low": 16, "high": 256, "step": 2},
+            {"name": "dropout", "scale": "linear", "low": 0.1, "high": 0.5, "step": 0.2},
+        ]
+        custom = config_from_dict({"search_space": entries}).search_space()
+
+        def typed_points(space):
+            return [(d.name, [(type(p), p) for p in d.points]) for d in space.dims]
+
+        assert typed_points(custom) == typed_points(SPACE)
+
     def test_integer_grid_keeps_each_whole_number_once(self):
-        assert grid(HpDim("epochs", "linear", 0, 1, 0.25, integer=True)) == [0, 1]
-        assert grid(HpDim("batch_size", "pow2", 1, 4, 1.1, integer=True)) == [1, 2, 3, 4]
+        assert grid(HpDim("epochs", "linear", 0, 1, 0.25)) == [0, 1]
+        assert grid(HpDim("batch_size", "pow2", 1, 4, 1.1)) == [1, 2, 3, 4]
 
 
 class TestSuggestRandom:
@@ -112,7 +129,7 @@ class TestProbeSet:
         assert probes[1].values["learning_rate"] == 1e-4
 
     def test_integer_grid_neighbor_is_next_whole_number(self):
-        space = hpo.SearchSpace((HpDim("epochs", "linear", 0, 1, 0.25, integer=True),))
+        space = hpo.SearchSpace((HpDim("epochs", "linear", 0, 1, 0.25),))
         cur = HpConfig({"epochs": 0})
         assert probe_set(space, cur, ["epochs"]) == [cur, HpConfig({"epochs": 1})]
 
@@ -305,7 +322,7 @@ class TestHalvingSampler:
             rounds = sampler.rounds(e)
             issued.append((cfg, rounds))
             # the sampler learns the objective only at the deferred commit
-            return 1.0, lambda: sampler.observe(cfg, objective[rounds][cfg])
+            return 1.0, lambda: sampler.observe(e, objective[rounds][cfg])
 
         dispatch([ClientGroup(0, [0])], sampler.num_evals,
                  lambda g, e: sampler.start_config(e, FeedbackStore()), run_eval)
@@ -317,7 +334,7 @@ class TestHalvingSampler:
 
         def run_eval(group, cfg, e):
             duration = 1.0 if group.group_id == 0 else 100.0
-            return duration, lambda: sampler.observe(cfg, 0.0)
+            return duration, lambda: sampler.observe(e, 0.0)
 
         with pytest.raises(FeedbackError, match="rung 0"):
             dispatch([ClientGroup(0, [0]), ClientGroup(1, [1])], sampler.num_evals,

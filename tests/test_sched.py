@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -153,7 +155,7 @@ class TestDispatch:
         res_a, issued_a, _ = scripted_dispatch({0: 1.0, 1: 1.7, 2: 2.3}, 5, cfgs)
         res_b, issued_b, _ = scripted_dispatch({0: 1.0, 1: 1.7, 2: 2.3}, 5, cfgs)
         assert issued_a == issued_b
-        assert [e.to_dict() for e in res_a.events] == [e.to_dict() for e in res_b.events]
+        assert [asdict(e) for e in res_a.events] == [asdict(e) for e in res_b.events]
 
     def test_grouped_makespan_never_exceeds_synchronous(self):
         # same per-evaluation costs; the synchronous barrier pays the max
