@@ -63,6 +63,10 @@ class TrialResult:
     last_round: int = 0  # the last round run
     local_losses: list = field(default_factory=list)  # its (client_id, val loss) pairs
     global_loss: float | None = None  # the latest cadence round's server loss
+    best_gl: float = np.inf  # early stopping: the best server loss so far
+    stall: int = 0  # cadence rounds since best_gl last improved
+    stopped: bool = False  # stopped early
+    diverged: bool = False  # set by the caller that caught NumericDivergenceError
 
 
 def fedavg_aggregate(updates, mode: str = "weighted") -> WeightVector:
@@ -185,8 +189,17 @@ def run_trial(
     trial_index: int = 0,
     on_cadence=None,
     patience: int = 0,
+    resume: TrialResult | None = None,
 ) -> TrialResult:
-    """Train a fresh model for budget_rounds under hp and score it.
+    """Train trial trial_index up to round budget_rounds under hp and score it.
+
+    A fresh trial starts from initial weights keyed by trial_index. Given
+    resume, an earlier result of the same trial, it continues from that
+    state (weights, round, config, trace, losses, patience, sim_time) and
+    equals a fresh trial run to budget_rounds bit for bit: one that had
+    stopped early trains no further round, and one that had diverged
+    raises NumericDivergenceError again without training. sim_time counts
+    from round 1, so a call ran its sim_time minus resume's.
 
     Every evaluation-cadence round scores the new global model on the
     server validation set once; that loss goes to the trace and, if it is
@@ -208,15 +221,19 @@ def run_trial(
         raise ValueError("budget_rounds must be >= 1")
     cohort = sorted(clients or world.clients, key=lambda c: c.client_id)
     spec = world.model_spec
-    w0 = models.init_weights(spec, derive_seed(world.base_seed, "init", trial_index))
-    state = RoundState(1, w0, hp)
-    sim_time = 0.0
-    trace = []
-    local_losses, global_loss = [], None
-    best_gl = np.inf
-    stall = 0
+    if resume is None:
+        resume = TrialResult(hp, np.inf, 0.0, final_weights=models.init_weights(
+            spec, derive_seed(world.base_seed, "init", trial_index)))
+    state = RoundState(resume.last_round + 1, resume.final_weights, resume.config)
+    sim_time, trace = resume.sim_time, list(resume.trace)
+    local_losses, global_loss = resume.local_losses, resume.global_loss
+    best_gl, stall, stopped = resume.best_gl, resume.stall, resume.stopped
     try:
-        for j in range(1, budget_rounds + 1):
+        if resume.diverged:
+            raise NumericDivergenceError(f"trial {trial_index} diverged before round "
+                                         f"{state.round_index}")
+        while not stopped and state.round_index <= budget_rounds:
+            j = state.round_index
             epochs = to_train_hp(state.current_hp, world.hp_defaults).epochs
             sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
             next_state, local_losses = run_round(state, cohort, world, trial_index)
@@ -233,9 +250,7 @@ def run_trial(
                         best_gl, stall = gl, 0
                     else:
                         stall += 1
-                        if stall >= patience:
-                            state = next_state
-                            break
+                        stopped = stall >= patience
             state = next_state
     except NumericDivergenceError as err:
         err.sim_time += sim_time  # the rounds run, the diverging one included
@@ -262,4 +277,7 @@ def run_trial(
         last_round=state.round_index - 1,
         local_losses=local_losses,
         global_loss=global_loss,
+        best_gl=best_gl,
+        stall=stall,
+        stopped=stopped,
     )

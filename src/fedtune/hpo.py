@@ -377,23 +377,31 @@ def halving_rungs(n_configs: int, max_rounds: int) -> list[tuple[int, int]]:
 
 
 class HalvingSampler:
-    """Successive halving over random grid configs.
+    """Successive halving over distinct random grid configs.
 
-    Evaluation e belongs to one rung of the plan and runs for that rung's
+    Position i draws configs[i] with derive_seed(seed, "halving", i),
+    redrawing configs an earlier position holds until the grid is used
+    up. Evaluation e runs one position of its rung up to the rung's
     rounds. Each rung issues its survivors in order; the first issue of
     the next rung promotes the best ceil(n/2) by (objective, config_id,
-    position). A survivor is a position in `configs`, so a config drawn
-    twice is two candidates. Objectives arrive through observe(), which
-    the runner calls from an evaluation's commit, so promotion sees only
-    feedback that has arrived in simulated time: every evaluation of a
-    rung must have finished before the next rung is issued, which holds
-    on one group. last_eval[i] is the index of the last evaluation of
-    configs[i] observed so far.
+    position), so a config at two positions is two candidates. Objectives
+    and results arrive through observe(), from an evaluation's commit, so
+    promotion sees only feedback that has arrived in simulated time: every
+    evaluation of a rung must have finished before the next rung is
+    issued, which holds on one group. last_eval[i] is the last observed
+    evaluation of position i and results[i] its result, which the runner
+    continues in the position's next rung.
     """
 
     def __init__(self, space: SearchSpace, seed: int, n_configs: int, max_rounds: int):
-        self.configs = [suggest_random(space, derive_seed(seed, "halving", i))
-                        for i in range(n_configs)]
+        size = math.prod(len(d.points) for d in space.dims)
+        self.configs: list[HpConfig] = []
+        for i in range(n_configs):
+            rng = np.random.default_rng(derive_seed(seed, "halving", i))
+            config = suggest_random(space, rng)
+            while config in self.configs and len(set(self.configs)) < size:
+                config = suggest_random(space, rng)
+            self.configs.append(config)
         self.rungs = halving_rungs(n_configs, max_rounds)
         # (rung, index in the rung's survivors) of every evaluation, in issue order
         self._slots = [(r, i) for r, (n, _) in enumerate(self.rungs) for i in range(n)]
@@ -401,6 +409,7 @@ class HalvingSampler:
         self._survivors = list(range(n_configs))  # positions in configs
         self._scored: list[tuple[float, str, int]] = []  # (objective, config_id, position)
         self.last_eval: list[int | None] = [None] * n_configs
+        self.results: list = [None] * n_configs
 
     def rounds(self, eval_index: int) -> int:
         """Round budget of evaluation eval_index: its rung's rounds."""
@@ -416,8 +425,13 @@ class HalvingSampler:
             self._scored = []
         return self.configs[self._survivors[i]]
 
-    def observe(self, eval_index: int, objective: float):
-        """Take the objective of a finished evaluation of the current rung."""
-        pos = self._survivors[self._slots[eval_index][1]]
+    def position(self, eval_index: int) -> int:
+        """The position in configs that evaluation eval_index, of the current rung, runs."""
+        return self._survivors[self._slots[eval_index][1]]
+
+    def observe(self, eval_index: int, objective: float, result=None):
+        """Take the objective and result of a finished evaluation of the current rung."""
+        pos = self.position(eval_index)
         self._scored.append((objective, self.configs[pos].config_id, pos))
         self.last_eval[pos] = eval_index
+        self.results[pos] = result

@@ -206,17 +206,20 @@ class EvalOutcome:
     """What one HP evaluation produced; commit applies it at its finish."""
 
     row: TrialRow
-    weights: models.WeightVector | None
+    result: flcore.TrialResult
     records: list[FeedbackRecord]  # in record order
     walk: hpo.AdaptiveSampler | None = None  # the adaptive sampler's moves
 
 
-def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds) -> EvalOutcome:
-    """Run one HP evaluation (a trial of `rounds` rounds) on a group's cohort.
+def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds,
+                  trial_index, resume) -> EvalOutcome:
+    """Run one HP evaluation on a group's cohort: trial trial_index up to
+    round `rounds`, continued from resume unless it is None.
 
     Under the adaptive sampler, probe cycles move a walk of the sampler
     that holds only feedback committed before this evaluation was issued.
     Nothing outside the evaluation changes until its outcome is committed.
+    The row's sim_time covers only the rounds this evaluation ran.
     """
     members = set(group.members)
     cohort = [c for c in world.clients if c.client_id in members]
@@ -224,21 +227,22 @@ def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds) 
     records: list[FeedbackRecord] = []
 
     def on_cadence(state):
-        new_cfg, extra_time, cycle = run_probe_cycle(state, cohort, world, eval_index, walk)
+        new_cfg, extra_time, cycle = run_probe_cycle(state, cohort, world, trial_index, walk)
         records.extend(cycle)
         return new_cfg, extra_time
 
     try:
         result = flcore.run_trial(
             config, rounds, world, cohort,
-            trial_index=eval_index,
+            trial_index=trial_index,
             on_cadence=on_cadence if walk is not None else None,
             patience=int(cfg["early_stop_patience"]),
+            resume=resume,
         )
         failed = False
     except NumericDivergenceError as err:
         result = flcore.TrialResult(config=config, objective=math.inf, test_accuracy=0.0,
-                                    sim_time=err.sim_time)
+                                    sim_time=err.sim_time, diverged=True)
         failed = True
 
     final = result.config
@@ -265,11 +269,11 @@ def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds) 
         hp_values=asdict(to_train_hp(final, world.hp_defaults)),
         objective=result.objective,
         accuracy=result.test_accuracy,
-        sim_time=result.sim_time,
+        sim_time=result.sim_time - (resume.sim_time if resume else 0.0),
         trace=result.trace,
         failed=failed,
     )
-    return EvalOutcome(row, result.final_weights, records, walk)
+    return EvalOutcome(row, result, records, walk)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
@@ -296,15 +300,19 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
         if outcome.walk is not None:
             sampler.commit(outcome.walk)
         if cfg["sampler"] == "halving":
-            sampler.observe(outcome.row.trial_index, outcome.row.objective)
+            sampler.observe(outcome.row.trial_index, outcome.row.objective, outcome.result)
         committed[outcome.row.trial_index] = outcome
 
     def issue(group, eval_index):
         return sampler.start_config(eval_index, store)
 
     def run_eval(group, config, eval_index):
-        budget = sampler.rounds(eval_index) if cfg["sampler"] == "halving" else rounds
-        outcome = _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, budget)
+        trial, budget, resume = eval_index, rounds, None
+        if cfg["sampler"] == "halving":  # a position continues from its previous rung
+            trial = sampler.position(eval_index)
+            budget, resume = sampler.rounds(eval_index), sampler.results[trial]
+        outcome = _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, budget,
+                                trial, resume)
         return outcome.row.sim_time, lambda: commit(outcome)
 
     result = sched.dispatch(groups, num_evals, issue, run_eval)
@@ -331,7 +339,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
         trials=[o.row for o in outcomes],
         events=result.events,
         makespan=result.makespan,
-        best_weights=best.weights,
+        best_weights=best.result.final_weights,
         feedback_history=list(store.history),
     )
 

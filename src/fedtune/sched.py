@@ -93,8 +93,8 @@ def dispatch(groups: list[ClientGroup], num_evals: int, issue, run_eval) -> Disp
     Whichever group becomes free earliest (ties broken by group id) is
     issued its next config immediately via `issue(group, eval_index)`;
     `run_eval(group, config, eval_index)` performs the evaluation and
-    returns (simulated duration, commit callable). The commit, which
-    records the evaluation's feedback, is applied only once simulated
+    returns (simulated duration, commit callable). Every evaluation's
+    commit, which records its feedback, is called once, when simulated
     time reaches the evaluation's finish, so a config issued at time t
     can never observe feedback arriving after t. Issuance for one group
     never waits on any other group.
@@ -109,9 +109,7 @@ def dispatch(groups: list[ClientGroup], num_evals: int, issue, run_eval) -> Disp
     for e in range(num_evals):
         t, gid = heapq.heappop(free)
         while pending and pending[0][0] <= t:
-            _, _, commit = heapq.heappop(pending)
-            if commit is not None:
-                commit()
+            heapq.heappop(pending)[2]()
         group = by_id[gid]
         config = issue(group, e)
         events.append(ScheduleEvent(t, "issue", gid, config.config_id, done_evals[gid]))
@@ -126,9 +124,7 @@ def dispatch(groups: list[ClientGroup], num_evals: int, issue, run_eval) -> Disp
         makespan = max(makespan, finish)
         heapq.heappush(free, (finish, gid))
     while pending:
-        _, _, commit = heapq.heappop(pending)
-        if commit is not None:
-            commit()
+        heapq.heappop(pending)[2]()
     # An issue of round k and the feedback that ends it carry rounds k and
     # k + 1, so a zero-duration evaluation still lists its issue first.
     events.sort(key=lambda ev: (ev.sim_time, ev.group_id, ev.round, ev.event_kind))

@@ -359,6 +359,30 @@ class TestEmitMetrics:
         last = {cid: objective for cid, _, objective in calls}
         assert [r.objective for r in rows] == [last[r.config_id] for r in rows]
 
+    def test_halving_continues_each_promoted_config(self, tmp_path, monkeypatch):
+        rounds = []
+        run_round = flcore.run_round
+        monkeypatch.setattr(flcore, "run_round",
+                            lambda *args: rounds.append(1) or run_round(*args))
+        charged = []  # every evaluation's row sim_time, not only the final rows'
+        run_one_eval = runner._run_one_eval
+
+        def recording_run_one_eval(*args):
+            outcome = run_one_eval(*args)
+            charged.append(outcome.row.sim_time)
+            return outcome
+
+        monkeypatch.setattr(runner, "_run_one_eval", recording_run_one_eval)
+        report, _ = self.run_report(tmp_path, sampler="halving", budget_configs=8,
+                                    rounds_per_trial=50, seeds=[1])
+        sr = report.per_seed[0]
+        assert not any(t.failed for t in sr.trials)
+        # rungs to rounds 6, 12, 24 and 48: 8*6 + 4*6 + 2*12 + 1*24, not 192
+        assert len(rounds) == 120
+        assert len(charged) == 15
+        assert sum(charged) == pytest.approx(sr.makespan, rel=1e-12)
+        assert sum(t.sim_time for t in sr.trials) < sr.makespan
+
     def test_halving_repeated_config_keeps_one_row_per_position(self, tmp_path):
         # On seed 1 the 2-point grid draws learning_rate 0.1, 0.01, 0.1: one
         # config at positions 0 and 2.

@@ -301,6 +301,65 @@ class TestRunTrial:
         assert result.trace[-1]["round"] < 30
 
 
+def assert_same_trial(a, b):
+    """a and b hold the same weights, scores, trace, losses and state, bit for bit."""
+    assert a.final_weights.values.tobytes() == b.final_weights.values.tobytes()
+    assert repr(a.trace) == repr(b.trace)
+    for name in ("config", "objective", "test_accuracy", "sim_time", "last_round",
+                 "local_losses", "global_loss", "best_gl", "stall", "stopped", "diverged"):
+        assert repr(getattr(a, name)) == repr(getattr(b, name)), name
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestResume:
+    def test_continued_trial_equals_fresh_trial(self):
+        # the rung boundary (round 5) falls between cadence rounds 4 and 6
+        world = make_world(n_clients=3, cadence=2, alpha=0.5)
+        first = run_trial(hp_config(), 5, world, trial_index=4)
+        continued = run_trial(hp_config(), 11, world, trial_index=4, resume=first)
+        assert continued.last_round == 11 and continued.sim_time > first.sim_time
+        assert_same_trial(continued, run_trial(hp_config(), 11, world, trial_index=4))
+
+    def test_trial_stopped_early_trains_no_further_round(self, monkeypatch):
+        # a zero learning rate never improves the global loss: stop at round 2
+        world = make_world(n_clients=3, cadence=1)
+        hp = hp_config(learning_rate=0.0)
+        first = run_trial(hp, 4, world, trial_index=2, patience=1)
+        assert first.stopped and first.last_round == 2 and first.sim_time > 0
+        rounds = count_calls(monkeypatch, flcore, "run_round")
+        continued = run_trial(hp, 8, world, trial_index=2, patience=1, resume=first)
+        assert rounds == []
+        assert continued.sim_time == first.sim_time
+        assert_same_trial(continued, run_trial(hp, 8, world, trial_index=2, patience=1))
+
+    def test_diverged_trial_fails_again_without_training(self, monkeypatch):
+        world = make_world(n_clients=3)
+        world.clients[1].shard.train.features[:] = np.nan
+        with pytest.raises(NumericDivergenceError) as fresh:
+            run_trial(hp_config(), 8, world, trial_index=1)
+        with pytest.raises(NumericDivergenceError) as first:
+            run_trial(hp_config(), 4, world, trial_index=1)
+        assert first.value.sim_time > 0
+        failed = flcore.TrialResult(hp_config(), np.inf, 0.0, sim_time=first.value.sim_time,
+                                    diverged=True)
+        passes = count_calls(monkeypatch, models, "train_stack")
+        with pytest.raises(NumericDivergenceError) as continued:
+            run_trial(hp_config(), 8, world, trial_index=1, resume=failed)
+        assert passes == []
+        assert continued.value.sim_time == first.value.sim_time == fresh.value.sim_time
+
+
 # One seed, one group, one evaluation: rounds 1 and 2 of trial 0 train the
 # whole cohort, and the cadence-1 adaptive variant runs a probe cycle after
 # round 1.
@@ -368,3 +427,26 @@ class TestDivergedTrialTime:
         charged = charged_time(runner.run_experiment(cfg))
         assert [kind for kind, _ in passes] == ["time", "probe", "probe"]
         assert charged == pytest.approx(sum(t for _, t in passes), rel=1e-12)
+
+    def test_continued_halving_trial_charges_nothing(self, monkeypatch):
+        # Every pass diverges, so both rung-0 trials (2 rounds) fail at round 1
+        # and one is promoted; its continuation fails again without training.
+        lr = {"name": "learning_rate", "scale": "log10", "low": 1e-4, "high": 1e-1, "step": 10.0}
+        cfg = config_from_dict({**DIVERGING, "sampler": "halving", "budget_configs": 2,
+                                "search_space": [lr], "tuned": ["learning_rate"]})
+        passes = []
+        real = models.train_stack
+
+        def train_stack(*args):
+            passes.append(1)
+            trained, losses, failures = real(*args)
+            return trained, losses, ["non-finite training loss"] + failures[1:]
+
+        monkeypatch.setattr(models, "train_stack", train_stack)
+        sr = runner.run_experiment(cfg).per_seed[0]
+        assert len(passes) == 2
+        feedback = [e for e in sr.events if e.event_kind == "feedback"]
+        assert [e.staleness > 0 for e in feedback] == [True, True, False]
+        assert sr.makespan == feedback[1].sim_time
+        promoted = next(t for t in sr.trials if t.sim_time == 0.0)
+        assert promoted.failed and all(t.failed for t in sr.trials)

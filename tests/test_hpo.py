@@ -329,6 +329,26 @@ class TestHalvingSampler:
         assert issued == ([(x, 3) for x in c] + [(c[1], 6), (c[3], 6), (tie, 6)]
                           + [(c[3], 12), (tie, 12)] + [(tie, 14)])
 
+    def test_initial_configs_distinct_while_grid_lasts(self):
+        # the search space of the halving-cli benchmark workload: 5 * 10 * 3 points
+        cfg = config_from_dict({"search_space": [
+            {"name": "learning_rate", "scale": "log10", "low": 1e-5, "high": 1e-1,
+             "step": 10.0},
+            {"name": "weight_decay", "scale": "log_e", "low": 1e-5, "high": 1e-1,
+             "step": math.e},
+            {"name": "dropout", "scale": "linear", "low": 0.1, "high": 0.5, "step": 0.2},
+        ], "tuned": ["learning_rate", "weight_decay", "dropout"]})
+        space = cfg.search_space()
+        for seed in range(1, 400):
+            configs = HalvingSampler(space, seed, 8, 50).configs
+            assert len({c.config_id for c in configs}) == 8, seed
+        # a 2-point grid holds 2 distinct configs, then positions may repeat
+        small = hpo.SearchSpace((HpDim("learning_rate", "log10", 0.01, 0.1, 10.0),))
+        for seed in range(1, 20):
+            configs = HalvingSampler(small, seed, 5, 8).configs
+            assert configs[0] != configs[1]
+            assert set(configs) == set(configs[:2])
+
     def test_promotion_before_rung_feedback_arrives_raises(self):
         sampler = HalvingSampler(SPACE, 0, 4, 8)
 

@@ -174,7 +174,7 @@ class TestDispatch:
         durations = [1.0, 0.0, 1.0]
         cfgs = [HpConfig({"learning_rate": float(i)}) for i in range(3)]
         result = dispatch([ClientGroup(0, [0])], 3, lambda g, e: cfgs[e],
-                          lambda g, cfg, e: (durations[e], None))
+                          lambda g, cfg, e: (durations[e], lambda: None))
         order = [(ev.event_kind, ev.config_id) for ev in result.events]
         for cfg in cfgs:
             assert order.index(("issue", cfg.config_id)) < \
