@@ -6,7 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 import argparse
 import sys
 
-from . import hpo, runner
+from . import runner
 from .common import ConfigurationError, FedTuneError
 from .config import load_config
 
@@ -63,10 +63,9 @@ def cmd_grid(args) -> int:
     space = cfg.search_space()
     total = 1
     for dim in space.dims:
-        points = hpo.grid(dim)
-        total *= len(points)
-        rendered = ", ".join(str(p) for p in points)
-        print(f"{dim.name} ({dim.scale}, {len(points)} points): {rendered}")
+        total *= len(dim.points)
+        rendered = ", ".join(str(p) for p in dim.points)
+        print(f"{dim.name} ({dim.scale}, {len(dim.points)} points): {rendered}")
     print(f"grid cardinality: {total}")
     return EXIT_OK
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .common import ConfigurationError
-from .hpo import HP_TYPES, HpDim, SearchSpace, default_search_space, grid
+from .hpo import HP_TYPES, HpDim, SearchSpace, default_search_space
 from .models import TrainHp
 
 SAMPLERS = ("random", "adaptive", "halving")
@@ -221,7 +221,7 @@ def validate_config(raw: dict) -> dict:
     for name, value in hp_defaults.items():
         _num(value, f"hp_defaults.{name}", HP_TYPES[name])
     try:
-        grids = {d.name: grid(d) for d in ExperimentConfig(cfg).search_space().dims}
+        grids = {d.name: d.points for d in ExperimentConfig(cfg).search_space().dims}
     except ConfigurationError as err:
         raise ConfigurationError(f"search_space.{err}") from None
     # TrainHp's own checks on the defaults and on every grid point

@@ -77,11 +77,6 @@ class HpDim:
         object.__setattr__(self, "points", tuple(vals))
 
 
-def grid(dim: HpDim) -> list:
-    """The dim's low-fidelity grid points, as a new list."""
-    return list(dim.points)
-
-
 def grid_index(dim: HpDim, x) -> int:
     """Index of x on the dim's grid (x must be one of its points)."""
     try:
@@ -155,7 +150,7 @@ class FeedbackRecord:
     config_id: str
     round: int
     kind: str  # "global" or "probe"
-    train_loss: float  # server validation loss
+    server_loss: float  # server validation loss
     val_loss: float
     group_size: int = 1
     probe_target: str | None = None
@@ -169,13 +164,13 @@ class FeedbackStore:
         self._count: dict[str, int] = {}
         self.history: list[FeedbackRecord] = []
 
-    def record(self, config_id: str, combined: float, detail: FeedbackRecord | None = None):
-        if not math.isfinite(combined):
-            raise FeedbackError(f"non-finite combined feedback for {config_id}")
-        self._sum[config_id] = self._sum.get(config_id, 0.0) + combined
-        self._count[config_id] = self._count.get(config_id, 0) + 1
-        if detail is not None:
-            self.history.append(detail)
+    def record(self, rec: FeedbackRecord):
+        """Add rec to the history and its combined feedback, val_loss, to its config's mean."""
+        if not math.isfinite(rec.val_loss):
+            raise FeedbackError(f"non-finite combined feedback for {rec.config_id}")
+        self._sum[rec.config_id] = self._sum.get(rec.config_id, 0.0) + rec.val_loss
+        self._count[rec.config_id] = self._count.get(rec.config_id, 0) + 1
+        self.history.append(rec)
 
     def mean(self, config_id: str) -> float:
         return self._sum[config_id] / self._count[config_id]
@@ -288,18 +283,33 @@ def suggest_adaptive(
 
 
 class RandomSampler:
-    """Stateless random search; config for evaluation e depends only on
-    (seed, e) so the draw sequence is independent of scheduling."""
+    """Stateless random search, and the sampler protocol's defaults.
 
-    def __init__(self, space: SearchSpace, seed: int):
+    The runner drives every sampler through num_evals, start_config(e,
+    store), plan(e, config) -> (trial key, round budget, walk or None) and
+    commit(outcome), which takes evaluation e's runner.EvalOutcome at its
+    simulated finish. Evaluation e continues the latest committed evaluation
+    of its trial key, if any; the report has one row per key. Here the key
+    is e, and e's config depends only on (seed, e), not on scheduling.
+    """
+
+    def __init__(self, space: SearchSpace, seed: int, num_evals: int, rounds_per_trial: int):
         self.space = space
         self.seed = seed
+        self.num_evals = num_evals
+        self.rounds_per_trial = rounds_per_trial
 
     def start_config(self, eval_index: int, store: FeedbackStore) -> HpConfig:
         return suggest_random(self.space, derive_seed(self.seed, "rand-cfg", eval_index))
 
+    def plan(self, eval_index: int, config: HpConfig) -> tuple:
+        return eval_index, self.rounds_per_trial, None
 
-class AdaptiveSampler:
+    def commit(self, outcome):
+        pass
+
+
+class AdaptiveSampler(RandomSampler):
     """Step-wise adaptive sampler with per-HP neighbor probes.
 
     New evaluations start from the incumbent (lowest running-mean
@@ -310,11 +320,11 @@ class AdaptiveSampler:
     the evaluation index and changes this sampler only through commit().
     """
 
-    def __init__(self, space: SearchSpace, tuned, epsilon: float = 0.1, seed: int = 0):
-        self.space = space
+    def __init__(self, space: SearchSpace, tuned, epsilon: float, seed: int, num_evals: int,
+                 rounds_per_trial: int):
+        super().__init__(space, seed, num_evals, rounds_per_trial)
         self.tuned = list(tuned)
         self.epsilon = epsilon
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.directions: dict[str, int] = {}
         self._seen: dict[str, HpConfig] = {}
@@ -331,16 +341,20 @@ class AdaptiveSampler:
     def walk(self, eval_index: int, start: HpConfig) -> "AdaptiveSampler":
         """This sampler's copy for the evaluation eval_index starting at start."""
         walk = AdaptiveSampler(self.space, self.tuned, self.epsilon,
-                               derive_seed(self.seed, "explore", eval_index))
+                               derive_seed(self.seed, "explore", eval_index), self.num_evals,
+                               self.rounds_per_trial)
         # writes land in the first map: the walk's own direction changes
         walk.directions = ChainMap({}, dict(self.directions))
         walk._seen = {start.config_id: start}
         return walk
 
-    def commit(self, walk: "AdaptiveSampler"):
-        """Merge a finished walk's direction changes and visited configs."""
-        self.directions.update(walk.directions.maps[0])
-        self._seen.update(walk._seen)
+    def plan(self, eval_index: int, config: HpConfig) -> tuple:
+        return eval_index, self.rounds_per_trial, self.walk(eval_index, config)
+
+    def commit(self, outcome):
+        """Merge a finished evaluation's walk: its direction changes and visited configs."""
+        self.directions.update(outcome.walk.directions.maps[0])
+        self._seen.update(outcome.walk._seen)
 
     def probes(self, current: HpConfig) -> list[HpConfig]:
         return probe_set(self.space, current, self.tuned, self.directions)
@@ -376,24 +390,27 @@ def halving_rungs(n_configs: int, max_rounds: int) -> list[tuple[int, int]]:
     return rungs
 
 
-class HalvingSampler:
+class HalvingSampler(RandomSampler):
     """Successive halving over distinct random grid configs.
 
     Position i draws configs[i] with derive_seed(seed, "halving", i),
     redrawing configs an earlier position holds until the grid is used
     up. Evaluation e runs one position of its rung up to the rung's
-    rounds. Each rung issues its survivors in order; the first issue of
-    the next rung promotes the best ceil(n/2) by (objective, config_id,
-    position), so a config at two positions is two candidates. Objectives
-    and results arrive through observe(), from an evaluation's commit, so
+    rounds; the position is its trial key, so a promoted config continues
+    the position's evaluation from the previous rung. Each rung issues its
+    survivors in order; the first issue of the next rung promotes the best
+    ceil(n/2) by (objective, config_id, position), so a config at two
+    positions is two candidates. Objectives arrive through commit(), so
     promotion sees only feedback that has arrived in simulated time: every
     evaluation of a rung must have finished before the next rung is
-    issued, which holds on one group. last_eval[i] is the last observed
-    evaluation of position i and results[i] its result, which the runner
-    continues in the position's next rung.
+    issued, which holds on one group.
     """
 
     def __init__(self, space: SearchSpace, seed: int, n_configs: int, max_rounds: int):
+        self.rungs = halving_rungs(n_configs, max_rounds)
+        # (rung, index in the rung's survivors) of every evaluation, in issue order
+        self._slots = [(r, i) for r, (n, _) in enumerate(self.rungs) for i in range(n)]
+        super().__init__(space, seed, len(self._slots), max_rounds)
         size = math.prod(len(d.points) for d in space.dims)
         self.configs: list[HpConfig] = []
         for i in range(n_configs):
@@ -402,18 +419,8 @@ class HalvingSampler:
             while config in self.configs and len(set(self.configs)) < size:
                 config = suggest_random(space, rng)
             self.configs.append(config)
-        self.rungs = halving_rungs(n_configs, max_rounds)
-        # (rung, index in the rung's survivors) of every evaluation, in issue order
-        self._slots = [(r, i) for r, (n, _) in enumerate(self.rungs) for i in range(n)]
-        self.num_evals = len(self._slots)
         self._survivors = list(range(n_configs))  # positions in configs
         self._scored: list[tuple[float, str, int]] = []  # (objective, config_id, position)
-        self.last_eval: list[int | None] = [None] * n_configs
-        self.results: list = [None] * n_configs
-
-    def rounds(self, eval_index: int) -> int:
-        """Round budget of evaluation eval_index: its rung's rounds."""
-        return self.rungs[self._slots[eval_index][0]][1]
 
     def start_config(self, eval_index: int, store: FeedbackStore) -> HpConfig:
         rung, i = self._slots[eval_index]
@@ -425,13 +432,12 @@ class HalvingSampler:
             self._scored = []
         return self.configs[self._survivors[i]]
 
-    def position(self, eval_index: int) -> int:
-        """The position in configs that evaluation eval_index, of the current rung, runs."""
-        return self._survivors[self._slots[eval_index][1]]
+    def plan(self, eval_index: int, config: HpConfig) -> tuple:
+        """(position, rung rounds, None) for an evaluation of the current rung."""
+        rung, i = self._slots[eval_index]
+        return self._survivors[i], self.rungs[rung][1], None
 
-    def observe(self, eval_index: int, objective: float, result=None):
-        """Take the objective and result of a finished evaluation of the current rung."""
-        pos = self.position(eval_index)
-        self._scored.append((objective, self.configs[pos].config_id, pos))
-        self.last_eval[pos] = eval_index
-        self.results[pos] = result
+    def commit(self, outcome):
+        """Score a finished evaluation of the current rung at its position."""
+        pos = outcome.trial_key
+        self._scored.append((outcome.row.objective, self.configs[pos].config_id, pos))

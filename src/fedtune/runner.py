@@ -193,7 +193,7 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
             config_id=p.config_id,
             round=state.round_index,
             kind="probe",
-            train_loss=gf,
+            server_loss=gf,
             val_loss=combined,
             group_size=n,
             probe_target=hpo.probe_target_of(current, p),
@@ -205,36 +205,38 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
 class EvalOutcome:
     """What one HP evaluation produced; commit applies it at its finish."""
 
+    trial_key: int  # the trial this evaluation ran, or continued
     row: TrialRow
     result: flcore.TrialResult
     records: list[FeedbackRecord]  # in record order
     walk: hpo.AdaptiveSampler | None = None  # the adaptive sampler's moves
 
 
-def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds,
-                  trial_index, resume) -> EvalOutcome:
-    """Run one HP evaluation on a group's cohort: trial trial_index up to
-    round `rounds`, continued from resume unless it is None.
+def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> EvalOutcome:
+    """Run one HP evaluation on a group's cohort as its sampler planned it,
+    plan = (trial_key, rounds, walk): trial trial_key up to round `rounds`,
+    continued from resume (the key's latest committed result) unless None.
 
-    Under the adaptive sampler, probe cycles move a walk of the sampler
-    that holds only feedback committed before this evaluation was issued.
+    A walk, unless None, is a copy of the adaptive sampler that holds only
+    feedback committed before this evaluation was issued; its probe cycles
+    move the config every eval_cadence rounds.
     Nothing outside the evaluation changes until its outcome is committed.
     The row's sim_time covers only the rounds this evaluation ran.
     """
+    trial_key, rounds, walk = plan
     members = set(group.members)
     cohort = [c for c in world.clients if c.client_id in members]
-    walk = sampler.walk(eval_index, config) if cfg["sampler"] == "adaptive" else None
     records: list[FeedbackRecord] = []
 
     def on_cadence(state):
-        new_cfg, extra_time, cycle = run_probe_cycle(state, cohort, world, trial_index, walk)
+        new_cfg, extra_time, cycle = run_probe_cycle(state, cohort, world, trial_key, walk)
         records.extend(cycle)
         return new_cfg, extra_time
 
     try:
         result = flcore.run_trial(
             config, rounds, world, cohort,
-            trial_index=trial_index,
+            trial_index=trial_key,
             on_cadence=on_cadence if walk is not None else None,
             patience=int(cfg["early_stop_patience"]),
             resume=resume,
@@ -256,7 +258,7 @@ def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds,
             config_id=final.config_id,
             round=result.last_round,
             kind="global",
-            train_loss=gl,
+            server_loss=gl,
             val_loss=combined,
             group_size=len(cohort),
         ))
@@ -273,56 +275,42 @@ def _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, rounds,
         trace=result.trace,
         failed=failed,
     )
-    return EvalOutcome(row, result, records, walk)
+    return EvalOutcome(trial_key, row, result, records, walk)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
     world = build_world(cfg, seed)
     space = cfg.search_space()
     store = FeedbackStore()
-    num_evals = int(cfg["budget_configs"])
-    rounds = int(cfg["rounds_per_trial"])
-    if cfg["sampler"] == "halving":
-        sampler = hpo.HalvingSampler(space, seed, num_evals, rounds)
-        num_evals = sampler.num_evals
-    elif cfg["sampler"] == "adaptive":
-        sampler = hpo.AdaptiveSampler(space, list(cfg["tuned"]), float(cfg["epsilon"]),
-                                      derive_seed(seed, "sampler"))
-    else:
-        sampler = hpo.RandomSampler(space, derive_seed(seed, "sampler"))
+    n, rounds = int(cfg["budget_configs"]), int(cfg["rounds_per_trial"])
+    sampler = {  # the one place that names a sampler
+        "random": lambda: hpo.RandomSampler(space, derive_seed(seed, "sampler"), n, rounds),
+        "adaptive": lambda: hpo.AdaptiveSampler(space, list(cfg["tuned"]), float(cfg["epsilon"]),
+                                                derive_seed(seed, "sampler"), n, rounds),
+        "halving": lambda: hpo.HalvingSampler(space, seed, n, rounds),
+    }[cfg["sampler"]]()
     groups = make_groups(cfg, world, seed)
-    committed: dict[int, EvalOutcome] = {}
+    committed: dict[int, EvalOutcome] = {}  # trial key -> its latest committed evaluation
 
     def commit(outcome: EvalOutcome):
         """Apply an evaluation's effects; runs at its simulated finish."""
         for rec in outcome.records:
-            store.record(rec.config_id, rec.val_loss, rec)
-        if outcome.walk is not None:
-            sampler.commit(outcome.walk)
-        if cfg["sampler"] == "halving":
-            sampler.observe(outcome.row.trial_index, outcome.row.objective, outcome.result)
-        committed[outcome.row.trial_index] = outcome
-
-    def issue(group, eval_index):
-        return sampler.start_config(eval_index, store)
+            store.record(rec)
+        sampler.commit(outcome)
+        committed[outcome.trial_key] = outcome
 
     def run_eval(group, config, eval_index):
-        trial, budget, resume = eval_index, rounds, None
-        if cfg["sampler"] == "halving":  # a position continues from its previous rung
-            trial = sampler.position(eval_index)
-            budget, resume = sampler.rounds(eval_index), sampler.results[trial]
-        outcome = _run_one_eval(cfg, world, sampler, group, config, eval_index, seed, budget,
-                                trial, resume)
+        plan = sampler.plan(eval_index, config)  # (trial key, round budget, walk)
+        resume = committed[plan[0]].result if plan[0] in committed else None
+        outcome = _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume)
         return outcome.row.sim_time, lambda: commit(outcome)
 
-    result = sched.dispatch(groups, num_evals, issue, run_eval)
-    if cfg["sampler"] == "halving":
-        # One row per initial config: its last rung, numbered by its position.
-        outcomes = [committed[e] for e in sampler.last_eval]
-        for i, o in enumerate(outcomes):
-            o.row.trial_index = i
-    else:
-        outcomes = [committed[e] for e in sorted(committed)]
+    result = sched.dispatch(groups, sampler.num_evals,
+                            lambda group, e: sampler.start_config(e, store), run_eval)
+    # One row per trial key, in key order, numbered 0..n-1.
+    outcomes = [committed[k] for k in sorted(committed)]
+    for i, o in enumerate(outcomes):
+        o.row.trial_index = i
 
     ok = [o for o in outcomes if not o.row.failed] or outcomes[:1]
     best = max(ok, key=lambda o: (o.row.accuracy, -o.row.objective, -o.row.trial_index))

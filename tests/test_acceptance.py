@@ -14,11 +14,11 @@ from fedtune import cli, data, models, runner
 from fedtune.config import config_from_dict
 from fedtune.flcore import fedavg_aggregate, run_trial
 from fedtune.hpo import (
+    FeedbackRecord,
     FeedbackStore,
     HpConfig,
     combine_feedback,
     default_search_space,
-    grid,
     probe_set,
 )
 
@@ -105,17 +105,17 @@ def test_criterion_04_feedback_algebra():
     store = FeedbackStore()
     vals = rng.uniform(0, 10, size=1000)
     for v in vals:
-        store.record("cfg", float(v))
+        store.record(FeedbackRecord("cfg", 0, "global", float(v), float(v)))
     mean_err = abs(store.mean("cfg") - float(np.sum(vals)) / 1000)
     report("criterion 4: feedback algebra", ok and mean_err < 1e-12,
            f"running-mean err {mean_err:.2e}")
 
 
 def test_criterion_05_low_fidelity_grids():
-    lr = grid(SPACE["learning_rate"])
-    batch = grid(SPACE["batch_size"])
-    epochs = grid(SPACE["epochs"])
-    dropout = grid(SPACE["dropout"])
+    lr = list(SPACE["learning_rate"].points)
+    batch = list(SPACE["batch_size"].points)
+    epochs = list(SPACE["epochs"].points)
+    dropout = list(SPACE["dropout"].points)
     ok = (lr == [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
           and batch == [16, 32, 64, 128, 256]
           and epochs == list(range(11))

@@ -27,7 +27,8 @@ def separable_world(seed=0):
 def test_adaptive_probes_escape_tiny_learning_rate():
     world = separable_world()
     space = default_search_space()
-    sampler = AdaptiveSampler(space, ["learning_rate"], epsilon=0.0, seed=0)
+    sampler = AdaptiveSampler(space, ["learning_rate"], epsilon=0.0, seed=0, num_evals=1,
+                              rounds_per_trial=1)
     state = RoundState(1, models.init_weights(world.model_spec, 0), HpConfig(dict(HP_DEFAULTS)))
     accepted = 0
     for _ in range(12):

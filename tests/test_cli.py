@@ -123,11 +123,11 @@ class TestConfig:
                           "step": 1},
                  {"name": "weight_decay", "scale": "linear", "low": 1, "high": 3, "step": 1}]
         cfg = config_from_dict(dict(SMALL, search_space=space, tuned=["epochs"]))
-        epochs = hpo.grid(cfg.search_space()["epochs"])
+        epochs = list(cfg.search_space()["epochs"].points)
         assert epochs == [1, 2, 3] and all(type(v) is int for v in epochs)
-        assert all(type(v) is float for v in hpo.grid(cfg.search_space()["learning_rate"]))
+        assert all(type(v) is float for v in cfg.search_space()["learning_rate"].points)
         # a float hyperparameter stays float on a grid of whole numbers
-        weight_decay = hpo.grid(cfg.search_space()["weight_decay"])
+        weight_decay = list(cfg.search_space()["weight_decay"].points)
         assert weight_decay == [1.0, 2.0, 3.0] and all(type(v) is float for v in weight_decay)
 
     def test_halving_with_async_grouping_rejected(self):

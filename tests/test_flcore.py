@@ -200,7 +200,8 @@ class TestTrainCohort:
         world = make_world(n_clients=3)
         world.clients[1].shard.train.features[:] = np.nan
         cfg = hp_config()
-        sampler = hpo.AdaptiveSampler(hpo.default_search_space(), ["learning_rate"])
+        sampler = hpo.AdaptiveSampler(hpo.default_search_space(), ["learning_rate"], epsilon=0.1,
+                                      seed=0, num_evals=1, rounds_per_trial=1)
         state = RoundState(5, models.init_weights(world.model_spec, 0), cfg)
         with pytest.raises(NumericDivergenceError) as info:
             runner.run_probe_cycle(state, world.clients, world, 0, sampler)

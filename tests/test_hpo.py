@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from fedtune.hpo import (
     HpDim,
     combine_feedback,
     default_search_space,
-    grid,
     halving_rungs,
     probe_set,
     suggest_adaptive,
@@ -32,21 +32,31 @@ def config_at(**values):
     return HpConfig(base)
 
 
+def feedback(config_id, combined):
+    """A global feedback record whose combined feedback is `combined`."""
+    return hpo.FeedbackRecord(config_id, 0, "global", combined, combined)
+
+
+def finished(trial_key, objective):
+    """The parts of a runner.EvalOutcome that HalvingSampler.commit reads."""
+    return SimpleNamespace(trial_key=trial_key, row=SimpleNamespace(objective=objective))
+
+
 class TestGrid:
     def test_learning_rate_five_points(self):
-        assert grid(SPACE["learning_rate"]) == [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
+        assert list(SPACE["learning_rate"].points) == [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
 
     def test_batch_size_powers_of_two(self):
-        assert grid(SPACE["batch_size"]) == [16, 32, 64, 128, 256]
+        assert list(SPACE["batch_size"].points) == [16, 32, 64, 128, 256]
 
     def test_epochs_eleven_points(self):
-        assert grid(SPACE["epochs"]) == list(range(11))
+        assert list(SPACE["epochs"].points) == list(range(11))
 
     def test_dropout_three_points(self):
-        assert grid(SPACE["dropout"]) == [0.1, 0.3, 0.5]
+        assert list(SPACE["dropout"].points) == [0.1, 0.3, 0.5]
 
     def test_weight_decay_factor_e(self):
-        g = grid(SPACE["weight_decay"])
+        g = list(SPACE["weight_decay"].points)
         assert g[0] == 1e-5
         assert g[-1] <= 1e-1
         for a, b in zip(g, g[1:]):
@@ -54,7 +64,7 @@ class TestGrid:
 
     def test_grid_within_bounds(self):
         for dim in SPACE.dims:
-            g = grid(dim)
+            g = list(dim.points)
             assert g[0] == dim.low
             assert all(dim.low <= v <= dim.high * (1 + 1e-9) for v in g)
 
@@ -75,8 +85,8 @@ class TestGrid:
         assert typed_points(custom) == typed_points(SPACE)
 
     def test_integer_grid_keeps_each_whole_number_once(self):
-        assert grid(HpDim("epochs", "linear", 0, 1, 0.25)) == [0, 1]
-        assert grid(HpDim("batch_size", "pow2", 1, 4, 1.1)) == [1, 2, 3, 4]
+        assert list(HpDim("epochs", "linear", 0, 1, 0.25).points) == [0, 1]
+        assert list(HpDim("batch_size", "pow2", 1, 4, 1.1).points) == [1, 2, 3, 4]
 
 
 class TestSuggestRandom:
@@ -85,7 +95,7 @@ class TestSuggestRandom:
         b = suggest_random(SPACE, 42)
         assert a == b
         for dim in SPACE.dims:
-            assert a.values[dim.name] in grid(dim)
+            assert a.values[dim.name] in dim.points
 
     def test_uniform_over_lr_grid(self):
         rng = np.random.default_rng(0)
@@ -95,7 +105,7 @@ class TestSuggestRandom:
             v = suggest_random(SPACE, rng).values["learning_rate"]
             counts[v] = counts.get(v, 0) + 1
         # binomial(n=10000, p=0.2): +-0.03 is over 7 standard deviations
-        for v in grid(SPACE["learning_rate"]):
+        for v in SPACE["learning_rate"].points:
             assert 0.17 <= counts.get(v, 0) / n <= 0.23
 
 
@@ -166,14 +176,14 @@ class TestCombineFeedback:
 class TestFeedbackStore:
     def test_two_point_mean(self):
         store = FeedbackStore()
-        store.record("c1", 0.4)
-        store.record("c1", 0.6)
+        store.record(feedback("c1", 0.4))
+        store.record(feedback("c1", 0.6))
         assert store.mean("c1") == pytest.approx(0.5)
         assert store.count("c1") == 2
 
     def test_single_record_identity(self):
         store = FeedbackStore()
-        store.record("c1", 0.37)
+        store.record(feedback("c1", 0.37))
         assert store.mean("c1") == 0.37
 
     def test_running_mean_matches_brute_force(self):
@@ -181,13 +191,13 @@ class TestFeedbackStore:
         vals = rng.uniform(0, 10, size=1000)
         store = FeedbackStore()
         for v in vals:
-            store.record("x", float(v))
+            store.record(feedback("x", float(v)))
         assert abs(store.mean("x") - float(np.sum(vals) / 1000)) < 1e-12
 
     def test_history_export(self, tmp_path):
         store = FeedbackStore()
-        store.record("c1", 0.5, hpo.FeedbackRecord("c1", 1, "probe", 0.5, 0.5,
-                                                   2, probe_target="learning_rate"))
+        store.record(hpo.FeedbackRecord("c1", 1, "probe", 0.5, 0.5, 2,
+                                        probe_target="learning_rate"))
         path = tmp_path / "h.jsonl"
         store.export_jsonl(path)
         lines = path.read_text().splitlines()
@@ -234,7 +244,7 @@ class TestSuggestAdaptive:
             results = [(p, float(rng.uniform(0, 2))) for p in probes]
             out = suggest_adaptive(SPACE, cur, results, tuned, epsilon=0.3, rng=rng)
             for dim in SPACE.dims:
-                assert out.values[dim.name] in grid(dim)
+                assert out.values[dim.name] in dim.points
 
     def test_latest_only_contract(self):
         # mutating older history must not change the suggestion
@@ -244,14 +254,15 @@ class TestSuggestAdaptive:
         store = FeedbackStore()
         out1 = suggest_adaptive(SPACE, cur, results, tuned)
         for v in (0.01, 5.0, 2.2):
-            store.record(cur.config_id, v)
+            store.record(feedback(cur.config_id, v))
         out2 = suggest_adaptive(SPACE, cur, results, tuned)
         assert out1 == out2
 
 
 class TestAdaptiveSampler:
     def test_direction_memory_follows_accepted_move(self):
-        sampler = AdaptiveSampler(SPACE, ["learning_rate"], epsilon=0.0, seed=0)
+        sampler = AdaptiveSampler(SPACE, ["learning_rate"], epsilon=0.0, seed=0, num_evals=2,
+                                  rounds_per_trial=1)
         cur = config_at(learning_rate=1e-3)
         probes = sampler.probes(cur)
         assert probes[1].values["learning_rate"] == 1e-2  # default upward
@@ -262,19 +273,21 @@ class TestAdaptiveSampler:
         assert next_probes[1].values["learning_rate"] == 1e-1
 
     def test_start_config_prefers_incumbent(self):
-        sampler = AdaptiveSampler(SPACE, ["learning_rate"], epsilon=0.0, seed=0)
+        sampler = AdaptiveSampler(SPACE, ["learning_rate"], epsilon=0.0, seed=0, num_evals=2,
+                                  rounds_per_trial=1)
         store = FeedbackStore()
         first = sampler.start_config(0, store)
-        store.record(first.config_id, 1.0)
+        store.record(feedback(first.config_id, 1.0))
         better = config_at(learning_rate=1e-2)
         sampler._seen[better.config_id] = better
-        store.record(better.config_id, 0.1)
+        store.record(feedback(better.config_id, 0.1))
         assert sampler.start_config(1, store) == better
 
     def test_walk_changes_sampler_only_at_commit(self):
-        sampler = AdaptiveSampler(SPACE, ["learning_rate", "weight_decay"], epsilon=0.0)
+        sampler = AdaptiveSampler(SPACE, ["learning_rate", "weight_decay"], epsilon=0.0, seed=0,
+                                  num_evals=1, rounds_per_trial=1)
         sampler.directions["weight_decay"] = -1
-        cur = config_at(learning_rate=1e-3, weight_decay=grid(SPACE["weight_decay"])[3])
+        cur = config_at(learning_rate=1e-3, weight_decay=SPACE["weight_decay"].points[3])
         walk = sampler.walk(0, cur)
         probes = walk.probes(cur)
         assert probes[2].values["weight_decay"] < cur.values["weight_decay"]
@@ -285,12 +298,13 @@ class TestAdaptiveSampler:
         assert sampler._seen == {}
         # an evaluation committed meanwhile turns weight_decay; the walk did not
         sampler.directions["weight_decay"] = 1
-        sampler.commit(walk)
+        sampler.commit(SimpleNamespace(walk=walk))
         assert sampler.directions == {"weight_decay": 1, "learning_rate": 1}
         assert list(sampler._seen) == [cur.config_id, new.config_id]
 
     def test_walk_exploration_keyed_by_eval_index(self):
-        sampler = AdaptiveSampler(SPACE, ["learning_rate"], epsilon=1.0, seed=5)
+        sampler = AdaptiveSampler(SPACE, ["learning_rate"], epsilon=1.0, seed=5, num_evals=1,
+                                  rounds_per_trial=1)
         cur = config_at()
         draws = [sampler.walk(e, cur).rng.random() for e in (0, 1, 0)]
         assert draws[0] == draws[2] != draws[1]
@@ -319,10 +333,10 @@ class TestHalvingSampler:
         issued = []
 
         def run_eval(group, cfg, e):
-            rounds = sampler.rounds(e)
+            key, rounds, _ = sampler.plan(e, cfg)
             issued.append((cfg, rounds))
             # the sampler learns the objective only at the deferred commit
-            return 1.0, lambda: sampler.observe(e, objective[rounds][cfg])
+            return 1.0, lambda: sampler.commit(finished(key, objective[rounds][cfg]))
 
         dispatch([ClientGroup(0, [0])], sampler.num_evals,
                  lambda g, e: sampler.start_config(e, FeedbackStore()), run_eval)
@@ -354,7 +368,8 @@ class TestHalvingSampler:
 
         def run_eval(group, cfg, e):
             duration = 1.0 if group.group_id == 0 else 100.0
-            return duration, lambda: sampler.observe(e, 0.0)
+            key = sampler.plan(e, cfg)[0]
+            return duration, lambda: sampler.commit(finished(key, 0.0))
 
         with pytest.raises(FeedbackError, match="rung 0"):
             dispatch([ClientGroup(0, [0]), ClientGroup(1, [1])], sampler.num_evals,

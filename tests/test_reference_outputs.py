@@ -1,6 +1,8 @@
-"""Random and adaptive search write the same bytes as before successive
-halving learned to continue promoted configs: that change must not move
-the other samplers' outputs.
+"""Random, adaptive and halving search write the same bytes as before the
+runner drove all three samplers through one protocol. Random and adaptive
+were pinned before successive halving learned to continue promoted
+configs, and halving (two seeds, in the worker pool) just after; neither
+change may move these outputs.
 
 The reference SHA-256 digests were recorded with numpy 2.4.6 on x86-64.
 Floating-point results, and so the bytes, can differ under another numpy
@@ -35,6 +37,8 @@ BASE = {
 CONFIGS = {
     "random": {**BASE, "sampler": "random", "grouping": {"mode": "async", "window": "auto"}},
     "adaptive": {**BASE, "sampler": "adaptive"},
+    # rungs (5, 1), (3, 2), (2, 4), (1, 6); two seeds run in the worker pool
+    "halving": {**BASE, "sampler": "halving", "budget_configs": 5, "seeds": [1, 2]},
 }
 REFERENCE = {
     "random": {
@@ -50,6 +54,13 @@ REFERENCE = {
         "report.json": "ef41700d0e2c2a32aad7b4db8987b1539d107bd9bcce0b8e2e4d087afe2ef651",
         "events.jsonl": "fc64d884dd7bf42137ecbebd1a5bccd18e577aefe52b2ef25497fd4897e70478",
         "best_weights.json": "2f990bad757711f49b224949220ece77ead179ec2074ffc48c7a7b2d23e0c86a",
+    },
+    "halving": {
+        "trials.csv": "75c4491ed4906fafbd938b12d409cfce2694a4d00b9cbaf27da0d263da88d4fe",
+        "curves.csv": "08f040489d717703250cc8a9cae603dc0de167caa793bc6a753f709119595c35",
+        "report.json": "07fd4d555dd1e821ee2e4b64ba22a55ed9b6fabb90085bb2c9b7bcda0f95f6d0",
+        "events.jsonl": "8fcadc856dc789435543f0d071a01c2c991232824252ceef8674728417086a5d",
+        "best_weights.json": "8f2c1f3218a9b1238000779aa4e74341085d312309d4b97229b9ead66d0f8a37",
     },
 }
 

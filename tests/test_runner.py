@@ -1,6 +1,8 @@
 """run_experiment's seed pool: seeds run in worker processes when there is
 more than one seed and more than one usable CPU, with the same reports,
-files and errors as running them one after another."""
+files and errors as running them one after another. And the runner's
+continuation rule: an evaluation continues the latest committed one of its
+trial key, which random and adaptive search never repeat."""
 
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 import yaml
 
 import fedtune
-from fedtune import cli, runner
+from fedtune import cli, flcore, runner
 from fedtune.common import FedTuneError, PartitionError
 from fedtune.config import config_from_dict
 
@@ -190,3 +192,22 @@ class TestSeedPoolFailures:
         path = write_config(tmp_path)
         assert cli.main(["run", path, "--output", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
         assert "error: a seed's worker process died" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sampler": "random", "grouping": {"mode": "async", "window": "auto"}},
+    {"sampler": "adaptive"},
+], ids=["random", "adaptive"])
+def test_random_and_adaptive_evaluations_start_fresh(overrides, monkeypatch):
+    # A trial key that repeated would continue another evaluation's weights.
+    run_trial, calls = flcore.run_trial, []
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["trial_index"], kwargs["resume"]))
+        return run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(flcore, "run_trial", spy)
+    runner.run_experiment(config_from_dict({**TINY, **overrides, "budget_configs": 4,
+                                            "seeds": [1]}))
+    # dispatch runs evaluation e as the e-th call
+    assert calls == [(e, None) for e in range(4)]
