@@ -31,10 +31,7 @@ class NumericDivergenceError(FedTuneError):
     """Training produced a non-finite loss or weights.
 
     Carries enough context to attribute the failure to a client, round
-    and hyperparameter configuration. sim_time starts at 0; each layer the
-    error passes through adds the simulated time it had run, so out of
-    flcore.run_trial it is the failed trial's simulated time, the
-    diverging cohort pass included.
+    and hyperparameter configuration.
     """
 
     def __init__(self, message, client_id=None, round_index=None, config_id=None):
@@ -42,7 +39,6 @@ class NumericDivergenceError(FedTuneError):
         self.client_id = client_id
         self.round_index = round_index
         self.config_id = config_id
-        self.sim_time = 0.0
 
 
 def derive_seed(*parts) -> int:

@@ -66,7 +66,7 @@ class TrialResult:
     best_gl: float = np.inf  # early stopping: the best server loss so far
     stall: int = 0  # cadence rounds since best_gl last improved
     stopped: bool = False  # stopped early
-    diverged: bool = False  # set by the caller that caught NumericDivergenceError
+    failure: NumericDivergenceError | None = None  # the divergence that ended the trial
 
 
 def fedavg_aggregate(updates, mode: str = "weighted") -> WeightVector:
@@ -197,9 +197,9 @@ def run_trial(
     resume, an earlier result of the same trial, it continues from that
     state (weights, round, config, trace, losses, patience, sim_time) and
     equals a fresh trial run to budget_rounds bit for bit: one that had
-    stopped early trains no further round, and one that had diverged
-    raises NumericDivergenceError again without training. sim_time counts
-    from round 1, so a call ran its sim_time minus resume's.
+    stopped early trains no further round, and a failed one is returned as
+    it is. sim_time counts from round 1, so a call ran its sim_time minus
+    resume's.
 
     Every evaluation-cadence round scores the new global model on the
     server validation set once; that loss goes to the trace and, if it is
@@ -210,9 +210,9 @@ def run_trial(
     time) to implement step-wise adaptive hyperparameter updates
     mid-trial. patience > 0 stops early after that many cadence
     evaluations without improvement of the global validation loss. A
-    NumericDivergenceError leaves with its sim_time raised by the
-    simulated time of the rounds run, the diverging round's cohort pass
-    included.
+    diverging round ends the trial: failure holds its NumericDivergenceError,
+    config the diverging config, objective inf, and sim_time every pass run,
+    the diverging one included; there is no trace or weights.
 
     The final weights are scored on the cohort's validation splits in one
     models.evaluate_stack call and on its test splits in another.
@@ -224,37 +224,35 @@ def run_trial(
     if resume is None:
         resume = TrialResult(hp, np.inf, 0.0, final_weights=models.init_weights(
             spec, derive_seed(world.base_seed, "init", trial_index)))
+    if resume.failure is not None:
+        return resume
     state = RoundState(resume.last_round + 1, resume.final_weights, resume.config)
     sim_time, trace = resume.sim_time, list(resume.trace)
     local_losses, global_loss = resume.local_losses, resume.global_loss
     best_gl, stall, stopped = resume.best_gl, resume.stall, resume.stopped
-    try:
-        if resume.diverged:
-            raise NumericDivergenceError(f"trial {trial_index} diverged before round "
-                                         f"{state.round_index}")
-        while not stopped and state.round_index <= budget_rounds:
-            j = state.round_index
-            epochs = to_train_hp(state.current_hp, world.hp_defaults).epochs
-            sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
+    while not stopped and state.round_index <= budget_rounds:
+        j = state.round_index
+        epochs = to_train_hp(state.current_hp, world.hp_defaults).epochs
+        sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
+        try:
             next_state, local_losses = run_round(state, cohort, world, trial_index)
-            if j % world.eval_cadence == 0:
-                gl, gacc = models.evaluate(spec, next_state.global_weights,
-                                           world.val_set.features, world.val_set.labels)
-                global_loss = gl
-                trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": sim_time})
-                if on_cadence is not None:
-                    next_state.current_hp, extra = on_cadence(next_state)
-                    sim_time += extra
-                if patience > 0:
-                    if gl < best_gl - 1e-12:
-                        best_gl, stall = gl, 0
-                    else:
-                        stall += 1
-                        stopped = stall >= patience
-            state = next_state
-    except NumericDivergenceError as err:
-        err.sim_time += sim_time  # the rounds run, the diverging one included
-        raise
+        except NumericDivergenceError as err:
+            return TrialResult(state.current_hp, np.inf, 0.0, sim_time=sim_time, failure=err)
+        if j % world.eval_cadence == 0:
+            gl, gacc = models.evaluate(spec, next_state.global_weights,
+                                       world.val_set.features, world.val_set.labels)
+            global_loss = gl
+            trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": sim_time})
+            if on_cadence is not None:
+                next_state.current_hp, extra = on_cadence(next_state)
+                sim_time += extra
+            if patience > 0:
+                if gl < best_gl - 1e-12:
+                    best_gl, stall = gl, 0
+                else:
+                    stall += 1
+                    stopped = stall >= patience
+        state = next_state
     final_w = state.global_weights
     val_members = [c for c in cohort if len(c.shard.val)]
     test_members = [c for c in cohort if len(c.shard.test)]

@@ -275,9 +275,11 @@ def _padded_width(n: int, batch_size: int) -> int:
     return width
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds, width: int):
     """Stacked SGD for shards whose batches all pad to `width` rows.
 
+    Float overflow is silenced: the finiteness checks report a diverging row.
     Returns ((k, P) weights, failures), both in shard order.
     """
     k, epochs, hidden = len(shards), hp.epochs, spec.hidden_dim
@@ -326,7 +328,7 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds, widt
             for r in np.flatnonzero(bad):
                 if failures[rows[r]] is None:
                     failures[rows[r]] = message
-                values[r] = 0.0  # keeps a failed row finite, so it raises no float warnings
+                values[r] = 0.0  # a failed row stays finite for the validation pass
     trained = np.empty_like(values)
     trained[rows] = values
     return trained, failures

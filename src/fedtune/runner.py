@@ -163,11 +163,12 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
     Each probe config trains the whole cohort from the current global
     weights with flcore.train_cohort; the probe aggregate is scored on
     the server validation set and combined with the cohort's local
-    validation losses. The cycle's simulated time is the sum of the
-    probes' cohort times; a diverging probe's NumericDivergenceError
-    carries the cohort times of the probes run, its own included.
-    Returns (new config, extra simulated time, [FeedbackRecord] for the
-    store, one per probe, each with its combined feedback as val_loss).
+    validation losses. A probe that diverges scores +inf, so the step
+    never adopts it, and writes no record; the cycle goes on. The cycle's
+    simulated time is the sum of every probe's cohort time, a diverging
+    one's included. Returns (new config, extra simulated time,
+    [FeedbackRecord] for the store, one per finished probe, each with its
+    combined feedback as val_loss).
     """
     current = state.current_hp
     val_set = world.val_set
@@ -183,9 +184,9 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler):
             wp, val_losses = flcore.train_cohort(
                 world, state.global_weights, p, cohort, state.round_index, seed_key
             )
-        except NumericDivergenceError as err:
-            err.sim_time += extra_time  # the probes run, the diverging one included
-            raise
+        except NumericDivergenceError:
+            results.append((p, math.inf))
+            continue
         gf, _ = models.evaluate(world.model_spec, wp, val_set.features, val_set.labels)
         combined = combine_feedback([vl for _, vl in val_losses], gf, n)
         results.append((p, combined))
@@ -233,20 +234,13 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
         records.extend(cycle)
         return new_cfg, extra_time
 
-    try:
-        result = flcore.run_trial(
-            config, rounds, world, cohort,
-            trial_index=trial_key,
-            on_cadence=on_cadence if walk is not None else None,
-            patience=int(cfg["early_stop_patience"]),
-            resume=resume,
-        )
-        failed = False
-    except NumericDivergenceError as err:
-        result = flcore.TrialResult(config=config, objective=math.inf, test_accuracy=0.0,
-                                    sim_time=err.sim_time, diverged=True)
-        failed = True
-
+    result = flcore.run_trial(
+        config, rounds, world, cohort,
+        trial_index=trial_key,
+        on_cadence=on_cadence if walk is not None else None,
+        patience=int(cfg["early_stop_patience"]),
+        resume=resume,
+    )
     final = result.config
     if math.isfinite(result.objective):
         gl = combined = result.objective
@@ -273,7 +267,7 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
         accuracy=result.test_accuracy,
         sim_time=result.sim_time - (resume.sim_time if resume else 0.0),
         trace=result.trace,
-        failed=failed,
+        failed=result.failure is not None,
     )
     return EvalOutcome(trial_key, row, result, records, walk)
 

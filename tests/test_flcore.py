@@ -196,18 +196,29 @@ class TestTrainCohort:
         assert np.array_equal(agg.values, fedavg_aggregate(updates).values)
         assert losses == expected
 
-    def test_diverging_probe_names_client_round_and_config(self):
-        world = make_world(n_clients=3)
-        world.clients[1].shard.train.features[:] = np.nan
-        cfg = hp_config()
-        sampler = hpo.AdaptiveSampler(hpo.default_search_space(), ["learning_rate"], epsilon=0.1,
-                                      seed=0, num_evals=1, rounds_per_trial=1)
-        state = RoundState(5, models.init_weights(world.model_spec, 0), cfg)
-        with pytest.raises(NumericDivergenceError) as info:
-            runner.run_probe_cycle(state, world.clients, world, 0, sampler)
-        assert info.value.client_id == 1
-        assert info.value.round_index == 5
-        assert info.value.config_id == sampler.probes(cfg)[0].config_id
+    def test_diverging_probe_loses_its_comparison(self, monkeypatch):
+        cfg = config_from_dict({**DIVERGING, "sampler": "adaptive", "eval_cadence": 1})
+        cycles = []
+        real = runner.run_probe_cycle
+
+        def recording_cycle(state, cohort, world, trial_index, sampler):
+            probes = sampler.probes(state.current_hp)
+            cycles.append((state.current_hp, probes,
+                           real(state, cohort, world, trial_index, sampler)))
+            return cycles[-1][2]
+
+        monkeypatch.setattr(runner, "run_probe_cycle", recording_cycle)
+        # call 1 trains round 1; calls 2 and 3 run the first cycle's probes of
+        # the current config and of its learning-rate neighbour
+        diverge_at_call(monkeypatch, 3)
+        sr = runner.run_experiment(cfg).per_seed[0]
+        current, probes, (new, _, records) = cycles[0]
+        diverged = probes[1]
+        assert [r.config_id for r in records] == \
+            [p.config_id for p in probes if p is not diverged]
+        name = hpo.probe_target_of(current, diverged)
+        assert new.values[name] == current.values[name] != diverged.values[name]
+        assert len(cycles) == 4 and not sr.trials[0].failed
 
     def test_lowest_diverging_client_is_named(self):
         world = make_world(n_clients=4, alpha=0.5)
@@ -301,13 +312,23 @@ class TestRunTrial:
                            patience=2)
         assert result.trace[-1]["round"] < 30
 
+    def test_overflowing_trial_fails_without_float_warnings(self):
+        # the suite turns RuntimeWarning into an error
+        world = make_world(n_clients=3)
+        hp = hp_config(learning_rate=1e6, weight_decay=1.0, epochs=10)
+        result = run_trial(hp, 4, world)
+        assert isinstance(result.failure, NumericDivergenceError)
+        assert result.failure.config_id == hp.config_id and result.config == hp
+        assert (result.objective, result.test_accuracy, result.trace) == (np.inf, 0.0, [])
+        assert result.final_weights is None and result.sim_time > 0
+
 
 def assert_same_trial(a, b):
     """a and b hold the same weights, scores, trace, losses and state, bit for bit."""
     assert a.final_weights.values.tobytes() == b.final_weights.values.tobytes()
     assert repr(a.trace) == repr(b.trace)
     for name in ("config", "objective", "test_accuracy", "sim_time", "last_round",
-                 "local_losses", "global_loss", "best_gl", "stall", "stopped", "diverged"):
+                 "local_losses", "global_loss", "best_gl", "stall", "stopped", "failure"):
         assert repr(getattr(a, name)) == repr(getattr(b, name)), name
 
 
@@ -347,18 +368,16 @@ class TestResume:
     def test_diverged_trial_fails_again_without_training(self, monkeypatch):
         world = make_world(n_clients=3)
         world.clients[1].shard.train.features[:] = np.nan
-        with pytest.raises(NumericDivergenceError) as fresh:
-            run_trial(hp_config(), 8, world, trial_index=1)
-        with pytest.raises(NumericDivergenceError) as first:
-            run_trial(hp_config(), 4, world, trial_index=1)
-        assert first.value.sim_time > 0
-        failed = flcore.TrialResult(hp_config(), np.inf, 0.0, sim_time=first.value.sim_time,
-                                    diverged=True)
+        fresh = run_trial(hp_config(), 8, world, trial_index=1)
+        first = run_trial(hp_config(), 4, world, trial_index=1)
+        err = first.failure
+        assert (err.client_id, err.round_index, err.config_id) == (1, 1, hp_config().config_id)
+        assert first.sim_time > 0
         passes = count_calls(monkeypatch, models, "train_stack")
-        with pytest.raises(NumericDivergenceError) as continued:
-            run_trial(hp_config(), 8, world, trial_index=1, resume=failed)
+        continued = run_trial(hp_config(), 8, world, trial_index=1, resume=first)
         assert passes == []
-        assert continued.value.sim_time == first.value.sim_time == fresh.value.sim_time
+        assert continued is first
+        assert continued.sim_time == fresh.sim_time
 
 
 # One seed, one group, one evaluation: rounds 1 and 2 of trial 0 train the
@@ -425,9 +444,13 @@ class TestDivergedTrialTime:
         monkeypatch.setattr(flcore, "cohort_time", recording_cohort_time)
         # call 1 trains round 1, calls 2 and 3 the cycle's first two probes
         diverge_at_call(monkeypatch, 3)
-        charged = charged_time(runner.run_experiment(cfg))
-        assert [kind for kind, _ in passes] == ["time", "probe", "probe"]
-        assert charged == pytest.approx(sum(t for _, t in passes), rel=1e-12)
+        sr = runner.run_experiment(cfg).per_seed[0]
+        (row,) = sr.trials
+        (feedback,) = [e for e in sr.events if e.event_kind == "feedback"]
+        assert not row.failed and feedback.sim_time == row.sim_time
+        # every round is followed by a cycle of four probes, the diverging one included
+        assert [kind for kind, _ in passes] == (["time"] + ["probe"] * 4) * 4
+        assert row.sim_time == pytest.approx(sum(t for _, t in passes), rel=1e-12)
 
     def test_continued_halving_trial_charges_nothing(self, monkeypatch):
         # Every pass diverges, so both rung-0 trials (2 rounds) fail at round 1
