@@ -54,7 +54,7 @@ class ExperimentWorld:
 
 @dataclass
 class TrialResult:
-    config: HpConfig  # final config (may differ from initial under adaptive stepping)
+    config: HpConfig  # the config that trained the final weights (adaptive steps move it)
     objective: float  # sample-count-weighted final validation loss
     test_accuracy: float
     trace: list = field(default_factory=list)  # rows: round, loss, accuracy, sim_time
@@ -205,14 +205,22 @@ def run_trial(
     server validation set once; that loss goes to the trace and, if it is
     the latest, to the result's global_loss.
 
-    on_cadence, when given, is called after every evaluation-cadence
-    round as on_cadence(state) and returns (next HpConfig, extra simulated
-    time) to implement step-wise adaptive hyperparameter updates
-    mid-trial. patience > 0 stops early after that many cadence
-    evaluations without improvement of the global validation loss. A
-    diverging round ends the trial: failure holds its NumericDivergenceError,
-    config the diverging config, objective inf, and sim_time every pass run,
-    the diverging one included; there is no trace or weights.
+    on_cadence, when given, implements step-wise adaptive hyperparameter
+    updates mid-trial. It is called as on_cadence(state) at the top of
+    every round j whose previous round was an evaluation-cadence round,
+    with state holding round j, the weights after round j-1 and the config
+    that trained them. It returns (config for round j, extra simulated
+    time, reused): reused, unless None, is the (aggregate, local losses)
+    that config's pass produced from those weights under round j's
+    training key, and stands in for round j, which then trains nothing and
+    is charged no cohort time. No call follows the last round or an early
+    stop; a resumed trial makes the call its previous round left pending.
+    patience > 0 stops early after that many cadence evaluations without
+    improvement of the global validation loss. A diverging round ends the
+    trial: failure holds its NumericDivergenceError, config the diverging
+    config, objective inf, and sim_time every pass run, the diverging one
+    included; there is no trace or weights. Otherwise config is the config
+    that trained the final weights.
 
     The final weights are scored on the cohort's validation splits in one
     models.evaluate_stack call and on its test splits in another.
@@ -232,20 +240,26 @@ def run_trial(
     best_gl, stall, stopped = resume.best_gl, resume.stall, resume.stopped
     while not stopped and state.round_index <= budget_rounds:
         j = state.round_index
-        epochs = to_train_hp(state.current_hp, world.hp_defaults).epochs
-        sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
-        try:
-            next_state, local_losses = run_round(state, cohort, world, trial_index)
-        except NumericDivergenceError as err:
-            return TrialResult(state.current_hp, np.inf, 0.0, sim_time=sim_time, failure=err)
+        reused = None
+        if on_cadence is not None and j > 1 and (j - 1) % world.eval_cadence == 0:
+            state.current_hp, extra, reused = on_cadence(state)
+            sim_time += extra
+        if reused is None:
+            epochs = to_train_hp(state.current_hp, world.hp_defaults).epochs
+            sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
+            try:
+                next_state, local_losses = run_round(state, cohort, world, trial_index)
+            except NumericDivergenceError as err:
+                return TrialResult(state.current_hp, np.inf, 0.0, sim_time=sim_time,
+                                   failure=err)
+        else:
+            new_global, local_losses = reused
+            next_state = RoundState(j + 1, new_global, state.current_hp)
         if j % world.eval_cadence == 0:
             gl, gacc = models.evaluate(spec, next_state.global_weights,
                                        world.val_set.features, world.val_set.labels)
             global_loss = gl
             trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": sim_time})
-            if on_cadence is not None:
-                next_state.current_hp, extra = on_cadence(next_state)
-                sim_time += extra
             if patience > 0:
                 if gl < best_gl - 1e-12:
                     best_gl, stall = gl, 0

@@ -157,49 +157,59 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     return sched.form_groups(completions, float(window))
 
 
-def run_probe_cycle(state, cohort, world, trial_index, sampler):
-    """Step-wise feedback: evaluate the probe set and move the config.
+def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
+    """Step-wise feedback before round state.round_index: evaluate the probe
+    set and choose the round's config.
 
     Each probe config trains the whole cohort from the current global
-    weights with flcore.train_cohort; the probe aggregate is scored on
-    the server validation set and combined with the cohort's local
-    validation losses. A probe that diverges scores +inf, so the step
-    never adopts it, and writes no record; the cycle goes on. The cycle's
-    simulated time is the sum of every probe's cohort time, a diverging
-    one's included. Returns (new config, extra simulated time,
-    [FeedbackRecord] for the store, one per finished probe, each with its
-    combined feedback as val_loss).
+    weights with flcore.train_cohort, every probe under the round's own
+    training key (base_seed, "train", trial_index, round): common random
+    numbers, so the probes see the same batch orders and dropout draws,
+    and the chosen probe's pass is exactly the round's. Each probe is timed
+    under its own key, (base_seed, "probe", trial_index, round, config_id).
+    The probe aggregate is scored on the server validation set and
+    combined with the cohort's local validation losses. A probe that
+    diverges scores +inf, so the step never adopts it, and writes no
+    record; the cycle goes on. Appends one FeedbackRecord per finished
+    probe to records, each with its combined feedback as val_loss.
+    Returns (new config, extra simulated time, reused): the extra time is
+    the sum of every probe's cohort time, a diverging one's included, and
+    reused is the new config's (aggregate, local losses) when it is a probe
+    that finished, else None.
     """
-    current = state.current_hp
+    current, j = state.current_hp, state.round_index
     val_set = world.val_set
     n = len(cohort)
-    results, records = [], []
+    results, passes = [], {}
     extra_time = 0.0
     for p in sampler.probes(current):
-        seed_key = (world.base_seed, "probe", trial_index, state.round_index, p.config_id)
         extra_time += flcore.cohort_time(
-            cohort, to_train_hp(p, world.hp_defaults).epochs, seed_key
+            cohort, to_train_hp(p, world.hp_defaults).epochs,
+            (world.base_seed, "probe", trial_index, j, p.config_id),
         )
         try:
             wp, val_losses = flcore.train_cohort(
-                world, state.global_weights, p, cohort, state.round_index, seed_key
+                world, state.global_weights, p, cohort, j,
+                (world.base_seed, "train", trial_index, j),
             )
         except NumericDivergenceError:
             results.append((p, math.inf))
             continue
+        passes[p.config_id] = wp, val_losses
         gf, _ = models.evaluate(world.model_spec, wp, val_set.features, val_set.labels)
         combined = combine_feedback([vl for _, vl in val_losses], gf, n)
         results.append((p, combined))
         records.append(FeedbackRecord(
             config_id=p.config_id,
-            round=state.round_index,
+            round=j,
             kind="probe",
             server_loss=gf,
             val_loss=combined,
             group_size=n,
             probe_target=hpo.probe_target_of(current, p),
         ))
-    return sampler.step(current, results), extra_time, records
+    new = sampler.step(current, results)
+    return new, extra_time, passes.get(new.config_id)
 
 
 @dataclass
@@ -230,9 +240,7 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
     records: list[FeedbackRecord] = []
 
     def on_cadence(state):
-        new_cfg, extra_time, cycle = run_probe_cycle(state, cohort, world, trial_key, walk)
-        records.extend(cycle)
-        return new_cfg, extra_time
+        return run_probe_cycle(state, cohort, world, trial_key, walk, records)
 
     result = flcore.run_trial(
         config, rounds, world, cohort,

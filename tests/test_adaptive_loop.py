@@ -1,12 +1,16 @@
-"""Step-wise adaptive search: probe cycles on easy data, and evaluations
-that see only the feedback committed before they were issued."""
+"""Step-wise adaptive search: probe cycles on easy data, a round that
+reuses its chosen probe's pass, rows that name the config that trained
+them, and evaluations that see only the feedback committed before they
+were issued."""
 
 import math
 
-from fedtune import data, models, runner, sched
+import pytest
+
+from fedtune import data, flcore, models, runner, sched
 from fedtune.common import derive_seed
 from fedtune.config import config_from_dict
-from fedtune.flcore import ClientState, ExperimentWorld, RoundState, run_round
+from fedtune.flcore import ClientState, ExperimentWorld, RoundState, run_round, train_cohort
 from fedtune.hpo import AdaptiveSampler, HpConfig, default_search_space, suggest_random
 from fedtune.models import ModelSpec
 
@@ -32,7 +36,7 @@ def test_adaptive_probes_escape_tiny_learning_rate():
     state = RoundState(1, models.init_weights(world.model_spec, 0), HpConfig(dict(HP_DEFAULTS)))
     accepted = 0
     for _ in range(12):
-        new_cfg, _, _ = runner.run_probe_cycle(state, world.clients, world, 0, sampler)
+        new_cfg, _, _ = runner.run_probe_cycle(state, world.clients, world, 0, sampler, [])
         if new_cfg != state.current_hp:
             accepted += 1
             state.current_hp = new_cfg
@@ -41,6 +45,91 @@ def test_adaptive_probes_escape_tiny_learning_rate():
         state, _ = run_round(state, world.clients, world)
     assert state.current_hp.values["learning_rate"] >= 1e-3
     assert accepted <= 6
+
+
+def test_reused_round_equals_a_fresh_pass_of_the_chosen_config():
+    world = separable_world()
+    sampler = AdaptiveSampler(default_search_space(), ["learning_rate"], epsilon=0.0, seed=0,
+                              num_evals=1, rounds_per_trial=3)
+    state, _ = run_round(RoundState(1, models.init_weights(world.model_spec, 0),
+                                    HpConfig(dict(HP_DEFAULTS))), world.clients, world)
+    chosen, _, reused = runner.run_probe_cycle(state, world.clients, world, 0, sampler, [])
+    assert chosen != state.current_hp and reused is not None
+    fresh = train_cohort(world, state.global_weights, chosen, world.clients, 2,
+                         (world.base_seed, "train", 0, 2))
+    assert reused[0].layout_id == fresh[0].layout_id
+    assert reused[0].values.tobytes() == fresh[0].values.tobytes()
+    assert repr(reused[1]) == repr(fresh[1])
+
+
+# One seed, one sync group: 6 MLP clients, 3 evaluations of 6 rounds, a
+# probe cycle before rounds 3 and 5, and early stopping after one cadence
+# round without improvement.
+SMALL_ADAPTIVE = {
+    "dataset": {"type": "synthetic", "num_classes": 3, "input_dim": 6, "n": 400,
+                "class_sep": 3.0},
+    "n_clients": 6, "alpha": 0.5, "model": {"kind": "mlp", "hidden_dim": 8},
+    "sampler": "adaptive", "budget_configs": 3, "rounds_per_trial": 6, "eval_cadence": 2,
+    "early_stop_patience": 1, "seeds": [1],
+}
+
+
+def test_reused_round_is_charged_no_cohort_time(monkeypatch):
+    passes, steered = [], []  # (kind, round, seconds); (round, reused?) per cycle
+    real_time, real_cycle = flcore.cohort_time, runner.run_probe_cycle
+
+    def recording_time(cohort, epochs, seed_key):
+        passes.append((seed_key[1], seed_key[3], real_time(cohort, epochs, seed_key)))
+        return passes[-1][2]
+
+    def recording_cycle(state, *args):
+        out = real_cycle(state, *args)
+        steered.append((state.round_index, out[2] is not None))
+        return out
+
+    monkeypatch.setattr(flcore, "cohort_time", recording_time)
+    monkeypatch.setattr(runner, "run_probe_cycle", recording_cycle)
+    (row,) = runner.run_experiment(config_from_dict(
+        {**SMALL_ADAPTIVE, "budget_configs": 1, "early_stop_patience": 0})).per_seed[0].trials
+    assert steered == [(3, True), (5, True)]
+    assert [j for kind, j, _ in passes if kind == "time"] == [1, 2, 4, 6]
+    assert row.sim_time == pytest.approx(sum(t for _, _, t in passes), rel=1e-12)
+
+
+# A 6-round trial ends on a run_round; a 5-round one on round 5, which the
+# probe cycle before it steers, and here reuses the chosen probe's pass.
+@pytest.mark.parametrize("rounds, final_run_round", [(6, True), (5, False)])
+def test_row_names_the_config_that_trained_its_final_weights(rounds, final_run_round,
+                                                             monkeypatch):
+    trained, round_outputs, outcomes = [], [], []  # trained: (aggregate, config_id)
+    real_train, real_round = flcore.train_cohort, flcore.run_round
+    real_eval = runner._run_one_eval
+
+    def recording_train(world, global_w, config, *args):
+        out = real_train(world, global_w, config, *args)
+        trained.append((out[0], config.config_id))
+        return out
+
+    def recording_round(*args, **kwargs):
+        out = real_round(*args, **kwargs)
+        round_outputs.append(out[0].global_weights)
+        return out
+
+    def recording_eval(*args):
+        outcomes.append(real_eval(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(flcore, "train_cohort", recording_train)
+    monkeypatch.setattr(flcore, "run_round", recording_round)
+    monkeypatch.setattr(runner, "_run_one_eval", recording_eval)
+    runner.run_experiment(config_from_dict({**SMALL_ADAPTIVE, "rounds_per_trial": rounds}))
+    assert len(outcomes) == 3
+    for o in outcomes:
+        w = o.result.final_weights
+        (trainer,) = [cid for agg, cid in trained if agg is w]
+        (record,) = [r for r in o.records if r.kind == "global"]
+        assert o.row.config_id == record.config_id == trainer
+        assert any(w is r for r in round_outputs) == final_run_round
 
 
 SEARCH_SPACE = [
@@ -102,20 +191,40 @@ def test_evaluation_shapes_no_evaluation_issued_before_it_finishes(monkeypatch):
         assert issued_before and not issued_before & changed
 
 
+# 20 clients in 8 async groups and 4 evaluations of 5 rounds, with the
+# default search space: the evaluation cadence (5) leaves no probe cycle,
+# and the default epochs grid starts at 0.
+TIME_ZERO_ASYNC = {
+    "dataset": {"type": "synthetic", "num_classes": 10, "input_dim": 16, "n": 1200,
+                "class_sep": 3.0},
+    "n_clients": 20, "model": {"kind": "logistic"}, "grouping": {"mode": "async"},
+    "sampler": "adaptive", "budget_configs": 4, "rounds_per_trial": 5, "seeds": [1],
+}
+
+
 def test_async_groups_at_least_budget_issue_every_evaluation_at_time_zero():
     # With as many async groups as evaluations, every evaluation is issued
-    # before any finishes, so each starts from its random fallback config.
-    cfg = config_from_dict({
-        "dataset": {"type": "synthetic", "num_classes": 10, "input_dim": 16, "n": 1200,
-                    "class_sep": 3.0},
-        "n_clients": 20, "model": {"kind": "logistic"}, "grouping": {"mode": "async"},
-        "sampler": "adaptive", "budget_configs": 4, "rounds_per_trial": 5, "seeds": [1],
-    })
+    # at time 0. An issue starts from its random fallback config exactly
+    # when no feedback precedes it: here evaluation 1 takes 0 s, so
+    # evaluations 2 and 3 see its feedback.
+    cfg = config_from_dict(TIME_ZERO_ASYNC)
     assert len(runner.make_groups(cfg, runner.build_world(cfg, 1), 1)) == 8
     events = runner.run_experiment(cfg).per_seed[0].events
-    issues = [ev for ev in events if ev.event_kind == "issue"]
-    assert [ev.sim_time for ev in issues] == [0.0] * 4
+    issues = [i for i, ev in enumerate(events) if ev.event_kind == "issue"]
+    assert [events[i].sim_time for i in issues] == [0.0] * 4
     space, sampler_seed = cfg.search_space(), derive_seed(1, "sampler")
-    assert [ev.config_id for ev in issues] == [
-        suggest_random(space, derive_seed(sampler_seed, "start", e)).config_id
-        for e in range(4)]
+    fallback = [suggest_random(space, derive_seed(sampler_seed, "start", e)).config_id
+                for e in range(4)]
+    preceded = [any(ev.event_kind == "feedback" for ev in events[:i]) for i in issues]
+    assert preceded == [False, False, True, True]
+    for e, i in enumerate(issues):
+        assert (events[i].config_id == fallback[e]) == (not preceded[e])
+
+
+def test_zero_epoch_adaptive_evaluation_takes_no_simulated_time():
+    # A known defect, kept visible: a config with epochs 0 trains nothing,
+    # and with rounds_per_trial <= eval_cadence no probe cycle runs, so its
+    # evaluation is charged 0 simulated seconds.
+    trials = runner.run_experiment(config_from_dict(TIME_ZERO_ASYNC)).per_seed[0].trials
+    assert [(t.hp_values["epochs"], t.sim_time) for t in trials[1:]] == [(0, 0.0)] * 3
+    assert trials[0].hp_values["epochs"] > 0 and trials[0].sim_time > 0

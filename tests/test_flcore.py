@@ -201,24 +201,26 @@ class TestTrainCohort:
         cycles = []
         real = runner.run_probe_cycle
 
-        def recording_cycle(state, cohort, world, trial_index, sampler):
+        def recording_cycle(state, cohort, world, trial_index, sampler, records):
             probes = sampler.probes(state.current_hp)
-            cycles.append((state.current_hp, probes,
-                           real(state, cohort, world, trial_index, sampler)))
-            return cycles[-1][2]
+            before = len(records)
+            out = real(state, cohort, world, trial_index, sampler, records)
+            cycles.append((state.current_hp, probes, out, records[before:]))
+            return out
 
         monkeypatch.setattr(runner, "run_probe_cycle", recording_cycle)
         # call 1 trains round 1; calls 2 and 3 run the first cycle's probes of
         # the current config and of its learning-rate neighbour
         diverge_at_call(monkeypatch, 3)
         sr = runner.run_experiment(cfg).per_seed[0]
-        current, probes, (new, _, records) = cycles[0]
+        current, probes, (new, _, _), records = cycles[0]
         diverged = probes[1]
         assert [r.config_id for r in records] == \
             [p.config_id for p in probes if p is not diverged]
         name = hpo.probe_target_of(current, diverged)
         assert new.values[name] == current.values[name] != diverged.values[name]
-        assert len(cycles) == 4 and not sr.trials[0].failed
+        # cycles run before rounds 2, 3 and 4, none after the last round
+        assert len(cycles) == 3 and not sr.trials[0].failed
 
     def test_lowest_diverging_client_is_named(self):
         world = make_world(n_clients=4, alpha=0.5)
@@ -294,6 +296,35 @@ class TestRunTrial:
         assert a.objective == b.objective
         assert a.sim_time == b.sim_time
 
+    def test_cycle_runs_before_the_round_it_steers(self):
+        # cadence rounds 2, 4 and 6: cycles before rounds 3 and 5, none after 6
+        world = make_world(n_clients=3, cadence=2)
+        steered = []
+
+        def on_cadence(state):
+            steered.append((state.round_index, state.current_hp))
+            return hp_config(learning_rate=0.05), 1.5, None
+
+        result = run_trial(hp_config(), 6, world, on_cadence=on_cadence)
+        assert steered == [(3, hp_config()), (5, hp_config(learning_rate=0.05))]
+        assert result.config == hp_config(learning_rate=0.05)
+        # both cycles charge their extra time; epochs, and so round times, are unchanged
+        plain = run_trial(hp_config(), 6, world)
+        assert result.sim_time == pytest.approx(plain.sim_time + 2 * 1.5, rel=1e-12)
+
+    def test_no_cycle_after_an_early_stop(self):
+        # a zero learning rate never improves the global loss: stop at round 2
+        world = make_world(n_clients=3, cadence=1)
+        steered = []
+
+        def on_cadence(state):
+            steered.append(state.round_index)
+            return state.current_hp, 0.0, None
+
+        result = run_trial(hp_config(learning_rate=0.0), 6, world, on_cadence=on_cadence,
+                           patience=1)
+        assert result.stopped and result.last_round == 2 and steered == [2]
+
     def test_eval_cadence_below_one_rejected(self):
         with pytest.raises(ValueError, match="^eval cadence must be >= 1$"):
             make_world(cadence=0)
@@ -353,6 +384,24 @@ class TestResume:
         assert continued.last_round == 11 and continued.sim_time > first.sim_time
         assert_same_trial(continued, run_trial(hp_config(), 11, world, trial_index=4))
 
+    def test_continued_trial_runs_its_pending_cycle(self):
+        # round 4 is a cadence round, so the cycle before round 5 is pending
+        world = make_world(n_clients=3, cadence=2, alpha=0.5)
+        steered = []
+
+        def on_cadence(state):
+            steered.append(state.round_index)
+            lr = 0.05 if state.round_index == 5 else 0.2
+            return hp_config(learning_rate=lr), 2.0, None
+
+        first = run_trial(hp_config(), 4, world, trial_index=4, on_cadence=on_cadence)
+        continued = run_trial(hp_config(), 6, world, trial_index=4, on_cadence=on_cadence,
+                              resume=first)
+        assert steered == [3, 5] and continued.config == hp_config(learning_rate=0.05)
+        fresh = run_trial(hp_config(), 6, world, trial_index=4, on_cadence=on_cadence)
+        assert steered == [3, 5, 3, 5]
+        assert_same_trial(continued, fresh)
+
     def test_trial_stopped_early_trains_no_further_round(self, monkeypatch):
         # a zero learning rate never improves the global loss: stop at round 2
         world = make_world(n_clients=3, cadence=1)
@@ -381,8 +430,8 @@ class TestResume:
 
 
 # One seed, one group, one evaluation: rounds 1 and 2 of trial 0 train the
-# whole cohort, and the cadence-1 adaptive variant runs a probe cycle after
-# round 1.
+# whole cohort, and the cadence-1 adaptive variant runs a probe cycle before
+# round 2.
 DIVERGING = {
     "dataset": {"type": "synthetic", "num_classes": 3, "input_dim": 6,
                 "n": 300, "class_sep": 4.0},
@@ -448,8 +497,9 @@ class TestDivergedTrialTime:
         (row,) = sr.trials
         (feedback,) = [e for e in sr.events if e.event_kind == "feedback"]
         assert not row.failed and feedback.sim_time == row.sim_time
-        # every round is followed by a cycle of four probes, the diverging one included
-        assert [kind for kind, _ in passes] == (["time"] + ["probe"] * 4) * 4
+        # rounds 2 to 4 are each preceded by a cycle of four probes, the
+        # diverging one included, and each reuses its chosen probe's pass
+        assert [kind for kind, _ in passes] == ["time"] + ["probe"] * 4 * 3
         assert row.sim_time == pytest.approx(sum(t for _, t in passes), rel=1e-12)
 
     def test_continued_halving_trial_charges_nothing(self, monkeypatch):

@@ -1,8 +1,14 @@
 """Random, adaptive and halving search write the same bytes as before the
-runner drove all three samplers through one protocol. Random and adaptive
-were pinned before successive halving learned to continue promoted
-configs, and halving (two seeds, in the worker pool) just after; neither
-change may move these outputs.
+runner drove all three samplers through one protocol. Random was pinned
+before successive halving learned to continue promoted configs, and
+halving (two seeds, in the worker pool) just after; neither change may
+move these outputs. Adaptive was re-pinned when the probe cycle moved to
+the top of the round it steers, its probes took that round's training
+key and the round began reusing the chosen probe's pass: the makespan
+fell from 464.11 to 288.93 simulated seconds, trial 0's row now names
+the config that trained its final round, and trial 1's objective moved
+from 0.260512 to 0.262451; the best trial, its curve and its weights are
+unchanged.
 
 The reference SHA-256 digests were recorded with numpy 2.4.6 on x86-64.
 Floating-point results, and so the bytes, can differ under another numpy
@@ -49,10 +55,10 @@ REFERENCE = {
         "best_weights.json": "c4d89e4dff42e21a9f31d3488c38a0dfbdabe90f06d0b22b20a980ff927c2daf",
     },
     "adaptive": {
-        "trials.csv": "fbee713375aaf2e97b05f87f16a11cf283613dfbf5c0898e446a86cd7c2a0cb4",
+        "trials.csv": "0089f51d502133f329ed7162cdb25aa513ec28496a72306cfd371a12cf1bc12b",
         "curves.csv": "13fb30542b7d2266723e203f4caa2bf6abd77ecf1bc30426b0d4dea1bceb3eee",
-        "report.json": "ef41700d0e2c2a32aad7b4db8987b1539d107bd9bcce0b8e2e4d087afe2ef651",
-        "events.jsonl": "fc64d884dd7bf42137ecbebd1a5bccd18e577aefe52b2ef25497fd4897e70478",
+        "report.json": "1d3dab859c5fa67e8edbcaa19b96334ce740a4712f7d585d4f92b8ce20838a54",
+        "events.jsonl": "0f91fb2ae57e5c19094c6ac74f88d2f262c9be03c4920455faf67f687320ab87",
         "best_weights.json": "2f990bad757711f49b224949220ece77ead179ec2074ffc48c7a7b2d23e0c86a",
     },
     "halving": {
