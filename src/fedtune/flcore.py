@@ -33,6 +33,33 @@ class RoundState:
 
 
 @dataclass
+class PlanMemo:
+    """The models.BatchPlans of one training key, for the passes that repeat it.
+
+    The probes of a cycle and the round they steer all train under that
+    round's key, so they share their plans. Plans are keyed by value:
+    (member client ids, *models.plan_key(spec, hp)) under seed_key. A pass
+    under another key drops every plan held, so the memo holds one key's
+    plans at most. A world's shards must not change once it has trained.
+    """
+
+    seed_key: tuple | None = None
+    plans: dict = field(default_factory=dict)
+
+    def get(self, spec: ModelSpec, hp: TrainHp, members: list, seed_key: tuple):
+        """The plans of members (in client_id order) under seed_key and hp."""
+        if seed_key != self.seed_key:
+            self.seed_key, self.plans = seed_key, {}
+        shape = models.plan_key(spec, hp)
+        key = (tuple(c.client_id for c in members), *shape)
+        if key not in self.plans:
+            self.plans[key] = models.plan_batches(
+                spec, [(c.shard.train.features, c.shard.train.labels) for c in members],
+                [derive_seed(*seed_key, c.client_id) for c in members], *shape)
+        return self.plans[key]
+
+
+@dataclass
 class ExperimentWorld:
     """Everything a trial needs: model, clients, server validation set, seeds.
 
@@ -46,6 +73,7 @@ class ExperimentWorld:
     hp_defaults: dict
     base_seed: int
     agg_mode: str = "weighted"
+    plans: PlanMemo = field(default_factory=PlanMemo, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eval_cadence < 1:
@@ -117,9 +145,10 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
     """Train every cohort member from global_w under config, then FedAvg.
 
     All members train together in one models.train_stack pass; client c
-    draws its batches from derive_seed(*seed_key, c.client_id). If any
-    client diverges, NumericDivergenceError names the lowest such
-    client_id, round_index and config.
+    draws its batches from derive_seed(*seed_key, c.client_id). The batch
+    plans come from world.plans, so passes under one seed_key build them
+    once. If any client diverges, NumericDivergenceError names the lowest
+    such client_id, round_index and config.
     Returns (aggregate weights, [(client_id, validation loss)] in
     client_id order).
     """
@@ -129,7 +158,7 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
         world.model_spec, global_w, hp,
         [(c.shard.train.features, c.shard.train.labels,
           c.shard.val.features, c.shard.val.labels) for c in members],
-        [derive_seed(*seed_key, c.client_id) for c in members],
+        None, world.plans.get(world.model_spec, hp, members, seed_key),
     )
     for c, failure in zip(members, failures):
         if failure is not None:

@@ -275,54 +275,118 @@ def _padded_width(n: int, batch_size: int) -> int:
     return width
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds, width: int):
-    """Stacked SGD for shards whose batches all pad to `width` rows.
+@dataclass(frozen=True)
+class BatchPlan:
+    """What a stacked SGD pass over shards of one padded width draws and gathers.
 
-    Float overflow is silenced: the finiteness checks report a diverging row.
-    Returns ((k, P) weights, failures), both in shard order.
+    It depends on the shards, their seeds, epochs, batch_size and whether
+    dropout is on, never on the learning rate, weight decay or dropout
+    rate, so passes of several configs under one training key can share
+    it. Stack row r trains shard members[rows[r]]; rows run longest first,
+    so step t trains rows 0..active[t]-1 on entries start[t]:start[t+1].
+    Every array is read-only.
     """
-    k, epochs, hidden = len(shards), hp.epochs, spec.hidden_dim
+
+    members: np.ndarray  # positions of the width's shards in the shard list
+    rows: np.ndarray
+    active: np.ndarray
+    start: np.ndarray
+    epoch_end: np.ndarray  # (entries,): the entry is its row's last batch of an epoch
+    features: np.ndarray  # (entries, width, input_dim) batch features
+    labels: np.ndarray  # (entries, width); -1 marks a padding row
+    uniforms: np.ndarray | None  # (entries, width, hidden) dropout draws; 1.0 on padding
+
+
+def plan_key(spec: ModelSpec, hp: TrainHp) -> tuple:
+    """(epochs, batch_size, dropout on): the parts of hp a BatchPlan depends on."""
+    return hp.epochs, hp.batch_size, spec.kind == MLP and hp.dropout > 0.0
+
+
+def _plan_width(spec: ModelSpec, shards, seeds, members, width: int, epochs: int,
+                dropout: bool) -> BatchPlan:
+    """The BatchPlan of shards whose batches all pad to `width` rows."""
+    hidden = spec.hidden_dim
     batches = np.array([-(-len(s[1]) // width) for s in shards], dtype=np.int64)
     # Longest rows first, so the rows still training at any step are a prefix.
     rows = np.argsort(-batches, kind="stable")
     steps = epochs * batches[rows]
     features, labels, offsets = _pool([shards[i][:2] for i in rows], spec.input_dim)
     pad = len(labels) - 1
-    use_dropout = spec.kind == MLP and hp.dropout > 0.0
-    keep = 1.0 - hp.dropout
     # Row r's epochs lie back to back from base[r], each padded to whole batches.
     base = np.concatenate([[0], np.cumsum(steps * width)])
     order = np.full(base[-1], pad)
-    kept = np.zeros((base[-1], hidden), dtype=bool) if use_dropout else None
+    uniforms = np.ones((base[-1], hidden)) if dropout else None
     for r, i in enumerate(rows):
         rng = np.random.default_rng(seeds[i])
         n = len(shards[i][1])
         for o in range(base[r], base[r + 1], batches[i] * width):
             order[o : o + n] = offsets[r] + rng.permutation(n)
-            if use_dropout:
-                kept[o : o + n] = rng.random((n, hidden)) < keep
+            if dropout:
+                uniforms[o : o + n] = rng.random((n, hidden))
     # Step t trains rows 0..active[t]-1, each on its t-th batch.
     step_of, row_of = np.nonzero(steps > np.arange(steps.max(initial=0))[:, None])
-    active = np.bincount(step_of, minlength=steps.max(initial=0))
-    start = np.concatenate([[0], np.cumsum(active)])
     batch_of = base[row_of] // width + step_of
     idx = order.reshape(-1, width)[batch_of]
-    if use_dropout:
-        kept = kept.reshape(-1, width, hidden)[batch_of]
-    epoch_end = (step_of + 1) % batches[rows][row_of] == 0
+    active = np.bincount(step_of, minlength=steps.max(initial=0))
+    plan = BatchPlan(
+        members=members,
+        rows=rows,
+        active=active,
+        start=np.concatenate([[0], np.cumsum(active)]),
+        epoch_end=(step_of + 1) % batches[rows][row_of] == 0,
+        features=features[idx],
+        labels=labels[idx],
+        uniforms=uniforms.reshape(-1, width, hidden)[batch_of] if dropout else None,
+    )
+    for a in vars(plan).values():
+        if a is not None:
+            a.flags.writeable = False
+    return plan
 
-    values = np.tile(w.values, (k, 1))
-    failures = [None] * k
-    for t, m in enumerate(active):
-        s = slice(start[t], start[t + 1])
-        g = idx[s]
-        mask = kept[s] / keep if use_dropout else None
-        loss, grad = loss_and_grad(spec, values[:m], features[g], labels[g], dropout_mask=mask)
+
+def plan_batches(spec: ModelSpec, shards, seeds, epochs: int, batch_size: int,
+                 dropout: bool) -> tuple[BatchPlan, ...]:
+    """The BatchPlans of a train_stack pass, one per padded width, widest last.
+
+    shards and seeds are train_stack's; epochs, batch_size and dropout are
+    plan_key of its spec and hp.
+    """
+    if any(len(s[1]) == 0 for s in shards):
+        raise DataError("local_train: empty training split")
+    widths = np.array([_padded_width(len(s[1]), batch_size) for s in shards])
+    plans = []
+    for width in np.unique(widths):
+        members = np.flatnonzero(widths == width)
+        plans.append(_plan_width(spec, [shards[i] for i in members],
+                                 [seeds[i] for i in members], members, width, epochs,
+                                 dropout))
+    return tuple(plans)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, plan: BatchPlan):
+    """Stacked SGD over one BatchPlan under hp.
+
+    Float overflow is silenced: the finiteness checks report a diverging row.
+    Returns ((k, P) weights, failures), both in the plan's member order.
+    """
+    rows = plan.rows
+    keep = 1.0 - hp.dropout
+    # Thresholded once per pass, scaled per step: a pass-wide float
+    # multiplier would be a transient as large as the uniforms, and the
+    # allocator tends to hand that back to the OS and fault it in again.
+    kept = None if plan.uniforms is None else plan.uniforms < keep
+    values = np.tile(w.values, (len(rows), 1))
+    failures = [None] * len(rows)
+    for t, m in enumerate(plan.active):
+        s = slice(plan.start[t], plan.start[t + 1])
+        loss, grad = loss_and_grad(spec, values[:m], plan.features[s], plan.labels[s],
+                                   dropout_mask=None if kept is None else kept[s] / keep)
         values[:m] = sgd_step(values[:m], grad, hp.learning_rate, hp.weight_decay)
         checks = [(~np.isfinite(loss), "non-finite training loss")]
-        if epoch_end[s].any():
-            checks.append((epoch_end[s] & ~np.isfinite(values[:m]).all(axis=1),
+        ends = plan.epoch_end[s]
+        if ends.any():
+            checks.append((ends & ~np.isfinite(values[:m]).all(axis=1),
                            "non-finite weights after epoch"))
         for bad, message in checks:
             for r in np.flatnonzero(bad):
@@ -334,7 +398,7 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds, widt
     return trained, failures
 
 
-def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds):
+def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds, plans=None):
     """Train one copy of w per shard with mini-batch SGD, all in stacked passes.
 
     shards[i] is (train_features, train_labels, val_features, val_labels)
@@ -348,6 +412,9 @@ def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds):
     scored in VAL_BLOCK-row blocks, so row i's weights and loss are bitwise
     independent of the other rows.
 
+    plans, when given, is plan_batches(spec, shards, seeds, *plan_key(spec,
+    hp)) built earlier, and seeds is not read; the result is the same.
+
     Returns ((k, P) weights, (k,) validation losses, failures), with
     failures[i] None or the first non-finite check that row i failed. An
     empty validation split falls back to the loss on the training split.
@@ -356,16 +423,13 @@ def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds):
         raise ConfigurationError(
             f"weight layout {w.layout_id} does not match spec {spec.layout_id}"
         )
-    if any(len(s[1]) == 0 for s in shards):
-        raise DataError("local_train: empty training split")
-    widths = np.array([_padded_width(len(s[1]), hp.batch_size) for s in shards])
+    if plans is None:
+        plans = plan_batches(spec, shards, seeds, *plan_key(spec, hp))
     trained = np.empty((len(shards), len(w.values)))
     failures = [None] * len(shards)
-    for width in np.unique(widths):
-        members = np.flatnonzero(widths == width)
-        trained[members], group_failures = _sgd_pass(
-            spec, w, hp, [shards[i] for i in members], [seeds[i] for i in members], width)
-        for i, failure in zip(members, group_failures):
+    for plan in plans:
+        trained[plan.members], group_failures = _sgd_pass(spec, w, hp, plan)
+        for i, failure in zip(plan.members, group_failures):
             failures[i] = failure
     sets = [(vx, vy) if len(vy) else (tx, ty) for tx, ty, vx, vy in shards]
     val_losses, _ = evaluate_stack(spec, trained, sets, VAL_BLOCK)

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -524,3 +528,132 @@ class TestDivergedTrialTime:
         assert sr.makespan == feedback[1].sim_time
         promoted = next(t for t in sr.trials if t.sim_time == 0.0)
         assert promoted.failed and all(t.failed for t in sr.trials)
+
+
+def mlp_world(**kw):
+    world = make_world(**kw)
+    spec = ModelSpec("mlp", world.model_spec.input_dim, world.model_spec.num_classes, 8)
+    return dataclasses.replace(world, model_spec=spec)
+
+
+def pass_or_failure(world, w, cfg, cohort, round_index, key):
+    """train_cohort's (aggregate bytes, losses), or its divergence's fields."""
+    try:
+        agg, losses = train_cohort(world, w, cfg, cohort, round_index, key)
+    except NumericDivergenceError as err:
+        return str(err), err.client_id, err.round_index, err.config_id
+    return agg.values.tobytes(), losses
+
+
+def cold_plans(monkeypatch):
+    """Make every pass build its batch plans afresh, in a memo of its own."""
+    real = flcore.PlanMemo.get
+    monkeypatch.setattr(flcore.PlanMemo, "get",
+                        lambda self, *args: real(flcore.PlanMemo(), *args))
+
+
+# An adaptive run whose learning-rate grid reaches rates that overflow, so
+# some probes diverge while their siblings and the rounds go on.
+PLANNED = {**DIVERGING, "model": {"kind": "mlp", "hidden_dim": 8}, "sampler": "adaptive",
+           "budget_configs": 2, "eval_cadence": 1,
+           "hp_defaults": {"learning_rate": 0.1, "weight_decay": 1e-3, "epochs": 3,
+                           "batch_size": 8, "dropout": 0.2},
+           "search_space": [
+               {"name": "learning_rate", "scale": "log10", "low": 1e-1, "high": 1e7,
+                "step": 10.0},
+               {"name": "weight_decay", "scale": "log10", "low": 1e-4, "high": 1e-1,
+                "step": 10.0}],
+           "tuned": ["learning_rate", "weight_decay"]}
+
+
+def run_outputs(cfg):
+    sr = runner.run_experiment(cfg).per_seed[0]
+    return [(t.config_id, t.objective, t.accuracy, t.sim_time, t.failed, t.trace)
+            for t in sr.trials], sr.feedback_history
+
+
+class TestBatchPlanMemo:
+    def test_passes_under_one_key_equal_cold_builds(self, monkeypatch):
+        world = mlp_world(n_clients=4, alpha=0.5)
+        w0 = models.init_weights(world.model_spec, 0)
+        key = (world.base_seed, "train", 0, 2)
+        configs = [hp_config(epochs=2), hp_config(epochs=2, learning_rate=0.5),
+                   hp_config(epochs=2, weight_decay=0.1, dropout=0.4),
+                   hp_config(epochs=2, learning_rate=1e40, weight_decay=1.0),
+                   hp_config(epochs=2, dropout=0.0), hp_config(epochs=2, dropout=0.3)]
+        builds = count_calls(monkeypatch, models, "plan_batches")
+        warm = [pass_or_failure(world, w0, cfg, world.clients, 2, key) for cfg in configs]
+        # one plan with dropout draws and one without
+        assert len(builds) == 2
+        for cfg, got in zip(configs, warm):
+            cold = dataclasses.replace(world)  # a fresh memo
+            assert got == pass_or_failure(cold, w0, cfg, world.clients, 2, key)
+        assert isinstance(warm[3][0], str) and "diverged in round 2" in warm[3][0]
+        assert sum(isinstance(g[0], bytes) for g in warm) == 5
+
+    def test_diverging_probes_leave_siblings_and_rounds_exact(self, monkeypatch):
+        cfg = config_from_dict(PLANNED)
+        failed = []
+        real = models.train_stack
+
+        def train_stack(*args):
+            out = real(*args)
+            failed.append(any(f is not None for f in out[2]))
+            return out
+
+        monkeypatch.setattr(models, "train_stack", train_stack)
+        warm = run_outputs(cfg)
+        assert any(failed) and not all(failed)
+        cold_plans(monkeypatch)
+        assert run_outputs(cfg) == warm
+
+    def test_nan_client_fails_alone_under_a_shared_key(self):
+        world = mlp_world(n_clients=4, alpha=0.5)
+        world.clients[2].shard.train.features[0, 0] = np.nan
+        w0 = models.init_weights(world.model_spec, 0)
+        key = (world.base_seed, "train", 1, 3)
+        healthy = [c for c in world.clients if c.client_id != 2]
+        for cfg in (hp_config(), hp_config(learning_rate=0.3, dropout=0.4)):
+            for cohort in (world.clients, healthy):
+                got = pass_or_failure(world, w0, cfg, cohort, 3, key)
+                assert got == pass_or_failure(dataclasses.replace(world), w0, cfg, cohort,
+                                              3, key)
+                assert isinstance(got[0], bytes) == (cohort is healthy)
+
+    @pytest.mark.parametrize("sampler,shared", [("adaptive", True), ("random", False),
+                                                ("halving", False)])
+    def test_one_plan_build_per_training_key(self, monkeypatch, sampler, shared):
+        lr = {"name": "learning_rate", "scale": "log10", "low": 1e-3, "high": 1e-1,
+              "step": 10.0}
+        cfg = config_from_dict({**PLANNED, "sampler": sampler, "budget_configs": 4,
+                                "search_space": [lr, PLANNED["search_space"][1]]})
+        builds = count_calls(monkeypatch, models, "plan_batches")
+        passes = count_calls(monkeypatch, models, "train_stack")
+        rows = runner.run_experiment(cfg).per_seed[0].trials
+        if shared:
+            # every round a trial ran (eval_cadence 1: one trace entry per
+            # round) is one training key, shared by its probes and itself
+            assert not any(r.failed for r in rows)
+            assert len(builds) == sum(len(r.trace) for r in rows) < len(passes)
+        else:
+            assert len(builds) == len(passes)
+
+    def test_a_new_key_drops_the_previous_keys_plans(self):
+        world = mlp_world(n_clients=3)
+        w0 = models.init_weights(world.model_spec, 0)
+        train_cohort(world, w0, hp_config(), world.clients, 1, (0, "train", 0, 1))
+        train_cohort(world, w0, hp_config(dropout=0.0), world.clients, 1, (0, "train", 0, 1))
+        old = [weakref.ref(p) for plans in world.plans.plans.values() for p in plans]
+        assert len(world.plans.plans) == 2 and old
+        train_cohort(world, w0, hp_config(), world.clients, 2, (0, "train", 0, 2))
+        gc.collect()
+        assert world.plans.seed_key == (0, "train", 0, 2)
+        assert len(world.plans.plans) == 1
+        assert all(ref() is None for ref in old)
+        # a plan keeps the raw dropout uniforms, not a keep-rate multiplier
+        (plans,) = world.plans.plans.values()
+        for plan in plans:
+            real = plan.labels >= 0
+            assert np.all(plan.uniforms[~real] == 1.0)
+            u = plan.uniforms[real]
+            assert np.all((u >= 0.0) & (u < 1.0)) and len(np.unique(u)) == u.size

@@ -240,6 +240,40 @@ class TestTrainStack:
         assert failures == [None, "non-finite training loss", None, None, None, None]
 
 
+class TestBatchPlan:
+    def test_shared_plans_equal_cold_builds(self):
+        spec = ENGINE_CASES[1][0]
+        shards = engine_shards()
+        bad = list(shards[1])
+        bad[0] = np.full_like(bad[0], np.nan)
+        shards[1] = tuple(bad)
+        seeds = [21, 22, 23, 24, 25, 26]
+        w = models.init_weights(spec, 5)
+        configs = [default_hp(epochs=2, dropout=0.3), default_hp(epochs=2, dropout=0.1),
+                   default_hp(epochs=2, dropout=0.5, learning_rate=1e200, weight_decay=1.0),
+                   default_hp(epochs=2, dropout=0.3, learning_rate=0.02, weight_decay=0.1)]
+        plans = models.plan_batches(spec, shards, seeds, *models.plan_key(spec, configs[0]))
+        for hp in configs:
+            shared = models.train_stack(spec, w, hp, shards, None, plans)
+            cold = models.train_stack(spec, w, hp, shards, seeds)
+            assert shared[0].tobytes() == cold[0].tobytes()
+            assert shared[1].tobytes() == cold[1].tobytes()
+            assert shared[2] == cold[2]
+            assert shared[2][1] == "non-finite training loss"
+        # the overflowing config fails every row, the others only the NaN one
+        assert None not in models.train_stack(spec, w, configs[2], shards, None, plans)[2]
+
+    def test_plan_arrays_are_read_only(self):
+        spec, hp = ENGINE_CASES[1]
+        plans = models.plan_batches(spec, engine_shards(), [0] * 6, *models.plan_key(spec, hp))
+        assert len(plans) == 2
+        for plan in plans:
+            for name, array in vars(plan).items():
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    array.reshape(-1)[:1] = 0
+
+
 class TestEvaluate:
     def test_loss_nonnegative(self):
         x, y = make_blob(3)
