@@ -66,15 +66,20 @@ def gen_synthetic(
     return Dataset(features, labels.astype(np.int64))
 
 
-def _largest_remainder_counts(total: int, fractions) -> list[int]:
-    """Integer allocation of `total` by `fractions`, off by at most one each."""
-    raw = [f * total for f in fractions]
-    base = [int(np.floor(r)) for r in raw]
-    short = total - sum(base)
-    order = sorted(range(len(raw)), key=lambda i: (-(raw[i] - base[i]), i))
-    for i in order[:short]:
-        base[i] += 1
-    return base
+def _largest_remainder_rows(totals: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """Integer allocation of totals[r] by fractions[r] for every row r, each
+    part off by at most one: the units left after flooring go to the
+    largest remainders, ties to the lower index."""
+    raw = fractions * totals[:, None]
+    base = np.floor(raw)
+    behind = base - raw  # minus the remainders: the lowest get a unit first
+    short = totals - base.astype(np.int64).sum(axis=1)  # units left per row
+    # the short-th lowest of each row; below it all get a unit, at it the first
+    cut = np.sort(behind, axis=1)[np.arange(len(raw)), np.clip(short - 1, 0, raw.shape[1] - 1)]
+    ahead = behind < cut[:, None]
+    tied = behind == cut[:, None]
+    extra = ahead | (tied & (np.cumsum(tied, axis=1) <= (short - ahead.sum(axis=1))[:, None]))
+    return base.astype(np.int64) + extra
 
 
 def partition_dirichlet(
@@ -103,28 +108,20 @@ def partition_dirichlet(
     if len(ds) == 0:
         raise DataError("partition_dirichlet: empty dataset")
     rng = np.random.default_rng(seed)
-    classes = np.unique(ds.labels)
-    by_class = {c: np.flatnonzero(ds.labels == c) for c in classes}
+    by_class = [np.flatnonzero(ds.labels == c) for c in np.unique(ds.labels)]
+    class_sizes = np.array([len(idx) for idx in by_class])
 
     for _ in range(max_retries):
-        client_idx = [[] for _ in range(n_clients)]
-        for c in classes:
-            idx = by_class[c].copy()
+        shuffled, props = [], []
+        for idx in by_class:
+            idx = idx.copy()
             rng.shuffle(idx)
-            props = rng.dirichlet(np.full(n_clients, alpha))
-            counts = _largest_remainder_counts(len(idx), props)
-            pos = 0
-            for k, cnt in enumerate(counts):
-                client_idx[k].append(idx[pos : pos + cnt])
-                pos += cnt
-        allocations = [
-            np.concatenate(parts) if parts else np.array([], dtype=np.int64)
-            for parts in client_idx
-        ]
-        train_counts = [
-            _largest_remainder_counts(len(a), split)[0] for a in allocations
-        ]
-        if all(t >= min_train for t in train_counts):
+            shuffled.append(idx)
+            props.append(rng.dirichlet(np.full(n_clients, alpha)))
+        counts = _largest_remainder_rows(class_sizes, np.array(props))  # (classes, clients)
+        sizes = counts.sum(axis=0)
+        splits = _largest_remainder_rows(sizes, np.tile(split, (n_clients, 1)))
+        if (splits[:, 0] >= min_train).all():
             break
     else:
         raise PartitionError(
@@ -133,12 +130,17 @@ def partition_dirichlet(
             f"n_clients={n_clients})"
         )
 
+    # each client's allocation: its part of every class, in class order,
+    # gathered from the class-major concatenation of the shuffled classes
+    starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape).T.ravel()
+    lens = counts.T.ravel()
+    gather = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    flat = np.concatenate(shuffled)[gather]
     shards = []
-    for cid, alloc in enumerate(allocations):
-        alloc = alloc.copy()
+    for cid, alloc in enumerate(np.split(flat, np.cumsum(sizes)[:-1])):
         shuffle_rng = np.random.default_rng(derive_seed(seed, "shard-split", cid))
         shuffle_rng.shuffle(alloc)
-        n_tr, n_va, n_te = _largest_remainder_counts(len(alloc), split)
+        n_tr, n_va, _ = splits[cid]
         tr = alloc[:n_tr]
         va = alloc[n_tr : n_tr + n_va]
         te = alloc[n_tr + n_va :]

@@ -289,9 +289,15 @@ class RandomSampler:
     store), plan(e, config) -> (trial key, round budget, walk or None) and
     commit(outcome), which takes evaluation e's runner.EvalOutcome at its
     simulated finish. Evaluation e continues the latest committed evaluation
-    of its trial key, if any; the report has one row per key. Here the key
-    is e, and e's config depends only on (seed, e), not on scheduling.
+    of its trial key, if any; the report has one row per key. A sampler is
+    feedback_free when it reads no feedback: neither the store nor commit
+    changes a config or plan, and no trial key repeats, so an evaluation
+    can run before dispatch issues it. Random search reads no feedback:
+    the key is e, and e's config depends only on (seed, e), not on
+    scheduling.
     """
+
+    feedback_free = True
 
     def __init__(self, space: SearchSpace, seed: int, num_evals: int, rounds_per_trial: int):
         self.space = space
@@ -319,6 +325,8 @@ class AdaptiveSampler(RandomSampler):
     An evaluation moves its own walk(), which explores with an rng keyed by
     the evaluation index and changes this sampler only through commit().
     """
+
+    feedback_free = False
 
     def __init__(self, space: SearchSpace, tuned, epsilon: float, seed: int, num_evals: int,
                  rounds_per_trial: int):
@@ -405,6 +413,8 @@ class HalvingSampler(RandomSampler):
     evaluation of a rung must have finished before the next rung is
     issued, which holds on one group.
     """
+
+    feedback_free = False
 
     def __init__(self, space: SearchSpace, seed: int, n_configs: int, max_rounds: int):
         self.rungs = halving_rungs(n_configs, max_rounds)

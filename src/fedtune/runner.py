@@ -280,7 +280,38 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
     return EvalOutcome(trial_key, row, result, records, walk)
 
 
-def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
+def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
+    """The evaluations whose group is known before any runs,
+    sched.first_issues, run before dispatch starts in up to cpus lanes
+    (lanes.run_jobs), balanced by cohort training rows times epochs. Only
+    for a feedback_free sampler, more than one CPU and a platform with
+    os.fork. Returns eval index -> (group id, config id, EvalOutcome or the
+    exception it raised).
+    """
+    if cpus < 2 or not sampler.feedback_free or not hasattr(os, "fork"):
+        return {}
+    from . import lanes  # loaded only by runs that fork lanes
+
+    issues = {e: (group, sampler.start_config(e, FeedbackStore()))
+              for e, group in sched.first_issues(groups, sampler.num_evals)}
+
+    def cost(e):
+        group, config = issues[e]
+        members = set(group.members)
+        rows = sum(len(c.shard.train) for c in world.clients if c.client_id in members)
+        return rows * max(1, to_train_hp(config, world.hp_defaults).epochs)
+
+    def run(e):
+        group, config = issues[e]
+        return _run_one_eval(cfg, world, group, config, e, seed, sampler.plan(e, config), None)
+
+    done = lanes.run_jobs(issues, cost, run, cpus)
+    return {e: (issues[e][0].group_id, issues[e][1].config_id, r) for e, r in done.items()}
+
+
+def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
+    """One seed's report; with cpus > 1, sampler permitting, _run_ahead runs
+    the first evaluations in forked lanes."""
     world = build_world(cfg, seed)
     space = cfg.search_space()
     store = FeedbackStore()
@@ -301,10 +332,17 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedReport:
         sampler.commit(outcome)
         committed[outcome.trial_key] = outcome
 
+    ahead = _run_ahead(cfg, world, sampler, groups, seed, cpus)
+
     def run_eval(group, config, eval_index):
         plan = sampler.plan(eval_index, config)  # (trial key, round budget, walk)
         resume = committed[plan[0]].result if plan[0] in committed else None
-        outcome = _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume)
+        *issued, outcome = ahead.pop(eval_index, (None, None, None))
+        # A zero-duration evaluation frees its group at t=0 and moves later issues.
+        if issued != [group.group_id, config.config_id]:
+            outcome = _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume)
+        elif isinstance(outcome, Exception):
+            raise outcome
         return outcome.row.sim_time, lambda: commit(outcome)
 
     result = sched.dispatch(groups, sampler.num_evals,
@@ -368,20 +406,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Seeds are independent: each builds its own world, sampler, feedback
     store and RNG streams. With more than one seed and more than one usable
     CPU, on a platform with os.fork, they run in min(seeds, usable CPUs)
-    forked worker processes; otherwise inline, starting no process. Each
-    worker holds its own world, so peak memory grows with the number of
-    workers. per_seed follows cfg["seeds"] order either way, and each
-    report equals that seed's one-seed run. A failing seed raises its own
-    error, the first in seed order. Seeds start in seed order, at most one
-    per worker at a time, and none starts once a seed has failed; a worker
-    process that dies raises FedTuneError.
+    forked worker processes; otherwise inline. Inline, a one-seed run whose
+    sampler reads no feedback (random search) may fork too: with more than
+    one usable CPU, it runs the evaluations whose group is known before any
+    runs in up to that many lanes, itself and forked children. Any other
+    inline run starts no process. Each worker holds its own world, so peak
+    memory grows with the number of workers. per_seed follows cfg["seeds"]
+    order either way, and each report equals that seed's one-seed run on
+    one CPU. A failing seed raises its own error, the first in seed order.
+    Seeds start in seed order, at most one per worker at a time, and none
+    starts once a seed has failed; a worker process or lane that dies
+    raises FedTuneError.
     """
-    seeds = cfg["seeds"]
-    workers = min(len(seeds), _usable_cpus())
+    seeds, cpus = cfg["seeds"], _usable_cpus()
+    workers = min(len(seeds), cpus)
     if workers > 1 and hasattr(os, "fork"):
         per_seed = _run_seeds_in_pool(cfg, seeds, workers)
     else:
-        per_seed = [_run_seed(cfg, seed) for seed in seeds]
+        per_seed = [_run_seed(cfg, seed, cpus) for seed in seeds]
     return ExperimentReport(config=cfg.to_dict(), per_seed=per_seed)
 
 

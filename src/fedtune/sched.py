@@ -87,6 +87,18 @@ class DispatchResult:
     makespan: float
 
 
+def first_issues(groups: list[ClientGroup], num_evals: int) -> list[tuple[int, ClientGroup]]:
+    """The (eval index, group) issues of dispatch known before any evaluation
+    runs: every evaluation with one group, else the first min(groups,
+    num_evals), issued at t=0 one per group in group-id order. They equal
+    dispatch's issues unless an evaluation takes zero simulated time, which
+    frees its group at t=0 again.
+    """
+    if len(groups) == 1:
+        return [(e, groups[0]) for e in range(num_evals)]
+    return list(enumerate(sorted(groups, key=lambda g: g.group_id)[:num_evals]))
+
+
 def dispatch(groups: list[ClientGroup], num_evals: int, issue, run_eval) -> DispatchResult:
     """Run `num_evals` HP evaluations asynchronously across groups.
 

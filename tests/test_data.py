@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedtune import data, models
-from fedtune.common import ConfigurationError, DataError, PartitionError
+from fedtune.common import ConfigurationError, DataError, PartitionError, derive_seed
 from fedtune.models import ModelSpec, TrainHp
 
 
@@ -100,6 +100,68 @@ class TestPartitionDirichlet:
         ds = data.gen_synthetic(2, 4, 30, 2.0, seed=0)
         with pytest.raises(PartitionError):
             data.partition_dirichlet(ds, 10, 1.0, seed=0)
+
+
+def largest_remainder_counts(total, fractions):
+    """The loop reference: integer allocation of total by fractions."""
+    raw = [f * total for f in fractions]
+    base = [int(np.floor(r)) for r in raw]
+    order = sorted(range(len(raw)), key=lambda i: (-(raw[i] - base[i]), i))
+    for i in order[:total - sum(base)]:
+        base[i] += 1
+    return base
+
+
+def reference_partition(ds, n_clients, alpha, split, seed, min_train):
+    """The loop reference for partition_dirichlet: each client's
+    (train, val, test) indices, or the PartitionError message."""
+    rng = np.random.default_rng(seed)
+    classes = np.unique(ds.labels)
+    for _ in range(100):
+        parts = [[] for _ in range(n_clients)]
+        for c in classes:
+            idx = np.flatnonzero(ds.labels == c)
+            rng.shuffle(idx)
+            counts = largest_remainder_counts(len(idx), rng.dirichlet(np.full(n_clients, alpha)))
+            ends = np.cumsum(counts)
+            for k in range(n_clients):
+                parts[k].append(idx[ends[k] - counts[k]:ends[k]])
+        allocations = [np.concatenate(p) for p in parts]
+        if all(largest_remainder_counts(len(a), split)[0] >= min_train for a in allocations):
+            break
+    else:
+        return (f"could not give every client >= {min_train} training samples after 100 "
+                f"Dirichlet draws (alpha={alpha}, n_clients={n_clients})")
+    shards = []
+    for cid, alloc in enumerate(allocations):
+        np.random.default_rng(derive_seed(seed, "shard-split", cid)).shuffle(alloc)
+        n_tr, n_va, _ = largest_remainder_counts(len(alloc), split)
+        shards.append((alloc[:n_tr], alloc[n_tr:n_tr + n_va], alloc[n_tr + n_va:]))
+    return shards
+
+
+def test_partition_equals_loop_reference():
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for world in range(40):
+        ds = data.gen_synthetic(int(rng.integers(2, 12)), 3, int(rng.integers(20, 1000)), 2.0,
+                                world)
+        args = (int(rng.integers(1, 60)), float(10 ** rng.uniform(-2, 3)),
+                [(0.6, 0.2, 0.2), (0.5, 0.25, 0.25), (0.7, 0.2, 0.1)][world % 3],
+                int(rng.integers(1 << 30)), int(rng.integers(0, 15)))
+        expected = reference_partition(ds, *args)
+        try:
+            got = [(s.train_idx, s.val_idx, s.test_idx)
+                   for s in data.partition_dirichlet(ds, *args[:4], min_train=args[4])]
+        except PartitionError as err:
+            got = str(err)
+        outcomes.add(type(got))
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert [[p.tolist() for p in s] for s in got] == \
+                [[p.tolist() for p in s] for s in expected]
+    assert outcomes == {list, str}  # shards on some worlds, PartitionError on others
 
 
 class TestCsvLoader:

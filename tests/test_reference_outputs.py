@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fedtune import cli
+from fedtune import cli, runner
 
 OUTPUT_FILES = ("trials.csv", "curves.csv", "report.json", "events.jsonl",
                 "best_weights.json")
@@ -88,3 +88,12 @@ def output_digests(cfg: dict) -> dict:
 def test_outputs_match_reference(sampler, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert output_digests(CONFIGS[sampler]) == REFERENCE[sampler]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_random_outputs_match_reference_at_usable_cpus(cpus, tmp_path, monkeypatch):
+    # One seed of random search runs its first evaluations in forked lanes
+    # when a CPU is spare, and inline on one CPU; both write the same bytes.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    assert output_digests(CONFIGS["random"]) == REFERENCE["random"]

@@ -2,9 +2,13 @@
 more than one seed and more than one usable CPU, with the same reports,
 files and errors as running them one after another. And the runner's
 continuation rule: an evaluation continues the latest committed one of its
-trial key, which random and adaptive search never repeat."""
+trial key, which random and adaptive search never repeat. And a one-seed
+random search, which reads no feedback, runs the evaluations whose group is
+known before any runs in forked lanes, with the same report and errors as
+inline."""
 
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -13,8 +17,8 @@ import pytest
 import yaml
 
 import fedtune
-from fedtune import cli, flcore, runner
-from fedtune.common import FedTuneError, PartitionError
+from fedtune import cli, runner, sched
+from fedtune.common import FedTuneError, FeedbackError, PartitionError
 from fedtune.config import config_from_dict
 
 # The pool forks its workers, and several tests rely on that: patches made
@@ -200,14 +204,187 @@ class TestSeedPoolFailures:
 ], ids=["random", "adaptive"])
 def test_random_and_adaptive_evaluations_start_fresh(overrides, monkeypatch):
     # A trial key that repeated would continue another evaluation's weights.
-    run_trial, calls = flcore.run_trial, []
+    # Random search may run evaluations in a forked child, where no spy in
+    # this process sees them, so each row carries what its evaluation ran.
+    run_one_eval = runner._run_one_eval
 
-    def spy(*args, **kwargs):
-        calls.append((kwargs["trial_index"], kwargs["resume"]))
-        return run_trial(*args, **kwargs)
+    def spy(cfg, world, group, config, eval_index, seed, plan, resume):
+        outcome = run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume)
+        outcome.row.ran = (eval_index, plan[0], resume)  # (evaluation, trial key, resume)
+        return outcome
 
-    monkeypatch.setattr(flcore, "run_trial", spy)
-    runner.run_experiment(config_from_dict({**TINY, **overrides, "budget_configs": 4,
-                                            "seeds": [1]}))
-    # dispatch runs evaluation e as the e-th call
-    assert calls == [(e, None) for e in range(4)]
+    monkeypatch.setattr(runner, "_run_one_eval", spy)
+    report = runner.run_experiment(config_from_dict({**TINY, **overrides, "budget_configs": 4,
+                                                     "seeds": [1]}))
+    # one row per trial key, in key order: evaluation e ran key e, fresh
+    assert [t.ran for t in report.per_seed[0].trials] == [(e, e, None) for e in range(4)]
+
+
+# Epochs are not tuned here, so no evaluation takes zero simulated time.
+RANDOM_ASYNC = {**TINY, "sampler": "random", "grouping": {"mode": "async", "window": "auto"},
+                "n_clients": 6, "budget_configs": 5, "seeds": [1], "search_space": [
+                    {"name": "learning_rate", "scale": "log10", "low": 1e-3, "high": 1.0,
+                     "step": 10.0},
+                    {"name": "dropout", "scale": "linear", "low": 0.1, "high": 0.5,
+                     "step": 0.2}],
+                "tuned": ["learning_rate", "dropout"]}
+# The criterion-7 world: epochs are tuned from 0, and with rounds_per_trial
+# <= eval_cadence an evaluation with epochs 0 takes no simulated time.
+CRITERION7 = {
+    "dataset": {"type": "synthetic", "num_classes": 4, "input_dim": 6,
+                "n": 1200, "class_sep": 3.0},
+    "n_clients": 20,
+    "alpha": 1.0,
+    "model": {"kind": "logistic"},
+    "sampler": "random",
+    "budget_configs": 6,
+    "rounds_per_trial": 3,
+    "eval_cadence": 3,
+    "latency": {"base_min": 0.2, "base_max": 5.0, "jitter_sigma": 0.3},
+    "grouping": {"mode": "async", "window": "auto"},
+    "seeds": [2],
+}
+
+
+def fork_pids(monkeypatch):
+    """The pid of every child os.fork starts from now on."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def one_seed_report(monkeypatch, overrides, cpus):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    return runner.run_experiment(config_from_dict(overrides)).per_seed[0]
+
+
+class TestRunAhead:
+    """A one-seed random run computes the evaluations dispatch issues before
+    any simulated time passes in forked lanes, with the same report."""
+
+    @pytest.mark.parametrize("overrides", [RANDOM_ASYNC, {**RANDOM_ASYNC, "grouping":
+                                                          {"mode": "sync"}}],
+                             ids=["async", "sync"])
+    def test_report_equals_one_cpu_run_and_one_child_is_reaped(self, overrides,
+                                                                monkeypatch):
+        pids = fork_pids(monkeypatch)
+        alone = one_seed_report(monkeypatch, overrides, 1)
+        assert pids == []
+        laned = one_seed_report(monkeypatch, overrides, 2)
+        assert len(pids) == 1
+        assert_reaped(pids)
+        assert seed_report_key(laned) == seed_report_key(alone)
+
+    def test_zero_duration_evaluations_are_recomputed_inline(self, monkeypatch):
+        pids = fork_pids(monkeypatch)
+        alone = one_seed_report(monkeypatch, CRITERION7, 1)
+        laned = one_seed_report(monkeypatch, CRITERION7, 2)
+        assert len(pids) == 1
+        assert_reaped(pids)
+        assert seed_report_key(laned) == seed_report_key(alone)
+        # evaluation 0 takes no simulated time, so dispatch issues evaluations
+        # 1.. to other groups than the ones they ran on ahead
+        cfg = config_from_dict(CRITERION7)
+        groups = runner.make_groups(cfg, runner.build_world(cfg, 2), 2)
+        assert alone.trials[0].sim_time == 0.0
+        moved = [e for e, g in sched.first_issues(groups, 6)
+                 if alone.trials[e].group_id != g.group_id]
+        assert moved == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("sampler", ["adaptive", "halving"])
+    def test_samplers_that_read_feedback_fork_nothing(self, sampler, monkeypatch):
+        pids = fork_pids(monkeypatch)
+        overrides = {**TINY, "sampler": sampler, "budget_configs": 3, "seeds": [1]}
+        one_seed_report(monkeypatch, overrides, 2)
+        assert pids == []
+
+    def test_runs_inline_when_fork_fails_or_is_missing(self, monkeypatch):
+        alone = one_seed_report(monkeypatch, RANDOM_ASYNC, 1)
+
+        def failing_fork():
+            raise BlockingIOError("no more processes")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert seed_report_key(one_seed_report(monkeypatch, RANDOM_ASYNC, 2)) == \
+            seed_report_key(alone)
+        monkeypatch.delattr(os, "fork")
+        assert seed_report_key(one_seed_report(monkeypatch, RANDOM_ASYNC, 2)) == \
+            seed_report_key(alone)
+
+    def test_child_that_dies_raises_fedtune_error(self, monkeypatch):
+        parent, run_one_eval = os.getpid(), runner._run_one_eval
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return run_one_eval(*args)
+
+        monkeypatch.setattr(runner, "_run_one_eval", dying)
+        pids = fork_pids(monkeypatch)
+        with pytest.raises(FedTuneError, match="worker process died"):
+            one_seed_report(monkeypatch, RANDOM_ASYNC, 2)
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+
+class TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its message alone."""
+
+    def __init__(self, message, _):
+        super().__init__(message)
+
+
+class UnpicklableError(Exception):
+    """Holds a lambda, so it does not pickle."""
+
+    def __init__(self, message, _):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+@pytest.mark.parametrize("error", [FeedbackError, TwoArgError, UnpicklableError])
+def test_prefetched_evaluation_raises_like_inline(error, monkeypatch):
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(TwoArgError("x", 1)))
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(UnpicklableError("x", 1))
+    # the point an error surfaces at: the evaluations dispatch has issued,
+    # and those it has committed
+    run_one_eval, dispatch = runner._run_one_eval, sched.dispatch
+    issued, committed = [], []
+    monkeypatch.setattr(sched, "dispatch", lambda groups, n, issue, run_eval: dispatch(
+        groups, n, lambda g, e: issued.append(e) or issue(g, e), run_eval))
+    monkeypatch.setattr(runner.hpo.RandomSampler, "commit",
+                        lambda self, outcome: committed.append(outcome.trial_key))
+    for failing in range(RANDOM_ASYNC["budget_configs"]):  # in either lane
+
+        def raising(*args):
+            if args[4] == failing:
+                raise (error(f"boom at {failing}") if error is FeedbackError
+                       else error(f"boom at {failing}", failing))
+            return run_one_eval(*args)
+
+        monkeypatch.setattr(runner, "_run_one_eval", raising)
+        seen = {}
+        for cpus in (1, 2):
+            issued.clear()
+            committed.clear()
+            with pytest.raises(error) as info:
+                one_seed_report(monkeypatch, RANDOM_ASYNC, cpus)
+            seen[cpus] = (type(info.value), str(info.value), list(issued), list(committed))
+        assert seen[2] == seen[1]
+        assert str(failing) in seen[1][1] and seen[1][2] == list(range(failing + 1))
