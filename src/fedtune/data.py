@@ -33,9 +33,6 @@ class DataShard:
     val_idx: np.ndarray
     test_idx: np.ndarray
 
-    def all_indices(self) -> np.ndarray:
-        return np.concatenate([self.train_idx, self.val_idx, self.test_idx])
-
 
 def gen_synthetic(
     num_classes: int, input_dim: int, n: int, class_sep: float, seed: int

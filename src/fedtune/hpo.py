@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from collections import ChainMap
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -177,11 +177,6 @@ class FeedbackStore:
 
     def count(self, config_id: str) -> int:
         return self._count.get(config_id, 0)
-
-    def export_jsonl(self, path):
-        with open(path, "w", newline="\n") as fh:
-            for rec in self.history:
-                fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
 
 
 def combine_feedback(lf, gf: float, n_j: int) -> float:

@@ -1,7 +1,9 @@
 """Independent jobs run in lanes: this process and forked children.
 
-Only a run that forks lanes imports this module, so no other run pays for
-loading it.
+The one way fedtune forks. runner.run_experiment runs the seeds of a
+multi-seed run here, and runner._run_ahead the first evaluations of a
+one-seed random search. Only a run that forks lanes imports this module,
+so no other run pays for loading it.
 """
 
 import os
@@ -12,7 +14,8 @@ from .common import FedTuneError
 
 
 def run_jobs(jobs: dict, cost, run, lanes: int) -> dict:
-    """run(key) for every key of jobs, in min(lanes, len(jobs)) lanes.
+    """run(key) for every key of jobs, in min(lanes, len(jobs)) lanes; a key
+    is a seed or an evaluation index.
 
     Keys are split across the lanes by cost(key), largest first, each to
     the lane with the least cost so far; this process is lane 0 and every
@@ -75,7 +78,7 @@ def run_jobs(jobs: dict, cost, run, lanes: int) -> dict:
             reader.close()
             children.pop(0)
             if os.waitpid(pid, 0)[1] != 0:
-                raise FedTuneError("an evaluation's worker process died")
+                raise FedTuneError("a worker process died")
             try:
                 done += pickle.loads(payload)
             except Exception:  # an exception that does not unpickle

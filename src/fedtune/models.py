@@ -57,9 +57,6 @@ class WeightVector:
     values: np.ndarray
     layout_id: str
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
 
 @dataclass(frozen=True)
 class TrainHp:

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import data, flcore, hpo, models, sched
-from .common import ConfigurationError, FedTuneError, NumericDivergenceError, derive_seed
+from .common import ConfigurationError, NumericDivergenceError, derive_seed
 from .config import ExperimentConfig
 from .flcore import ExperimentWorld, to_train_hp
 from .hpo import FeedbackRecord, FeedbackStore, combine_feedback
@@ -378,52 +378,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_seeds_in_pool(cfg: ExperimentConfig, seeds: list, workers: int) -> list[SeedReport]:
-    # Imported here so that one-seed runs do not pay for the modules.
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            # One seed per worker at a time, in seed order; none after a failure.
-            futures = []
-            for seed in seeds:
-                running = [f for f in futures if not f.done()]
-                if len(running) >= workers:
-                    wait(running, return_when=FIRST_COMPLETED)
-                if any(f.done() and f.exception() for f in futures):
-                    break
-                futures.append(pool.submit(_run_seed, cfg, seed))
-            return [f.result() for f in futures]
-    except BrokenProcessPool as err:
-        raise FedTuneError(f"a seed's worker process died: {err}") from err
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run every seed of cfg and collect one SeedReport per seed.
+    """Run every seed of cfg and collect one SeedReport per seed, in
+    cfg["seeds"] order; each equals that seed's one-seed run on one CPU.
 
-    Seeds are independent: each builds its own world, sampler, feedback
-    store and RNG streams. With more than one seed and more than one usable
-    CPU, on a platform with os.fork, they run in min(seeds, usable CPUs)
-    forked worker processes; otherwise inline. Inline, a one-seed run whose
-    sampler reads no feedback (random search) may fork too: with more than
-    one usable CPU, it runs the evaluations whose group is known before any
-    runs in up to that many lanes, itself and forked children. Any other
-    inline run starts no process. Each worker holds its own world, so peak
-    memory grows with the number of workers. per_seed follows cfg["seeds"]
-    order either way, and each report equals that seed's one-seed run on
-    one CPU. A failing seed raises its own error, the first in seed order.
-    Seeds start in seed order, at most one per worker at a time, and none
-    starts once a seed has failed; a worker process or lane that dies
-    raises FedTuneError.
+    With more than one seed and more than one usable CPU, on a platform
+    with os.fork, the seeds run in min(seeds, usable CPUs) lanes
+    (lanes.run_jobs): this process and forked children, each holding its
+    own world. Otherwise they run inline, where a one-seed random search may
+    fork lanes for its first evaluations (_run_ahead). A lane starts no seed
+    after its own seed failed, while the other lanes finish theirs; a seed
+    no lane ran runs inline here. A failing seed raises its own error, the
+    first in seed order; a lane that dies raises FedTuneError.
     """
     seeds, cpus = cfg["seeds"], _usable_cpus()
-    workers = min(len(seeds), cpus)
-    if workers > 1 and hasattr(os, "fork"):
-        per_seed = _run_seeds_in_pool(cfg, seeds, workers)
-    else:
-        per_seed = [_run_seed(cfg, seed, cpus) for seed in seeds]
+    done = {}
+    if len(seeds) > 1 and cpus > 1 and hasattr(os, "fork"):
+        from . import lanes  # loaded only by runs that fork lanes
+        done = lanes.run_jobs(dict.fromkeys(seeds), lambda s: 1, lambda s: _run_seed(cfg, s), cpus)
+    per_seed = []
+    for seed in seeds:
+        if isinstance(done.get(seed), Exception):
+            raise done[seed]
+        per_seed.append(done[seed] if seed in done else _run_seed(cfg, seed, cpus))
     return ExperimentReport(config=cfg.to_dict(), per_seed=per_seed)
 
 

@@ -134,7 +134,7 @@ def test_criterion_06_partition_properties():
         alpha = float(rng.uniform(0.2, 50.0))
         shards = data.partition_dirichlet(ds, n_clients, alpha,
                                           seed=int(rng.integers(1 << 30)))
-        all_idx = np.concatenate([s.all_indices() for s in shards])
+        all_idx = np.concatenate([np.r_[s.train_idx, s.val_idx, s.test_idx] for s in shards])
         conserved &= sorted(all_idx) == list(range(len(ds)))
     entropies = []
     for alpha in (0.1, 1.0, 10.0, 100.0):
@@ -142,7 +142,8 @@ def test_criterion_06_partition_properties():
         for seed in range(20):
             shards = data.partition_dirichlet(ds, 10, alpha, seed=seed)
             vals.append(np.mean([
-                data.label_entropy(ds.labels[s.all_indices()], 10) for s in shards
+                data.label_entropy(ds.labels[np.r_[s.train_idx, s.val_idx, s.test_idx]], 10)
+                for s in shards
             ]))
         entropies.append(float(np.mean(vals)))
     monotone = all(a <= b + 1e-12 for a, b in zip(entropies, entropies[1:]))

@@ -6,6 +6,10 @@ from fedtune.common import ConfigurationError, DataError, PartitionError, derive
 from fedtune.models import ModelSpec, TrainHp
 
 
+def all_indices(shard) -> np.ndarray:
+    return np.concatenate([shard.train_idx, shard.val_idx, shard.test_idx])
+
+
 class TestGenSynthetic:
     def test_deterministic(self):
         a = data.gen_synthetic(3, 5, 100, 2.0, seed=9)
@@ -40,25 +44,25 @@ class TestPartitionDirichlet:
         ds = data.gen_synthetic(3, 4, 90, 2.0, seed=0)
         shards = data.partition_dirichlet(ds, 1, 1.0, seed=0)
         assert len(shards) == 1
-        assert sorted(shards[0].all_indices()) == list(range(90))
+        assert sorted(all_indices(shards[0])) == list(range(90))
 
     def test_conservation(self):
         ds = data.gen_synthetic(5, 4, 500, 2.0, seed=2)
         shards = data.partition_dirichlet(ds, 5, 0.5, seed=7)
-        all_idx = np.concatenate([s.all_indices() for s in shards])
+        all_idx = np.concatenate([all_indices(s) for s in shards])
         assert sorted(all_idx) == list(range(len(ds)))
 
     def test_splits_disjoint_and_train_nonempty(self):
         ds = data.gen_synthetic(4, 4, 400, 2.0, seed=2)
         for s in data.partition_dirichlet(ds, 4, 1.0, seed=3):
             parts = [set(s.train_idx), set(s.val_idx), set(s.test_idx)]
-            assert len(parts[0] | parts[1] | parts[2]) == len(s.all_indices())
+            assert len(parts[0] | parts[1] | parts[2]) == len(all_indices(s))
             assert len(s.train_idx) >= 10
 
     def test_split_fractions_within_one_sample(self):
         ds = data.gen_synthetic(4, 4, 403, 2.0, seed=5)
         for s in data.partition_dirichlet(ds, 3, 10.0, split=(0.6, 0.2, 0.2), seed=1):
-            n = len(s.all_indices())
+            n = len(all_indices(s))
             assert abs(len(s.train_idx) - 0.6 * n) <= 1
             assert abs(len(s.val_idx) - 0.2 * n) <= 1
             assert abs(len(s.test_idx) - 0.2 * n) <= 1
@@ -80,7 +84,7 @@ class TestPartitionDirichlet:
         shards = data.partition_dirichlet(ds, 10, 1000.0, seed=11)
         ok = 0
         for s in shards:
-            labels = ds.labels[s.all_indices()]
+            labels = ds.labels[all_indices(s)]
             p = np.bincount(labels, minlength=10) / len(labels)
             tv = 0.5 * np.abs(p - 0.1).sum()
             if tv <= 0.1:
@@ -92,7 +96,7 @@ class TestPartitionDirichlet:
         def mean_entropy(alpha, seed):
             shards = data.partition_dirichlet(ds, 10, alpha, seed=seed)
             return np.mean([
-                data.label_entropy(ds.labels[s.all_indices()], 10) for s in shards
+                data.label_entropy(ds.labels[all_indices(s)], 10) for s in shards
             ])
         assert mean_entropy(0.1, 3) < mean_entropy(1000.0, 3)
 

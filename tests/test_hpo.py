@@ -194,16 +194,6 @@ class TestFeedbackStore:
             store.record(feedback("x", float(v)))
         assert abs(store.mean("x") - float(np.sum(vals) / 1000)) < 1e-12
 
-    def test_history_export(self, tmp_path):
-        store = FeedbackStore()
-        store.record(hpo.FeedbackRecord("c1", 1, "probe", 0.5, 0.5, 2,
-                                        probe_target="learning_rate"))
-        path = tmp_path / "h.jsonl"
-        store.export_jsonl(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1
-        assert '"probe_target": "learning_rate"' in lines[0]
-
 
 class TestSuggestAdaptive:
     def probes_with(self, cur, tuned, losses):

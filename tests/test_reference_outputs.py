@@ -1,8 +1,8 @@
 """Random, adaptive and halving search write the same bytes as before the
 runner drove all three samplers through one protocol. Random was pinned
 before successive halving learned to continue promoted configs, and
-halving (two seeds, in the worker pool) just after; neither change may
-move these outputs. Adaptive was re-pinned when the probe cycle moved to
+halving (two seeds) just after; neither change may move these outputs,
+and neither may the number of usable CPUs. Adaptive was re-pinned when the probe cycle moved to
 the top of the round it steers, its probes took that round's training
 key and the round began reusing the chosen probe's pass: the makespan
 fell from 464.11 to 288.93 simulated seconds, trial 0's row now names
@@ -43,7 +43,7 @@ BASE = {
 CONFIGS = {
     "random": {**BASE, "sampler": "random", "grouping": {"mode": "async", "window": "auto"}},
     "adaptive": {**BASE, "sampler": "adaptive"},
-    # rungs (5, 1), (3, 2), (2, 4), (1, 6); two seeds run in the worker pool
+    # rungs (5, 1), (3, 2), (2, 4), (1, 6); two seeds, in two lanes on two CPUs
     "halving": {**BASE, "sampler": "halving", "budget_configs": 5, "seeds": [1, 2]},
 }
 REFERENCE = {
@@ -97,3 +97,11 @@ def test_random_outputs_match_reference_at_usable_cpus(cpus, tmp_path, monkeypat
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
     assert output_digests(CONFIGS["random"]) == REFERENCE["random"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_halving_outputs_match_reference_at_usable_cpus(cpus, tmp_path, monkeypatch):
+    # Two seeds run in two lanes when a CPU is spare, and inline on one CPU.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    assert output_digests(CONFIGS["halving"]) == REFERENCE["halving"]

@@ -1,14 +1,15 @@
-"""run_experiment's seed pool: seeds run in worker processes when there is
-more than one seed and more than one usable CPU, with the same reports,
-files and errors as running them one after another. And the runner's
-continuation rule: an evaluation continues the latest committed one of its
-trial key, which random and adaptive search never repeat. And a one-seed
-random search, which reads no feedback, runs the evaluations whose group is
-known before any runs in forked lanes, with the same report and errors as
-inline."""
+"""run_experiment's seeds run in lanes (fedtune.lanes: this process and
+forked children) when there is more than one seed and more than one usable
+CPU, with the same reports, files and errors as running them one after
+another. And the runner's continuation rule: an evaluation continues the
+latest committed one of its trial key, which random and adaptive search
+never repeat. And a one-seed random search, which reads no feedback, runs
+the evaluations whose group is known before any runs in forked lanes, with
+the same report and errors as inline."""
 
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -21,8 +22,8 @@ from fedtune import cli, runner, sched
 from fedtune.common import FedTuneError, FeedbackError, PartitionError
 from fedtune.config import config_from_dict
 
-# The pool forks its workers, and several tests rely on that: patches made
-# in this process reach the workers, and forks are counted at os.fork.
+# Lanes are forked, and several tests rely on that: patches made in this
+# process reach the children, and forks are counted at os.fork.
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 OUTPUT_FILES = ("trials.csv", "curves.csv", "report.json", "events.jsonl",
@@ -46,16 +47,29 @@ def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def count_forks(monkeypatch):
-    forks = []
+def fork_pids(monkeypatch):
+    """The pid of every child os.fork starts from now on."""
+    pids = []
     fork = os.fork
 
-    def counting_fork():
-        forks.append(os.getpid())
-        return fork()
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def failing_fork():
+    raise BlockingIOError("no more processes")
 
 
 def seed_report_key(sr):
@@ -85,19 +99,20 @@ def env_with_fedtune():
 class TestSeedPool:
     def test_reports_in_seed_order_equal_one_seed_runs(self, monkeypatch):
         usable_cpus(monkeypatch, 2)
-        forks = count_forks(monkeypatch)
+        pids = fork_pids(monkeypatch)
         report = runner.run_experiment(config_from_dict({**TINY, "seeds": [3, 1, 2]}))
-        assert len(forks) == 2
+        assert len(pids) == 1  # this process is the other lane
+        assert_reaped(pids)
         assert [sr.seed for sr in report.per_seed] == [3, 1, 2]
         for sr in report.per_seed:
             alone = runner.run_experiment(config_from_dict({**TINY, "seeds": [sr.seed]}))
             assert seed_report_key(sr) == seed_report_key(alone.per_seed[0])
             assert sr.feedback_history  # the adaptive sampler's probes were recorded
-        assert len(forks) == 2  # the one-seed runs forked nothing
+        assert len(pids) == 1  # the one-seed runs forked nothing
 
     def test_cli_files_identical_with_pool_and_one_cpu(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
-        forks = count_forks(monkeypatch)
+        pids = fork_pids(monkeypatch)
         outputs = {}
         for cpus in (1, 2):
             usable_cpus(monkeypatch, cpus)
@@ -105,22 +120,32 @@ class TestSeedPool:
             assert cli.main(["run", path, "--output", str(out)]) == cli.EXIT_OK
             outputs[cpus] = read_outputs(out)
             if cpus == 1:
-                assert forks == []
-        assert len(forks) == 2  # both from the two-CPU run
+                assert pids == []
+        assert len(pids) == 1  # from the two-CPU run
         for name in OUTPUT_FILES:
             assert outputs[2][name] == outputs[1][name], name
 
     def test_runs_inline_without_fork(self, monkeypatch):
+        def report_keys():
+            report = runner.run_experiment(config_from_dict(TINY))
+            return [seed_report_key(sr) for sr in report.per_seed]
+
+        usable_cpus(monkeypatch, 1)
+        alone = report_keys()
         usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", failing_fork)  # this process runs every seed
+        assert report_keys() == alone
         monkeypatch.delattr(os, "fork")
-        report = runner.run_experiment(config_from_dict(TINY))
-        assert [sr.seed for sr in report.per_seed] == [1, 2]
+        assert report_keys() == alone
 
     def test_one_seed_run_imports_no_pool_module(self):
+        # nor does a two-seed run, which forks a lane
         code = (
             "import sys\n"
             "from fedtune import config, runner\n"
-            f"runner.run_experiment(config.config_from_dict({dict(TINY, seeds=[1])!r}))\n"
+            "runner._usable_cpus = lambda: 2\n"
+            "for seeds in ([1], [1, 2]):\n"
+            f"    runner.run_experiment(config.config_from_dict(dict({TINY!r}, seeds=seeds)))\n"
             "print(sorted(m for m in sys.modules if m.startswith("
             "('multiprocessing', 'concurrent'))))\n"
         )
@@ -182,20 +207,23 @@ class TestSeedPoolFailures:
         assert started == [1, 2]
 
     def test_dead_worker_exits_3(self, tmp_path, monkeypatch, capsys):
-        parent = os.getpid()
+        parent, build_world = os.getpid(), runner.build_world
 
         def dying_build_world(cfg, seed):
-            if os.getpid() == parent:
-                raise AssertionError("build_world ran in the parent process")
-            os._exit(1)
+            if os.getpid() != parent:  # the child lane is killed
+                os.kill(os.getpid(), signal.SIGKILL)
+            return build_world(cfg, seed)
 
         monkeypatch.setattr(runner, "build_world", dying_build_world)
         usable_cpus(monkeypatch, 2)
+        pids = fork_pids(monkeypatch)
         with pytest.raises(FedTuneError, match="worker process died"):
             runner.run_experiment(config_from_dict(TINY))
+        assert len(pids) == 1
+        assert_reaped(pids)
         path = write_config(tmp_path)
         assert cli.main(["run", path, "--output", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
-        assert "error: a seed's worker process died" in capsys.readouterr().err
+        assert "error: a worker process died" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("overrides", [
@@ -246,27 +274,6 @@ CRITERION7 = {
 }
 
 
-def fork_pids(monkeypatch):
-    """The pid of every child os.fork starts from now on."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def one_seed_report(monkeypatch, overrides, cpus):
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
     return runner.run_experiment(config_from_dict(overrides)).per_seed[0]
@@ -314,10 +321,6 @@ class TestRunAhead:
 
     def test_runs_inline_when_fork_fails_or_is_missing(self, monkeypatch):
         alone = one_seed_report(monkeypatch, RANDOM_ASYNC, 1)
-
-        def failing_fork():
-            raise BlockingIOError("no more processes")
-
         monkeypatch.setattr(os, "fork", failing_fork)
         assert seed_report_key(one_seed_report(monkeypatch, RANDOM_ASYNC, 2)) == \
             seed_report_key(alone)
