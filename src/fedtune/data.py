@@ -195,7 +195,7 @@ def load_csv(path) -> Dataset:
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(bad):
         raise DataError(f"{path}: non-finite feature value on line {line_numbers[bad[0]]}")
-    if not (np.all(np.isfinite(labels)) and np.allclose(labels, np.round(labels))):
+    if not (np.all(np.isfinite(labels)) and np.all(labels == np.round(labels))):
         raise DataError(f"{path}: final column must hold integer labels")
     bad = np.flatnonzero(labels < 0)
     if len(bad):

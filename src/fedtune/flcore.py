@@ -7,7 +7,7 @@ on evaluation-cadence rounds, scores the new global model on the
 server-side validation set.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -158,7 +158,7 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
         world.model_spec, global_w, hp,
         [(c.shard.train.features, c.shard.train.labels,
           c.shard.val.features, c.shard.val.labels) for c in members],
-        None, world.plans.get(world.model_spec, hp, members, seed_key),
+        world.plans.get(world.model_spec, hp, members, seed_key),
     )
     for c, failure in zip(members, failures):
         if failure is not None:
@@ -223,12 +223,12 @@ def run_trial(
     """Train trial trial_index up to round budget_rounds under hp and score it.
 
     A fresh trial starts from initial weights keyed by trial_index. Given
-    resume, an earlier result of the same trial, it continues from that
-    state (weights, round, config, trace, losses, patience, sim_time) and
-    equals a fresh trial run to budget_rounds bit for bit: one that had
+    resume, an earlier result of the same trial, it advances a copy of
+    that state (weights, round, config, trace, losses, patience, sim_time)
+    and equals a fresh trial run to budget_rounds bit for bit: one that had
     stopped early trains no further round, and a failed one is returned as
-    it is. sim_time counts from round 1, so a call ran its sim_time minus
-    resume's.
+    it is. resume itself is never changed. sim_time counts from round 1,
+    so a call ran its sim_time minus resume's.
 
     Every evaluation-cadence round scores the new global model on the
     server validation set once; that loss goes to the trace and, if it is
@@ -263,62 +263,46 @@ def run_trial(
             spec, derive_seed(world.base_seed, "init", trial_index)))
     if resume.failure is not None:
         return resume
-    state = RoundState(resume.last_round + 1, resume.final_weights, resume.config)
-    sim_time, trace = resume.sim_time, list(resume.trace)
-    local_losses, global_loss = resume.local_losses, resume.global_loss
-    best_gl, stall, stopped = resume.best_gl, resume.stall, resume.stopped
-    while not stopped and state.round_index <= budget_rounds:
+    r = replace(resume, objective=np.inf, test_accuracy=0.0, trace=list(resume.trace))
+    state = RoundState(r.last_round + 1, r.final_weights, r.config)
+    while not r.stopped and state.round_index <= budget_rounds:
         j = state.round_index
         reused = None
         if on_cadence is not None and j > 1 and (j - 1) % world.eval_cadence == 0:
             state.current_hp, extra, reused = on_cadence(state)
-            sim_time += extra
+            r.sim_time += extra
         if reused is None:
             epochs = to_train_hp(state.current_hp, world.hp_defaults).epochs
-            sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
+            r.sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
             try:
-                next_state, local_losses = run_round(state, cohort, world, trial_index)
+                state, r.local_losses = run_round(state, cohort, world, trial_index)
             except NumericDivergenceError as err:
-                return TrialResult(state.current_hp, np.inf, 0.0, sim_time=sim_time,
+                return TrialResult(state.current_hp, np.inf, 0.0, sim_time=r.sim_time,
                                    failure=err)
         else:
-            new_global, local_losses = reused
-            next_state = RoundState(j + 1, new_global, state.current_hp)
+            new_global, r.local_losses = reused
+            state = RoundState(j + 1, new_global, state.current_hp)
         if j % world.eval_cadence == 0:
-            gl, gacc = models.evaluate(spec, next_state.global_weights,
+            gl, gacc = models.evaluate(spec, state.global_weights,
                                        world.val_set.features, world.val_set.labels)
-            global_loss = gl
-            trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": sim_time})
+            r.global_loss = gl
+            r.trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": r.sim_time})
             if patience > 0:
-                if gl < best_gl - 1e-12:
-                    best_gl, stall = gl, 0
+                if gl < r.best_gl - 1e-12:
+                    r.best_gl, r.stall = gl, 0
                 else:
-                    stall += 1
-                    stopped = stall >= patience
-        state = next_state
-    final_w = state.global_weights
+                    r.stall += 1
+                    r.stopped = r.stall >= patience
+    r.config, r.final_weights, r.last_round = (state.current_hp, state.global_weights,
+                                               state.round_index - 1)
     val_members = [c for c in cohort if len(c.shard.val)]
     test_members = [c for c in cohort if len(c.shard.test)]
-    objective, test_acc = np.inf, 0.0
     if val_members:
-        losses, _ = _score(spec, final_w, [c.shard.val for c in val_members])
-        objective = weighted_objective(
+        losses, _ = _score(spec, r.final_weights, [c.shard.val for c in val_members])
+        r.objective = weighted_objective(
             [(vl, len(c.shard.train)) for vl, c in zip(losses.tolist(), val_members)])
     if test_members:
-        _, accs = _score(spec, final_w, [c.shard.test for c in test_members])
-        test_acc = weighted_objective(
+        _, accs = _score(spec, r.final_weights, [c.shard.test for c in test_members])
+        r.test_accuracy = weighted_objective(
             [(a, len(c.shard.test)) for a, c in zip(accs.tolist(), test_members)])
-    return TrialResult(
-        config=state.current_hp,
-        objective=float(objective),
-        test_accuracy=float(test_acc),
-        trace=trace,
-        sim_time=sim_time,
-        final_weights=final_w,
-        last_round=state.round_index - 1,
-        local_losses=local_losses,
-        global_loss=global_loss,
-        best_gl=best_gl,
-        stall=stall,
-        stopped=stopped,
-    )
+    return r

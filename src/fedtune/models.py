@@ -279,13 +279,12 @@ class BatchPlan:
     It depends on the shards, their seeds, epochs, batch_size and whether
     dropout is on, never on the learning rate, weight decay or dropout
     rate, so passes of several configs under one training key can share
-    it. Stack row r trains shard members[rows[r]]; rows run longest first,
-    so step t trains rows 0..active[t]-1 on entries start[t]:start[t+1].
-    Every array is read-only.
+    it. Stack row r trains shard order[r]; rows run longest first, so step
+    t trains rows 0..active[t]-1 on entries start[t]:start[t+1]. Every
+    array is read-only.
     """
 
-    members: np.ndarray  # positions of the width's shards in the shard list
-    rows: np.ndarray
+    order: np.ndarray  # (rows,): the position in the shard list each row trains
     active: np.ndarray
     start: np.ndarray
     epoch_end: np.ndarray  # (entries,): the entry is its row's last batch of an epoch
@@ -301,36 +300,36 @@ def plan_key(spec: ModelSpec, hp: TrainHp) -> tuple:
 
 def _plan_width(spec: ModelSpec, shards, seeds, members, width: int, epochs: int,
                 dropout: bool) -> BatchPlan:
-    """The BatchPlan of shards whose batches all pad to `width` rows."""
+    """The BatchPlan of shards[members], whose batches all pad to `width` rows."""
     hidden = spec.hidden_dim
-    batches = np.array([-(-len(s[1]) // width) for s in shards], dtype=np.int64)
+    batches = np.array([-(-len(shards[i][1]) // width) for i in members], dtype=np.int64)
     # Longest rows first, so the rows still training at any step are a prefix.
-    rows = np.argsort(-batches, kind="stable")
-    steps = epochs * batches[rows]
-    features, labels, offsets = _pool([shards[i][:2] for i in rows], spec.input_dim)
+    rank = np.argsort(-batches, kind="stable")
+    order, batches = members[rank], batches[rank]
+    steps = epochs * batches
+    features, labels, offsets = _pool([shards[i] for i in order], spec.input_dim)
     pad = len(labels) - 1
     # Row r's epochs lie back to back from base[r], each padded to whole batches.
     base = np.concatenate([[0], np.cumsum(steps * width)])
-    order = np.full(base[-1], pad)
+    slots = np.full(base[-1], pad)
     uniforms = np.ones((base[-1], hidden)) if dropout else None
-    for r, i in enumerate(rows):
+    for r, i in enumerate(order):
         rng = np.random.default_rng(seeds[i])
         n = len(shards[i][1])
-        for o in range(base[r], base[r + 1], batches[i] * width):
-            order[o : o + n] = offsets[r] + rng.permutation(n)
+        for o in range(base[r], base[r + 1], batches[r] * width):
+            slots[o : o + n] = offsets[r] + rng.permutation(n)
             if dropout:
                 uniforms[o : o + n] = rng.random((n, hidden))
     # Step t trains rows 0..active[t]-1, each on its t-th batch.
     step_of, row_of = np.nonzero(steps > np.arange(steps.max(initial=0))[:, None])
     batch_of = base[row_of] // width + step_of
-    idx = order.reshape(-1, width)[batch_of]
+    idx = slots.reshape(-1, width)[batch_of]
     active = np.bincount(step_of, minlength=steps.max(initial=0))
     plan = BatchPlan(
-        members=members,
-        rows=rows,
+        order=order,
         active=active,
         start=np.concatenate([[0], np.cumsum(active)]),
-        epoch_end=(step_of + 1) % batches[rows][row_of] == 0,
+        epoch_end=(step_of + 1) % batches[row_of] == 0,
         features=features[idx],
         labels=labels[idx],
         uniforms=uniforms.reshape(-1, width, hidden)[batch_of] if dropout else None,
@@ -345,19 +344,18 @@ def plan_batches(spec: ModelSpec, shards, seeds, epochs: int, batch_size: int,
                  dropout: bool) -> tuple[BatchPlan, ...]:
     """The BatchPlans of a train_stack pass, one per padded width, widest last.
 
-    shards and seeds are train_stack's; epochs, batch_size and dropout are
-    plan_key of its spec and hp.
+    shards[i] is a (train_features, train_labels) pair and seeds[i] keys
+    its RNG: each epoch draws permutation(n) for the batch order, then, if
+    dropout is on, one random((n, hidden)) whose rows are the batches'
+    dropout draws in order. Batches pad to a width that is batch_size
+    unless the shard is much smaller (_padded_width). epochs, batch_size
+    and dropout are plan_key of the pass's spec and hp.
     """
     if any(len(s[1]) == 0 for s in shards):
-        raise DataError("local_train: empty training split")
+        raise DataError("plan_batches: empty training split")
     widths = np.array([_padded_width(len(s[1]), batch_size) for s in shards])
-    plans = []
-    for width in np.unique(widths):
-        members = np.flatnonzero(widths == width)
-        plans.append(_plan_width(spec, [shards[i] for i in members],
-                                 [seeds[i] for i in members], members, width, epochs,
-                                 dropout))
-    return tuple(plans)
+    return tuple(_plan_width(spec, shards, seeds, np.flatnonzero(widths == width), width,
+                             epochs, dropout) for width in np.unique(widths))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -365,16 +363,15 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, plan: BatchPlan):
     """Stacked SGD over one BatchPlan under hp.
 
     Float overflow is silenced: the finiteness checks report a diverging row.
-    Returns ((k, P) weights, failures), both in the plan's member order.
+    Returns ((rows, P) weights, failures), both in stack-row order.
     """
-    rows = plan.rows
     keep = 1.0 - hp.dropout
     # Thresholded once per pass, scaled per step: a pass-wide float
     # multiplier would be a transient as large as the uniforms, and the
     # allocator tends to hand that back to the OS and fault it in again.
     kept = None if plan.uniforms is None else plan.uniforms < keep
-    values = np.tile(w.values, (len(rows), 1))
-    failures = [None] * len(rows)
+    values = np.tile(w.values, (len(plan.order), 1))
+    failures = [None] * len(plan.order)
     for t, m in enumerate(plan.active):
         s = slice(plan.start[t], plan.start[t + 1])
         loss, grad = loss_and_grad(spec, values[:m], plan.features[s], plan.labels[s],
@@ -387,30 +384,22 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, plan: BatchPlan):
                            "non-finite weights after epoch"))
         for bad, message in checks:
             for r in np.flatnonzero(bad):
-                if failures[rows[r]] is None:
-                    failures[rows[r]] = message
+                if failures[r] is None:
+                    failures[r] = message
                 values[r] = 0.0  # a failed row stays finite for the validation pass
-    trained = np.empty_like(values)
-    trained[rows] = values
-    return trained, failures
+    return values, failures
 
 
-def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds, plans=None):
+def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, plans):
     """Train one copy of w per shard with mini-batch SGD, all in stacked passes.
 
-    shards[i] is (train_features, train_labels, val_features, val_labels)
-    and seeds[i] keys its RNG: each epoch draws permutation(n) for the
-    batch order, then, for the MLP with dropout, one random((n, hidden))
-    whose rows are the batches' dropout draws in order. Every step runs
-    forward and backward for all rows still training on (rows, width, ...)
-    arrays. Short batches are padded to the width, which is batch_size
-    unless the shard is much smaller (_padded_width); padding rows add
-    nothing. Rows of one width share a pass, and validation losses are
-    scored in VAL_BLOCK-row blocks, so row i's weights and loss are bitwise
-    independent of the other rows.
-
-    plans, when given, is plan_batches(spec, shards, seeds, *plan_key(spec,
-    hp)) built earlier, and seeds is not read; the result is the same.
+    shards[i] is (train_features, train_labels, val_features, val_labels),
+    and plans is plan_batches of their train pairs under *plan_key(spec,
+    hp), which fixes every batch and dropout draw. Every step runs forward
+    and backward for all rows still training on (rows, width, ...) arrays;
+    padding rows add nothing. Rows of one width share a pass, and
+    validation losses are scored in VAL_BLOCK-row blocks, so row i's
+    weights and loss are bitwise independent of the other rows.
 
     Returns ((k, P) weights, (k,) validation losses, failures), with
     failures[i] None or the first non-finite check that row i failed. An
@@ -420,13 +409,11 @@ def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, seeds, pl
         raise ConfigurationError(
             f"weight layout {w.layout_id} does not match spec {spec.layout_id}"
         )
-    if plans is None:
-        plans = plan_batches(spec, shards, seeds, *plan_key(spec, hp))
     trained = np.empty((len(shards), len(w.values)))
     failures = [None] * len(shards)
     for plan in plans:
-        trained[plan.members], group_failures = _sgd_pass(spec, w, hp, plan)
-        for i, failure in zip(plan.members, group_failures):
+        trained[plan.order], row_failures = _sgd_pass(spec, w, hp, plan)
+        for i, failure in zip(plan.order, row_failures):
             failures[i] = failure
     sets = [(vx, vy) if len(vy) else (tx, ty) for tx, ty, vx, vy in shards]
     val_losses, _ = evaluate_stack(spec, trained, sets, VAL_BLOCK)
@@ -454,9 +441,10 @@ def local_train(
     epoch from rng_seed. An empty validation split falls back to the loss
     on the training split.
     """
+    plans = plan_batches(spec, [(train_features, train_labels)], [rng_seed],
+                         *plan_key(spec, hp))
     values, val_losses, failures = train_stack(
-        spec, w, hp, [(train_features, train_labels, val_features, val_labels)], [rng_seed]
-    )
+        spec, w, hp, [(train_features, train_labels, val_features, val_labels)], plans)
     if failures[0] is not None:
         raise NumericDivergenceError(failures[0])
     return WeightVector(values[0], w.layout_id), float(val_losses[0])

@@ -187,8 +187,10 @@ class TestCsvLoader:
         ("f1,f2,label\n0.5,nan,0\n", "non-finite feature value on line 2"),
         ("0.5,1.5,0\n-1.0,inf,1\n", "non-finite feature value on line 2"),
         ("0.5,1.5,0\n-1.0,2.0,inf\n", "integer labels"),
+        ("0.5,1.5,0\n-1.0,2.0,2.9999999\n0.1,0.2,1\n", "integer labels"),
         ("0.5,1.5,0\n-1.0,1\n", "line 2 has 2 columns, expected 3"),
-    ], ids=["negative-label", "nan-feature", "inf-feature", "inf-label", "ragged-row"])
+    ], ids=["negative-label", "nan-feature", "inf-feature", "inf-label", "near-integer-label",
+            "ragged-row"])
     def test_bad_rows_rejected(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)

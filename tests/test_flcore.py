@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import weakref
@@ -405,6 +406,22 @@ class TestResume:
         fresh = run_trial(hp_config(), 6, world, trial_index=4, on_cadence=on_cadence)
         assert steered == [3, 5, 3, 5]
         assert_same_trial(continued, fresh)
+
+    def test_continuing_leaves_resume_unchanged(self):
+        # the runner reads resume.sim_time after the call, and a committed outcome holds it
+        world = make_world(n_clients=3, cadence=2, alpha=0.5)
+
+        def on_cadence(state):
+            return hp_config(learning_rate=0.05), 2.0, None
+
+        first = run_trial(hp_config(), 4, world, trial_index=4, on_cadence=on_cadence,
+                          patience=3)
+        before = copy.deepcopy(first)
+        continued = run_trial(hp_config(), 8, world, trial_index=4, on_cadence=on_cadence,
+                              patience=3, resume=first)
+        assert continued.last_round == 8 and len(continued.trace) == 4
+        assert continued.best_gl < first.best_gl and continued.sim_time > first.sim_time
+        assert_same_trial(first, before)
 
     def test_trial_stopped_early_trains_no_further_round(self, monkeypatch):
         # a zero learning rate never improves the global loss: stop at round 2

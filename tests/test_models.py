@@ -150,6 +150,12 @@ ENGINE_CASES = [
 ]
 
 
+def stack(spec, w, hp, shards, seeds):
+    """train_stack over plans built cold from seeds."""
+    plans = models.plan_batches(spec, [s[:2] for s in shards], seeds, *models.plan_key(spec, hp))
+    return models.train_stack(spec, w, hp, shards, plans)
+
+
 def engine_shards(c=3):
     # train sizes with batch_size 8: < batch_size (5; 2 pads to a narrower
     # width), a 1-row tail (17 = 2 * 8 + 1), exact batches, and an empty
@@ -170,10 +176,10 @@ class TestTrainStack:
         assert len({models._padded_width(len(s[1]), hp.batch_size) for s in shards}) == 2
         seeds = [11, 12, 13, 14, 15, 16]
         w = models.init_weights(spec, 2)
-        together, losses, failures = models.train_stack(spec, w, hp, shards, seeds)
+        together, losses, failures = stack(spec, w, hp, shards, seeds)
         assert failures == [None] * 6
         perm = [3, 5, 0, 4, 2, 1]
-        shuffled, shuffled_losses, _ = models.train_stack(
+        shuffled, shuffled_losses, _ = stack(
             spec, w, hp, [shards[i] for i in perm], [seeds[i] for i in perm])
         for i, shard in enumerate(shards):
             alone, alone_loss = models.local_train(spec, w, hp, *shard, seeds[i])
@@ -187,7 +193,7 @@ class TestTrainStack:
     def test_ragged_shards_match_unpadded_loop(self, spec, hp):
         shards = engine_shards()
         w = models.init_weights(spec, 4)
-        trained, losses, _ = models.train_stack(spec, w, hp, shards, [7] * len(shards))
+        trained, losses, _ = stack(spec, w, hp, shards, [7] * len(shards))
         for row, (tx, ty, vx, vy) in enumerate(shards):
             ref = reference_train(spec, w, hp, tx, ty, 7)
             assert np.allclose(trained[row], ref.values, rtol=1e-12, atol=1e-12)
@@ -212,7 +218,7 @@ class TestTrainStack:
 
         monkeypatch.setattr(models, "loss_and_grad", recording)
         shards = engine_shards()
-        models.train_stack(spec, models.init_weights(spec, 0), hp, shards, [0] * len(shards))
+        stack(spec, models.init_weights(spec, 0), hp, shards, [0] * len(shards))
         # the 2-row shard trains at width 2 (one step per epoch), the rest at 8
         assert calls.count((1, 2)) == hp.epochs
         assert {width for _, width in calls} == {2, hp.batch_size}
@@ -221,8 +227,7 @@ class TestTrainStack:
         spec, hp = ENGINE_CASES[1]
         shards = engine_shards()
         w = models.init_weights(spec, 4)
-        trained, losses, failures = models.train_stack(
-            spec, w, default_hp(epochs=0), shards, [0] * len(shards))
+        trained, losses, failures = stack(spec, w, default_hp(epochs=0), shards, [0] * 6)
         assert failures == [None] * len(shards)
         for row, (tx, ty, vx, vy) in enumerate(shards):
             assert np.array_equal(trained[row], w.values)
@@ -235,8 +240,7 @@ class TestTrainStack:
         bad = list(shards[1])
         bad[0] = np.full_like(bad[0], np.nan)
         shards[1] = tuple(bad)
-        _, _, failures = models.train_stack(spec, models.init_weights(spec, 0), hp,
-                                            shards, [0] * len(shards))
+        _, _, failures = stack(spec, models.init_weights(spec, 0), hp, shards, [0] * 6)
         assert failures == [None, "non-finite training loss", None, None, None, None]
 
 
@@ -252,21 +256,28 @@ class TestBatchPlan:
         configs = [default_hp(epochs=2, dropout=0.3), default_hp(epochs=2, dropout=0.1),
                    default_hp(epochs=2, dropout=0.5, learning_rate=1e200, weight_decay=1.0),
                    default_hp(epochs=2, dropout=0.3, learning_rate=0.02, weight_decay=0.1)]
-        plans = models.plan_batches(spec, shards, seeds, *models.plan_key(spec, configs[0]))
+        plans = models.plan_batches(spec, [s[:2] for s in shards], seeds,
+                                    *models.plan_key(spec, configs[0]))
         for hp in configs:
-            shared = models.train_stack(spec, w, hp, shards, None, plans)
-            cold = models.train_stack(spec, w, hp, shards, seeds)
+            shared = models.train_stack(spec, w, hp, shards, plans)
+            cold = stack(spec, w, hp, shards, seeds)
             assert shared[0].tobytes() == cold[0].tobytes()
             assert shared[1].tobytes() == cold[1].tobytes()
             assert shared[2] == cold[2]
             assert shared[2][1] == "non-finite training loss"
         # the overflowing config fails every row, the others only the NaN one
-        assert None not in models.train_stack(spec, w, configs[2], shards, None, plans)[2]
+        assert None not in models.train_stack(spec, w, configs[2], shards, plans)[2]
 
     def test_plan_arrays_are_read_only(self):
         spec, hp = ENGINE_CASES[1]
-        plans = models.plan_batches(spec, engine_shards(), [0] * 6, *models.plan_key(spec, hp))
+        pairs = [s[:2] for s in engine_shards()]
+        plans = models.plan_batches(spec, pairs, [0] * 6, *models.plan_key(spec, hp))
         assert len(plans) == 2
+        # each shard trains in exactly one stack row of one plan
+        assert sorted(np.concatenate([plan.order for plan in plans])) == list(range(6))
+        with pytest.raises(DataError, match="^plan_batches: empty training split$"):
+            models.plan_batches(spec, pairs + [(np.empty((0, 4)), np.empty(0, int))], [0] * 7,
+                                *models.plan_key(spec, hp))
         for plan in plans:
             for name, array in vars(plan).items():
                 assert not array.flags.writeable, name
