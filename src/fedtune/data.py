@@ -169,7 +169,7 @@ def load_csv(path) -> Dataset:
     """Load (features..., integer label) rows; a non-numeric header is skipped.
 
     Rejects ragged rows, non-finite features and labels that are not
-    non-negative integers.
+    integers in [0, 2**63).
     """
     rows, line_numbers = [], []
     with open(path, newline="") as fh:
@@ -200,4 +200,7 @@ def load_csv(path) -> Dataset:
     bad = np.flatnonzero(labels < 0)
     if len(bad):
         raise DataError(f"{path}: negative label on line {line_numbers[bad[0]]}")
+    bad = np.flatnonzero(labels >= 2.0**63)  # would wrap in the int64 cast
+    if len(bad):
+        raise DataError(f"{path}: label >= 2**63 on line {line_numbers[bad[0]]}")
     return Dataset(features, labels.astype(np.int64))

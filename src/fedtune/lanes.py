@@ -1,7 +1,7 @@
 """Independent jobs run in lanes: this process and forked children.
 
 The one way fedtune forks. runner.run_experiment runs the seeds of a
-multi-seed run here, and runner._run_ahead the first evaluations of a
+multi-seed run here, and runner._run_ahead every evaluation of a
 one-seed random search. Only a run that forks lanes imports this module,
 so no other run pays for loading it.
 """

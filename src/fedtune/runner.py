@@ -223,6 +223,11 @@ class EvalOutcome:
     walk: hpo.AdaptiveSampler | None = None  # the adaptive sampler's moves
 
 
+def _cohort(world, group) -> list:
+    members = set(group.members)
+    return [c for c in world.clients if c.client_id in members]
+
+
 def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> EvalOutcome:
     """Run one HP evaluation on a group's cohort as its sampler planned it,
     plan = (trial_key, rounds, walk): trial trial_key up to round `rounds`,
@@ -235,8 +240,7 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
     The row's sim_time covers only the rounds this evaluation ran.
     """
     trial_key, rounds, walk = plan
-    members = set(group.members)
-    cohort = [c for c in world.clients if c.client_id in members]
+    cohort = _cohort(world, group)
     records: list[FeedbackRecord] = []
 
     def on_cadence(state):
@@ -281,24 +285,37 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
 
 
 def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
-    """The evaluations whose group is known before any runs,
-    sched.first_issues, run before dispatch starts in up to cpus lanes
-    (lanes.run_jobs), balanced by cohort training rows times epochs. Only
-    for a feedback_free sampler, more than one CPU and a platform with
-    os.fork. Returns eval index -> (group id, config id, EvalOutcome or the
-    exception it raised).
+    """Every evaluation, run before dispatch starts in up to cpus lanes
+    (lanes.run_jobs), balanced by cohort training rows times epochs, on the
+    group a dry sched.dispatch issues it to. The dry run trains nothing:
+    each evaluation takes the sum of its rounds' cohort times, as run_trial
+    charges them, so it foresees every issue unless a trial diverges or
+    stops early and frees its group sooner. Only for a feedback_free
+    sampler, more than one CPU and a platform with os.fork. Returns eval
+    index -> (group id, config id, EvalOutcome or the exception it raised).
     """
     if cpus < 2 or not sampler.feedback_free or not hasattr(os, "fork"):
         return {}
     from . import lanes  # loaded only by runs that fork lanes
 
-    issues = {e: (group, sampler.start_config(e, FeedbackStore()))
-              for e, group in sched.first_issues(groups, sampler.num_evals)}
+    issues = {}
+
+    def issue(group, e):
+        issues[e] = group, sampler.start_config(e, FeedbackStore())
+        return issues[e][1]
+
+    def predict(group, config, e):
+        key, rounds, _ = sampler.plan(e, config)
+        epochs = to_train_hp(config, world.hp_defaults).epochs
+        cohort = _cohort(world, group)
+        return sum(flcore.cohort_time(cohort, epochs, (world.base_seed, "time", key, j))
+                   for j in range(1, rounds + 1)), lambda: None
+
+    sched.dispatch(groups, sampler.num_evals, issue, predict)
 
     def cost(e):
         group, config = issues[e]
-        members = set(group.members)
-        rows = sum(len(c.shard.train) for c in world.clients if c.client_id in members)
+        rows = sum(len(c.shard.train) for c in _cohort(world, group))
         return rows * max(1, to_train_hp(config, world.hp_defaults).epochs)
 
     def run(e):
@@ -311,7 +328,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
 
 def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
     """One seed's report; with cpus > 1, sampler permitting, _run_ahead runs
-    the first evaluations in forked lanes."""
+    every evaluation ahead in forked lanes, and a mispredicted one inline."""
     world = build_world(cfg, seed)
     space = cfg.search_space()
     store = FeedbackStore()
@@ -338,7 +355,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
         plan = sampler.plan(eval_index, config)  # (trial key, round budget, walk)
         resume = committed[plan[0]].result if plan[0] in committed else None
         *issued, outcome = ahead.pop(eval_index, (None, None, None))
-        # A zero-duration evaluation frees its group at t=0 and moves later issues.
+        # A trial that diverged or stopped early freed its group sooner than predicted.
         if issued != [group.group_id, config.config_id]:
             outcome = _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume)
         elif isinstance(outcome, Exception):
@@ -386,7 +403,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     with os.fork, the seeds run in min(seeds, usable CPUs) lanes
     (lanes.run_jobs): this process and forked children, each holding its
     own world. Otherwise they run inline, where a one-seed random search may
-    fork lanes for its first evaluations (_run_ahead). A lane starts no seed
+    fork lanes for all its evaluations (_run_ahead). A lane starts no seed
     after its own seed failed, while the other lanes finish theirs; a seed
     no lane ran runs inline here. A failing seed raises its own error, the
     first in seed order; a lane that dies raises FedTuneError.

@@ -189,8 +189,9 @@ class TestCsvLoader:
         ("0.5,1.5,0\n-1.0,2.0,inf\n", "integer labels"),
         ("0.5,1.5,0\n-1.0,2.0,2.9999999\n0.1,0.2,1\n", "integer labels"),
         ("0.5,1.5,0\n-1.0,1\n", "line 2 has 2 columns, expected 3"),
+        ("0.5,1.5,0\n-1.0,2.0,1e20\n", r"label >= 2\*\*63 on line 2"),
     ], ids=["negative-label", "nan-feature", "inf-feature", "inf-label", "near-integer-label",
-            "ragged-row"])
+            "ragged-row", "huge-label"])
     def test_bad_rows_rejected(self, tmp_path, text, message):
         path = tmp_path / "d.csv"
         path.write_text(text)

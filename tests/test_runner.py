@@ -4,8 +4,8 @@ CPU, with the same reports, files and errors as running them one after
 another. And the runner's continuation rule: an evaluation continues the
 latest committed one of its trial key, which random and adaptive search
 never repeat. And a one-seed random search, which reads no feedback, runs
-the evaluations whose group is known before any runs in forked lanes, with
-the same report and errors as inline."""
+every evaluation ahead in forked lanes, on the group a dry dispatch of
+simulated durations predicts, with the same report and errors as inline."""
 
 import os
 import pickle
@@ -279,9 +279,83 @@ def one_seed_report(monkeypatch, overrides, cpus):
     return runner.run_experiment(config_from_dict(overrides)).per_seed[0]
 
 
+def dispatches(monkeypatch):
+    """One list per sched.dispatch call from now on, of [eval index, group id,
+    duration] for each evaluation it issued; a one-seed random run at two
+    CPUs makes a dry call, whose durations are predicted, before the one
+    that runs evaluations. Evaluation e is listed before it runs, so one
+    that raises is listed without a duration."""
+    calls, dispatch = [], sched.dispatch
+
+    def recording_dispatch(groups, num_evals, issue, run_eval):
+        ran = []
+        calls.append(ran)
+
+        def recording_run_eval(group, config, e):
+            ran.append([e, group.group_id])
+            duration, commit = run_eval(group, config, e)
+            ran[-1].append(duration)
+            return duration, commit
+
+        return dispatch(groups, num_evals, issue, recording_run_eval)
+
+    monkeypatch.setattr(sched, "dispatch", recording_dispatch)
+    return calls
+
+
+def inline_evals(monkeypatch):
+    """The eval index of every evaluation this process computes inside
+    sched.dispatch: every one at one CPU; with lanes, which run before
+    dispatch, only the ones computed again inline."""
+    inline, depth = [], []
+    run_one_eval, dispatch = runner._run_one_eval, sched.dispatch
+
+    def in_dispatch(*args):
+        depth.append(None)
+        try:
+            return dispatch(*args)
+        finally:
+            depth.pop()
+
+    def spy(*args):
+        if depth:
+            inline.append(args[4])
+        return run_one_eval(*args)
+
+    monkeypatch.setattr(sched, "dispatch", in_dispatch)
+    monkeypatch.setattr(runner, "_run_one_eval", spy)
+    return inline
+
+
+# random-async-wide, shrunk: many small ragged shards in several async groups,
+# fewer groups than evaluations, so most issues wait on simulated durations.
+WIDE_ASYNC = {
+    "dataset": {"type": "synthetic", "num_classes": 10, "input_dim": 16, "n": 3000,
+                "class_sep": 3.0},
+    "n_clients": 30,
+    "alpha": 0.3,
+    "model": {"kind": "logistic"},
+    "sampler": "random",
+    "grouping": {"mode": "async"},
+    "budget_configs": 12,
+    "rounds_per_trial": 4,
+    "eval_cadence": 2,
+}
+# Learning rates up to 1e30 with weight decay 1 diverge, and patience 1 stops
+# the other trials after round 2, so trials free their groups sooner than
+# predicted.
+MISPREDICTED = {
+    **RANDOM_ASYNC, "budget_configs": 8, "rounds_per_trial": 6, "eval_cadence": 1,
+    "early_stop_patience": 1, "hp_defaults": {"weight_decay": 1.0, "epochs": 10},
+    "search_space": [{"name": "learning_rate", "scale": "log10", "low": 1e-2, "high": 1e30,
+                      "step": 10.0}],
+    "tuned": ["learning_rate"],
+}
+
+
 class TestRunAhead:
-    """A one-seed random run computes the evaluations dispatch issues before
-    any simulated time passes in forked lanes, with the same report."""
+    """A one-seed random run computes every evaluation in forked lanes before
+    dispatch, on the group a dry dispatch predicts, with the same report."""
 
     @pytest.mark.parametrize("overrides", [RANDOM_ASYNC, {**RANDOM_ASYNC, "grouping":
                                                           {"mode": "sync"}}],
@@ -296,21 +370,47 @@ class TestRunAhead:
         assert_reaped(pids)
         assert seed_report_key(laned) == seed_report_key(alone)
 
-    def test_zero_duration_evaluations_are_recomputed_inline(self, monkeypatch):
+    def test_dry_schedule_equals_one_cpu_issues_and_durations(self, monkeypatch):
+        # The predicted duration is the sum of the rounds' cohort times under
+        # run_trial's time keys; a change to either key shows here.
+        calls, waves = dispatches(monkeypatch), []
+        for seed in (1 + 1000 * k for k in range(8)):
+            calls.clear()
+            alone = one_seed_report(monkeypatch, {**WIDE_ASYNC, "seeds": [seed]}, 1)
+            laned = one_seed_report(monkeypatch, {**WIDE_ASYNC, "seeds": [seed]}, 2)
+            one_cpu, dry, ran = calls
+            assert [(e, g) for e, g, _ in dry] == [(e, g) for e, g, _ in one_cpu]
+            assert [d for _, _, d in dry] == [alone.trials[e].sim_time for e, _, _ in dry]
+            assert ran == one_cpu
+            assert seed_report_key(laned) == seed_report_key(alone)
+            waves.append(len({g for _, g, _ in dry}))
+        assert 1 < min(waves) and max(waves) < WIDE_ASYNC["budget_configs"]
+
+    def test_zero_duration_evaluations_are_foreseen(self, monkeypatch):
         pids = fork_pids(monkeypatch)
+        inline = inline_evals(monkeypatch)
         alone = one_seed_report(monkeypatch, CRITERION7, 1)
+        assert inline == list(range(6))
+        inline.clear()
         laned = one_seed_report(monkeypatch, CRITERION7, 2)
         assert len(pids) == 1
         assert_reaped(pids)
         assert seed_report_key(laned) == seed_report_key(alone)
-        # evaluation 0 takes no simulated time, so dispatch issues evaluations
-        # 1.. to other groups than the ones they ran on ahead
-        cfg = config_from_dict(CRITERION7)
-        groups = runner.make_groups(cfg, runner.build_world(cfg, 2), 2)
+        # evaluation 0 takes no simulated time and frees its group at t=0
+        # again, which the dry dispatch foresees: nothing is computed twice
         assert alone.trials[0].sim_time == 0.0
-        moved = [e for e, g in sched.first_issues(groups, 6)
-                 if alone.trials[e].group_id != g.group_id]
-        assert moved == [1, 2, 3, 4, 5]
+        assert inline == []
+
+    def test_mispredicted_issues_are_computed_inline(self, monkeypatch):
+        inline = inline_evals(monkeypatch)
+        alone = one_seed_report(monkeypatch, MISPREDICTED, 1)
+        inline.clear()
+        laned = one_seed_report(monkeypatch, MISPREDICTED, 2)
+        assert seed_report_key(laned) == seed_report_key(alone)
+        assert any(t.failed for t in alone.trials)
+        assert any(len(t.trace) < MISPREDICTED["rounds_per_trial"]
+                   for t in alone.trials if not t.failed)
+        assert inline  # some issues went to other groups than predicted
 
     @pytest.mark.parametrize("sampler", ["adaptive", "halving"])
     def test_samplers_that_read_feedback_fork_nothing(self, sampler, monkeypatch):
@@ -367,10 +467,9 @@ def test_prefetched_evaluation_raises_like_inline(error, monkeypatch):
         pickle.dumps(UnpicklableError("x", 1))
     # the point an error surfaces at: the evaluations dispatch has issued,
     # and those it has committed
-    run_one_eval, dispatch = runner._run_one_eval, sched.dispatch
-    issued, committed = [], []
-    monkeypatch.setattr(sched, "dispatch", lambda groups, n, issue, run_eval: dispatch(
-        groups, n, lambda g, e: issued.append(e) or issue(g, e), run_eval))
+    # (the dispatch that runs evaluations is the last; at two CPUs a dry one
+    # predicts the schedule first)
+    run_one_eval, calls, committed = runner._run_one_eval, dispatches(monkeypatch), []
     monkeypatch.setattr(runner.hpo.RandomSampler, "commit",
                         lambda self, outcome: committed.append(outcome.trial_key))
     for failing in range(RANDOM_ASYNC["budget_configs"]):  # in either lane
@@ -384,10 +483,12 @@ def test_prefetched_evaluation_raises_like_inline(error, monkeypatch):
         monkeypatch.setattr(runner, "_run_one_eval", raising)
         seen = {}
         for cpus in (1, 2):
-            issued.clear()
+            calls.clear()
             committed.clear()
             with pytest.raises(error) as info:
                 one_seed_report(monkeypatch, RANDOM_ASYNC, cpus)
-            seen[cpus] = (type(info.value), str(info.value), list(issued), list(committed))
+            assert len(calls) == cpus
+            issued = [ran[0] for ran in calls[-1]]
+            seen[cpus] = (type(info.value), str(info.value), issued, list(committed))
         assert seen[2] == seen[1]
         assert str(failing) in seen[1][1] and seen[1][2] == list(range(failing + 1))

@@ -12,7 +12,6 @@ from fedtune.sched import (
     LatencyProfile,
     completion_time,
     dispatch,
-    first_issues,
     form_groups,
 )
 
@@ -180,36 +179,3 @@ class TestDispatch:
         for cfg in cfgs:
             assert order.index(("issue", cfg.config_id)) < \
                 order.index(("feedback", cfg.config_id))
-
-
-def dispatched_issues(groups, num_evals, duration):
-    """dispatch's (eval index, group id) issues, each evaluation taking duration(e)."""
-    issued = []
-
-    def run_eval(group, cfg, e):
-        issued.append((e, group.group_id))
-        return duration(e), lambda: None
-
-    dispatch(groups, num_evals, lambda g, e: HpConfig({"learning_rate": float(e)}), run_eval)
-    return issued
-
-
-class TestFirstIssues:
-    def test_equal_dispatch_issues_when_every_evaluation_takes_time(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            n_groups = int(rng.integers(1, 6))
-            ids = [int(i) for i in rng.permutation(10)[:n_groups]]  # unsorted, with gaps
-            groups = [ClientGroup(g, [g]) for g in ids]
-            num_evals = int(rng.integers(1, 12))
-            costs = rng.uniform(0.1, 5.0, num_evals)
-            issued = dispatched_issues(groups, num_evals, lambda e: float(costs[e]))
-            ahead = [(e, g.group_id) for e, g in first_issues(groups, num_evals)]
-            assert issued[:len(ahead)] == ahead
-            assert len(ahead) == (num_evals if n_groups == 1 else min(n_groups, num_evals))
-
-    def test_a_zero_duration_evaluation_moves_later_issues(self):
-        groups = [ClientGroup(0, [0]), ClientGroup(1, [1])]
-        issued = dispatched_issues(groups, 2, lambda e: 0.0 if e == 0 else 1.0)
-        assert issued == [(0, 0), (1, 0)]
-        assert [(e, g.group_id) for e, g in first_issues(groups, 2)] == [(0, 0), (1, 1)]
