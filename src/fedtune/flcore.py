@@ -74,6 +74,8 @@ class ExperimentWorld:
     base_seed: int
     agg_mode: str = "weighted"
     plans: PlanMemo = field(default_factory=PlanMemo, init=False, repr=False, compare=False)
+    # A lanes.Helper that trains one share of every cohort pass, or None.
+    helper: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eval_cadence < 1:
@@ -140,26 +142,62 @@ def weighted_objective(losses_and_counts) -> float:
     return sum(loss * n for loss, n in losses_and_counts) / total
 
 
-def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
-                 cohort: list[ClientState], round_index: int, seed_key: tuple):
-    """Train every cohort member from global_w under config, then FedAvg.
-
-    All members train together in one models.train_stack pass; client c
-    draws its batches from derive_seed(*seed_key, c.client_id). The batch
-    plans come from world.plans, so passes under one seed_key build them
-    once. If any client diverges, NumericDivergenceError names the lowest
-    such client_id, round_index and config.
-    Returns (aggregate weights, [(client_id, validation loss)] in
-    client_id order).
-    """
-    hp = to_train_hp(config, world.hp_defaults)
-    members = sorted(cohort, key=lambda c: c.client_id)
-    trained, val_losses, failures = models.train_stack(
+def train_share(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp,
+                members: list[ClientState], seed_key: tuple):
+    """models.train_stack of members (in client_id order) from global_w, on
+    the batch plans world.plans holds for seed_key. Returns (weights, val
+    losses, failures), one row each per member."""
+    return models.train_stack(
         world.model_spec, global_w, hp,
         [(c.shard.train.features, c.shard.train.labels,
           c.shard.val.features, c.shard.val.labels) for c in members],
         world.plans.get(world.model_spec, hp, members, seed_key),
     )
+
+
+def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp,
+                 members: list[ClientState], seed_key: tuple):
+    """train_share of members, one share trained by world.helper while this
+    process trains the other; rows come back in members' order."""
+    from . import lanes  # loaded by the run that started the helper
+
+    by_id = {c.client_id: c for c in members}
+    theirs, mine = (sorted(s) for s in
+                    lanes.split(by_id, lambda i: len(by_id[i].shard.train), 2))
+    world.helper.send(global_w, hp, theirs, seed_key)
+    own = train_share(world, global_w, hp, [by_id[i] for i in mine], seed_key)
+    other = world.helper.receive()
+    if other is None:  # the helper's exception did not pickle: raise it here
+        other = train_share(world, global_w, hp, [by_id[i] for i in theirs], seed_key)
+    elif isinstance(other, Exception):
+        raise other
+    order = np.argsort(mine + theirs)
+    failures = own[2] + other[2]
+    return (np.concatenate([own[0], other[0]])[order],
+            np.concatenate([own[1], other[1]])[order], [failures[i] for i in order])
+
+
+def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
+                 cohort: list[ClientState], round_index: int, seed_key: tuple):
+    """Train every cohort member from global_w under config, then FedAvg.
+
+    The members train in models.train_stack passes (train_share); client c
+    draws its batches from derive_seed(*seed_key, c.client_id). The batch
+    plans come from world.plans, so passes under one seed_key build them
+    once. With world.helper set, a cohort of two or more is split in two
+    shares by training rows (lanes.split): the helper trains one on its own
+    copy of the world and plans while this process trains the other. A
+    row's weights and loss do not depend on its stack-mates, so the merged
+    rows, the aggregate and every error are those of one pass. If any
+    client diverges, NumericDivergenceError names the lowest such
+    client_id, round_index and config.
+    Returns (aggregate weights, [(client_id, validation loss)] in
+    client_id order).
+    """
+    hp = to_train_hp(config, world.hp_defaults)
+    members = sorted(cohort, key=lambda c: c.client_id)
+    train = _train_split if world.helper is not None and len(members) > 1 else train_share
+    trained, val_losses, failures = train(world, global_w, hp, members, seed_key)
     for c, failure in zip(members, failures):
         if failure is not None:
             raise NumericDivergenceError(

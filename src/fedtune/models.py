@@ -211,6 +211,7 @@ def _pool(sets, input_dim: int):
     return features, labels, offsets
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_stack(spec: ModelSpec, values: np.ndarray, sets, block: int | None = None):
     """Mean cross-entropy and top-1 accuracy of weight row i on sets[i].
 
@@ -219,7 +220,9 @@ def evaluate_stack(spec: ModelSpec, values: np.ndarray, sets, block: int | None 
     `block` rows (default: the largest set), the last one padded; block
     sums are added in order. With a fixed block, row i's result does not
     depend on the other rows. Argmax ties break toward the lowest class
-    index. Returns ((k,) losses, (k,) accuracies).
+    index. Float overflow is silenced: it shows as a non-finite loss, which
+    train_stack reports as a failure. Returns ((k,) losses, (k,)
+    accuracies).
     """
     sizes = np.array([len(y) for _, y in sets])
     if not sizes.all():

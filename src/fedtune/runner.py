@@ -326,9 +326,21 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     return {e: (issues[e][0].group_id, issues[e][1].config_id, r) for e, r in done.items()}
 
 
+def _start_helper(world):
+    """A lanes.Helper that trains one share of every cohort pass of world
+    (flcore.train_cohort) on its copy of world, or None if none started."""
+    from . import lanes  # loaded only by runs that fork
+
+    by_id = {c.client_id: c for c in world.clients}
+    return lanes.Helper.start(lambda global_w, hp, ids, seed_key: flcore.train_share(
+        world, global_w, hp, [by_id[i] for i in ids], seed_key))
+
+
 def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
-    """One seed's report; with cpus > 1, sampler permitting, _run_ahead runs
-    every evaluation ahead in forked lanes, and a mispredicted one inline."""
+    """One seed's report. With cpus > 1 and os.fork, _run_ahead runs every
+    evaluation of a feedback_free sampler ahead in forked lanes, and a
+    mispredicted one inline; under any other sampler a helper lane trains
+    one share of every cohort pass (_start_helper)."""
     world = build_world(cfg, seed)
     space = cfg.search_space()
     store = FeedbackStore()
@@ -362,8 +374,14 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
             raise outcome
         return outcome.row.sim_time, lambda: commit(outcome)
 
-    result = sched.dispatch(groups, sampler.num_evals,
-                            lambda group, e: sampler.start_config(e, store), run_eval)
+    if cpus > 1 and not sampler.feedback_free:
+        world.helper = _start_helper(world)
+    try:
+        result = sched.dispatch(groups, sampler.num_evals,
+                                lambda group, e: sampler.start_config(e, store), run_eval)
+    finally:
+        if world.helper is not None:
+            world.helper.close()
     # One row per trial key, in key order, numbered 0..n-1.
     outcomes = [committed[k] for k in sorted(committed)]
     for i, o in enumerate(outcomes):
@@ -403,10 +421,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     with os.fork, the seeds run in min(seeds, usable CPUs) lanes
     (lanes.run_jobs): this process and forked children, each holding its
     own world. Otherwise they run inline, where a one-seed random search may
-    fork lanes for all its evaluations (_run_ahead). A lane starts no seed
-    after its own seed failed, while the other lanes finish theirs; a seed
-    no lane ran runs inline here. A failing seed raises its own error, the
-    first in seed order; a lane that dies raises FedTuneError.
+    fork lanes for all its evaluations (_run_ahead), and any other one-seed
+    search a helper lane for half of every cohort pass (_start_helper). A
+    lane starts no seed after its own seed failed, while the other lanes
+    finish theirs; a seed no lane ran runs inline here. A failing seed
+    raises its own error, the first in seed order; a lane that dies raises
+    FedTuneError.
     """
     seeds, cpus = cfg["seeds"], _usable_cpus()
     done = {}

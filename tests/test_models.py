@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,15 @@ class TestEvaluate:
                                       x, y, x, y, 0)
         _, acc = models.evaluate(spec, w, x, y)
         assert acc == 1.0
+
+    def test_overflow_scores_non_finite_without_warning(self):
+        x, y = make_blob(6)
+        spec = ModelSpec("logistic", 4, 2)
+        values = np.full((1, spec.num_params()), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            losses, _ = models.evaluate_stack(spec, values, [(x * 1e110, y)])
+        assert not np.isfinite(losses[0])
 
     def test_empty_set_rejected(self):
         spec = ModelSpec("logistic", 4, 2)

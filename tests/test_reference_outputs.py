@@ -105,3 +105,12 @@ def test_halving_outputs_match_reference_at_usable_cpus(cpus, tmp_path, monkeypa
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
     assert output_digests(CONFIGS["halving"]) == REFERENCE["halving"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_adaptive_outputs_match_reference_at_usable_cpus(cpus, tmp_path, monkeypatch):
+    # One seed of adaptive search splits each cohort pass with a pinned
+    # helper lane when a CPU is spare, and trains it inline on one CPU.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+    assert output_digests(CONFIGS["adaptive"]) == REFERENCE["adaptive"]

@@ -5,7 +5,10 @@ another. And the runner's continuation rule: an evaluation continues the
 latest committed one of its trial key, which random and adaptive search
 never repeat. And a one-seed random search, which reads no feedback, runs
 every evaluation ahead in forked lanes, on the group a dry dispatch of
-simulated durations predicts, with the same report and errors as inline."""
+simulated durations predicts, with the same report and errors as inline.
+And a one-seed adaptive or halving search splits every cohort pass with a
+helper lane pinned to a CPU of its own, with the same report and errors
+as inline."""
 
 import os
 import pickle
@@ -14,13 +17,16 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 import yaml
 
 import fedtune
-from fedtune import cli, runner, sched
-from fedtune.common import FedTuneError, FeedbackError, PartitionError
+from fedtune import cli, data, flcore, lanes, models, runner, sched
+from fedtune.common import (FedTuneError, FeedbackError, NumericDivergenceError,
+                            PartitionError)
 from fedtune.config import config_from_dict
+from fedtune.hpo import HpConfig
 
 # Lanes are forked, and several tests rely on that: patches made in this
 # process reach the children, and forks are counted at os.fork.
@@ -44,7 +50,13 @@ TINY = {
 
 
 def usable_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: n)
+
+
+# A helper lane is pinned to a CPU of its own, so one starts only where this
+# process may run on two CPUs.
+PINNABLE = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1
+needs_two_cpus = pytest.mark.skipif(not PINNABLE, reason="needs two usable CPUs")
 
 
 def fork_pids(monkeypatch):
@@ -108,7 +120,8 @@ class TestSeedPool:
             alone = runner.run_experiment(config_from_dict({**TINY, "seeds": [sr.seed]}))
             assert seed_report_key(sr) == seed_report_key(alone.per_seed[0])
             assert sr.feedback_history  # the adaptive sampler's probes were recorded
-        assert len(pids) == 1  # the one-seed runs forked nothing
+        assert len(pids) == (4 if PINNABLE else 1)  # and each one-seed run one helper
+        assert_reaped(pids)
 
     def test_cli_files_identical_with_pool_and_one_cpu(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
@@ -412,12 +425,17 @@ class TestRunAhead:
                    for t in alone.trials if not t.failed)
         assert inline  # some issues went to other groups than predicted
 
+    @needs_two_cpus
     @pytest.mark.parametrize("sampler", ["adaptive", "halving"])
-    def test_samplers_that_read_feedback_fork_nothing(self, sampler, monkeypatch):
+    def test_samplers_that_read_feedback_fork_one_helper(self, sampler, monkeypatch):
         pids = fork_pids(monkeypatch)
         overrides = {**TINY, "sampler": sampler, "budget_configs": 3, "seeds": [1]}
-        one_seed_report(monkeypatch, overrides, 2)
+        alone = one_seed_report(monkeypatch, overrides, 1)
         assert pids == []
+        split = one_seed_report(monkeypatch, overrides, 2)
+        assert len(pids) == 1  # the helper lane, not run-ahead lanes
+        assert_reaped(pids)
+        assert seed_report_key(split) == seed_report_key(alone)
 
     def test_runs_inline_when_fork_fails_or_is_missing(self, monkeypatch):
         alone = one_seed_report(monkeypatch, RANDOM_ASYNC, 1)
@@ -492,3 +510,145 @@ def test_prefetched_evaluation_raises_like_inline(error, monkeypatch):
             seen[cpus] = (type(info.value), str(info.value), issued, list(committed))
         assert seen[2] == seen[1]
         assert str(failing) in seen[1][1] and seen[1][2] == list(range(failing + 1))
+
+
+# Six clients, so each share of a cohort pass holds several.
+SPLIT = {**TINY, "dataset": {**TINY["dataset"], "n": 600}, "n_clients": 6, "seeds": [1]}
+
+
+def failing_setaffinity(which):
+    """os.sched_setaffinity, failing for this process (pid 0) or for the helper."""
+    setaffinity = os.sched_setaffinity
+
+    def failing(pid, cpus):
+        if (pid == 0) == (which == "this process"):
+            raise OSError(22, "Invalid argument")
+        return setaffinity(pid, cpus)
+
+    return failing
+
+
+@needs_two_cpus
+class TestHelper:
+    """A one-seed adaptive or halving search trains one share of every cohort
+    pass in a pinned helper lane, with the same report and errors as inline,
+    and leaves this process's CPU affinity as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def affinity_is_restored(self):
+        before = os.sched_getaffinity(0)
+        yield
+
+    def test_shares_train_on_two_pinned_cpus(self, monkeypatch):
+        cpus = sorted(os.sched_getaffinity(0))
+        alone = one_seed_report(monkeypatch, SPLIT, 1)
+        parent, train_share, seen = os.getpid(), flcore.train_share, set()
+
+        def spy(world, global_w, hp, members, seed_key):
+            if os.getpid() == parent:
+                seen.add((len(members), frozenset(os.sched_getaffinity(0)),
+                          frozenset(os.sched_getaffinity(world.helper.pid))))
+            return train_share(world, global_w, hp, members, seed_key)
+
+        monkeypatch.setattr(flcore, "train_share", spy)
+        split = one_seed_report(monkeypatch, SPLIT, 2)
+        assert seed_report_key(split) == seed_report_key(alone)
+        assert {(mine, theirs) for _, mine, theirs in seen} == \
+            {(frozenset(cpus[:1]), frozenset(cpus[1:2]))}
+        assert max(n for n, _, _ in seen) < SPLIT["n_clients"]
+
+    @pytest.mark.parametrize("which", ["this process", "the helper"])
+    def test_failing_sched_setaffinity_runs_inline(self, which, monkeypatch):
+        alone = one_seed_report(monkeypatch, SPLIT, 1)
+        monkeypatch.setattr(os, "sched_setaffinity", failing_setaffinity(which))
+        pids = fork_pids(monkeypatch)
+        inline = one_seed_report(monkeypatch, SPLIT, 2)
+        assert seed_report_key(inline) == seed_report_key(alone)
+        assert len(pids) == (which == "the helper")  # pinned after the fork
+        assert_reaped(pids)
+
+    def test_divergence_in_helpers_share_raises_like_one_cpu(self):
+        world = runner.build_world(config_from_dict(SPLIT), 1)
+        rows = {c.client_id: len(c.shard.train) for c in world.clients}
+        theirs, mine = lanes.split(rows, rows.get, 2)  # as flcore.train_cohort splits
+        # the helper's lowest client and a higher one of this process's share diverge
+        poisoned = {min(theirs), max(mine)}
+        assert min(theirs) < max(mine)
+        for c in world.clients:
+            if c.client_id in poisoned:
+                c.shard.train = data.Dataset(np.full_like(c.shard.train.features, np.nan),
+                                             c.shard.train.labels)
+        healthy = [c for c in world.clients if c.client_id not in poisoned]
+        w = models.init_weights(world.model_spec, 0)
+        config, key = HpConfig(world.hp_defaults), (1, "train", 0, 3)
+
+        def passes():
+            with pytest.raises(NumericDivergenceError) as info:
+                flcore.train_cohort(world, w, config, world.clients, 3, key)
+            err = info.value
+            # the helper still answers in step after the error
+            agg, losses = flcore.train_cohort(world, w, config, healthy, 3, key)
+            return (str(err), err.client_id, err.round_index, err.config_id,
+                    agg.values.tobytes(), repr(losses))
+
+        alone = passes()
+        world.helper = runner._start_helper(world)
+        try:
+            assert passes() == alone
+        finally:
+            world.helper.close()
+        assert alone[1:4] == (min(theirs), 3, config.config_id)
+
+    def test_dead_helper_exits_3(self, tmp_path, monkeypatch, capsys):
+        parent, train_share = os.getpid(), flcore.train_share
+
+        def dying(*args):
+            if os.getpid() != parent:  # the helper is killed
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train_share(*args)
+
+        monkeypatch.setattr(flcore, "train_share", dying)
+        usable_cpus(monkeypatch, 2)
+        pids = fork_pids(monkeypatch)
+        path = write_config(tmp_path, **SPLIT)
+        assert cli.main(["run", path, "--output", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+        assert "error: a worker process died" in capsys.readouterr().err
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_interrupt_reaps_helper(self, monkeypatch):
+        parent, train_share = os.getpid(), flcore.train_share
+
+        def interrupted(*args):
+            if os.getpid() == parent:  # while the helper trains its share
+                raise KeyboardInterrupt
+            return train_share(*args)
+
+        monkeypatch.setattr(flcore, "train_share", interrupted)
+        pids = fork_pids(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            one_seed_report(monkeypatch, SPLIT, 2)
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    @pytest.mark.parametrize("error", [FeedbackError, TwoArgError, UnpicklableError])
+    def test_error_in_either_share_raises_like_one_cpu(self, error, monkeypatch):
+        train_share = flcore.train_share
+        pids = fork_pids(monkeypatch)
+        for failing in range(SPLIT["n_clients"]):  # in either share
+
+            def raising(world, global_w, hp, members, seed_key):
+                if failing in [c.client_id for c in members]:
+                    raise (error(f"boom at {failing}") if error is FeedbackError
+                           else error(f"boom at {failing}", failing))
+                return train_share(world, global_w, hp, members, seed_key)
+
+            monkeypatch.setattr(flcore, "train_share", raising)
+            seen = {}
+            for cpus in (1, 2):
+                with pytest.raises(error) as info:
+                    one_seed_report(monkeypatch, SPLIT, cpus)
+                seen[cpus] = type(info.value), str(info.value)
+            assert seen[2] == seen[1] == (error, f"boom at {failing}")
+        assert len(pids) == SPLIT["n_clients"]
+        assert_reaped(pids)
