@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import models, sched
+from . import lanes, models, sched
 from .common import AggregationError, NumericDivergenceError, derive_seed
 from .data import DataShard, Dataset
 from .hpo import HpConfig
@@ -159,8 +159,6 @@ def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp,
                  members: list[ClientState], seed_key: tuple):
     """train_share of members, one share trained by world.helper while this
     process trains the other; rows come back in members' order."""
-    from . import lanes  # loaded by the run that started the helper
-
     by_id = {c.client_id: c for c in members}
     theirs, mine = (sorted(s) for s in
                     lanes.split(by_id, lambda i: len(by_id[i].shard.train), 2))

@@ -1,13 +1,10 @@
-"""Work run in lanes: this process and forked children.
+"""Work run in lanes: this process and pinned helper processes.
 
-The one way fedtune forks. runner.run_experiment runs the seeds of a
-multi-seed run in run_jobs lanes, and runner._run_ahead every evaluation
-of a one-seed random search. A one-seed adaptive or halving search
-trains half of every cohort pass in a Helper, a child pinned to a CPU of
-its own. Only a run that forks imports this module, so no other run pays
-for loading it.
+The one place fedtune forks. helpers starts the helpers; run_jobs and
+flcore.train_cohort send them work. See README "Lanes".
 """
 
+import contextlib
 import os
 import pickle
 import select
@@ -17,7 +14,7 @@ import time
 
 from .common import FedTuneError
 
-_LENGTH = struct.Struct("<Q")  # the byte count that precedes each Helper message
+_LENGTH = struct.Struct("<Q")  # the byte count that precedes each message
 # Longer than 98% of a helper's waits for its next request on adaptive-sync.
 _SPIN_S = 0.002
 
@@ -35,20 +32,16 @@ def split(keys, cost, lanes: int) -> list[list]:
 
 
 def run_jobs(jobs: dict, cost, run, lanes: int) -> dict:
-    """run(key) for every key of jobs, in min(lanes, len(jobs)) lanes; a key
-    is a seed or an evaluation index.
+    """run(key) for every key of jobs, split by cost(key) (split) across
+    this process and the helpers started for up to min(lanes, len(jobs))
+    lanes; a key is a seed or an evaluation index.
 
-    Keys are split across the lanes by cost(key) (split); this process is
-    lane 0 and every other lane is a forked child. A lane runs its keys in
-    ascending order and stops at the first exception, which it keeps in
-    place of a result. A child sends what it has over a pipe and exits;
-    every child is reaped before this returns, and one that dies raises
-    FedTuneError. A kept exception that does not pickle is left out, and so
-    is the whole share of a child whose exception does not unpickle: the
-    caller runs those keys again, and so raises it. jobs must not be empty.
-    Returns key -> result or exception.
+    A lane runs its keys in ascending order and stops at its first
+    exception, which it keeps in place of a result. A helper's share whose
+    reply does not pickle or unpickle is run again here. A helper that dies
+    raises FedTuneError. Returns key -> result or exception, or {} when no
+    helper started: the caller then runs every key inline.
     """
-    shares = split(jobs, cost, lanes)
 
     def run_share(share) -> list:
         done = []
@@ -60,50 +53,47 @@ def run_jobs(jobs: dict, cost, run, lanes: int) -> dict:
                 break
         return done
 
-    children = []  # (pid, pipe reader) of every child not yet reaped
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # the keys left are not run here
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:  # the child: send its share's results, then exit
-                status = 1
-                try:
-                    os.close(r)
-                    done = run_share(share)
-                    try:
-                        payload = pickle.dumps(done)
-                    except Exception:  # the exception that stopped the lane
-                        payload = pickle.dumps(done[:-1])
-                    with os.fdopen(w, "wb") as fh:
-                        fh.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
+    with helpers(run_share, min(lanes, len(jobs))) as started:
+        if not started:
+            return {}
+        shares = split(jobs, cost, len(started) + 1)
+        for helper, share in zip(started, shares[1:]):
+            helper.send(share)
         done = run_share(shares[0])
-        while children:
-            pid, reader = children[0]
-            payload = reader.read()
-            reader.close()
-            children.pop(0)
-            if os.waitpid(pid, 0)[1] != 0:
-                raise FedTuneError("a worker process died")
-            try:
-                done += pickle.loads(payload)
-            except Exception:  # an exception that does not unpickle
-                pass
-    finally:
-        for pid, reader in children:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for helper, share in zip(started, shares[1:]):
+            reply = helper.receive()
+            done += run_share(share) if reply is None else reply
     return dict(done)
+
+
+@contextlib.contextmanager
+def helpers(serve, lanes: int):
+    """Up to lanes - 1 started Helpers for serve: this process is pinned to
+    the lowest CPU of its affinity and helper i to the i-th CPU after it.
+
+    Fewer start, down to none, when the CPUs run out, when the platform
+    lacks fork or sched_setaffinity, or when a fork or a pin fails. On exit,
+    whether the body returned, raised or was interrupted, every helper is
+    closed and this process's affinity restored.
+    """
+    pinnable = hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
+    affinity = os.sched_getaffinity(0) if pinnable else set()
+    cpus, started, pinned = sorted(affinity)[:lanes], [], False
+    try:
+        if len(cpus) > 1:
+            try:
+                os.sched_setaffinity(0, cpus[:1])
+                pinned = True
+                for cpu in cpus[1:]:
+                    started.append(Helper(serve, cpu))
+            except OSError:  # a failed fork or pin: the helpers started so far
+                pass
+        yield started
+    finally:
+        for helper in started:
+            helper.close()
+        if pinned:
+            os.sched_setaffinity(0, affinity)
 
 
 def _write(fd: int, payload: bytes):
@@ -133,47 +123,27 @@ def _read(reader) -> bytes | None:
 
 
 class Helper:
-    """A forked child that answers requests one at a time, pinned to a CPU
-    of its own while this process keeps another.
+    """A forked child pinned to cpu that answers requests one at a time.
 
     The child runs serve(*request) on its copy of this process's memory
     as it was at the fork, and sends back the result or the exception it
     raised; serve must not return None. Messages are pickles, each after
-    its length. Start one with Helper.start; close stops it.
+    its length. A failed fork or pin raises OSError and leaves no child.
+    Start helpers with lanes.helpers, which closes them.
     """
 
-    def __init__(self, pid: int, requests: int, replies, affinity: set):
-        self.pid, self.requests, self.replies, self.affinity = pid, requests, replies, affinity
-
-    @classmethod
-    def start(cls, serve) -> "Helper | None":
-        """A Helper for serve, with this process pinned to the lowest CPU
-        of its affinity and the child to the next. None, and this process
-        unchanged, when there are fewer than two CPUs, no os.fork, a failed
-        fork or a failed sched_setaffinity: two halves on one CPU would
-        only take turns."""
-        if not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")):
-            return None
-        affinity = os.sched_getaffinity(0)
-        cpus = sorted(affinity)
-        if len(cpus) < 2:
-            return None
+    def __init__(self, serve, cpu: int):
+        (request_r, self.requests), (reply_r, reply_w) = os.pipe(), os.pipe()
         try:
-            os.sched_setaffinity(0, {cpus[0]})
+            self.pid = os.fork()
         except OSError:
-            return None
-        (request_r, request_w), (reply_r, reply_w) = os.pipe(), os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (request_r, request_w, reply_r, reply_w):
+            for fd in (request_r, self.requests, reply_r, reply_w):
                 os.close(fd)
-            os.sched_setaffinity(0, affinity)
-            return None
-        if pid == 0:  # the child: answer until the requests pipe ends
+            raise
+        if self.pid == 0:  # the child: answer until the requests pipe ends
             status = 1
             try:
-                os.close(request_w)
+                os.close(self.requests)
                 os.close(reply_r)
                 with os.fdopen(request_r, "rb") as requests:
                     while (request := _read(requests)) is not None:
@@ -191,13 +161,12 @@ class Helper:
                 os._exit(status)
         os.close(request_r)
         os.close(reply_w)
-        helper = cls(pid, request_w, os.fdopen(reply_r, "rb"), affinity)
+        self.replies = os.fdopen(reply_r, "rb")
         try:
-            os.sched_setaffinity(pid, {cpus[1]})
+            os.sched_setaffinity(self.pid, {cpu})
         except OSError:
-            helper.close()
-            return None
-        return helper
+            self.close()
+            raise
 
     def send(self, *request):
         """Ask the child for serve(*request); receive takes the answer."""
@@ -208,9 +177,9 @@ class Helper:
 
     def receive(self):
         """The answer to the oldest request not yet received: serve's
-        result or exception, or None for an exception that did not pickle
-        or unpickle, which the caller raises by running the request itself.
-        A child that died raises FedTuneError."""
+        result or exception, or None for a reply that did not pickle or
+        unpickle, which the caller computes again itself. A child that
+        died raises FedTuneError."""
         payload = _read(self.replies)
         if payload is None:
             raise FedTuneError("a worker process died")
@@ -220,9 +189,8 @@ class Helper:
             return None
 
     def close(self):
-        """Stop and reap the child, and restore this process's CPU affinity."""
+        """Stop and reap the child."""
         os.close(self.requests)
         self.replies.close()
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
-        os.sched_setaffinity(0, self.affinity)

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import data, flcore, hpo, models, sched
+from . import data, flcore, hpo, lanes, models, sched
 from .common import ConfigurationError, NumericDivergenceError, derive_seed
 from .config import ExperimentConfig
 from .flcore import ExperimentWorld, to_train_hp
@@ -285,19 +285,15 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
 
 
 def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
-    """Every evaluation, run before dispatch starts in up to cpus lanes
-    (lanes.run_jobs), balanced by cohort training rows times epochs, on the
-    group a dry sched.dispatch issues it to. The dry run trains nothing:
-    each evaluation takes the sum of its rounds' cohort times, as run_trial
-    charges them, so it foresees every issue unless a trial diverges or
-    stops early and frees its group sooner. Only for a feedback_free
-    sampler, more than one CPU and a platform with os.fork. Returns eval
-    index -> (group id, config id, EvalOutcome or the exception it raised).
+    """Every evaluation of a feedback_free sampler, run before dispatch in
+    up to cpus lanes (lanes.run_jobs), balanced by cohort training rows
+    times epochs, on the group a dry sched.dispatch issues it to; the dry
+    run charges each evaluation the sum of its rounds' cohort times (README
+    "Lanes"). Returns eval index -> (group id, config id, EvalOutcome or
+    the exception it raised), or {} if nothing ran ahead.
     """
-    if cpus < 2 or not sampler.feedback_free or not hasattr(os, "fork"):
+    if cpus < 2 or not sampler.feedback_free:
         return {}
-    from . import lanes  # loaded only by runs that fork lanes
-
     issues = {}
 
     def issue(group, e):
@@ -326,21 +322,18 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     return {e: (issues[e][0].group_id, issues[e][1].config_id, r) for e, r in done.items()}
 
 
-def _start_helper(world):
-    """A lanes.Helper that trains one share of every cohort pass of world
-    (flcore.train_cohort) on its copy of world, or None if none started."""
-    from . import lanes  # loaded only by runs that fork
-
+def _share_trainer(world):
+    """A lanes.Helper's serve that trains one share of a cohort pass of
+    world (flcore.train_cohort) on its copy of world."""
     by_id = {c.client_id: c for c in world.clients}
-    return lanes.Helper.start(lambda global_w, hp, ids, seed_key: flcore.train_share(
-        world, global_w, hp, [by_id[i] for i in ids], seed_key))
+    return lambda global_w, hp, ids, seed_key: flcore.train_share(
+        world, global_w, hp, [by_id[i] for i in ids], seed_key)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
-    """One seed's report. With cpus > 1 and os.fork, _run_ahead runs every
-    evaluation of a feedback_free sampler ahead in forked lanes, and a
-    mispredicted one inline; under any other sampler a helper lane trains
-    one share of every cohort pass (_start_helper)."""
+    """One seed's report, in up to cpus lanes: a feedback_free sampler runs
+    its evaluations ahead (_run_ahead), and any other splits every cohort
+    pass with one helper (README "Lanes")."""
     world = build_world(cfg, seed)
     space = cfg.search_space()
     store = FeedbackStore()
@@ -374,14 +367,11 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
             raise outcome
         return outcome.row.sim_time, lambda: commit(outcome)
 
-    if cpus > 1 and not sampler.feedback_free:
-        world.helper = _start_helper(world)
-    try:
+    split_lanes = 1 if sampler.feedback_free else min(cpus, 2)  # a cohort splits in two
+    with lanes.helpers(_share_trainer(world), split_lanes) as started:
+        world.helper = started[0] if started else None
         result = sched.dispatch(groups, sampler.num_evals,
                                 lambda group, e: sampler.start_config(e, store), run_eval)
-    finally:
-        if world.helper is not None:
-            world.helper.close()
     # One row per trial key, in key order, numbered 0..n-1.
     outcomes = [committed[k] for k in sorted(committed)]
     for i, o in enumerate(outcomes):
@@ -408,31 +398,21 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
 
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The CPUs of this process's affinity, or 1 where lanes cannot pin."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else 1
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run every seed of cfg and collect one SeedReport per seed, in
     cfg["seeds"] order; each equals that seed's one-seed run on one CPU.
 
-    With more than one seed and more than one usable CPU, on a platform
-    with os.fork, the seeds run in min(seeds, usable CPUs) lanes
-    (lanes.run_jobs): this process and forked children, each holding its
-    own world. Otherwise they run inline, where a one-seed random search may
-    fork lanes for all its evaluations (_run_ahead), and any other one-seed
-    search a helper lane for half of every cohort pass (_start_helper). A
-    lane starts no seed after its own seed failed, while the other lanes
-    finish theirs; a seed no lane ran runs inline here. A failing seed
+    The seeds run in lanes (lanes.run_jobs), and a seed no lane ran runs
+    inline here, with lanes of its own (README "Lanes"). A failing seed
     raises its own error, the first in seed order; a lane that dies raises
     FedTuneError.
     """
     seeds, cpus = cfg["seeds"], _usable_cpus()
-    done = {}
-    if len(seeds) > 1 and cpus > 1 and hasattr(os, "fork"):
-        from . import lanes  # loaded only by runs that fork lanes
-        done = lanes.run_jobs(dict.fromkeys(seeds), lambda s: 1, lambda s: _run_seed(cfg, s), cpus)
+    done = lanes.run_jobs(dict.fromkeys(seeds), lambda s: 1, lambda s: _run_seed(cfg, s), cpus)
     per_seed = []
     for seed in seeds:
         if isinstance(done.get(seed), Exception):

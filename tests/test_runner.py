@@ -1,14 +1,14 @@
 """run_experiment's seeds run in lanes (fedtune.lanes: this process and
-forked children) when there is more than one seed and more than one usable
-CPU, with the same reports, files and errors as running them one after
-another. And the runner's continuation rule: an evaluation continues the
-latest committed one of its trial key, which random and adaptive search
-never repeat. And a one-seed random search, which reads no feedback, runs
-every evaluation ahead in forked lanes, on the group a dry dispatch of
-simulated durations predicts, with the same report and errors as inline.
-And a one-seed adaptive or halving search splits every cohort pass with a
-helper lane pinned to a CPU of its own, with the same report and errors
-as inline."""
+helpers, each pinned to a CPU of its own) when there is more than one seed
+and more than one usable CPU, with the same reports, files and errors as
+running them one after another. And the runner's continuation rule: an
+evaluation continues the latest committed one of its trial key, which
+random and adaptive search never repeat. And a one-seed random search,
+which reads no feedback, runs every evaluation ahead in lanes, on the
+group a dry dispatch of simulated durations predicts, with the same report
+and errors as inline. And a one-seed adaptive or halving search splits
+every cohort pass with one helper, with the same report and errors as
+inline."""
 
 import os
 import pickle
@@ -53,10 +53,23 @@ def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(runner, "_usable_cpus", lambda: n)
 
 
-# A helper lane is pinned to a CPU of its own, so one starts only where this
-# process may run on two CPUs.
-PINNABLE = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) > 1
-needs_two_cpus = pytest.mark.skipif(not PINNABLE, reason="needs two usable CPUs")
+def needs_cpus(n):
+    """Skips a test unless this process may be pinned to n CPUs of its own:
+    every lane is, so a lane forks only where another CPU is usable."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else 1
+    return pytest.mark.skipif(usable < n, reason=f"needs {n} usable CPUs")
+
+
+needs_two_cpus = needs_cpus(2)
+
+
+@pytest.fixture
+def affinity_is_restored():
+    """Asserts that the test left this process's CPU affinity as it found it."""
+    getaffinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    before = getaffinity(0)
+    yield
+    assert getaffinity(0) == before
 
 
 def fork_pids(monkeypatch):
@@ -108,7 +121,9 @@ def env_with_fedtune():
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
+@pytest.mark.usefixtures("affinity_is_restored")
 class TestSeedPool:
+    @needs_two_cpus
     def test_reports_in_seed_order_equal_one_seed_runs(self, monkeypatch):
         usable_cpus(monkeypatch, 2)
         pids = fork_pids(monkeypatch)
@@ -120,9 +135,10 @@ class TestSeedPool:
             alone = runner.run_experiment(config_from_dict({**TINY, "seeds": [sr.seed]}))
             assert seed_report_key(sr) == seed_report_key(alone.per_seed[0])
             assert sr.feedback_history  # the adaptive sampler's probes were recorded
-        assert len(pids) == (4 if PINNABLE else 1)  # and each one-seed run one helper
+        assert len(pids) == 4  # and each one-seed run one helper
         assert_reaped(pids)
 
+    @needs_two_cpus
     def test_cli_files_identical_with_pool_and_one_cpu(self, tmp_path, monkeypatch):
         path = write_config(tmp_path)
         pids = fork_pids(monkeypatch)
@@ -181,6 +197,7 @@ class TestSeedPool:
         assert read_outputs(tmp_path / "entry") == read_outputs(tmp_path / "inline")
 
 
+@pytest.mark.usefixtures("affinity_is_restored")
 class TestSeedPoolFailures:
     def test_config_error_exits_2(self, tmp_path, monkeypatch, capsys):
         csv_path = tmp_path / "one_class.csv"
@@ -197,6 +214,7 @@ class TestSeedPoolFailures:
         assert cli.main(["run", path, "--output", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
         assert "error: could not give every client" in capsys.readouterr().err
 
+    @needs_two_cpus
     def test_first_failing_seed_raised_and_queued_seeds_cancelled(self, tmp_path,
                                                                    monkeypatch):
         build_world = runner.build_world
@@ -219,6 +237,7 @@ class TestSeedPoolFailures:
         started = sorted(int(p.name.split("-")[1]) for p in tmp_path.glob("seed-*"))
         assert started == [1, 2]
 
+    @needs_two_cpus
     def test_dead_worker_exits_3(self, tmp_path, monkeypatch, capsys):
         parent, build_world = os.getpid(), runner.build_world
 
@@ -366,10 +385,12 @@ MISPREDICTED = {
 }
 
 
+@pytest.mark.usefixtures("affinity_is_restored")
 class TestRunAhead:
-    """A one-seed random run computes every evaluation in forked lanes before
+    """A one-seed random run computes every evaluation in lanes before
     dispatch, on the group a dry dispatch predicts, with the same report."""
 
+    @needs_two_cpus
     @pytest.mark.parametrize("overrides", [RANDOM_ASYNC, {**RANDOM_ASYNC, "grouping":
                                                           {"mode": "sync"}}],
                              ids=["async", "sync"])
@@ -399,6 +420,7 @@ class TestRunAhead:
             waves.append(len({g for _, g, _ in dry}))
         assert 1 < min(waves) and max(waves) < WIDE_ASYNC["budget_configs"]
 
+    @needs_two_cpus
     def test_zero_duration_evaluations_are_foreseen(self, monkeypatch):
         pids = fork_pids(monkeypatch)
         inline = inline_evals(monkeypatch)
@@ -446,6 +468,7 @@ class TestRunAhead:
         assert seed_report_key(one_seed_report(monkeypatch, RANDOM_ASYNC, 2)) == \
             seed_report_key(alone)
 
+    @needs_two_cpus
     def test_child_that_dies_raises_fedtune_error(self, monkeypatch):
         parent, run_one_eval = os.getpid(), runner._run_one_eval
 
@@ -512,6 +535,48 @@ def test_prefetched_evaluation_raises_like_inline(error, monkeypatch):
         assert str(failing) in seen[1][1] and seen[1][2] == list(range(failing + 1))
 
 
+@pytest.mark.usefixtures("affinity_is_restored")
+class TestRunJobs:
+    """lanes.run_jobs runs each share but this process's in a pinned helper
+    and merges the replies."""
+
+    @needs_cpus(3)
+    def test_three_lanes_run_on_three_pinned_cpus(self, monkeypatch):
+        def run(key):
+            return key * key, os.getpid(), frozenset(os.sched_getaffinity(0))
+
+        cpus, jobs = sorted(os.sched_getaffinity(0)), dict.fromkeys([1, 2, 3])
+        pids = fork_pids(monkeypatch)
+        done = lanes.run_jobs(jobs, lambda k: 1, run, 3)
+        assert len(pids) == 2
+        assert_reaped(pids)
+        assert {k: r[0] for k, r in done.items()} == {k: run(k)[0] for k in jobs}
+        pinned = {pid: lane_cpus for _, pid, lane_cpus in done.values()}  # one key per lane
+        assert set(pinned) == {os.getpid(), *pids}
+        assert pinned[os.getpid()] == {cpus[0]}
+        assert sorted(pinned.values(), key=min) == [{c} for c in cpus[:3]]
+
+    @needs_two_cpus
+    def test_share_whose_exception_does_not_pickle_runs_again_here(self, monkeypatch):
+        parent, ran_here = os.getpid(), []
+
+        def run(key):
+            if os.getpid() == parent:
+                ran_here.append(key)
+            if key == 3:
+                raise UnpicklableError("boom at 3", 3)
+            return key * key
+
+        pids = fork_pids(monkeypatch)
+        done = lanes.run_jobs(dict.fromkeys(range(4)), lambda k: 1, run, 2)
+        assert len(pids) == 1
+        assert_reaped(pids)
+        # the shares are [0, 2] and [1, 3]; the helper's whole share runs again here
+        assert ran_here == [0, 2, 1, 3]
+        assert [done[k] for k in range(3)] == [0, 1, 4]
+        assert (type(done[3]), str(done[3])) == (UnpicklableError, "boom at 3")
+
+
 # Six clients, so each share of a cohort pass holds several.
 SPLIT = {**TINY, "dataset": {**TINY["dataset"], "n": 600}, "n_clients": 6, "seeds": [1]}
 
@@ -529,15 +594,11 @@ def failing_setaffinity(which):
 
 
 @needs_two_cpus
+@pytest.mark.usefixtures("affinity_is_restored")
 class TestHelper:
     """A one-seed adaptive or halving search trains one share of every cohort
     pass in a pinned helper lane, with the same report and errors as inline,
     and leaves this process's CPU affinity as it found it."""
-
-    @pytest.fixture(autouse=True)
-    def affinity_is_restored(self):
-        before = os.sched_getaffinity(0)
-        yield
 
     def test_shares_train_on_two_pinned_cpus(self, monkeypatch):
         cpus = sorted(os.sched_getaffinity(0))
@@ -592,11 +653,9 @@ class TestHelper:
                     agg.values.tobytes(), repr(losses))
 
         alone = passes()
-        world.helper = runner._start_helper(world)
-        try:
+        with lanes.helpers(runner._share_trainer(world), 2) as started:
+            world.helper, = started
             assert passes() == alone
-        finally:
-            world.helper.close()
         assert alone[1:4] == (min(theirs), 3, config.config_id)
 
     def test_dead_helper_exits_3(self, tmp_path, monkeypatch, capsys):
