@@ -150,8 +150,9 @@ def validate_config(raw: dict) -> dict:
     split = cfg["split"]
     _require(isinstance(split, list) and len(split) == 3, "split",
              "must be [train, val, test]")
-    _require(abs(sum(_num(f, "split") for f in split) - 1.0) <= 1e-9, "split",
-             "fractions must sum to 1")
+    fractions = [_num(f, "split") for f in split]
+    _require(all(0.0 <= f <= 1.0 for f in fractions), "split", "fractions must be in [0, 1]")
+    _require(abs(sum(fractions) - 1.0) <= 1e-9, "split", "fractions must sum to 1")
     _require(0.0 <= _num(cfg["server_val_fraction"], "server_val_fraction") < 1.0,
              "server_val_fraction", "must be in [0, 1)")
 

@@ -7,6 +7,7 @@ on evaluation-cadence rounds, scores the new global model on the
 server-side validation set.
 """
 
+import functools
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -32,30 +33,56 @@ class RoundState:
     current_hp: HpConfig
 
 
+@dataclass(eq=False)
+class Cohort:
+    """What every pass over one fixed cohort reuses; ExperimentWorld.cohort
+    builds it, and pool is built on first use, in the process that trains.
+
+    base_time, scale and sigma are the members' sched.pass_times arrays,
+    which cohort_time reads. shares, once a helper has split a pass, holds
+    the helper's share, this process's share (each a Cohort) and the order
+    that merges their rows into members' order.
+    """
+
+    members: list[ClientState]  # in client_id order
+    ids: tuple
+    base_time: np.ndarray
+    scale: np.ndarray
+    sigma: np.ndarray
+    shares: tuple | None = None
+
+    @functools.cached_property
+    def pool(self) -> models.ShardPool:
+        """The members' training and validation rows (models.pool_shards)."""
+        return models.pool_shards(
+            self.members[0].shard.train.features.shape[1],
+            [(c.shard.train.features, c.shard.train.labels,
+              c.shard.val.features, c.shard.val.labels) for c in self.members])
+
+
 @dataclass
 class PlanMemo:
     """The models.BatchPlans of one training key, for the passes that repeat it.
 
     The probes of a cycle and the round they steer all train under that
     round's key, so they share their plans. Plans are keyed by value:
-    (member client ids, *models.plan_key(spec, hp)) under seed_key. A pass
-    under another key drops every plan held, so the memo holds one key's
-    plans at most. A world's shards must not change once it has trained.
+    (cohort ids, *models.plan_key(spec, hp)) under seed_key. A pass under
+    another key drops every plan held, so the memo holds one key's plans
+    at most.
     """
 
     seed_key: tuple | None = None
     plans: dict = field(default_factory=dict)
 
-    def get(self, spec: ModelSpec, hp: TrainHp, members: list, seed_key: tuple):
-        """The plans of members (in client_id order) under seed_key and hp."""
+    def get(self, spec: ModelSpec, hp: TrainHp, cohort: Cohort, seed_key: tuple):
+        """The plans of cohort under seed_key and hp."""
         if seed_key != self.seed_key:
             self.seed_key, self.plans = seed_key, {}
         shape = models.plan_key(spec, hp)
-        key = (tuple(c.client_id for c in members), *shape)
+        key = (cohort.ids, *shape)
         if key not in self.plans:
             self.plans[key] = models.plan_batches(
-                spec, [(c.shard.train.features, c.shard.train.labels) for c in members],
-                [derive_seed(*seed_key, c.client_id) for c in members], *shape)
+                spec, cohort.pool, [derive_seed(*seed_key, i) for i in cohort.ids], *shape)
         return self.plans[key]
 
 
@@ -63,7 +90,8 @@ class PlanMemo:
 class ExperimentWorld:
     """Everything a trial needs: model, clients, server validation set, seeds.
 
-    The global model is scored on val_set every eval_cadence rounds.
+    The global model is scored on val_set every eval_cadence rounds. A
+    world's shards and latencies must not change once it has trained.
     """
 
     model_spec: ModelSpec
@@ -73,6 +101,7 @@ class ExperimentWorld:
     hp_defaults: dict
     base_seed: int
     agg_mode: str = "weighted"
+    cohorts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plans: PlanMemo = field(default_factory=PlanMemo, init=False, repr=False, compare=False)
     # A lanes.Helper that trains one share of every cohort pass, or None.
     helper: object = field(default=None, init=False, repr=False, compare=False)
@@ -80,6 +109,17 @@ class ExperimentWorld:
     def __post_init__(self):
         if self.eval_cadence < 1:
             raise ValueError("eval cadence must be >= 1")
+
+    def cohort(self, clients) -> Cohort:
+        """The Cohort of clients (in any order), one per member-id tuple."""
+        members = sorted(clients, key=lambda c: c.client_id)
+        ids = tuple(c.client_id for c in members)
+        if ids not in self.cohorts:
+            self.cohorts[ids] = Cohort(
+                members, ids, np.array([c.latency.base_time for c in members]),
+                np.maximum(1, [len(c.shard.train) for c in members]) / 100.0,
+                np.array([c.latency.jitter_sigma for c in members]))
+        return self.cohorts[ids]
 
 
 @dataclass
@@ -142,60 +182,56 @@ def weighted_objective(losses_and_counts) -> float:
     return sum(loss * n for loss, n in losses_and_counts) / total
 
 
-def train_share(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp,
-                members: list[ClientState], seed_key: tuple):
-    """models.train_stack of members (in client_id order) from global_w, on
-    the batch plans world.plans holds for seed_key. Returns (weights, val
-    losses, failures), one row each per member."""
-    return models.train_stack(
-        world.model_spec, global_w, hp,
-        [(c.shard.train.features, c.shard.train.labels,
-          c.shard.val.features, c.shard.val.labels) for c in members],
-        world.plans.get(world.model_spec, hp, members, seed_key),
-    )
+def train_share(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, cohort: Cohort,
+                seed_key: tuple):
+    """models.train_stack of cohort's members from global_w, on the batch
+    plans world.plans holds for seed_key. Returns (weights, val losses,
+    failures), one row each per member."""
+    return models.train_stack(world.model_spec, global_w, hp, cohort.pool,
+                              world.plans.get(world.model_spec, hp, cohort, seed_key))
 
 
-def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp,
-                 members: list[ClientState], seed_key: tuple):
-    """train_share of members, one share trained by world.helper while this
+def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, cohort: Cohort,
+                 seed_key: tuple):
+    """train_share of cohort, one share trained by world.helper while this
     process trains the other; rows come back in members' order."""
-    by_id = {c.client_id: c for c in members}
-    theirs, mine = (sorted(s) for s in
-                    lanes.split(by_id, lambda i: len(by_id[i].shard.train), 2))
-    world.helper.send(global_w, hp, theirs, seed_key)
-    own = train_share(world, global_w, hp, [by_id[i] for i in mine], seed_key)
+    if cohort.shares is None:
+        by_id = {c.client_id: c for c in cohort.members}
+        theirs, mine = (world.cohort(by_id[i] for i in s) for s in
+                        lanes.split(by_id, lambda i: len(by_id[i].shard.train), 2))
+        cohort.shares = theirs, mine, np.argsort(mine.ids + theirs.ids)
+    theirs, mine, order = cohort.shares
+    world.helper.send(global_w, hp, theirs.ids, seed_key)
+    own = train_share(world, global_w, hp, mine, seed_key)
     other = world.helper.receive()
     if other is None:  # the helper's exception did not pickle: raise it here
-        other = train_share(world, global_w, hp, [by_id[i] for i in theirs], seed_key)
+        other = train_share(world, global_w, hp, theirs, seed_key)
     elif isinstance(other, Exception):
         raise other
-    order = np.argsort(mine + theirs)
     failures = own[2] + other[2]
     return (np.concatenate([own[0], other[0]])[order],
             np.concatenate([own[1], other[1]])[order], [failures[i] for i in order])
 
 
 def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
-                 cohort: list[ClientState], round_index: int, seed_key: tuple):
+                 cohort: Cohort, round_index: int, seed_key: tuple):
     """Train every cohort member from global_w under config, then FedAvg.
 
     The members train in models.train_stack passes (train_share); client c
     draws its batches from derive_seed(*seed_key, c.client_id). The batch
     plans come from world.plans, so passes under one seed_key build them
     once. With world.helper set, a cohort of two or more is split in two
-    shares by training rows (lanes.split): the helper trains one on its own
-    copy of the world and plans while this process trains the other. A
-    row's weights and loss do not depend on its stack-mates, so the merged
-    rows, the aggregate and every error are those of one pass. If any
-    client diverges, NumericDivergenceError names the lowest such
-    client_id, round_index and config.
+    shares that train in two lanes (README "Lanes"); the merged rows, the
+    aggregate and every error are those of one pass. If any client
+    diverges, NumericDivergenceError names the lowest such client_id,
+    round_index and config.
     Returns (aggregate weights, [(client_id, validation loss)] in
     client_id order).
     """
     hp = to_train_hp(config, world.hp_defaults)
-    members = sorted(cohort, key=lambda c: c.client_id)
+    members = cohort.members
     train = _train_split if world.helper is not None and len(members) > 1 else train_share
-    trained, val_losses, failures = train(world, global_w, hp, members, seed_key)
+    trained, val_losses, failures = train(world, global_w, hp, cohort, seed_key)
     for c, failure in zip(members, failures):
         if failure is not None:
             raise NumericDivergenceError(
@@ -210,31 +246,30 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
             [(c.client_id, float(vl)) for c, vl in zip(members, val_losses)])
 
 
-def cohort_time(cohort: list[ClientState], epochs: int, seed_key: tuple) -> float:
+def cohort_time(cohort: Cohort, epochs: int, seed_key: tuple) -> float:
     """Simulated duration of one cohort training pass: the slowest member.
 
-    sched.completion_time times the pass over the cohort in client_id
-    order with the generator seeded derive_seed(*seed_key), so a member's
-    jitter depends on the pass key and on its position in the cohort.
+    sched.completion_time times the pass over the members in client_id
+    order (sched.pass_times, on the cohort's arrays) with the generator
+    seeded derive_seed(*seed_key), so a member's jitter depends on the pass
+    key and on its position in the cohort.
     """
-    members = sorted(cohort, key=lambda c: c.client_id)
-    return float(sched.completion_time(
-        [c.latency for c in members], epochs, [len(c.shard.train) for c in members],
-        derive_seed(*seed_key)).max())
+    return float(sched.pass_times(cohort.base_time, cohort.scale, cohort.sigma, epochs,
+                                  derive_seed(*seed_key)).max())
 
 
-def run_round(state: RoundState, clients: list[ClientState], world: ExperimentWorld,
+def run_round(state: RoundState, cohort: Cohort, world: ExperimentWorld,
               trial_index: int = 0):
     """Execute one communication round over the given cohort.
 
     Returns (next RoundState, [(client_id, local validation loss)] in
     client_id order). Scoring the new global model is left to run_trial.
     """
-    if not clients:
+    if not cohort.members:
         raise AggregationError("run_round: empty cohort")
     j = state.round_index
     new_global, val_losses = train_cohort(
-        world, state.global_weights, state.current_hp, clients, j,
+        world, state.global_weights, state.current_hp, cohort, j,
         (world.base_seed, "train", trial_index, j),
     )
     return RoundState(j + 1, new_global, state.current_hp), val_losses
@@ -250,13 +285,14 @@ def run_trial(
     hp: HpConfig,
     budget_rounds: int,
     world: ExperimentWorld,
-    clients: list[ClientState] | None = None,
+    cohort: Cohort | None = None,
     trial_index: int = 0,
     on_cadence=None,
     patience: int = 0,
     resume: TrialResult | None = None,
 ) -> TrialResult:
-    """Train trial trial_index up to round budget_rounds under hp and score it.
+    """Train trial trial_index on cohort (default: every client) up to round
+    budget_rounds under hp and score it.
 
     A fresh trial starts from initial weights keyed by trial_index. Given
     resume, an earlier result of the same trial, it advances a copy of
@@ -292,7 +328,7 @@ def run_trial(
     """
     if budget_rounds < 1:
         raise ValueError("budget_rounds must be >= 1")
-    cohort = sorted(clients or world.clients, key=lambda c: c.client_id)
+    cohort = cohort or world.cohort(world.clients)
     spec = world.model_spec
     if resume is None:
         resume = TrialResult(hp, np.inf, 0.0, final_weights=models.init_weights(
@@ -331,8 +367,8 @@ def run_trial(
                     r.stopped = r.stall >= patience
     r.config, r.final_weights, r.last_round = (state.current_hp, state.global_weights,
                                                state.round_index - 1)
-    val_members = [c for c in cohort if len(c.shard.val)]
-    test_members = [c for c in cohort if len(c.shard.test)]
+    val_members = [c for c in cohort.members if len(c.shard.val)]
+    test_members = [c for c in cohort.members if len(c.shard.test)]
     if val_members:
         losses, _ = _score(spec, r.final_weights, [c.shard.val for c in val_members])
         r.objective = weighted_objective(

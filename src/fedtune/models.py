@@ -211,7 +211,36 @@ def _pool(sets, input_dim: int):
     return features, labels, offsets
 
 
+def _blocks(offsets, sizes, block: int, pad: int) -> np.ndarray:
+    """(k, blocks, block) row indices: row i reads sizes[i] rows from
+    offsets[i] on, in blocks of `block`, and the row pad after them."""
+    nblocks = -(-int(sizes.max(initial=0)) // block)
+    pos = np.arange(nblocks * block)
+    idx = np.where(pos < sizes[:, None], offsets[:, None] + pos, pad)
+    return idx.reshape(len(sizes), nblocks, block)
+
+
 @np.errstate(over="ignore", invalid="ignore")
+def _score(spec: ModelSpec, values: np.ndarray, features, labels, idx, sizes,
+           accuracy: bool):
+    """Mean cross-entropy of weight row i on the rows idx[i] (_blocks) picks
+    from (features, labels), its block sums added in order, and with
+    accuracy its top-1 accuracy too. Float overflow is silenced: it shows
+    as a non-finite loss."""
+    y = labels[idx]
+    logits, _, _ = _forward(spec, _unpack(spec, values, extra=1), features[idx])
+    picked, _, _ = _softmax_parts(logits, y)
+    real = y >= 0
+    block_sums = np.where(real, picked, 0.0).sum(axis=-1)
+    total = block_sums[:, 0]
+    for j in range(1, idx.shape[1]):
+        total = total + block_sums[:, j]
+    if not accuracy:
+        return -total / sizes
+    hits = (real & (np.argmax(logits, axis=-1) == y)).sum(axis=(1, 2))
+    return -total / sizes, hits / sizes
+
+
 def evaluate_stack(spec: ModelSpec, values: np.ndarray, sets, block: int | None = None):
     """Mean cross-entropy and top-1 accuracy of weight row i on sets[i].
 
@@ -220,29 +249,15 @@ def evaluate_stack(spec: ModelSpec, values: np.ndarray, sets, block: int | None 
     `block` rows (default: the largest set), the last one padded; block
     sums are added in order. With a fixed block, row i's result does not
     depend on the other rows. Argmax ties break toward the lowest class
-    index. Float overflow is silenced: it shows as a non-finite loss, which
-    train_stack reports as a failure. Returns ((k,) losses, (k,)
-    accuracies).
+    index. Float overflow shows as a non-finite loss, which train_stack
+    reports as a failure. Returns ((k,) losses, (k,) accuracies).
     """
     sizes = np.array([len(y) for _, y in sets])
     if not sizes.all():
         raise DataError("evaluate: empty evaluation set")
-    block = block or int(sizes.max())
     features, labels, offsets = _pool(sets, spec.input_dim)
-    nblocks = -(-int(sizes.max()) // block)
-    pos = np.arange(nblocks * block)
-    idx = np.where(pos < sizes[:, None], offsets[:, None] + pos, len(labels) - 1)
-    idx = idx.reshape(len(sets), nblocks, block)
-    y = labels[idx]
-    logits, _, _ = _forward(spec, _unpack(spec, values, extra=1), features[idx])
-    picked, _, _ = _softmax_parts(logits, y)
-    real = y >= 0
-    block_sums = np.where(real, picked, 0.0).sum(axis=-1)
-    total = block_sums[:, 0]
-    for j in range(1, nblocks):
-        total = total + block_sums[:, j]
-    hits = (real & (np.argmax(logits, axis=-1) == y)).sum(axis=(1, 2))
-    return -total / sizes, hits / sizes
+    idx = _blocks(offsets, sizes, block or int(sizes.max()), len(labels) - 1)
+    return _score(spec, values, features, labels, idx, sizes, accuracy=True)
 
 
 def evaluate(spec: ModelSpec, w: WeightVector, features: np.ndarray, labels: np.ndarray):
@@ -260,6 +275,43 @@ def evaluate(spec: ModelSpec, w: WeightVector, features: np.ndarray, labels: np.
 
 # Validation sets are scored in blocks of this many rows.
 VAL_BLOCK = 32
+
+
+@dataclass(frozen=True)
+class ShardPool:
+    """The rows every pass over a fixed list of shards reads, pooled once.
+
+    features and labels hold every shard's training rows, then every
+    shard's validation rows, then one padding row (zero features, label
+    -1). Shard i trains on sizes[i] rows from offsets[i]. val[i] indexes
+    its validation rows, or its training rows if it has none, in
+    VAL_BLOCK-row blocks padded with the padding row (_blocks), and
+    val_sizes[i] counts them. Every array is read-only.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+    val: np.ndarray
+    val_sizes: np.ndarray
+
+
+def pool_shards(input_dim: int, shards) -> ShardPool:
+    """The ShardPool of shards, each (train_features, train_labels,
+    val_features, val_labels)."""
+    k = len(shards)
+    features, labels, offsets = _pool([s[:2] for s in shards] + [s[2:] for s in shards],
+                                      input_dim)
+    sizes = np.array([len(s[1]) for s in shards], dtype=np.int64)
+    has_val = np.array([len(s[3]) > 0 for s in shards])
+    val_sizes = np.where(has_val, [len(s[3]) for s in shards], sizes)
+    val = _blocks(np.where(has_val, offsets[k:], offsets[:k]), val_sizes, VAL_BLOCK,
+                  len(labels) - 1)
+    pool = ShardPool(features, labels, offsets[:k], sizes, val, val_sizes)
+    for a in vars(pool).values():
+        a.flags.writeable = False
+    return pool
 
 
 def _padded_width(n: int, batch_size: int) -> int:
@@ -301,28 +353,31 @@ def plan_key(spec: ModelSpec, hp: TrainHp) -> tuple:
     return hp.epochs, hp.batch_size, spec.kind == MLP and hp.dropout > 0.0
 
 
-def _plan_width(spec: ModelSpec, shards, seeds, members, width: int, epochs: int,
+def _plan_width(spec: ModelSpec, pool: ShardPool, seeds, members, width: int, epochs: int,
                 dropout: bool) -> BatchPlan:
-    """The BatchPlan of shards[members], whose batches all pad to `width` rows."""
+    """The BatchPlan of the pool's shards `members`, whose batches all pad to
+    `width` rows."""
     hidden = spec.hidden_dim
-    batches = np.array([-(-len(shards[i][1]) // width) for i in members], dtype=np.int64)
+    sizes = pool.sizes[members]
+    batches = -(-sizes // width)
     # Longest rows first, so the rows still training at any step are a prefix.
     rank = np.argsort(-batches, kind="stable")
-    order, batches = members[rank], batches[rank]
+    order, sizes, batches = members[rank], sizes[rank], batches[rank]
     steps = epochs * batches
-    features, labels, offsets = _pool([shards[i] for i in order], spec.input_dim)
-    pad = len(labels) - 1
-    # Row r's epochs lie back to back from base[r], each padded to whole batches.
+    # Row r's epochs lie back to back from base[r], each padded to whole
+    # batches; slot p of an epoch reads the row's p-th training row, and
+    # each epoch's draw shuffles those slots in place.
     base = np.concatenate([[0], np.cumsum(steps * width)])
-    slots = np.full(base[-1], pad)
+    row = np.repeat(np.arange(len(order)), steps * width)
+    p = (np.arange(base[-1]) - base[row]) % (batches * width)[row]
+    slots = np.where(p < sizes[row], pool.offsets[order][row] + p, len(pool.labels) - 1)
     uniforms = np.ones((base[-1], hidden)) if dropout else None
-    for r, i in enumerate(order):
+    for r, (i, n) in enumerate(zip(order.tolist(), sizes.tolist())):
         rng = np.random.default_rng(seeds[i])
-        n = len(shards[i][1])
-        for o in range(base[r], base[r + 1], batches[r] * width):
-            slots[o : o + n] = offsets[r] + rng.permutation(n)
+        for o in range(int(base[r]), int(base[r + 1]), int(batches[r]) * width):
+            rng.shuffle(slots[o : o + n])  # the draws of rng.permutation(n)
             if dropout:
-                uniforms[o : o + n] = rng.random((n, hidden))
+                rng.random(out=uniforms[o : o + n])
     # Step t trains rows 0..active[t]-1, each on its t-th batch.
     step_of, row_of = np.nonzero(steps > np.arange(steps.max(initial=0))[:, None])
     batch_of = base[row_of] // width + step_of
@@ -333,8 +388,8 @@ def _plan_width(spec: ModelSpec, shards, seeds, members, width: int, epochs: int
         active=active,
         start=np.concatenate([[0], np.cumsum(active)]),
         epoch_end=(step_of + 1) % batches[row_of] == 0,
-        features=features[idx],
-        labels=labels[idx],
+        features=pool.features[idx],
+        labels=pool.labels[idx],
         uniforms=uniforms.reshape(-1, width, hidden)[batch_of] if dropout else None,
     )
     for a in vars(plan).values():
@@ -343,21 +398,21 @@ def _plan_width(spec: ModelSpec, shards, seeds, members, width: int, epochs: int
     return plan
 
 
-def plan_batches(spec: ModelSpec, shards, seeds, epochs: int, batch_size: int,
+def plan_batches(spec: ModelSpec, pool: ShardPool, seeds, epochs: int, batch_size: int,
                  dropout: bool) -> tuple[BatchPlan, ...]:
-    """The BatchPlans of a train_stack pass, one per padded width, widest last.
+    """The BatchPlans of a train_stack pass over pool, one per padded width,
+    widest last.
 
-    shards[i] is a (train_features, train_labels) pair and seeds[i] keys
-    its RNG: each epoch draws permutation(n) for the batch order, then, if
-    dropout is on, one random((n, hidden)) whose rows are the batches'
-    dropout draws in order. Batches pad to a width that is batch_size
-    unless the shard is much smaller (_padded_width). epochs, batch_size
-    and dropout are plan_key of the pass's spec and hp.
+    seeds[i] keys shard i's RNG: each epoch draws permutation(n) for the
+    batch order, then, if dropout is on, one random((n, hidden)) whose rows
+    are the batches' dropout draws in order. Batches pad to a width that is
+    batch_size unless the shard is much smaller (_padded_width). epochs,
+    batch_size and dropout are plan_key of the pass's spec and hp.
     """
-    if any(len(s[1]) == 0 for s in shards):
+    if not pool.sizes.all():
         raise DataError("plan_batches: empty training split")
-    widths = np.array([_padded_width(len(s[1]), batch_size) for s in shards])
-    return tuple(_plan_width(spec, shards, seeds, np.flatnonzero(widths == width), width,
+    widths = np.array([_padded_width(n, batch_size) for n in pool.sizes.tolist()])
+    return tuple(_plan_width(spec, pool, seeds, np.flatnonzero(widths == width), width,
                              epochs, dropout) for width in np.unique(widths))
 
 
@@ -393,16 +448,15 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, plan: BatchPlan):
     return values, failures
 
 
-def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, plans):
-    """Train one copy of w per shard with mini-batch SGD, all in stacked passes.
+def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, pool: ShardPool, plans):
+    """Train one copy of w per shard of pool with mini-batch SGD, in stacked passes.
 
-    shards[i] is (train_features, train_labels, val_features, val_labels),
-    and plans is plan_batches of their train pairs under *plan_key(spec,
-    hp), which fixes every batch and dropout draw. Every step runs forward
-    and backward for all rows still training on (rows, width, ...) arrays;
-    padding rows add nothing. Rows of one width share a pass, and
-    validation losses are scored in VAL_BLOCK-row blocks, so row i's
-    weights and loss are bitwise independent of the other rows.
+    plans is plan_batches of pool under *plan_key(spec, hp), which fixes
+    every batch and dropout draw. Every step runs forward and backward for
+    all rows still training on (rows, width, ...) arrays; padding rows add
+    nothing. Rows of one width share a pass, and validation losses are
+    scored on pool.val's VAL_BLOCK-row blocks, so row i's weights and loss
+    are bitwise independent of the other rows.
 
     Returns ((k, P) weights, (k,) validation losses, failures), with
     failures[i] None or the first non-finite check that row i failed. An
@@ -412,14 +466,14 @@ def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, shards, plans):
         raise ConfigurationError(
             f"weight layout {w.layout_id} does not match spec {spec.layout_id}"
         )
-    trained = np.empty((len(shards), len(w.values)))
-    failures = [None] * len(shards)
+    trained = np.empty((len(pool.sizes), len(w.values)))
+    failures = [None] * len(pool.sizes)
     for plan in plans:
         trained[plan.order], row_failures = _sgd_pass(spec, w, hp, plan)
         for i, failure in zip(plan.order, row_failures):
             failures[i] = failure
-    sets = [(vx, vy) if len(vy) else (tx, ty) for tx, ty, vx, vy in shards]
-    val_losses, _ = evaluate_stack(spec, trained, sets, VAL_BLOCK)
+    val_losses = _score(spec, trained, pool.features, pool.labels, pool.val, pool.val_sizes,
+                        accuracy=False)
     for i in np.flatnonzero(~np.isfinite(val_losses)):
         if failures[i] is None:
             failures[i] = "non-finite post-training loss"
@@ -444,10 +498,10 @@ def local_train(
     epoch from rng_seed. An empty validation split falls back to the loss
     on the training split.
     """
-    plans = plan_batches(spec, [(train_features, train_labels)], [rng_seed],
-                         *plan_key(spec, hp))
+    pool = pool_shards(spec.input_dim, [(train_features, train_labels, val_features,
+                                         val_labels)])
     values, val_losses, failures = train_stack(
-        spec, w, hp, [(train_features, train_labels, val_features, val_labels)], plans)
+        spec, w, hp, pool, plan_batches(spec, pool, [rng_seed], *plan_key(spec, hp)))
     if failures[0] is not None:
         raise NumericDivergenceError(failures[0])
     return WeightVector(values[0], w.layout_id), float(val_losses[0])

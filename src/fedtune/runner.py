@@ -161,43 +161,54 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     """Step-wise feedback before round state.round_index: evaluate the probe
     set and choose the round's config.
 
-    Each probe config trains the whole cohort from the current global
-    weights with flcore.train_cohort, every probe under the round's own
-    training key (base_seed, "train", trial_index, round): common random
-    numbers, so the probes see the same batch orders and dropout draws,
-    and the chosen probe's pass is exactly the round's. Each probe is timed
-    under its own key, (base_seed, "probe", trial_index, round, config_id).
-    The probe aggregate is scored on the server validation set and
-    combined with the cohort's local validation losses. A probe that
-    diverges scores +inf, so the step never adopts it, and writes no
-    record; the cycle goes on. Appends one FeedbackRecord per finished
-    probe to records, each with its combined feedback as val_loss.
+    Each probe config trains the whole cohort (a flcore.Cohort) from the
+    current global weights with flcore.train_cohort, every probe under the
+    round's own training key (base_seed, "train", trial_index, round):
+    common random numbers, so the probes see the same batch orders and
+    dropout draws, and the chosen probe's pass is exactly the round's. Each
+    probe is timed under its own key, (base_seed, "probe", trial_index,
+    round, config_id). Once every probe has trained, the finished
+    aggregates are scored on the server validation set in one
+    models.evaluate_stack call, each bitwise as models.evaluate scores it,
+    and each score is combined with that probe's local validation losses.
+    A probe that diverges scores +inf, so the step never adopts it, and
+    writes no record; the cycle goes on. Appends one FeedbackRecord per
+    finished probe to records, each with its combined feedback as val_loss.
     Returns (new config, extra simulated time, reused): the extra time is
     the sum of every probe's cohort time, a diverging one's included, and
     reused is the new config's (aggregate, local losses) when it is a probe
     that finished, else None.
     """
     current, j = state.current_hp, state.round_index
-    val_set = world.val_set
-    n = len(cohort)
-    results, passes = [], {}
-    extra_time = 0.0
-    for p in sampler.probes(current):
+    n = len(cohort.members)
+    probes = sampler.probes(current)
+    passes, extra_time = {}, 0.0
+    for p in probes:
         extra_time += flcore.cohort_time(
             cohort, to_train_hp(p, world.hp_defaults).epochs,
             (world.base_seed, "probe", trial_index, j, p.config_id),
         )
         try:
-            wp, val_losses = flcore.train_cohort(
+            passes[p.config_id] = flcore.train_cohort(
                 world, state.global_weights, p, cohort, j,
                 (world.base_seed, "train", trial_index, j),
             )
         except NumericDivergenceError:
+            passes[p.config_id] = None
+    finished = [p for p in probes if passes[p.config_id] is not None]
+    server = {}
+    if finished:  # one whole-set block per aggregate, as models.evaluate scores it
+        losses, _ = models.evaluate_stack(
+            world.model_spec, np.array([passes[p.config_id][0].values for p in finished]),
+            [(world.val_set.features, world.val_set.labels)] * len(finished))
+        server = dict(zip([p.config_id for p in finished], losses.tolist()))
+    results = []
+    for p in probes:
+        if p.config_id not in server:
             results.append((p, math.inf))
             continue
-        passes[p.config_id] = wp, val_losses
-        gf, _ = models.evaluate(world.model_spec, wp, val_set.features, val_set.labels)
-        combined = combine_feedback([vl for _, vl in val_losses], gf, n)
+        gf = server[p.config_id]
+        combined = combine_feedback([vl for _, vl in passes[p.config_id][1]], gf, n)
         results.append((p, combined))
         records.append(FeedbackRecord(
             config_id=p.config_id,
@@ -223,9 +234,9 @@ class EvalOutcome:
     walk: hpo.AdaptiveSampler | None = None  # the adaptive sampler's moves
 
 
-def _cohort(world, group) -> list:
+def _cohort(world, group) -> flcore.Cohort:
     members = set(group.members)
-    return [c for c in world.clients if c.client_id in members]
+    return world.cohort(c for c in world.clients if c.client_id in members)
 
 
 def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> EvalOutcome:
@@ -266,7 +277,7 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
             kind="global",
             server_loss=gl,
             val_loss=combined,
-            group_size=len(cohort),
+            group_size=len(cohort.members),
         ))
     row = TrialRow(
         seed=seed,
@@ -311,7 +322,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
 
     def cost(e):
         group, config = issues[e]
-        rows = sum(len(c.shard.train) for c in _cohort(world, group))
+        rows = sum(len(c.shard.train) for c in _cohort(world, group).members)
         return rows * max(1, to_train_hp(config, world.hp_defaults).epochs)
 
     def run(e):
@@ -327,7 +338,7 @@ def _share_trainer(world):
     world (flcore.train_cohort) on its copy of world."""
     by_id = {c.client_id: c for c in world.clients}
     return lambda global_w, hp, ids, seed_key: flcore.train_share(
-        world, global_w, hp, [by_id[i] for i in ids], seed_key)
+        world, global_w, hp, world.cohort(by_id[i] for i in ids), seed_key)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:

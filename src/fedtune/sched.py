@@ -40,10 +40,16 @@ def completion_time(profiles, epochs: int, sizes, rng_seed: int) -> np.ndarray:
     lognormal(0, jitter_sigma) jitter, drawn in member order from one
     generator seeded with rng_seed.
     """
-    base = np.array([p.base_time for p in profiles]) * epochs
-    jitter = np.random.default_rng(rng_seed).lognormal(
-        0.0, [p.jitter_sigma for p in profiles])
-    return base * (np.maximum(1, sizes) / 100.0) * jitter
+    return pass_times(np.array([p.base_time for p in profiles]),
+                      np.maximum(1, sizes) / 100.0,
+                      np.array([p.jitter_sigma for p in profiles]), epochs, rng_seed)
+
+
+def pass_times(base_time, scale, sigma, epochs: int, rng_seed: int) -> np.ndarray:
+    """completion_time from per-member arrays: base_time, scale
+    (max(1, n_i)/100) and sigma (jitter_sigma)."""
+    jitter = np.random.default_rng(rng_seed).lognormal(0.0, sigma)
+    return base_time * epochs * scale * jitter
 
 
 def form_groups(completions, window: float) -> list[ClientGroup]:

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from fedtune import data, flcore, models, runner, sched
-from fedtune.common import derive_seed
+from fedtune.common import NumericDivergenceError, derive_seed
 from fedtune.config import config_from_dict
 from fedtune.flcore import ClientState, ExperimentWorld, RoundState, run_round, train_cohort
 from fedtune.hpo import AdaptiveSampler, HpConfig, default_search_space, suggest_random
@@ -34,15 +34,16 @@ def test_adaptive_probes_escape_tiny_learning_rate():
     sampler = AdaptiveSampler(space, ["learning_rate"], epsilon=0.0, seed=0, num_evals=1,
                               rounds_per_trial=1)
     state = RoundState(1, models.init_weights(world.model_spec, 0), HpConfig(dict(HP_DEFAULTS)))
+    cohort = world.cohort(world.clients)
     accepted = 0
     for _ in range(12):
-        new_cfg, _, _ = runner.run_probe_cycle(state, world.clients, world, 0, sampler, [])
+        new_cfg, _, _ = runner.run_probe_cycle(state, cohort, world, 0, sampler, [])
         if new_cfg != state.current_hp:
             accepted += 1
             state.current_hp = new_cfg
         if state.current_hp.values["learning_rate"] >= 1e-3:
             break
-        state, _ = run_round(state, world.clients, world)
+        state, _ = run_round(state, cohort, world)
     assert state.current_hp.values["learning_rate"] >= 1e-3
     assert accepted <= 6
 
@@ -51,15 +52,49 @@ def test_reused_round_equals_a_fresh_pass_of_the_chosen_config():
     world = separable_world()
     sampler = AdaptiveSampler(default_search_space(), ["learning_rate"], epsilon=0.0, seed=0,
                               num_evals=1, rounds_per_trial=3)
+    cohort = world.cohort(world.clients)
     state, _ = run_round(RoundState(1, models.init_weights(world.model_spec, 0),
-                                    HpConfig(dict(HP_DEFAULTS))), world.clients, world)
-    chosen, _, reused = runner.run_probe_cycle(state, world.clients, world, 0, sampler, [])
+                                    HpConfig(dict(HP_DEFAULTS))), cohort, world)
+    chosen, _, reused = runner.run_probe_cycle(state, cohort, world, 0, sampler, [])
     assert chosen != state.current_hp and reused is not None
-    fresh = train_cohort(world, state.global_weights, chosen, world.clients, 2,
+    fresh = train_cohort(world, state.global_weights, chosen, cohort, 2,
                          (world.base_seed, "train", 0, 2))
     assert reused[0].layout_id == fresh[0].layout_id
     assert reused[0].values.tobytes() == fresh[0].values.tobytes()
     assert repr(reused[1]) == repr(fresh[1])
+
+
+def test_probe_aggregates_scored_in_one_call_equal_one_evaluate_each(monkeypatch):
+    # A probe cycle scores its finished aggregates on the server validation
+    # set in one models.evaluate_stack call; each score must equal its own
+    # models.evaluate call bit for bit, with a diverged probe between two
+    # finished ones.
+    cfg = config_from_dict({**SMALL_ADAPTIVE, "dataset": {**SMALL_ADAPTIVE["dataset"],
+                                                          "n": 2000}})
+    world = runner.build_world(cfg, 1)
+    sampler = AdaptiveSampler(cfg.search_space(), ["learning_rate", "weight_decay",
+                                                   "epochs"], 0.0, 0, 1, 6)
+    state = RoundState(3, models.init_weights(world.model_spec, 0),
+                       suggest_random(cfg.search_space(), 0))
+    probes = sampler.probes(state.current_hp)
+    assert len(probes) == 4 and len(world.val_set) == 200
+    real_train, trained = flcore.train_cohort, {}
+
+    def train_cohort(world, global_w, config, *args):
+        if config.config_id == probes[1].config_id:
+            raise NumericDivergenceError("diverged")
+        out = real_train(world, global_w, config, *args)
+        trained[config.config_id] = out[0]
+        return out
+
+    monkeypatch.setattr(flcore, "train_cohort", train_cohort)
+    records = []
+    runner.run_probe_cycle(state, world.cohort(world.clients), world, 0, sampler, records)
+    assert [r.config_id for r in records] == [p.config_id for p in probes[:1] + probes[2:]]
+    for r in records:
+        alone, _ = models.evaluate(world.model_spec, trained[r.config_id],
+                                   world.val_set.features, world.val_set.labels)
+        assert r.server_loss.hex() == alone.hex()
 
 
 # One seed, one sync group: 6 MLP clients, 3 evaluations of 6 rounds, a

@@ -205,6 +205,14 @@ class TestCliCommands:
         assert cli.main(["validate", config_path, "--set", override]) == cli.EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_split_fraction_outside_unit_interval_exit_code(self, config_path, capsys,
+                                                            command):
+        # sums to 1, yet would train on a negative share of each client's rows
+        code = cli.main([command, config_path, "--set", "split=[1.5, -0.5, 0.0]"])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: split: fractions must be in [0, 1]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fraction", ["0", "0.001"])
     def test_empty_server_val_set_fails_before_training(self, config_path, capsys,
                                                          monkeypatch, fraction):

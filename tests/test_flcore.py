@@ -139,16 +139,16 @@ class TestCohortTime:
         for c, sigma in zip(world.clients, (0.0, 0.3, 0.8, 0.5)):
             c.latency = sched.LatencyProfile(c.latency.base_time, sigma)
         for key in [(0, "time", 0, 1), (0, "time", 2, 7), (9, "probe", 1, 5, "abc")]:
-            t = cohort_time(world.clients, 3, key)
+            t = cohort_time(world.cohort(world.clients), 3, key)
             assert t == expected_cohort_time(world.clients, 3, key)
             shuffled = [world.clients[i] for i in (2, 0, 3, 1)]
-            assert cohort_time(shuffled, 3, key) == t
+            assert cohort_time(dataclasses.replace(world).cohort(shuffled), 3, key) == t
 
     def test_no_jitter_is_the_exact_base_time(self):
         world = make_world(n_clients=3, alpha=0.5)
         for c in world.clients:
             c.latency = sched.LatencyProfile(c.latency.base_time, 0.0)
-        t = cohort_time(world.clients, 2, (0, "time", 0, 1))
+        t = cohort_time(world.cohort(world.clients), 2, (0, "time", 0, 1))
         assert t == max(c.latency.base_time * 2 * (len(c.shard.train) / 100.0)
                         for c in world.clients)
 
@@ -158,7 +158,7 @@ class TestRunRound:
         world = make_world(n_clients=1)
         w0 = models.init_weights(world.model_spec, 0)
         state = RoundState(1, w0, hp_config(epochs=0))
-        nxt, _ = run_round(state, world.clients, world)
+        nxt, _ = run_round(state, world.cohort(world.clients), world)
         assert np.array_equal(nxt.global_weights.values, w0.values)
 
     def test_identical_clients_aggregate_to_either(self):
@@ -167,8 +167,8 @@ class TestRunRound:
         twin = ClientState(c.client_id, c.shard, c.latency)
         w0 = models.init_weights(world.model_spec, 0)
         state = RoundState(1, w0, hp_config())
-        nxt, _ = run_round(state, [c, twin], world)
-        solo, _ = run_round(state, [c], world)
+        nxt, _ = run_round(state, world.cohort([c, twin]), world)
+        solo, _ = run_round(state, world.cohort([c]), world)
         assert np.allclose(nxt.global_weights.values, solo.global_weights.values)
 
     def test_local_feedback_per_client(self):
@@ -176,7 +176,7 @@ class TestRunRound:
         w = models.init_weights(world.model_spec, 0)
         state = RoundState(1, w, hp_config())
         shuffled = [world.clients[i] for i in (2, 0, 1)]
-        _, losses = run_round(state, shuffled, world)
+        _, losses = run_round(state, world.cohort(shuffled), world)
         assert [cid for cid, _ in losses] == [0, 1, 2]
         assert all(np.isfinite(loss) for _, loss in losses)
 
@@ -188,7 +188,7 @@ class TestTrainCohort:
         w0 = models.init_weights(world.model_spec, 0)
         key = (world.base_seed, "train", 3, 4)
         shuffled = [world.clients[i] for i in (2, 0, 3, 1)]
-        agg, losses = train_cohort(world, w0, cfg, shuffled, 4, key)
+        agg, losses = train_cohort(world, w0, cfg, world.cohort(shuffled), 4, key)
         hp = to_train_hp(cfg, world.hp_defaults)
         updates, expected = [], []
         for c in world.clients:
@@ -237,7 +237,7 @@ class TestTrainCohort:
                            match="^client 1 diverged in round 2: non-finite training loss$"
                            ) as info:
             train_cohort(world, models.init_weights(world.model_spec, 0), cfg,
-                         shuffled, 2, (0, "train", 0, 2))
+                         world.cohort(shuffled), 2, (0, "train", 0, 2))
         assert (info.value.client_id, info.value.round_index, info.value.config_id) == \
             (1, 2, cfg.config_id)
 
@@ -254,23 +254,29 @@ class TestRunTrial:
     def test_one_evaluation_per_score(self, monkeypatch):
         # server validation once per cadence round; each client's validation
         # split once per round plus once for the objective; no training split.
-        # Every scoring pass goes through models.evaluate_stack, one entry per set.
+        # Every scoring pass goes through models._score, which reads each set
+        # from a pool; a scored set is named by the rows it reads.
         world = make_world(n_clients=3, cadence=2)
+        names = {world.val_set.features.tobytes(): "server"}
+        for c in world.clients:
+            for split in ("train", "val", "test"):
+                names[getattr(c.shard, split).features.tobytes()] = split, c.client_id
         calls = []
-        real_evaluate_stack = models.evaluate_stack
+        real_score = models._score
 
-        def counting_evaluate_stack(spec, values, sets, block=None):
-            calls.extend(id(features) for features, _ in sets)
-            return real_evaluate_stack(spec, values, sets, block)
+        def counting_score(spec, values, features, labels, idx, sizes, accuracy):
+            for row, n in zip(idx.reshape(len(sizes), -1), sizes):
+                calls.append(names[features[row[:n]].tobytes()])
+            return real_score(spec, values, features, labels, idx, sizes, accuracy)
 
-        monkeypatch.setattr(models, "evaluate_stack", counting_evaluate_stack)
+        monkeypatch.setattr(models, "_score", counting_score)
         run_trial(hp_config(), 6, world)
-        assert calls.count(id(world.val_set.features)) == 3
+        assert calls.count("server") == 3
         for c in world.clients:
             assert len(c.shard.val) > 0
-            assert calls.count(id(c.shard.val.features)) == 6 + 1
-            assert calls.count(id(c.shard.train.features)) == 0
-            assert calls.count(id(c.shard.test.features)) == 1
+            assert calls.count(("val", c.client_id)) == 6 + 1
+            assert calls.count(("train", c.client_id)) == 0
+            assert calls.count(("test", c.client_id)) == 1
         assert len(calls) == 3 + 3 * (7 + 1)
 
     def test_scores_match_per_client_evaluate(self):
@@ -498,7 +504,8 @@ class TestDivergedTrialTime:
         diverge_at_call(monkeypatch, 2)
         report = runner.run_experiment(cfg)
         epochs = report.per_seed[0].trials[0].hp_values["epochs"]
-        expected = sum(cohort_time(world.clients, epochs, (1, "time", 0, j)) for j in (1, 2))
+        cohort = world.cohort(world.clients)
+        expected = sum(cohort_time(cohort, epochs, (1, "time", 0, j)) for j in (1, 2))
         assert expected > 0
         assert charged_time(report) == expected
 
@@ -556,7 +563,7 @@ def mlp_world(**kw):
 def pass_or_failure(world, w, cfg, cohort, round_index, key):
     """train_cohort's (aggregate bytes, losses), or its divergence's fields."""
     try:
-        agg, losses = train_cohort(world, w, cfg, cohort, round_index, key)
+        agg, losses = train_cohort(world, w, cfg, world.cohort(cohort), round_index, key)
     except NumericDivergenceError as err:
         return str(err), err.client_id, err.round_index, err.config_id
     return agg.values.tobytes(), losses
@@ -658,11 +665,12 @@ class TestBatchPlanMemo:
     def test_a_new_key_drops_the_previous_keys_plans(self):
         world = mlp_world(n_clients=3)
         w0 = models.init_weights(world.model_spec, 0)
-        train_cohort(world, w0, hp_config(), world.clients, 1, (0, "train", 0, 1))
-        train_cohort(world, w0, hp_config(dropout=0.0), world.clients, 1, (0, "train", 0, 1))
+        cohort = world.cohort(world.clients)
+        train_cohort(world, w0, hp_config(), cohort, 1, (0, "train", 0, 1))
+        train_cohort(world, w0, hp_config(dropout=0.0), cohort, 1, (0, "train", 0, 1))
         old = [weakref.ref(p) for plans in world.plans.plans.values() for p in plans]
         assert len(world.plans.plans) == 2 and old
-        train_cohort(world, w0, hp_config(), world.clients, 2, (0, "train", 0, 2))
+        train_cohort(world, w0, hp_config(), cohort, 2, (0, "train", 0, 2))
         gc.collect()
         assert world.plans.seed_key == (0, "train", 0, 2)
         assert len(world.plans.plans) == 1
@@ -674,3 +682,88 @@ class TestBatchPlanMemo:
             assert np.all(plan.uniforms[~real] == 1.0)
             u = plan.uniforms[real]
             assert np.all((u >= 0.0) & (u < 1.0)) and len(np.unique(u)) == u.size
+
+
+def ragged_world():
+    """Five MLP clients whose training splits pad to widths 1, 4 and 16 under
+    batch_size 16; clients 2 and 4 have no validation split, and client 3's
+    spans two VAL_BLOCK blocks."""
+    sizes = [(17, 5), (2, 3), (1, 0), (40, 40), (9, 0)]
+    ds = data.gen_synthetic(3, 4, sum(t + v for t, v in sizes) + 30, 3.0, seed=4)
+    clients, o = [], 30
+    for cid, (n_train, n_val) in enumerate(sizes):
+        train = data.Dataset(ds.features[o : o + n_train], ds.labels[o : o + n_train])
+        val = data.Dataset(ds.features[o + n_train : o + n_train + n_val],
+                           ds.labels[o + n_train : o + n_train + n_val])
+        o += n_train + n_val
+        none = np.arange(0)
+        shard = data.DataShard(cid, train, val, data.Dataset(ds.features[:0], ds.labels[:0]),
+                               none, none, none)
+        clients.append(ClientState(cid, shard, sched.LatencyProfile(1.0, 0.1)))
+    return ExperimentWorld(ModelSpec("mlp", 4, 3, 8), clients,
+                           data.Dataset(ds.features[:30], ds.labels[:30]), 1,
+                           dict(HP_DEFAULTS, batch_size=16), base_seed=0)
+
+
+def cold_batches(spec, train, seed, epochs, batch_size, dropout):
+    """One shard's batches drawn and padded from its raw arrays, one epoch
+    after another: [(features, labels, uniforms or None, ends an epoch)]."""
+    (x, y), rng = train, np.random.default_rng(seed)
+    width = models._padded_width(len(y), batch_size)
+    out = []
+    for _ in range(epochs):
+        perm = rng.permutation(len(y))
+        u = rng.random((len(y), spec.hidden_dim)) if dropout else None
+        for s in range(0, len(y), width):
+            rows, pad = perm[s : s + width], width - len(perm[s : s + width])
+            out.append((np.concatenate([x[rows], np.zeros((pad, x.shape[1]))]),
+                        np.concatenate([y[rows], np.full(pad, -1)]),
+                        None if u is None else
+                        np.concatenate([u[s : s + width], np.ones((pad, spec.hidden_dim))]),
+                        s + width >= len(y)))
+    return out
+
+
+class TestCohort:
+    def test_cached_cohort_equals_cold_builds_on_raw_shards(self):
+        world = ragged_world()
+        spec, cohort = world.model_spec, world.cohort(world.clients[::-1])
+        assert cohort.ids == (0, 1, 2, 3, 4)
+        w = models.init_weights(spec, 3)
+        hps = [to_train_hp(hp_config(epochs=2, batch_size=16, dropout=d, learning_rate=lr),
+                           world.hp_defaults) for d, lr in ((0.3, 0.1), (0.0, 0.1), (0.3, 0.5))]
+        for k, hp in enumerate(hps):
+            key = (0, "train", 0, k)  # a fresh key: plans built on the cached pool
+            trained, losses, failures = flcore.train_share(world, w, hp, cohort, key)
+            assert failures == [None] * 5
+            plans = world.plans.get(spec, hp, cohort, key)
+            assert [p.features.shape[1] for p in plans] == [1, 4, 16]
+            cold = [cold_batches(spec, (c.shard.train.features, c.shard.train.labels),
+                                 derive_seed(*key, c.client_id), *models.plan_key(spec, hp))
+                    for c in world.clients]
+            seen = [0] * 5
+            for plan in plans:
+                for t, (a, b) in enumerate(zip(plan.start[:-1], plan.start[1:])):
+                    for r, i in enumerate(plan.order[: b - a]):
+                        f, y, u, end = cold[i][t]
+                        assert plan.features[a + r].tobytes() == f.tobytes()
+                        assert plan.labels[a + r].tobytes() == y.tobytes()
+                        assert (plan.uniforms is None) == (u is None)
+                        assert u is None or plan.uniforms[a + r].tobytes() == u.tobytes()
+                        assert plan.epoch_end[a + r] == end
+                        seen[i] += 1
+            assert seen == [len(batches) for batches in cold]
+            sets = [(c.shard.val.features, c.shard.val.labels) if len(c.shard.val) else
+                    (c.shard.train.features, c.shard.train.labels) for c in world.clients]
+            cold_losses, _ = models.evaluate_stack(spec, trained, sets, models.VAL_BLOCK)
+            assert losses.tobytes() == cold_losses.tobytes()
+        assert world.cohort(world.clients) is cohort
+        assert len(world.cohorts) == 1
+
+    def test_each_world_holds_its_own_cohorts(self):
+        # two worlds of one shape, alive together: same member ids, own records
+        a, b = make_world(seed=0), make_world(seed=1)
+        ca, cb = a.cohort(a.clients), b.cohort(b.clients)
+        assert ca.ids == cb.ids and ca is not cb
+        assert ca.pool.features.tobytes() != cb.pool.features.tobytes()
+        assert [c.shard for c in cb.members] == [c.shard for c in b.clients]

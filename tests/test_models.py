@@ -153,9 +153,10 @@ ENGINE_CASES = [
 
 
 def stack(spec, w, hp, shards, seeds):
-    """train_stack over plans built cold from seeds."""
-    plans = models.plan_batches(spec, [s[:2] for s in shards], seeds, *models.plan_key(spec, hp))
-    return models.train_stack(spec, w, hp, shards, plans)
+    """train_stack over a pool and plans built cold from shards and seeds."""
+    pool = models.pool_shards(spec.input_dim, shards)
+    plans = models.plan_batches(spec, pool, seeds, *models.plan_key(spec, hp))
+    return models.train_stack(spec, w, hp, pool, plans)
 
 
 def engine_shards(c=3):
@@ -258,29 +259,31 @@ class TestBatchPlan:
         configs = [default_hp(epochs=2, dropout=0.3), default_hp(epochs=2, dropout=0.1),
                    default_hp(epochs=2, dropout=0.5, learning_rate=1e200, weight_decay=1.0),
                    default_hp(epochs=2, dropout=0.3, learning_rate=0.02, weight_decay=0.1)]
-        plans = models.plan_batches(spec, [s[:2] for s in shards], seeds,
-                                    *models.plan_key(spec, configs[0]))
+        pool = models.pool_shards(spec.input_dim, shards)
+        plans = models.plan_batches(spec, pool, seeds, *models.plan_key(spec, configs[0]))
         for hp in configs:
-            shared = models.train_stack(spec, w, hp, shards, plans)
+            shared = models.train_stack(spec, w, hp, pool, plans)
             cold = stack(spec, w, hp, shards, seeds)
             assert shared[0].tobytes() == cold[0].tobytes()
             assert shared[1].tobytes() == cold[1].tobytes()
             assert shared[2] == cold[2]
             assert shared[2][1] == "non-finite training loss"
         # the overflowing config fails every row, the others only the NaN one
-        assert None not in models.train_stack(spec, w, configs[2], shards, plans)[2]
+        assert None not in models.train_stack(spec, w, configs[2], pool, plans)[2]
 
     def test_plan_arrays_are_read_only(self):
         spec, hp = ENGINE_CASES[1]
-        pairs = [s[:2] for s in engine_shards()]
-        plans = models.plan_batches(spec, pairs, [0] * 6, *models.plan_key(spec, hp))
+        shards = engine_shards()
+        pool = models.pool_shards(spec.input_dim, shards)
+        plans = models.plan_batches(spec, pool, [0] * 6, *models.plan_key(spec, hp))
         assert len(plans) == 2
         # each shard trains in exactly one stack row of one plan
         assert sorted(np.concatenate([plan.order for plan in plans])) == list(range(6))
         with pytest.raises(DataError, match="^plan_batches: empty training split$"):
-            models.plan_batches(spec, pairs + [(np.empty((0, 4)), np.empty(0, int))], [0] * 7,
+            empty = (np.empty((0, 4)), np.empty(0, int))
+            models.plan_batches(spec, models.pool_shards(4, shards + [empty * 2]), [0] * 7,
                                 *models.plan_key(spec, hp))
-        for plan in plans:
+        for plan in list(plans) + [pool]:
             for name, array in vars(plan).items():
                 assert not array.flags.writeable, name
                 with pytest.raises(ValueError, match="read-only"):

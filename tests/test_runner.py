@@ -10,6 +10,7 @@ and errors as inline. And a one-seed adaptive or halving search splits
 every cohort pass with one helper, with the same report and errors as
 inline."""
 
+import gc
 import os
 import pickle
 import signal
@@ -373,6 +374,27 @@ WIDE_ASYNC = {
     "rounds_per_trial": 4,
     "eval_cadence": 2,
 }
+
+
+def test_worlds_built_one_after_another_keep_their_own_cohorts():
+    # Cohort records live on their world. Two seeds of one shape run here one
+    # after the other, the second world built once the first is freed, when
+    # a cache keyed by array ids could serve the first world's arrays; each
+    # report must equal the one-CPU report of a fresh process.
+    cfg = {**WIDE_ASYNC, "budget_configs": 6}
+    code = ("import pickle, sys\n"
+            "from fedtune import runner\n"
+            "from fedtune.config import config_from_dict\n"
+            "cfg = config_from_dict(pickle.loads(sys.stdin.buffer.read()))\n"
+            "sys.stdout.buffer.write(pickle.dumps(runner._run_seed(cfg, int(sys.argv[1]))))\n")
+    for seed in (5, 6):
+        here = seed_report_key(runner._run_seed(config_from_dict(cfg), seed))
+        gc.collect()
+        fresh = subprocess.run([sys.executable, "-c", code, str(seed)], input=pickle.dumps(cfg),
+                               capture_output=True, env=env_with_fedtune(), check=True)
+        assert seed_report_key(pickle.loads(fresh.stdout)) == here
+
+
 # Learning rates up to 1e30 with weight decay 1 diverge, and patience 1 stops
 # the other trials after round 2, so trials free their groups sooner than
 # predicted.
@@ -605,11 +627,11 @@ class TestHelper:
         alone = one_seed_report(monkeypatch, SPLIT, 1)
         parent, train_share, seen = os.getpid(), flcore.train_share, set()
 
-        def spy(world, global_w, hp, members, seed_key):
+        def spy(world, global_w, hp, cohort, seed_key):
             if os.getpid() == parent:
-                seen.add((len(members), frozenset(os.sched_getaffinity(0)),
+                seen.add((len(cohort.ids), frozenset(os.sched_getaffinity(0)),
                           frozenset(os.sched_getaffinity(world.helper.pid))))
-            return train_share(world, global_w, hp, members, seed_key)
+            return train_share(world, global_w, hp, cohort, seed_key)
 
         monkeypatch.setattr(flcore, "train_share", spy)
         split = one_seed_report(monkeypatch, SPLIT, 2)
@@ -645,10 +667,10 @@ class TestHelper:
 
         def passes():
             with pytest.raises(NumericDivergenceError) as info:
-                flcore.train_cohort(world, w, config, world.clients, 3, key)
+                flcore.train_cohort(world, w, config, world.cohort(world.clients), 3, key)
             err = info.value
             # the helper still answers in step after the error
-            agg, losses = flcore.train_cohort(world, w, config, healthy, 3, key)
+            agg, losses = flcore.train_cohort(world, w, config, world.cohort(healthy), 3, key)
             return (str(err), err.client_id, err.round_index, err.config_id,
                     agg.values.tobytes(), repr(losses))
 
@@ -696,11 +718,11 @@ class TestHelper:
         pids = fork_pids(monkeypatch)
         for failing in range(SPLIT["n_clients"]):  # in either share
 
-            def raising(world, global_w, hp, members, seed_key):
-                if failing in [c.client_id for c in members]:
+            def raising(world, global_w, hp, cohort, seed_key):
+                if failing in cohort.ids:
                     raise (error(f"boom at {failing}") if error is FeedbackError
                            else error(f"boom at {failing}", failing))
-                return train_share(world, global_w, hp, members, seed_key)
+                return train_share(world, global_w, hp, cohort, seed_key)
 
             monkeypatch.setattr(flcore, "train_share", raising)
             seen = {}
