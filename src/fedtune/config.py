@@ -101,14 +101,16 @@ def _require(cond: bool, field_name: str, message: str):
 def _num(value, field_name: str, kind=float):
     """value as kind (int or float); anything else is an error naming the field.
 
-    An int field takes only a whole number that is not a bool, since int()
-    would read 2.7 as 2 and True as 1.
+    No field takes a bool, since float() would read True as 1.0 and int()
+    as 1, and an int field takes only a whole number, since int() would
+    read 2.7 as 2.
     """
     try:
         number = float(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{field_name}: must be a number") from None
     if kind is float:
+        _require(not isinstance(value, bool), field_name, "must be a number")
         return number
     try:
         whole = int(value)

@@ -424,9 +424,9 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, plan: BatchPlan):
     Returns ((rows, P) weights, failures), both in stack-row order.
     """
     keep = 1.0 - hp.dropout
-    # Thresholded once per pass, scaled per step: a pass-wide float
-    # multiplier would be a transient as large as the uniforms, and the
-    # allocator tends to hand that back to the OS and fault it in again.
+    # Thresholded once per pass, scaled per step: the boolean mask is an
+    # eighth the size of a pass-wide float multiplier, which would hold a
+    # second array as large as the uniforms for the whole pass.
     kept = None if plan.uniforms is None else plan.uniforms < keep
     values = np.tile(w.values, (len(plan.order), 1))
     failures = [None] * len(plan.order)

@@ -1,6 +1,7 @@
 """Experiment runner: build the world, dispatch HP evaluations, emit metrics."""
 
 import csv
+import ctypes
 import json
 import math
 import os
@@ -413,15 +414,42 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else 1
 
 
+# glibc's mallopt parameters (malloc.h) and the values a run fixes them at.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 16 << 20, 4 << 20
+
+
+def _keep_freed_memory():
+    """Fix glibc's mmap and trim thresholds for the rest of this process.
+
+    By default glibc maps each block over a threshold that starts at 128 KiB
+    on its own and hands free heap top back to the OS, so the plan and
+    scoring arrays a cohort pass freed were faulted in again by the next.
+    Blocks under 4 MiB now come from the heap, which keeps up to 16 MiB of
+    free top (README "Memory"). Without mallopt (macOS, Windows) this does
+    nothing; musl's mallopt ignores both.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run every seed of cfg and collect one SeedReport per seed, in
     cfg["seeds"] order; each equals that seed's one-seed run on one CPU.
 
     The seeds run in lanes (lanes.run_jobs), and a seed no lane ran runs
-    inline here, with lanes of its own (README "Lanes"). A failing seed
-    raises its own error, the first in seed order; a lane that dies raises
-    FedTuneError.
+    inline here, with lanes of its own (README "Lanes"). Every lane
+    inherits the allocator thresholds fixed first, and this process keeps
+    them after the call. A failing seed raises its own error, the first in
+    seed order; a lane that dies raises FedTuneError.
     """
+    _keep_freed_memory()
     seeds, cpus = cfg["seeds"], _usable_cpus()
     done = lanes.run_jobs(dict.fromkeys(seeds), lambda s: 1, lambda s: _run_seed(cfg, s), cpus)
     per_seed = []

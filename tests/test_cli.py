@@ -35,6 +35,16 @@ def config_path(tmp_path):
 
 
 LR_DIM = {"name": "learning_rate", "scale": "log10", "low": 1e-4, "high": 1e-1, "step": 10.0}
+# The fields that take only a whole number; every other number field takes a float.
+INT_FIELDS = {"n_clients", "rounds_per_trial", "budget_configs", "dataset.n",
+              "model.hidden_dim", "hp_defaults.batch_size", "hp_defaults.epochs"}
+
+
+def expected_kind(field, value):
+    """What a rejected value of field must be: a number in an int field
+    (a bool included) is not an integer; anything else is not a number."""
+    return "an integer" if field in INT_FIELDS and isinstance(value, (int, float)) \
+        else "a number"
 
 
 class TestConfig:
@@ -79,10 +89,20 @@ class TestConfig:
         ("budget_configs", True, "budget_configs"), ("dataset", {"n": 300.5}, "dataset.n"),
         ("model", {"hidden_dim": False}, "model.hidden_dim"),
         ("hp_defaults", {"batch_size": 32.5}, "hp_defaults.batch_size"),
+        # float() reads True as 1.0; a bool is no number in any field
+        ("alpha", True, "alpha"), ("epsilon", False, "epsilon"),
+        ("split", [True, False, False], "split"),
+        ("grouping", {"mode": "async", "window": True}, "grouping.window"),
+        ("hp_defaults", {"learning_rate": True}, "hp_defaults.learning_rate"),
+        ("latency", {"jitter_sigma": False}, "latency.jitter_sigma"),
+        ("search_space", [{**LR_DIM, "low": True}], "search_space.low"),
+        ("search_space", [{**LR_DIM, "high": True}], "search_space.high"),
+        ("search_space", [{**LR_DIM, "scale": "linear", "low": 0.0, "high": 1.0,
+                           "step": True}], "search_space.step"),
     ])
     def test_non_numeric_value_rejected(self, key, value, field):
         leaf = value.get(field.split(".")[-1]) if isinstance(value, dict) else value
-        kind = "an integer" if isinstance(leaf, (int, float)) else "a number"
+        kind = expected_kind(field, leaf)
         with pytest.raises(ConfigurationError, match=f"^{field}: must be {kind}$"):
             config_from_dict(dict(SMALL, **{key: value}, tuned=["learning_rate"]))
 
@@ -170,12 +190,18 @@ class TestCliCommands:
     @pytest.mark.parametrize("override,field", [
         ("n_clients=abc", "n_clients"), ("latency.base_min=fast", "latency.base_min"),
         ("n_clients=2.7", "n_clients"), ("hp_defaults.epochs=true", "hp_defaults.epochs"),
+        ("alpha=true", "alpha"), ("epsilon=false", "epsilon"),
+        ("split=[true, false, false]", "split"), ("grouping.window=true", "grouping.window"),
+        ("hp_defaults.learning_rate=true", "hp_defaults.learning_rate"),
+        ("search_space=[{name: learning_rate, scale: log10, low: true, high: 0.1, step: 10}]",
+         "search_space.low"),
     ])
     def test_non_numeric_value_exit_code(self, config_path, capsys, override, field):
         value = yaml.safe_load(override.split("=", 1)[1])
-        kind = "an integer" if isinstance(value, (int, float)) else "a number"
-        assert cli.main(["validate", config_path, "--set", override]) == cli.EXIT_CONFIG
-        assert f"config error: {field}: must be {kind}" in capsys.readouterr().err
+        kind = expected_kind(field, value)
+        for command in ("validate", "run"):  # run stops before it computes anything
+            assert cli.main([command, config_path, "--set", override]) == cli.EXIT_CONFIG
+            assert f"config error: {field}: must be {kind}" in capsys.readouterr().err
 
     def test_halving_with_async_grouping_exit_code(self, config_path, capsys):
         code = cli.main(["validate", config_path, "--set", "sampler=halving",

@@ -13,6 +13,7 @@ inline."""
 import gc
 import os
 import pickle
+import platform
 import signal
 import subprocess
 import sys
@@ -733,3 +734,45 @@ class TestHelper:
             assert seen[2] == seen[1] == (error, f"boom at {failing}")
         assert len(pids) == SPLIT["n_clients"]
         assert_reaped(pids)
+
+
+CRITERION8_HALVING = {
+    "dataset": {"type": "synthetic", "num_classes": 10, "input_dim": 16, "n": 2000,
+                "class_sep": 3.0},
+    "n_clients": 20, "alpha": 0.5, "model": {"kind": "mlp", "hidden_dim": 16},
+    "sampler": "halving", "budget_configs": 2, "rounds_per_trial": 6, "eval_cadence": 3,
+}
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc's")
+def test_cohort_passes_reuse_freed_memory():
+    # run_experiment fixes glibc's mmap and trim thresholds, so a criterion-8
+    # cohort pass takes the heap its predecessor freed instead of faulting
+    # fresh pages in (about 240 minor faults per pass under glibc's defaults).
+    # A fresh interpreter, since the arrays freed by earlier tests move
+    # glibc's default thresholds.
+    code = (
+        "import resource\n"
+        "from fedtune import config, flcore, runner\n"
+        "runner._usable_cpus = lambda: 1\n"
+        "train_cohort, faults = flcore.train_cohort, []\n"
+        "def counted(*args, **kwargs):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    try:\n"
+        "        return train_cohort(*args, **kwargs)\n"
+        "    finally:\n"
+        "        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "flcore.train_cohort = counted\n"
+        f"cfg = config.config_from_dict({CRITERION8_HALVING!r})\n"
+        "runner.run_experiment(cfg)  # the first call may grow the heap\n"
+        "faults.clear()\n"
+        "runner.run_experiment(cfg)\n"
+        "print(*faults)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env_with_fedtune(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    faults = [int(f) for f in done.stdout.split()]
+    assert len(faults) == 9
+    assert sum(faults) / len(faults) < 20, faults
