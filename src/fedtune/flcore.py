@@ -121,6 +121,11 @@ class ExperimentWorld:
                 np.array([c.latency.jitter_sigma for c in members]))
         return self.cohorts[ids]
 
+    def cohort_of(self, ids) -> Cohort:
+        """The Cohort of the clients whose client_id is in ids."""
+        ids = set(ids)
+        return self.cohort(c for c in self.clients if c.client_id in ids)
+
 
 @dataclass
 class TrialResult:
@@ -191,6 +196,12 @@ def train_share(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, coh
                               world.plans.get(world.model_spec, hp, cohort, seed_key))
 
 
+def train_ids(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
+              seed_key: tuple):
+    """train_share of the clients ids of world, as a helper runs it."""
+    return train_share(world, global_w, hp, world.cohort_of(ids), seed_key)
+
+
 def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, cohort: Cohort,
                  seed_key: tuple):
     """train_share of cohort, one share trained by world.helper while this
@@ -201,7 +212,7 @@ def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, co
                         lanes.split(by_id, lambda i: len(by_id[i].shard.train), 2))
         cohort.shares = theirs, mine, np.argsort(mine.ids + theirs.ids)
     theirs, mine, order = cohort.shares
-    world.helper.send(global_w, hp, theirs.ids, seed_key)
+    world.helper.send(train_ids, global_w, hp, theirs.ids, seed_key)
     own = train_share(world, global_w, hp, mine, seed_key)
     other = world.helper.receive()
     if other is None:  # the helper's exception did not pickle: raise it here
@@ -214,23 +225,23 @@ def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, co
 
 
 def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
-                 cohort: Cohort, round_index: int, seed_key: tuple):
+                 cohort: Cohort, round_index: int, seed_key: tuple, split: bool = True):
     """Train every cohort member from global_w under config, then FedAvg.
 
     The members train in models.train_stack passes (train_share); client c
     draws its batches from derive_seed(*seed_key, c.client_id). The batch
     plans come from world.plans, so passes under one seed_key build them
-    once. With world.helper set, a cohort of two or more is split in two
-    shares that train in two lanes (README "Lanes"); the merged rows, the
-    aggregate and every error are those of one pass. If any client
-    diverges, NumericDivergenceError names the lowest such client_id,
-    round_index and config.
+    once. With world.helper and split set, a cohort of two or more is
+    split in two shares that train in two lanes (README "Lanes"); the
+    merged rows, the aggregate and every error are those of one pass. If
+    any client diverges, NumericDivergenceError names the lowest such
+    client_id, round_index and config.
     Returns (aggregate weights, [(client_id, validation loss)] in
     client_id order).
     """
     hp = to_train_hp(config, world.hp_defaults)
     members = cohort.members
-    train = _train_split if world.helper is not None and len(members) > 1 else train_share
+    train = _train_split if split and world.helper and len(members) > 1 else train_share
     trained, val_losses, failures = train(world, global_w, hp, cohort, seed_key)
     for c, failure in zip(members, failures):
         if failure is not None:

@@ -158,23 +158,53 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     return sched.form_groups(completions, float(window))
 
 
+def _train_probes(world, probes, global_w, ids, round_index, seed_key, split):
+    """lanes.run_each over probes (index -> config): the pass of the clients
+    ids from global_w under each config (flcore.train_cohort under seed_key,
+    in row shares only if split); then every finished aggregate is scored
+    on the server validation set in one models.evaluate_stack call, each as
+    models.evaluate scores it. A result is (aggregate, local losses, server
+    loss), or None for a divergence."""
+    cohort = world.cohort_of(ids)
+
+    def train(i):
+        try:
+            return flcore.train_cohort(world, global_w, probes[i], cohort, round_index,
+                                       seed_key, split)
+        except NumericDivergenceError:
+            return None
+
+    done = lanes.run_each(train, probes)
+    finished = [(i, out) for i, out in done if isinstance(out, tuple)]
+    if finished:
+        losses, _ = models.evaluate_stack(
+            world.model_spec, np.array([out[0].values for _, out in finished]),
+            [(world.val_set.features, world.val_set.labels)] * len(finished))
+        scored = {i: (*out, gf) for (i, out), gf in zip(finished, losses.tolist())}
+        done = [(i, scored.get(i, out)) for i, out in done]
+    return done
+
+
 def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     """Step-wise feedback before round state.round_index: evaluate the probe
     set and choose the round's config.
 
     Each probe config trains the whole cohort (a flcore.Cohort) from the
-    current global weights with flcore.train_cohort, every probe under the
-    round's own training key (base_seed, "train", trial_index, round):
-    common random numbers, so the probes see the same batch orders and
-    dropout draws, and the chosen probe's pass is exactly the round's. Each
-    probe is timed under its own key, (base_seed, "probe", trial_index,
-    round, config_id). Once every probe has trained, the finished
-    aggregates are scored on the server validation set in one
-    models.evaluate_stack call, each bitwise as models.evaluate scores it,
-    and each score is combined with that probe's local validation losses.
-    A probe that diverges scores +inf, so the step never adopts it, and
-    writes no record; the cycle goes on. Appends one FeedbackRecord per
-    finished probe to records, each with its combined feedback as val_loss.
+    current global weights, every probe under the round's own training key
+    (base_seed, "train", trial_index, round): common random numbers, so the
+    probes see the same batch orders and dropout draws, and the chosen
+    probe's pass is exactly the round's. Each probe is timed under its own
+    key, (base_seed, "probe", trial_index, round, config_id). _train_probes
+    trains and scores them. With world.helper set and two or more probes,
+    they are split by epochs (lanes.split), each lane trains whole-cohort
+    passes of its share, and the helper gets one request (README "Lanes");
+    otherwise this process trains each pass, split by rows as
+    flcore.train_cohort splits it. Either way the scores are bitwise
+    models.evaluate's, and the first error in probe order is raised. Each
+    score is combined with that probe's local validation losses. A probe
+    that diverges scores +inf, so the step never adopts it, and writes no
+    record; the cycle goes on. Appends one FeedbackRecord per finished
+    probe to records, each with its combined feedback as val_loss.
     Returns (new config, extra simulated time, reused): the extra time is
     the sum of every probe's cohort time, a diverging one's included, and
     reused is the new config's (aggregate, local losses) when it is a probe
@@ -183,33 +213,31 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     current, j = state.current_hp, state.round_index
     n = len(cohort.members)
     probes = sampler.probes(current)
-    passes, extra_time = {}, 0.0
-    for p in probes:
-        extra_time += flcore.cohort_time(
-            cohort, to_train_hp(p, world.hp_defaults).epochs,
-            (world.base_seed, "probe", trial_index, j, p.config_id),
-        )
-        try:
-            passes[p.config_id] = flcore.train_cohort(
-                world, state.global_weights, p, cohort, j,
-                (world.base_seed, "train", trial_index, j),
-            )
-        except NumericDivergenceError:
-            passes[p.config_id] = None
-    finished = [p for p in probes if passes[p.config_id] is not None]
-    server = {}
-    if finished:  # one whole-set block per aggregate, as models.evaluate scores it
-        losses, _ = models.evaluate_stack(
-            world.model_spec, np.array([passes[p.config_id][0].values for p in finished]),
-            [(world.val_set.features, world.val_set.labels)] * len(finished))
-        server = dict(zip([p.config_id for p in finished], losses.tolist()))
-    results = []
-    for p in probes:
-        if p.config_id not in server:
+    epochs = [to_train_hp(p, world.hp_defaults).epochs for p in probes]
+    args = (state.global_weights, cohort.ids, j, (world.base_seed, "train", trial_index, j))
+    mine, theirs = dict(enumerate(probes)), {}
+    if world.helper is not None and len(probes) > 1:  # whole probes, in two lanes
+        mine, theirs = ({i: probes[i] for i in share} for share in
+                        lanes.split(range(len(probes)), lambda i: max(1, epochs[i]), 2))
+        world.helper.send(_train_probes, theirs, *args, False)
+    extra_time = sum((flcore.cohort_time(cohort, e, (world.base_seed, "probe", trial_index, j,
+                                                     p.config_id))
+                      for p, e in zip(probes, epochs)), 0.0)
+    done = _train_probes(world, mine, *args, not theirs)
+    if theirs:
+        reply = world.helper.receive()
+        if isinstance(reply, Exception):  # raised outside any probe's pass
+            raise reply
+        done += _train_probes(world, theirs, *args, False) if reply is None else reply
+    passes, results = dict(done), []
+    for i, p in enumerate(probes):
+        if isinstance(passes[i], Exception):  # a lane ran nothing past its first error
+            raise passes[i]
+        if passes[i] is None:
             results.append((p, math.inf))
             continue
-        gf = server[p.config_id]
-        combined = combine_feedback([vl for _, vl in passes[p.config_id][1]], gf, n)
+        gf = passes[i][2]
+        combined = combine_feedback([vl for _, vl in passes[i][1]], gf, n)
         results.append((p, combined))
         records.append(FeedbackRecord(
             config_id=p.config_id,
@@ -221,7 +249,8 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
             probe_target=hpo.probe_target_of(current, p),
         ))
     new = sampler.step(current, results)
-    return new, extra_time, passes.get(new.config_id)
+    chosen = {p.config_id: passes[i] for i, p in enumerate(probes)}.get(new.config_id)
+    return new, extra_time, chosen and chosen[:2]
 
 
 @dataclass
@@ -233,11 +262,6 @@ class EvalOutcome:
     result: flcore.TrialResult
     records: list[FeedbackRecord]  # in record order
     walk: hpo.AdaptiveSampler | None = None  # the adaptive sampler's moves
-
-
-def _cohort(world, group) -> flcore.Cohort:
-    members = set(group.members)
-    return world.cohort(c for c in world.clients if c.client_id in members)
 
 
 def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> EvalOutcome:
@@ -252,7 +276,7 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
     The row's sim_time covers only the rounds this evaluation ran.
     """
     trial_key, rounds, walk = plan
-    cohort = _cohort(world, group)
+    cohort = world.cohort_of(group.members)
     records: list[FeedbackRecord] = []
 
     def on_cadence(state):
@@ -315,7 +339,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     def predict(group, config, e):
         key, rounds, _ = sampler.plan(e, config)
         epochs = to_train_hp(config, world.hp_defaults).epochs
-        cohort = _cohort(world, group)
+        cohort = world.cohort_of(group.members)
         return sum(flcore.cohort_time(cohort, epochs, (world.base_seed, "time", key, j))
                    for j in range(1, rounds + 1)), lambda: None
 
@@ -323,7 +347,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
 
     def cost(e):
         group, config = issues[e]
-        rows = sum(len(c.shard.train) for c in _cohort(world, group).members)
+        rows = sum(len(c.shard.train) for c in world.cohort_of(group.members).members)
         return rows * max(1, to_train_hp(config, world.hp_defaults).epochs)
 
     def run(e):
@@ -334,12 +358,11 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     return {e: (issues[e][0].group_id, issues[e][1].config_id, r) for e, r in done.items()}
 
 
-def _share_trainer(world):
-    """A lanes.Helper's serve that trains one share of a cohort pass of
-    world (flcore.train_cohort) on its copy of world."""
-    by_id = {c.client_id: c for c in world.clients}
-    return lambda global_w, hp, ids, seed_key: flcore.train_share(
-        world, global_w, hp, world.cohort(by_id[i] for i in ids), seed_key)
+def _world_server(world):
+    """A lanes.Helper's serve: a request (fn, *args) runs fn(world, *args)
+    on the helper's copy of world, for a row share of a cohort pass
+    (flcore.train_ids) or a probe share of a cycle (_train_probes)."""
+    return lambda fn, *args: fn(world, *args)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
@@ -380,7 +403,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
         return outcome.row.sim_time, lambda: commit(outcome)
 
     split_lanes = 1 if sampler.feedback_free else min(cpus, 2)  # a cohort splits in two
-    with lanes.helpers(_share_trainer(world), split_lanes) as started:
+    with lanes.helpers(_world_server(world), split_lanes) as started:
         world.helper = started[0] if started else None
         result = sched.dispatch(groups, sampler.num_evals,
                                 lambda group, e: sampler.start_config(e, store), run_eval)

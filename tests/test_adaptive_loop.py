@@ -4,6 +4,7 @@ them, and evaluations that see only the feedback committed before they
 were issued."""
 
 import math
+import os
 
 import pytest
 
@@ -157,6 +158,10 @@ def test_row_names_the_config_that_trained_its_final_weights(rounds, final_run_r
     monkeypatch.setattr(flcore, "train_cohort", recording_train)
     monkeypatch.setattr(flcore, "run_round", recording_round)
     monkeypatch.setattr(runner, "_run_one_eval", recording_eval)
+    # The spies see only this process's passes, and a helper may train a
+    # cycle's probes, so the run is inline; the next test checks that the
+    # laned run gives the same report.
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
     runner.run_experiment(config_from_dict({**SMALL_ADAPTIVE, "rounds_per_trial": rounds}))
     assert len(outcomes) == 3
     for o in outcomes:
@@ -165,6 +170,20 @@ def test_row_names_the_config_that_trained_its_final_weights(rounds, final_run_r
         (record,) = [r for r in o.records if r.kind == "global"]
         assert o.row.config_id == record.config_id == trainer
         assert any(w is r for r in round_outputs) == final_run_round
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 usable CPUs")
+@pytest.mark.parametrize("rounds", [6, 5])
+def test_laned_run_equals_the_inline_run_the_spies_saw(rounds, monkeypatch):
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+        sr = runner.run_experiment(config_from_dict(
+            {**SMALL_ADAPTIVE, "rounds_per_trial": rounds})).per_seed[0]
+        reports.append((repr(sr.best), repr(sr.trials), repr(sr.events), repr(sr.makespan),
+                        sr.best_weights.values.tobytes(), repr(sr.feedback_history)))
+    assert reports[1] == reports[0]
 
 
 SEARCH_SPACE = [

@@ -214,9 +214,13 @@ class TestTrainCohort:
             return out
 
         monkeypatch.setattr(runner, "run_probe_cycle", recording_cycle)
-        # call 1 trains round 1; calls 2 and 3 run the first cycle's probes of
-        # the current config and of its learning-rate neighbour
-        diverge_at_call(monkeypatch, 3)
+        # A first run finds the first cycle's probes. In the second, the
+        # probe of the learning-rate neighbour diverges, in whichever lane
+        # trains it: the probes of a cycle may train in a helper, which
+        # counts no call here.
+        runner.run_experiment(cfg)
+        diverge_probe(monkeypatch, 2, cycles[0][1][1].config_id)
+        cycles.clear()
         sr = runner.run_experiment(cfg).per_seed[0]
         current, probes, (new, _, _), records = cycles[0]
         diverged = probes[1]
@@ -488,6 +492,20 @@ def diverge_at_call(monkeypatch, n):
     monkeypatch.setattr(models, "train_stack", train_stack)
 
 
+def diverge_probe(monkeypatch, round_index, config_id):
+    """Make the passes of config_id in round round_index diverge at client 0."""
+    real = flcore.train_cohort
+
+    def train_cohort(world, global_w, config, cohort, j, *args):
+        if (j, config.config_id) == (round_index, config_id):
+            raise NumericDivergenceError(
+                f"client 0 diverged in round {j}: non-finite training loss",
+                client_id=0, round_index=j, config_id=config_id)
+        return real(world, global_w, config, cohort, j, *args)
+
+    monkeypatch.setattr(flcore, "train_cohort", train_cohort)
+
+
 def charged_time(report):
     sr = report.per_seed[0]
     (row,) = sr.trials
@@ -519,7 +537,8 @@ class TestDivergedTrialTime:
             return passes[-1][1]
 
         monkeypatch.setattr(flcore, "cohort_time", recording_cohort_time)
-        # call 1 trains round 1, calls 2 and 3 the cycle's first two probes
+        # call 1 trains round 1 (this process's share of it, with a helper);
+        # call 3 is one of the first cycle's probes
         diverge_at_call(monkeypatch, 3)
         sr = runner.run_experiment(cfg).per_seed[0]
         (row,) = sr.trials

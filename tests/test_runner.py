@@ -10,6 +10,7 @@ and errors as inline. And a one-seed adaptive or halving search splits
 every cohort pass with one helper, with the same report and errors as
 inline."""
 
+import contextlib
 import gc
 import os
 import pickle
@@ -24,7 +25,7 @@ import pytest
 import yaml
 
 import fedtune
-from fedtune import cli, data, flcore, lanes, models, runner, sched
+from fedtune import cli, data, flcore, hpo, lanes, models, runner, sched
 from fedtune.common import (FedTuneError, FeedbackError, NumericDivergenceError,
                             PartitionError)
 from fedtune.config import config_from_dict
@@ -676,7 +677,7 @@ class TestHelper:
                     agg.values.tobytes(), repr(losses))
 
         alone = passes()
-        with lanes.helpers(runner._share_trainer(world), 2) as started:
+        with lanes.helpers(runner._world_server(world), 2) as started:
             world.helper, = started
             assert passes() == alone
         assert alone[1:4] == (min(theirs), 3, config.config_id)
@@ -733,6 +734,172 @@ class TestHelper:
                 seen[cpus] = type(info.value), str(info.value)
             assert seen[2] == seen[1] == (error, f"boom at {failing}")
         assert len(pids) == SPLIT["n_clients"]
+        assert_reaped(pids)
+
+
+# SPLIT with a probe cycle of four probes before every round after the first.
+PROBING = {**SPLIT, "rounds_per_trial": 4, "eval_cadence": 1}
+# Tuned dimensions that keep epochs fixed, so every probe costs the same.
+EVEN = ["learning_rate", "weight_decay", "dropout"]
+SPACE = config_from_dict(PROBING).search_space()
+START = hpo.suggest_random(SPACE, 0)  # the config the probes step from
+
+
+def probe_cycle(world, tuned, round_index=2):
+    """One run_probe_cycle before round_index from fixed weights, under a
+    fresh sampler of tuned: (record reprs, new config, extra time, reused
+    pass), or the type and message of the exception it raised."""
+    sampler = hpo.AdaptiveSampler(SPACE, tuned, 0.0, 0, 1, 4)
+    state = flcore.RoundState(round_index, models.init_weights(world.model_spec, 0), START)
+    records = []
+    try:
+        new, extra, reused = runner.run_probe_cycle(state, world.cohort(world.clients), world,
+                                                    0, sampler, records)
+    except Exception as err:
+        return type(err), str(err)
+    return (tuple(map(repr, records)), repr(new), extra.hex(),
+            reused and (reused[0].values.tobytes(), repr(reused[1])))
+
+
+@contextlib.contextmanager
+def probe_helper(world):
+    """world with its helper started, as a one-seed adaptive search has it."""
+    with lanes.helpers(runner._world_server(world), 2) as started:
+        world.helper, = started
+        try:
+            yield world
+        finally:
+            world.helper = None
+
+
+def failing_probes(monkeypatch, failing, make_error, log=None):
+    """Make flcore.train_cohort raise make_error(i) for the probes failing
+    (indices into the probe set of EVEN) of the cycle before round 2, in
+    either lane; with log, every pass appends its pid and config_id there."""
+    world = runner.build_world(config_from_dict(PROBING), 1)
+    probes = hpo.probe_set(SPACE, START, EVEN)
+    ids = {probes[i].config_id: i for i in failing}
+    real = flcore.train_cohort
+
+    def train_cohort(world, global_w, config, cohort, j, *args):
+        if log is not None:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {config.config_id}\n")
+        if j == 2 and config.config_id in ids:
+            raise make_error(ids[config.config_id])
+        return real(world, global_w, config, cohort, j, *args)
+
+    monkeypatch.setattr(flcore, "train_cohort", train_cohort)
+    return world, probes
+
+
+@needs_two_cpus
+@pytest.mark.usefixtures("affinity_is_restored")
+class TestProbeLanes:
+    """With a helper, a cycle of two or more probes is split by probe: each
+    lane trains whole-cohort passes of its probes, with one request to the
+    helper, and the cycle's records, step, errors and reused pass are those
+    of one CPU."""
+
+    def test_report_equals_one_cpu_run(self, monkeypatch):
+        parent, train_share, whole = os.getpid(), flcore.train_share, []
+
+        def spy(world, global_w, hp, cohort, seed_key):
+            if os.getpid() == parent and len(cohort.ids) == PROBING["n_clients"]:
+                whole.append(seed_key)
+            return train_share(world, global_w, hp, cohort, seed_key)
+
+        monkeypatch.setattr(flcore, "train_share", spy)
+        pids = fork_pids(monkeypatch)
+        alone = one_seed_report(monkeypatch, PROBING, 1)
+        whole_alone, whole[:] = len(whole), []
+        laned = one_seed_report(monkeypatch, PROBING, 2)
+        assert seed_report_key(laned) == seed_report_key(alone)
+        # here, only this process's probes trained whole
+        assert 0 < len(whole) < whole_alone
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_three_probes_split_two_one_and_one_probe_takes_the_row_split(self, tmp_path,
+                                                                          monkeypatch):
+        log, train_share = tmp_path / "passes", flcore.train_share
+
+        def logging(world, global_w, hp, cohort, seed_key):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {len(cohort.ids)}\n")
+            return train_share(world, global_w, hp, cohort, seed_key)
+
+        monkeypatch.setattr(flcore, "train_share", logging)
+        world = runner.build_world(config_from_dict(PROBING), 1)
+        n = len(world.clients)
+        for tuned, here, there in [(EVEN[:2], [n, n], [n]), ([], None, None)]:
+            alone = probe_cycle(world, tuned)
+            assert len(alone[0]) == len(tuned) + 1  # every probe finished
+            log.write_text("")
+            with probe_helper(world) as laned:
+                assert probe_cycle(laned, tuned) == alone
+                helper = laned.helper.pid
+            passes = [line.split() for line in log.read_text().splitlines()]
+            mine = [int(size) for pid, size in passes if int(pid) == os.getpid()]
+            theirs = [int(size) for pid, size in passes if int(pid) == helper]
+            if here is None:  # one probe: one pass, split by rows
+                assert len(mine) == len(theirs) == 1 and mine[0] + theirs[0] == n
+            else:
+                assert (mine, theirs) == (here, there)
+
+    @pytest.mark.parametrize("diverging", [{0}, {1}, {2}, {3}, {0, 1}, {2, 3}, {0, 1, 2, 3}])
+    def test_diverging_probes_give_the_records_and_step_of_one_cpu(self, diverging,
+                                                                   monkeypatch):
+        assert lanes.split(range(4), lambda i: 1, 2) == [[0, 2], [1, 3]]  # mine, the helper's
+        world, _ = failing_probes(monkeypatch, diverging, lambda i: NumericDivergenceError(
+            f"client 0 diverged in round 2: probe {i}", client_id=0, round_index=2))
+        alone = probe_cycle(world, EVEN)
+        with probe_helper(world) as laned:
+            assert probe_cycle(laned, EVEN) == alone
+        assert len(alone[0]) == 4 - len(diverging)
+
+    @pytest.mark.parametrize("error", [FeedbackError, TwoArgError, UnpicklableError])
+    @pytest.mark.parametrize("failing", [{0}, {1}, {2}, {3}, {1, 2}, {2, 3}, {0, 3}])
+    def test_error_in_either_share_raises_like_one_cpu(self, error, failing, tmp_path,
+                                                        monkeypatch):
+        log = tmp_path / "passes"
+        world, probes = failing_probes(
+            monkeypatch, failing,
+            lambda i: error(f"boom at {i}") if error is FeedbackError else error(f"boom at {i}", i),
+            log)
+        alone = probe_cycle(world, EVEN), probe_cycle(world, EVEN, round_index=3)
+        assert alone[0] == (error, f"boom at {min(failing)}")
+        log.write_text("")
+        with probe_helper(world) as laned:
+            # the helper's reply is taken, so the next cycle gets its own
+            assert (probe_cycle(laned, EVEN), probe_cycle(laned, EVEN, round_index=3)) == alone
+            helper = laned.helper.pid
+        ran = [line.split() for line in log.read_text().splitlines()]
+        first_cycle = ran[:len(ran) - 4]  # the second cycle trains each probe once
+        theirs = [c for i, c in enumerate(p.config_id for p in probes) if i % 2]
+        rerun = error is not FeedbackError and failing & {1, 3}
+        # a reply that does not pickle or unpickle: the helper's share runs again here
+        assert any(pid == str(os.getpid()) and c in theirs for pid, c in first_cycle) == \
+            bool(rerun)
+        assert any(pid == str(helper) for pid, _ in first_cycle)
+
+    def test_helper_killed_in_a_probe_request_exits_3(self, tmp_path, monkeypatch, capsys):
+        parent, train_cohort = os.getpid(), flcore.train_cohort
+
+        def dying(*args):
+            # a helper calls train_cohort only for probes, so it dies in its
+            # first probe request, after training row shares of round 1
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return train_cohort(*args)
+
+        monkeypatch.setattr(flcore, "train_cohort", dying)
+        usable_cpus(monkeypatch, 2)
+        pids = fork_pids(monkeypatch)
+        path = write_config(tmp_path, **PROBING)
+        assert cli.main(["run", path, "--output", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
+        assert "error: a worker process died" in capsys.readouterr().err
+        assert len(pids) == 1
         assert_reaped(pids)
 
 
