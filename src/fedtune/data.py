@@ -7,6 +7,8 @@ import numpy as np
 
 from .common import ConfigurationError, DataError, PartitionError, derive_seed
 
+_MAX_DRAWS = 100  # Dirichlet draws partition_dirichlet makes before it gives up
+
 
 @dataclass
 class Dataset:
@@ -86,7 +88,6 @@ def partition_dirichlet(
     split=(0.6, 0.2, 0.2),
     seed: int = 0,
     min_train: int = 10,
-    max_retries: int = 100,
 ) -> list[DataShard]:
     """Allot each class's samples across clients by Dirichlet proportions.
 
@@ -94,7 +95,7 @@ def partition_dirichlet(
     drawn over the clients and the class's samples are divided accordingly
     (largest-remainder rounding, so the union of shards equals the dataset
     exactly). Draws yielding a client with fewer than min_train training
-    samples are rejected and resampled up to max_retries times.
+    samples are rejected and resampled, up to _MAX_DRAWS draws in all.
     """
     if n_clients < 1:
         raise ConfigurationError("n_clients: must be >= 1")
@@ -108,7 +109,7 @@ def partition_dirichlet(
     by_class = [np.flatnonzero(ds.labels == c) for c in np.unique(ds.labels)]
     class_sizes = np.array([len(idx) for idx in by_class])
 
-    for _ in range(max_retries):
+    for _ in range(_MAX_DRAWS):
         shuffled, props = [], []
         for idx in by_class:
             idx = idx.copy()
@@ -123,7 +124,7 @@ def partition_dirichlet(
     else:
         raise PartitionError(
             f"could not give every client >= {min_train} training samples "
-            f"after {max_retries} Dirichlet draws (alpha={alpha}, "
+            f"after {_MAX_DRAWS} Dirichlet draws (alpha={alpha}, "
             f"n_clients={n_clients})"
         )
 

@@ -103,7 +103,7 @@ class ExperimentWorld:
     agg_mode: str = "weighted"
     cohorts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plans: PlanMemo = field(default_factory=PlanMemo, init=False, repr=False, compare=False)
-    # A lanes.Helper that trains one share of every cohort pass, or None.
+    # A lanes.Helper that cohort passes and probe cycles send work to, or None.
     helper: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -215,23 +215,19 @@ def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, co
     world.helper.send(train_ids, global_w, hp, theirs.ids, seed_key)
     own = train_share(world, global_w, hp, mine, seed_key)
     other = world.helper.receive()
-    if other is None:  # the helper's exception did not pickle: raise it here
-        other = train_share(world, global_w, hp, theirs, seed_key)
-    elif isinstance(other, Exception):
-        raise other
     failures = own[2] + other[2]
     return (np.concatenate([own[0], other[0]])[order],
             np.concatenate([own[1], other[1]])[order], [failures[i] for i in order])
 
 
 def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
-                 cohort: Cohort, round_index: int, seed_key: tuple, split: bool = True):
+                 cohort: Cohort, round_index: int, seed_key: tuple):
     """Train every cohort member from global_w under config, then FedAvg.
 
     The members train in models.train_stack passes (train_share); client c
     draws its batches from derive_seed(*seed_key, c.client_id). The batch
     plans come from world.plans, so passes under one seed_key build them
-    once. With world.helper and split set, a cohort of two or more is
+    once. With world.helper set and not busy, a cohort of two or more is
     split in two shares that train in two lanes (README "Lanes"); the
     merged rows, the aggregate and every error are those of one pass. If
     any client diverges, NumericDivergenceError names the lowest such
@@ -241,7 +237,8 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
     """
     hp = to_train_hp(config, world.hp_defaults)
     members = cohort.members
-    train = _train_split if split and world.helper and len(members) > 1 else train_share
+    free = world.helper and not world.helper.busy
+    train = _train_split if free and len(members) > 1 else train_share
     trained, val_losses, failures = train(world, global_w, hp, cohort, seed_key)
     for c, failure in zip(members, failures):
         if failure is not None:
@@ -255,6 +252,12 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
                for v, c in zip(trained, members)]
     return (fedavg_aggregate(updates, world.agg_mode),
             [(c.client_id, float(vl)) for c, vl in zip(members, val_losses)])
+
+
+def round_time(world: ExperimentWorld, cohort: Cohort, config: HpConfig, trial: int, j: int):
+    """The cohort_time run_trial charges round j of trial under config."""
+    return cohort_time(cohort, to_train_hp(config, world.hp_defaults).epochs,
+                       (world.base_seed, "time", trial, j))
 
 
 def cohort_time(cohort: Cohort, epochs: int, seed_key: tuple) -> float:
@@ -355,8 +358,7 @@ def run_trial(
             state.current_hp, extra, reused = on_cadence(state)
             r.sim_time += extra
         if reused is None:
-            epochs = to_train_hp(state.current_hp, world.hp_defaults).epochs
-            r.sim_time += cohort_time(cohort, epochs, (world.base_seed, "time", trial_index, j))
+            r.sim_time += round_time(world, cohort, state.current_hp, trial_index, j)
             try:
                 state, r.local_losses = run_round(state, cohort, world, trial_index)
             except NumericDivergenceError as err:

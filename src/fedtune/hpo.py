@@ -286,9 +286,8 @@ class RandomSampler:
     simulated finish. Evaluation e continues the latest committed evaluation
     of its trial key, if any; the report has one row per key. A sampler is
     feedback_free when it reads no feedback: neither the store nor commit
-    changes a config or plan, and no trial key repeats, so every evaluation
-    can run before dispatch issues it, on the group a dry dispatch of
-    predicted simulated durations issues it to. Random search reads no
+    changes a config or plan, and no trial key repeats, so its evaluations
+    can run ahead of dispatch (README "Lanes"). Random search reads no
     feedback: the key is e, and e's config depends only on (seed, e), not
     on scheduling.
     """

@@ -1,8 +1,8 @@
 """Work run in lanes: this process and pinned helper processes.
 
 The one place fedtune forks. helpers starts the helpers; run_jobs,
-flcore.train_cohort and runner.run_probe_cycle send them work. See
-README "Lanes".
+flcore.train_cohort and runner._train_probes send them work, and
+Helper.receive reads every reply (README "Lanes").
 """
 
 import contextlib
@@ -52,10 +52,9 @@ def run_jobs(jobs: dict, cost, run, lanes: int) -> dict:
     this process and the helpers started for up to min(lanes, len(jobs))
     lanes; a key is a seed or an evaluation index.
 
-    A lane runs its keys with run_each. A helper's share whose reply does
-    not pickle or unpickle is run again here. A helper that dies raises
-    FedTuneError. Returns key -> result or exception, or {} when no helper
-    started: the caller then runs every key inline.
+    A lane runs its keys with run_each; replies are read by
+    Helper.receive (README "Lanes"). Returns key -> result or exception,
+    or {} when no helper started: the caller then runs every key inline.
     """
     run_share = functools.partial(run_each, run)
     with helpers(run_share, min(lanes, len(jobs))) as started:
@@ -65,22 +64,17 @@ def run_jobs(jobs: dict, cost, run, lanes: int) -> dict:
         for helper, share in zip(started, shares[1:]):
             helper.send(share)
         done = run_share(shares[0])
-        for helper, share in zip(started, shares[1:]):
-            reply = helper.receive()
-            done += run_share(share) if reply is None else reply
+        for helper in started:
+            done += helper.receive()
     return dict(done)
 
 
 @contextlib.contextmanager
 def helpers(serve, lanes: int):
-    """Up to lanes - 1 started Helpers for serve: this process is pinned to
-    the lowest CPU of its affinity and helper i to the i-th CPU after it.
-
-    Fewer start, down to none, when the CPUs run out, when the platform
-    lacks fork or sched_setaffinity, or when a fork or a pin fails. On exit,
-    whether the body returned, raised or was interrupted, every helper is
-    closed and this process's affinity restored.
-    """
+    """Up to lanes - 1 started Helpers for serve, pinned as README "Lanes"
+    says. Fewer start, down to none, when CPUs, fork or sched_setaffinity
+    are lacking or a fork or pin fails. On exit, however the body ended,
+    every helper is closed and this process's affinity restored."""
     pinnable = hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
     affinity = os.sched_getaffinity(0) if pinnable else set()
     cpus, started, pinned = sorted(affinity)[:lanes], [], False
@@ -128,16 +122,16 @@ def _read(reader) -> bytes | None:
 
 
 class Helper:
-    """A forked child pinned to cpu that answers requests one at a time.
-
-    The child runs serve(*request) on its copy of this process's memory
-    as it was at the fork, and sends back the result or the exception it
-    raised; serve must not return None. Messages are pickles, each after
-    its length. A failed fork or pin raises OSError and leaves no child.
-    Start helpers with lanes.helpers, which closes them.
-    """
+    """A forked child pinned to cpu that answers requests one at a time
+    with serve(*request), run on its copy of this process's memory as it
+    was at the fork, or with the exception it raised; serve returns neither
+    None nor an exception. Messages are pickles, each after its length. The
+    helper is busy from send until receive ends. A failed fork or pin
+    raises OSError and leaves no child. Start helpers with lanes.helpers,
+    which closes them."""
 
     def __init__(self, serve, cpu: int):
+        self.serve, self.request = serve, None  # the request sent and not yet received
         (request_r, self.requests), (reply_r, reply_w) = os.pipe(), os.pipe()
         try:
             self.pid = os.fork()
@@ -173,28 +167,41 @@ class Helper:
             self.close()
             raise
 
+    @property
+    def busy(self) -> bool:
+        return self.request is not None
+
     def send(self, *request):
         """Ask the child for serve(*request); receive takes the answer."""
+        self.request = request
         try:
             _write(self.requests, pickle.dumps(request))
         except BrokenPipeError:
             raise FedTuneError("a worker process died") from None
 
     def receive(self):
-        """The answer to the oldest request not yet received: serve's
-        result or exception, or None for a reply that did not pickle or
-        unpickle, which the caller computes again itself. A child that
-        died raises FedTuneError."""
+        """serve(*request) for the request sent (README "Lanes"): the
+        child's result, or its exception raised here. A reply that did not
+        pickle or unpickle is computed here, with the helper still busy. A
+        child that died raises FedTuneError."""
         payload = _read(self.replies)
         if payload is None:
             raise FedTuneError("a worker process died")
         try:
-            return pickle.loads(payload)
+            reply = pickle.loads(payload)
         except Exception:  # an exception that does not unpickle
-            return None
+            reply = None
+        try:
+            reply = self.serve(*self.request) if reply is None else reply
+        finally:
+            self.request = None
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
     def close(self):
-        """Stop and reap the child."""
+        """Stop and reap the child; drop serve, which may hold what holds this."""
+        self.serve = None
         os.close(self.requests)
         self.replies.close()
         os.kill(self.pid, signal.SIGKILL)

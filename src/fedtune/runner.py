@@ -158,19 +158,25 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     return sched.form_groups(completions, float(window))
 
 
-def _train_probes(world, probes, global_w, ids, round_index, seed_key, split):
+def _train_probes(world, probes, global_w, ids, round_index, seed_key):
     """lanes.run_each over probes (index -> config): the pass of the clients
-    ids from global_w under each config (flcore.train_cohort under seed_key,
-    in row shares only if split); then every finished aggregate is scored
-    on the server validation set in one models.evaluate_stack call, each as
-    models.evaluate scores it. A result is (aggregate, local losses, server
-    loss), or None for a divergence."""
+    ids from global_w under each config (flcore.train_cohort under seed_key),
+    then every finished aggregate scored on the server validation set in one
+    models.evaluate_stack call, each as models.evaluate scores it. A result
+    is (aggregate, local losses, server loss), or None for a divergence.
+    Two or more probes are split by epochs with a free world.helper (README
+    "Lanes")."""
+    args = (global_w, ids, round_index, seed_key)
+    if world.helper and not world.helper.busy and len(probes) > 1:
+        mine, theirs = ({i: probes[i] for i in share} for share in lanes.split(
+            probes, lambda i: max(1, to_train_hp(probes[i], world.hp_defaults).epochs), 2))
+        world.helper.send(_train_probes, theirs, *args)
+        return _train_probes(world, mine, *args) + world.helper.receive()
     cohort = world.cohort_of(ids)
 
     def train(i):
         try:
-            return flcore.train_cohort(world, global_w, probes[i], cohort, round_index,
-                                       seed_key, split)
+            return flcore.train_cohort(world, global_w, probes[i], cohort, round_index, seed_key)
         except NumericDivergenceError:
             return None
 
@@ -195,16 +201,13 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     probes see the same batch orders and dropout draws, and the chosen
     probe's pass is exactly the round's. Each probe is timed under its own
     key, (base_seed, "probe", trial_index, round, config_id). _train_probes
-    trains and scores them. With world.helper set and two or more probes,
-    they are split by epochs (lanes.split), each lane trains whole-cohort
-    passes of its share, and the helper gets one request (README "Lanes");
-    otherwise this process trains each pass, split by rows as
-    flcore.train_cohort splits it. Either way the scores are bitwise
-    models.evaluate's, and the first error in probe order is raised. Each
-    score is combined with that probe's local validation losses. A probe
-    that diverges scores +inf, so the step never adopts it, and writes no
-    record; the cycle goes on. Appends one FeedbackRecord per finished
-    probe to records, each with its combined feedback as val_loss.
+    trains and scores them, in lanes when world.helper is set (README
+    "Lanes"); the scores are bitwise models.evaluate's, and the first error
+    in probe order is raised. Each score is combined with that probe's
+    local validation losses. A probe that diverges scores +inf, so the step
+    never adopts it, and writes no record; the cycle goes on. Appends one
+    FeedbackRecord per finished probe to records, each with its combined
+    feedback as val_loss.
     Returns (new config, extra simulated time, reused): the extra time is
     the sum of every probe's cohort time, a diverging one's included, and
     reused is the new config's (aggregate, local losses) when it is a probe
@@ -213,23 +216,12 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     current, j = state.current_hp, state.round_index
     n = len(cohort.members)
     probes = sampler.probes(current)
-    epochs = [to_train_hp(p, world.hp_defaults).epochs for p in probes]
-    args = (state.global_weights, cohort.ids, j, (world.base_seed, "train", trial_index, j))
-    mine, theirs = dict(enumerate(probes)), {}
-    if world.helper is not None and len(probes) > 1:  # whole probes, in two lanes
-        mine, theirs = ({i: probes[i] for i in share} for share in
-                        lanes.split(range(len(probes)), lambda i: max(1, epochs[i]), 2))
-        world.helper.send(_train_probes, theirs, *args, False)
-    extra_time = sum((flcore.cohort_time(cohort, e, (world.base_seed, "probe", trial_index, j,
-                                                     p.config_id))
-                      for p, e in zip(probes, epochs)), 0.0)
-    done = _train_probes(world, mine, *args, not theirs)
-    if theirs:
-        reply = world.helper.receive()
-        if isinstance(reply, Exception):  # raised outside any probe's pass
-            raise reply
-        done += _train_probes(world, theirs, *args, False) if reply is None else reply
-    passes, results = dict(done), []
+    extra_time = sum((flcore.cohort_time(cohort, to_train_hp(p, world.hp_defaults).epochs,
+                                         (world.base_seed, "probe", trial_index, j, p.config_id))
+                      for p in probes), 0.0)
+    passes = dict(_train_probes(world, dict(enumerate(probes)), state.global_weights,
+                                cohort.ids, j, (world.base_seed, "train", trial_index, j)))
+    results = []
     for i, p in enumerate(probes):
         if isinstance(passes[i], Exception):  # a lane ran nothing past its first error
             raise passes[i]
@@ -323,9 +315,8 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
 def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     """Every evaluation of a feedback_free sampler, run before dispatch in
     up to cpus lanes (lanes.run_jobs), balanced by cohort training rows
-    times epochs, on the group a dry sched.dispatch issues it to; the dry
-    run charges each evaluation the sum of its rounds' cohort times (README
-    "Lanes"). Returns eval index -> (group id, config id, EvalOutcome or
+    times epochs, on the group a dry sched.dispatch of its rounds' times
+    issues it to (README "Lanes"). Returns eval index -> (group id, config id, EvalOutcome or
     the exception it raised), or {} if nothing ran ahead.
     """
     if cpus < 2 or not sampler.feedback_free:
@@ -338,9 +329,8 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
 
     def predict(group, config, e):
         key, rounds, _ = sampler.plan(e, config)
-        epochs = to_train_hp(config, world.hp_defaults).epochs
         cohort = world.cohort_of(group.members)
-        return sum(flcore.cohort_time(cohort, epochs, (world.base_seed, "time", key, j))
+        return sum(flcore.round_time(world, cohort, config, key, j)
                    for j in range(1, rounds + 1)), lambda: None
 
     sched.dispatch(groups, sampler.num_evals, issue, predict)
@@ -359,16 +349,16 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
 
 
 def _world_server(world):
-    """A lanes.Helper's serve: a request (fn, *args) runs fn(world, *args)
-    on the helper's copy of world, for a row share of a cohort pass
-    (flcore.train_ids) or a probe share of a cycle (_train_probes)."""
+    """A lanes.Helper's serve: a request (fn, *args) runs fn(world, *args),
+    for a row share of a cohort pass (flcore.train_ids) or a probe share of
+    a cycle (_train_probes)."""
     return lambda fn, *args: fn(world, *args)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
     """One seed's report, in up to cpus lanes: a feedback_free sampler runs
-    its evaluations ahead (_run_ahead), and any other splits every cohort
-    pass with one helper (README "Lanes")."""
+    its evaluations ahead (_run_ahead), and any other shares its cohort
+    passes and probe cycles with one helper (README "Lanes")."""
     world = build_world(cfg, seed)
     space = cfg.search_space()
     store = FeedbackStore()

@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -682,6 +683,24 @@ class TestHelper:
             assert passes() == alone
         assert alone[1:4] == (min(theirs), 3, config.config_id)
 
+    def test_world_is_freed_when_its_run_returns(self, monkeypatch):
+        # without a garbage collection: a world kept alive by a cycle through
+        # its helper would hold its pools and plans until the next one
+        build_world, worlds = runner.build_world, []
+
+        def keeping_a_weakref(cfg, seed):
+            world = build_world(cfg, seed)
+            worlds.append(weakref.ref(world))
+            return world
+
+        monkeypatch.setattr(runner, "build_world", keeping_a_weakref)
+        gc.disable()
+        try:
+            one_seed_report(monkeypatch, SPLIT, 2)
+            assert len(worlds) == 1 and worlds[0]() is None
+        finally:
+            gc.enable()
+
     def test_dead_helper_exits_3(self, tmp_path, monkeypatch, capsys):
         parent, train_share = os.getpid(), flcore.train_share
 
@@ -735,6 +754,54 @@ class TestHelper:
             assert seen[2] == seen[1] == (error, f"boom at {failing}")
         assert len(pids) == SPLIT["n_clients"]
         assert_reaped(pids)
+
+
+@needs_two_cpus
+@pytest.mark.usefixtures("affinity_is_restored")
+class TestReceive:
+    """Helper.receive is the one place a reply is read, and a helper with a
+    request out is busy: no further work is split across it."""
+
+    def test_reply_that_does_not_unpickle_is_computed_here(self, monkeypatch):
+        parent, busy_here, started = os.getpid(), [], []
+
+        def serve(x):
+            if os.getpid() == parent:
+                busy_here.append(started[0].busy)
+            return os.getpid(), TwoArgError(f"made for {x}", x)  # pickles, never unpickles
+
+        pids = fork_pids(monkeypatch)
+        with lanes.helpers(serve, 2) as helpers:
+            started += helpers
+            started[0].send(7)
+            reply = started[0].receive()
+            assert reply is not None
+            assert not started[0].busy
+        assert_reaped(pids)
+        pid, err = reply
+        assert (pid, type(err), str(err)) == (parent, TwoArgError, "made for 7")
+        assert busy_here == [True]  # computed here while the request was still out
+
+    def test_train_cohort_trains_inline_beside_a_request_out(self, monkeypatch):
+        world = runner.build_world(config_from_dict(SPLIT), 1)
+        w, config = models.init_weights(world.model_spec, 0), HpConfig(world.hp_defaults)
+        hp, key = flcore.to_train_hp(config, world.hp_defaults), (1, "train", 0, 3)
+        cohort, few = world.cohort(world.clients), world.cohort(world.clients[:2])
+        alone = flcore.train_cohort(world, w, config, cohort, 3, key)
+        sent = []
+        with lanes.helpers(runner._world_server(world), 2) as started:
+            world.helper, = started
+            send = world.helper.send
+            monkeypatch.setattr(world.helper, "send", lambda *request: sent.append(request))
+            send(flcore.train_ids, w, hp, few.ids, key)
+            agg, losses = flcore.train_cohort(world, w, config, cohort, 3, key)
+            reply = world.helper.receive()
+            world.helper = None
+        assert sent == []
+        assert (agg.values.tobytes(), losses) == (alone[0].values.tobytes(), alone[1])
+        # the reply is the one to the request out
+        mine = flcore.train_share(world, w, hp, few, key)
+        assert [a.tobytes() for a in reply[:2]] == [a.tobytes() for a in mine[:2]]
 
 
 # SPLIT with a probe cycle of four probes before every round after the first.
