@@ -51,3 +51,12 @@ def derive_seed(*parts) -> int:
     text = "|".join(repr(p) for p in parts)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
+
+
+def derive_seeds(prefix: tuple, lasts) -> list[int]:
+    """[derive_seed(*prefix, last) for last in lasts], hashing prefix once."""
+    head = hashlib.sha256("".join(repr(p) + "|" for p in prefix).encode("utf-8"))
+    hashes = [head.copy() for _ in lasts]
+    for h, last in zip(hashes, lasts):
+        h.update(repr(last).encode("utf-8"))
+    return [int.from_bytes(h.digest()[:8], "little") >> 1 for h in hashes]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import lanes, models, sched
-from .common import AggregationError, NumericDivergenceError, derive_seed
+from .common import AggregationError, NumericDivergenceError, derive_seed, derive_seeds
 from .data import DataShard, Dataset
 from .hpo import HpConfig
 from .models import ModelSpec, TrainHp, WeightVector
@@ -41,7 +41,8 @@ class Cohort:
     base_time, scale and sigma are the members' sched.pass_times arrays,
     which cohort_time reads. shares, once a helper has split a pass, holds
     the helper's share, this process's share (each a Cohort) and the order
-    that merges their rows into members' order.
+    that merges their rows into members' order. layouts keeps the pool's
+    models.BatchLayouts (models.plan_batches).
     """
 
     members: list[ClientState]  # in client_id order
@@ -50,6 +51,7 @@ class Cohort:
     scale: np.ndarray
     sigma: np.ndarray
     shares: tuple | None = None
+    layouts: dict = field(default_factory=dict)
 
     @functools.cached_property
     def pool(self) -> models.ShardPool:
@@ -82,7 +84,7 @@ class PlanMemo:
         key = (cohort.ids, *shape)
         if key not in self.plans:
             self.plans[key] = models.plan_batches(
-                spec, cohort.pool, [derive_seed(*seed_key, i) for i in cohort.ids], *shape)
+                spec, cohort.pool, derive_seeds(seed_key, cohort.ids), *shape, cohort.layouts)
         return self.plans[key]
 
 
@@ -103,12 +105,18 @@ class ExperimentWorld:
     agg_mode: str = "weighted"
     cohorts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plans: PlanMemo = field(default_factory=PlanMemo, init=False, repr=False, compare=False)
+    hps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # A lanes.Helper that cohort passes and probe cycles send work to, or None.
     helper: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eval_cadence < 1:
             raise ValueError("eval cadence must be >= 1")
+
+    def train_hp(self, config: HpConfig) -> TrainHp:
+        """to_train_hp of config under hp_defaults, built once per config."""
+        return self.hps.get(config.config_id) or self.hps.setdefault(
+            config.config_id, to_train_hp(config, self.hp_defaults))
 
     def cohort(self, clients) -> Cohort:
         """The Cohort of clients (in any order), one per member-id tuple."""
@@ -188,22 +196,22 @@ def weighted_objective(losses_and_counts) -> float:
 
 
 def train_share(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, cohort: Cohort,
-                seed_key: tuple):
+                seed_key: tuple, score: bool = True):
     """models.train_stack of cohort's members from global_w, on the batch
-    plans world.plans holds for seed_key. Returns (weights, val losses,
-    failures), one row each per member."""
+    plans world.plans holds for seed_key, scoring every loss with score.
+    Returns (weights, val losses, failures), one row each per member."""
     return models.train_stack(world.model_spec, global_w, hp, cohort.pool,
-                              world.plans.get(world.model_spec, hp, cohort, seed_key))
+                              world.plans.get(world.model_spec, hp, cohort, seed_key), score)
 
 
 def train_ids(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
-              seed_key: tuple):
+              seed_key: tuple, score: bool):
     """train_share of the clients ids of world, as a helper runs it."""
-    return train_share(world, global_w, hp, world.cohort_of(ids), seed_key)
+    return train_share(world, global_w, hp, world.cohort_of(ids), seed_key, score)
 
 
 def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, cohort: Cohort,
-                 seed_key: tuple):
+                 seed_key: tuple, score: bool):
     """train_share of cohort, one share trained by world.helper while this
     process trains the other; rows come back in members' order."""
     if cohort.shares is None:
@@ -212,8 +220,8 @@ def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, co
                         lanes.split(by_id, lambda i: len(by_id[i].shard.train), 2))
         cohort.shares = theirs, mine, np.argsort(mine.ids + theirs.ids)
     theirs, mine, order = cohort.shares
-    world.helper.send(train_ids, global_w, hp, theirs.ids, seed_key)
-    own = train_share(world, global_w, hp, mine, seed_key)
+    world.helper.send(train_ids, global_w, hp, theirs.ids, seed_key, score)
+    own = train_share(world, global_w, hp, mine, seed_key, score)
     other = world.helper.receive()
     failures = own[2] + other[2]
     return (np.concatenate([own[0], other[0]])[order],
@@ -221,7 +229,7 @@ def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, co
 
 
 def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
-                 cohort: Cohort, round_index: int, seed_key: tuple):
+                 cohort: Cohort, round_index: int, seed_key: tuple, score: bool = True):
     """Train every cohort member from global_w under config, then FedAvg.
 
     The members train in models.train_stack passes (train_share); client c
@@ -231,15 +239,17 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
     split in two shares that train in two lanes (README "Lanes"); the
     merged rows, the aggregate and every error are those of one pass. If
     any client diverges, NumericDivergenceError names the lowest such
-    client_id, round_index and config.
+    client_id, round_index and config. Without score, only the losses that
+    could be non-finite are scored (models.train_stack's bound), so every
+    divergence error stays, and the others are nan.
     Returns (aggregate weights, [(client_id, validation loss)] in
     client_id order).
     """
-    hp = to_train_hp(config, world.hp_defaults)
+    hp = world.train_hp(config)
     members = cohort.members
     free = world.helper and not world.helper.busy
     train = _train_split if free and len(members) > 1 else train_share
-    trained, val_losses, failures = train(world, global_w, hp, cohort, seed_key)
+    trained, val_losses, failures = train(world, global_w, hp, cohort, seed_key, score)
     for c, failure in zip(members, failures):
         if failure is not None:
             raise NumericDivergenceError(
@@ -256,7 +266,7 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
 
 def round_time(world: ExperimentWorld, cohort: Cohort, config: HpConfig, trial: int, j: int):
     """The cohort_time run_trial charges round j of trial under config."""
-    return cohort_time(cohort, to_train_hp(config, world.hp_defaults).epochs,
+    return cohort_time(cohort, world.train_hp(config).epochs,
                        (world.base_seed, "time", trial, j))
 
 
@@ -273,18 +283,19 @@ def cohort_time(cohort: Cohort, epochs: int, seed_key: tuple) -> float:
 
 
 def run_round(state: RoundState, cohort: Cohort, world: ExperimentWorld,
-              trial_index: int = 0):
+              trial_index: int = 0, score: bool = True):
     """Execute one communication round over the given cohort.
 
     Returns (next RoundState, [(client_id, local validation loss)] in
-    client_id order). Scoring the new global model is left to run_trial.
+    client_id order), scored as train_cohort scores them. Scoring the new
+    global model is left to run_trial.
     """
     if not cohort.members:
         raise AggregationError("run_round: empty cohort")
     j = state.round_index
     new_global, val_losses = train_cohort(
         world, state.global_weights, state.current_hp, cohort, j,
-        (world.base_seed, "train", trial_index, j),
+        (world.base_seed, "train", trial_index, j), score,
     )
     return RoundState(j + 1, new_global, state.current_hp), val_losses
 
@@ -318,7 +329,9 @@ def run_trial(
 
     Every evaluation-cadence round scores the new global model on the
     server validation set once; that loss goes to the trace and, if it is
-    the latest, to the result's global_loss.
+    the latest, to the result's global_loss. A call keeps only its last
+    round's local losses, so they are scored (run_round's score) only in
+    round budget_rounds and, with patience > 0, in every cadence round.
 
     on_cadence, when given, implements step-wise adaptive hyperparameter
     updates mid-trial. It is called as on_cadence(state) at the top of
@@ -360,7 +373,9 @@ def run_trial(
         if reused is None:
             r.sim_time += round_time(world, cohort, state.current_hp, trial_index, j)
             try:
-                state, r.local_losses = run_round(state, cohort, world, trial_index)
+                state, r.local_losses = run_round(
+                    state, cohort, world, trial_index, j == budget_rounds
+                    or patience > 0 and j % world.eval_cadence == 0)
             except NumericDivergenceError as err:
                 return TrialResult(state.current_hp, np.inf, 0.0, sim_time=r.sim_time,
                                    failure=err)

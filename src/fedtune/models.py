@@ -6,7 +6,7 @@ hidden layer. Parameters live in a single flat vector so that federated
 averaging is a plain vector mean.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -221,19 +221,17 @@ def _blocks(offsets, sizes, block: int, pad: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _score(spec: ModelSpec, values: np.ndarray, features, labels, idx, sizes,
-           accuracy: bool):
-    """Mean cross-entropy of weight row i on the rows idx[i] (_blocks) picks
-    from (features, labels), its block sums added in order, and with
-    accuracy its top-1 accuracy too. Float overflow is silenced: it shows
-    as a non-finite loss."""
-    y = labels[idx]
-    logits, _, _ = _forward(spec, _unpack(spec, values, extra=1), features[idx])
+def _score(spec: ModelSpec, values: np.ndarray, x, y, sizes, accuracy: bool):
+    """Mean cross-entropy of weight row i on the row blocks x[i], y[i] (each
+    (blocks, block, ...), gathered by _blocks), its block sums added in
+    order, and with accuracy its top-1 accuracy too. Float overflow is
+    silenced: it shows as a non-finite loss."""
+    logits, _, _ = _forward(spec, _unpack(spec, values, extra=1), x)
     picked, _, _ = _softmax_parts(logits, y)
     real = y >= 0
     block_sums = np.where(real, picked, 0.0).sum(axis=-1)
     total = block_sums[:, 0]
-    for j in range(1, idx.shape[1]):
+    for j in range(1, y.shape[1]):
         total = total + block_sums[:, j]
     if not accuracy:
         return -total / sizes
@@ -257,7 +255,7 @@ def evaluate_stack(spec: ModelSpec, values: np.ndarray, sets, block: int | None 
         raise DataError("evaluate: empty evaluation set")
     features, labels, offsets = _pool(sets, spec.input_dim)
     idx = _blocks(offsets, sizes, block or int(sizes.max()), len(labels) - 1)
-    return _score(spec, values, features, labels, idx, sizes, accuracy=True)
+    return _score(spec, values, features[idx], labels[idx], sizes, accuracy=True)
 
 
 def evaluate(spec: ModelSpec, w: WeightVector, features: np.ndarray, labels: np.ndarray):
@@ -283,18 +281,21 @@ class ShardPool:
 
     features and labels hold every shard's training rows, then every
     shard's validation rows, then one padding row (zero features, label
-    -1). Shard i trains on sizes[i] rows from offsets[i]. val[i] indexes
-    its validation rows, or its training rows if it has none, in
-    VAL_BLOCK-row blocks padded with the padding row (_blocks), and
-    val_sizes[i] counts them. Every array is read-only.
+    -1). Shard i trains on sizes[i] rows from offsets[i]. val_features[i]
+    and val_labels[i] are its validation rows, or its training rows if it
+    has none, gathered in VAL_BLOCK-row blocks padded with the padding row
+    (_blocks), and val_sizes[i] counts them. scale is max(1, max |features|),
+    0-d. Every array is read-only.
     """
 
     features: np.ndarray
     labels: np.ndarray
     offsets: np.ndarray
     sizes: np.ndarray
-    val: np.ndarray
+    val_features: np.ndarray
+    val_labels: np.ndarray
     val_sizes: np.ndarray
+    scale: np.ndarray
 
 
 def pool_shards(input_dim: int, shards) -> ShardPool:
@@ -308,7 +309,8 @@ def pool_shards(input_dim: int, shards) -> ShardPool:
     val_sizes = np.where(has_val, [len(s[3]) for s in shards], sizes)
     val = _blocks(np.where(has_val, offsets[k:], offsets[:k]), val_sizes, VAL_BLOCK,
                   len(labels) - 1)
-    pool = ShardPool(features, labels, offsets[:k], sizes, val, val_sizes)
+    pool = ShardPool(features, labels, offsets[:k], sizes, features[val], labels[val], val_sizes,
+                     np.array(max(1.0, np.abs(features).max())))
     for a in vars(pool).values():
         a.flags.writeable = False
     return pool
@@ -353,45 +355,63 @@ def plan_key(spec: ModelSpec, hp: TrainHp) -> tuple:
     return hp.epochs, hp.batch_size, spec.kind == MLP and hp.dropout > 0.0
 
 
-def _plan_width(spec: ModelSpec, pool: ShardPool, seeds, members, width: int, epochs: int,
-                dropout: bool) -> BatchPlan:
-    """The BatchPlan of the pool's shards `members`, whose batches all pad to
-    `width` rows."""
-    hidden = spec.hidden_dim
+@dataclass(frozen=True)
+class BatchLayout:
+    """What a BatchPlan of one padded width holds before any seed draws:
+    plan, without the three arrays it gathers (None); slots, its batches of
+    row indices unshuffled, each row's epochs back to back, slot p of an
+    epoch reading the shard's p-th row; batch_of[e], the batch entry e
+    reads; and draws, per training row, (shard position, rows, the flat
+    slot offset of each epoch). Every array is read-only."""
+
+    plan: BatchPlan
+    slots: np.ndarray  # (batches, width)
+    batch_of: np.ndarray
+    draws: tuple
+
+
+def _layout(pool: ShardPool, members, width: int, epochs: int) -> BatchLayout:
+    """The BatchLayout of the pool's shards `members`, padded to `width` rows."""
     sizes = pool.sizes[members]
     batches = -(-sizes // width)
     # Longest rows first, so the rows still training at any step are a prefix.
     rank = np.argsort(-batches, kind="stable")
     order, sizes, batches = members[rank], sizes[rank], batches[rank]
     steps = epochs * batches
-    # Row r's epochs lie back to back from base[r], each padded to whole
-    # batches; slot p of an epoch reads the row's p-th training row, and
-    # each epoch's draw shuffles those slots in place.
     base = np.concatenate([[0], np.cumsum(steps * width)])
     row = np.repeat(np.arange(len(order)), steps * width)
     p = (np.arange(base[-1]) - base[row]) % (batches * width)[row]
     slots = np.where(p < sizes[row], pool.offsets[order][row] + p, len(pool.labels) - 1)
-    uniforms = np.ones((base[-1], hidden)) if dropout else None
-    for r, (i, n) in enumerate(zip(order.tolist(), sizes.tolist())):
-        rng = np.random.default_rng(seeds[i])
-        for o in range(int(base[r]), int(base[r + 1]), int(batches[r]) * width):
-            rng.shuffle(slots[o : o + n])  # the draws of rng.permutation(n)
-            if dropout:
-                rng.random(out=uniforms[o : o + n])
     # Step t trains rows 0..active[t]-1, each on its t-th batch.
     step_of, row_of = np.nonzero(steps > np.arange(steps.max(initial=0))[:, None])
-    batch_of = base[row_of] // width + step_of
-    idx = slots.reshape(-1, width)[batch_of]
     active = np.bincount(step_of, minlength=steps.max(initial=0))
-    plan = BatchPlan(
-        order=order,
-        active=active,
-        start=np.concatenate([[0], np.cumsum(active)]),
-        epoch_end=(step_of + 1) % batches[row_of] == 0,
-        features=pool.features[idx],
-        labels=pool.labels[idx],
-        uniforms=uniforms.reshape(-1, width, hidden)[batch_of] if dropout else None,
-    )
+    start = np.concatenate([[0], np.cumsum(active)])
+    plan = BatchPlan(order, active, start, (step_of + 1) % batches[row_of] == 0, None, None, None)
+    draws = zip(order.tolist(), sizes.tolist(), base.tolist(), base[1:].tolist(), batches.tolist())
+    layout = BatchLayout(plan, slots.reshape(-1, width), base[row_of] // width + step_of, tuple(
+        (i, n, tuple(range(b, e, k * width))) for i, n, b, e, k in draws if e > b))
+    for a in (order, active, start, plan.epoch_end, layout.slots, layout.batch_of):
+        a.flags.writeable = False
+    return layout
+
+
+def _draw(spec: ModelSpec, pool: ShardPool, seeds, layout: BatchLayout, dropout: bool):
+    """The BatchPlan of layout under seeds: each epoch's draw shuffles a
+    copy of its slots in place, then draws its dropout uniforms."""
+    slots = layout.slots.copy()
+    flat = slots.reshape(-1)
+    uniforms = np.ones((len(flat), spec.hidden_dim)) if dropout else None
+    for i, n, starts in layout.draws:
+        rng = np.random.default_rng(seeds[i])
+        for o in starts:
+            rng.shuffle(flat[o : o + n])  # the draws of rng.permutation(n)
+            if dropout:
+                rng.random(out=uniforms[o : o + n])
+    idx = slots[layout.batch_of]
+    if dropout:
+        uniforms = uniforms.reshape(-1, slots.shape[1], spec.hidden_dim)[layout.batch_of]
+    plan = replace(layout.plan, features=pool.features[idx], labels=pool.labels[idx],
+                   uniforms=uniforms)
     for a in vars(plan).values():
         if a is not None:
             a.flags.writeable = False
@@ -399,7 +419,7 @@ def _plan_width(spec: ModelSpec, pool: ShardPool, seeds, members, width: int, ep
 
 
 def plan_batches(spec: ModelSpec, pool: ShardPool, seeds, epochs: int, batch_size: int,
-                 dropout: bool) -> tuple[BatchPlan, ...]:
+                 dropout: bool, layouts: dict | None = None) -> tuple[BatchPlan, ...]:
     """The BatchPlans of a train_stack pass over pool, one per padded width,
     widest last.
 
@@ -407,13 +427,19 @@ def plan_batches(spec: ModelSpec, pool: ShardPool, seeds, epochs: int, batch_siz
     batch order, then, if dropout is on, one random((n, hidden)) whose rows
     are the batches' dropout draws in order. Batches pad to a width that is
     batch_size unless the shard is much smaller (_padded_width). epochs,
-    batch_size and dropout are plan_key of the pass's spec and hp.
+    batch_size and dropout are plan_key of the pass's spec and hp. layouts,
+    when given, keeps pool's BatchLayouts by (epochs, batch_size) for reuse.
     """
-    if not pool.sizes.all():
-        raise DataError("plan_batches: empty training split")
-    widths = np.array([_padded_width(n, batch_size) for n in pool.sizes.tolist()])
-    return tuple(_plan_width(spec, pool, seeds, np.flatnonzero(widths == width), width,
-                             epochs, dropout) for width in np.unique(widths))
+    layouts = {} if layouts is None else layouts
+    if (epochs, batch_size) not in layouts:
+        if not pool.sizes.all():
+            raise DataError("plan_batches: empty training split")
+        widths = np.array([_padded_width(n, batch_size) for n in pool.sizes.tolist()])
+        layouts[epochs, batch_size] = tuple(
+            _layout(pool, np.flatnonzero(widths == width), width, epochs)
+            for width in np.unique(widths))
+    return tuple(_draw(spec, pool, seeds, layout, dropout)
+                 for layout in layouts[epochs, batch_size])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -448,15 +474,22 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, plan: BatchPlan):
     return values, failures
 
 
-def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, pool: ShardPool, plans):
+@np.errstate(over="ignore")  # an L1 norm that overflows scores its row
+def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, pool: ShardPool, plans,
+                score: bool = True):
     """Train one copy of w per shard of pool with mini-batch SGD, in stacked passes.
 
     plans is plan_batches of pool under *plan_key(spec, hp), which fixes
     every batch and dropout draw. Every step runs forward and backward for
     all rows still training on (rows, width, ...) arrays; padding rows add
     nothing. Rows of one width share a pass, and validation losses are
-    scored on pool.val's VAL_BLOCK-row blocks, so row i's weights and loss
-    are bitwise independent of the other rows.
+    scored on pool's VAL_BLOCK-row validation blocks, so row i's weights
+    and loss are bitwise independent of the other rows.
+
+    Without score, a row is scored only if its loss could be non-finite,
+    and an unscored row's loss is nan. A row whose L1 norm times
+    pool.scale is below 1e300 has finite weights, and no validation
+    pre-activation or logit can exceed that bound, so its loss is finite.
 
     Returns ((k, P) weights, (k,) validation losses, failures), with
     failures[i] None or the first non-finite check that row i failed. An
@@ -472,9 +505,12 @@ def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, pool: ShardPool, 
         trained[plan.order], row_failures = _sgd_pass(spec, w, hp, plan)
         for i, failure in zip(plan.order, row_failures):
             failures[i] = failure
-    val_losses = _score(spec, trained, pool.features, pool.labels, pool.val, pool.val_sizes,
-                        accuracy=False)
-    for i in np.flatnonzero(~np.isfinite(val_losses)):
+    rows = slice(None) if score else np.flatnonzero(~(pool.scale * abs(trained).sum(1) < 1e300))
+    val_losses = np.full(len(trained), np.nan)
+    if score or rows.size:
+        val_losses[rows] = _score(spec, trained[rows], pool.val_features[rows],
+                                  pool.val_labels[rows], pool.val_sizes[rows], accuracy=False)
+    for i in np.arange(len(trained))[rows][~np.isfinite(val_losses[rows])]:
         if failures[i] is None:
             failures[i] = "non-finite post-training loss"
     return trained, val_losses, failures

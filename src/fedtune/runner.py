@@ -12,7 +12,7 @@ import numpy as np
 from . import data, flcore, hpo, lanes, models, sched
 from .common import ConfigurationError, NumericDivergenceError, derive_seed
 from .config import ExperimentConfig
-from .flcore import ExperimentWorld, to_train_hp
+from .flcore import ExperimentWorld
 from .hpo import FeedbackRecord, FeedbackStore, combine_feedback
 
 HP_COLUMNS = tuple(hpo.HP_TYPES)
@@ -169,7 +169,7 @@ def _train_probes(world, probes, global_w, ids, round_index, seed_key):
     args = (global_w, ids, round_index, seed_key)
     if world.helper and not world.helper.busy and len(probes) > 1:
         mine, theirs = ({i: probes[i] for i in share} for share in lanes.split(
-            probes, lambda i: max(1, to_train_hp(probes[i], world.hp_defaults).epochs), 2))
+            probes, lambda i: max(1, world.train_hp(probes[i]).epochs), 2))
         world.helper.send(_train_probes, theirs, *args)
         return _train_probes(world, mine, *args) + world.helper.receive()
     cohort = world.cohort_of(ids)
@@ -216,7 +216,7 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     current, j = state.current_hp, state.round_index
     n = len(cohort.members)
     probes = sampler.probes(current)
-    extra_time = sum((flcore.cohort_time(cohort, to_train_hp(p, world.hp_defaults).epochs,
+    extra_time = sum((flcore.cohort_time(cohort, world.train_hp(p).epochs,
                                          (world.base_seed, "probe", trial_index, j, p.config_id))
                       for p in probes), 0.0)
     passes = dict(_train_probes(world, dict(enumerate(probes)), state.global_weights,
@@ -302,7 +302,7 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
         trial_index=eval_index,
         group_id=group.group_id,
         config_id=final.config_id,
-        hp_values=asdict(to_train_hp(final, world.hp_defaults)),
+        hp_values=asdict(world.train_hp(final)),
         objective=result.objective,
         accuracy=result.test_accuracy,
         sim_time=result.sim_time - (resume.sim_time if resume else 0.0),
@@ -338,7 +338,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     def cost(e):
         group, config = issues[e]
         rows = sum(len(c.shard.train) for c in world.cohort_of(group.members).members)
-        return rows * max(1, to_train_hp(config, world.hp_defaults).epochs)
+        return rows * max(1, world.train_hp(config).epochs)
 
     def run(e):
         group, config = issues[e]

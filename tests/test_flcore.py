@@ -257,9 +257,18 @@ class TestRunTrial:
 
     def test_one_evaluation_per_score(self, monkeypatch):
         # server validation once per cadence round; each client's validation
-        # split once per round plus once for the objective; no training split.
-        # Every scoring pass goes through models._score, which reads each set
-        # from a pool; a scored set is named by the rows it reads.
+        # split once for the last round, whose local losses the result
+        # keeps, plus once for the objective; no training split.
+        self.check_scores(monkeypatch, patience=0, client_scores=1 + 1)
+
+    def test_patience_scores_every_cadence_rounds_local_losses(self, monkeypatch):
+        # any cadence round can stop the trial and be its last: rounds 2, 4, 6
+        self.check_scores(monkeypatch, patience=5, client_scores=3 + 1)
+
+    @staticmethod
+    def check_scores(monkeypatch, patience, client_scores):
+        # Every scoring pass goes through models._score, which reads gathered
+        # row blocks; a scored set is named by the rows it reads.
         world = make_world(n_clients=3, cadence=2)
         names = {world.val_set.features.tobytes(): "server"}
         for c in world.clients:
@@ -268,20 +277,20 @@ class TestRunTrial:
         calls = []
         real_score = models._score
 
-        def counting_score(spec, values, features, labels, idx, sizes, accuracy):
-            for row, n in zip(idx.reshape(len(sizes), -1), sizes):
-                calls.append(names[features[row[:n]].tobytes()])
-            return real_score(spec, values, features, labels, idx, sizes, accuracy)
+        def counting_score(spec, values, x, y, sizes, accuracy):
+            for rows, n in zip(x.reshape(len(sizes), -1, x.shape[-1]), sizes):
+                calls.append(names[rows[:n].tobytes()])
+            return real_score(spec, values, x, y, sizes, accuracy)
 
         monkeypatch.setattr(models, "_score", counting_score)
-        run_trial(hp_config(), 6, world)
+        assert not run_trial(hp_config(), 6, world, patience=patience).stopped
         assert calls.count("server") == 3
         for c in world.clients:
             assert len(c.shard.val) > 0
-            assert calls.count(("val", c.client_id)) == 6 + 1
+            assert calls.count(("val", c.client_id)) == client_scores
             assert calls.count(("train", c.client_id)) == 0
             assert calls.count(("test", c.client_id)) == 1
-        assert len(calls) == 3 + 3 * (7 + 1)
+        assert len(calls) == 3 + 3 * (client_scores + 1)
 
     def test_scores_match_per_client_evaluate(self):
         world = make_world(n_clients=4, alpha=0.5)
@@ -613,6 +622,72 @@ def run_outputs(cfg):
     sr = runner.run_experiment(cfg).per_seed[0]
     return [(t.config_id, t.objective, t.accuracy, t.sim_time, t.failed, t.trace)
             for t in sr.trials], sr.feedback_history
+
+
+def report_key(cfg):
+    """Everything cfg's one-seed report holds; repr keeps floats exact."""
+    sr = runner.run_experiment(config_from_dict(cfg)).per_seed[0]
+    return (repr(sr.best), repr(sr.trials), repr(sr.events), repr(sr.makespan),
+            sr.best_weights and sr.best_weights.values.tobytes(), repr(sr.feedback_history))
+
+
+def score_every_pass(monkeypatch):
+    """Make every models.train_stack call score every row's loss."""
+    real = models.train_stack
+    monkeypatch.setattr(models, "train_stack", lambda *args: real(*args[:5], True))
+
+
+# Cadence rounds 2, 4 and 6 of six: odd rounds are never a trial's last, and
+# with patience a trial can stop at round 4.
+SCORING = {**DIVERGING, "budget_configs": 3, "rounds_per_trial": 6, "eval_cadence": 2}
+# Learning rates that overflow in training, as the CI's overflow run has them.
+OVERFLOWING = {**DIVERGING, "hp_defaults": {"weight_decay": 1, "epochs": 10},
+               "tuned": ["learning_rate"], "search_space": [
+                   {"name": "learning_rate", "scale": "log10", "low": 1e6, "high": 1e7,
+                    "step": 10.0}]}
+SKIPPING = {f"{sampler}-patience{patience}": {**SCORING, "sampler": sampler,
+                                              "early_stop_patience": patience}
+            for sampler in ("random", "halving", "adaptive") for patience in (0, 1)}
+SKIPPING.update({"planned": PLANNED, "overflowing-random": OVERFLOWING,
+                 "overflowing-adaptive": {**OVERFLOWING, "sampler": "adaptive"}})
+
+
+class TestScoredRounds:
+    """Only the passes whose local losses are read score them all, and the
+    report equals that of a run that scores every pass."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("name", SKIPPING)
+    def test_report_equals_a_run_that_scores_every_pass(self, name, cpus, monkeypatch):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+        real, scores = models.train_stack, []
+
+        def recording(*args):
+            scores.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(models, "train_stack", recording)
+        skipping = report_key(SKIPPING[name])
+        assert False in scores  # this process skipped some scoring
+        score_every_pass(monkeypatch)
+        assert report_key(SKIPPING[name]) == skipping
+
+    def test_row_above_the_bound_fails_in_its_own_round(self, monkeypatch):
+        world = make_world(n_clients=3)
+        hp = hp_config(epochs=0)  # every round keeps the weights it starts from
+        first = run_trial(hp, 1, world)
+        w = first.final_weights
+        huge = dataclasses.replace(first, final_weights=WeightVector(w.values * 1e308,
+                                                                     w.layout_id))
+        # round 2 of 4 keeps no local losses, but its rows exceed the bound
+        result = run_trial(hp, 4, world, resume=huge)
+        err = result.failure
+        assert str(err) == "client 0 diverged in round 2: non-finite post-training loss"
+        assert (err.client_id, err.round_index) == (0, 2)
+        score_every_pass(monkeypatch)
+        again = run_trial(hp, 4, world, resume=huge)
+        assert (str(again.failure), again.failure.round_index, again.sim_time) == \
+            (str(err), 2, result.sim_time)
 
 
 class TestBatchPlanMemo:

@@ -290,6 +290,78 @@ class TestBatchPlan:
                     array.reshape(-1)[:1] = 0
 
 
+def plan_bytes(plans):
+    """Every array of every plan, as bytes (None for no dropout draws)."""
+    return [[None if a is None else (a.shape, a.tobytes()) for a in vars(plan).values()]
+            for plan in plans]
+
+
+class TestBatchLayout:
+    """plan_batches on layouts kept across calls equals a fresh build."""
+
+    @pytest.mark.parametrize("batch_size", [1, 5, 32])
+    @pytest.mark.parametrize("spec", [ModelSpec("logistic", 4, 3),
+                                      ModelSpec("mlp", 4, 3, hidden_dim=5)])
+    def test_plans_on_kept_layouts_equal_fresh_builds(self, spec, batch_size):
+        # ragged shards, two of them with a single training row
+        shards = engine_shards() + [tuple(a[:1] for a in engine_shards()[3])] * 2
+        pool = models.pool_shards(spec.input_dim, shards)
+        widths = {models._padded_width(n, batch_size) for n in pool.sizes.tolist()}
+        assert len(widths) == (1 if batch_size == 1 else 2 if batch_size == 5 else 3)
+        layouts = {}
+        for epochs in range(4):
+            for dropout in (False, True) if spec.kind == "mlp" else (False,):
+                # two seed lists in a row: a draw that wrote into a kept
+                # layout would show in the second
+                for seeds in ([3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8]):
+                    kept = models.plan_batches(spec, pool, seeds, epochs, batch_size, dropout,
+                                               layouts)
+                    fresh = models.plan_batches(spec, pool, seeds, epochs, batch_size, dropout)
+                    assert len(kept) == len(widths)
+                    assert plan_bytes(kept) == plan_bytes(fresh)
+        assert sorted(layouts) == [(e, batch_size) for e in range(4)]
+
+    def test_kept_layout_arrays_are_read_only(self):
+        spec, hp = ENGINE_CASES[1]
+        pool = models.pool_shards(spec.input_dim, engine_shards())
+        layouts = {}
+        models.plan_batches(spec, pool, [0] * 6, *models.plan_key(spec, hp), layouts)
+        (kept,) = layouts.values()
+        assert len(kept) == 2
+        for layout in kept:
+            arrays = [a for a in vars(layout.plan).values() if a is not None]
+            for array in arrays + [layout.slots, layout.batch_of]:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array.reshape(-1)[:1] = 0
+
+
+class TestUnscoredPass:
+    """train_stack without score scores only the rows above its bound."""
+
+    @pytest.mark.parametrize("factor, scored", [(1.0, False), (1e299, True), (1e308, True)])
+    def test_rows_above_the_bound_are_scored(self, factor, scored):
+        spec = ModelSpec("logistic", 4, 3)
+        shards = engine_shards()
+        pool = models.pool_shards(spec.input_dim, shards)
+        hp = default_hp(epochs=0)  # every row keeps w
+        w = models.init_weights(spec, 1)
+        w = WeightVector(w.values * factor, w.layout_id)
+        with np.errstate(over="ignore"):  # 1e308: the L1 norm overflows
+            assert (pool.scale * np.abs(w.values).sum() >= 1e300) == scored
+        plans = models.plan_batches(spec, pool, [0] * 6, *models.plan_key(spec, hp))
+        every = models.train_stack(spec, w, hp, pool, plans)
+        some = models.train_stack(spec, w, hp, pool, plans, score=False)
+        assert some[0].tobytes() == every[0].tobytes()
+        assert some[2] == every[2]
+        if scored:
+            assert some[1].tobytes() == every[1].tobytes()
+        else:
+            assert np.isnan(some[1]).all() and np.isfinite(every[1]).all()
+        # 1e299 overflows no logit; 1e308 overflows every row's
+        assert every[2] == [None if factor < 1e300 else "non-finite post-training loss"] * 6
+
+
 class TestEvaluate:
     def test_loss_nonnegative(self):
         x, y = make_blob(3)

@@ -630,11 +630,11 @@ class TestHelper:
         alone = one_seed_report(monkeypatch, SPLIT, 1)
         parent, train_share, seen = os.getpid(), flcore.train_share, set()
 
-        def spy(world, global_w, hp, cohort, seed_key):
+        def spy(world, global_w, hp, cohort, seed_key, score):
             if os.getpid() == parent:
                 seen.add((len(cohort.ids), frozenset(os.sched_getaffinity(0)),
                           frozenset(os.sched_getaffinity(world.helper.pid))))
-            return train_share(world, global_w, hp, cohort, seed_key)
+            return train_share(world, global_w, hp, cohort, seed_key, score)
 
         monkeypatch.setattr(flcore, "train_share", spy)
         split = one_seed_report(monkeypatch, SPLIT, 2)
@@ -739,11 +739,11 @@ class TestHelper:
         pids = fork_pids(monkeypatch)
         for failing in range(SPLIT["n_clients"]):  # in either share
 
-            def raising(world, global_w, hp, cohort, seed_key):
+            def raising(world, global_w, hp, cohort, seed_key, score):
                 if failing in cohort.ids:
                     raise (error(f"boom at {failing}") if error is FeedbackError
                            else error(f"boom at {failing}", failing))
-                return train_share(world, global_w, hp, cohort, seed_key)
+                return train_share(world, global_w, hp, cohort, seed_key, score)
 
             monkeypatch.setattr(flcore, "train_share", raising)
             seen = {}
@@ -793,7 +793,7 @@ class TestReceive:
             world.helper, = started
             send = world.helper.send
             monkeypatch.setattr(world.helper, "send", lambda *request: sent.append(request))
-            send(flcore.train_ids, w, hp, few.ids, key)
+            send(flcore.train_ids, w, hp, few.ids, key, True)
             agg, losses = flcore.train_cohort(world, w, config, cohort, 3, key)
             reply = world.helper.receive()
             world.helper = None
@@ -871,10 +871,10 @@ class TestProbeLanes:
     def test_report_equals_one_cpu_run(self, monkeypatch):
         parent, train_share, whole = os.getpid(), flcore.train_share, []
 
-        def spy(world, global_w, hp, cohort, seed_key):
+        def spy(world, global_w, hp, cohort, seed_key, score):
             if os.getpid() == parent and len(cohort.ids) == PROBING["n_clients"]:
                 whole.append(seed_key)
-            return train_share(world, global_w, hp, cohort, seed_key)
+            return train_share(world, global_w, hp, cohort, seed_key, score)
 
         monkeypatch.setattr(flcore, "train_share", spy)
         pids = fork_pids(monkeypatch)
@@ -891,10 +891,10 @@ class TestProbeLanes:
                                                                           monkeypatch):
         log, train_share = tmp_path / "passes", flcore.train_share
 
-        def logging(world, global_w, hp, cohort, seed_key):
+        def logging(world, global_w, hp, cohort, seed_key, score):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {len(cohort.ids)}\n")
-            return train_share(world, global_w, hp, cohort, seed_key)
+            return train_share(world, global_w, hp, cohort, seed_key, score)
 
         monkeypatch.setattr(flcore, "train_share", logging)
         world = runner.build_world(config_from_dict(PROBING), 1)
