@@ -38,11 +38,11 @@ class Cohort:
     """What every pass over one fixed cohort reuses; ExperimentWorld.cohort
     builds it, and pool is built on first use, in the process that trains.
 
-    base_time, scale and sigma are the members' sched.pass_times arrays,
-    which cohort_time reads. shares, once a helper has split a pass, holds
-    the helper's share, this process's share (each a Cohort) and the order
-    that merges their rows into members' order. layouts keeps the pool's
-    models.BatchLayouts (models.plan_batches).
+    base_time, scale and sigma are the members' sched.completion_time
+    arrays, which cohort_time reads. shares, once a helper has split a pass,
+    holds the ids of the helper's share and of this process's share and the
+    order that merges their rows into members' order. layouts keeps the
+    pool's models.BatchLayouts (models.plan_batches).
     """
 
     members: list[ClientState]  # in client_id order
@@ -118,21 +118,17 @@ class ExperimentWorld:
         return self.hps.get(config.config_id) or self.hps.setdefault(
             config.config_id, to_train_hp(config, self.hp_defaults))
 
-    def cohort(self, clients) -> Cohort:
-        """The Cohort of clients (in any order), one per member-id tuple."""
-        members = sorted(clients, key=lambda c: c.client_id)
-        ids = tuple(c.client_id for c in members)
+    def cohort(self, ids) -> Cohort:
+        """The Cohort of the clients ids (client_ids, in any order), one per id tuple."""
+        ids = tuple(sorted(ids))
         if ids not in self.cohorts:
+            by_id = {c.client_id: c for c in self.clients}
+            members = [by_id[i] for i in ids]
             self.cohorts[ids] = Cohort(
                 members, ids, np.array([c.latency.base_time for c in members]),
                 np.maximum(1, [len(c.shard.train) for c in members]) / 100.0,
                 np.array([c.latency.jitter_sigma for c in members]))
         return self.cohorts[ids]
-
-    def cohort_of(self, ids) -> Cohort:
-        """The Cohort of the clients whose client_id is in ids."""
-        ids = set(ids)
-        return self.cohort(c for c in self.clients if c.client_id in ids)
 
 
 @dataclass
@@ -195,32 +191,27 @@ def weighted_objective(losses_and_counts) -> float:
     return sum(loss * n for loss, n in losses_and_counts) / total
 
 
-def train_share(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, cohort: Cohort,
+def train_share(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
                 seed_key: tuple, score: bool = True):
-    """models.train_stack of cohort's members from global_w, on the batch
+    """models.train_stack of world.cohort(ids) from global_w, on the batch
     plans world.plans holds for seed_key, scoring every loss with score.
     Returns (weights, val losses, failures), one row each per member."""
+    cohort = world.cohort(ids)
     return models.train_stack(world.model_spec, global_w, hp, cohort.pool,
                               world.plans.get(world.model_spec, hp, cohort, seed_key), score)
 
 
-def train_ids(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
-              seed_key: tuple, score: bool):
-    """train_share of the clients ids of world, as a helper runs it."""
-    return train_share(world, global_w, hp, world.cohort_of(ids), seed_key, score)
-
-
-def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, cohort: Cohort,
+def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
                  seed_key: tuple, score: bool):
-    """train_share of cohort, one share trained by world.helper while this
+    """train_share of ids, one share trained by world.helper while this
     process trains the other; rows come back in members' order."""
+    cohort = world.cohort(ids)
     if cohort.shares is None:
-        by_id = {c.client_id: c for c in cohort.members}
-        theirs, mine = (world.cohort(by_id[i] for i in s) for s in
-                        lanes.split(by_id, lambda i: len(by_id[i].shard.train), 2))
-        cohort.shares = theirs, mine, np.argsort(mine.ids + theirs.ids)
+        rows = {c.client_id: len(c.shard.train) for c in cohort.members}
+        theirs, mine = (tuple(sorted(s)) for s in lanes.split(rows, rows.get, 2))
+        cohort.shares = theirs, mine, np.argsort(mine + theirs)
     theirs, mine, order = cohort.shares
-    world.helper.send(train_ids, global_w, hp, theirs.ids, seed_key, score)
+    world.helper.send(train_share, global_w, hp, theirs, seed_key, score)
     own = train_share(world, global_w, hp, mine, seed_key, score)
     other = world.helper.receive()
     failures = own[2] + other[2]
@@ -249,7 +240,7 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
     members = cohort.members
     free = world.helper and not world.helper.busy
     train = _train_split if free and len(members) > 1 else train_share
-    trained, val_losses, failures = train(world, global_w, hp, cohort, seed_key, score)
+    trained, val_losses, failures = train(world, global_w, hp, cohort.ids, seed_key, score)
     for c, failure in zip(members, failures):
         if failure is not None:
             raise NumericDivergenceError(
@@ -270,16 +261,22 @@ def round_time(world: ExperimentWorld, cohort: Cohort, config: HpConfig, trial: 
                        (world.base_seed, "time", trial, j))
 
 
+def train_key(world: ExperimentWorld, trial: int, j: int) -> tuple:
+    """The seed_key of round j of trial (train_cohort): it fixes the round's
+    batch orders and dropout draws, and every probe before the round uses it."""
+    return world.base_seed, "train", trial, j
+
+
 def cohort_time(cohort: Cohort, epochs: int, seed_key: tuple) -> float:
     """Simulated duration of one cohort training pass: the slowest member.
 
     sched.completion_time times the pass over the members in client_id
-    order (sched.pass_times, on the cohort's arrays) with the generator
-    seeded derive_seed(*seed_key), so a member's jitter depends on the pass
-    key and on its position in the cohort.
+    order, on the cohort's arrays, with the generator seeded
+    derive_seed(*seed_key), so a member's jitter depends on the pass key
+    and on its position in the cohort.
     """
-    return float(sched.pass_times(cohort.base_time, cohort.scale, cohort.sigma, epochs,
-                                  derive_seed(*seed_key)).max())
+    return float(sched.completion_time(cohort.base_time, cohort.scale, cohort.sigma, epochs,
+                                       derive_seed(*seed_key)).max())
 
 
 def run_round(state: RoundState, cohort: Cohort, world: ExperimentWorld,
@@ -295,7 +292,7 @@ def run_round(state: RoundState, cohort: Cohort, world: ExperimentWorld,
     j = state.round_index
     new_global, val_losses = train_cohort(
         world, state.global_weights, state.current_hp, cohort, j,
-        (world.base_seed, "train", trial_index, j), score,
+        train_key(world, trial_index, j), score,
     )
     return RoundState(j + 1, new_global, state.current_hp), val_losses
 
@@ -355,7 +352,7 @@ def run_trial(
     """
     if budget_rounds < 1:
         raise ValueError("budget_rounds must be >= 1")
-    cohort = cohort or world.cohort(world.clients)
+    cohort = cohort or world.cohort(c.client_id for c in world.clients)
     spec = world.model_spec
     if resume is None:
         resume = TrialResult(hp, np.inf, 0.0, final_weights=models.init_weights(

@@ -43,11 +43,14 @@ class ModelSpec:
     def layout_id(self) -> str:
         return f"{self.kind}:{self.input_dim}x{self.hidden_dim}x{self.num_classes}"
 
-    def num_params(self) -> int:
+    @property
+    def layers(self) -> list[tuple[int, int]]:
+        """(fan_in, fan_out) per layer, input first; each holds a matrix, then a bias."""
         d, h, c = self.input_dim, self.hidden_dim, self.num_classes
-        if self.kind == LOGISTIC:
-            return d * c + c
-        return d * h + h + h * c + c
+        return [(d, c)] if self.kind == LOGISTIC else [(d, h), (h, c)]
+
+    def num_params(self) -> int:
+        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layers)
 
 
 @dataclass
@@ -88,10 +91,9 @@ def _unpack(spec: ModelSpec, values: np.ndarray, extra: int = 0):
     with `extra` unit axes after k, so that both broadcast against inputs
     of shape (k, <extra axes>, rows, fan_in).
     """
-    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
     lead = (values.shape[0],) + (1,) * extra
     out, o = [], 0
-    for fan_in, fan_out in ([(d, c)] if spec.kind == LOGISTIC else [(d, h), (h, c)]):
+    for fan_in, fan_out in spec.layers:
         out.append(values[:, o : o + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
         o += fan_in * fan_out
         out.append(values[:, o : o + fan_out].reshape(*lead, 1, fan_out))
@@ -102,16 +104,10 @@ def _unpack(spec: ModelSpec, values: np.ndarray, extra: int = 0):
 def init_weights(spec: ModelSpec, seed: int) -> WeightVector:
     """Per-layer uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero biases."""
     rng = np.random.default_rng(seed)
-    d, h, c = spec.input_dim, spec.hidden_dim, spec.num_classes
-    if spec.kind == LOGISTIC:
-        bound = 1.0 / np.sqrt(d)
-        w = rng.uniform(-bound, bound, size=d * c)
-        return WeightVector(np.concatenate([w, np.zeros(c)]), spec.layout_id)
-    b1 = 1.0 / np.sqrt(d)
-    b2 = 1.0 / np.sqrt(h)
-    w1 = rng.uniform(-b1, b1, size=d * h)
-    w2 = rng.uniform(-b2, b2, size=h * c)
-    parts = [w1, np.zeros(h), w2, np.zeros(c)]
+    parts = []
+    for fan_in, fan_out in spec.layers:  # one draw per layer, input first
+        bound = 1.0 / np.sqrt(fan_in)
+        parts += [rng.uniform(-bound, bound, size=fan_in * fan_out), np.zeros(fan_out)]
     return WeightVector(np.concatenate(parts), spec.layout_id)
 
 

@@ -93,7 +93,12 @@ def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
         num_classes = int(ds_cfg["num_classes"])
     else:
         ds = data.load_csv(ds_cfg["path"])
+        if not ds.features.shape[1]:
+            raise ConfigurationError(f"dataset.path: {ds_cfg['path']} has no feature column")
         num_classes = int(ds.labels.max()) + 1
+        if num_classes < 2:
+            raise ConfigurationError(f"dataset.path: {ds_cfg['path']} has no label above 0, "
+                                     "so fewer than 2 classes")
 
     # server-side validation set, disjoint from every client shard
     frac = float(cfg["server_val_fraction"])
@@ -147,9 +152,8 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
         return [sched.ClientGroup(0, sorted(c.client_id for c in world.clients))]
     epochs = max(1, int(world.hp_defaults["epochs"]))
     completions = [  # each client timed as a one-member pass
-        (c.client_id, float(sched.completion_time(
-            [c.latency], epochs, [len(c.shard.train)],
-            derive_seed(seed, "calibration", c.client_id))[0]))
+        (c.client_id, flcore.cohort_time(world.cohort([c.client_id]), epochs,
+                                         (seed, "calibration", c.client_id)))
         for c in world.clients
     ]
     window = cfg["grouping"]["window"]
@@ -161,34 +165,27 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
 def _train_probes(world, probes, global_w, ids, round_index, seed_key):
     """lanes.run_each over probes (index -> config): the pass of the clients
     ids from global_w under each config (flcore.train_cohort under seed_key),
-    then every finished aggregate scored on the server validation set in one
-    models.evaluate_stack call, each as models.evaluate scores it. A result
-    is (aggregate, local losses, server loss), or None for a divergence.
-    Two or more probes are split by epochs with a free world.helper (README
-    "Lanes")."""
+    its aggregate then scored on the server validation set by
+    models.evaluate in the same lane. A result is (aggregate, local losses,
+    server loss), or None for a divergence. Two or more probes are split by
+    epochs with a free world.helper (README "Lanes")."""
     args = (global_w, ids, round_index, seed_key)
     if world.helper and not world.helper.busy and len(probes) > 1:
         mine, theirs = ({i: probes[i] for i in share} for share in lanes.split(
             probes, lambda i: max(1, world.train_hp(probes[i]).epochs), 2))
         world.helper.send(_train_probes, theirs, *args)
         return _train_probes(world, mine, *args) + world.helper.receive()
-    cohort = world.cohort_of(ids)
+    cohort = world.cohort(ids)
 
     def train(i):
         try:
-            return flcore.train_cohort(world, global_w, probes[i], cohort, round_index, seed_key)
+            out = flcore.train_cohort(world, global_w, probes[i], cohort, round_index, seed_key)
         except NumericDivergenceError:
             return None
+        return (*out, models.evaluate(world.model_spec, out[0], world.val_set.features,
+                                      world.val_set.labels)[0])
 
-    done = lanes.run_each(train, probes)
-    finished = [(i, out) for i, out in done if isinstance(out, tuple)]
-    if finished:
-        losses, _ = models.evaluate_stack(
-            world.model_spec, np.array([out[0].values for _, out in finished]),
-            [(world.val_set.features, world.val_set.labels)] * len(finished))
-        scored = {i: (*out, gf) for (i, out), gf in zip(finished, losses.tolist())}
-        done = [(i, scored.get(i, out)) for i, out in done]
-    return done
+    return lanes.run_each(train, probes)
 
 
 def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
@@ -197,12 +194,11 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
 
     Each probe config trains the whole cohort (a flcore.Cohort) from the
     current global weights, every probe under the round's own training key
-    (base_seed, "train", trial_index, round): common random numbers, so the
-    probes see the same batch orders and dropout draws, and the chosen
-    probe's pass is exactly the round's. Each probe is timed under its own
-    key, (base_seed, "probe", trial_index, round, config_id). _train_probes
-    trains and scores them, in lanes when world.helper is set (README
-    "Lanes"); the scores are bitwise models.evaluate's, and the first error
+    (flcore.train_key): common random numbers, so the probes see the same
+    batch orders and dropout draws, and the chosen probe's pass is exactly
+    the round's. Each probe is timed under its own key, (base_seed, "probe",
+    trial_index, round, config_id). _train_probes trains and scores them,
+    in lanes when world.helper is set (README "Lanes"), and the first error
     in probe order is raised. Each score is combined with that probe's
     local validation losses. A probe that diverges scores +inf, so the step
     never adopts it, and writes no record; the cycle goes on. Appends one
@@ -220,7 +216,7 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
                                          (world.base_seed, "probe", trial_index, j, p.config_id))
                       for p in probes), 0.0)
     passes = dict(_train_probes(world, dict(enumerate(probes)), state.global_weights,
-                                cohort.ids, j, (world.base_seed, "train", trial_index, j)))
+                                cohort.ids, j, flcore.train_key(world, trial_index, j)))
     results = []
     for i, p in enumerate(probes):
         if isinstance(passes[i], Exception):  # a lane ran nothing past its first error
@@ -268,7 +264,7 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
     The row's sim_time covers only the rounds this evaluation ran.
     """
     trial_key, rounds, walk = plan
-    cohort = world.cohort_of(group.members)
+    cohort = world.cohort(group.members)
     records: list[FeedbackRecord] = []
 
     def on_cadence(state):
@@ -329,7 +325,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
 
     def predict(group, config, e):
         key, rounds, _ = sampler.plan(e, config)
-        cohort = world.cohort_of(group.members)
+        cohort = world.cohort(group.members)
         return sum(flcore.round_time(world, cohort, config, key, j)
                    for j in range(1, rounds + 1)), lambda: None
 
@@ -337,7 +333,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
 
     def cost(e):
         group, config = issues[e]
-        rows = sum(len(c.shard.train) for c in world.cohort_of(group.members).members)
+        rows = sum(len(c.shard.train) for c in world.cohort(group.members).members)
         return rows * max(1, world.train_hp(config).epochs)
 
     def run(e):
@@ -350,7 +346,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
 
 def _world_server(world):
     """A lanes.Helper's serve: a request (fn, *args) runs fn(world, *args),
-    for a row share of a cohort pass (flcore.train_ids) or a probe share of
+    for a row share of a cohort pass (flcore.train_share) or a probe share of
     a cycle (_train_probes)."""
     return lambda fn, *args: fn(world, *args)
 

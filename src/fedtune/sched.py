@@ -3,6 +3,8 @@
 Time is discrete-event simulated, not wall-clock: every client has a
 latency profile and the scheduler groups clients whose per-round
 completion times are close, so slow clients never block fast groups.
+completion_time times every training pass, from per-member arrays
+(flcore.Cohort keeps a cohort's).
 """
 
 import heapq
@@ -33,21 +35,15 @@ class ClientGroup:
     members: list[int]  # client ids, sorted
 
 
-def completion_time(profiles, epochs: int, sizes, rng_seed: int) -> np.ndarray:
+def completion_time(base_time, scale, sigma, epochs: int, rng_seed: int) -> np.ndarray:
     """Simulated duration of one training pass for each of its members.
 
-    Member i takes base_time * epochs * (max(1, n_i)/100) times one
+    The per-member arrays are each LatencyProfile's base_time, the scale
+    max(1, n_i)/100 of its n_i training rows and its jitter_sigma (sigma).
+    Member i takes base_time * epochs * scale times one
     lognormal(0, jitter_sigma) jitter, drawn in member order from one
     generator seeded with rng_seed.
     """
-    return pass_times(np.array([p.base_time for p in profiles]),
-                      np.maximum(1, sizes) / 100.0,
-                      np.array([p.jitter_sigma for p in profiles]), epochs, rng_seed)
-
-
-def pass_times(base_time, scale, sigma, epochs: int, rng_seed: int) -> np.ndarray:
-    """completion_time from per-member arrays: base_time, scale
-    (max(1, n_i)/100) and sigma (jitter_sigma)."""
     jitter = np.random.default_rng(rng_seed).lognormal(0.0, sigma)
     return base_time * epochs * scale * jitter
 

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from fedtune import data, flcore, models, runner, sched
+from fedtune import data, flcore, lanes, models, runner, sched
 from fedtune.common import NumericDivergenceError, derive_seed
 from fedtune.config import config_from_dict
 from fedtune.flcore import ClientState, ExperimentWorld, RoundState, run_round, train_cohort
@@ -17,6 +17,11 @@ from fedtune.models import ModelSpec
 
 HP_DEFAULTS = {"learning_rate": 1e-5, "weight_decay": 1e-5, "epochs": 1,
                "batch_size": 16, "dropout": 0.1}
+
+
+def ids(world):
+    """The client_id of every client of world, in its order."""
+    return [c.client_id for c in world.clients]
 
 
 def separable_world(seed=0):
@@ -35,7 +40,7 @@ def test_adaptive_probes_escape_tiny_learning_rate():
     sampler = AdaptiveSampler(space, ["learning_rate"], epsilon=0.0, seed=0, num_evals=1,
                               rounds_per_trial=1)
     state = RoundState(1, models.init_weights(world.model_spec, 0), HpConfig(dict(HP_DEFAULTS)))
-    cohort = world.cohort(world.clients)
+    cohort = world.cohort(ids(world))
     accepted = 0
     for _ in range(12):
         new_cfg, _, _ = runner.run_probe_cycle(state, cohort, world, 0, sampler, [])
@@ -53,7 +58,7 @@ def test_reused_round_equals_a_fresh_pass_of_the_chosen_config():
     world = separable_world()
     sampler = AdaptiveSampler(default_search_space(), ["learning_rate"], epsilon=0.0, seed=0,
                               num_evals=1, rounds_per_trial=3)
-    cohort = world.cohort(world.clients)
+    cohort = world.cohort(ids(world))
     state, _ = run_round(RoundState(1, models.init_weights(world.model_spec, 0),
                                     HpConfig(dict(HP_DEFAULTS))), cohort, world)
     chosen, _, reused = runner.run_probe_cycle(state, cohort, world, 0, sampler, [])
@@ -66,36 +71,40 @@ def test_reused_round_equals_a_fresh_pass_of_the_chosen_config():
 
 
 def test_probe_aggregates_scored_in_one_call_equal_one_evaluate_each(monkeypatch):
-    # A probe cycle scores its finished aggregates on the server validation
-    # set in one models.evaluate_stack call; each score must equal its own
-    # models.evaluate call bit for bit, with a diverged probe between two
-    # finished ones.
+    # Each lane of a probe cycle scores a probe's finished aggregate on the
+    # server validation set with its own models.evaluate call; each score
+    # must equal that call on a fresh pass of the probe bit for bit, with a
+    # diverged probe between two finished ones, inline and with a helper.
     cfg = config_from_dict({**SMALL_ADAPTIVE, "dataset": {**SMALL_ADAPTIVE["dataset"],
                                                           "n": 2000}})
     world = runner.build_world(cfg, 1)
-    sampler = AdaptiveSampler(cfg.search_space(), ["learning_rate", "weight_decay",
-                                                   "epochs"], 0.0, 0, 1, 6)
-    state = RoundState(3, models.init_weights(world.model_spec, 0),
-                       suggest_random(cfg.search_space(), 0))
-    probes = sampler.probes(state.current_hp)
+    space, tuned = cfg.search_space(), ["learning_rate", "weight_decay", "epochs"]
+    state = RoundState(3, models.init_weights(world.model_spec, 0), suggest_random(space, 0))
+    probes = AdaptiveSampler(space, tuned, 0.0, 0, 1, 6).probes(state.current_hp)
     assert len(probes) == 4 and len(world.val_set) == 200
-    real_train, trained = flcore.train_cohort, {}
+    real_train, cohort = flcore.train_cohort, world.cohort(ids(world))
+    alone = {}
+    for p in probes[:1] + probes[2:]:
+        agg, _ = real_train(world, state.global_weights, p, cohort, 3,
+                            flcore.train_key(world, 0, 3))
+        alone[p.config_id], _ = models.evaluate(world.model_spec, agg,
+                                                world.val_set.features, world.val_set.labels)
 
     def train_cohort(world, global_w, config, *args):
         if config.config_id == probes[1].config_id:
             raise NumericDivergenceError("diverged")
-        out = real_train(world, global_w, config, *args)
-        trained[config.config_id] = out[0]
-        return out
+        return real_train(world, global_w, config, *args)
 
     monkeypatch.setattr(flcore, "train_cohort", train_cohort)
-    records = []
-    runner.run_probe_cycle(state, world.cohort(world.clients), world, 0, sampler, records)
-    assert [r.config_id for r in records] == [p.config_id for p in probes[:1] + probes[2:]]
-    for r in records:
-        alone, _ = models.evaluate(world.model_spec, trained[r.config_id],
-                                   world.val_set.features, world.val_set.labels)
-        assert r.server_loss.hex() == alone.hex()
+    for cpus in (1, 2):
+        records = []
+        with lanes.helpers(runner._world_server(world), cpus) as started:
+            world.helper = started[0] if started else None
+            runner.run_probe_cycle(state, cohort, world, 0,
+                                   AdaptiveSampler(space, tuned, 0.0, 0, 1, 6), records)
+            world.helper = None
+        assert [r.config_id for r in records] == list(alone)
+        assert [r.server_loss.hex() for r in records] == [x.hex() for x in alone.values()]
 
 
 # One seed, one sync group: 6 MLP clients, 3 evaluations of 6 rounds, a

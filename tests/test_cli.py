@@ -250,6 +250,23 @@ class TestCliCommands:
         assert code == cli.EXIT_CONFIG
         assert "config error: server_val_fraction: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("columns,lacks", [
+        (lambda i: f"{i % 7 * 0.5},{i % 3 - 1.0},0", "has no label above 0"),
+        (lambda i: f"{i % 2}", "has no feature column"),
+    ])
+    def test_csv_without_two_classes_or_a_feature_names_dataset_path(
+            self, config_path, tmp_path, capsys, monkeypatch, columns, lacks):
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_trial called")
+
+        monkeypatch.setattr(flcore, "run_trial", no_training)
+        path = tmp_path / "rows.csv"
+        path.write_text("".join(columns(i) + "\n" for i in range(200)))
+        code = cli.main(["run", config_path, "--set", "dataset.type=csv",
+                         "--set", f"dataset.path={path}", "--set", "n_clients=1"])
+        assert code == cli.EXIT_CONFIG
+        assert f"config error: dataset.path: {path} {lacks}" in capsys.readouterr().err
+
     def test_unusable_output_dir_fails_before_compute(self, config_path, tmp_path,
                                                       monkeypatch):
         def no_compute(cfg):

@@ -48,6 +48,11 @@ def make_world(n_clients=3, num_classes=2, seed=0, sep=8.0, n=360, alpha=1000.0,
                            base_seed=seed)
 
 
+def ids(world):
+    """The client_id of every client of world, in its order."""
+    return [c.client_id for c in world.clients]
+
+
 def hp_config(**kw):
     vals = dict(HP_DEFAULTS)
     vals.update(kw)
@@ -139,16 +144,16 @@ class TestCohortTime:
         for c, sigma in zip(world.clients, (0.0, 0.3, 0.8, 0.5)):
             c.latency = sched.LatencyProfile(c.latency.base_time, sigma)
         for key in [(0, "time", 0, 1), (0, "time", 2, 7), (9, "probe", 1, 5, "abc")]:
-            t = cohort_time(world.cohort(world.clients), 3, key)
+            t = cohort_time(world.cohort(ids(world)), 3, key)
             assert t == expected_cohort_time(world.clients, 3, key)
-            shuffled = [world.clients[i] for i in (2, 0, 3, 1)]
+            shuffled = [2, 0, 3, 1]
             assert cohort_time(dataclasses.replace(world).cohort(shuffled), 3, key) == t
 
     def test_no_jitter_is_the_exact_base_time(self):
         world = make_world(n_clients=3, alpha=0.5)
         for c in world.clients:
             c.latency = sched.LatencyProfile(c.latency.base_time, 0.0)
-        t = cohort_time(world.cohort(world.clients), 2, (0, "time", 0, 1))
+        t = cohort_time(world.cohort(ids(world)), 2, (0, "time", 0, 1))
         assert t == max(c.latency.base_time * 2 * (len(c.shard.train) / 100.0)
                         for c in world.clients)
 
@@ -158,25 +163,23 @@ class TestRunRound:
         world = make_world(n_clients=1)
         w0 = models.init_weights(world.model_spec, 0)
         state = RoundState(1, w0, hp_config(epochs=0))
-        nxt, _ = run_round(state, world.cohort(world.clients), world)
+        nxt, _ = run_round(state, world.cohort(ids(world)), world)
         assert np.array_equal(nxt.global_weights.values, w0.values)
 
     def test_identical_clients_aggregate_to_either(self):
         world = make_world(n_clients=1)
         c = world.clients[0]
-        twin = ClientState(c.client_id, c.shard, c.latency)
         w0 = models.init_weights(world.model_spec, 0)
         state = RoundState(1, w0, hp_config())
-        nxt, _ = run_round(state, world.cohort([c, twin]), world)
-        solo, _ = run_round(state, world.cohort([c]), world)
+        nxt, _ = run_round(state, world.cohort([c.client_id] * 2), world)
+        solo, _ = run_round(state, world.cohort([c.client_id]), world)
         assert np.allclose(nxt.global_weights.values, solo.global_weights.values)
 
     def test_local_feedback_per_client(self):
         world = make_world(n_clients=3)
         w = models.init_weights(world.model_spec, 0)
         state = RoundState(1, w, hp_config())
-        shuffled = [world.clients[i] for i in (2, 0, 1)]
-        _, losses = run_round(state, world.cohort(shuffled), world)
+        _, losses = run_round(state, world.cohort([2, 0, 1]), world)
         assert [cid for cid, _ in losses] == [0, 1, 2]
         assert all(np.isfinite(loss) for _, loss in losses)
 
@@ -187,8 +190,7 @@ class TestTrainCohort:
         cfg = hp_config(epochs=2)
         w0 = models.init_weights(world.model_spec, 0)
         key = (world.base_seed, "train", 3, 4)
-        shuffled = [world.clients[i] for i in (2, 0, 3, 1)]
-        agg, losses = train_cohort(world, w0, cfg, world.cohort(shuffled), 4, key)
+        agg, losses = train_cohort(world, w0, cfg, world.cohort([2, 0, 3, 1]), 4, key)
         hp = to_train_hp(cfg, world.hp_defaults)
         updates, expected = [], []
         for c in world.clients:
@@ -235,13 +237,12 @@ class TestTrainCohort:
         world = make_world(n_clients=4, alpha=0.5)
         for cid in (3, 1):
             world.clients[cid].shard.train.features[:] = np.nan
-        shuffled = [world.clients[i] for i in (3, 2, 1, 0)]
         cfg = hp_config()
         with pytest.raises(NumericDivergenceError,
                            match="^client 1 diverged in round 2: non-finite training loss$"
                            ) as info:
             train_cohort(world, models.init_weights(world.model_spec, 0), cfg,
-                         world.cohort(shuffled), 2, (0, "train", 0, 2))
+                         world.cohort([3, 2, 1, 0]), 2, (0, "train", 0, 2))
         assert (info.value.client_id, info.value.round_index, info.value.config_id) == \
             (1, 2, cfg.config_id)
 
@@ -531,7 +532,7 @@ class TestDivergedTrialTime:
         diverge_at_call(monkeypatch, 2)
         report = runner.run_experiment(cfg)
         epochs = report.per_seed[0].trials[0].hp_values["epochs"]
-        cohort = world.cohort(world.clients)
+        cohort = world.cohort(ids(world))
         expected = sum(cohort_time(cohort, epochs, (1, "time", 0, j)) for j in (1, 2))
         assert expected > 0
         assert charged_time(report) == expected
@@ -588,10 +589,11 @@ def mlp_world(**kw):
     return dataclasses.replace(world, model_spec=spec)
 
 
-def pass_or_failure(world, w, cfg, cohort, round_index, key):
-    """train_cohort's (aggregate bytes, losses), or its divergence's fields."""
+def pass_or_failure(world, w, cfg, members, round_index, key):
+    """train_cohort's (aggregate bytes, losses) over the client ids members,
+    or its divergence's fields."""
     try:
-        agg, losses = train_cohort(world, w, cfg, world.cohort(cohort), round_index, key)
+        agg, losses = train_cohort(world, w, cfg, world.cohort(members), round_index, key)
     except NumericDivergenceError as err:
         return str(err), err.client_id, err.round_index, err.config_id
     return agg.values.tobytes(), losses
@@ -700,12 +702,12 @@ class TestBatchPlanMemo:
                    hp_config(epochs=2, learning_rate=1e40, weight_decay=1.0),
                    hp_config(epochs=2, dropout=0.0), hp_config(epochs=2, dropout=0.3)]
         builds = count_calls(monkeypatch, models, "plan_batches")
-        warm = [pass_or_failure(world, w0, cfg, world.clients, 2, key) for cfg in configs]
+        warm = [pass_or_failure(world, w0, cfg, ids(world), 2, key) for cfg in configs]
         # one plan with dropout draws and one without
         assert len(builds) == 2
         for cfg, got in zip(configs, warm):
             cold = dataclasses.replace(world)  # a fresh memo
-            assert got == pass_or_failure(cold, w0, cfg, world.clients, 2, key)
+            assert got == pass_or_failure(cold, w0, cfg, ids(world), 2, key)
         assert isinstance(warm[3][0], str) and "diverged in round 2" in warm[3][0]
         assert sum(isinstance(g[0], bytes) for g in warm) == 5
 
@@ -730,9 +732,9 @@ class TestBatchPlanMemo:
         world.clients[2].shard.train.features[0, 0] = np.nan
         w0 = models.init_weights(world.model_spec, 0)
         key = (world.base_seed, "train", 1, 3)
-        healthy = [c for c in world.clients if c.client_id != 2]
+        healthy = [0, 1, 3]
         for cfg in (hp_config(), hp_config(learning_rate=0.3, dropout=0.4)):
-            for cohort in (world.clients, healthy):
+            for cohort in (ids(world), healthy):
                 got = pass_or_failure(world, w0, cfg, cohort, 3, key)
                 assert got == pass_or_failure(dataclasses.replace(world), w0, cfg, cohort,
                                               3, key)
@@ -759,7 +761,7 @@ class TestBatchPlanMemo:
     def test_a_new_key_drops_the_previous_keys_plans(self):
         world = mlp_world(n_clients=3)
         w0 = models.init_weights(world.model_spec, 0)
-        cohort = world.cohort(world.clients)
+        cohort = world.cohort(ids(world))
         train_cohort(world, w0, hp_config(), cohort, 1, (0, "train", 0, 1))
         train_cohort(world, w0, hp_config(dropout=0.0), cohort, 1, (0, "train", 0, 1))
         old = [weakref.ref(p) for plans in world.plans.plans.values() for p in plans]
@@ -821,14 +823,14 @@ def cold_batches(spec, train, seed, epochs, batch_size, dropout):
 class TestCohort:
     def test_cached_cohort_equals_cold_builds_on_raw_shards(self):
         world = ragged_world()
-        spec, cohort = world.model_spec, world.cohort(world.clients[::-1])
+        spec, cohort = world.model_spec, world.cohort(ids(world)[::-1])
         assert cohort.ids == (0, 1, 2, 3, 4)
         w = models.init_weights(spec, 3)
         hps = [to_train_hp(hp_config(epochs=2, batch_size=16, dropout=d, learning_rate=lr),
                            world.hp_defaults) for d, lr in ((0.3, 0.1), (0.0, 0.1), (0.3, 0.5))]
         for k, hp in enumerate(hps):
             key = (0, "train", 0, k)  # a fresh key: plans built on the cached pool
-            trained, losses, failures = flcore.train_share(world, w, hp, cohort, key)
+            trained, losses, failures = flcore.train_share(world, w, hp, cohort.ids, key)
             assert failures == [None] * 5
             plans = world.plans.get(spec, hp, cohort, key)
             assert [p.features.shape[1] for p in plans] == [1, 4, 16]
@@ -851,13 +853,25 @@ class TestCohort:
                     (c.shard.train.features, c.shard.train.labels) for c in world.clients]
             cold_losses, _ = models.evaluate_stack(spec, trained, sets, models.VAL_BLOCK)
             assert losses.tobytes() == cold_losses.tobytes()
-        assert world.cohort(world.clients) is cohort
+        assert world.cohort(ids(world)) is cohort
         assert len(world.cohorts) == 1
+
+    def test_one_cohort_per_id_set_in_any_form_or_order(self):
+        world = make_world(n_clients=4)
+        cohort = world.cohort([0, 1, 2, 3])
+        for given in ((0, 1, 2, 3), (i for i in range(4)), [2, 0, 3, 1], (3, 2, 1, 0)):
+            assert world.cohort(given) is cohort
+        assert cohort.ids == (0, 1, 2, 3)
+        assert [c.client_id for c in cohort.members] == [0, 1, 2, 3]
+        pair = world.cohort([3, 1])
+        assert pair is world.cohort((1, 3)) and pair is not cohort
+        assert [c.client_id for c in pair.members] == [1, 3]
+        assert len(world.cohorts) == 2
 
     def test_each_world_holds_its_own_cohorts(self):
         # two worlds of one shape, alive together: same member ids, own records
         a, b = make_world(seed=0), make_world(seed=1)
-        ca, cb = a.cohort(a.clients), b.cohort(b.clients)
+        ca, cb = a.cohort(ids(a)), b.cohort(ids(b))
         assert ca.ids == cb.ids and ca is not cb
         assert ca.pool.features.tobytes() != cb.pool.features.tobytes()
         assert [c.shard for c in cb.members] == [c.shard for c in b.clients]

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -46,6 +47,20 @@ class TestInitWeights:
         # every entry within the largest fan-in bound
         assert np.max(np.abs(w.values)) <= 1.0 / np.sqrt(4) + 1e-12
         assert len(w.values) == spec.num_params()
+
+    @pytest.mark.parametrize("spec,digests", [
+        (ModelSpec("logistic", 6, 4),
+         ("0f2884b210c7677966e080c094e41e0ea134bd28052461fafe5bd973068cb180",
+          "399c0a72d8ee00c8c030f024352c46f5694cb63323fdfd7231bab00daa15ec10")),
+        (ModelSpec("mlp", 6, 3, hidden_dim=8),
+         ("bf5a7a0291b0557f30c181fd6900376f20a4983ed8cebf331e4b2e6626689fea",
+          "786e2d2b05f4073ddab3d490a959022c5fbf571dd75599038b835bbdd7213cf6")),
+    ])
+    def test_weight_bytes_pinned(self, spec, digests):
+        # SHA-256 of the weight bytes at seeds 0 and 7: one uniform draw per
+        # layer, input layer first, and zero biases
+        assert tuple(hashlib.sha256(models.init_weights(spec, seed).values.tobytes()).hexdigest()
+                     for seed in (0, 7)) == digests
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError):

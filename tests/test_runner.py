@@ -11,7 +11,9 @@ every cohort pass with one helper, with the same report and errors as
 inline."""
 
 import contextlib
+import functools
 import gc
+import hashlib
 import os
 import pickle
 import platform
@@ -51,6 +53,18 @@ TINY = {
     "eval_cadence": 5,
     "seeds": [1, 2],
 }
+
+
+def ids(world):
+    """The client_id of every client of world, in its order."""
+    return [c.client_id for c in world.clients]
+
+
+def as_train_share(spy):
+    """spy under the names of flcore.train_share: patched in, it pickles by
+    reference to that attribute, so flcore._train_split can send it to a
+    helper forked after the patch, which runs its own copy."""
+    return functools.wraps(flcore.train_share)(spy)
 
 
 def usable_cpus(monkeypatch, n):
@@ -210,7 +224,8 @@ class TestSeedPoolFailures:
                             seeds=[1, 2, 3])
         usable_cpus(monkeypatch, 2)
         assert cli.main(["run", path, "--output", str(tmp_path / "out")]) == cli.EXIT_CONFIG
-        assert "config error: model.num_classes: must be >= 2" in capsys.readouterr().err
+        assert f"config error: dataset.path: {csv_path} has no label above 0" in \
+            capsys.readouterr().err
 
     def test_partition_error_exits_3(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, n_clients=200, seeds=[1, 2, 3])
@@ -377,6 +392,27 @@ WIDE_ASYNC = {
     "rounds_per_trial": 4,
     "eval_cadence": 2,
 }
+
+
+@pytest.mark.parametrize("world,mode,seed,digest", [
+    ("criterion7", "sync", 2, "fcb5100450e06954a4015128b6129bc01cf6f0c6e7833bb0f32a8acccc628e9c"),
+    ("criterion7", "async", 2, "e0f2040d8089bb7e5035f7079347b5613f4f8bbe44c353d86d7c2d40874d2f19"),
+    ("criterion7", "async", 61, "ea2580b32d7a1b3a861f355c07ad49bd95a3c50f01b44a9ad8e3be6147afd689"),
+    ("wide", "sync", 2, "a22f6a6dcfc79698eb8744fd7c6194a5df806c0fd79638c99af9b0bed72fbe2c"),
+    ("wide", "async", 2, "603fee277ea3d5313a0ffb1a107c8125617f4ebd4675cad0caa0382e7c2b553f"),
+    ("wide", "async", 61, "7f5fdca614e3ff680011bf4ce431912b5e6aa986062f9da2872e45ae86c8dc59"),
+])
+def test_make_groups_pinned(monkeypatch, world, mode, seed, digest):
+    # SHA-256 of the repr of the groups' members and of the calibration times
+    # make_groups hands sched.form_groups (none in sync mode), as float.hex
+    seen, form = [], sched.form_groups
+    monkeypatch.setattr(sched, "form_groups",
+                        lambda comps, window: seen.append(comps) or form(comps, window))
+    over = {"criterion7": CRITERION7, "wide": WIDE_ASYNC}[world]
+    cfg = config_from_dict({**over, "grouping": {**over["grouping"], "mode": mode}})
+    groups = runner.make_groups(cfg, runner.build_world(cfg, seed), seed)
+    out = ([g.members for g in groups], [[(i, t.hex()) for i, t in c] for c in seen])
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
 
 
 def test_worlds_built_one_after_another_keep_their_own_cohorts():
@@ -630,11 +666,12 @@ class TestHelper:
         alone = one_seed_report(monkeypatch, SPLIT, 1)
         parent, train_share, seen = os.getpid(), flcore.train_share, set()
 
-        def spy(world, global_w, hp, cohort, seed_key, score):
+        @as_train_share
+        def spy(world, global_w, hp, share, seed_key, score):
             if os.getpid() == parent:
-                seen.add((len(cohort.ids), frozenset(os.sched_getaffinity(0)),
+                seen.add((len(share), frozenset(os.sched_getaffinity(0)),
                           frozenset(os.sched_getaffinity(world.helper.pid))))
-            return train_share(world, global_w, hp, cohort, seed_key, score)
+            return train_share(world, global_w, hp, share, seed_key, score)
 
         monkeypatch.setattr(flcore, "train_share", spy)
         split = one_seed_report(monkeypatch, SPLIT, 2)
@@ -664,13 +701,13 @@ class TestHelper:
             if c.client_id in poisoned:
                 c.shard.train = data.Dataset(np.full_like(c.shard.train.features, np.nan),
                                              c.shard.train.labels)
-        healthy = [c for c in world.clients if c.client_id not in poisoned]
+        healthy = [i for i in ids(world) if i not in poisoned]
         w = models.init_weights(world.model_spec, 0)
         config, key = HpConfig(world.hp_defaults), (1, "train", 0, 3)
 
         def passes():
             with pytest.raises(NumericDivergenceError) as info:
-                flcore.train_cohort(world, w, config, world.cohort(world.clients), 3, key)
+                flcore.train_cohort(world, w, config, world.cohort(ids(world)), 3, key)
             err = info.value
             # the helper still answers in step after the error
             agg, losses = flcore.train_cohort(world, w, config, world.cohort(healthy), 3, key)
@@ -704,6 +741,7 @@ class TestHelper:
     def test_dead_helper_exits_3(self, tmp_path, monkeypatch, capsys):
         parent, train_share = os.getpid(), flcore.train_share
 
+        @as_train_share
         def dying(*args):
             if os.getpid() != parent:  # the helper is killed
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -721,6 +759,7 @@ class TestHelper:
     def test_interrupt_reaps_helper(self, monkeypatch):
         parent, train_share = os.getpid(), flcore.train_share
 
+        @as_train_share
         def interrupted(*args):
             if os.getpid() == parent:  # while the helper trains its share
                 raise KeyboardInterrupt
@@ -739,11 +778,12 @@ class TestHelper:
         pids = fork_pids(monkeypatch)
         for failing in range(SPLIT["n_clients"]):  # in either share
 
-            def raising(world, global_w, hp, cohort, seed_key, score):
-                if failing in cohort.ids:
+            @as_train_share
+            def raising(world, global_w, hp, share, seed_key, score):
+                if failing in share:
                     raise (error(f"boom at {failing}") if error is FeedbackError
                            else error(f"boom at {failing}", failing))
-                return train_share(world, global_w, hp, cohort, seed_key, score)
+                return train_share(world, global_w, hp, share, seed_key, score)
 
             monkeypatch.setattr(flcore, "train_share", raising)
             seen = {}
@@ -786,21 +826,21 @@ class TestReceive:
         world = runner.build_world(config_from_dict(SPLIT), 1)
         w, config = models.init_weights(world.model_spec, 0), HpConfig(world.hp_defaults)
         hp, key = flcore.to_train_hp(config, world.hp_defaults), (1, "train", 0, 3)
-        cohort, few = world.cohort(world.clients), world.cohort(world.clients[:2])
+        cohort, few = world.cohort(ids(world)), world.cohort(ids(world)[:2])
         alone = flcore.train_cohort(world, w, config, cohort, 3, key)
         sent = []
         with lanes.helpers(runner._world_server(world), 2) as started:
             world.helper, = started
             send = world.helper.send
             monkeypatch.setattr(world.helper, "send", lambda *request: sent.append(request))
-            send(flcore.train_ids, w, hp, few.ids, key, True)
+            send(flcore.train_share, w, hp, few.ids, key, True)
             agg, losses = flcore.train_cohort(world, w, config, cohort, 3, key)
             reply = world.helper.receive()
             world.helper = None
         assert sent == []
         assert (agg.values.tobytes(), losses) == (alone[0].values.tobytes(), alone[1])
         # the reply is the one to the request out
-        mine = flcore.train_share(world, w, hp, few, key)
+        mine = flcore.train_share(world, w, hp, few.ids, key)
         assert [a.tobytes() for a in reply[:2]] == [a.tobytes() for a in mine[:2]]
 
 
@@ -820,7 +860,7 @@ def probe_cycle(world, tuned, round_index=2):
     state = flcore.RoundState(round_index, models.init_weights(world.model_spec, 0), START)
     records = []
     try:
-        new, extra, reused = runner.run_probe_cycle(state, world.cohort(world.clients), world,
+        new, extra, reused = runner.run_probe_cycle(state, world.cohort(ids(world)), world,
                                                     0, sampler, records)
     except Exception as err:
         return type(err), str(err)
@@ -871,10 +911,11 @@ class TestProbeLanes:
     def test_report_equals_one_cpu_run(self, monkeypatch):
         parent, train_share, whole = os.getpid(), flcore.train_share, []
 
-        def spy(world, global_w, hp, cohort, seed_key, score):
-            if os.getpid() == parent and len(cohort.ids) == PROBING["n_clients"]:
+        @as_train_share
+        def spy(world, global_w, hp, share, seed_key, score):
+            if os.getpid() == parent and len(share) == PROBING["n_clients"]:
                 whole.append(seed_key)
-            return train_share(world, global_w, hp, cohort, seed_key, score)
+            return train_share(world, global_w, hp, share, seed_key, score)
 
         monkeypatch.setattr(flcore, "train_share", spy)
         pids = fork_pids(monkeypatch)
@@ -891,10 +932,11 @@ class TestProbeLanes:
                                                                           monkeypatch):
         log, train_share = tmp_path / "passes", flcore.train_share
 
-        def logging(world, global_w, hp, cohort, seed_key, score):
+        @as_train_share
+        def logging(world, global_w, hp, share, seed_key, score):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {len(cohort.ids)}\n")
-            return train_share(world, global_w, hp, cohort, seed_key, score)
+                fh.write(f"{os.getpid()} {len(share)}\n")
+            return train_share(world, global_w, hp, share, seed_key, score)
 
         monkeypatch.setattr(flcore, "train_share", logging)
         world = runner.build_world(config_from_dict(PROBING), 1)
