@@ -42,7 +42,8 @@ class Cohort:
     arrays, which cohort_time reads. shares, once a helper has split a pass,
     holds the ids of the helper's share and of this process's share and the
     order that merges their rows into members' order. layouts keeps the
-    pool's models.BatchLayouts (models.plan_batches).
+    pool's models.BatchLayouts (models.plan_batches), and times its round
+    times (round_time).
     """
 
     members: list[ClientState]  # in client_id order
@@ -52,6 +53,7 @@ class Cohort:
     sigma: np.ndarray
     shares: tuple | None = None
     layouts: dict = field(default_factory=dict)
+    times: dict = field(default_factory=dict)
 
     @functools.cached_property
     def pool(self) -> models.ShardPool:
@@ -256,9 +258,13 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
 
 
 def round_time(world: ExperimentWorld, cohort: Cohort, config: HpConfig, trial: int, j: int):
-    """The cohort_time run_trial charges round j of trial under config."""
-    return cohort_time(cohort, world.train_hp(config).epochs,
-                       (world.base_seed, "time", trial, j))
+    """The cohort_time run_trial charges round j of trial under config,
+    drawn once per cohort and kept in cohort.times by (epochs, trial, j)."""
+    epochs = world.train_hp(config).epochs
+    key = (epochs, trial, j)
+    if key not in cohort.times:
+        cohort.times[key] = cohort_time(cohort, epochs, (world.base_seed, "time", trial, j))
+    return cohort.times[key]
 
 
 def train_key(world: ExperimentWorld, trial: int, j: int) -> tuple:
@@ -322,7 +328,7 @@ def run_trial(
     and equals a fresh trial run to budget_rounds bit for bit: one that had
     stopped early trains no further round, and a failed one is returned as
     it is. resume itself is never changed. sim_time counts from round 1,
-    so a call ran its sim_time minus resume's.
+    so a call ran its sim_time minus resume's; each round is charged round_time.
 
     Every evaluation-cadence round scores the new global model on the
     server validation set once; that loss goes to the trace and, if it is

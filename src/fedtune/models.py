@@ -126,29 +126,27 @@ def _forward(spec: ModelSpec, params, features: np.ndarray, dropout_mask=None):
     return hidden @ w2 + b2, act, hidden
 
 
-def _softmax_parts(logits: np.ndarray, labels: np.ndarray):
+def _softmax_parts(logits: np.ndarray, labels: np.ndarray, pick: bool = True):
     """Stabilized log-softmax over the last axis.
 
     Returns (log-probability of each row's label, exp of the shifted
     logits, their sum). A label of -1 reads the last class; callers mask
-    those rows.
+    those rows. Without pick the log-probabilities are None if every
+    shifted logit is finite, which makes every one of them finite.
     """
     z = logits - logits.max(axis=-1, keepdims=True)
     exp_z = np.exp(z)
     denom = exp_z.sum(axis=-1, keepdims=True)
+    if not pick and np.isfinite(z.min(initial=0.0)):
+        return None, exp_z, denom
     flat = z.reshape(-1, z.shape[-1])
     picked = flat[np.arange(len(flat)), labels.reshape(-1)].reshape(labels.shape) \
         - np.log(denom[..., 0])
     return picked, exp_z, denom
 
 
-def loss_and_grad(
-    spec: ModelSpec,
-    values: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    dropout_mask: np.ndarray | None = None,
-):
+def loss_and_grad(spec: ModelSpec, values: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                  dropout_mask: np.ndarray | None = None, with_loss: bool = True):
     """Mean cross-entropy and its gradient w.r.t. the flat weight vector.
 
     One model: values (P,), features (n, d), labels (n,); returns a scalar
@@ -158,7 +156,10 @@ def loss_and_grad(
     padding row, which contributes nothing; each row's mean divides by its
     own count of real rows. dropout_mask, when given, is the
     inverted-dropout multiplier for the hidden activations (shape matching
-    the hidden layer output).
+    the hidden layer output). Without with_loss the gradient alone is
+    returned, with the same bytes, and the loss is computed only if some
+    row's may be non-finite: such a row's gradient is NaN instead, so its
+    weights stay non-finite from that step on.
     """
     labels = np.asarray(labels)
     single = values.ndim == 1
@@ -169,10 +170,9 @@ def loss_and_grad(
     k = values.shape[0]
     params = _unpack(spec, values)
     logits, act, hidden = _forward(spec, params, features, dropout_mask)
-    picked, exp_z, denom = _softmax_parts(logits, labels)
+    picked, exp_z, denom = _softmax_parts(logits, labels, pick=with_loss)
     real = labels >= 0
     count = real.sum(axis=-1)
-    loss = -np.where(real, picked, 0.0).sum(axis=-1) / count
     dlogits = exp_z / denom
     dlogits -= labels[..., None] == np.arange(spec.num_classes)
     dlogits /= np.where(real, count[:, None], np.inf)[..., None]  # padding rows -> 0
@@ -186,7 +186,12 @@ def loss_and_grad(
         grads = [features.swapaxes(1, 2) @ dpre, dpre.sum(axis=1),
                  hidden.swapaxes(1, 2) @ dlogits, dlogits.sum(axis=1)]
     grad = np.concatenate([g.reshape(k, -1) for g in grads], axis=1)
-    return (loss[0], grad[0]) if single else (loss, grad)
+    if picked is not None:
+        loss = -np.where(real, picked, 0.0).sum(axis=-1) / count
+        if with_loss:
+            return (loss[0], grad[0]) if single else (loss, grad)
+        grad[~np.isfinite(loss)] = np.nan
+    return grad[0] if single else grad
 
 
 def sgd_step(values: np.ndarray, grad: np.ndarray, lr: float, weight_decay: float) -> np.ndarray:
@@ -249,6 +254,10 @@ def evaluate_stack(spec: ModelSpec, values: np.ndarray, sets, block: int | None 
     sizes = np.array([len(y) for _, y in sets])
     if not sizes.all():
         raise DataError("evaluate: empty evaluation set")
+    if len(sets) == 1 and block in (None, sizes[0]):  # one block: the set itself, in place
+        (features, labels), = sets
+        return _score(spec, values, np.ascontiguousarray(features, dtype=np.float64)[None, None],
+                      np.asarray(labels, dtype=np.int64)[None, None], sizes, accuracy=True)
     features, labels, offsets = _pool(sets, spec.input_dim)
     idx = _blocks(offsets, sizes, block or int(sizes.max()), len(labels) - 1)
     return _score(spec, values, features[idx], labels[idx], sizes, accuracy=True)
@@ -440,9 +449,11 @@ def plan_batches(spec: ModelSpec, pool: ShardPool, seeds, epochs: int, batch_siz
 
 @np.errstate(over="ignore", invalid="ignore")
 def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, plan: BatchPlan):
-    """Stacked SGD over one BatchPlan under hp.
+    """Stacked SGD over one BatchPlan under hp, on gradients alone.
 
-    Float overflow is silenced: the finiteness checks report a diverging row.
+    Float overflow is silenced. A row whose loss goes non-finite keeps
+    non-finite weights (loss_and_grad); one with non-finite weights where
+    an epoch ends fails there and is zeroed, finite for validation.
     Returns ((rows, P) weights, failures), both in stack-row order.
     """
     keep = 1.0 - hp.dropout
@@ -454,19 +465,15 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, plan: BatchPlan):
     failures = [None] * len(plan.order)
     for t, m in enumerate(plan.active):
         s = slice(plan.start[t], plan.start[t + 1])
-        loss, grad = loss_and_grad(spec, values[:m], plan.features[s], plan.labels[s],
-                                   dropout_mask=None if kept is None else kept[s] / keep)
+        grad = loss_and_grad(spec, values[:m], plan.features[s], plan.labels[s],
+                             dropout_mask=None if kept is None else kept[s] / keep,
+                             with_loss=False)
         values[:m] = sgd_step(values[:m], grad, hp.learning_rate, hp.weight_decay)
-        checks = [(~np.isfinite(loss), "non-finite training loss")]
         ends = plan.epoch_end[s]
         if ends.any():
-            checks.append((ends & ~np.isfinite(values[:m]).all(axis=1),
-                           "non-finite weights after epoch"))
-        for bad, message in checks:
-            for r in np.flatnonzero(bad):
-                if failures[r] is None:
-                    failures[r] = message
-                values[r] = 0.0  # a failed row stays finite for the validation pass
+            for r in np.flatnonzero(ends & ~np.isfinite(values[:m]).all(axis=1)):
+                failures[r] = failures[r] or "non-finite weights after epoch"
+                values[r] = 0.0
     return values, failures
 
 
@@ -488,8 +495,9 @@ def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, pool: ShardPool, 
     pre-activation or logit can exceed that bound, so its loss is finite.
 
     Returns ((k, P) weights, (k,) validation losses, failures), with
-    failures[i] None or the first non-finite check that row i failed. An
-    empty validation split falls back to the loss on the training split.
+    failures[i] None or the first non-finite check that row i failed
+    (_sgd_pass's, then the validation loss). An empty validation split
+    falls back to the loss on the training split.
     """
     if w.layout_id != spec.layout_id:
         raise ConfigurationError(

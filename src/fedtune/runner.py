@@ -312,8 +312,10 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     """Every evaluation of a feedback_free sampler, run before dispatch in
     up to cpus lanes (lanes.run_jobs), balanced by cohort training rows
     times epochs, on the group a dry sched.dispatch of its rounds' times
-    issues it to (README "Lanes"). Returns eval index -> (group id, config id, EvalOutcome or
-    the exception it raised), or {} if nothing ran ahead.
+    issues it to (README "Lanes"); the lanes fork after it and read the
+    round times it drew (flcore.round_time). Returns eval index -> (group
+    id, config id, EvalOutcome or the exception it raised), or {} if
+    nothing ran ahead.
     """
     if cpus < 2 or not sampler.feedback_free:
         return {}

@@ -239,12 +239,77 @@ class TestTrainCohort:
             world.clients[cid].shard.train.features[:] = np.nan
         cfg = hp_config()
         with pytest.raises(NumericDivergenceError,
-                           match="^client 1 diverged in round 2: non-finite training loss$"
+                           match="^client 1 diverged in round 2: non-finite weights after epoch$"
                            ) as info:
             train_cohort(world, models.init_weights(world.model_spec, 0), cfg,
                          world.cohort([3, 2, 1, 0]), 2, (0, "train", 0, 2))
         assert (info.value.client_id, info.value.round_index, info.value.config_id) == \
             (1, 2, cfg.config_id)
+
+    def test_loss_overflowing_mid_epoch_ends_the_trial_in_that_round(self, monkeypatch):
+        # Client 1's huge features overflow its loss on a step of round 1's
+        # one epoch that is not its last; the round fails at the epoch's end,
+        # and the trial is charged that round alone.
+        world = make_world(n_clients=3)
+        world.clients[1].shard.train.features[:] *= 1e200
+        steps, real = [], models.loss_and_grad
+
+        def spy(spec, values, features, labels, dropout_mask=None, with_loss=True):
+            loss, grad = real(spec, values, features, labels, dropout_mask)
+            steps.append(np.isfinite(loss).tolist())  # one entry per stack row
+            return (loss, grad) if with_loss else grad
+
+        monkeypatch.setattr(models, "loss_and_grad", spy)
+        cfg = hp_config()
+        result = run_trial(cfg, 3, world)
+        t = next(t for t, finite in enumerate(steps) if not all(finite))
+        assert len(steps[t + 1]) > steps[t].index(False)  # that row trains on after step t
+        err = result.failure
+        assert str(err) == "client 1 diverged in round 1: non-finite weights after epoch"
+        assert (err.client_id, err.round_index, err.config_id) == (1, 1, cfg.config_id)
+        assert result.sim_time == cohort_time(world.cohort(ids(world)), 1, (0, "time", 0, 1))
+
+
+class TestRoundTime:
+    """round_time draws each round time once per cohort and keeps it there."""
+
+    @staticmethod
+    def recording_cohort_time(monkeypatch):
+        calls, real = [], flcore.cohort_time
+
+        def spy(cohort, epochs, seed_key):
+            calls.append((cohort.ids, epochs, seed_key))
+            return real(cohort, epochs, seed_key)
+
+        monkeypatch.setattr(flcore, "cohort_time", spy)
+        return calls
+
+    def test_run_trial_on_kept_times_draws_none(self, monkeypatch):
+        world, cfg = make_world(cadence=2), hp_config(epochs=2)
+        cohort = world.cohort(ids(world))
+        kept = [flcore.round_time(world, cohort, cfg, 4, j) for j in range(1, 6)]
+        assert cohort.times == {(2, 4, j): t for j, t in zip(range(1, 6), kept)}
+        calls = self.recording_cohort_time(monkeypatch)
+        result = run_trial(cfg, 5, world, cohort, trial_index=4)
+        assert calls == []
+        fresh = run_trial(cfg, 5, make_world(cadence=2), trial_index=4)
+        assert len(calls) == 5
+        assert result.sim_time == fresh.sim_time == sum(kept)
+        assert result.trace == fresh.trace
+
+    def test_each_time_is_drawn_once_per_cohort(self, monkeypatch):
+        world, cfg = make_world(), hp_config()
+        cohort, other = world.cohort(ids(world)), world.cohort([0, 2])
+        calls = self.recording_cohort_time(monkeypatch)
+        # another cohort and another epoch count draw their own times, once each
+        for _ in range(2):
+            assert flcore.round_time(world, cohort, cfg, 0, 1) == \
+                cohort_time(cohort, 1, (0, "time", 0, 1))
+            assert flcore.round_time(world, other, cfg, 0, 1) == \
+                cohort_time(other, 1, (0, "time", 0, 1))
+            flcore.round_time(world, cohort, hp_config(epochs=3), 0, 1)
+        assert [c[:2] for c in calls] == [((0, 1, 2), 1), ((0, 2), 1), ((0, 1, 2), 3)]
+        assert list(other.times) == [(1, 0, 1)] and list(cohort.times) == [(1, 0, 1), (3, 0, 1)]
 
 
 class TestRunTrial:
@@ -496,7 +561,7 @@ def diverge_at_call(monkeypatch, n):
         calls.append(1)
         trained, losses, failures = real(*args)
         if len(calls) == n:
-            failures[0] = "non-finite training loss"
+            failures[0] = "non-finite weights after epoch"
         return trained, losses, failures
 
     monkeypatch.setattr(models, "train_stack", train_stack)
@@ -509,7 +574,7 @@ def diverge_probe(monkeypatch, round_index, config_id):
     def train_cohort(world, global_w, config, cohort, j, *args):
         if (j, config.config_id) == (round_index, config_id):
             raise NumericDivergenceError(
-                f"client 0 diverged in round {j}: non-finite training loss",
+                f"client 0 diverged in round {j}: non-finite weights after epoch",
                 client_id=0, round_index=j, config_id=config_id)
         return real(world, global_w, config, cohort, j, *args)
 
@@ -571,7 +636,7 @@ class TestDivergedTrialTime:
         def train_stack(*args):
             passes.append(1)
             trained, losses, failures = real(*args)
-            return trained, losses, ["non-finite training loss"] + failures[1:]
+            return trained, losses, ["non-finite weights after epoch"] + failures[1:]
 
         monkeypatch.setattr(models, "train_stack", train_stack)
         sr = runner.run_experiment(cfg).per_seed[0]

@@ -230,9 +230,9 @@ class TestTrainStack:
         calls = []
         real_loss_and_grad = models.loss_and_grad
 
-        def recording(spec, values, features, labels, dropout_mask=None):
+        def recording(spec, values, features, labels, dropout_mask=None, with_loss=True):
             calls.append(features.shape[:2])
-            return real_loss_and_grad(spec, values, features, labels, dropout_mask)
+            return real_loss_and_grad(spec, values, features, labels, dropout_mask, with_loss)
 
         monkeypatch.setattr(models, "loss_and_grad", recording)
         shards = engine_shards()
@@ -259,7 +259,66 @@ class TestTrainStack:
         bad[0] = np.full_like(bad[0], np.nan)
         shards[1] = tuple(bad)
         _, _, failures = stack(spec, models.init_weights(spec, 0), hp, shards, [0] * 6)
-        assert failures == [None, "non-finite training loss", None, None, None, None]
+        assert failures == [None, "non-finite weights after epoch", None, None, None, None]
+
+    def test_loss_that_overflows_mid_epoch_fails_at_the_epochs_end(self, monkeypatch):
+        # Shard 3 (40 rows: five 8-row batches per epoch) with huge features:
+        # its first step leaves finite but huge weights, and its loss overflows
+        # on a later step of epoch 1. The row fails where that epoch ends, in
+        # the same pass, and no other row changes.
+        spec, hp = ENGINE_CASES[0]
+        shards = engine_shards()
+        seeds = [0] * 6
+        w = models.init_weights(spec, 0)
+        good = stack(spec, w, hp, shards, seeds)
+        bad = list(shards[3])
+        bad[0] = bad[0] * 1e200
+        shards[3] = tuple(bad)
+        pool = models.pool_shards(spec.input_dim, shards)
+        plans = models.plan_batches(spec, pool, seeds, *models.plan_key(spec, hp))
+        (plan,) = [p for p in plans if 3 in p.order]
+        assert plan.order[0] == 3  # the longest row trains first, in every step
+        steps, real = [], models.loss_and_grad
+
+        def spy(spec, values, features, labels, dropout_mask=None, with_loss=True):
+            loss, grad = real(spec, values, features, labels, dropout_mask)
+            if features.shape[1] == plan.features.shape[1]:  # a step of shard 3's plan
+                steps.append((np.isfinite(loss[0]), np.isfinite(values[0]).all()))
+            return (loss, grad) if with_loss else grad
+
+        monkeypatch.setattr(models, "loss_and_grad", spy)
+        trained, losses, failures = models.train_stack(spec, w, hp, pool, plans)
+        ends = plan.epoch_end[plan.start[:-1]].tolist()
+        assert len(steps) == len(ends) == 2 * 5
+        first = [finite for finite, _ in steps].index(False)
+        assert first > 0 and not ends[first] and ends.index(True) > first
+        assert steps[first][1]  # the weights were finite at that step
+        assert failures == [None, None, None, "non-finite weights after epoch", None, None]
+        for i in (0, 1, 2, 4, 5):
+            assert trained[i].tobytes() == good[0][i].tobytes()
+            assert losses[i] == good[1][i]
+
+    def test_loss_that_overflows_beside_finite_weights_fails_in_its_pass(self):
+        # Weights near the largest double put shard 1's label logit more than
+        # the largest double below the other logit: its training loss is inf
+        # while its gradient, and so its weights, stay finite, and its
+        # validation loss is 0. The row still fails in this pass; shard 0,
+        # whose zero features read only the biases, trains as beside a
+        # finite row.
+        spec, hp = ModelSpec("logistic", 1, 2), default_hp(batch_size=4)
+        w = WeightVector(np.array([0.95e308, -0.95e308, 0.0, 0.0]), spec.layout_id)
+        ones, zeros = np.ones((4, 1)), np.zeros((4, 1))
+        with np.errstate(over="ignore"):
+            loss, grad = models.loss_and_grad(spec, w.values, ones, np.ones(4, int))
+        assert loss == np.inf and np.isfinite(grad).all()
+        zero_shard = (zeros, np.array([0, 1, 0, 1]), zeros[:2], np.array([0, 1]))
+        trained, losses, failures = stack(
+            spec, w, hp, [zero_shard, (ones, np.ones(4, int), ones[:2], np.zeros(2, int))], [0, 0])
+        assert failures == [None, "non-finite weights after epoch"]
+        good = stack(spec, w, hp, [zero_shard, (zeros, np.ones(4, int), zeros[:2],
+                                                np.zeros(2, int))], [0, 0])
+        assert good[2] == [None, None]
+        assert trained[0].tobytes() == good[0][0].tobytes() and losses[0] == good[1][0]
 
 
 class TestBatchPlan:
@@ -282,7 +341,7 @@ class TestBatchPlan:
             assert shared[0].tobytes() == cold[0].tobytes()
             assert shared[1].tobytes() == cold[1].tobytes()
             assert shared[2] == cold[2]
-            assert shared[2][1] == "non-finite training loss"
+            assert shared[2][1] == "non-finite weights after epoch"
         # the overflowing config fails every row, the others only the NaN one
         assert None not in models.train_stack(spec, w, configs[2], pool, plans)[2]
 
@@ -430,6 +489,39 @@ class TestEvaluate:
         assert a == b
 
 
+class TestInPlaceEvaluate:
+    """evaluate_stack scores a lone set in place, with the bytes of the
+    pooled, gathered path that scores two or more sets."""
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 200, 1000])
+    @pytest.mark.parametrize("spec", [ModelSpec("logistic", 4, 3),
+                                      ModelSpec("mlp", 4, 3, hidden_dim=5)])
+    def test_equals_the_pooled_path(self, spec, n):
+        x, y = make_blob(n, n=n, c=3)
+        w = models.init_weights(spec, n)
+        pair = np.stack([w.values, w.values])
+        losses, accs = models.evaluate_stack(spec, pair, [(x, y)] * 2)
+        loss, acc = models.evaluate(spec, w, x, y)
+        assert np.float64(loss).tobytes() == losses[0].tobytes()
+        assert np.float64(acc).tobytes() == accs[0].tobytes()
+        assert [a.tobytes() for a in models.evaluate_stack(spec, w.values[None], [(x, y)], n)] \
+            == [losses[:1].tobytes(), accs[:1].tobytes()]
+        # float32, Fortran-ordered features and int32 labels, as the pool would cast them
+        f = np.asfortranarray(x.astype(np.float32))
+        assert models.evaluate(spec, w, f, y.astype(np.int32)) == \
+            tuple(float(a[0]) for a in models.evaluate_stack(spec, pair, [(f, y)] * 2))
+
+    def test_empty_set_and_layout_mismatch_rejected(self):
+        spec = ModelSpec("logistic", 4, 2)
+        w = models.init_weights(spec, 1)
+        with pytest.raises(DataError, match="^evaluate: empty evaluation set$"):
+            models.evaluate(spec, w, np.empty((0, 4)), np.empty(0, int))
+        other = models.init_weights(ModelSpec("logistic", 4, 3), 1)
+        x, y = make_blob(0)
+        with pytest.raises(ConfigurationError, match="does not match spec logistic:4x0x2"):
+            models.evaluate(spec, other, x, y)
+
+
 def numeric_grad(spec, values, x, y, eps=1e-6):
     grad = np.zeros_like(values)
     for i in range(len(values)):
@@ -455,3 +547,34 @@ def test_gradient_matches_finite_differences(kind, hidden):
         numeric = numeric_grad(spec, values, x, y)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
         assert rel <= 1e-4
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("logistic", 3, 4), ModelSpec("mlp", 3, 4, hidden_dim=5)])
+def test_gradient_only_call_returns_the_default_calls_gradient_bytes(spec):
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((5, spec.num_params()))
+    x = rng.standard_normal((5, 8, 3))
+    y = rng.integers(0, 4, size=(5, 8))
+    y[1, 5:] = -1  # padding rows
+    masks = [None] + ([(rng.random((5, 8, 5)) < 0.7) / 0.7] if spec.kind == "mlp" else [])
+    for mask in masks:
+        # a stack of five models, then its first model alone
+        for i in (slice(None), 0):
+            args = values[i], x[i], y[i], None if mask is None else mask[i]
+            _, grad = models.loss_and_grad(spec, *args)
+            only = models.loss_and_grad(spec, *args, with_loss=False)
+            assert only.shape == grad.shape
+            assert only.tobytes() == grad.tobytes()
+
+
+def test_gradient_only_call_gives_a_row_whose_loss_is_not_finite_a_nan_gradient():
+    # row 0's label logit lies more than the largest double below the other
+    # one: an inf loss beside a finite gradient
+    spec = ModelSpec("logistic", 1, 2)
+    values = np.array([[0.95e308, -0.95e308, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
+    x, y = np.ones((2, 3, 1)), np.ones((2, 3), int)
+    with np.errstate(over="ignore"):
+        loss, grad = models.loss_and_grad(spec, values, x, y)
+        only = models.loss_and_grad(spec, values, x, y, with_loss=False)
+    assert loss[0] == np.inf and np.isfinite(loss[1]) and np.isfinite(grad).all()
+    assert np.isnan(only[0]).all() and only[1].tobytes() == grad[1].tobytes()

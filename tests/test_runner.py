@@ -509,6 +509,34 @@ class TestRunAhead:
         assert inline  # some issues went to other groups than predicted
 
     @needs_two_cpus
+    def test_lanes_read_kept_times_and_reruns_draw_their_own(self, monkeypatch):
+        # The dry dispatch keeps every round time it draws on the cohort it
+        # issued the evaluation to, and the lanes fork after it: this
+        # process's lane draws no time again. An evaluation computed again
+        # inline runs on another group, so it draws its own.
+        calls, inline = dispatches(monkeypatch), inline_evals(monkeypatch)
+        alone = one_seed_report(monkeypatch, MISPREDICTED, 1)
+        calls.clear()
+        inline.clear()
+        times, real = [], flcore.cohort_time
+
+        def recording_cohort_time(cohort, epochs, seed_key):
+            if seed_key[1] == "time":  # (dispatch call, eval index, cohort ids)
+                times.append((len(calls), seed_key[2], cohort.ids))
+            return real(cohort, epochs, seed_key)
+
+        monkeypatch.setattr(flcore, "cohort_time", recording_cohort_time)
+        laned = one_seed_report(monkeypatch, MISPREDICTED, 2)
+        assert seed_report_key(laned) == seed_report_key(alone)
+        dry, ran = calls
+        rounds = MISPREDICTED["rounds_per_trial"]
+        assert [e for n, e, _ in times if n == 1] == [e for e, _, _ in dry for _ in range(rounds)]
+        assert inline and {e for n, e, _ in times if n == 2} == set(inline)
+        predicted = {e: ids for n, e, ids in times if n == 1}
+        assert all(ids != predicted[e] for n, e, ids in times if n == 2)
+        assert all(dict((e, g) for e, g, _ in dry)[e] != g for e, g, _ in ran if e in inline)
+
+    @needs_two_cpus
     @pytest.mark.parametrize("sampler", ["adaptive", "halving"])
     def test_samplers_that_read_feedback_fork_one_helper(self, sampler, monkeypatch):
         pids = fork_pids(monkeypatch)
