@@ -44,8 +44,8 @@ def cmd_run(args) -> int:
             status = "failed" if t.failed else "ok"
             print(f"seed={sr.seed} trial={t.trial_index} config={t.config_id} "
                   f"objective={t.objective:.6g} accuracy={t.accuracy:.4f} [{status}]")
-        print(f"seed={sr.seed} best config={sr.best['config_id']} "
-              f"accuracy={sr.best['accuracy']:.4f} makespan={sr.makespan:.2f}")
+        print(f"seed={sr.seed} best config={sr.best.config_id} "
+              f"accuracy={sr.best.accuracy:.4f} makespan={sr.makespan:.2f}")
     paths = runner.emit_metrics(report, out_dir)
     for name in sorted(paths):
         print(f"wrote {paths[name]}")

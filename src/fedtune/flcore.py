@@ -309,6 +309,12 @@ def _score(spec: ModelSpec, w: WeightVector, sets: list[Dataset]):
     return models.evaluate_stack(spec, values, [(s.features, s.labels) for s in sets])
 
 
+def _non_finite(what: str, hp: HpConfig, round_index: int) -> NumericDivergenceError:
+    return NumericDivergenceError(
+        f"config {hp.config_id} diverged in round {round_index}: non-finite {what}",
+        round_index=round_index, config_id=hp.config_id)
+
+
 def run_trial(
     hp: HpConfig,
     budget_rounds: int,
@@ -348,10 +354,11 @@ def run_trial(
     stop; a resumed trial makes the call its previous round left pending.
     patience > 0 stops early after that many cadence evaluations without
     improvement of the global validation loss. A diverging round ends the
-    trial: failure holds its NumericDivergenceError, config the diverging
-    config, objective inf, and sim_time every pass run, the diverging one
-    included; there is no trace or weights. Otherwise config is the config
-    that trained the final weights.
+    trial, and so does a server loss or an objective that is not finite:
+    failure holds its NumericDivergenceError, naming the round, config the
+    diverging config, objective inf, and sim_time every pass run, the
+    diverging one included; there is no trace or weights. Otherwise config
+    is the config that trained the final weights.
 
     The final weights are scored on the cohort's validation splits in one
     models.evaluate_stack call and on its test splits in another.
@@ -367,6 +374,10 @@ def run_trial(
         return resume
     r = replace(resume, objective=np.inf, test_accuracy=0.0, trace=list(resume.trace))
     state = RoundState(r.last_round + 1, r.final_weights, r.config)
+
+    def diverged(err):
+        return TrialResult(state.current_hp, np.inf, 0.0, sim_time=r.sim_time, failure=err)
+
     while not r.stopped and state.round_index <= budget_rounds:
         j = state.round_index
         reused = None
@@ -380,14 +391,15 @@ def run_trial(
                     state, cohort, world, trial_index, j == budget_rounds
                     or patience > 0 and j % world.eval_cadence == 0)
             except NumericDivergenceError as err:
-                return TrialResult(state.current_hp, np.inf, 0.0, sim_time=r.sim_time,
-                                   failure=err)
+                return diverged(err)
         else:
             new_global, r.local_losses = reused
             state = RoundState(j + 1, new_global, state.current_hp)
         if j % world.eval_cadence == 0:
             gl, gacc = models.evaluate(spec, state.global_weights,
                                        world.val_set.features, world.val_set.labels)
+            if not np.isfinite(gl):
+                return diverged(_non_finite("server validation loss", state.current_hp, j))
             r.global_loss = gl
             r.trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": r.sim_time})
             if patience > 0:
@@ -404,6 +416,8 @@ def run_trial(
         losses, _ = _score(spec, r.final_weights, [c.shard.val for c in val_members])
         r.objective = weighted_objective(
             [(vl, len(c.shard.train)) for vl, c in zip(losses.tolist(), val_members)])
+        if not np.isfinite(r.objective):
+            return diverged(_non_finite("objective", r.config, r.last_round))
     if test_members:
         _, accs = _score(spec, r.final_weights, [c.shard.test for c in test_members])
         r.test_accuracy = weighted_objective(

@@ -49,9 +49,6 @@ class ModelSpec:
         d, h, c = self.input_dim, self.hidden_dim, self.num_classes
         return [(d, c)] if self.kind == LOGISTIC else [(d, h), (h, c)]
 
-    def num_params(self) -> int:
-        return sum(fan_in * fan_out + fan_out for fan_in, fan_out in self.layers)
-
 
 @dataclass
 class WeightVector:

@@ -5,7 +5,7 @@ import ctypes
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -15,28 +15,43 @@ from .config import ExperimentConfig
 from .flcore import ExperimentWorld
 from .hpo import FeedbackRecord, FeedbackStore, combine_feedback
 
-HP_COLUMNS = tuple(hpo.HP_TYPES)
-
 
 @dataclass
 class TrialRow:
+    """One HP evaluation, and the one schema of every output file (entry)."""
+
     seed: int
     sampler: str
     trial_index: int
     group_id: int
     config_id: str
-    hp_values: dict
+    hp: dict
     objective: float
     accuracy: float
     sim_time: float
     trace: list = field(default_factory=list)
     failed: bool = False
 
+    def entry(self) -> dict:
+        """This row's report.json trial: every field but trace, trial_index as
+        "trial" and an infinite objective as "inf". Its BEST_KEYS are
+        report.json's best, and its TRIALS_COLUMNS, hp flattened, its
+        trials.csv row."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("trial_index", "trace")}
+        inf = math.isinf(self.objective)
+        return {**out, "trial": self.trial_index, "objective": "inf" if inf else self.objective}
+
+
+BEST_KEYS = ("config_id", "hp", "objective", "accuracy", "trial")
+TRIALS_COLUMNS = ("seed", "sampler", "trial", "config_id", *hpo.HP_TYPES, "objective",
+                  "accuracy")
+
 
 @dataclass
 class SeedReport:
     seed: int
-    best: dict
+    best: TrialRow  # one of trials, as _run_seed chose it
     trials: list[TrialRow]
     events: list
     makespan: float
@@ -55,31 +70,13 @@ class ExperimentReport:
             "seeds": [
                 {
                     "seed": sr.seed,
-                    "best": sr.best,
+                    "best": {k: v for k, v in sr.best.entry().items() if k in BEST_KEYS},
                     "makespan": sr.makespan,
-                    "trials": [
-                        {
-                            "seed": t.seed,
-                            "sampler": t.sampler,
-                            "trial": t.trial_index,
-                            "group_id": t.group_id,
-                            "config_id": t.config_id,
-                            "hp": t.hp_values,
-                            "objective": _jsonable(t.objective),
-                            "accuracy": t.accuracy,
-                            "sim_time": t.sim_time,
-                            "failed": t.failed,
-                        }
-                        for t in sr.trials
-                    ],
+                    "trials": [t.entry() for t in sr.trials],
                 }
                 for sr in self.per_seed
             ],
         }
-
-
-def _jsonable(x: float):
-    return "inf" if math.isinf(x) else x
 
 
 def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
@@ -167,7 +164,8 @@ def _train_probes(world, probes, global_w, ids, round_index, seed_key):
     ids from global_w under each config (flcore.train_cohort under seed_key),
     its aggregate then scored on the server validation set by
     models.evaluate in the same lane. A result is (aggregate, local losses,
-    server loss), or None for a divergence. Two or more probes are split by
+    server loss), or None for a divergence or a server loss that is not
+    finite. Two or more probes are split by
     epochs with a free world.helper (README "Lanes")."""
     args = (global_w, ids, round_index, seed_key)
     if world.helper and not world.helper.busy and len(probes) > 1:
@@ -182,8 +180,9 @@ def _train_probes(world, probes, global_w, ids, round_index, seed_key):
             out = flcore.train_cohort(world, global_w, probes[i], cohort, round_index, seed_key)
         except NumericDivergenceError:
             return None
-        return (*out, models.evaluate(world.model_spec, out[0], world.val_set.features,
-                                      world.val_set.labels)[0])
+        gl = models.evaluate(world.model_spec, out[0], world.val_set.features,
+                             world.val_set.labels)[0]
+        return (*out, gl) if math.isfinite(gl) else None
 
     return lanes.run_each(train, probes)
 
@@ -200,8 +199,9 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     trial_index, round, config_id). _train_probes trains and scores them,
     in lanes when world.helper is set (README "Lanes"), and the first error
     in probe order is raised. Each score is combined with that probe's
-    local validation losses. A probe that diverges scores +inf, so the step
-    never adopts it, and writes no record; the cycle goes on. Appends one
+    local validation losses. A probe that diverges, or whose server loss is
+    not finite, scores +inf, so the step never adopts it, and writes no
+    record; the cycle goes on. Appends one
     FeedbackRecord per finished probe to records, each with its combined
     feedback as val_loss.
     Returns (new config, extra simulated time, reused): the extra time is
@@ -298,7 +298,7 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
         trial_index=eval_index,
         group_id=group.group_id,
         config_id=final.config_id,
-        hp_values=asdict(world.train_hp(final)),
+        hp=asdict(world.train_hp(final)),
         objective=result.objective,
         accuracy=result.test_accuracy,
         sim_time=result.sim_time - (resume.sim_time if resume else 0.0),
@@ -402,16 +402,9 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
 
     ok = [o for o in outcomes if not o.row.failed] or outcomes[:1]
     best = max(ok, key=lambda o: (o.row.accuracy, -o.row.objective, -o.row.trial_index))
-    best_row = best.row
     return SeedReport(
         seed=seed,
-        best={
-            "config_id": best_row.config_id,
-            "hp": best_row.hp_values,
-            "objective": _jsonable(best_row.objective),
-            "accuracy": best_row.accuracy,
-            "trial": best_row.trial_index,
-        },
+        best=best.row,
         trials=[o.row for o in outcomes],
         events=result.events,
         makespan=result.makespan,
@@ -471,12 +464,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(config=cfg.to_dict(), per_seed=per_seed)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def prepare_output_dir(output_dir):
     """Create output_dir if needed; raise OSError unless it is writable."""
     os.makedirs(output_dir, exist_ok=True)
@@ -491,31 +478,25 @@ def emit_metrics(report: ExperimentReport, output_dir) -> dict:
         "trials.csv", "curves.csv", "report.json", "events.jsonl", "best_weights.json",
     )}
 
+    doc = report.to_dict()
     with open(paths["trials.csv"], "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["seed", "sampler", "trial", "config_id", *HP_COLUMNS,
-                         "objective", "accuracy"])
-        for sr in report.per_seed:
-            for t in sr.trials:
-                writer.writerow([
-                    t.seed, t.sampler, t.trial_index, t.config_id,
-                    *[_fmt(t.hp_values[h]) for h in HP_COLUMNS],
-                    _fmt(t.objective), _fmt(t.accuracy),
-                ])
+        writer.writerow(TRIALS_COLUMNS)
+        for seed_doc in doc["seeds"]:
+            for trial in seed_doc["trials"]:
+                cells = {**trial, **trial["hp"]}
+                writer.writerow([cells[c] for c in TRIALS_COLUMNS])
 
     with open(paths["curves.csv"], "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["seed", "sampler", "round", "accuracy", "loss"])
         for sr in report.per_seed:
-            best_trial = next(t for t in sr.trials if t.trial_index == sr.best["trial"])
-            for point in best_trial.trace:
-                writer.writerow([
-                    sr.seed, best_trial.sampler, point["round"],
-                    _fmt(point["accuracy"]), _fmt(point["loss"]),
-                ])
+            for point in sr.best.trace:
+                writer.writerow([sr.seed, sr.best.sampler, point["round"],
+                                 point["accuracy"], point["loss"]])
 
     with open(paths["report.json"], "w", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
     with open(paths["events.jsonl"], "w", newline="\n") as fh:
@@ -528,7 +509,7 @@ def emit_metrics(report: ExperimentReport, output_dir) -> dict:
         if sr.best_weights is not None:
             checkpoints[str(sr.seed)] = {
                 "layout_id": sr.best_weights.layout_id,
-                "config_id": sr.best["config_id"],
+                "config_id": sr.best.config_id,
                 "values": sr.best_weights.values.tolist(),
             }
     with open(paths["best_weights.json"], "w", newline="\n") as fh:

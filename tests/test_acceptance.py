@@ -61,7 +61,7 @@ def test_criterion_02_gradient_checks():
         spec = models.ModelSpec(kind, 3, 3, hidden_dim=hidden)
         rng = np.random.default_rng(7)
         for _ in range(100):
-            values = rng.standard_normal(spec.num_params())
+            values = rng.standard_normal(len(models.init_weights(spec, 0).values))
             x = rng.standard_normal((5, 3))
             y = rng.integers(0, 3, size=5)
             _, analytic = models.loss_and_grad(spec, values, x, y)
@@ -198,8 +198,8 @@ def test_criterion_08_adaptive_beats_random_direction():
     }
     rep_random = runner.run_experiment(config_from_dict({**base, "sampler": "random"}))
     rep_adaptive = runner.run_experiment(config_from_dict({**base, "sampler": "adaptive"}))
-    rand_best = [sr.best["accuracy"] for sr in rep_random.per_seed]
-    adapt_best = [sr.best["accuracy"] for sr in rep_adaptive.per_seed]
+    rand_best = [sr.best.accuracy for sr in rep_random.per_seed]
+    adapt_best = [sr.best.accuracy for sr in rep_adaptive.per_seed]
     median_gap = float(np.median(adapt_best) - np.median(rand_best))
     mean_gap = float(np.mean(adapt_best) - np.mean(rand_best))
     elapsed = time.time() - t0

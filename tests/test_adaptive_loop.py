@@ -289,5 +289,5 @@ def test_zero_epoch_adaptive_evaluation_takes_no_simulated_time():
     # and with rounds_per_trial <= eval_cadence no probe cycle runs, so its
     # evaluation is charged 0 simulated seconds.
     trials = runner.run_experiment(config_from_dict(TIME_ZERO_ASYNC)).per_seed[0].trials
-    assert [(t.hp_values["epochs"], t.sim_time) for t in trials[1:]] == [(0, 0.0)] * 3
-    assert trials[0].hp_values["epochs"] > 0 and trials[0].sim_time > 0
+    assert [(t.hp["epochs"], t.sim_time) for t in trials[1:]] == [(0, 0.0)] * 3
+    assert trials[0].hp["epochs"] > 0 and trials[0].sim_time > 0

@@ -596,7 +596,7 @@ class TestDivergedTrialTime:
         world = runner.build_world(cfg, 1)
         diverge_at_call(monkeypatch, 2)
         report = runner.run_experiment(cfg)
-        epochs = report.per_seed[0].trials[0].hp_values["epochs"]
+        epochs = report.per_seed[0].trials[0].hp["epochs"]
         cohort = world.cohort(ids(world))
         expected = sum(cohort_time(cohort, epochs, (1, "time", 0, j)) for j in (1, 2))
         assert expected > 0
@@ -646,6 +646,73 @@ class TestDivergedTrialTime:
         assert sr.makespan == feedback[1].sim_time
         promoted = next(t for t in sr.trials if t.sim_time == 0.0)
         assert promoted.failed and all(t.failed for t in sr.trials)
+
+
+def scaled_resume(seed, factor, cadence=1):
+    """A world and an epochs-0 config, with a one-round trial of that config
+    whose weights are scaled by factor: every later round keeps them."""
+    world = make_world(n_clients=3, cadence=cadence, seed=seed)
+    hp = hp_config(epochs=0)
+    first = run_trial(hp, 1, world)
+    w = first.final_weights
+    return world, hp, dataclasses.replace(
+        first, final_weights=WeightVector(w.values * factor, w.layout_id))
+
+
+class TestNonFiniteScores:
+    """A trial whose weights stay finite but score a non-finite server loss
+    or objective fails as a divergence; the run goes on."""
+
+    def test_non_finite_server_loss_fails_the_trial(self):
+        world, hp, huge = scaled_resume(19, 5.948892077934136e307)
+        assert np.isnan(models.evaluate(world.model_spec, huge.final_weights,
+                                        world.val_set.features, world.val_set.labels)[0])
+        result = run_trial(hp, 2, world, resume=huge)
+        err = result.failure
+        assert str(err) == f"config {hp.config_id} diverged in round 2: " \
+                           "non-finite server validation loss"
+        assert (err.client_id, err.round_index, err.config_id) == (None, 2, hp.config_id)
+        assert (result.config, result.objective, result.trace) == (hp, np.inf, [])
+        assert result.final_weights is None
+        cfg = {"sampler": "random", "early_stop_patience": 0}
+        group = sched.ClientGroup(0, ids(world))
+        outcome = runner._run_one_eval(cfg, world, group, hp, 0, 19, (0, 2, None), huge)
+        assert outcome.row.failed and outcome.row.objective == np.inf
+        assert outcome.row.entry()["objective"] == "inf" and outcome.records == []
+
+    def test_probe_with_a_non_finite_server_loss_scores_inf_and_writes_no_record(self):
+        world, hp, huge = scaled_resume(19, 5.948892077934136e307)
+        space = hpo.default_search_space()
+        walk = hpo.AdaptiveSampler(space, ["learning_rate"], 0.0, 0, 1, 2)
+        state = RoundState(2, huge.final_weights, hp)
+        cohort = world.cohort(ids(world))
+        probes = walk.probes(hp)
+        assert len(probes) > 1
+        records = []
+        new, _, reused = runner.run_probe_cycle(state, cohort, world, 0, walk, records)
+        assert (new, records, reused) == (hp, [], None)
+        cfg = {"sampler": "adaptive", "early_stop_patience": 0}
+        group = sched.ClientGroup(0, ids(world))
+        walk = hpo.AdaptiveSampler(space, ["learning_rate"], 0.0, 0, 1, 2)
+        outcome = runner._run_one_eval(cfg, world, group, hp, 0, 19, (0, 2, walk), huge)
+        assert outcome.row.failed and outcome.row.objective == np.inf
+        assert outcome.result.failure.round_index == 2 and outcome.records == []
+
+    def test_infinite_server_loss_fails_the_row_it_used_to_pass(self):
+        world, hp, huge = scaled_resume(0, 5.49e306)
+        cfg = {"sampler": "random", "early_stop_patience": 0}
+        group = sched.ClientGroup(0, ids(world))
+        outcome = runner._run_one_eval(cfg, world, group, hp, 0, 0, (0, 2, None), huge)
+        assert outcome.row.failed and outcome.row.objective == np.inf
+        assert "round 2: non-finite server validation loss" in str(outcome.result.failure)
+
+    def test_infinite_objective_off_cadence_fails_the_trial(self):
+        # round 2 of cadence 5 scores no server loss, only the objective
+        world, hp, huge = scaled_resume(0, 5.49e306, cadence=5)
+        result = run_trial(hp, 2, world, resume=huge)
+        assert str(result.failure) == f"config {hp.config_id} diverged in round 2: " \
+                                      "non-finite objective"
+        assert (result.objective, result.trace, result.last_round) == (np.inf, [], 0)
 
 
 def mlp_world(**kw):

@@ -46,7 +46,7 @@ class TestInitWeights:
         assert np.all(np.isfinite(w.values))
         # every entry within the largest fan-in bound
         assert np.max(np.abs(w.values)) <= 1.0 / np.sqrt(4) + 1e-12
-        assert len(w.values) == spec.num_params()
+        assert len(w.values) == 4 * 8 + 8 + 8 * 3 + 3  # two matrices, two biases
 
     @pytest.mark.parametrize("spec,digests", [
         (ModelSpec("logistic", 6, 4),
@@ -123,7 +123,7 @@ class TestLocalTrain:
     def test_weight_decay_contracts_on_degenerate_input(self):
         # constant zero features give zero data gradient for the weight matrix
         spec = ModelSpec("logistic", 4, 2)
-        w = WeightVector(np.ones(spec.num_params()), spec.layout_id)
+        w = WeightVector(np.ones(len(models.init_weights(spec, 0).values)), spec.layout_id)
         x = np.zeros((10, 4))
         y = np.array([0, 1] * 5)
         out, _ = models.local_train(
@@ -447,7 +447,7 @@ class TestEvaluate:
 
     def test_uniform_logits_tie_break_lowest_class(self):
         spec = ModelSpec("logistic", 4, 2)
-        w = WeightVector(np.zeros(spec.num_params()), spec.layout_id)
+        w = WeightVector(np.zeros(len(models.init_weights(spec, 0).values)), spec.layout_id)
         x = np.ones((10, 4))
         y = np.array([0] * 5 + [1] * 5)
         _, acc = models.evaluate(spec, w, x, y)
@@ -466,7 +466,7 @@ class TestEvaluate:
     def test_overflow_scores_non_finite_without_warning(self):
         x, y = make_blob(6)
         spec = ModelSpec("logistic", 4, 2)
-        values = np.full((1, spec.num_params()), 1e200)
+        values = np.full((1, len(models.init_weights(spec, 0).values)), 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             losses, _ = models.evaluate_stack(spec, values, [(x * 1e110, y)])
@@ -540,7 +540,7 @@ def test_gradient_matches_finite_differences(kind, hidden):
     spec = ModelSpec(kind, 3, 3, hidden_dim=hidden)
     rng = np.random.default_rng(42)
     for _ in range(20):
-        values = rng.standard_normal(spec.num_params())
+        values = rng.standard_normal(len(models.init_weights(spec, 0).values))
         x = rng.standard_normal((6, 3))
         y = rng.integers(0, 3, size=6)
         _, analytic = models.loss_and_grad(spec, values, x, y)
@@ -552,7 +552,7 @@ def test_gradient_matches_finite_differences(kind, hidden):
 @pytest.mark.parametrize("spec", [ModelSpec("logistic", 3, 4), ModelSpec("mlp", 3, 4, hidden_dim=5)])
 def test_gradient_only_call_returns_the_default_calls_gradient_bytes(spec):
     rng = np.random.default_rng(7)
-    values = rng.standard_normal((5, spec.num_params()))
+    values = rng.standard_normal((5, len(models.init_weights(spec, 0).values)))
     x = rng.standard_normal((5, 8, 3))
     y = rng.integers(0, 4, size=(5, 8))
     y[1, 5:] = -1  # padding rows
