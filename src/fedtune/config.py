@@ -1,6 +1,7 @@
 """Experiment configuration: YAML loading, validation and CLI overrides."""
 
 import copy
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -102,19 +103,20 @@ def _num(value, field_name: str, kind=float):
     """value as kind (int or float); anything else is an error naming the field.
 
     No field takes a bool, since float() would read True as 1.0 and int()
-    as 1, and an int field takes only a whole number, since int() would
-    read 2.7 as 2.
+    as 1, an int field takes only a whole number, since int() would read
+    2.7 as 2, and no field takes an infinity or a NaN.
     """
     try:
         number = float(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{field_name}: must be a number") from None
+    _require(math.isfinite(number), field_name, "must be finite")
     if kind is float:
         _require(not isinstance(value, bool), field_name, "must be a number")
         return number
     try:
         whole = int(value)
-    except (ValueError, OverflowError):  # "2.5", inf, nan
+    except ValueError:  # "2.5"
         whole = None
     _require(whole == number and not isinstance(value, bool), field_name,
              "must be an integer")

@@ -22,6 +22,7 @@ from .models import TrainHp
 SCALES = ("log10", "log_e", "linear", "pow2")
 # The tunable hyperparameters and their types (int or float) are TrainHp's fields.
 HP_TYPES = {f.name: f.type for f in fields(TrainHp)}
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,12 @@ class HpDim:
     """One hyperparameter domain and its low-fidelity grid.
 
     The grid is built once, at construction, into `points`: all admissible
-    values from low to high. Multiplicative scales step by the given factor
-    (log10 -> x10, log_e -> xe, pow2 -> x2); linear scales step
-    arithmetically. The grid always contains `low` and never exceeds
-    `high`. A grid is integer when its hyperparameter's TrainHp field is
-    int: it rounds its points and keeps each whole number once, in order.
+    values from finite low to finite high, at most MAX_GRID_POINTS of them.
+    Multiplicative scales step by the given factor (log10 -> x10, log_e ->
+    xe, pow2 -> x2); linear scales step arithmetically. The grid always
+    contains `low` and never exceeds `high`. A grid is integer when its
+    hyperparameter's TrainHp field is int: it rounds its points and keeps
+    each whole number once, in order.
     """
 
     name: str
@@ -46,6 +48,8 @@ class HpDim:
     def __post_init__(self):
         if self.scale not in SCALES:
             raise ConfigurationError(f"{self.name}: unknown scale {self.scale!r}")
+        if not all(map(math.isfinite, (self.low, self.high, self.step))):
+            raise ConfigurationError(f"{self.name}: low, high and step must be finite")
         if not self.low < self.high:
             raise ConfigurationError(f"{self.name}: low must be < high")
         if self.step <= 0:
@@ -54,24 +58,25 @@ class HpDim:
             raise ConfigurationError(f"{self.name}: log scales need low > 0")
         vals = []
         if self.scale == "linear":
-            k = 0
-            while True:
+            for k in range(MAX_GRID_POINTS + 1):
                 x = self.low + k * self.step
                 if x > self.high * (1 + 1e-12) + 1e-12:
                     break
                 vals.append(round(x, 12))
-                k += 1
         else:
             # multiplicative scales: step is the per-point factor
             if self.step <= 1:
                 raise ConfigurationError(f"{self.name}: multiplicative step must be > 1")
-            k = 0
-            while True:
-                x = self.low * self.step**k
+            for k in range(MAX_GRID_POINTS + 1):
+                try:
+                    x = self.low * self.step**k
+                except OverflowError:  # above any finite high
+                    break
                 if x > self.high * (1 + 1e-9):
                     break
                 vals.append(x)
-                k += 1
+        if len(vals) > MAX_GRID_POINTS:
+            raise ConfigurationError(f"{self.name}: grid has more than {MAX_GRID_POINTS} points")
         if HP_TYPES.get(self.name) is int:
             vals = dict.fromkeys(int(round(v)) for v in vals)
         object.__setattr__(self, "points", tuple(vals))
@@ -237,59 +242,19 @@ def probe_target_of(current: HpConfig, probe: HpConfig) -> str | None:
     return diff[0] if diff else None
 
 
-def suggest_adaptive(
-    space: SearchSpace,
-    current: HpConfig,
-    latest_probe_results,
-    tuned,
-    epsilon: float = 0.0,
-    rng=None,
-) -> HpConfig:
-    """Coordinate-descent move from the latest probe feedback only.
-
-    For each tuned HP independently the neighbor's value is adopted when
-    its combined feedback is strictly lower than the current config's.
-    With probability epsilon one tuned HP is replaced by a uniform grid
-    draw. Every value is a grid point: the current config's, a probe
-    neighbor's or a grid draw.
-    """
-    if not latest_probe_results:
-        return current
-    cur_combined = None
-    for cfg, comb in latest_probe_results:
-        if cfg.config_id == current.config_id:
-            cur_combined = comb
-    if cur_combined is None:
-        return current
-    values = dict(current.values)
-    for cfg, comb in latest_probe_results:
-        if cfg.config_id == current.config_id:
-            continue
-        name = probe_target_of(current, cfg)
-        if name is None or name not in tuned:
-            continue
-        if comb < cur_combined:
-            values[name] = cfg.values[name]
-    if epsilon > 0 and rng is not None and tuned and rng.random() < epsilon:
-        name = tuned[int(rng.integers(len(tuned)))]
-        points = space[name].points
-        values[name] = points[int(rng.integers(len(points)))]
-    return HpConfig(values)
-
-
 class RandomSampler:
     """Stateless random search, and the sampler protocol's defaults.
 
-    The runner drives every sampler through num_evals, start_config(e,
-    store), plan(e, config) -> (trial key, round budget, walk or None) and
+    The runner drives every sampler through num_evals, start_config(e),
+    plan(e, config) -> (trial key, round budget, walk or None) and
     commit(outcome), which takes evaluation e's runner.EvalOutcome at its
-    simulated finish. Evaluation e continues the latest committed evaluation
-    of its trial key, if any; the report has one row per key. A sampler is
-    feedback_free when it reads no feedback: neither the store nor commit
-    changes a config or plan, and no trial key repeats, so its evaluations
-    can run ahead of dispatch (README "Lanes"). Random search reads no
-    feedback: the key is e, and e's config depends only on (seed, e), not
-    on scheduling.
+    simulated finish and records its feedback records into the sampler's
+    own store, in order, before anything else. Evaluation e continues the
+    latest committed evaluation of its trial key, if any; the report has one
+    row per key. A sampler is feedback_free when no commit changes a later
+    config or plan and no trial key repeats, so its evaluations can run
+    ahead of dispatch (README "Lanes"). Random search reads no feedback: the
+    key is e, and e's config depends only on (seed, e), not on scheduling.
     """
 
     feedback_free = True
@@ -299,22 +264,25 @@ class RandomSampler:
         self.seed = seed
         self.num_evals = num_evals
         self.rounds_per_trial = rounds_per_trial
+        self.store = FeedbackStore()
 
-    def start_config(self, eval_index: int, store: FeedbackStore) -> HpConfig:
+    def start_config(self, eval_index: int) -> HpConfig:
         return suggest_random(self.space, derive_seed(self.seed, "rand-cfg", eval_index))
 
     def plan(self, eval_index: int, config: HpConfig) -> tuple:
         return eval_index, self.rounds_per_trial, None
 
     def commit(self, outcome):
-        pass
+        """Record a finished evaluation's feedback records into the store."""
+        for rec in outcome.records:
+            self.store.record(rec)
 
 
 class AdaptiveSampler(RandomSampler):
     """Step-wise adaptive sampler with per-HP neighbor probes.
 
     New evaluations start from the incumbent (lowest running-mean
-    combined feedback seen so far); within an evaluation the config moves
+    combined feedback in its store); within an evaluation the config moves
     by coordinate descent on the latest probe results. A per-HP direction
     memory biases the next probe toward the last accepted improvement.
     An evaluation moves its own walk(), which explores with an rng keyed by
@@ -332,11 +300,11 @@ class AdaptiveSampler(RandomSampler):
         self.directions: dict[str, int] = {}
         self._seen: dict[str, HpConfig] = {}
 
-    def start_config(self, eval_index: int, store: FeedbackStore) -> HpConfig:
+    def start_config(self, eval_index: int) -> HpConfig:
         best, best_mean = None, math.inf
         for cid, cfg in self._seen.items():
-            if store.count(cid) > 0 and store.mean(cid) < best_mean:
-                best, best_mean = cfg, store.mean(cid)
+            if self.store.count(cid) > 0 and self.store.mean(cid) < best_mean:
+                best, best_mean = cfg, self.store.mean(cid)
         if best is None:
             best = suggest_random(self.space, derive_seed(self.seed, "start", eval_index))
         return best
@@ -355,7 +323,8 @@ class AdaptiveSampler(RandomSampler):
         return eval_index, self.rounds_per_trial, self.walk(eval_index, config)
 
     def commit(self, outcome):
-        """Merge a finished evaluation's walk: its direction changes and visited configs."""
+        """Record a finished evaluation's feedback, then merge its walk's moves and configs."""
+        super().commit(outcome)
         self.directions.update(outcome.walk.directions.maps[0])
         self._seen.update(outcome.walk._seen)
 
@@ -363,15 +332,31 @@ class AdaptiveSampler(RandomSampler):
         return probe_set(self.space, current, self.tuned, self.directions)
 
     def step(self, current: HpConfig, probe_results) -> HpConfig:
-        new = suggest_adaptive(
-            self.space, current, probe_results, self.tuned, self.epsilon, self.rng
-        )
+        """Coordinate-descent move from the latest probe feedback only.
+
+        probe_results pairs every probe of current (probes(current), current
+        included) with its combined feedback. Each tuned HP independently
+        adopts its neighbor's value when the neighbor's feedback is strictly
+        lower than current's. With probability epsilon one tuned HP is then
+        replaced by a uniform grid draw. Every value is a grid point, and
+        each tuned HP that moved turns its direction memory the way it moved.
+        """
+        cur_combined = next(comb for cfg, comb in probe_results if cfg == current)
+        values = dict(current.values)
+        for cfg, comb in probe_results:
+            name = probe_target_of(current, cfg)
+            if name in self.tuned and comb < cur_combined:
+                values[name] = cfg.values[name]
+        if self.epsilon > 0 and self.tuned and self.rng.random() < self.epsilon:
+            name = self.tuned[int(self.rng.integers(len(self.tuned)))]
+            points = self.space[name].points
+            values[name] = points[int(self.rng.integers(len(points)))]
         for name in self.tuned:
-            if new.values[name] != current.values[name]:
-                dim = self.space[name]
-                delta = grid_index(dim, new.values[name]) - grid_index(dim, current.values[name])
-                if delta != 0:
-                    self.directions[name] = 1 if delta > 0 else -1
+            dim = self.space[name]
+            delta = grid_index(dim, values[name]) - grid_index(dim, current.values[name])
+            if delta:
+                self.directions[name] = 1 if delta > 0 else -1
+        new = HpConfig(values)
         self._seen[new.config_id] = new
         return new
 
@@ -427,7 +412,7 @@ class HalvingSampler(RandomSampler):
         self._survivors = list(range(n_configs))  # positions in configs
         self._scored: list[tuple[float, str, int]] = []  # (objective, config_id, position)
 
-    def start_config(self, eval_index: int, store: FeedbackStore) -> HpConfig:
+    def start_config(self, eval_index: int) -> HpConfig:
         rung, i = self._slots[eval_index]
         if rung > 0 and i == 0:
             if len(self._scored) != len(self._survivors):
@@ -443,6 +428,7 @@ class HalvingSampler(RandomSampler):
         return self._survivors[i], self.rungs[rung][1], None
 
     def commit(self, outcome):
-        """Score a finished evaluation of the current rung at its position."""
+        """Record a finished evaluation's feedback, then score it at its rung position."""
+        super().commit(outcome)
         pos = outcome.trial_key
         self._scored.append((outcome.row.objective, self.configs[pos].config_id, pos))

@@ -13,7 +13,7 @@ from . import data, flcore, hpo, lanes, models, sched
 from .common import ConfigurationError, NumericDivergenceError, derive_seed
 from .config import ExperimentConfig
 from .flcore import ExperimentWorld
-from .hpo import FeedbackRecord, FeedbackStore, combine_feedback
+from .hpo import FeedbackRecord, combine_feedback
 
 
 @dataclass
@@ -322,7 +322,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     issues = {}
 
     def issue(group, e):
-        issues[e] = group, sampler.start_config(e, FeedbackStore())
+        issues[e] = group, sampler.start_config(e)
         return issues[e][1]
 
     def predict(group, config, e):
@@ -359,7 +359,6 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
     passes and probe cycles with one helper (README "Lanes")."""
     world = build_world(cfg, seed)
     space = cfg.search_space()
-    store = FeedbackStore()
     n, rounds = int(cfg["budget_configs"]), int(cfg["rounds_per_trial"])
     sampler = {  # the one place that names a sampler
         "random": lambda: hpo.RandomSampler(space, derive_seed(seed, "sampler"), n, rounds),
@@ -371,9 +370,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
     committed: dict[int, EvalOutcome] = {}  # trial key -> its latest committed evaluation
 
     def commit(outcome: EvalOutcome):
-        """Apply an evaluation's effects; runs at its simulated finish."""
-        for rec in outcome.records:
-            store.record(rec)
+        """Tell the sampler an evaluation's outcome; runs at its simulated finish."""
         sampler.commit(outcome)
         committed[outcome.trial_key] = outcome
 
@@ -394,7 +391,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
     with lanes.helpers(_world_server(world), split_lanes) as started:
         world.helper = started[0] if started else None
         result = sched.dispatch(groups, sampler.num_evals,
-                                lambda group, e: sampler.start_config(e, store), run_eval)
+                                lambda group, e: sampler.start_config(e), run_eval)
     # One row per trial key, in key order, numbered 0..n-1.
     outcomes = [committed[k] for k in sorted(committed)]
     for i, o in enumerate(outcomes):
@@ -409,7 +406,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
         events=result.events,
         makespan=result.makespan,
         best_weights=best.result.final_weights,
-        feedback_history=list(store.history),
+        feedback_history=sampler.store.history,
     )
 
 

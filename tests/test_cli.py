@@ -2,11 +2,14 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import fedtune
 from fedtune import cli, flcore, hpo, runner
 from fedtune.common import ConfigurationError
 from fedtune.config import config_from_dict, load_config
@@ -38,6 +41,47 @@ LR_DIM = {"name": "learning_rate", "scale": "log10", "low": 1e-4, "high": 1e-1, 
 # The fields that take only a whole number; every other number field takes a float.
 INT_FIELDS = {"n_clients", "rounds_per_trial", "budget_configs", "dataset.n",
               "model.hidden_dim", "hp_defaults.batch_size", "hp_defaults.epochs"}
+
+
+# An override for each field that takes a number, "@" standing for the value.
+NUMBER_OVERRIDES = {
+    "alpha": "alpha=@", "epsilon": "epsilon=@", "server_val_fraction": "server_val_fraction=@",
+    "n_clients": "n_clients=@", "rounds_per_trial": "rounds_per_trial=@",
+    "split": "split=[@, 0.5, 0.5]",
+    "dataset.class_sep": "dataset.class_sep=@", "dataset.n": "dataset.n=@",
+    "grouping.window": "grouping.window=@", "latency.base_min": "latency.base_min=@",
+    "latency.base_max": "latency.base_max=@", "latency.jitter_sigma": "latency.jitter_sigma=@",
+    "hp_defaults.learning_rate": "hp_defaults.learning_rate=@",
+    "hp_defaults.epochs": "hp_defaults.epochs=@",
+    "search_space.low": "search_space=[{name: dropout, scale: linear, low: @, high: 0.5, "
+                        "step: 0.2}]",
+    "search_space.high": "search_space=[{name: dropout, scale: linear, low: 0.1, high: @, "
+                         "step: 0.2}]",
+    "search_space.step": "search_space=[{name: dropout, scale: linear, low: 0.1, high: 0.5, "
+                         "step: @}]",
+}
+# Grid entries whose points run without end, or overflow, unless validation stops them.
+RUNAWAY_GRIDS = [
+    ("{name: dropout, scale: linear, low: 0.1, high: .inf, step: 0.2}",
+     "search_space.high: must be finite"),
+    ("{name: dropout, scale: linear, low: -.inf, high: 0.5, step: 0.2}",
+     "search_space.low: must be finite"),
+    ("{name: learning_rate, scale: linear, low: 0, high: 1.0e+9, step: 1.0e-3}",
+     "search_space.learning_rate: grid has more than 10000 points"),
+    ("{name: learning_rate, scale: log10, low: 0.001, high: .inf, step: 10}",
+     "search_space.high: must be finite"),
+]
+# A child process that runs the CLI under a 2 GiB address-space limit.
+LIMITED_CLI = """
+import sys
+try:
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+except (ImportError, ValueError, OSError):
+    pass
+from fedtune import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 def expected_kind(field, value):
@@ -238,6 +282,28 @@ class TestCliCommands:
         code = cli.main([command, config_path, "--set", "split=[1.5, -0.5, 0.0]"])
         assert code == cli.EXIT_CONFIG
         assert "config error: split: fractions must be in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+    @pytest.mark.parametrize("field", sorted(NUMBER_OVERRIDES))
+    def test_non_finite_number_exit_code(self, config_path, capsys, field, value):
+        override = NUMBER_OVERRIDES[field].replace("@", value)
+        for command in ("validate", "run"):  # run stops before it computes anything
+            assert cli.main([command, config_path, "--set", override, "--set", "tuned=[]"]) \
+                == cli.EXIT_CONFIG
+            assert f"config error: {field}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid,message", RUNAWAY_GRIDS,
+                             ids=["inf-high", "inf-low", "10^12-points", "log-inf-high"])
+    def test_runaway_grid_exit_code(self, config_path, grid, message):
+        src = os.path.dirname(os.path.dirname(fedtune.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_CLI, "validate", config_path,
+             "--set", f"search_space=[{grid}]", "--set", "tuned=[]"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert f"config error: {message}" in proc.stderr
 
     @pytest.mark.parametrize("fraction", ["0", "0.001"])
     def test_empty_server_val_set_fails_before_training(self, config_path, capsys,

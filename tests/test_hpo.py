@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedtune import hpo
-from fedtune.common import FeedbackError
+from fedtune.common import ConfigurationError, FeedbackError
 from fedtune.config import config_from_dict
 from fedtune.hpo import (
     AdaptiveSampler,
@@ -17,7 +17,6 @@ from fedtune.hpo import (
     default_search_space,
     halving_rungs,
     probe_set,
-    suggest_adaptive,
     suggest_random,
 )
 from fedtune.sched import ClientGroup, dispatch
@@ -37,9 +36,27 @@ def feedback(config_id, combined):
     return hpo.FeedbackRecord(config_id, 0, "global", combined, combined)
 
 
-def finished(trial_key, objective):
+def finished(trial_key, objective, records=()):
     """The parts of a runner.EvalOutcome that HalvingSampler.commit reads."""
-    return SimpleNamespace(trial_key=trial_key, row=SimpleNamespace(objective=objective))
+    return SimpleNamespace(trial_key=trial_key, row=SimpleNamespace(objective=objective),
+                           records=list(records))
+
+
+def adaptive(tuned, epsilon=0.0, seed=0):
+    return AdaptiveSampler(SPACE, tuned, epsilon=epsilon, seed=seed, num_evals=1,
+                           rounds_per_trial=1)
+
+
+class SpyStore(FeedbackStore):
+    """A FeedbackStore that notes, at each record, what seen() returns then."""
+
+    def __init__(self, seen):
+        super().__init__()
+        self.seen, self.states = seen, []
+
+    def record(self, rec):
+        self.states.append(self.seen())
+        super().record(rec)
 
 
 class TestGrid:
@@ -83,6 +100,24 @@ class TestGrid:
             return [(d.name, [(type(p), p) for p in d.points]) for d in space.dims]
 
         assert typed_points(custom) == typed_points(SPACE)
+
+    @pytest.mark.parametrize("bounds", [(0.1, math.inf, 0.2), (-math.inf, 0.5, 0.2),
+                                        (0.1, 0.5, math.inf), (math.nan, 0.5, 0.2)])
+    def test_non_finite_bound_rejected(self, bounds):
+        with pytest.raises(ConfigurationError,
+                           match="^dropout: low, high and step must be finite$"):
+            HpDim("dropout", "linear", *bounds)
+
+    def test_grid_holds_at_most_ten_thousand_points(self):
+        assert len(HpDim("weight_decay", "linear", 0.0, 0.9999, 1e-4).points) == 10_000
+        with pytest.raises(ConfigurationError,
+                           match="^weight_decay: grid has more than 10000 points$"):
+            HpDim("weight_decay", "linear", 0.0, 1.9999, 1e-4)  # 20,000 points
+        with pytest.raises(ConfigurationError, match="grid has more than 10000 points"):
+            HpDim("weight_decay", "log10", 1.0, 1e300, 1.01)
+
+    def test_multiplicative_grid_stops_at_overflow(self):
+        assert HpDim("learning_rate", "log10", 1.0, 1e300, 1e200).points == (1.0, 1e200)
 
     def test_integer_grid_keeps_each_whole_number_once(self):
         assert list(HpDim("epochs", "linear", 0, 1, 0.25).points) == [0, 1]
@@ -195,57 +230,78 @@ class TestFeedbackStore:
         assert abs(store.mean("x") - float(np.sum(vals) / 1000)) < 1e-12
 
 
-class TestSuggestAdaptive:
-    def probes_with(self, cur, tuned, losses):
-        probes = probe_set(SPACE, cur, tuned)
-        return list(zip(probes, losses))
-
-    def test_no_improving_move_keeps_current(self):
-        cur = config_at()
-        results = self.probes_with(cur, ["learning_rate", "epochs"], [0.5, 0.9, 0.9])
-        assert suggest_adaptive(SPACE, cur, results, ["learning_rate", "epochs"]) == cur
-
-    def test_per_coordinate_rule(self):
-        cur = config_at()
-        tuned = ["learning_rate", "weight_decay"]
-        results = self.probes_with(cur, tuned, [0.5, 0.2, 0.9])
-        out = suggest_adaptive(SPACE, cur, results, tuned)
-        assert out.values["learning_rate"] != cur.values["learning_rate"]
-        assert out.values["weight_decay"] == cur.values["weight_decay"]
-
-    def test_empty_results_returns_current(self):
-        cur = config_at()
-        assert suggest_adaptive(SPACE, cur, [], ["learning_rate"]) == cur
+class TestAdaptiveStep:
+    @pytest.mark.parametrize("at,tuned,losses,moved", [
+        # no neighbor is strictly better: the config and the directions stay
+        ({}, ["learning_rate", "epochs"], [0.5, 0.9, 0.9], {}),
+        ({}, ["learning_rate", "epochs"], [0.5, 0.5, 0.5], {}),
+        # each tuned HP moves on its own probe's feedback alone
+        ({}, ["learning_rate", "weight_decay"], [0.5, 0.2, 0.9], {"learning_rate": 1}),
+        ({}, ["learning_rate", "epochs"], [0.5, 0.1, 0.05],
+         {"learning_rate": 1, "epochs": 1}),
+        # at the top of its grid the probe, and so the move, goes down
+        ({"learning_rate": 1e-1}, ["learning_rate", "epochs"], [0.5, 0.2, 0.9],
+         {"learning_rate": -1}),
+    ], ids=["no-improvement", "tie", "per-coordinate", "both-move", "downward"])
+    def test_per_coordinate_rule_and_direction_memory(self, at, tuned, losses, moved):
+        cur = config_at(**at)
+        sampler = adaptive(tuned)
+        probes = sampler.probes(cur)
+        new = sampler.step(cur, list(zip(probes, losses)))
+        expected = dict(cur.values)
+        for p, name in zip(probes[1:], tuned):
+            if name in moved:
+                expected[name] = p.values[name]
+        assert new == HpConfig(expected)
+        assert sampler.directions == moved
+        assert sampler._seen == {new.config_id: new}
 
     def test_deterministic_without_epsilon(self):
         cur = config_at()
         tuned = ["learning_rate", "epochs"]
-        results = self.probes_with(cur, tuned, [0.5, 0.1, 0.05])
-        a = suggest_adaptive(SPACE, cur, results, tuned, epsilon=0.0)
-        b = suggest_adaptive(SPACE, cur, results, tuned, epsilon=0.0)
+        results = list(zip(probe_set(SPACE, cur, tuned), [0.5, 0.1, 0.05]))
+        a = adaptive(tuned, seed=0).step(cur, results)
+        b = adaptive(tuned, seed=1).step(cur, results)
         assert a == b
 
-    def test_output_on_grid(self):
+    def test_output_on_grid_and_directions_follow_every_move(self):
         rng = np.random.default_rng(0)
         tuned = ["learning_rate", "weight_decay", "epochs"]
+        sampler = adaptive(tuned, epsilon=0.3, seed=3)
         for _ in range(50):
             cur = suggest_random(SPACE, rng)
-            probes = probe_set(SPACE, cur, tuned)
-            results = [(p, float(rng.uniform(0, 2))) for p in probes]
-            out = suggest_adaptive(SPACE, cur, results, tuned, epsilon=0.3, rng=rng)
+            results = [(p, float(rng.uniform(0, 2))) for p in sampler.probes(cur)]
+            before = dict(sampler.directions)
+            out = sampler.step(cur, results)
             for dim in SPACE.dims:
                 assert out.values[dim.name] in dim.points
+            for name in tuned:  # the epsilon draws included
+                dim = SPACE[name]
+                delta = (hpo.grid_index(dim, out.values[name])
+                         - hpo.grid_index(dim, cur.values[name]))
+                want = before.get(name) if delta == 0 else (1 if delta > 0 else -1)
+                assert sampler.directions.get(name) == want
+
+    def test_exploration_draw_turns_its_direction(self):
+        cur = config_at(learning_rate=1e-5)
+        sampler = adaptive(["learning_rate"], epsilon=1.0, seed=7)
+        rng = np.random.default_rng(7)
+        rng.random(), rng.integers(1)
+        drawn = SPACE["learning_rate"].points[int(rng.integers(5))]
+        probes = sampler.probes(cur)
+        new = sampler.step(cur, [(probes[0], 0.5), (probes[1], 0.9)])
+        assert new == cur.replace("learning_rate", drawn)
+        assert sampler.directions == ({} if drawn == 1e-5 else {"learning_rate": 1})
 
     def test_latest_only_contract(self):
-        # mutating older history must not change the suggestion
+        # feedback in the store must not change the step
         cur = config_at()
-        tuned = ["learning_rate"]
-        results = self.probes_with(cur, tuned, [0.5, 0.2])
-        store = FeedbackStore()
-        out1 = suggest_adaptive(SPACE, cur, results, tuned)
+        sampler = adaptive(["learning_rate"])
+        results = list(zip(sampler.probes(cur), [0.5, 0.2]))
+        out1 = sampler.step(cur, results)
         for v in (0.01, 5.0, 2.2):
-            store.record(feedback(cur.config_id, v))
-        out2 = suggest_adaptive(SPACE, cur, results, tuned)
+            sampler.store.record(feedback(cur.config_id, v))
+        out2 = sampler.step(cur, results)
         assert out1 == out2
 
 
@@ -265,13 +321,12 @@ class TestAdaptiveSampler:
     def test_start_config_prefers_incumbent(self):
         sampler = AdaptiveSampler(SPACE, ["learning_rate"], epsilon=0.0, seed=0, num_evals=2,
                                   rounds_per_trial=1)
-        store = FeedbackStore()
-        first = sampler.start_config(0, store)
-        store.record(feedback(first.config_id, 1.0))
+        first = sampler.start_config(0)
+        sampler.store.record(feedback(first.config_id, 1.0))
         better = config_at(learning_rate=1e-2)
         sampler._seen[better.config_id] = better
-        store.record(feedback(better.config_id, 0.1))
-        assert sampler.start_config(1, store) == better
+        sampler.store.record(feedback(better.config_id, 0.1))
+        assert sampler.start_config(1) == better
 
     def test_walk_changes_sampler_only_at_commit(self):
         sampler = AdaptiveSampler(SPACE, ["learning_rate", "weight_decay"], epsilon=0.0, seed=0,
@@ -288,7 +343,7 @@ class TestAdaptiveSampler:
         assert sampler._seen == {}
         # an evaluation committed meanwhile turns weight_decay; the walk did not
         sampler.directions["weight_decay"] = 1
-        sampler.commit(SimpleNamespace(walk=walk))
+        sampler.commit(SimpleNamespace(walk=walk, records=[]))
         assert sampler.directions == {"weight_decay": 1, "learning_rate": 1}
         assert list(sampler._seen) == [cur.config_id, new.config_id]
 
@@ -329,7 +384,7 @@ class TestHalvingSampler:
             return 1.0, lambda: sampler.commit(finished(key, objective[rounds][cfg]))
 
         dispatch([ClientGroup(0, [0])], sampler.num_evals,
-                 lambda g, e: sampler.start_config(e, FeedbackStore()), run_eval)
+                 lambda g, e: sampler.start_config(e), run_eval)
         assert issued == ([(x, 3) for x in c] + [(c[1], 6), (c[3], 6), (tie, 6)]
                           + [(c[3], 12), (tie, 12)] + [(tie, 14)])
 
@@ -363,7 +418,49 @@ class TestHalvingSampler:
 
         with pytest.raises(FeedbackError, match="rung 0"):
             dispatch([ClientGroup(0, [0]), ClientGroup(1, [1])], sampler.num_evals,
-                     lambda g, e: sampler.start_config(e, FeedbackStore()), run_eval)
+                     lambda g, e: sampler.start_config(e), run_eval)
+
+
+class TestCommitRecordsFeedback:
+    """Every sampler's commit records the outcome's records into its own
+    store, in order, before any bookkeeping of its own."""
+
+    RECORDS = [feedback("a", 0.4), feedback("b", 0.3), feedback("a", 0.2)]
+
+    def check(self, sampler, outcome, before):
+        history = list(sampler.store.history)
+        sampler.commit(outcome)
+        assert sampler.store.history == history + self.RECORDS
+        assert sampler.store.states == [before] * len(self.RECORDS)
+        assert sampler.store.mean("a") == pytest.approx(0.3)
+
+    def test_random(self):
+        sampler = hpo.RandomSampler(SPACE, 0, 1, 1)
+        sampler.store = SpyStore(lambda: None)  # random search keeps nothing else
+        self.check(sampler, SimpleNamespace(records=self.RECORDS), None)
+
+    def test_halving_records_before_it_scores(self):
+        sampler = HalvingSampler(SPACE, 0, 2, 4)
+        sampler.store = SpyStore(lambda: list(sampler._scored))
+        self.check(sampler, finished(0, 0.25, self.RECORDS), [])
+        assert sampler._scored == [(0.25, sampler.configs[0].config_id, 0)]
+
+    def test_adaptive_records_before_it_merges_the_walk(self):
+        sampler = adaptive(["learning_rate"])
+        cur = config_at()
+        walk = sampler.walk(0, cur)
+        probes = walk.probes(cur)
+        new = walk.step(cur, [(probes[0], 0.5), (probes[1], 0.2)])
+        sampler.store = SpyStore(lambda: (dict(sampler.directions), list(sampler._seen)))
+        self.check(sampler, SimpleNamespace(walk=walk, records=self.RECORDS), ({}, []))
+        assert sampler.directions == {"learning_rate": 1}
+        assert list(sampler._seen) == [cur.config_id, new.config_id]
+
+    def test_failed_record_stops_the_commit(self):
+        sampler = HalvingSampler(SPACE, 0, 2, 4)
+        with pytest.raises(FeedbackError, match="non-finite"):
+            sampler.commit(finished(0, 0.25, [feedback("a", math.nan)]))
+        assert sampler._scored == [] and sampler.store.history == []
 
 
 def test_config_id_order_independent():
