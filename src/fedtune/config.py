@@ -123,6 +123,13 @@ def _num(value, field_name: str, kind=float):
     return whole
 
 
+def _number(section: dict, key: str, field_name: str, kind=float):
+    """_num of section[key] (0 if missing), stored back in its place, so a
+    quoted number validates and runs as the number it reads as."""
+    section[key] = _num(section.get(key, 0), field_name, kind)
+    return section[key]
+
+
 def validate_config(raw: dict) -> dict:
     """Check every field; error messages name the offending field."""
     for key in raw:
@@ -138,40 +145,40 @@ def validate_config(raw: dict) -> dict:
     _require(ds.get("type") in ("synthetic", "csv"), "dataset.type",
              "must be 'synthetic' or 'csv'")
     if ds["type"] == "synthetic":
-        _require(_num(ds.get("num_classes", 0), "dataset.num_classes", int) >= 2,
+        _require(_number(ds, "num_classes", "dataset.num_classes", int) >= 2,
                  "dataset.num_classes", "must be >= 2")
-        _require(_num(ds.get("input_dim", 0), "dataset.input_dim", int) >= 1,
+        _require(_number(ds, "input_dim", "dataset.input_dim", int) >= 1,
                  "dataset.input_dim", "must be >= 1")
-        _require(_num(ds.get("n", 0), "dataset.n", int) >= int(ds["num_classes"]),
+        _require(_number(ds, "n", "dataset.n", int) >= ds["num_classes"],
                  "dataset.n", "must be >= num_classes")
-        _require(_num(ds.get("class_sep", 0), "dataset.class_sep") > 0,
+        _require(_number(ds, "class_sep", "dataset.class_sep") > 0,
                  "dataset.class_sep", "must be > 0")
     else:
         _require(bool(ds.get("path")), "dataset.path", "required for csv datasets")
 
-    _require(_num(cfg["n_clients"], "n_clients", int) >= 1, "n_clients", "must be >= 1")
-    _require(_num(cfg["alpha"], "alpha") > 0, "alpha", "must be > 0")
+    _require(_number(cfg, "n_clients", "n_clients", int) >= 1, "n_clients", "must be >= 1")
+    _require(_number(cfg, "alpha", "alpha") > 0, "alpha", "must be > 0")
     split = cfg["split"]
     _require(isinstance(split, list) and len(split) == 3, "split",
              "must be [train, val, test]")
-    fractions = [_num(f, "split") for f in split]
+    fractions = cfg["split"] = [_num(f, "split") for f in split]
     _require(all(0.0 <= f <= 1.0 for f in fractions), "split", "fractions must be in [0, 1]")
     _require(abs(sum(fractions) - 1.0) <= 1e-9, "split", "fractions must sum to 1")
-    _require(0.0 <= _num(cfg["server_val_fraction"], "server_val_fraction") < 1.0,
+    _require(0.0 <= _number(cfg, "server_val_fraction", "server_val_fraction") < 1.0,
              "server_val_fraction", "must be in [0, 1)")
 
     model = cfg["model"]
     _require(model.get("kind") in ("logistic", "mlp"), "model.kind",
              "must be 'logistic' or 'mlp'")
     if model["kind"] == "mlp":
-        _require(_num(model.get("hidden_dim", 0), "model.hidden_dim", int) >= 1,
+        _require(_number(model, "hidden_dim", "model.hidden_dim", int) >= 1,
                  "model.hidden_dim", "must be >= 1 for mlp")
 
     _require(cfg["sampler"] in SAMPLERS, "sampler", f"must be one of {SAMPLERS}")
-    _require(0.0 <= _num(cfg["epsilon"], "epsilon") <= 1.0, "epsilon", "must be in [0, 1]")
+    _require(0.0 <= _number(cfg, "epsilon", "epsilon") <= 1.0, "epsilon", "must be in [0, 1]")
     for name, low in (("budget_configs", 1), ("rounds_per_trial", 1), ("eval_cadence", 1),
                       ("early_stop_patience", 0)):
-        _require(_num(cfg[name], name, int) >= low, name, f"must be >= {low}")
+        _require(_number(cfg, name, name, int) >= low, name, f"must be >= {low}")
 
     grouping = cfg["grouping"]
     _require(grouping.get("mode") in GROUP_MODES, "grouping.mode",
@@ -180,17 +187,16 @@ def validate_config(raw: dict) -> dict:
     # the one all-clients group.
     _require(cfg["sampler"] != "halving" or grouping["mode"] == "sync", "grouping.mode",
              "must be 'sync' for the halving sampler")
-    window = grouping.get("window", "auto")
-    if window != "auto":
-        _require(_num(window, "grouping.window") > 0, "grouping.window",
+    if grouping.get("window", "auto") != "auto":
+        _require(_number(grouping, "window", "grouping.window") > 0, "grouping.window",
                  "must be > 0 or 'auto'")
 
     lat = cfg["latency"]
-    _require(_num(lat.get("base_min", 0), "latency.base_min") > 0, "latency.base_min",
+    _require(_number(lat, "base_min", "latency.base_min") > 0, "latency.base_min",
              "must be > 0")
-    _require(_num(lat.get("base_max", 0), "latency.base_max") >= float(lat["base_min"]),
+    _require(_number(lat, "base_max", "latency.base_max") >= lat["base_min"],
              "latency.base_max", "must be >= base_min")
-    _require(_num(lat.get("jitter_sigma", 0), "latency.jitter_sigma") >= 0,
+    _require(_number(lat, "jitter_sigma", "latency.jitter_sigma") >= 0,
              "latency.jitter_sigma", "must be >= 0")
 
     _require(cfg["aggregation"] in ("weighted", "uniform"), "aggregation",
@@ -221,10 +227,10 @@ def validate_config(raw: dict) -> dict:
             _require(name not in seen, "search_space.name", f"{name!r} appears twice")
             seen.add(name)
             for key in ("low", "high", "step"):
-                _num(dim[key], f"search_space.{key}")
+                _number(dim, key, f"search_space.{key}")
     hp_defaults = cfg["hp_defaults"]
-    for name, value in hp_defaults.items():
-        _num(value, f"hp_defaults.{name}", HP_TYPES[name])
+    for name in hp_defaults:
+        _number(hp_defaults, name, f"hp_defaults.{name}", HP_TYPES[name])
     try:
         grids = {d.name: d.points for d in ExperimentConfig(cfg).search_space().dims}
     except ConfigurationError as err:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import lanes, models, sched
-from .common import AggregationError, NumericDivergenceError, derive_seed, derive_seeds
+from .common import (AggregationError, NumericDivergenceError, derive_seed, derive_seeds,
+                     pcg64_words, seeded)
 from .data import DataShard, Dataset
 from .hpo import HpConfig
 from .models import ModelSpec, TrainHp, WeightVector
@@ -78,15 +79,17 @@ class PlanMemo:
     seed_key: tuple | None = None
     plans: dict = field(default_factory=dict)
 
-    def get(self, spec: ModelSpec, hp: TrainHp, cohort: Cohort, seed_key: tuple):
-        """The plans of cohort under seed_key and hp."""
+    def get(self, spec: ModelSpec, hp: TrainHp, cohort: Cohort, seed_key: tuple,
+            words: np.ndarray):
+        """The plans of cohort under seed_key and hp; words are the members'
+        rows of pass_words under seed_key."""
         if seed_key != self.seed_key:
             self.seed_key, self.plans = seed_key, {}
         shape = models.plan_key(spec, hp)
         key = (cohort.ids, *shape)
         if key not in self.plans:
-            self.plans[key] = models.plan_batches(
-                spec, cohort.pool, derive_seeds(seed_key, cohort.ids), *shape, cohort.layouts)
+            self.plans[key] = models.plan_batches(spec, cohort.pool, words, *shape,
+                                                  cohort.layouts)
         return self.plans[key]
 
 
@@ -107,6 +110,8 @@ class ExperimentWorld:
     agg_mode: str = "weighted"
     cohorts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plans: PlanMemo = field(default_factory=PlanMemo, init=False, repr=False, compare=False)
+    # One trial's seed words at most: (key prefix, client ids) -> (rounds, words) (hold_words).
+    words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     hps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # A lanes.Helper that cohort passes and probe cycles send work to, or None.
     helper: object = field(default=None, init=False, repr=False, compare=False)
@@ -193,28 +198,87 @@ def weighted_objective(losses_and_counts) -> float:
     return sum(loss * n for loss, n in losses_and_counts) / total
 
 
+def hold_words(world: ExperimentWorld, prefix: tuple, ids: tuple, rounds, words: np.ndarray):
+    """Hold words on world: words[r] holds the common.pcg64_words of round
+    j = rounds[r] under prefix, one row per client i of ids, of seed
+    derive_seed(*prefix, j, i), or, with ids (), the one row of seed
+    derive_seed(*prefix, j). The trial is prefix[-1]: what world holds of
+    any other trial is dropped."""
+    world.words = {k: v for k, v in world.words.items() if k[0][-1] == prefix[-1]}
+    world.words[prefix, ids] = rounds, words
+
+
+def held_words(world: ExperimentWorld, ids: tuple, seed_key: tuple):
+    """(rounds, words) of the held entry that covers ids (sorted client
+    ids, or () for a key without them) under seed_key = prefix + (j,):
+    words are ids' rows of round j. None when world holds no such entry."""
+    *prefix, j = seed_key
+    for (p, held), (rounds, words) in world.words.items():
+        if p == tuple(prefix) and j in rounds and (held == ids or held and set(ids) <= set(held)):
+            row = words[rounds.index(j)]
+            return rounds, row if held == ids else row[np.searchsorted(held, ids)]
+    return None
+
+
+def pass_words(world: ExperimentWorld, ids: tuple, seed_key: tuple, rounds=None) -> np.ndarray:
+    """(len(ids), 4) common.pcg64_words of derive_seed(*seed_key, i) for each
+    client id i of ids (sorted): the words of a pass under seed_key =
+    prefix + (j,). Read from what world holds if it covers them; otherwise
+    one call computes the words of ids in every round of rounds (default
+    (j,)), and world holds them (hold_words)."""
+    held = held_words(world, ids, seed_key)
+    if held is not None:
+        return held[1]
+    *prefix, j = seed_key
+    rounds = rounds or (j,)
+    words = pcg64_words([s for r in rounds for s in derive_seeds((*prefix, r), ids)])
+    words = words.reshape(len(rounds), len(ids), 4)
+    hold_words(world, tuple(prefix), ids, rounds, words)
+    return words[rounds.index(j)]
+
+
+def hold_trial_words(world: ExperimentWorld, cohort: Cohort, trial: int, rounds: range,
+                     timed: bool):
+    """Compute, in one common.pcg64_words call, the words of trial's passes
+    over cohort in rounds (train_key) and, if timed, of their round times
+    (round_time), and hold them on world."""
+    train = [s for j in rounds for s in derive_seeds(train_key(world, trial, j), cohort.ids)]
+    time = derive_seeds((world.base_seed, "time", trial), rounds) if timed else []
+    words = pcg64_words(train + time)
+    hold_words(world, (world.base_seed, "train", trial), cohort.ids, rounds,
+               words[:len(train)].reshape(len(rounds), len(cohort.ids), 4))
+    if timed:
+        hold_words(world, (world.base_seed, "time", trial), (), rounds, words[len(train):])
+
+
 def train_share(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
-                seed_key: tuple, score: bool = True):
+                seed_key: tuple, score: bool = True, rounds=None):
     """models.train_stack of world.cohort(ids) from global_w, on the batch
     plans world.plans holds for seed_key, scoring every loss with score.
+    The plans draw from pass_words(world, ids, seed_key, rounds).
     Returns (weights, val losses, failures), one row each per member."""
     cohort = world.cohort(ids)
-    return models.train_stack(world.model_spec, global_w, hp, cohort.pool,
-                              world.plans.get(world.model_spec, hp, cohort, seed_key), score)
+    plans = world.plans.get(world.model_spec, hp, cohort, seed_key,
+                            pass_words(world, ids, seed_key, rounds))
+    return models.train_stack(world.model_spec, global_w, hp, cohort.pool, plans, score)
 
 
 def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
-                 seed_key: tuple, score: bool):
+                 seed_key: tuple, score: bool, rounds=None):
     """train_share of ids, one share trained by world.helper while this
-    process trains the other; rows come back in members' order."""
+    process trains the other; rows come back in members' order. The
+    helper computes its share's words for the rounds of the words this
+    process holds for the pass (else rounds), all in its first pass."""
     cohort = world.cohort(ids)
     if cohort.shares is None:
         rows = {c.client_id: len(c.shard.train) for c in cohort.members}
         theirs, mine = (tuple(sorted(s)) for s in lanes.split(rows, rows.get, 2))
         cohort.shares = theirs, mine, np.argsort(mine + theirs)
     theirs, mine, order = cohort.shares
-    world.helper.send(train_share, global_w, hp, theirs, seed_key, score)
-    own = train_share(world, global_w, hp, mine, seed_key, score)
+    held = held_words(world, ids, seed_key)
+    world.helper.send(train_share, global_w, hp, theirs, seed_key, score,
+                      held[0] if held else rounds)
+    own = train_share(world, global_w, hp, mine, seed_key, score, rounds)
     other = world.helper.receive()
     failures = own[2] + other[2]
     return (np.concatenate([own[0], other[0]])[order],
@@ -222,13 +286,15 @@ def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, id
 
 
 def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
-                 cohort: Cohort, round_index: int, seed_key: tuple, score: bool = True):
+                 cohort: Cohort, round_index: int, seed_key: tuple, score: bool = True,
+                 rounds=None):
     """Train every cohort member from global_w under config, then FedAvg.
 
     The members train in models.train_stack passes (train_share); client c
-    draws its batches from derive_seed(*seed_key, c.client_id). The batch
-    plans come from world.plans, so passes under one seed_key build them
-    once. With world.helper set and not busy, a cohort of two or more is
+    draws its batches from derive_seed(*seed_key, c.client_id), through
+    the words pass_words holds or computes (for rounds, when given). The
+    batch plans come from world.plans, so passes under one seed_key build
+    them once. With world.helper set and not busy, a cohort of two or more is
     split in two shares that train in two lanes (README "Lanes"); the
     merged rows, the aggregate and every error are those of one pass. If
     any client diverges, NumericDivergenceError names the lowest such
@@ -242,7 +308,8 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
     members = cohort.members
     free = world.helper and not world.helper.busy
     train = _train_split if free and len(members) > 1 else train_share
-    trained, val_losses, failures = train(world, global_w, hp, cohort.ids, seed_key, score)
+    trained, val_losses, failures = train(world, global_w, hp, cohort.ids, seed_key, score,
+                                          rounds)
     for c, failure in zip(members, failures):
         if failure is not None:
             raise NumericDivergenceError(
@@ -257,13 +324,20 @@ def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfi
             [(c.client_id, float(vl)) for c, vl in zip(members, val_losses)])
 
 
-def round_time(world: ExperimentWorld, cohort: Cohort, config: HpConfig, trial: int, j: int):
+def round_time(world: ExperimentWorld, cohort: Cohort, config: HpConfig, trial: int, j: int,
+               words=None):
     """The cohort_time run_trial charges round j of trial under config,
-    drawn once per cohort and kept in cohort.times by (epochs, trial, j)."""
+    drawn once per cohort and kept in cohort.times by (epochs, trial, j),
+    from words (the key's common.pcg64_words row) or, if None, from those
+    world holds (hold_trial_words)."""
     epochs = world.train_hp(config).epochs
     key = (epochs, trial, j)
     if key not in cohort.times:
-        cohort.times[key] = cohort_time(cohort, epochs, (world.base_seed, "time", trial, j))
+        seed_key = (world.base_seed, "time", trial, j)
+        if words is None:
+            held = held_words(world, (), seed_key)
+            words = held and held[1]
+        cohort.times[key] = cohort_time(cohort, epochs, seed_key, words)
     return cohort.times[key]
 
 
@@ -273,16 +347,19 @@ def train_key(world: ExperimentWorld, trial: int, j: int) -> tuple:
     return world.base_seed, "train", trial, j
 
 
-def cohort_time(cohort: Cohort, epochs: int, seed_key: tuple) -> float:
+def cohort_time(cohort: Cohort, epochs: int, seed_key: tuple, words=None) -> float:
     """Simulated duration of one cohort training pass: the slowest member.
 
     sched.completion_time times the pass over the members in client_id
-    order, on the cohort's arrays, with the generator seeded
-    derive_seed(*seed_key), so a member's jitter depends on the pass key
-    and on its position in the cohort.
+    order, on the cohort's arrays, with the draws of
+    np.random.default_rng(derive_seed(*seed_key)): common.seeded(words)
+    when words, that seed's common.pcg64_words row, are given. So a
+    member's jitter depends on the pass key and on its position in the
+    cohort.
     """
+    rng = np.random.default_rng(derive_seed(*seed_key)) if words is None else seeded(words)
     return float(sched.completion_time(cohort.base_time, cohort.scale, cohort.sigma, epochs,
-                                       derive_seed(*seed_key)).max())
+                                       rng).max())
 
 
 def run_round(state: RoundState, cohort: Cohort, world: ExperimentWorld,
@@ -374,6 +451,11 @@ def run_trial(
         return resume
     r = replace(resume, objective=np.inf, test_accuracy=0.0, trace=list(resume.trace))
     state = RoundState(r.last_round + 1, r.final_weights, r.config)
+    rounds = range(state.round_index, budget_rounds + 1)
+    if rounds and not r.stopped:
+        epochs = world.train_hp(r.config).epochs
+        hold_trial_words(world, cohort, trial_index, rounds,
+                         any((epochs, trial_index, j) not in cohort.times for j in rounds))
 
     def diverged(err):
         return TrialResult(state.current_hp, np.inf, 0.0, sim_time=r.sim_time, failure=err)

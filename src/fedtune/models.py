@@ -14,6 +14,8 @@ from .common import (
     ConfigurationError,
     DataError,
     NumericDivergenceError,
+    pcg64_words,
+    seeded,
 )
 
 LOGISTIC = "logistic"
@@ -397,14 +399,16 @@ def _layout(pool: ShardPool, members, width: int, epochs: int) -> BatchLayout:
     return layout
 
 
-def _draw(spec: ModelSpec, pool: ShardPool, seeds, layout: BatchLayout, dropout: bool):
-    """The BatchPlan of layout under seeds: each epoch's draw shuffles a
-    copy of its slots in place, then draws its dropout uniforms."""
+def _draw(spec: ModelSpec, pool: ShardPool, words: list, layout: BatchLayout, dropout: bool):
+    """The BatchPlan of layout under words, shard i's PCG64 state words
+    (common.pcg64_words, as lists): each epoch's draw shuffles a copy of
+    its slots in place, then draws its dropout uniforms, on the one
+    generator common.seeded sets to shard i's state."""
     slots = layout.slots.copy()
     flat = slots.reshape(-1)
     uniforms = np.ones((len(flat), spec.hidden_dim)) if dropout else None
     for i, n, starts in layout.draws:
-        rng = np.random.default_rng(seeds[i])
+        rng = seeded(words[i])
         for o in starts:
             rng.shuffle(flat[o : o + n])  # the draws of rng.permutation(n)
             if dropout:
@@ -420,14 +424,17 @@ def _draw(spec: ModelSpec, pool: ShardPool, seeds, layout: BatchLayout, dropout:
     return plan
 
 
-def plan_batches(spec: ModelSpec, pool: ShardPool, seeds, epochs: int, batch_size: int,
-                 dropout: bool, layouts: dict | None = None) -> tuple[BatchPlan, ...]:
+def plan_batches(spec: ModelSpec, pool: ShardPool, words: np.ndarray, epochs: int,
+                 batch_size: int, dropout: bool,
+                 layouts: dict | None = None) -> tuple[BatchPlan, ...]:
     """The BatchPlans of a train_stack pass over pool, one per padded width,
     widest last.
 
-    seeds[i] keys shard i's RNG: each epoch draws permutation(n) for the
-    batch order, then, if dropout is on, one random((n, hidden)) whose rows
-    are the batches' dropout draws in order. Batches pad to a width that is
+    words[i] is shard i's row of common.pcg64_words: the draws are those of
+    np.random.default_rng(seed) for that row's seed. Each epoch draws
+    permutation(n) for the batch order, then, if dropout is on, one
+    random((n, hidden)) whose rows are the batches' dropout draws in order.
+    Batches pad to a width that is
     batch_size unless the shard is much smaller (_padded_width). epochs,
     batch_size and dropout are plan_key of the pass's spec and hp. layouts,
     when given, keeps pool's BatchLayouts by (epochs, batch_size) for reuse.
@@ -440,7 +447,8 @@ def plan_batches(spec: ModelSpec, pool: ShardPool, seeds, epochs: int, batch_siz
         layouts[epochs, batch_size] = tuple(
             _layout(pool, np.flatnonzero(widths == width), width, epochs)
             for width in np.unique(widths))
-    return tuple(_draw(spec, pool, seeds, layout, dropout)
+    words = words.tolist()
+    return tuple(_draw(spec, pool, words, layout, dropout)
                  for layout in layouts[epochs, batch_size])
 
 
@@ -538,7 +546,7 @@ def local_train(
     pool = pool_shards(spec.input_dim, [(train_features, train_labels, val_features,
                                          val_labels)])
     values, val_losses, failures = train_stack(
-        spec, w, hp, pool, plan_batches(spec, pool, [rng_seed], *plan_key(spec, hp)))
+        spec, w, hp, pool, plan_batches(spec, pool, pcg64_words([rng_seed]), *plan_key(spec, hp)))
     if failures[0] is not None:
         raise NumericDivergenceError(failures[0])
     return WeightVector(values[0], w.layout_id), float(val_losses[0])

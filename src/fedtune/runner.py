@@ -10,7 +10,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import data, flcore, hpo, lanes, models, sched
-from .common import ConfigurationError, NumericDivergenceError, derive_seed
+from .common import (ConfigurationError, NumericDivergenceError, derive_seed, derive_seeds,
+                     pcg64_words, seeded)
 from .config import ExperimentConfig
 from .flcore import ExperimentWorld
 from .hpo import FeedbackRecord, combine_feedback
@@ -83,11 +84,9 @@ def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
     """Generate data, carve the server validation set, partition, attach latencies."""
     ds_cfg = cfg["dataset"]
     if ds_cfg["type"] == "synthetic":
-        ds = data.gen_synthetic(
-            int(ds_cfg["num_classes"]), int(ds_cfg["input_dim"]), int(ds_cfg["n"]),
-            float(ds_cfg["class_sep"]), derive_seed(seed, "data"),
-        )
-        num_classes = int(ds_cfg["num_classes"])
+        ds = data.gen_synthetic(ds_cfg["num_classes"], ds_cfg["input_dim"], ds_cfg["n"],
+                                ds_cfg["class_sep"], derive_seed(seed, "data"))
+        num_classes = ds_cfg["num_classes"]
     else:
         ds = data.load_csv(ds_cfg["path"])
         if not ds.features.shape[1]:
@@ -98,7 +97,7 @@ def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
                                      "so fewer than 2 classes")
 
     # server-side validation set, disjoint from every client shard
-    frac = float(cfg["server_val_fraction"])
+    frac = cfg["server_val_fraction"]
     rng = np.random.default_rng(derive_seed(seed, "server-val"))
     order = rng.permutation(len(ds))
     n_server = int(round(frac * len(ds)))
@@ -110,19 +109,19 @@ def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
     client_ds = data.Dataset(ds.features[client_idx], ds.labels[client_idx])
 
     shards = data.partition_dirichlet(
-        client_ds, int(cfg["n_clients"]), float(cfg["alpha"]),
-        tuple(float(f) for f in cfg["split"]), seed=derive_seed(seed, "partition"),
+        client_ds, cfg["n_clients"], cfg["alpha"], tuple(cfg["split"]),
+        seed=derive_seed(seed, "partition"),
     )
 
     lat = cfg["latency"]
     clients = []
-    for shard in shards:
-        lat_rng = np.random.default_rng(derive_seed(seed, "latency", shard.client_id))
-        base = lat_rng.uniform(float(lat["base_min"]), float(lat["base_max"]))
+    words = pcg64_words(derive_seeds((seed, "latency"), [s.client_id for s in shards])).tolist()
+    for shard, row in zip(shards, words):
+        base = seeded(row).uniform(lat["base_min"], lat["base_max"])
         clients.append(flcore.ClientState(
             client_id=shard.client_id,
             shard=shard,
-            latency=sched.LatencyProfile(base, float(lat["jitter_sigma"])),
+            latency=sched.LatencyProfile(base, lat["jitter_sigma"]),
         ))
 
     model_cfg = cfg["model"]
@@ -130,13 +129,13 @@ def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
         kind=model_cfg["kind"],
         input_dim=ds.features.shape[1],
         num_classes=num_classes,
-        hidden_dim=int(model_cfg.get("hidden_dim", 0)) if model_cfg["kind"] == "mlp" else 0,
+        hidden_dim=model_cfg["hidden_dim"] if model_cfg["kind"] == "mlp" else 0,
     )
     return ExperimentWorld(
         model_spec=spec,
         clients=clients,
         val_set=server_val,
-        eval_cadence=int(cfg["eval_cadence"]),
+        eval_cadence=cfg["eval_cadence"],
         hp_defaults=dict(cfg["hp_defaults"]),
         base_seed=seed,
         agg_mode=cfg["aggregation"],
@@ -148,10 +147,11 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     if cfg["grouping"]["mode"] == "sync":
         return [sched.ClientGroup(0, sorted(c.client_id for c in world.clients))]
     epochs = max(1, int(world.hp_defaults["epochs"]))
+    cids = [c.client_id for c in world.clients]
+    words = pcg64_words(derive_seeds((seed, "calibration"), cids)).tolist()
     completions = [  # each client timed as a one-member pass
-        (c.client_id, flcore.cohort_time(world.cohort([c.client_id]), epochs,
-                                         (seed, "calibration", c.client_id)))
-        for c in world.clients
+        (cid, flcore.cohort_time(world.cohort([cid]), epochs, (seed, "calibration", cid), row))
+        for cid, row in zip(cids, words)
     ]
     window = cfg["grouping"]["window"]
     if window == "auto":
@@ -159,15 +159,16 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     return sched.form_groups(completions, float(window))
 
 
-def _train_probes(world, probes, global_w, ids, round_index, seed_key):
+def _train_probes(world, probes, global_w, ids, round_index, seed_key, rounds):
     """lanes.run_each over probes (index -> config): the pass of the clients
-    ids from global_w under each config (flcore.train_cohort under seed_key),
-    its aggregate then scored on the server validation set by
-    models.evaluate in the same lane. A result is (aggregate, local losses,
-    server loss), or None for a divergence or a server loss that is not
-    finite. Two or more probes are split by
-    epochs with a free world.helper (README "Lanes")."""
-    args = (global_w, ids, round_index, seed_key)
+    ids from global_w under each config (flcore.train_cohort under seed_key,
+    whose words a lane computes, if it holds none, for rounds), its
+    aggregate then scored on the server validation set by models.evaluate
+    in the same lane. A result is (aggregate, local losses, server loss),
+    or None for a divergence or a server loss that is not finite. Two or
+    more probes are split by epochs with a free world.helper (README
+    "Lanes")."""
+    args = (global_w, ids, round_index, seed_key, rounds)
     if world.helper and not world.helper.busy and len(probes) > 1:
         mine, theirs = ({i: probes[i] for i in share} for share in lanes.split(
             probes, lambda i: max(1, world.train_hp(probes[i]).epochs), 2))
@@ -177,7 +178,8 @@ def _train_probes(world, probes, global_w, ids, round_index, seed_key):
 
     def train(i):
         try:
-            out = flcore.train_cohort(world, global_w, probes[i], cohort, round_index, seed_key)
+            out = flcore.train_cohort(world, global_w, probes[i], cohort, round_index, seed_key,
+                                      True, rounds)
         except NumericDivergenceError:
             return None
         gl = models.evaluate(world.model_spec, out[0], world.val_set.features,
@@ -215,8 +217,12 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     extra_time = sum((flcore.cohort_time(cohort, world.train_hp(p).epochs,
                                          (world.base_seed, "probe", trial_index, j, p.config_id))
                       for p in probes), 0.0)
+    key = flcore.train_key(world, trial_index, j)
+    # a lane that holds no words for the cycle computes those of the trial's later cycles too
+    held = flcore.held_words(world, cohort.ids, key)
+    cycles = range(j, held[0][-1] + 1, world.eval_cadence) if held else None
     passes = dict(_train_probes(world, dict(enumerate(probes)), state.global_weights,
-                                cohort.ids, j, flcore.train_key(world, trial_index, j)))
+                                cohort.ids, j, key, cycles))
     results = []
     for i, p in enumerate(probes):
         if isinstance(passes[i], Exception):  # a lane ran nothing past its first error
@@ -274,7 +280,7 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
         config, rounds, world, cohort,
         trial_index=trial_key,
         on_cadence=on_cadence if walk is not None else None,
-        patience=int(cfg["early_stop_patience"]),
+        patience=cfg["early_stop_patience"],
         resume=resume,
     )
     final = result.config
@@ -313,23 +319,28 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     up to cpus lanes (lanes.run_jobs), balanced by cohort training rows
     times epochs, on the group a dry sched.dispatch of its rounds' times
     issues it to (README "Lanes"); the lanes fork after it and read the
-    round times it drew (flcore.round_time). Returns eval index -> (group
-    id, config id, EvalOutcome or the exception it raised), or {} if
-    nothing ran ahead.
+    round times it drew (flcore.round_time), whose words it computes in
+    one call. Returns eval index -> (group id, config id, EvalOutcome or
+    the exception it raised), or {} if nothing ran ahead.
     """
     if cpus < 2 or not sampler.feedback_free:
         return {}
+    # A feedback_free sampler's configs and plans do not depend on the schedule.
+    configs = [sampler.start_config(e) for e in range(sampler.num_evals)]
+    plans = [sampler.plan(e, config)[:2] for e, config in enumerate(configs)]
+    rounds = [(key, j) for key, n in plans for j in range(1, n + 1)]
+    seeds = [derive_seed(world.base_seed, "time", *r) for r in rounds]
+    words = dict(zip(rounds, pcg64_words(seeds).tolist()))
     issues = {}
 
     def issue(group, e):
-        issues[e] = group, sampler.start_config(e)
-        return issues[e][1]
+        issues[e] = group, configs[e]
+        return configs[e]
 
     def predict(group, config, e):
-        key, rounds, _ = sampler.plan(e, config)
-        cohort = world.cohort(group.members)
-        return sum(flcore.round_time(world, cohort, config, key, j)
-                   for j in range(1, rounds + 1)), lambda: None
+        (key, n), cohort = plans[e], world.cohort(group.members)
+        return sum(flcore.round_time(world, cohort, config, key, j, words[key, j])
+                   for j in range(1, n + 1)), lambda: None
 
     sched.dispatch(groups, sampler.num_evals, issue, predict)
 
@@ -359,10 +370,10 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
     passes and probe cycles with one helper (README "Lanes")."""
     world = build_world(cfg, seed)
     space = cfg.search_space()
-    n, rounds = int(cfg["budget_configs"]), int(cfg["rounds_per_trial"])
+    n, rounds = cfg["budget_configs"], cfg["rounds_per_trial"]
     sampler = {  # the one place that names a sampler
         "random": lambda: hpo.RandomSampler(space, derive_seed(seed, "sampler"), n, rounds),
-        "adaptive": lambda: hpo.AdaptiveSampler(space, list(cfg["tuned"]), float(cfg["epsilon"]),
+        "adaptive": lambda: hpo.AdaptiveSampler(space, list(cfg["tuned"]), cfg["epsilon"],
                                                 derive_seed(seed, "sampler"), n, rounds),
         "halving": lambda: hpo.HalvingSampler(space, seed, n, rounds),
     }[cfg["sampler"]]()

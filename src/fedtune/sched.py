@@ -35,16 +35,18 @@ class ClientGroup:
     members: list[int]  # client ids, sorted
 
 
-def completion_time(base_time, scale, sigma, epochs: int, rng_seed: int) -> np.ndarray:
+def completion_time(base_time, scale, sigma, epochs: int,
+                    rng: "np.random.Generator") -> np.ndarray:
     """Simulated duration of one training pass for each of its members.
 
     The per-member arrays are each LatencyProfile's base_time, the scale
     max(1, n_i)/100 of its n_i training rows and its jitter_sigma (sigma).
     Member i takes base_time * epochs * scale times one
-    lognormal(0, jitter_sigma) jitter, drawn in member order from one
-    generator seeded with rng_seed.
+    lognormal(0, jitter_sigma) jitter, drawn in member order from rng, a
+    generator at the start of its stream (np.random.default_rng or
+    common.seeded).
     """
-    jitter = np.random.default_rng(rng_seed).lognormal(0.0, sigma)
+    jitter = rng.lognormal(0.0, sigma)
     return base_time * epochs * scale * jitter
 
 

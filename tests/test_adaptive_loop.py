@@ -123,8 +123,8 @@ def test_reused_round_is_charged_no_cohort_time(monkeypatch):
     passes, steered = [], []  # (kind, round, seconds); (round, reused?) per cycle
     real_time, real_cycle = flcore.cohort_time, runner.run_probe_cycle
 
-    def recording_time(cohort, epochs, seed_key):
-        passes.append((seed_key[1], seed_key[3], real_time(cohort, epochs, seed_key)))
+    def recording_time(cohort, epochs, seed_key, words=None):
+        passes.append((seed_key[1], seed_key[3], real_time(cohort, epochs, seed_key, words)))
         return passes[-1][2]
 
     def recording_cycle(state, *args):

@@ -379,6 +379,25 @@ class TestCliCommands:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
+    def test_quoted_numbers_run_as_the_numbers_they_read_as(self, config_path, tmp_path):
+        # PyYAML reads '2' and an unquoted 1e-5 as strings; each runs and is
+        # written as the number it reads as
+        runs = {"quoted": ["alpha='2'", "n_clients='3'", "hp_defaults.learning_rate=1e-5",
+                           "latency.base_max='2.5'"],
+                "unquoted": ["alpha=2", "n_clients=3", "hp_defaults.learning_rate=1.0e-5",
+                             "latency.base_max=2.5"]}
+        files = {}
+        for name, overrides in runs.items():
+            args = [a for o in overrides for a in ("--set", o)]
+            assert cli.main(["run", config_path, "--output", str(tmp_path / name), *args]) == 0
+            files[name] = [(tmp_path / name / f).read_bytes() for f in ("report.json",
+                                                                        "trials.csv")]
+        assert files["quoted"] == files["unquoted"]
+        config = json.loads(files["quoted"][0])["config"]
+        assert (config["alpha"], config["n_clients"], config["latency"]["base_max"],
+                config["hp_defaults"]["learning_rate"]) == (2.0, 3, 2.5, 1e-5)
+        assert [type(v) for v in (config["alpha"], config["n_clients"])] == [float, int]
+
 
 class TestEmitMetrics:
     def run_report(self, tmp_path, **overrides):

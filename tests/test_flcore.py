@@ -277,9 +277,9 @@ class TestRoundTime:
     def recording_cohort_time(monkeypatch):
         calls, real = [], flcore.cohort_time
 
-        def spy(cohort, epochs, seed_key):
+        def spy(cohort, epochs, seed_key, words=None):
             calls.append((cohort.ids, epochs, seed_key))
-            return real(cohort, epochs, seed_key)
+            return real(cohort, epochs, seed_key, words)
 
         monkeypatch.setattr(flcore, "cohort_time", spy)
         return calls
@@ -607,8 +607,8 @@ class TestDivergedTrialTime:
         passes = []
         real = flcore.cohort_time
 
-        def recording_cohort_time(cohort, epochs, seed_key):
-            passes.append((seed_key[1], real(cohort, epochs, seed_key)))
+        def recording_cohort_time(cohort, epochs, seed_key, words=None):
+            passes.append((seed_key[1], real(cohort, epochs, seed_key, words)))
             return passes[-1][1]
 
         monkeypatch.setattr(flcore, "cohort_time", recording_cohort_time)
@@ -964,7 +964,8 @@ class TestCohort:
             key = (0, "train", 0, k)  # a fresh key: plans built on the cached pool
             trained, losses, failures = flcore.train_share(world, w, hp, cohort.ids, key)
             assert failures == [None] * 5
-            plans = world.plans.get(spec, hp, cohort, key)
+            plans = world.plans.get(spec, hp, cohort, key,
+                                    flcore.pass_words(world, cohort.ids, key))
             assert [p.features.shape[1] for p in plans] == [1, 4, 16]
             cold = [cold_batches(spec, (c.shard.train.features, c.shard.train.labels),
                                  derive_seed(*key, c.client_id), *models.plan_key(spec, hp))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedtune import models
-from fedtune.common import ConfigurationError, DataError
+from fedtune.common import ConfigurationError, DataError, pcg64_words
 from fedtune.models import ModelSpec, TrainHp, WeightVector
 
 
@@ -170,7 +170,7 @@ ENGINE_CASES = [
 def stack(spec, w, hp, shards, seeds):
     """train_stack over a pool and plans built cold from shards and seeds."""
     pool = models.pool_shards(spec.input_dim, shards)
-    plans = models.plan_batches(spec, pool, seeds, *models.plan_key(spec, hp))
+    plans = models.plan_batches(spec, pool, pcg64_words(seeds), *models.plan_key(spec, hp))
     return models.train_stack(spec, w, hp, pool, plans)
 
 
@@ -275,7 +275,7 @@ class TestTrainStack:
         bad[0] = bad[0] * 1e200
         shards[3] = tuple(bad)
         pool = models.pool_shards(spec.input_dim, shards)
-        plans = models.plan_batches(spec, pool, seeds, *models.plan_key(spec, hp))
+        plans = models.plan_batches(spec, pool, pcg64_words(seeds), *models.plan_key(spec, hp))
         (plan,) = [p for p in plans if 3 in p.order]
         assert plan.order[0] == 3  # the longest row trains first, in every step
         steps, real = [], models.loss_and_grad
@@ -334,7 +334,8 @@ class TestBatchPlan:
                    default_hp(epochs=2, dropout=0.5, learning_rate=1e200, weight_decay=1.0),
                    default_hp(epochs=2, dropout=0.3, learning_rate=0.02, weight_decay=0.1)]
         pool = models.pool_shards(spec.input_dim, shards)
-        plans = models.plan_batches(spec, pool, seeds, *models.plan_key(spec, configs[0]))
+        plans = models.plan_batches(spec, pool, pcg64_words(seeds),
+                                    *models.plan_key(spec, configs[0]))
         for hp in configs:
             shared = models.train_stack(spec, w, hp, pool, plans)
             cold = stack(spec, w, hp, shards, seeds)
@@ -349,14 +350,14 @@ class TestBatchPlan:
         spec, hp = ENGINE_CASES[1]
         shards = engine_shards()
         pool = models.pool_shards(spec.input_dim, shards)
-        plans = models.plan_batches(spec, pool, [0] * 6, *models.plan_key(spec, hp))
+        plans = models.plan_batches(spec, pool, pcg64_words([0] * 6), *models.plan_key(spec, hp))
         assert len(plans) == 2
         # each shard trains in exactly one stack row of one plan
         assert sorted(np.concatenate([plan.order for plan in plans])) == list(range(6))
         with pytest.raises(DataError, match="^plan_batches: empty training split$"):
             empty = (np.empty((0, 4)), np.empty(0, int))
-            models.plan_batches(spec, models.pool_shards(4, shards + [empty * 2]), [0] * 7,
-                                *models.plan_key(spec, hp))
+            models.plan_batches(spec, models.pool_shards(4, shards + [empty * 2]),
+                                pcg64_words([0] * 7), *models.plan_key(spec, hp))
         for plan in list(plans) + [pool]:
             for name, array in vars(plan).items():
                 assert not array.flags.writeable, name
@@ -388,9 +389,10 @@ class TestBatchLayout:
                 # two seed lists in a row: a draw that wrote into a kept
                 # layout would show in the second
                 for seeds in ([3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8]):
-                    kept = models.plan_batches(spec, pool, seeds, epochs, batch_size, dropout,
+                    words = pcg64_words(seeds)
+                    kept = models.plan_batches(spec, pool, words, epochs, batch_size, dropout,
                                                layouts)
-                    fresh = models.plan_batches(spec, pool, seeds, epochs, batch_size, dropout)
+                    fresh = models.plan_batches(spec, pool, words, epochs, batch_size, dropout)
                     assert len(kept) == len(widths)
                     assert plan_bytes(kept) == plan_bytes(fresh)
         assert sorted(layouts) == [(e, batch_size) for e in range(4)]
@@ -399,7 +401,7 @@ class TestBatchLayout:
         spec, hp = ENGINE_CASES[1]
         pool = models.pool_shards(spec.input_dim, engine_shards())
         layouts = {}
-        models.plan_batches(spec, pool, [0] * 6, *models.plan_key(spec, hp), layouts)
+        models.plan_batches(spec, pool, pcg64_words([0] * 6), *models.plan_key(spec, hp), layouts)
         (kept,) = layouts.values()
         assert len(kept) == 2
         for layout in kept:
@@ -423,7 +425,7 @@ class TestUnscoredPass:
         w = WeightVector(w.values * factor, w.layout_id)
         with np.errstate(over="ignore"):  # 1e308: the L1 norm overflows
             assert (pool.scale * np.abs(w.values).sum() >= 1e300) == scored
-        plans = models.plan_batches(spec, pool, [0] * 6, *models.plan_key(spec, hp))
+        plans = models.plan_batches(spec, pool, pcg64_words([0] * 6), *models.plan_key(spec, hp))
         every = models.train_stack(spec, w, hp, pool, plans)
         some = models.train_stack(spec, w, hp, pool, plans, score=False)
         assert some[0].tobytes() == every[0].tobytes()

@@ -520,10 +520,10 @@ class TestRunAhead:
         inline.clear()
         times, real = [], flcore.cohort_time
 
-        def recording_cohort_time(cohort, epochs, seed_key):
+        def recording_cohort_time(cohort, epochs, seed_key, words=None):
             if seed_key[1] == "time":  # (dispatch call, eval index, cohort ids)
                 times.append((len(calls), seed_key[2], cohort.ids))
-            return real(cohort, epochs, seed_key)
+            return real(cohort, epochs, seed_key, words)
 
         monkeypatch.setattr(flcore, "cohort_time", recording_cohort_time)
         laned = one_seed_report(monkeypatch, MISPREDICTED, 2)
@@ -695,11 +695,11 @@ class TestHelper:
         parent, train_share, seen = os.getpid(), flcore.train_share, set()
 
         @as_train_share
-        def spy(world, global_w, hp, share, seed_key, score):
+        def spy(world, global_w, hp, share, seed_key, score, rounds):
             if os.getpid() == parent:
                 seen.add((len(share), frozenset(os.sched_getaffinity(0)),
                           frozenset(os.sched_getaffinity(world.helper.pid))))
-            return train_share(world, global_w, hp, share, seed_key, score)
+            return train_share(world, global_w, hp, share, seed_key, score, rounds)
 
         monkeypatch.setattr(flcore, "train_share", spy)
         split = one_seed_report(monkeypatch, SPLIT, 2)
@@ -807,11 +807,11 @@ class TestHelper:
         for failing in range(SPLIT["n_clients"]):  # in either share
 
             @as_train_share
-            def raising(world, global_w, hp, share, seed_key, score):
+            def raising(world, global_w, hp, share, seed_key, score, rounds):
                 if failing in share:
                     raise (error(f"boom at {failing}") if error is FeedbackError
                            else error(f"boom at {failing}", failing))
-                return train_share(world, global_w, hp, share, seed_key, score)
+                return train_share(world, global_w, hp, share, seed_key, score, rounds)
 
             monkeypatch.setattr(flcore, "train_share", raising)
             seen = {}
@@ -940,10 +940,10 @@ class TestProbeLanes:
         parent, train_share, whole = os.getpid(), flcore.train_share, []
 
         @as_train_share
-        def spy(world, global_w, hp, share, seed_key, score):
+        def spy(world, global_w, hp, share, seed_key, score, rounds):
             if os.getpid() == parent and len(share) == PROBING["n_clients"]:
                 whole.append(seed_key)
-            return train_share(world, global_w, hp, share, seed_key, score)
+            return train_share(world, global_w, hp, share, seed_key, score, rounds)
 
         monkeypatch.setattr(flcore, "train_share", spy)
         pids = fork_pids(monkeypatch)
@@ -961,10 +961,10 @@ class TestProbeLanes:
         log, train_share = tmp_path / "passes", flcore.train_share
 
         @as_train_share
-        def logging(world, global_w, hp, share, seed_key, score):
+        def logging(world, global_w, hp, share, seed_key, score, rounds):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {len(share)}\n")
-            return train_share(world, global_w, hp, share, seed_key, score)
+            return train_share(world, global_w, hp, share, seed_key, score, rounds)
 
         monkeypatch.setattr(flcore, "train_share", logging)
         world = runner.build_world(config_from_dict(PROBING), 1)

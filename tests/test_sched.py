@@ -15,27 +15,31 @@ from fedtune.sched import (
 )
 
 
+def rng(seed):
+    return np.random.default_rng(seed)
+
+
 class TestCompletionTime:
     # Per-member arrays as a Cohort keeps them: base_time, scale =
     # max(1, rows)/100 and jitter sigma.
     def test_identity_scaling(self):
         ones = np.ones(2)
-        assert completion_time(ones, ones, np.zeros(2), 1, 0).tolist() == \
+        assert completion_time(ones, ones, np.zeros(2), 1, rng(0)).tolist() == \
             pytest.approx([1.0, 1.0])
 
     def test_linear_in_epochs(self):
-        one = completion_time(np.ones(1), np.ones(1), np.zeros(1), 1, 0)
-        two = completion_time(np.ones(1), np.ones(1), np.zeros(1), 2, 0)
+        one = completion_time(np.ones(1), np.ones(1), np.zeros(1), 1, rng(0))
+        two = completion_time(np.ones(1), np.ones(1), np.zeros(1), 2, rng(0))
         assert two[0] == pytest.approx(2.0 * one[0])
 
     def test_deterministic_with_jitter(self):
         arrays = np.array([1.5, 0.7]), np.array([1.5, 0.4]), np.array([0.4, 0.2])
-        a = completion_time(*arrays, 2, 7)
-        assert a.tolist() == completion_time(*arrays, 2, 7).tolist()
+        a = completion_time(*arrays, 2, rng(7))
+        assert a.tolist() == completion_time(*arrays, 2, rng(7)).tolist()
 
     def test_lognormal_median_near_jitter_free(self):
-        base = completion_time(np.ones(1), np.ones(1), np.zeros(1), 1, 0)[0]
-        samples = completion_time(np.ones(10000), np.ones(10000), np.full(10000, 0.5), 1, 0)
+        base = completion_time(np.ones(1), np.ones(1), np.zeros(1), 1, rng(0))[0]
+        samples = completion_time(np.ones(10000), np.ones(10000), np.full(10000, 0.5), 1, rng(0))
         assert abs(np.median(samples) - base) / base < 0.02
 
 
