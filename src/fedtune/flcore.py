@@ -110,7 +110,7 @@ class ExperimentWorld:
     agg_mode: str = "weighted"
     cohorts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plans: PlanMemo = field(default_factory=PlanMemo, init=False, repr=False, compare=False)
-    # One trial's seed words at most: (key prefix, client ids) -> (rounds, words) (hold_words).
+    # One trial's seed words at most: seed key -> (client ids, rows) (hold_trial_words).
     words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     hps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # A lanes.Helper that cohort passes and probe cycles send work to, or None.
@@ -198,87 +198,56 @@ def weighted_objective(losses_and_counts) -> float:
     return sum(loss * n for loss, n in losses_and_counts) / total
 
 
-def hold_words(world: ExperimentWorld, prefix: tuple, ids: tuple, rounds, words: np.ndarray):
-    """Hold words on world: words[r] holds the common.pcg64_words of round
-    j = rounds[r] under prefix, one row per client i of ids, of seed
-    derive_seed(*prefix, j, i), or, with ids (), the one row of seed
-    derive_seed(*prefix, j). The trial is prefix[-1]: what world holds of
-    any other trial is dropped."""
-    world.words = {k: v for k, v in world.words.items() if k[0][-1] == prefix[-1]}
-    world.words[prefix, ids] = rounds, words
-
-
-def held_words(world: ExperimentWorld, ids: tuple, seed_key: tuple):
-    """(rounds, words) of the held entry that covers ids (sorted client
-    ids, or () for a key without them) under seed_key = prefix + (j,):
-    words are ids' rows of round j. None when world holds no such entry."""
-    *prefix, j = seed_key
-    for (p, held), (rounds, words) in world.words.items():
-        if p == tuple(prefix) and j in rounds and (held == ids or held and set(ids) <= set(held)):
-            row = words[rounds.index(j)]
-            return rounds, row if held == ids else row[np.searchsorted(held, ids)]
-    return None
-
-
-def pass_words(world: ExperimentWorld, ids: tuple, seed_key: tuple, rounds=None) -> np.ndarray:
+def pass_words(world: ExperimentWorld, ids: tuple, seed_key: tuple) -> np.ndarray:
     """(len(ids), 4) common.pcg64_words of derive_seed(*seed_key, i) for each
-    client id i of ids (sorted): the words of a pass under seed_key =
-    prefix + (j,). Read from what world holds if it covers them; otherwise
-    one call computes the words of ids in every round of rounds (default
-    (j,)), and world holds them (hold_words)."""
-    held = held_words(world, ids, seed_key)
-    if held is not None:
-        return held[1]
-    *prefix, j = seed_key
-    rounds = rounds or (j,)
-    words = pcg64_words([s for r in rounds for s in derive_seeds((*prefix, r), ids)])
-    words = words.reshape(len(rounds), len(ids), 4)
-    hold_words(world, tuple(prefix), ids, rounds, words)
-    return words[rounds.index(j)]
+    client id i of ids (sorted): the words of a pass under seed_key, as
+    world holds them (hold_trial_words), or computed when it holds none for ids."""
+    held = world.words.get(seed_key)
+    return held[1] if held and held[0] == ids else pcg64_words(derive_seeds(seed_key, ids))
 
 
 def hold_trial_words(world: ExperimentWorld, cohort: Cohort, trial: int, rounds: range,
                      timed: bool):
     """Compute, in one common.pcg64_words call, the words of trial's passes
     over cohort in rounds (train_key) and, if timed, of their round times
-    (round_time), and hold them on world."""
-    train = [s for j in rounds for s in derive_seeds(train_key(world, trial, j), cohort.ids)]
-    time = derive_seeds((world.base_seed, "time", trial), rounds) if timed else []
-    words = pcg64_words(train + time)
-    hold_words(world, (world.base_seed, "train", trial), cohort.ids, rounds,
-               words[:len(train)].reshape(len(rounds), len(cohort.ids), 4))
+    (round_time), and hold them on world in place of what it held."""
+    keys, n = [train_key(world, trial, j) for j in rounds], len(cohort.ids)
+    time = (world.base_seed, "time", trial)
+    words = pcg64_words([s for key in keys for s in derive_seeds(key, cohort.ids)]
+                        + (derive_seeds(time, rounds) if timed else []))
+    world.words = {key: (cohort.ids, words[r * n : (r + 1) * n]) for r, key in enumerate(keys)}
     if timed:
-        hold_words(world, (world.base_seed, "time", trial), (), rounds, words[len(train):])
+        world.words.update(((*time, j), ((), row))
+                           for j, row in zip(rounds, words[len(keys) * n :]))
 
 
 def train_share(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
-                seed_key: tuple, score: bool = True, rounds=None):
+                seed_key: tuple, words: np.ndarray, score: bool = True):
     """models.train_stack of world.cohort(ids) from global_w, on the batch
     plans world.plans holds for seed_key, scoring every loss with score.
-    The plans draw from pass_words(world, ids, seed_key, rounds).
-    Returns (weights, val losses, failures), one row each per member."""
+    words are the members' pass_words rows under seed_key, which the plans
+    draw from. Returns (weights, val losses, failures), one row each per
+    member."""
     cohort = world.cohort(ids)
-    plans = world.plans.get(world.model_spec, hp, cohort, seed_key,
-                            pass_words(world, ids, seed_key, rounds))
+    plans = world.plans.get(world.model_spec, hp, cohort, seed_key, words)
     return models.train_stack(world.model_spec, global_w, hp, cohort.pool, plans, score)
 
 
 def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
-                 seed_key: tuple, score: bool, rounds=None):
+                 seed_key: tuple, words: np.ndarray, score: bool):
     """train_share of ids, one share trained by world.helper while this
-    process trains the other; rows come back in members' order. The
-    helper computes its share's words for the rounds of the words this
-    process holds for the pass (else rounds), all in its first pass."""
+    process trains the other; each share takes its rows of words, and rows
+    come back in members' order."""
     cohort = world.cohort(ids)
     if cohort.shares is None:
         rows = {c.client_id: len(c.shard.train) for c in cohort.members}
         theirs, mine = (tuple(sorted(s)) for s in lanes.split(rows, rows.get, 2))
         cohort.shares = theirs, mine, np.argsort(mine + theirs)
     theirs, mine, order = cohort.shares
-    held = held_words(world, ids, seed_key)
-    world.helper.send(train_share, global_w, hp, theirs, seed_key, score,
-                      held[0] if held else rounds)
-    own = train_share(world, global_w, hp, mine, seed_key, score, rounds)
+    world.helper.send(train_share, global_w, hp, theirs, seed_key,
+                      words[np.searchsorted(ids, theirs)], score)
+    own = train_share(world, global_w, hp, mine, seed_key, words[np.searchsorted(ids, mine)],
+                      score)
     other = world.helper.receive()
     failures = own[2] + other[2]
     return (np.concatenate([own[0], other[0]])[order],
@@ -287,29 +256,31 @@ def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, id
 
 def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
                  cohort: Cohort, round_index: int, seed_key: tuple, score: bool = True,
-                 rounds=None):
+                 words=None):
     """Train every cohort member from global_w under config, then FedAvg.
 
     The members train in models.train_stack passes (train_share); client c
     draws its batches from derive_seed(*seed_key, c.client_id), through
-    the words pass_words holds or computes (for rounds, when given). The
-    batch plans come from world.plans, so passes under one seed_key build
-    them once. With world.helper set and not busy, a cohort of two or more is
-    split in two shares that train in two lanes (README "Lanes"); the
-    merged rows, the aggregate and every error are those of one pass. If
-    any client diverges, NumericDivergenceError names the lowest such
-    client_id, round_index and config. Without score, only the losses that
-    could be non-finite are scored (models.train_stack's bound), so every
-    divergence error stays, and the others are nan.
+    its row of words (default: pass_words of the cohort under seed_key).
+    The batch plans come from world.plans, so passes under one seed_key
+    build them once. With world.helper set and not busy, a cohort of two or
+    more is split in two shares that train in two lanes, each on its rows
+    of words (README "Lanes"); the merged rows, the aggregate and every
+    error are those of one pass. If any client diverges,
+    NumericDivergenceError names the lowest such client_id, round_index and
+    config. Without score, only the losses that could be non-finite are
+    scored (models.train_stack's bound), so every divergence error stays,
+    and the others are nan.
     Returns (aggregate weights, [(client_id, validation loss)] in
     client_id order).
     """
     hp = world.train_hp(config)
     members = cohort.members
+    words = pass_words(world, cohort.ids, seed_key) if words is None else words
     free = world.helper and not world.helper.busy
     train = _train_split if free and len(members) > 1 else train_share
-    trained, val_losses, failures = train(world, global_w, hp, cohort.ids, seed_key, score,
-                                          rounds)
+    trained, val_losses, failures = train(world, global_w, hp, cohort.ids, seed_key, words,
+                                          score)
     for c, failure in zip(members, failures):
         if failure is not None:
             raise NumericDivergenceError(
@@ -335,8 +306,7 @@ def round_time(world: ExperimentWorld, cohort: Cohort, config: HpConfig, trial: 
     if key not in cohort.times:
         seed_key = (world.base_seed, "time", trial, j)
         if words is None:
-            held = held_words(world, (), seed_key)
-            words = held and held[1]
+            words = world.words.get(seed_key, (None, None))[1]
         cohort.times[key] = cohort_time(cohort, epochs, seed_key, words)
     return cohort.times[key]
 

@@ -159,16 +159,15 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     return sched.form_groups(completions, float(window))
 
 
-def _train_probes(world, probes, global_w, ids, round_index, seed_key, rounds):
+def _train_probes(world, probes, global_w, ids, round_index, seed_key, words):
     """lanes.run_each over probes (index -> config): the pass of the clients
     ids from global_w under each config (flcore.train_cohort under seed_key,
-    whose words a lane computes, if it holds none, for rounds), its
-    aggregate then scored on the server validation set by models.evaluate
-    in the same lane. A result is (aggregate, local losses, server loss),
-    or None for a divergence or a server loss that is not finite. Two or
-    more probes are split by epochs with a free world.helper (README
-    "Lanes")."""
-    args = (global_w, ids, round_index, seed_key, rounds)
+    on words, the cohort's flcore.pass_words), its aggregate then scored on
+    the server validation set by models.evaluate in the same lane. A result
+    is (aggregate, local losses, server loss), or None for a divergence or a
+    server loss that is not finite. Two or more probes are split by epochs
+    with a free world.helper, whose request carries words (README "Lanes")."""
+    args = (global_w, ids, round_index, seed_key, words)
     if world.helper and not world.helper.busy and len(probes) > 1:
         mine, theirs = ({i: probes[i] for i in share} for share in lanes.split(
             probes, lambda i: max(1, world.train_hp(probes[i]).epochs), 2))
@@ -179,7 +178,7 @@ def _train_probes(world, probes, global_w, ids, round_index, seed_key, rounds):
     def train(i):
         try:
             out = flcore.train_cohort(world, global_w, probes[i], cohort, round_index, seed_key,
-                                      True, rounds)
+                                      True, words)
         except NumericDivergenceError:
             return None
         gl = models.evaluate(world.model_spec, out[0], world.val_set.features,
@@ -197,13 +196,14 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     current global weights, every probe under the round's own training key
     (flcore.train_key): common random numbers, so the probes see the same
     batch orders and dropout draws, and the chosen probe's pass is exactly
-    the round's. Each probe is timed under its own key, (base_seed, "probe",
-    trial_index, round, config_id). _train_probes trains and scores them,
-    in lanes when world.helper is set (README "Lanes"), and the first error
-    in probe order is raised. Each score is combined with that probe's
-    local validation losses. A probe that diverges, or whose server loss is
-    not finite, scores +inf, so the step never adopts it, and writes no
-    record; the cycle goes on. Appends one
+    the round's. The cycle reads that key's words once (flcore.pass_words),
+    and every probe trains on them. Each probe is timed under its own key,
+    (base_seed, "probe", trial_index, round, config_id). _train_probes
+    trains and scores them, in lanes when world.helper is set (README
+    "Lanes"), and the first error in probe order is raised. Each score is
+    combined with that probe's local validation losses. A probe that
+    diverges, or whose server loss is not finite, scores +inf, so the step
+    never adopts it, and writes no record; the cycle goes on. Appends one
     FeedbackRecord per finished probe to records, each with its combined
     feedback as val_loss.
     Returns (new config, extra simulated time, reused): the extra time is
@@ -218,11 +218,8 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
                                          (world.base_seed, "probe", trial_index, j, p.config_id))
                       for p in probes), 0.0)
     key = flcore.train_key(world, trial_index, j)
-    # a lane that holds no words for the cycle computes those of the trial's later cycles too
-    held = flcore.held_words(world, cohort.ids, key)
-    cycles = range(j, held[0][-1] + 1, world.eval_cadence) if held else None
     passes = dict(_train_probes(world, dict(enumerate(probes)), state.global_weights,
-                                cohort.ids, j, key, cycles))
+                                cohort.ids, j, key, flcore.pass_words(world, cohort.ids, key)))
     results = []
     for i, p in enumerate(probes):
         if isinstance(passes[i], Exception):  # a lane ran nothing past its first error

@@ -962,10 +962,10 @@ class TestCohort:
                            world.hp_defaults) for d, lr in ((0.3, 0.1), (0.0, 0.1), (0.3, 0.5))]
         for k, hp in enumerate(hps):
             key = (0, "train", 0, k)  # a fresh key: plans built on the cached pool
-            trained, losses, failures = flcore.train_share(world, w, hp, cohort.ids, key)
+            words = flcore.pass_words(world, cohort.ids, key)
+            trained, losses, failures = flcore.train_share(world, w, hp, cohort.ids, key, words)
             assert failures == [None] * 5
-            plans = world.plans.get(spec, hp, cohort, key,
-                                    flcore.pass_words(world, cohort.ids, key))
+            plans = world.plans.get(spec, hp, cohort, key, words)
             assert [p.features.shape[1] for p in plans] == [1, 4, 16]
             cold = [cold_batches(spec, (c.shard.train.features, c.shard.train.labels),
                                  derive_seed(*key, c.client_id), *models.plan_key(spec, hp))

@@ -30,7 +30,7 @@ import yaml
 import fedtune
 from fedtune import cli, data, flcore, hpo, lanes, models, runner, sched
 from fedtune.common import (FedTuneError, FeedbackError, NumericDivergenceError,
-                            PartitionError)
+                            PartitionError, derive_seeds, pcg64_words)
 from fedtune.config import config_from_dict
 from fedtune.hpo import HpConfig
 
@@ -695,11 +695,11 @@ class TestHelper:
         parent, train_share, seen = os.getpid(), flcore.train_share, set()
 
         @as_train_share
-        def spy(world, global_w, hp, share, seed_key, score, rounds):
+        def spy(world, global_w, hp, share, seed_key, words, score):
             if os.getpid() == parent:
                 seen.add((len(share), frozenset(os.sched_getaffinity(0)),
                           frozenset(os.sched_getaffinity(world.helper.pid))))
-            return train_share(world, global_w, hp, share, seed_key, score, rounds)
+            return train_share(world, global_w, hp, share, seed_key, words, score)
 
         monkeypatch.setattr(flcore, "train_share", spy)
         split = one_seed_report(monkeypatch, SPLIT, 2)
@@ -707,6 +707,37 @@ class TestHelper:
         assert {(mine, theirs) for _, mine, theirs in seen} == \
             {(frozenset(cpus[:1]), frozenset(cpus[1:2]))}
         assert max(n for n, _, _ in seen) < SPLIT["n_clients"]
+
+    @pytest.mark.parametrize("sampler", ["halving", "adaptive"])
+    def test_each_request_carries_its_shares_words(self, sampler, monkeypatch):
+        # halving's rungs (5, 1), (3, 2), (2, 4), (1, 6): each later rung resumes
+        # its trials after round 1; adaptive runs a probe cycle before rounds 2-4
+        overrides = {**SPLIT, "sampler": "halving", "budget_configs": 5, "rounds_per_trial": 6,
+                     "eval_cadence": 2} if sampler == "halving" else PROBING
+        requests, send = [], lanes.Helper.send
+
+        def recording_send(helper, *request):
+            requests.append(request)
+            return send(helper, *request)
+
+        monkeypatch.setattr(lanes.Helper, "send", recording_send)
+        one_seed_report(monkeypatch, overrides, 2)
+        ids, kinds, rounds = tuple(range(SPLIT["n_clients"])), set(), set()
+        for fn, *args in requests:
+            if fn is flcore.train_share:  # a row share of a pass: its members' rows
+                _, _, share, key, words, _ = args
+            else:  # a probe share of a cycle: the whole cohort's rows under its key
+                assert fn is runner._train_probes
+                _, _, share, _, key, words = args
+                assert share == ids
+            expected = pcg64_words(derive_seeds(key, share))
+            assert (words.dtype, words.shape, words.tobytes()) == \
+                (expected.dtype, expected.shape, expected.tobytes()), (fn.__name__, key, share)
+            kinds.add(fn.__name__)
+            rounds.add(key[-1])
+        assert kinds == ({"train_share"} if sampler == "halving" else
+                         {"train_share", "_train_probes"})
+        assert rounds == set(range(1, overrides["rounds_per_trial"] + 1))
 
     @pytest.mark.parametrize("which", ["this process", "the helper"])
     def test_failing_sched_setaffinity_runs_inline(self, which, monkeypatch):
@@ -807,11 +838,11 @@ class TestHelper:
         for failing in range(SPLIT["n_clients"]):  # in either share
 
             @as_train_share
-            def raising(world, global_w, hp, share, seed_key, score, rounds):
+            def raising(world, global_w, hp, share, seed_key, words, score):
                 if failing in share:
                     raise (error(f"boom at {failing}") if error is FeedbackError
                            else error(f"boom at {failing}", failing))
-                return train_share(world, global_w, hp, share, seed_key, score, rounds)
+                return train_share(world, global_w, hp, share, seed_key, words, score)
 
             monkeypatch.setattr(flcore, "train_share", raising)
             seen = {}
@@ -861,14 +892,16 @@ class TestReceive:
             world.helper, = started
             send = world.helper.send
             monkeypatch.setattr(world.helper, "send", lambda *request: sent.append(request))
-            send(flcore.train_share, w, hp, few.ids, key, True)
+            send(flcore.train_share, w, hp, few.ids, key, flcore.pass_words(world, few.ids, key),
+                 True)
             agg, losses = flcore.train_cohort(world, w, config, cohort, 3, key)
             reply = world.helper.receive()
             world.helper = None
         assert sent == []
         assert (agg.values.tobytes(), losses) == (alone[0].values.tobytes(), alone[1])
         # the reply is the one to the request out
-        mine = flcore.train_share(world, w, hp, few.ids, key)
+        mine = flcore.train_share(world, w, hp, few.ids, key,
+                                  flcore.pass_words(world, few.ids, key))
         assert [a.tobytes() for a in reply[:2]] == [a.tobytes() for a in mine[:2]]
 
 
@@ -940,10 +973,10 @@ class TestProbeLanes:
         parent, train_share, whole = os.getpid(), flcore.train_share, []
 
         @as_train_share
-        def spy(world, global_w, hp, share, seed_key, score, rounds):
+        def spy(world, global_w, hp, share, seed_key, words, score):
             if os.getpid() == parent and len(share) == PROBING["n_clients"]:
                 whole.append(seed_key)
-            return train_share(world, global_w, hp, share, seed_key, score, rounds)
+            return train_share(world, global_w, hp, share, seed_key, words, score)
 
         monkeypatch.setattr(flcore, "train_share", spy)
         pids = fork_pids(monkeypatch)
@@ -961,10 +994,10 @@ class TestProbeLanes:
         log, train_share = tmp_path / "passes", flcore.train_share
 
         @as_train_share
-        def logging(world, global_w, hp, share, seed_key, score, rounds):
+        def logging(world, global_w, hp, share, seed_key, words, score):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {len(share)}\n")
-            return train_share(world, global_w, hp, share, seed_key, score, rounds)
+            return train_share(world, global_w, hp, share, seed_key, words, score)
 
         monkeypatch.setattr(flcore, "train_share", logging)
         world = runner.build_world(config_from_dict(PROBING), 1)

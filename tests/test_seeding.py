@@ -6,9 +6,10 @@ apply to one only; run with -W error, a uint32 overflow warning fails them.
 
 Every consumer computes its words in batches: a world's latencies, shard
 splits and calibration times in one call each, a trial's passes and round
-times in one call per evaluation and cohort, a helper's share in one call,
-and a run-ahead dry dispatch's round times in one call. No word is
-computed for a round that no pass reads.
+times in one call per evaluation and cohort, in the process that runs the
+trial, and a run-ahead dry dispatch's round times in one call. A helper
+computes none: each request carries its share's rows. No word is computed
+for a round that no pass reads.
 """
 
 import ast
@@ -72,21 +73,32 @@ class TestKernel:
         assert seeded(words_of(5)).random(4).tobytes() == draws.tobytes()
 
 
-def on_default_rng(monkeypatch, *modules):
+def on_default_rng(monkeypatch, path, *modules):
     """Make common.seeded, as each of modules calls it, return
     np.random.default_rng of the seed whose words it is given: the
-    member-by-member seeding the kernel replaces. Each process keeps its
-    own table of the words its pcg64_words calls computed."""
+    member-by-member seeding the kernel replaces. Each process keeps a
+    table of the words its pcg64_words calls computed, and every call also
+    appends them to the file path, where a process looks up words another
+    process computed, as a helper does for the rows a request carries."""
     seeds = {}
 
     def kernel(batch):
         words = pcg64_words(batch)
-        seeds.update(zip(map(tuple, words.tolist()), np.asarray(batch, dtype=np.uint64).tolist()))
+        computed = dict(zip(map(tuple, words.tolist()),
+                            np.asarray(batch, dtype=np.uint64).tolist()))
+        seeds.update(computed)
+        with open(path, "ab", buffering=0) as fh:  # one write per call
+            fh.write("".join(" ".join(map(str, (*w, s))) + "\n"
+                             for w, s in computed.items()).encode())
         return words
 
     def default_rng(words):
-        words = words.tolist() if isinstance(words, np.ndarray) else words
-        return np.random.default_rng(seeds[tuple(words)])
+        words = tuple(words.tolist() if isinstance(words, np.ndarray) else words)
+        if words not in seeds:
+            for line in path.read_text().splitlines():
+                *w, s = map(int, line.split())
+                seeds[tuple(w)] = s
+        return np.random.default_rng(seeds[words])
 
     for module in modules:
         monkeypatch.setattr(module, "pcg64_words", kernel)
@@ -113,7 +125,8 @@ def plan_bytes(plans):
 @pytest.mark.parametrize("batch_size", [1, 5, 32])
 @pytest.mark.parametrize("spec", [models.ModelSpec("logistic", 4, 3),
                                   models.ModelSpec("mlp", 4, 3, hidden_dim=5)])
-def test_plans_from_words_equal_plans_drawn_on_default_rng(spec, batch_size, monkeypatch):
+def test_plans_from_words_equal_plans_drawn_on_default_rng(spec, batch_size, monkeypatch,
+                                                           tmp_path):
     pool = models.pool_shards(spec.input_dim, engine_shards())
     widths = {models._padded_width(n, batch_size) for n in pool.sizes.tolist()}
     assert len(widths) == (1 if batch_size == 1 else 2 if batch_size == 5 else 3)
@@ -121,7 +134,7 @@ def test_plans_from_words_equal_plans_drawn_on_default_rng(spec, batch_size, mon
     for epochs in range(4):
         for dropout in (False, True) if spec.kind == "mlp" else (False,):
             with monkeypatch.context() as patch:
-                on_default_rng(patch, models)
+                on_default_rng(patch, tmp_path / "seeds", models)
                 expected = models.plan_batches(spec, pool, models.pcg64_words(seeds), epochs,
                                                batch_size, dropout)
             got = models.plan_batches(spec, pool, pcg64_words(seeds), epochs, batch_size, dropout)
@@ -139,7 +152,7 @@ WORLD = {
     "seeds": [3],
 }
 RUNS = {
-    # rungs (4, 1), (2, 3), (1, 6): rungs 2 and 3 resume their trials
+    # rungs (4, 1), (2, 2), (1, 4): rungs 2 and 3 resume their trials
     "halving": {**WORLD, "sampler": "halving", "budget_configs": 4, "rounds_per_trial": 6,
                 "eval_cadence": 2},
     # a probe cycle before rounds 3 and 5 of each trial
@@ -163,11 +176,11 @@ def report_bytes(cfg):
 
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_cpus(2))])
 @pytest.mark.parametrize("run", RUNS)
-def test_reports_equal_runs_seeded_member_by_member(run, cpus, monkeypatch):
+def test_reports_equal_runs_seeded_member_by_member(run, cpus, monkeypatch, tmp_path):
     cfg = config_from_dict(RUNS[run])
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
     got = report_bytes(cfg)
-    on_default_rng(monkeypatch, *SEEDED)
+    on_default_rng(monkeypatch, tmp_path / "seeds", *SEEDED)
     assert report_bytes(cfg) == got
 
 
@@ -259,10 +272,8 @@ def test_no_word_is_computed_for_a_round_no_pass_reads(run, cpus, monkeypatch, t
         assert sum(calls.values()) == evaluated
     else:  # this process ran every evaluation, one call each
         assert calls.pop(os.getpid()) == len(evaluations) == evaluated
-        # a helper: its share of each evaluation's passes in one call, and the
-        # whole cohort for an adaptive evaluation's cycle rounds in another
-        assert list(calls.values()) == ([evaluated * (2 if run == "adaptive" else 1)]
-                                        if cpus == 2 else [])
+        # a helper trains passes on the rows its requests carry, and computes none
+        assert list(calls.values()) == ([0] if cpus == 2 else [])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
