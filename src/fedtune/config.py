@@ -164,6 +164,7 @@ def validate_config(raw: dict) -> dict:
     fractions = cfg["split"] = [_num(f, "split") for f in split]
     _require(all(0.0 <= f <= 1.0 for f in fractions), "split", "fractions must be in [0, 1]")
     _require(abs(sum(fractions) - 1.0) <= 1e-9, "split", "fractions must sum to 1")
+    _require(min(fractions[1:]) > 0, "split", "validation and test fractions must be > 0")
     _require(0.0 <= _number(cfg, "server_val_fraction", "server_val_fraction") < 1.0,
              "server_val_fraction", "must be in [0, 1)")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import lanes, models, sched
+from . import models, sched
 from .common import (AggregationError, NumericDivergenceError, derive_seed, derive_seeds,
                      pcg64_words, seeded)
 from .data import DataShard, Dataset
@@ -40,11 +40,9 @@ class Cohort:
     builds it, and pool is built on first use, in the process that trains.
 
     base_time, scale and sigma are the members' sched.completion_time
-    arrays, which cohort_time reads. shares, once a helper has split a pass,
-    holds the ids of the helper's share and of this process's share and the
-    order that merges their rows into members' order. layouts keeps the
-    pool's models.BatchLayouts (models.plan_batches), and times its round
-    times (round_time).
+    arrays, which cohort_time reads. layouts keeps the pool's
+    models.BatchLayouts (models.plan_batches), and times its round times
+    (round_time).
     """
 
     members: list[ClientState]  # in client_id order
@@ -52,7 +50,6 @@ class Cohort:
     base_time: np.ndarray
     scale: np.ndarray
     sigma: np.ndarray
-    shares: tuple | None = None
     layouts: dict = field(default_factory=dict)
     times: dict = field(default_factory=dict)
 
@@ -113,7 +110,7 @@ class ExperimentWorld:
     # One trial's seed words at most: seed key -> (client ids, rows) (hold_trial_words).
     words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     hps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # A lanes.Helper that cohort passes and probe cycles send work to, or None.
+    # A lanes.Helper that probe cycles send work to, or None.
     helper: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -221,66 +218,28 @@ def hold_trial_words(world: ExperimentWorld, cohort: Cohort, trial: int, rounds:
                            for j, row in zip(rounds, words[len(keys) * n :]))
 
 
-def train_share(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
-                seed_key: tuple, words: np.ndarray, score: bool = True):
-    """models.train_stack of world.cohort(ids) from global_w, on the batch
-    plans world.plans holds for seed_key, scoring every loss with score.
-    words are the members' pass_words rows under seed_key, which the plans
-    draw from. Returns (weights, val losses, failures), one row each per
-    member."""
-    cohort = world.cohort(ids)
-    plans = world.plans.get(world.model_spec, hp, cohort, seed_key, words)
-    return models.train_stack(world.model_spec, global_w, hp, cohort.pool, plans, score)
-
-
-def _train_split(world: ExperimentWorld, global_w: WeightVector, hp: TrainHp, ids: tuple,
-                 seed_key: tuple, words: np.ndarray, score: bool):
-    """train_share of ids, one share trained by world.helper while this
-    process trains the other; each share takes its rows of words, and rows
-    come back in members' order."""
-    cohort = world.cohort(ids)
-    if cohort.shares is None:
-        rows = {c.client_id: len(c.shard.train) for c in cohort.members}
-        theirs, mine = (tuple(sorted(s)) for s in lanes.split(rows, rows.get, 2))
-        cohort.shares = theirs, mine, np.argsort(mine + theirs)
-    theirs, mine, order = cohort.shares
-    world.helper.send(train_share, global_w, hp, theirs, seed_key,
-                      words[np.searchsorted(ids, theirs)], score)
-    own = train_share(world, global_w, hp, mine, seed_key, words[np.searchsorted(ids, mine)],
-                      score)
-    other = world.helper.receive()
-    failures = own[2] + other[2]
-    return (np.concatenate([own[0], other[0]])[order],
-            np.concatenate([own[1], other[1]])[order], [failures[i] for i in order])
-
-
 def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
                  cohort: Cohort, round_index: int, seed_key: tuple, score: bool = True,
                  words=None):
     """Train every cohort member from global_w under config, then FedAvg.
 
-    The members train in models.train_stack passes (train_share); client c
-    draws its batches from derive_seed(*seed_key, c.client_id), through
-    its row of words (default: pass_words of the cohort under seed_key).
-    The batch plans come from world.plans, so passes under one seed_key
-    build them once. With world.helper set and not busy, a cohort of two or
-    more is split in two shares that train in two lanes, each on its rows
-    of words (README "Lanes"); the merged rows, the aggregate and every
-    error are those of one pass. If any client diverges,
-    NumericDivergenceError names the lowest such client_id, round_index and
-    config. Without score, only the losses that could be non-finite are
-    scored (models.train_stack's bound), so every divergence error stays,
-    and the others are nan.
+    The members train in one models.train_stack pass; client c draws its
+    batches from derive_seed(*seed_key, c.client_id), through its row of
+    words (default: pass_words of the cohort under seed_key). The batch
+    plans come from world.plans, so passes under one seed_key build them
+    once. If any client diverges, NumericDivergenceError names the lowest
+    such client_id, round_index and config. Without score, only the losses
+    that could be non-finite are scored (models.train_stack's bound), so
+    every divergence error stays, and the others are nan.
     Returns (aggregate weights, [(client_id, validation loss)] in
     client_id order).
     """
     hp = world.train_hp(config)
     members = cohort.members
     words = pass_words(world, cohort.ids, seed_key) if words is None else words
-    free = world.helper and not world.helper.busy
-    train = _train_split if free and len(members) > 1 else train_share
-    trained, val_losses, failures = train(world, global_w, hp, cohort.ids, seed_key, words,
-                                          score)
+    plans = world.plans.get(world.model_spec, hp, cohort, seed_key, words)
+    trained, val_losses, failures = models.train_stack(world.model_spec, global_w, hp,
+                                                       cohort.pool, plans, score)
     for c, failure in zip(members, failures):
         if failure is not None:
             raise NumericDivergenceError(

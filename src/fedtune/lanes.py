@@ -1,8 +1,8 @@
 """Work run in lanes: this process and pinned helper processes.
 
-The one place fedtune forks. helpers starts the helpers; run_jobs,
-flcore.train_cohort and runner._train_probes send them work, and
-Helper.receive reads every reply (README "Lanes").
+The one place fedtune forks. helpers starts the helpers; run_jobs and
+runner._train_probes send them work, and Helper.receive reads every
+reply (README "Lanes").
 """
 
 import contextlib

@@ -356,15 +356,14 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
 
 def _world_server(world):
     """A lanes.Helper's serve: a request (fn, *args) runs fn(world, *args),
-    for a row share of a cohort pass (flcore.train_share) or a probe share of
-    a cycle (_train_probes)."""
+    for a probe share of a cycle (_train_probes)."""
     return lambda fn, *args: fn(world, *args)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
     """One seed's report, in up to cpus lanes: a feedback_free sampler runs
-    its evaluations ahead (_run_ahead), and any other shares its cohort
-    passes and probe cycles with one helper (README "Lanes")."""
+    its evaluations ahead (_run_ahead), and adaptive search shares its
+    probe cycles with one helper (README "Lanes")."""
     world = build_world(cfg, seed)
     space = cfg.search_space()
     n, rounds = cfg["budget_configs"], cfg["rounds_per_trial"]
@@ -395,8 +394,8 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
             raise outcome
         return outcome.row.sim_time, lambda: commit(outcome)
 
-    split_lanes = 1 if sampler.feedback_free else min(cpus, 2)  # a cohort splits in two
-    with lanes.helpers(_world_server(world), split_lanes) as started:
+    probing = isinstance(sampler, hpo.AdaptiveSampler)  # a cycle splits in two
+    with lanes.helpers(_world_server(world), min(cpus, 2) if probing else 1) as started:
         world.helper = started[0] if started else None
         result = sched.dispatch(groups, sampler.num_evals,
                                 lambda group, e: sampler.start_config(e), run_eval)

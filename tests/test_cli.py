@@ -270,6 +270,8 @@ class TestCliCommands:
         ("hp_defaults.batch_size=0", "hp_defaults.batch_size: must be >= 1"),
         ("tuned=[learning_rate, learning_rate]", "tuned: 'learning_rate' appears twice"),
         ("tuned=[[learning_rate]]", "tuned: unknown hyperparameter ['learning_rate']"),
+        ("split=[1.0, 0.0, 0.0]", "split: validation and test fractions must be > 0"),
+        ("split=[0.8, 0.2, 0.0]", "split: validation and test fractions must be > 0"),
     ])
     def test_bad_hyperparameter_exit_code(self, config_path, capsys, override, message):
         assert cli.main(["validate", config_path, "--set", override]) == cli.EXIT_CONFIG

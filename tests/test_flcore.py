@@ -612,13 +612,15 @@ class TestDivergedTrialTime:
             return passes[-1][1]
 
         monkeypatch.setattr(flcore, "cohort_time", recording_cohort_time)
-        # call 1 trains round 1 (this process's share of it, with a helper);
-        # call 3 is one of the first cycle's probes
-        diverge_at_call(monkeypatch, 3)
+        # the second probe of the first cycle diverges, in whichever lane trains it
+        sampler = hpo.AdaptiveSampler(cfg.search_space(), cfg["tuned"], cfg["epsilon"],
+                                      derive_seed(1, "sampler"), 1, cfg["rounds_per_trial"])
+        diverge_probe(monkeypatch, 2, sampler.probes(sampler.start_config(0))[1].config_id)
         sr = runner.run_experiment(cfg).per_seed[0]
         (row,) = sr.trials
         (feedback,) = [e for e in sr.events if e.event_kind == "feedback"]
         assert not row.failed and feedback.sim_time == row.sim_time
+        assert [r.round for r in sr.feedback_history if r.kind == "probe"].count(2) == 3
         # rounds 2 to 4 are each preceded by a cycle of four probes, the
         # diverging one included, and each reuses its chosen probe's pass
         assert [kind for kind, _ in passes] == ["time"] + ["probe"] * 4 * 3
@@ -962,10 +964,10 @@ class TestCohort:
                            world.hp_defaults) for d, lr in ((0.3, 0.1), (0.0, 0.1), (0.3, 0.5))]
         for k, hp in enumerate(hps):
             key = (0, "train", 0, k)  # a fresh key: plans built on the cached pool
-            words = flcore.pass_words(world, cohort.ids, key)
-            trained, losses, failures = flcore.train_share(world, w, hp, cohort.ids, key, words)
+            plans = world.plans.get(spec, hp, cohort, key,
+                                    flcore.pass_words(world, cohort.ids, key))
+            trained, losses, failures = models.train_stack(spec, w, hp, cohort.pool, plans)
             assert failures == [None] * 5
-            plans = world.plans.get(spec, hp, cohort, key, words)
             assert [p.features.shape[1] for p in plans] == [1, 4, 16]
             cold = [cold_batches(spec, (c.shard.train.features, c.shard.train.labels),
                                  derive_seed(*key, c.client_id), *models.plan_key(spec, hp))

@@ -6,12 +6,11 @@ evaluation continues the latest committed one of its trial key, which
 random and adaptive search never repeat. And a one-seed random search,
 which reads no feedback, runs every evaluation ahead in lanes, on the
 group a dry dispatch of simulated durations predicts, with the same report
-and errors as inline. And a one-seed adaptive or halving search splits
-every cohort pass with one helper, with the same report and errors as
-inline."""
+and errors as inline. And a one-seed adaptive search splits every probe
+cycle with one helper, with the same report and errors as inline, while a
+one-seed halving search forks nothing."""
 
 import contextlib
-import functools
 import gc
 import hashlib
 import os
@@ -23,16 +22,14 @@ import sys
 import time
 import weakref
 
-import numpy as np
 import pytest
 import yaml
 
 import fedtune
-from fedtune import cli, data, flcore, hpo, lanes, models, runner, sched
+from fedtune import cli, flcore, hpo, lanes, models, runner, sched
 from fedtune.common import (FedTuneError, FeedbackError, NumericDivergenceError,
-                            PartitionError, derive_seeds, pcg64_words)
+                            PartitionError, derive_seed, derive_seeds, pcg64_words)
 from fedtune.config import config_from_dict
-from fedtune.hpo import HpConfig
 
 # Lanes are forked, and several tests rely on that: patches made in this
 # process reach the children, and forks are counted at os.fork.
@@ -58,13 +55,6 @@ TINY = {
 def ids(world):
     """The client_id of every client of world, in its order."""
     return [c.client_id for c in world.clients]
-
-
-def as_train_share(spy):
-    """spy under the names of flcore.train_share: patched in, it pickles by
-    reference to that attribute, so flcore._train_split can send it to a
-    helper forked after the patch, which runs its own copy."""
-    return functools.wraps(flcore.train_share)(spy)
 
 
 def usable_cpus(monkeypatch, n):
@@ -538,13 +528,14 @@ class TestRunAhead:
 
     @needs_two_cpus
     @pytest.mark.parametrize("sampler", ["adaptive", "halving"])
-    def test_samplers_that_read_feedback_fork_one_helper(self, sampler, monkeypatch):
+    def test_only_the_sampler_that_probes_forks_a_helper(self, sampler, monkeypatch):
         pids = fork_pids(monkeypatch)
         overrides = {**TINY, "sampler": sampler, "budget_configs": 3, "seeds": [1]}
         alone = one_seed_report(monkeypatch, overrides, 1)
         assert pids == []
         split = one_seed_report(monkeypatch, overrides, 2)
-        assert len(pids) == 1  # the helper lane, not run-ahead lanes
+        # adaptive search's probe helper; halving runs inline, with no run-ahead lanes
+        assert len(pids) == (sampler == "adaptive")
         assert_reaped(pids)
         assert seed_report_key(split) == seed_report_key(alone)
 
@@ -666,7 +657,7 @@ class TestRunJobs:
         assert (type(done[3]), str(done[3])) == (UnpicklableError, "boom at 3")
 
 
-# Six clients, so each share of a cohort pass holds several.
+# Six clients and one seed; PROBING (below) adds a probe cycle before rounds 2-4.
 SPLIT = {**TINY, "dataset": {**TINY["dataset"], "n": 600}, "n_clients": 6, "seeds": [1]}
 
 
@@ -685,33 +676,32 @@ def failing_setaffinity(which):
 @needs_two_cpus
 @pytest.mark.usefixtures("affinity_is_restored")
 class TestHelper:
-    """A one-seed adaptive or halving search trains one share of every cohort
-    pass in a pinned helper lane, with the same report and errors as inline,
-    and leaves this process's CPU affinity as it found it."""
+    """A one-seed adaptive search trains one share of every probe cycle in a
+    pinned helper lane, with the same report and errors as inline, and
+    leaves this process's CPU affinity as it found it."""
 
     def test_shares_train_on_two_pinned_cpus(self, monkeypatch):
         cpus = sorted(os.sched_getaffinity(0))
-        alone = one_seed_report(monkeypatch, SPLIT, 1)
-        parent, train_share, seen = os.getpid(), flcore.train_share, set()
+        alone = one_seed_report(monkeypatch, PROBING, 1)
+        parent, train_cohort, seen = os.getpid(), flcore.train_cohort, set()
 
-        @as_train_share
-        def spy(world, global_w, hp, share, seed_key, words, score):
-            if os.getpid() == parent:
-                seen.add((len(share), frozenset(os.sched_getaffinity(0)),
+        def spy(world, *args):
+            if os.getpid() == parent and world.helper and world.helper.busy:
+                seen.add((frozenset(os.sched_getaffinity(0)),
                           frozenset(os.sched_getaffinity(world.helper.pid))))
-            return train_share(world, global_w, hp, share, seed_key, words, score)
+            return train_cohort(world, *args)
 
-        monkeypatch.setattr(flcore, "train_share", spy)
-        split = one_seed_report(monkeypatch, SPLIT, 2)
+        monkeypatch.setattr(flcore, "train_cohort", spy)
+        split = one_seed_report(monkeypatch, PROBING, 2)
         assert seed_report_key(split) == seed_report_key(alone)
-        assert {(mine, theirs) for _, mine, theirs in seen} == \
-            {(frozenset(cpus[:1]), frozenset(cpus[1:2]))}
-        assert max(n for n, _, _ in seen) < SPLIT["n_clients"]
+        # this process trains its probes while the helper trains the others
+        assert seen == {(frozenset(cpus[:1]), frozenset(cpus[1:2]))}
 
     @pytest.mark.parametrize("sampler", ["halving", "adaptive"])
     def test_each_request_carries_its_shares_words(self, sampler, monkeypatch):
-        # halving's rungs (5, 1), (3, 2), (2, 4), (1, 6): each later rung resumes
-        # its trials after round 1; adaptive runs a probe cycle before rounds 2-4
+        # halving's rungs (5, 1), (3, 2), (2, 4), (1, 6), each later one resuming
+        # its trials after round 1, send nothing; adaptive runs a probe cycle
+        # before rounds 2-4, and sends a probe share of each
         overrides = {**SPLIT, "sampler": "halving", "budget_configs": 5, "rounds_per_trial": 6,
                      "eval_cadence": 2} if sampler == "halving" else PROBING
         requests, send = [], lanes.Helper.send
@@ -722,22 +712,18 @@ class TestHelper:
 
         monkeypatch.setattr(lanes.Helper, "send", recording_send)
         one_seed_report(monkeypatch, overrides, 2)
-        ids, kinds, rounds = tuple(range(SPLIT["n_clients"])), set(), set()
-        for fn, *args in requests:
-            if fn is flcore.train_share:  # a row share of a pass: its members' rows
-                _, _, share, key, words, _ = args
-            else:  # a probe share of a cycle: the whole cohort's rows under its key
-                assert fn is runner._train_probes
-                _, _, share, _, key, words = args
-                assert share == ids
+        ids, rounds = tuple(range(SPLIT["n_clients"])), []
+        for fn, *args in requests:  # the whole cohort's rows under the cycle's key
+            assert fn is runner._train_probes
+            _, _, share, _, key, words = args
+            assert share == ids
             expected = pcg64_words(derive_seeds(key, share))
             assert (words.dtype, words.shape, words.tobytes()) == \
-                (expected.dtype, expected.shape, expected.tobytes()), (fn.__name__, key, share)
-            kinds.add(fn.__name__)
-            rounds.add(key[-1])
-        assert kinds == ({"train_share"} if sampler == "halving" else
-                         {"train_share", "_train_probes"})
-        assert rounds == set(range(1, overrides["rounds_per_trial"] + 1))
+                (expected.dtype, expected.shape, expected.tobytes()), key
+            rounds.append(key[2:])  # (trial, round)
+        assert rounds == ([] if sampler == "halving" else
+                          [(t, j) for t in range(overrides["budget_configs"])
+                           for j in range(2, overrides["rounds_per_trial"] + 1)])
 
     @pytest.mark.parametrize("which", ["this process", "the helper"])
     def test_failing_sched_setaffinity_runs_inline(self, which, monkeypatch):
@@ -748,36 +734,6 @@ class TestHelper:
         assert seed_report_key(inline) == seed_report_key(alone)
         assert len(pids) == (which == "the helper")  # pinned after the fork
         assert_reaped(pids)
-
-    def test_divergence_in_helpers_share_raises_like_one_cpu(self):
-        world = runner.build_world(config_from_dict(SPLIT), 1)
-        rows = {c.client_id: len(c.shard.train) for c in world.clients}
-        theirs, mine = lanes.split(rows, rows.get, 2)  # as flcore.train_cohort splits
-        # the helper's lowest client and a higher one of this process's share diverge
-        poisoned = {min(theirs), max(mine)}
-        assert min(theirs) < max(mine)
-        for c in world.clients:
-            if c.client_id in poisoned:
-                c.shard.train = data.Dataset(np.full_like(c.shard.train.features, np.nan),
-                                             c.shard.train.labels)
-        healthy = [i for i in ids(world) if i not in poisoned]
-        w = models.init_weights(world.model_spec, 0)
-        config, key = HpConfig(world.hp_defaults), (1, "train", 0, 3)
-
-        def passes():
-            with pytest.raises(NumericDivergenceError) as info:
-                flcore.train_cohort(world, w, config, world.cohort(ids(world)), 3, key)
-            err = info.value
-            # the helper still answers in step after the error
-            agg, losses = flcore.train_cohort(world, w, config, world.cohort(healthy), 3, key)
-            return (str(err), err.client_id, err.round_index, err.config_id,
-                    agg.values.tobytes(), repr(losses))
-
-        alone = passes()
-        with lanes.helpers(runner._world_server(world), 2) as started:
-            world.helper, = started
-            assert passes() == alone
-        assert alone[1:4] == (min(theirs), 3, config.config_id)
 
     def test_world_is_freed_when_its_run_returns(self, monkeypatch):
         # without a garbage collection: a world kept alive by a cycle through
@@ -797,61 +753,44 @@ class TestHelper:
         finally:
             gc.enable()
 
-    def test_dead_helper_exits_3(self, tmp_path, monkeypatch, capsys):
-        parent, train_share = os.getpid(), flcore.train_share
-
-        @as_train_share
-        def dying(*args):
-            if os.getpid() != parent:  # the helper is killed
-                os.kill(os.getpid(), signal.SIGKILL)
-            return train_share(*args)
-
-        monkeypatch.setattr(flcore, "train_share", dying)
-        usable_cpus(monkeypatch, 2)
-        pids = fork_pids(monkeypatch)
-        path = write_config(tmp_path, **SPLIT)
-        assert cli.main(["run", path, "--output", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
-        assert "error: a worker process died" in capsys.readouterr().err
-        assert len(pids) == 1
-        assert_reaped(pids)
-
     def test_interrupt_reaps_helper(self, monkeypatch):
-        parent, train_share = os.getpid(), flcore.train_share
+        parent, train_cohort = os.getpid(), flcore.train_cohort
 
-        @as_train_share
-        def interrupted(*args):
-            if os.getpid() == parent:  # while the helper trains its share
+        def interrupted(world, *args):
+            if os.getpid() == parent and world.helper.busy:  # while the helper trains its share
                 raise KeyboardInterrupt
-            return train_share(*args)
+            return train_cohort(world, *args)
 
-        monkeypatch.setattr(flcore, "train_share", interrupted)
+        monkeypatch.setattr(flcore, "train_cohort", interrupted)
         pids = fork_pids(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
-            one_seed_report(monkeypatch, SPLIT, 2)
+            one_seed_report(monkeypatch, PROBING, 2)
         assert len(pids) == 1
         assert_reaped(pids)
 
     @pytest.mark.parametrize("error", [FeedbackError, TwoArgError, UnpicklableError])
     def test_error_in_either_share_raises_like_one_cpu(self, error, monkeypatch):
-        train_share = flcore.train_share
+        cfg, train_cohort = config_from_dict(PROBING), flcore.train_cohort
+        sampler = hpo.AdaptiveSampler(SPACE, cfg["tuned"], cfg["epsilon"],
+                                      derive_seed(1, "sampler"), 1, cfg["rounds_per_trial"])
+        probes = sampler.probes(sampler.start_config(0))  # the first cycle's, before round 2
         pids = fork_pids(monkeypatch)
-        for failing in range(SPLIT["n_clients"]):  # in either share
+        for failing in (p.config_id for p in probes):  # in either share
 
-            @as_train_share
-            def raising(world, global_w, hp, share, seed_key, words, score):
-                if failing in share:
+            def raising(world, global_w, config, cohort, j, *args):
+                if (j, config.config_id) == (2, failing):
                     raise (error(f"boom at {failing}") if error is FeedbackError
                            else error(f"boom at {failing}", failing))
-                return train_share(world, global_w, hp, share, seed_key, words, score)
+                return train_cohort(world, global_w, config, cohort, j, *args)
 
-            monkeypatch.setattr(flcore, "train_share", raising)
+            monkeypatch.setattr(flcore, "train_cohort", raising)
             seen = {}
             for cpus in (1, 2):
                 with pytest.raises(error) as info:
-                    one_seed_report(monkeypatch, SPLIT, cpus)
+                    one_seed_report(monkeypatch, PROBING, cpus)
                 seen[cpus] = type(info.value), str(info.value)
             assert seen[2] == seen[1] == (error, f"boom at {failing}")
-        assert len(pids) == SPLIT["n_clients"]
+        assert len(pids) == len(probes) > 1
         assert_reaped(pids)
 
 
@@ -881,28 +820,27 @@ class TestReceive:
         assert (pid, type(err), str(err)) == (parent, TwoArgError, "made for 7")
         assert busy_here == [True]  # computed here while the request was still out
 
-    def test_train_cohort_trains_inline_beside_a_request_out(self, monkeypatch):
-        world = runner.build_world(config_from_dict(SPLIT), 1)
-        w, config = models.init_weights(world.model_spec, 0), HpConfig(world.hp_defaults)
-        hp, key = flcore.to_train_hp(config, world.hp_defaults), (1, "train", 0, 3)
-        cohort, few = world.cohort(ids(world)), world.cohort(ids(world)[:2])
-        alone = flcore.train_cohort(world, w, config, cohort, 3, key)
-        sent = []
-        with lanes.helpers(runner._world_server(world), 2) as started:
-            world.helper, = started
+    def test_probes_train_inline_beside_a_request_out(self, monkeypatch):
+        world = runner.build_world(config_from_dict(PROBING), 1)
+        w, key, cohort = models.init_weights(world.model_spec, 0), (1, "train", 0, 3), ids(world)
+        words = flcore.pass_words(world, tuple(cohort), key)
+        probes = dict(enumerate(hpo.probe_set(SPACE, START, EVEN)))
+
+        def train(probes):
+            passes = runner._train_probes(world, probes, w, cohort, 3, key, words)
+            return [(i, p[0].values.tobytes(), repr(p[1:])) for i, p in passes]
+
+        alone, sent = train(probes), []
+        with probe_helper(world):
             send = world.helper.send
             monkeypatch.setattr(world.helper, "send", lambda *request: sent.append(request))
-            send(flcore.train_share, w, hp, few.ids, key, flcore.pass_words(world, few.ids, key),
-                 True)
-            agg, losses = flcore.train_cohort(world, w, config, cohort, 3, key)
+            send(runner._train_probes, {0: probes[0]}, w, cohort, 3, key, words)
+            here = train(probes)
             reply = world.helper.receive()
-            world.helper = None
         assert sent == []
-        assert (agg.values.tobytes(), losses) == (alone[0].values.tobytes(), alone[1])
+        assert here == alone
         # the reply is the one to the request out
-        mine = flcore.train_share(world, w, hp, few.ids, key,
-                                  flcore.pass_words(world, few.ids, key))
-        assert [a.tobytes() for a in reply[:2]] == [a.tobytes() for a in mine[:2]]
+        assert [(i, p[0].values.tobytes(), repr(p[1:])) for i, p in reply] == alone[:1]
 
 
 # SPLIT with a probe cycle of four probes before every round after the first.
@@ -970,39 +908,37 @@ class TestProbeLanes:
     of one CPU."""
 
     def test_report_equals_one_cpu_run(self, monkeypatch):
-        parent, train_share, whole = os.getpid(), flcore.train_share, []
+        parent, train_cohort, here = os.getpid(), flcore.train_cohort, []
 
-        @as_train_share
-        def spy(world, global_w, hp, share, seed_key, words, score):
-            if os.getpid() == parent and len(share) == PROBING["n_clients"]:
-                whole.append(seed_key)
-            return train_share(world, global_w, hp, share, seed_key, words, score)
+        def spy(world, global_w, config, cohort, j, seed_key, *args):
+            if os.getpid() == parent:
+                here.append(seed_key)
+            return train_cohort(world, global_w, config, cohort, j, seed_key, *args)
 
-        monkeypatch.setattr(flcore, "train_share", spy)
+        monkeypatch.setattr(flcore, "train_cohort", spy)
         pids = fork_pids(monkeypatch)
         alone = one_seed_report(monkeypatch, PROBING, 1)
-        whole_alone, whole[:] = len(whole), []
+        here_alone, here[:] = len(here), []
         laned = one_seed_report(monkeypatch, PROBING, 2)
         assert seed_report_key(laned) == seed_report_key(alone)
-        # here, only this process's probes trained whole
-        assert 0 < len(whole) < whole_alone
+        # here, only this process's probes trained
+        assert 0 < len(here) < here_alone
         assert len(pids) == 1
         assert_reaped(pids)
 
-    def test_three_probes_split_two_one_and_one_probe_takes_the_row_split(self, tmp_path,
-                                                                          monkeypatch):
-        log, train_share = tmp_path / "passes", flcore.train_share
+    def test_three_probes_split_two_one_and_one_probe_trains_here(self, tmp_path,
+                                                                  monkeypatch):
+        log, train_cohort = tmp_path / "passes", flcore.train_cohort
 
-        @as_train_share
-        def logging(world, global_w, hp, share, seed_key, words, score):
+        def logging(world, global_w, config, cohort, *args):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {len(share)}\n")
-            return train_share(world, global_w, hp, share, seed_key, words, score)
+                fh.write(f"{os.getpid()} {len(cohort.members)}\n")
+            return train_cohort(world, global_w, config, cohort, *args)
 
-        monkeypatch.setattr(flcore, "train_share", logging)
+        monkeypatch.setattr(flcore, "train_cohort", logging)
         world = runner.build_world(config_from_dict(PROBING), 1)
         n = len(world.clients)
-        for tuned, here, there in [(EVEN[:2], [n, n], [n]), ([], None, None)]:
+        for tuned, here, there in [(EVEN[:2], [n, n], [n]), ([], [n], [])]:
             alone = probe_cycle(world, tuned)
             assert len(alone[0]) == len(tuned) + 1  # every probe finished
             log.write_text("")
@@ -1012,10 +948,7 @@ class TestProbeLanes:
             passes = [line.split() for line in log.read_text().splitlines()]
             mine = [int(size) for pid, size in passes if int(pid) == os.getpid()]
             theirs = [int(size) for pid, size in passes if int(pid) == helper]
-            if here is None:  # one probe: one pass, split by rows
-                assert len(mine) == len(theirs) == 1 and mine[0] + theirs[0] == n
-            else:
-                assert (mine, theirs) == (here, there)
+            assert (mine, theirs) == (here, there)
 
     @pytest.mark.parametrize("diverging", [{0}, {1}, {2}, {3}, {0, 1}, {2, 3}, {0, 1, 2, 3}])
     def test_diverging_probes_give_the_records_and_step_of_one_cpu(self, diverging,
@@ -1057,8 +990,7 @@ class TestProbeLanes:
         parent, train_cohort = os.getpid(), flcore.train_cohort
 
         def dying(*args):
-            # a helper calls train_cohort only for probes, so it dies in its
-            # first probe request, after training row shares of round 1
+            # a helper trains only probes, so it dies in its first probe request
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return train_cohort(*args)

@@ -7,13 +7,12 @@ apply to one only; run with -W error, a uint32 overflow warning fails them.
 Every consumer computes its words in batches: a world's latencies, shard
 splits and calibration times in one call each, a trial's passes and round
 times in one call per evaluation and cohort, in the process that runs the
-trial, and a run-ahead dry dispatch's round times in one call. A helper
-computes none: each request carries its share's rows. No word is computed
-for a round that no pass reads.
+trial, and a run-ahead dry dispatch's round times in one call. A probe
+helper computes none: each request carries the cohort's rows. No word is
+computed for a round that no pass reads.
 """
 
 import ast
-import functools
 import os
 from collections import defaultdict
 
@@ -201,7 +200,7 @@ def test_a_world_takes_each_kind_of_words_in_one_call(monkeypatch):
 class KernelLog:
     """Which rounds each process computes words for, and which it reads
     after that: every flcore kernel call is logged with its rounds, and
-    every pass (flcore.train_share) and round time drawn
+    every pass (flcore.train_cohort) and round time drawn
     (flcore.cohort_time) with its round once it is done. Lines go to a
     file, so helpers and lanes log too."""
 
@@ -213,16 +212,15 @@ class KernelLog:
                          for kind, clients in (("train", [(i,) for i in range(n)]),
                                                ("time", [()]))
                          for t in trials for j in range(1, rounds + 1) for client in clients}
-        kernel, train_share, cohort_time = (flcore.pcg64_words, flcore.train_share,
-                                            flcore.cohort_time)
+        kernel, train_cohort, cohort_time = (flcore.pcg64_words, flcore.train_cohort,
+                                             flcore.cohort_time)
 
         def logged_kernel(seeds):
             self.write("words", sorted({self.round_of.get(s, ("?", s)) for s in seeds}))
             return kernel(seeds)
 
-        @functools.wraps(train_share)  # pickled by name, so a helper runs its own copy
-        def logged_share(world, global_w, hp, ids, seed_key, *args):
-            out = train_share(world, global_w, hp, ids, seed_key, *args)
+        def logged_pass(world, global_w, config, cohort, j, seed_key, *args):
+            out = train_cohort(world, global_w, config, cohort, j, seed_key, *args)
             self.write("pass", [seed_key[2:]])
             return out
 
@@ -233,7 +231,7 @@ class KernelLog:
             return out
 
         monkeypatch.setattr(flcore, "pcg64_words", logged_kernel)
-        monkeypatch.setattr(flcore, "train_share", logged_share)
+        monkeypatch.setattr(flcore, "train_cohort", logged_pass)
         monkeypatch.setattr(flcore, "cohort_time", logged_time)
 
     def write(self, what, rounds):
@@ -272,8 +270,9 @@ def test_no_word_is_computed_for_a_round_no_pass_reads(run, cpus, monkeypatch, t
         assert sum(calls.values()) == evaluated
     else:  # this process ran every evaluation, one call each
         assert calls.pop(os.getpid()) == len(evaluations) == evaluated
-        # a helper trains passes on the rows its requests carry, and computes none
-        assert list(calls.values()) == ([0] if cpus == 2 else [])
+        # adaptive search's helper trains probes on the rows its requests
+        # carry, and computes none; halving starts no helper
+        assert list(calls.values()) == ([0] if cpus == 2 and run == "adaptive" else [])
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
