@@ -8,6 +8,7 @@ server-side validation set.
 """
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -55,11 +56,22 @@ class Cohort:
 
     @functools.cached_property
     def pool(self) -> models.ShardPool:
-        """The members' training and validation rows (models.pool_shards)."""
-        return models.pool_shards(
-            self.members[0].shard.train.features.shape[1],
-            [(c.shard.train.features, c.shard.train.labels,
-              c.shard.val.features, c.shard.val.labels) for c in self.members])
+        """The members' training and validation rows (member_pool)."""
+        return member_pool(self.members)
+
+
+def member_pool(members: list[ClientState]) -> models.ShardPool:
+    """models.pool_shards of the members' splits, a client listed twice pooled once."""
+    distinct = {c.client_id: c for c in members}
+    at = dict(zip(distinct, range(len(distinct))))
+    return models.pool_shards(members[0].shard.train.features.shape[1], [
+        (c.shard.train.features, c.shard.train.labels, c.shard.val.features, c.shard.val.labels)
+        for c in distinct.values()], [at[c.client_id] for c in members])
+
+
+# A stack of a wave (run_trials): its cohorts' members in turn, each client's
+# rows pooled once (member_pool), keyed in world.plans by its cohorts' ids.
+Stack = namedtuple("Stack", "ids pool layouts")
 
 
 @dataclass
@@ -107,7 +119,7 @@ class ExperimentWorld:
     agg_mode: str = "weighted"
     cohorts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plans: PlanMemo = field(default_factory=PlanMemo, init=False, repr=False, compare=False)
-    # One trial's seed words at most: seed key -> (client ids, rows) (hold_trial_words).
+    # One call's trials' seed words: seed key -> (client ids, rows) (hold_trial_words).
     words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     hps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # A lanes.Helper that probe cycles send work to, or None.
@@ -203,55 +215,76 @@ def pass_words(world: ExperimentWorld, ids: tuple, seed_key: tuple) -> np.ndarra
     return held[1] if held and held[0] == ids else pcg64_words(derive_seeds(seed_key, ids))
 
 
-def hold_trial_words(world: ExperimentWorld, cohort: Cohort, trial: int, rounds: range,
-                     timed: bool):
-    """Compute, in one common.pcg64_words call, the words of trial's passes
-    over cohort in rounds (train_key) and, if timed, of their round times
-    (round_time), and hold them on world in place of what it held."""
-    keys, n = [train_key(world, trial, j) for j in rounds], len(cohort.ids)
-    time = (world.base_seed, "time", trial)
-    words = pcg64_words([s for key in keys for s in derive_seeds(key, cohort.ids)]
-                        + (derive_seeds(time, rounds) if timed else []))
-    world.words = {key: (cohort.ids, words[r * n : (r + 1) * n]) for r, key in enumerate(keys)}
-    if timed:
-        world.words.update(((*time, j), ((), row))
-                           for j, row in zip(rounds, words[len(keys) * n :]))
+def hold_trial_words(world: ExperimentWorld, trials):
+    """Compute, in one common.pcg64_words call, the words of each trial's
+    passes over its cohort in its rounds (train_key) and, unless the cohort
+    keeps them all, of their round times under epochs (round_time), and
+    hold them on world in place of what it held. trials holds (cohort,
+    trial, rounds, epochs) tuples."""
+    held, seeds = [], []
+    for cohort, trial, rounds, epochs in trials:
+        for j in rounds:
+            held.append((train_key(world, trial, j), cohort.ids))
+            seeds += derive_seeds(held[-1][0], cohort.ids)
+        if any((epochs, trial, j) not in cohort.times for j in rounds):
+            held += [((world.base_seed, "time", trial, j), None) for j in rounds]
+            seeds += derive_seeds((world.base_seed, "time", trial), rounds)
+    words, o, world.words = pcg64_words(seeds), 0, {}
+    for key, ids in held:  # a pass's rows, or a round time's row
+        n = 1 if ids is None else len(ids)
+        world.words[key], o = ((), words[o]) if ids is None else (ids, words[o : o + n]), o + n
+
+
+def train_cohorts(world: ExperimentWorld, passes, score: bool = True,
+                  stack: Stack | None = None) -> list:
+    """Train the passes, each (global_w, config, cohort, round_index,
+    seed_key, words), in one models.train_stack call under their one
+    models.plan_key (several passes: on stack), then FedAvg each.
+
+    Member c of a pass trains from global_w under config on the batches of
+    derive_seed(*seed_key, c.client_id), through its row of words (None:
+    pass_words); plans come from world.plans, built once per seed_key.
+    Without score, only losses that could be non-finite are scored
+    (models.train_stack's bound), the others nan. Returns per pass
+    (aggregate, [(client_id, validation loss)] in client_id order) or a
+    NumericDivergenceError naming its lowest diverged client.
+    """
+    spec, cohorts = world.model_spec, [p[2] for p in passes]
+    hps = [world.train_hp(p[1]) for p in passes]
+    words = [pass_words(world, c.ids, k) if w is None else w for _, _, c, _, k, w in passes]
+    if stack is None:
+        stack, seed_key, w, hp, words = cohorts[0], passes[0][4], passes[0][0], hps[0], words[0]
+    else:  # a wave: each row from its pass's weights, under its config
+        seed_key, words = tuple(p[4] for p in passes), np.concatenate(words)
+        rows = [len(c.members) for c in cohorts]
+        w = WeightVector(np.repeat([p[0].values for p in passes], rows, axis=0), spec.layout_id)
+        hp = np.repeat([(h.learning_rate, h.weight_decay, 1 - h.dropout) for h in hps], rows, 0)
+    plans = world.plans.get(spec, hps[0], stack, seed_key, words)
+    trained, val_losses, failures = models.train_stack(spec, w, hp, stack.pool, plans, score)
+    out, o = [], 0
+    for global_w, config, cohort, round_index, _, _ in passes:
+        rows, o = slice(o, o + len(cohort.members)), o + len(cohort.members)
+        if any(failures[rows]):
+            c, failure = next((c, f) for c, f in zip(cohort.members, failures[rows]) if f)
+            out.append(NumericDivergenceError(
+                f"client {c.client_id} diverged in round {round_index}: {failure}",
+                client_id=c.client_id, round_index=round_index, config_id=config.config_id))
+            continue
+        updates = [(WeightVector(v, global_w.layout_id), len(c.shard.train))
+                   for v, c in zip(trained[rows], cohort.members)]
+        out.append((fedavg_aggregate(updates, world.agg_mode),
+                    [(c.client_id, float(vl)) for c, vl in zip(cohort.members, val_losses[rows])]))
+    return out
 
 
 def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
                  cohort: Cohort, round_index: int, seed_key: tuple, score: bool = True,
                  words=None):
-    """Train every cohort member from global_w under config, then FedAvg.
-
-    The members train in one models.train_stack pass; client c draws its
-    batches from derive_seed(*seed_key, c.client_id), through its row of
-    words (default: pass_words of the cohort under seed_key). The batch
-    plans come from world.plans, so passes under one seed_key build them
-    once. If any client diverges, NumericDivergenceError names the lowest
-    such client_id, round_index and config. Without score, only the losses
-    that could be non-finite are scored (models.train_stack's bound), so
-    every divergence error stays, and the others are nan.
-    Returns (aggregate weights, [(client_id, validation loss)] in
-    client_id order).
-    """
-    hp = world.train_hp(config)
-    members = cohort.members
-    words = pass_words(world, cohort.ids, seed_key) if words is None else words
-    plans = world.plans.get(world.model_spec, hp, cohort, seed_key, words)
-    trained, val_losses, failures = models.train_stack(world.model_spec, global_w, hp,
-                                                       cohort.pool, plans, score)
-    for c, failure in zip(members, failures):
-        if failure is not None:
-            raise NumericDivergenceError(
-                f"client {c.client_id} diverged in round {round_index}: {failure}",
-                client_id=c.client_id,
-                round_index=round_index,
-                config_id=config.config_id,
-            )
-    updates = [(WeightVector(v, global_w.layout_id), len(c.shard.train))
-               for v, c in zip(trained, members)]
-    return (fedavg_aggregate(updates, world.agg_mode),
-            [(c.client_id, float(vl)) for c, vl in zip(members, val_losses)])
+    """train_cohorts of the one pass of these arguments, raising its divergence."""
+    out, = train_cohorts(world, [(global_w, config, cohort, round_index, seed_key, words)], score)
+    if isinstance(out, NumericDivergenceError):
+        raise out
+    return out
 
 
 def round_time(world: ExperimentWorld, cohort: Cohort, config: HpConfig, trial: int, j: int,
@@ -291,22 +324,22 @@ def cohort_time(cohort: Cohort, epochs: int, seed_key: tuple, words=None) -> flo
                                        rng).max())
 
 
-def run_round(state: RoundState, cohort: Cohort, world: ExperimentWorld,
-              trial_index: int = 0, score: bool = True):
-    """Execute one communication round over the given cohort.
-
-    Returns (next RoundState, [(client_id, local validation loss)] in
-    client_id order), scored as train_cohort scores them. Scoring the new
-    global model is left to run_trial.
+def run_round(states, cohorts, world: ExperimentWorld, trials, score: bool = True,
+              stack: Stack | None = None) -> list:
+    """One communication round of each trial trials[i] from states[i] over
+    cohorts[i], in one train_cohorts pass under one models.plan_key (several
+    trials: on stack): per trial its (next RoundState, [(client_id, local
+    validation loss)] in client_id order), or its NumericDivergenceError.
+    Scoring the new global models is left to run_trials.
     """
-    if not cohort.members:
+    if not all(c.members for c in cohorts):
         raise AggregationError("run_round: empty cohort")
-    j = state.round_index
-    new_global, val_losses = train_cohort(
-        world, state.global_weights, state.current_hp, cohort, j,
-        train_key(world, trial_index, j), score,
-    )
-    return RoundState(j + 1, new_global, state.current_hp), val_losses
+    passes = train_cohorts(world, [
+        (s.global_weights, s.current_hp, c, s.round_index, train_key(world, t, s.round_index),
+         None) for s, c, t in zip(states, cohorts, trials)], score, stack)
+    return [out if isinstance(out, NumericDivergenceError) else
+            (RoundState(s.round_index + 1, out[0], s.current_hp), out[1])
+            for s, out in zip(states, passes)]
 
 
 def _score(spec: ModelSpec, w: WeightVector, sets: list[Dataset]):
@@ -321,6 +354,10 @@ def _non_finite(what: str, hp: HpConfig, round_index: int) -> NumericDivergenceE
         round_index=round_index, config_id=hp.config_id)
 
 
+# A trial of run_trials, as run_trial takes it (index is its trial_index).
+Trial = namedtuple("Trial", "hp cohort index on_cadence resume", defaults=(0, None, None))
+
+
 def run_trial(
     hp: HpConfig,
     budget_rounds: int,
@@ -332,7 +369,7 @@ def run_trial(
     resume: TrialResult | None = None,
 ) -> TrialResult:
     """Train trial trial_index on cohort (default: every client) up to round
-    budget_rounds under hp and score it.
+    budget_rounds under hp and score it: the one-trial call of run_trials.
 
     A fresh trial starts from initial weights keyed by trial_index. Given
     resume, an earlier result of the same trial, it advances a copy of
@@ -369,48 +406,85 @@ def run_trial(
     The final weights are scored on the cohort's validation splits in one
     models.evaluate_stack call and on its test splits in another.
     """
+    cohort = cohort or world.cohort(c.client_id for c in world.clients)
+    return run_trials([Trial(hp, cohort, trial_index, on_cadence, resume)], budget_rounds, world,
+                      patience)[0]
+
+
+def run_trials(trials: list[Trial], budget_rounds: int, world: ExperimentWorld,
+               patience: int = 0) -> list[TrialResult]:
+    """run_trial of each trial up to round budget_rounds, bit for bit, in
+    lockstep: each round charges every live trial its round time, trains
+    them in one run_round pass per models.plan_key and stack of at most as
+    many members as the world has clients (train_stack rows are independent),
+    then scores and ends each alone. One hold_trial_words call takes every word."""
     if budget_rounds < 1:
         raise ValueError("budget_rounds must be >= 1")
-    cohort = cohort or world.cohort(c.client_id for c in world.clients)
-    spec = world.model_spec
-    if resume is None:
-        resume = TrialResult(hp, np.inf, 0.0, final_weights=models.init_weights(
-            spec, derive_seed(world.base_seed, "init", trial_index)))
-    if resume.failure is not None:
-        return resume
-    r = replace(resume, objective=np.inf, test_accuracy=0.0, trace=list(resume.trace))
-    state = RoundState(r.last_round + 1, r.final_weights, r.config)
-    rounds = range(state.round_index, budget_rounds + 1)
-    if rounds and not r.stopped:
-        epochs = world.train_hp(r.config).epochs
-        hold_trial_words(world, cohort, trial_index, rounds,
-                         any((epochs, trial_index, j) not in cohort.times for j in rounds))
+    spec, cadence, clients = world.model_spec, world.eval_cadence, len(world.clients)
+    results = [t.resume or TrialResult(t.hp, np.inf, 0.0, final_weights=models.init_weights(
+        spec, derive_seed(world.base_seed, "init", t.index))) for t in trials]
+    results = [r if r.failure is not None else replace(
+        r, objective=np.inf, test_accuracy=0.0, trace=list(r.trace)) for r in results]
+    states = {i: RoundState(r.last_round + 1, r.final_weights, r.config)  # of the unfailed
+              for i, r in enumerate(results) if r.failure is None}
 
-    def diverged(err):
-        return TrialResult(state.current_hp, np.inf, 0.0, sim_time=r.sim_time, failure=err)
+    def live():
+        return [i for i, s in states.items()
+                if s.round_index <= budget_rounds and not results[i].stopped]
 
-    while not r.stopped and state.round_index <= budget_rounds:
-        j = state.round_index
-        reused = None
-        if on_cadence is not None and j > 1 and (j - 1) % world.eval_cadence == 0:
-            state.current_hp, extra, reused = on_cadence(state)
-            r.sim_time += extra
-        if reused is None:
-            r.sim_time += round_time(world, cohort, state.current_hp, trial_index, j)
-            try:
-                state, r.local_losses = run_round(
-                    state, cohort, world, trial_index, j == budget_rounds
-                    or patience > 0 and j % world.eval_cadence == 0)
-            except NumericDivergenceError as err:
-                return diverged(err)
-        else:
-            new_global, r.local_losses = reused
-            state = RoundState(j + 1, new_global, state.current_hp)
-        if j % world.eval_cadence == 0:
+    def diverged(i, err):
+        results[i] = TrialResult(states.pop(i).current_hp, np.inf, 0.0,
+                                 sim_time=results[i].sim_time, failure=err)
+
+    held = [(trials[i].cohort, trials[i].index, range(states[i].round_index, budget_rounds + 1),
+             world.train_hp(states[i].current_hp).epochs) for i in live()]
+    if held:
+        hold_trial_words(world, held)
+    stacks = {}  # this round's Stacks by their cohorts' ids, kept while they train together
+    while training := live():
+        groups = {}  # plan key -> the stacks of trials that train this round under it
+        for i in training:
+            t, r, state = trials[i], results[i], states[i]
+            j, reused = state.round_index, None
+            if t.on_cadence is not None and j > 1 and (j - 1) % cadence == 0:
+                state.current_hp, extra, reused = t.on_cadence(state)
+                r.sim_time += extra
+            if reused is None:
+                r.sim_time += round_time(world, t.cohort, state.current_hp, t.index, j)
+                # a stack trains no more members than a pass over every client
+                parts = groups.setdefault(models.plan_key(spec, world.train_hp(state.current_hp)),
+                                          [[]])
+                if sum(len(trials[k].cohort.members) for k in parts[-1] + [i]) > clients:
+                    parts.append([])
+                parts[-1].append(i)
+            else:
+                states[i] = RoundState(j + 1, reused[0], state.current_hp)
+                r.local_losses = reused[1]
+        kept, stacks = stacks, {}
+        for group in sum(groups.values(), []):
+            ids = len(group) > 1 and tuple(trials[i].cohort.ids for i in group)
+            if ids and ids not in kept:
+                kept[ids] = Stack(ids, member_pool(
+                    [c for i in group for c in trials[i].cohort.members]), {})
+            stacks[ids] = kept.get(ids)
+            outs = run_round([states[i] for i in group], [trials[i].cohort for i in group], world,
+                             [trials[i].index for i in group], any(
+                                 j == budget_rounds or patience > 0 and j % cadence == 0
+                                 for j in (states[i].round_index for i in group)), stacks[ids])
+            for i, out in zip(group, outs):
+                if isinstance(out, NumericDivergenceError):
+                    diverged(i, out)
+                else:
+                    states[i], results[i].local_losses = out
+        for i in training:
+            if i not in states or (states[i].round_index - 1) % cadence:
+                continue
+            r, state, j = results[i], states[i], states[i].round_index - 1
             gl, gacc = models.evaluate(spec, state.global_weights,
                                        world.val_set.features, world.val_set.labels)
             if not np.isfinite(gl):
-                return diverged(_non_finite("server validation loss", state.current_hp, j))
+                diverged(i, _non_finite("server validation loss", state.current_hp, j))
+                continue
             r.global_loss = gl
             r.trace.append({"round": j, "loss": gl, "accuracy": gacc, "sim_time": r.sim_time})
             if patience > 0:
@@ -419,18 +493,21 @@ def run_trial(
                 else:
                     r.stall += 1
                     r.stopped = r.stall >= patience
-    r.config, r.final_weights, r.last_round = (state.current_hp, state.global_weights,
-                                               state.round_index - 1)
-    val_members = [c for c in cohort.members if len(c.shard.val)]
-    test_members = [c for c in cohort.members if len(c.shard.test)]
-    if val_members:
-        losses, _ = _score(spec, r.final_weights, [c.shard.val for c in val_members])
-        r.objective = weighted_objective(
-            [(vl, len(c.shard.train)) for vl, c in zip(losses.tolist(), val_members)])
-        if not np.isfinite(r.objective):
-            return diverged(_non_finite("objective", r.config, r.last_round))
-    if test_members:
-        _, accs = _score(spec, r.final_weights, [c.shard.test for c in test_members])
-        r.test_accuracy = weighted_objective(
-            [(a, len(c.shard.test)) for a, c in zip(accs.tolist(), test_members)])
-    return r
+    for i, state in list(states.items()):
+        r, members = results[i], trials[i].cohort.members
+        r.config, r.final_weights, r.last_round = (state.current_hp, state.global_weights,
+                                                   state.round_index - 1)
+        val_members = [c for c in members if len(c.shard.val)]
+        test_members = [c for c in members if len(c.shard.test)]
+        if val_members:
+            losses, _ = _score(spec, r.final_weights, [c.shard.val for c in val_members])
+            r.objective = weighted_objective(
+                [(vl, len(c.shard.train)) for vl, c in zip(losses.tolist(), val_members)])
+            if not np.isfinite(r.objective):
+                diverged(i, _non_finite("objective", r.config, r.last_round))
+                continue
+        if test_members:
+            _, accs = _score(spec, r.final_weights, [c.shard.test for c in test_members])
+            r.test_accuracy = weighted_objective(
+                [(a, len(c.shard.test)) for a, c in zip(accs.tolist(), test_members)])
+    return results

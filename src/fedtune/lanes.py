@@ -6,7 +6,6 @@ reply (README "Lanes").
 """
 
 import contextlib
-import functools
 import os
 import pickle
 import select
@@ -47,16 +46,15 @@ def run_each(run, keys) -> list:
     return done
 
 
-def run_jobs(jobs: dict, cost, run, lanes: int) -> dict:
-    """run(key) for every key of jobs, split by cost(key) (split) across
-    this process and the helpers started for up to min(lanes, len(jobs))
-    lanes; a key is a seed or an evaluation index.
-
-    A lane runs its keys with run_each; replies are read by
-    Helper.receive (README "Lanes"). Returns key -> result or exception,
-    or {} when no helper started: the caller then runs every key inline.
+def run_jobs(jobs: dict, cost, run_share, lanes: int) -> dict:
+    """The keys of jobs split by cost(key) (split) across this process and
+    the helpers started for up to min(lanes, len(jobs)) lanes, each lane's
+    share run by one call, run_share(keys) -> [(key, result or exception)]:
+    a seed lane's is functools.partial(run_each, run), a run-ahead lane's
+    one wave (runner._run_ahead). Replies are read by Helper.receive
+    (README "Lanes"). Returns key -> result or exception for the keys the
+    lanes ran, or {} when no helper started; the caller runs the rest inline.
     """
-    run_share = functools.partial(run_each, run)
     with helpers(run_share, min(lanes, len(jobs))) as started:
         if not started:
             return {}
@@ -172,7 +170,10 @@ class Helper:
         return self.request is not None
 
     def send(self, *request):
-        """Ask the child for serve(*request); receive takes the answer."""
+        """Ask the child for serve(*request); receive takes the answer. A busy
+        helper, whose next reply answers another request, raises FedTuneError."""
+        if self.busy:
+            raise FedTuneError("a request was sent to a busy worker process")
         self.request = request
         try:
             _write(self.requests, pickle.dumps(request))
@@ -183,7 +184,9 @@ class Helper:
         """serve(*request) for the request sent (README "Lanes"): the
         child's result, or its exception raised here. A reply that did not
         pickle or unpickle is computed here, with the helper still busy. A
-        child that died raises FedTuneError."""
+        child that died, or an idle helper, which never replies, raises FedTuneError."""
+        if not self.busy:
+            raise FedTuneError("a reply was awaited from an idle worker process")
         payload = _read(self.replies)
         if payload is None:
             raise FedTuneError("a worker process died")

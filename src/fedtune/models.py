@@ -285,37 +285,42 @@ class ShardPool:
 
     features and labels hold every shard's training rows, then every
     shard's validation rows, then one padding row (zero features, label
-    -1). Shard i trains on sizes[i] rows from offsets[i]. val_features[i]
-    and val_labels[i] are its validation rows, or its training rows if it
-    has none, gathered in VAL_BLOCK-row blocks padded with the padding row
-    (_blocks), and val_sizes[i] counts them. scale is max(1, max |features|),
-    0-d. Every array is read-only.
+    -1). Shard i trains on sizes[i] rows from offsets[i]. It is scored on
+    its val_sizes[i] validation rows, or its training rows if it has none,
+    in VAL_BLOCK-row blocks padded with the padding row (_blocks).
+    val_blocks holds, per block count n, (the shards with n blocks, their
+    (shards, n, VAL_BLOCK) blocks' features, and labels), gathered once.
+    scale is max(1, max |features|), 0-d. Every array is read-only.
     """
 
     features: np.ndarray
     labels: np.ndarray
     offsets: np.ndarray
     sizes: np.ndarray
-    val_features: np.ndarray
-    val_labels: np.ndarray
     val_sizes: np.ndarray
+    val_blocks: tuple
     scale: np.ndarray
 
 
-def pool_shards(input_dim: int, shards) -> ShardPool:
-    """The ShardPool of shards, each (train_features, train_labels,
-    val_features, val_labels)."""
+def pool_shards(input_dim: int, shards, rows=None) -> ShardPool:
+    """The ShardPool whose shard i is shards[rows[i]] (default: shards[i]),
+    each shard (train_features, train_labels, val_features, val_labels)
+    pooled once, however often rows lists it."""
     k = len(shards)
     features, labels, offsets = _pool([s[:2] for s in shards] + [s[2:] for s in shards],
                                       input_dim)
-    sizes = np.array([len(s[1]) for s in shards], dtype=np.int64)
-    has_val = np.array([len(s[3]) > 0 for s in shards])
-    val_sizes = np.where(has_val, [len(s[3]) for s in shards], sizes)
-    val = _blocks(np.where(has_val, offsets[k:], offsets[:k]), val_sizes, VAL_BLOCK,
-                  len(labels) - 1)
-    pool = ShardPool(features, labels, offsets[:k], sizes, features[val], labels[val], val_sizes,
+    rows = np.arange(k) if rows is None else np.asarray(rows, dtype=np.int64)
+    sizes, val_sizes = np.array([(len(s[1]), len(s[3])) for s in shards], np.int64)[rows].T
+    starts = np.where(val_sizes > 0, offsets[k:][rows], offsets[rows])
+    val_sizes = np.where(val_sizes > 0, val_sizes, sizes)
+    blocks, val_blocks = -(-val_sizes // VAL_BLOCK), []
+    for n in np.unique(blocks).tolist():
+        group = np.flatnonzero(blocks == n)
+        idx = _blocks(starts[group], val_sizes[group], VAL_BLOCK, len(labels) - 1)
+        val_blocks.append((group, features[idx], labels[idx]))
+    pool = ShardPool(features, labels, offsets[rows], sizes, val_sizes, tuple(val_blocks),
                      np.array(max(1.0, np.abs(features).max())))
-    for a in vars(pool).values():
+    for a in (features, labels, pool.offsets, sizes, val_sizes, pool.scale, *sum(val_blocks, ())):
         a.flags.writeable = False
     return pool
 
@@ -453,27 +458,34 @@ def plan_batches(spec: ModelSpec, pool: ShardPool, words: np.ndarray, epochs: in
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, plan: BatchPlan):
-    """Stacked SGD over one BatchPlan under hp, on gradients alone.
-
-    Float overflow is silenced. A row whose loss goes non-finite keeps
-    non-finite weights (loss_and_grad); one with non-finite weights where
-    an epoch ends fails there and is zeroed, finite for validation.
-    Returns ((rows, P) weights, failures), both in stack-row order.
+def _sgd_pass(spec: ModelSpec, w: WeightVector, hp, plan: BatchPlan):
+    """Stacked SGD over one BatchPlan from w under hp (train_stack's), on
+    gradients alone. Float overflow is silenced. A row whose loss goes
+    non-finite keeps non-finite weights (loss_and_grad); one with
+    non-finite weights where an epoch ends fails there and is zeroed,
+    finite for validation. Returns ((rows, P) weights, failures), both in
+    stack-row order.
     """
-    keep = 1.0 - hp.dropout
+    if isinstance(hp, TrainHp):
+        values, entry_keep = np.tile(w.values, (len(plan.order), 1)), 1.0 - hp.dropout
+        steps = [(hp.learning_rate, hp.weight_decay, entry_keep)] * len(plan.active)
+    else:
+        values = w.values[plan.order]
+        lr, wd, keep = hp[plan.order, :, None, None].swapaxes(0, 1)
+        steps = [(lr[:m, 0], wd[:m, 0], keep[:m]) for m in plan.active.tolist()]
+        # the keep of each entry's row: step t trains rows 0..active[t]-1
+        entry_keep = keep[np.arange(len(plan.labels)) - np.repeat(plan.start[:-1], plan.active)]
     # Thresholded once per pass, scaled per step: the boolean mask is an
     # eighth the size of a pass-wide float multiplier, which would hold a
     # second array as large as the uniforms for the whole pass.
-    kept = None if plan.uniforms is None else plan.uniforms < keep
-    values = np.tile(w.values, (len(plan.order), 1))
+    kept = None if plan.uniforms is None else plan.uniforms < entry_keep
     failures = [None] * len(plan.order)
-    for t, m in enumerate(plan.active):
+    for t, (m, (lr, wd, keep)) in enumerate(zip(plan.active, steps)):
         s = slice(plan.start[t], plan.start[t + 1])
         grad = loss_and_grad(spec, values[:m], plan.features[s], plan.labels[s],
                              dropout_mask=None if kept is None else kept[s] / keep,
                              with_loss=False)
-        values[:m] = sgd_step(values[:m], grad, hp.learning_rate, hp.weight_decay)
+        values[:m] = sgd_step(values[:m], grad, lr, wd)
         ends = plan.epoch_end[s]
         if ends.any():
             for r in np.flatnonzero(ends & ~np.isfinite(values[:m]).all(axis=1)):
@@ -483,16 +495,19 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp: TrainHp, plan: BatchPlan):
 
 
 @np.errstate(over="ignore")  # an L1 norm that overflows scores its row
-def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, pool: ShardPool, plans,
+def train_stack(spec: ModelSpec, w: WeightVector, hp, pool: ShardPool, plans,
                 score: bool = True):
     """Train one copy of w per shard of pool with mini-batch SGD, in stacked passes.
 
-    plans is plan_batches of pool under *plan_key(spec, hp), which fixes
-    every batch and dropout draw. Every step runs forward and backward for
-    all rows still training on (rows, width, ...) arrays; padding rows add
-    nothing. Rows of one width share a pass, and validation losses are
-    scored on pool's VAL_BLOCK-row validation blocks, so row i's weights
-    and loss are bitwise independent of the other rows.
+    Every row trains from w's (P,) values under the TrainHp hp, as Python
+    floats, or, in a wave, row i from w's (k, P) values[i] under hp[i] of a
+    (k, 3) array of (learning rate, weight decay, dropout keep rate). plans
+    is plan_batches of pool under the rows' one plan_key, which fixes every
+    batch and dropout draw. Every step runs forward and backward for all
+    rows still training on (rows, width, ...) arrays; padding rows add
+    nothing. Rows of one width share a pass, and rows of one validation
+    block count are scored together on their own blocks, so row i's
+    weights and loss are bitwise independent of the others.
 
     Without score, a row is scored only if its loss could be non-finite,
     and an unscored row's loss is nan. A row whose L1 norm times
@@ -508,18 +523,23 @@ def train_stack(spec: ModelSpec, w: WeightVector, hp: TrainHp, pool: ShardPool, 
         raise ConfigurationError(
             f"weight layout {w.layout_id} does not match spec {spec.layout_id}"
         )
-    trained = np.empty((len(pool.sizes), len(w.values)))
+    trained = np.empty((len(pool.sizes), w.values.shape[-1]))
     failures = [None] * len(pool.sizes)
     for plan in plans:
         trained[plan.order], row_failures = _sgd_pass(spec, w, hp, plan)
         for i, failure in zip(plan.order, row_failures):
             failures[i] = failure
-    rows = slice(None) if score else np.flatnonzero(~(pool.scale * abs(trained).sum(1) < 1e300))
+    scored = score or ~(pool.scale * abs(trained).sum(1) < 1e300)
     val_losses = np.full(len(trained), np.nan)
-    if score or rows.size:
-        val_losses[rows] = _score(spec, trained[rows], pool.val_features[rows],
-                                  pool.val_labels[rows], pool.val_sizes[rows], accuracy=False)
-    for i in np.arange(len(trained))[rows][~np.isfinite(val_losses[rows])]:
+    for group, x, y in pool.val_blocks if score or scored.any() else ():
+        if not score:
+            pick = scored[group]
+            if not pick.any():
+                continue
+            group, x, y = group[pick], x[pick], y[pick]
+        val_losses[group] = _score(spec, trained[group], x, y, pool.val_sizes[group],
+                                   accuracy=False)
+    for i in np.flatnonzero(scored & ~np.isfinite(val_losses)):
         if failures[i] is None:
             failures[i] = "non-finite post-training loss"
     return trained, val_losses, failures

@@ -2,6 +2,7 @@
 
 import csv
 import ctypes
+import functools
 import json
 import math
 import os
@@ -273,13 +274,15 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
     def on_cadence(state):
         return run_probe_cycle(state, cohort, world, trial_key, walk, records)
 
-    result = flcore.run_trial(
-        config, rounds, world, cohort,
-        trial_index=trial_key,
-        on_cadence=on_cadence if walk is not None else None,
-        patience=cfg["early_stop_patience"],
-        resume=resume,
-    )
+    result = flcore.run_trial(config, rounds, world, cohort, trial_index=trial_key,
+                              on_cadence=on_cadence if walk is not None else None,
+                              patience=cfg["early_stop_patience"], resume=resume)
+    return _eval_outcome(cfg, world, group, eval_index, seed, plan, resume, result, records)
+
+
+def _eval_outcome(cfg, world, group, eval_index, seed, plan, resume, result, records):
+    """The EvalOutcome of evaluation eval_index on group, planned as plan and
+    run from resume, of its trial's result and its probe cycles' records."""
     final = result.config
     if math.isfinite(result.objective):
         gl = combined = result.objective
@@ -287,28 +290,16 @@ def _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume) -> 
             gl = result.global_loss
             losses = [vl for _, vl in result.local_losses]
             combined = combine_feedback(losses, gl, len(losses))
-        records.append(FeedbackRecord(
-            config_id=final.config_id,
-            round=result.last_round,
-            kind="global",
-            server_loss=gl,
-            val_loss=combined,
-            group_size=len(cohort.members),
-        ))
-    row = TrialRow(
-        seed=seed,
-        sampler=cfg["sampler"],
-        trial_index=eval_index,
-        group_id=group.group_id,
-        config_id=final.config_id,
-        hp=asdict(world.train_hp(final)),
-        objective=result.objective,
-        accuracy=result.test_accuracy,
-        sim_time=result.sim_time - (resume.sim_time if resume else 0.0),
-        trace=result.trace,
-        failed=result.failure is not None,
-    )
-    return EvalOutcome(trial_key, row, result, records, walk)
+        records.append(FeedbackRecord(config_id=final.config_id, round=result.last_round,
+                                      kind="global", server_loss=gl, val_loss=combined,
+                                      group_size=len(group.members)))
+    row = TrialRow(seed=seed, sampler=cfg["sampler"], trial_index=eval_index,
+                   group_id=group.group_id, config_id=final.config_id,
+                   hp=asdict(world.train_hp(final)), objective=result.objective,
+                   accuracy=result.test_accuracy,
+                   sim_time=result.sim_time - (resume.sim_time if resume else 0.0),
+                   trace=result.trace, failed=result.failure is not None)
+    return EvalOutcome(plan[0], row, result, records, plan[2])
 
 
 def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
@@ -317,15 +308,17 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     times epochs, on the group a dry sched.dispatch of its rounds' times
     issues it to (README "Lanes"); the lanes fork after it and read the
     round times it drew (flcore.round_time), whose words it computes in
-    one call. Returns eval index -> (group id, config id, EvalOutcome or
-    the exception it raised), or {} if nothing ran ahead.
+    one call. A lane trains its share as one wave (flcore.run_trials); a
+    wave that raises gives its share no result, so dispatch runs those
+    inline, where the one-CPU run raises the error.
+    Returns eval index -> (group id, config id, EvalOutcome) or {}.
     """
     if cpus < 2 or not sampler.feedback_free:
         return {}
     # A feedback_free sampler's configs and plans do not depend on the schedule.
     configs = [sampler.start_config(e) for e in range(sampler.num_evals)]
-    plans = [sampler.plan(e, config)[:2] for e, config in enumerate(configs)]
-    rounds = [(key, j) for key, n in plans for j in range(1, n + 1)]
+    plans = [sampler.plan(e, config) for e, config in enumerate(configs)]
+    rounds = [(key, j) for key, n, _ in plans for j in range(1, n + 1)]
     seeds = [derive_seed(world.base_seed, "time", *r) for r in rounds]
     words = dict(zip(rounds, pcg64_words(seeds).tolist()))
     issues = {}
@@ -335,7 +328,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
         return configs[e]
 
     def predict(group, config, e):
-        (key, n), cohort = plans[e], world.cohort(group.members)
+        (key, n, _), cohort = plans[e], world.cohort(group.members)
         return sum(flcore.round_time(world, cohort, config, key, j, words[key, j])
                    for j in range(1, n + 1)), lambda: None
 
@@ -346,11 +339,18 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
         rows = sum(len(c.shard.train) for c in world.cohort(group.members).members)
         return rows * max(1, world.train_hp(config).epochs)
 
-    def run(e):
-        group, config = issues[e]
-        return _run_one_eval(cfg, world, group, config, e, seed, sampler.plan(e, config), None)
+    def run_share(keys):
+        keys = sorted(keys)
+        try:  # a random search's evaluations share one round budget
+            results = flcore.run_trials(
+                [flcore.Trial(issues[e][1], world.cohort(issues[e][0].members), plans[e][0])
+                 for e in keys], plans[keys[0]][1], world, cfg["early_stop_patience"])
+            return [(e, _eval_outcome(cfg, world, issues[e][0], e, seed, plans[e], None, r, []))
+                    for e, r in zip(keys, results)]
+        except Exception:  # raised again where the inline run reaches it
+            return []
 
-    done = lanes.run_jobs(issues, cost, run, cpus)
+    done = lanes.run_jobs(issues, cost, run_share, cpus)
     return {e: (issues[e][0].group_id, issues[e][1].config_id, r) for e, r in done.items()}
 
 
@@ -387,11 +387,10 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
         plan = sampler.plan(eval_index, config)  # (trial key, round budget, walk)
         resume = committed[plan[0]].result if plan[0] in committed else None
         *issued, outcome = ahead.pop(eval_index, (None, None, None))
-        # A trial that diverged or stopped early freed its group sooner than predicted.
+        # Not run ahead: its lane's wave raised, or a trial that diverged or
+        # stopped early freed its group sooner than predicted.
         if issued != [group.group_id, config.config_id]:
             outcome = _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume)
-        elif isinstance(outcome, Exception):
-            raise outcome
         return outcome.row.sim_time, lambda: commit(outcome)
 
     probing = isinstance(sampler, hpo.AdaptiveSampler)  # a cycle splits in two
@@ -459,7 +458,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """
     _keep_freed_memory()
     seeds, cpus = cfg["seeds"], _usable_cpus()
-    done = lanes.run_jobs(dict.fromkeys(seeds), lambda s: 1, lambda s: _run_seed(cfg, s), cpus)
+    done = lanes.run_jobs(dict.fromkeys(seeds), lambda s: 1,
+                          functools.partial(lanes.run_each, lambda s: _run_seed(cfg, s)), cpus)
     per_seed = []
     for seed in seeds:
         if isinstance(done.get(seed), Exception):

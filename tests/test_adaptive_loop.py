@@ -49,7 +49,7 @@ def test_adaptive_probes_escape_tiny_learning_rate():
             state.current_hp = new_cfg
         if state.current_hp.values["learning_rate"] >= 1e-3:
             break
-        state, _ = run_round(state, cohort, world)
+        (state, _), = run_round([state], [cohort], world, [0])
     assert state.current_hp.values["learning_rate"] >= 1e-3
     assert accepted <= 6
 
@@ -59,8 +59,8 @@ def test_reused_round_equals_a_fresh_pass_of_the_chosen_config():
     sampler = AdaptiveSampler(default_search_space(), ["learning_rate"], epsilon=0.0, seed=0,
                               num_evals=1, rounds_per_trial=3)
     cohort = world.cohort(ids(world))
-    state, _ = run_round(RoundState(1, models.init_weights(world.model_spec, 0),
-                                    HpConfig(dict(HP_DEFAULTS))), cohort, world)
+    (state, _), = run_round([RoundState(1, models.init_weights(world.model_spec, 0),
+                                        HpConfig(dict(HP_DEFAULTS)))], [cohort], world, [0])
     chosen, _, reused = runner.run_probe_cycle(state, cohort, world, 0, sampler, [])
     assert chosen != state.current_hp and reused is not None
     fresh = train_cohort(world, state.global_weights, chosen, cohort, 2,
@@ -147,24 +147,24 @@ def test_reused_round_is_charged_no_cohort_time(monkeypatch):
 def test_row_names_the_config_that_trained_its_final_weights(rounds, final_run_round,
                                                              monkeypatch):
     trained, round_outputs, outcomes = [], [], []  # trained: (aggregate, config_id)
-    real_train, real_round = flcore.train_cohort, flcore.run_round
+    real_train, real_round = flcore.train_cohorts, flcore.run_round
     real_eval = runner._run_one_eval
 
-    def recording_train(world, global_w, config, *args):
-        out = real_train(world, global_w, config, *args)
-        trained.append((out[0], config.config_id))
-        return out
+    def recording_train(world, passes, *args):  # every pass: the rounds' and the probes'
+        outs = real_train(world, passes, *args)
+        trained.extend((out[0], p[1].config_id) for p, out in zip(passes, outs))
+        return outs
 
     def recording_round(*args, **kwargs):
-        out = real_round(*args, **kwargs)
-        round_outputs.append(out[0].global_weights)
-        return out
+        outs = real_round(*args, **kwargs)
+        round_outputs.extend(state.global_weights for state, _ in outs)
+        return outs
 
     def recording_eval(*args):
         outcomes.append(real_eval(*args))
         return outcomes[-1]
 
-    monkeypatch.setattr(flcore, "train_cohort", recording_train)
+    monkeypatch.setattr(flcore, "train_cohorts", recording_train)
     monkeypatch.setattr(flcore, "run_round", recording_round)
     monkeypatch.setattr(runner, "_run_one_eval", recording_eval)
     # The spies see only this process's passes, and a helper may train a

@@ -163,7 +163,7 @@ class TestRunRound:
         world = make_world(n_clients=1)
         w0 = models.init_weights(world.model_spec, 0)
         state = RoundState(1, w0, hp_config(epochs=0))
-        nxt, _ = run_round(state, world.cohort(ids(world)), world)
+        (nxt, _), = run_round([state], [world.cohort(ids(world))], world, [0])
         assert np.array_equal(nxt.global_weights.values, w0.values)
 
     def test_identical_clients_aggregate_to_either(self):
@@ -171,15 +171,15 @@ class TestRunRound:
         c = world.clients[0]
         w0 = models.init_weights(world.model_spec, 0)
         state = RoundState(1, w0, hp_config())
-        nxt, _ = run_round(state, world.cohort([c.client_id] * 2), world)
-        solo, _ = run_round(state, world.cohort([c.client_id]), world)
+        (nxt, _), = run_round([state], [world.cohort([c.client_id] * 2)], world, [0])
+        (solo, _), = run_round([state], [world.cohort([c.client_id])], world, [0])
         assert np.allclose(nxt.global_weights.values, solo.global_weights.values)
 
     def test_local_feedback_per_client(self):
         world = make_world(n_clients=3)
         w = models.init_weights(world.model_spec, 0)
         state = RoundState(1, w, hp_config())
-        _, losses = run_round(state, world.cohort([2, 0, 1]), world)
+        (_, losses), = run_round([state], [world.cohort([2, 0, 1])], world, [0])
         assert [cid for cid, _ in losses] == [0, 1, 2]
         assert all(np.isfinite(loss) for _, loss in losses)
 
@@ -463,6 +463,93 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def wave_and_alone(monkeypatch, world, trials, budget, patience=0):
+    """run_trials over trials, then run_trial of each, on the same world,
+    and the stack size of every models.train_stack call of the wave."""
+    stacks, train_stack = [], models.train_stack
+    monkeypatch.setattr(models, "train_stack", lambda spec, w, hp, pool, *args: stacks.append(
+        len(pool.sizes)) or train_stack(spec, w, hp, pool, *args))
+    wave = flcore.run_trials(trials, budget, world, patience)
+    monkeypatch.setattr(models, "train_stack", train_stack)
+    return wave, [run_trial(t.hp, budget, world, t.cohort, t.index, patience=patience,
+                            resume=t.resume) for t in trials], stacks
+
+
+class TestRunTrials:
+    """run_trials equals run_trial of each of its trials, bit for bit."""
+
+    def test_mixed_plan_keys_train_one_stack_per_key(self, monkeypatch):
+        world = make_world(n_clients=6, alpha=0.5, cadence=2)
+        world.model_spec = ModelSpec("mlp", 4, 2, hidden_dim=5)
+        # plan keys (epochs, batch size, dropout on): (0, 16, on); (2, 8, on)
+        # three times, dropout 0.3, 0.2 and 0.1; (1, 8, on); (1, 16, on)
+        # twice; (1, 16, off)
+        configs = [hp_config(epochs=0), hp_config(epochs=2, batch_size=8, dropout=0.3),
+                   hp_config(batch_size=8), hp_config(dropout=0.5, learning_rate=0.3),
+                   hp_config(epochs=2, batch_size=8, dropout=0.2), hp_config(dropout=0.0),
+                   hp_config(weight_decay=1e-2), hp_config(epochs=2, batch_size=8, dropout=0.1)]
+        members = [[0, 1, 2], [3, 4, 5], [0, 1, 2], [1, 3, 5], [0, 1, 2], [2, 4], [0, 1, 2],
+                   list(range(6))]
+        trials = [flcore.Trial(hp, world.cohort(m), 10 + i)
+                  for i, (hp, m) in enumerate(zip(configs, members))]
+        stacks = []
+        train_stack = models.train_stack
+        monkeypatch.setattr(models, "train_stack", lambda spec, w, hp, pool, *args: stacks.append(
+            len(pool.sizes)) or train_stack(spec, w, hp, pool, *args))
+        wave = flcore.run_trials(trials, 4, world)
+        # one stack per plan key and round, each over its trials' members,
+        # but none over more members than the world's 6 clients: the third
+        # (2, 8, on) trial trains in a stack of its own
+        assert stacks == [3, 6, 6, 3, 6, 2] * 4
+        monkeypatch.setattr(models, "train_stack", train_stack)
+        for w, t in zip(wave, trials):
+            assert_same_trial(w, run_trial(t.hp, 4, world, t.cohort, t.index))
+        assert wave[0].final_weights.values.tobytes() == models.init_weights(
+            world.model_spec, derive_seed(world.base_seed, "init", 10)).values.tobytes()
+
+    def test_resumed_trials_train_beside_fresh_ones(self, monkeypatch):
+        world = make_world(n_clients=6, alpha=0.5, cadence=2)
+        first = run_trial(hp_config(), 3, world, world.cohort([0, 1, 2]), 1)
+        trials = [flcore.Trial(hp_config(), world.cohort([0, 1, 2]), 1, resume=first),
+                  flcore.Trial(hp_config(learning_rate=0.3), world.cohort([1, 2, 3]), 2)]
+        wave, alone, stacks = wave_and_alone(monkeypatch, world, trials, 6)
+        # both from their own rounds, then the fresh trial alone once the
+        # resumed one has reached round 6
+        assert stacks == [6] * 3 + [3] * 3
+        for w, a in zip(wave, alone):
+            assert_same_trial(w, a)
+
+    def test_a_diverging_trial_fails_alone(self, monkeypatch):
+        world = make_world(n_clients=6, alpha=0.5, cadence=1)
+        configs = [hp_config(), hp_config(learning_rate=1e30, weight_decay=1.0),
+                   hp_config(learning_rate=0.3)]
+        trials = [flcore.Trial(hp, world.cohort(m), i)
+                  for i, (hp, m) in enumerate(zip(configs, [[0, 1], [2, 3], [1, 4]]))]
+        wave, alone, stacks = wave_and_alone(monkeypatch, world, trials, 6)
+        assert stacks[0] == 6 and stacks[-1] == 4  # one stack, then two trials in a new one
+        failed = wave[1].failure
+        assert failed is not None and failed.round_index > 1
+        assert (str(failed), failed.client_id, failed.round_index, failed.config_id) == (
+            str(alone[1].failure), alone[1].failure.client_id, alone[1].failure.round_index,
+            alone[1].failure.config_id)
+        assert (wave[1].sim_time, wave[1].config) == (alone[1].sim_time, alone[1].config)
+        for i in (0, 2):
+            assert wave[i].failure is None
+            assert_same_trial(wave[i], alone[i])
+
+    def test_early_stops_free_the_stack(self, monkeypatch):
+        world = make_world(n_clients=6, alpha=0.5, cadence=1)
+        configs = [hp_config(learning_rate=0.0), hp_config(), hp_config(learning_rate=0.01)]
+        trials = [flcore.Trial(hp, world.cohort(m), i)
+                  for i, (hp, m) in enumerate(zip(configs, [[0, 1], [2, 3], [1, 4]]))]
+        wave, alone, stacks = wave_and_alone(monkeypatch, world, trials, 6, patience=1)
+        assert stacks[:2] == [6, 6] and stacks[2] == 4  # trial 0 stops after round 2
+        assert wave[0].stopped and wave[0].last_round == 2
+        assert any(w.last_round > 2 for w in wave)
+        for w, a in zip(wave, alone):
+            assert_same_trial(w, a)
 
 
 class TestResume:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -206,6 +207,45 @@ class TestTrainStack:
             j = perm.index(i)
             assert np.array_equal(shuffled[j], alone.values)
             assert shuffled_losses[j] == alone_loss
+        # a wave's stack: a start, a config and a seed per row, under one
+        # plan key, on a pool whose shards repeat
+        rows, seeds = [0, 1, 2, 3, 4, 5, 2, 0], seeds + [17, 18]
+        hps = [dataclasses.replace(hp, learning_rate=hp.learning_rate * (1 + r / 2),
+                                   weight_decay=r * 1e-3, dropout=0.1 + 0.1 * r)
+               for r in range(len(rows))]
+        starts = np.array([models.init_weights(spec, 10 + r).values for r in range(len(rows))])
+        pool = models.pool_shards(spec.input_dim, shards, rows)
+        plans = models.plan_batches(spec, pool, pcg64_words(seeds), *models.plan_key(spec, hp))
+        assert {models.plan_key(spec, h) for h in hps} == {models.plan_key(spec, hp)}
+        waved, wave_losses, failures = models.train_stack(
+            spec, WeightVector(starts, spec.layout_id),
+            np.array([(h.learning_rate, h.weight_decay, 1.0 - h.dropout) for h in hps]), pool, plans)
+        assert failures == [None] * len(rows)
+        for r, i in enumerate(rows):
+            alone, alone_loss = models.local_train(
+                spec, WeightVector(starts[r], spec.layout_id), hps[r], *shards[i], seeds[r])
+            assert waved[r].tobytes() == alone.values.tobytes()
+            assert wave_losses[r] == alone_loss
+
+    @pytest.mark.parametrize("spec,hp", ENGINE_CASES)
+    def test_each_row_scores_on_its_own_validation_blocks(self, spec, hp):
+        # 1, 2 and 3 blocks of VAL_BLOCK rows: rows of each block count are
+        # scored together, with the bytes of a score padded to the largest
+        shards = []
+        for seed, n_val in ((0, 5), (1, 40), (2, 70), (3, 32)):
+            x, y = make_blob(seed, n=16 + n_val, c=3)
+            shards.append((x[:16], y[:16], x[16:], y[16:]))
+        seeds, w = [1, 2, 3, 4], models.init_weights(spec, 3)
+        trained, losses, _ = stack(spec, w, hp, shards, seeds)
+        pool = models.pool_shards(spec.input_dim, shards)
+        assert [(group.tolist(), x.shape[1:3], y.shape[1:]) for group, x, y in pool.val_blocks] \
+            == [([0, 3], (1, models.VAL_BLOCK), (1, models.VAL_BLOCK)),
+                ([1], (2, models.VAL_BLOCK), (2, models.VAL_BLOCK)),
+                ([2], (3, models.VAL_BLOCK), (3, models.VAL_BLOCK))]
+        padded, _ = models.evaluate_stack(spec, trained, [s[2:] for s in shards], models.VAL_BLOCK)
+        assert losses.tobytes() == padded.tobytes()
+        for i, shard in enumerate(shards):
+            assert losses[i] == models.local_train(spec, w, hp, *shard, seeds[i])[1]
 
     @pytest.mark.parametrize("spec,hp", ENGINE_CASES)
     def test_ragged_shards_match_unpadded_loop(self, spec, hp):
@@ -358,8 +398,13 @@ class TestBatchPlan:
             empty = (np.empty((0, 4)), np.empty(0, int))
             models.plan_batches(spec, models.pool_shards(4, shards + [empty * 2]),
                                 pcg64_words([0] * 7), *models.plan_key(spec, hp))
+        blocks = {f"val_blocks[{n}][{j}]": a for n, block in enumerate(pool.val_blocks)
+                  for j, a in enumerate(block)}
         for plan in list(plans) + [pool]:
-            for name, array in vars(plan).items():
+            arrays = {**vars(plan), **blocks} if plan is pool else vars(plan)
+            for name, array in arrays.items():
+                if name == "val_blocks":
+                    continue
                 assert not array.flags.writeable, name
                 with pytest.raises(ValueError, match="read-only"):
                     array.reshape(-1)[:1] = 0

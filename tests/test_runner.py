@@ -11,6 +11,7 @@ cycle with one helper, with the same report and errors as inline, while a
 one-seed halving search forks nothing."""
 
 import contextlib
+import functools
 import gc
 import hashlib
 import os
@@ -275,14 +276,16 @@ def test_random_and_adaptive_evaluations_start_fresh(overrides, monkeypatch):
     # A trial key that repeated would continue another evaluation's weights.
     # Random search may run evaluations in a forked child, where no spy in
     # this process sees them, so each row carries what its evaluation ran.
-    run_one_eval = runner._run_one_eval
+    # Every evaluation, inline or in a run-ahead wave, becomes its outcome
+    # through _eval_outcome.
+    eval_outcome = runner._eval_outcome
 
-    def spy(cfg, world, group, config, eval_index, seed, plan, resume):
-        outcome = run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume)
+    def spy(cfg, world, group, eval_index, seed, plan, resume, result, records):
+        outcome = eval_outcome(cfg, world, group, eval_index, seed, plan, resume, result, records)
         outcome.row.ran = (eval_index, plan[0], resume)  # (evaluation, trial key, resume)
         return outcome
 
-    monkeypatch.setattr(runner, "_run_one_eval", spy)
+    monkeypatch.setattr(runner, "_eval_outcome", spy)
     report = runner.run_experiment(config_from_dict({**TINY, **overrides, "budget_configs": 4,
                                                      "seeds": [1]}))
     # one row per trial key, in key order: evaluation e ran key e, fresh
@@ -427,6 +430,16 @@ def test_worlds_built_one_after_another_keep_their_own_cohorts():
 # Learning rates up to 1e30 with weight decay 1 diverge, and patience 1 stops
 # the other trials after round 2, so trials free their groups sooner than
 # predicted.
+# An MLP tuning four plan keys (epochs 0 or 1, batch size 16 or 32), so a
+# lane's six evaluations share some of them
+MIXED_KEYS = {**WIDE_ASYNC, "model": {"kind": "mlp", "hidden_dim": 8}, "seeds": [1],
+              "tuned": ["learning_rate", "epochs", "batch_size", "dropout"], "search_space": [
+                  {"name": "learning_rate", "scale": "log10", "low": 1e-3, "high": 0.1,
+                   "step": 10.0},
+                  {"name": "epochs", "scale": "linear", "low": 0, "high": 1, "step": 1},
+                  {"name": "batch_size", "scale": "pow2", "low": 16, "high": 32, "step": 2.0},
+                  {"name": "dropout", "scale": "linear", "low": 0.1, "high": 0.5,
+                   "step": 0.2}]}
 MISPREDICTED = {
     **RANDOM_ASYNC, "budget_configs": 8, "rounds_per_trial": 6, "eval_cadence": 1,
     "early_stop_patience": 1, "hp_defaults": {"weight_decay": 1.0, "epochs": 10},
@@ -486,6 +499,27 @@ class TestRunAhead:
         # again, which the dry dispatch foresees: nothing is computed twice
         assert alone.trials[0].sim_time == 0.0
         assert inline == []
+
+    @needs_two_cpus
+    def test_waves_that_mix_plan_keys_leave_nothing_to_run_inline(self, monkeypatch):
+        # each round of this process's wave trains one stack per plan key,
+        # with a dropout rate per row; a wave that raised would leave its
+        # share to dispatch, which would compute it again inline
+        inline, real, stacks = inline_evals(monkeypatch), flcore.train_cohorts, []
+
+        def recording(world, passes, *args):
+            stacks.append([world.train_hp(p[1]) for p in passes])
+            return real(world, passes, *args)
+
+        alone = one_seed_report(monkeypatch, MIXED_KEYS, 1)
+        inline.clear()
+        monkeypatch.setattr(flcore, "train_cohorts", recording)
+        laned = one_seed_report(monkeypatch, MIXED_KEYS, 2)
+        assert seed_report_key(laned) == seed_report_key(alone)
+        assert inline == []
+        spec = runner.build_world(config_from_dict(MIXED_KEYS), 1).model_spec
+        assert len({models.plan_key(spec, hps[0]) for hps in stacks}) > 1
+        assert any(len({hp.dropout for hp in hps}) > 1 for hps in stacks)
 
     def test_mispredicted_issues_are_computed_inline(self, monkeypatch):
         inline = inline_evals(monkeypatch)
@@ -550,14 +584,15 @@ class TestRunAhead:
 
     @needs_two_cpus
     def test_child_that_dies_raises_fedtune_error(self, monkeypatch):
-        parent, run_one_eval = os.getpid(), runner._run_one_eval
+        # a lane's wave turns each result into its outcome by _eval_outcome
+        parent, eval_outcome = os.getpid(), runner._eval_outcome
 
         def dying(*args):
             if os.getpid() != parent:
                 os._exit(1)
-            return run_one_eval(*args)
+            return eval_outcome(*args)
 
-        monkeypatch.setattr(runner, "_run_one_eval", dying)
+        monkeypatch.setattr(runner, "_eval_outcome", dying)
         pids = fork_pids(monkeypatch)
         with pytest.raises(FedTuneError, match="worker process died"):
             one_seed_report(monkeypatch, RANDOM_ASYNC, 2)
@@ -589,19 +624,20 @@ def test_prefetched_evaluation_raises_like_inline(error, monkeypatch):
     # the point an error surfaces at: the evaluations dispatch has issued,
     # and those it has committed
     # (the dispatch that runs evaluations is the last; at two CPUs a dry one
-    # predicts the schedule first)
-    run_one_eval, calls, committed = runner._run_one_eval, dispatches(monkeypatch), []
+    # predicts the schedule first). The error is raised where an evaluation,
+    # inline or in a run-ahead wave, becomes its outcome.
+    eval_outcome, calls, committed = runner._eval_outcome, dispatches(monkeypatch), []
     monkeypatch.setattr(runner.hpo.RandomSampler, "commit",
                         lambda self, outcome: committed.append(outcome.trial_key))
     for failing in range(RANDOM_ASYNC["budget_configs"]):  # in either lane
 
         def raising(*args):
-            if args[4] == failing:
+            if args[3] == failing:  # the evaluation index
                 raise (error(f"boom at {failing}") if error is FeedbackError
                        else error(f"boom at {failing}", failing))
-            return run_one_eval(*args)
+            return eval_outcome(*args)
 
-        monkeypatch.setattr(runner, "_run_one_eval", raising)
+        monkeypatch.setattr(runner, "_eval_outcome", raising)
         seen = {}
         for cpus in (1, 2):
             calls.clear()
@@ -627,7 +663,7 @@ class TestRunJobs:
 
         cpus, jobs = sorted(os.sched_getaffinity(0)), dict.fromkeys([1, 2, 3])
         pids = fork_pids(monkeypatch)
-        done = lanes.run_jobs(jobs, lambda k: 1, run, 3)
+        done = lanes.run_jobs(jobs, lambda k: 1, functools.partial(lanes.run_each, run), 3)
         assert len(pids) == 2
         assert_reaped(pids)
         assert {k: r[0] for k, r in done.items()} == {k: run(k)[0] for k in jobs}
@@ -648,7 +684,8 @@ class TestRunJobs:
             return key * key
 
         pids = fork_pids(monkeypatch)
-        done = lanes.run_jobs(dict.fromkeys(range(4)), lambda k: 1, run, 2)
+        done = lanes.run_jobs(dict.fromkeys(range(4)), lambda k: 1,
+                              functools.partial(lanes.run_each, run), 2)
         assert len(pids) == 1
         assert_reaped(pids)
         # the shares are [0, 2] and [1, 3]; the helper's whole share runs again here
@@ -819,6 +856,18 @@ class TestReceive:
         pid, err = reply
         assert (pid, type(err), str(err)) == (parent, TwoArgError, "made for 7")
         assert busy_here == [True]  # computed here while the request was still out
+
+    def test_send_to_a_busy_helper_and_receive_from_an_idle_one_raise(self, monkeypatch):
+        # either would leave a reply unread, or wait for one that never comes
+        pids = fork_pids(monkeypatch)
+        with lanes.helpers(lambda x: x * x, 2) as (helper,):
+            with pytest.raises(FedTuneError, match="^a reply was awaited from an idle worker"):
+                helper.receive()
+            helper.send(3)
+            with pytest.raises(FedTuneError, match="^a request was sent to a busy worker"):
+                helper.send(4)
+            assert helper.receive() == 9 and not helper.busy
+        assert_reaped(pids)
 
     def test_probes_train_inline_beside_a_request_out(self, monkeypatch):
         world = runner.build_world(config_from_dict(PROBING), 1)
@@ -1025,14 +1074,14 @@ def test_cohort_passes_reuse_freed_memory():
         "import resource\n"
         "from fedtune import config, flcore, runner\n"
         "runner._usable_cpus = lambda: 1\n"
-        "train_cohort, faults = flcore.train_cohort, []\n"
+        "train_cohorts, faults = flcore.train_cohorts, []\n"
         "def counted(*args, **kwargs):\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    try:\n"
-        "        return train_cohort(*args, **kwargs)\n"
+        "        return train_cohorts(*args, **kwargs)\n"
         "    finally:\n"
         "        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-        "flcore.train_cohort = counted\n"
+        "flcore.train_cohorts = counted\n"
         f"cfg = config.config_from_dict({CRITERION8_HALVING!r})\n"
         "runner.run_experiment(cfg)  # the first call may grow the heap\n"
         "faults.clear()\n"
