@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import (ConfigurationError, DataError, PartitionError, derive_seeds, pcg64_words,
-                     seeded)
+from .common import ConfigurationError, DataError, PartitionError, seeded
 
 _MAX_DRAWS = 100  # Dirichlet draws partition_dirichlet makes before it gives up
 
@@ -136,9 +135,8 @@ def partition_dirichlet(
     gather = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
     flat = np.concatenate(shuffled)[gather]
     shards = []
-    words = pcg64_words(derive_seeds((seed, "shard-split"), range(n_clients))).tolist()
     for cid, alloc in enumerate(np.split(flat, np.cumsum(sizes)[:-1])):
-        seeded(words[cid]).shuffle(alloc)
+        seeded(seed, "shard-split", cid).shuffle(alloc)
         n_tr, n_va, _ = splits[cid]
         tr = alloc[:n_tr]
         va = alloc[n_tr : n_tr + n_va]

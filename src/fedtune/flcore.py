@@ -14,8 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import models, sched
-from .common import (AggregationError, NumericDivergenceError, derive_seed, derive_seeds,
-                     pcg64_words, seeded)
+from .common import AggregationError, NumericDivergenceError, derive_seed, seeded
 from .data import DataShard, Dataset
 from .hpo import HpConfig
 from .models import ModelSpec, TrainHp, WeightVector
@@ -88,16 +87,15 @@ class PlanMemo:
     seed_key: tuple | None = None
     plans: dict = field(default_factory=dict)
 
-    def get(self, spec: ModelSpec, hp: TrainHp, cohort: Cohort, seed_key: tuple,
-            words: np.ndarray):
-        """The plans of cohort under seed_key and hp; words are the members'
-        rows of pass_words under seed_key."""
+    def get(self, spec: ModelSpec, hp: TrainHp, cohort: Cohort, seed_key: tuple, keys: list):
+        """The plans of cohort under seed_key and hp, member i drawing from
+        the stream of keys[i]."""
         if seed_key != self.seed_key:
             self.seed_key, self.plans = seed_key, {}
         shape = models.plan_key(spec, hp)
         key = (cohort.ids, *shape)
         if key not in self.plans:
-            self.plans[key] = models.plan_batches(spec, cohort.pool, words, *shape,
+            self.plans[key] = models.plan_batches(spec, cohort.pool, keys, *shape,
                                                   cohort.layouts)
         return self.plans[key]
 
@@ -119,8 +117,6 @@ class ExperimentWorld:
     agg_mode: str = "weighted"
     cohorts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plans: PlanMemo = field(default_factory=PlanMemo, init=False, repr=False, compare=False)
-    # One call's trials' seed words: seed key -> (client ids, rows) (hold_trial_words).
-    words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     hps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # A lanes.Helper that probe cycles send work to, or None.
     helper: object = field(default=None, init=False, repr=False, compare=False)
@@ -207,43 +203,15 @@ def weighted_objective(losses_and_counts) -> float:
     return sum(loss * n for loss, n in losses_and_counts) / total
 
 
-def pass_words(world: ExperimentWorld, ids: tuple, seed_key: tuple) -> np.ndarray:
-    """(len(ids), 4) common.pcg64_words of derive_seed(*seed_key, i) for each
-    client id i of ids (sorted): the words of a pass under seed_key, as
-    world holds them (hold_trial_words), or computed when it holds none for ids."""
-    held = world.words.get(seed_key)
-    return held[1] if held and held[0] == ids else pcg64_words(derive_seeds(seed_key, ids))
-
-
-def hold_trial_words(world: ExperimentWorld, trials):
-    """Compute, in one common.pcg64_words call, the words of each trial's
-    passes over its cohort in its rounds (train_key) and, unless the cohort
-    keeps them all, of their round times under epochs (round_time), and
-    hold them on world in place of what it held. trials holds (cohort,
-    trial, rounds, epochs) tuples."""
-    held, seeds = [], []
-    for cohort, trial, rounds, epochs in trials:
-        for j in rounds:
-            held.append((train_key(world, trial, j), cohort.ids))
-            seeds += derive_seeds(held[-1][0], cohort.ids)
-        if any((epochs, trial, j) not in cohort.times for j in rounds):
-            held += [((world.base_seed, "time", trial, j), None) for j in rounds]
-            seeds += derive_seeds((world.base_seed, "time", trial), rounds)
-    words, o, world.words = pcg64_words(seeds), 0, {}
-    for key, ids in held:  # a pass's rows, or a round time's row
-        n = 1 if ids is None else len(ids)
-        world.words[key], o = ((), words[o]) if ids is None else (ids, words[o : o + n]), o + n
-
-
 def train_cohorts(world: ExperimentWorld, passes, score: bool = True,
                   stack: Stack | None = None) -> list:
     """Train the passes, each (global_w, config, cohort, round_index,
-    seed_key, words), in one models.train_stack call under their one
+    seed_key), in one models.train_stack call under their one
     models.plan_key (several passes: on stack), then FedAvg each.
 
-    Member c of a pass trains from global_w under config on the batches of
-    derive_seed(*seed_key, c.client_id), through its row of words (None:
-    pass_words); plans come from world.plans, built once per seed_key.
+    Member c of a pass trains from global_w under config on the batches
+    drawn from the stream (*seed_key, c.client_id); plans come from
+    world.plans, built once per seed_key.
     Without score, only losses that could be non-finite are scored
     (models.train_stack's bound), the others nan. Returns per pass
     (aggregate, [(client_id, validation loss)] in client_id order) or a
@@ -251,18 +219,18 @@ def train_cohorts(world: ExperimentWorld, passes, score: bool = True,
     """
     spec, cohorts = world.model_spec, [p[2] for p in passes]
     hps = [world.train_hp(p[1]) for p in passes]
-    words = [pass_words(world, c.ids, k) if w is None else w for _, _, c, _, k, w in passes]
+    keys = [(*p[4], i) for p in passes for i in p[2].ids]
     if stack is None:
-        stack, seed_key, w, hp, words = cohorts[0], passes[0][4], passes[0][0], hps[0], words[0]
+        stack, seed_key, w, hp = cohorts[0], passes[0][4], passes[0][0], hps[0]
     else:  # a wave: each row from its pass's weights, under its config
-        seed_key, words = tuple(p[4] for p in passes), np.concatenate(words)
+        seed_key = tuple(p[4] for p in passes)
         rows = [len(c.members) for c in cohorts]
         w = WeightVector(np.repeat([p[0].values for p in passes], rows, axis=0), spec.layout_id)
         hp = np.repeat([(h.learning_rate, h.weight_decay, 1 - h.dropout) for h in hps], rows, 0)
-    plans = world.plans.get(spec, hps[0], stack, seed_key, words)
+    plans = world.plans.get(spec, hps[0], stack, seed_key, keys)
     trained, val_losses, failures = models.train_stack(spec, w, hp, stack.pool, plans, score)
     out, o = [], 0
-    for global_w, config, cohort, round_index, _, _ in passes:
+    for global_w, config, cohort, round_index, _ in passes:
         rows, o = slice(o, o + len(cohort.members)), o + len(cohort.members)
         if any(failures[rows]):
             c, failure = next((c, f) for c, f in zip(cohort.members, failures[rows]) if f)
@@ -278,28 +246,22 @@ def train_cohorts(world: ExperimentWorld, passes, score: bool = True,
 
 
 def train_cohort(world: ExperimentWorld, global_w: WeightVector, config: HpConfig,
-                 cohort: Cohort, round_index: int, seed_key: tuple, score: bool = True,
-                 words=None):
+                 cohort: Cohort, round_index: int, seed_key: tuple, score: bool = True):
     """train_cohorts of the one pass of these arguments, raising its divergence."""
-    out, = train_cohorts(world, [(global_w, config, cohort, round_index, seed_key, words)], score)
+    out, = train_cohorts(world, [(global_w, config, cohort, round_index, seed_key)], score)
     if isinstance(out, NumericDivergenceError):
         raise out
     return out
 
 
-def round_time(world: ExperimentWorld, cohort: Cohort, config: HpConfig, trial: int, j: int,
-               words=None):
+def round_time(world: ExperimentWorld, cohort: Cohort, config: HpConfig, trial: int, j: int):
     """The cohort_time run_trial charges round j of trial under config,
-    drawn once per cohort and kept in cohort.times by (epochs, trial, j),
-    from words (the key's common.pcg64_words row) or, if None, from those
-    world holds (hold_trial_words)."""
+    under the key (base_seed, "time", trial, j), drawn once per cohort and
+    kept in cohort.times by (epochs, trial, j)."""
     epochs = world.train_hp(config).epochs
     key = (epochs, trial, j)
     if key not in cohort.times:
-        seed_key = (world.base_seed, "time", trial, j)
-        if words is None:
-            words = world.words.get(seed_key, (None, None))[1]
-        cohort.times[key] = cohort_time(cohort, epochs, seed_key, words)
+        cohort.times[key] = cohort_time(cohort, epochs, (world.base_seed, "time", trial, j))
     return cohort.times[key]
 
 
@@ -309,19 +271,16 @@ def train_key(world: ExperimentWorld, trial: int, j: int) -> tuple:
     return world.base_seed, "train", trial, j
 
 
-def cohort_time(cohort: Cohort, epochs: int, seed_key: tuple, words=None) -> float:
+def cohort_time(cohort: Cohort, epochs: int, seed_key: tuple) -> float:
     """Simulated duration of one cohort training pass: the slowest member.
 
     sched.completion_time times the pass over the members in client_id
-    order, on the cohort's arrays, with the draws of
-    np.random.default_rng(derive_seed(*seed_key)): common.seeded(words)
-    when words, that seed's common.pcg64_words row, are given. So a
-    member's jitter depends on the pass key and on its position in the
-    cohort.
+    order, on the cohort's arrays, with the draws of seed_key's stream
+    (common.seeded). So a member's jitter depends on the pass key and on
+    its position in the cohort.
     """
-    rng = np.random.default_rng(derive_seed(*seed_key)) if words is None else seeded(words)
     return float(sched.completion_time(cohort.base_time, cohort.scale, cohort.sigma, epochs,
-                                       rng).max())
+                                       seeded(*seed_key)).max())
 
 
 def run_round(states, cohorts, world: ExperimentWorld, trials, score: bool = True,
@@ -335,8 +294,8 @@ def run_round(states, cohorts, world: ExperimentWorld, trials, score: bool = Tru
     if not all(c.members for c in cohorts):
         raise AggregationError("run_round: empty cohort")
     passes = train_cohorts(world, [
-        (s.global_weights, s.current_hp, c, s.round_index, train_key(world, t, s.round_index),
-         None) for s, c, t in zip(states, cohorts, trials)], score, stack)
+        (s.global_weights, s.current_hp, c, s.round_index, train_key(world, t, s.round_index))
+        for s, c, t in zip(states, cohorts, trials)], score, stack)
     return [out if isinstance(out, NumericDivergenceError) else
             (RoundState(s.round_index + 1, out[0], s.current_hp), out[1])
             for s, out in zip(states, passes)]
@@ -417,7 +376,7 @@ def run_trials(trials: list[Trial], budget_rounds: int, world: ExperimentWorld,
     lockstep: each round charges every live trial its round time, trains
     them in one run_round pass per models.plan_key and stack of at most as
     many members as the world has clients (train_stack rows are independent),
-    then scores and ends each alone. One hold_trial_words call takes every word."""
+    then scores and ends each alone."""
     if budget_rounds < 1:
         raise ValueError("budget_rounds must be >= 1")
     spec, cadence, clients = world.model_spec, world.eval_cadence, len(world.clients)
@@ -436,10 +395,6 @@ def run_trials(trials: list[Trial], budget_rounds: int, world: ExperimentWorld,
         results[i] = TrialResult(states.pop(i).current_hp, np.inf, 0.0,
                                  sim_time=results[i].sim_time, failure=err)
 
-    held = [(trials[i].cohort, trials[i].index, range(states[i].round_index, budget_rounds + 1),
-             world.train_hp(states[i].current_hp).epochs) for i in live()]
-    if held:
-        hold_trial_words(world, held)
     stacks = {}  # this round's Stacks by their cohorts' ids, kept while they train together
     while training := live():
         groups = {}  # plan key -> the stacks of trials that train this round under it

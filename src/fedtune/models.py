@@ -10,13 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .common import (
-    ConfigurationError,
-    DataError,
-    NumericDivergenceError,
-    pcg64_words,
-    seeded,
-)
+from .common import ConfigurationError, DataError, NumericDivergenceError, seeded
 
 LOGISTIC = "logistic"
 MLP = "mlp"
@@ -404,16 +398,15 @@ def _layout(pool: ShardPool, members, width: int, epochs: int) -> BatchLayout:
     return layout
 
 
-def _draw(spec: ModelSpec, pool: ShardPool, words: list, layout: BatchLayout, dropout: bool):
-    """The BatchPlan of layout under words, shard i's PCG64 state words
-    (common.pcg64_words, as lists): each epoch's draw shuffles a copy of
-    its slots in place, then draws its dropout uniforms, on the one
-    generator common.seeded sets to shard i's state."""
+def _draw(spec: ModelSpec, pool: ShardPool, keys: list, layout: BatchLayout, dropout: bool):
+    """The BatchPlan of layout, shard i drawing from the stream of keys[i]:
+    each epoch's draw shuffles a copy of its slots in place, then draws its
+    dropout uniforms, on the one generator common.seeded sets."""
     slots = layout.slots.copy()
     flat = slots.reshape(-1)
     uniforms = np.ones((len(flat), spec.hidden_dim)) if dropout else None
     for i, n, starts in layout.draws:
-        rng = seeded(words[i])
+        rng = seeded(*keys[i])
         for o in starts:
             rng.shuffle(flat[o : o + n])  # the draws of rng.permutation(n)
             if dropout:
@@ -429,17 +422,15 @@ def _draw(spec: ModelSpec, pool: ShardPool, words: list, layout: BatchLayout, dr
     return plan
 
 
-def plan_batches(spec: ModelSpec, pool: ShardPool, words: np.ndarray, epochs: int,
-                 batch_size: int, dropout: bool,
-                 layouts: dict | None = None) -> tuple[BatchPlan, ...]:
+def plan_batches(spec: ModelSpec, pool: ShardPool, keys, epochs: int, batch_size: int,
+                 dropout: bool, layouts: dict | None = None) -> tuple[BatchPlan, ...]:
     """The BatchPlans of a train_stack pass over pool, one per padded width,
     widest last.
 
-    words[i] is shard i's row of common.pcg64_words: the draws are those of
-    np.random.default_rng(seed) for that row's seed. Each epoch draws
-    permutation(n) for the batch order, then, if dropout is on, one
-    random((n, hidden)) whose rows are the batches' dropout draws in order.
-    Batches pad to a width that is
+    Shard i draws from the stream of its key keys[i] (common.seeded): each
+    epoch draws permutation(n) for the batch order, then, if dropout is on,
+    one random((n, hidden)) whose rows are the batches' dropout draws in
+    order. Batches pad to a width that is
     batch_size unless the shard is much smaller (_padded_width). epochs,
     batch_size and dropout are plan_key of the pass's spec and hp. layouts,
     when given, keeps pool's BatchLayouts by (epochs, batch_size) for reuse.
@@ -452,8 +443,7 @@ def plan_batches(spec: ModelSpec, pool: ShardPool, words: np.ndarray, epochs: in
         layouts[epochs, batch_size] = tuple(
             _layout(pool, np.flatnonzero(widths == width), width, epochs)
             for width in np.unique(widths))
-    words = words.tolist()
-    return tuple(_draw(spec, pool, words, layout, dropout)
+    return tuple(_draw(spec, pool, keys, layout, dropout)
                  for layout in layouts[epochs, batch_size])
 
 
@@ -553,20 +543,20 @@ def local_train(
     train_labels: np.ndarray,
     val_features: np.ndarray,
     val_labels: np.ndarray,
-    rng_seed: int,
+    *key,
 ):
     """Run hp.epochs epochs of mini-batch SGD on one client shard.
 
     The one-shard case of train_stack. Returns (updated weights,
     validation loss), the loss measured after training with dropout
     disabled. Deterministic in all inputs; batch order reshuffles each
-    epoch from rng_seed. An empty validation split falls back to the loss
-    on the training split.
+    epoch from the stream of key, the parts that follow the shard. An
+    empty validation split falls back to the loss on the training split.
     """
     pool = pool_shards(spec.input_dim, [(train_features, train_labels, val_features,
                                          val_labels)])
     values, val_losses, failures = train_stack(
-        spec, w, hp, pool, plan_batches(spec, pool, pcg64_words([rng_seed]), *plan_key(spec, hp)))
+        spec, w, hp, pool, plan_batches(spec, pool, [key], *plan_key(spec, hp)))
     if failures[0] is not None:
         raise NumericDivergenceError(failures[0])
     return WeightVector(values[0], w.layout_id), float(val_losses[0])

@@ -11,8 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import data, flcore, hpo, lanes, models, sched
-from .common import (ConfigurationError, NumericDivergenceError, derive_seed, derive_seeds,
-                     pcg64_words, seeded)
+from .common import ConfigurationError, NumericDivergenceError, derive_seed, seeded
 from .config import ExperimentConfig
 from .flcore import ExperimentWorld
 from .hpo import FeedbackRecord, combine_feedback
@@ -116,9 +115,8 @@ def build_world(cfg: ExperimentConfig, seed: int) -> ExperimentWorld:
 
     lat = cfg["latency"]
     clients = []
-    words = pcg64_words(derive_seeds((seed, "latency"), [s.client_id for s in shards])).tolist()
-    for shard, row in zip(shards, words):
-        base = seeded(row).uniform(lat["base_min"], lat["base_max"])
+    for shard in shards:
+        base = seeded(seed, "latency", shard.client_id).uniform(lat["base_min"], lat["base_max"])
         clients.append(flcore.ClientState(
             client_id=shard.client_id,
             shard=shard,
@@ -148,11 +146,10 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     if cfg["grouping"]["mode"] == "sync":
         return [sched.ClientGroup(0, sorted(c.client_id for c in world.clients))]
     epochs = max(1, int(world.hp_defaults["epochs"]))
-    cids = [c.client_id for c in world.clients]
-    words = pcg64_words(derive_seeds((seed, "calibration"), cids)).tolist()
     completions = [  # each client timed as a one-member pass
-        (cid, flcore.cohort_time(world.cohort([cid]), epochs, (seed, "calibration", cid), row))
-        for cid, row in zip(cids, words)
+        (c.client_id, flcore.cohort_time(world.cohort([c.client_id]), epochs,
+                                         (seed, "calibration", c.client_id)))
+        for c in world.clients
     ]
     window = cfg["grouping"]["window"]
     if window == "auto":
@@ -160,15 +157,15 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     return sched.form_groups(completions, float(window))
 
 
-def _train_probes(world, probes, global_w, ids, round_index, seed_key, words):
+def _train_probes(world, probes, global_w, ids, round_index, seed_key):
     """lanes.run_each over probes (index -> config): the pass of the clients
-    ids from global_w under each config (flcore.train_cohort under seed_key,
-    on words, the cohort's flcore.pass_words), its aggregate then scored on
-    the server validation set by models.evaluate in the same lane. A result
-    is (aggregate, local losses, server loss), or None for a divergence or a
-    server loss that is not finite. Two or more probes are split by epochs
-    with a free world.helper, whose request carries words (README "Lanes")."""
-    args = (global_w, ids, round_index, seed_key, words)
+    ids from global_w under each config (flcore.train_cohort under seed_key),
+    its aggregate then scored on the server validation set by
+    models.evaluate in the same lane. A result is (aggregate, local losses,
+    server loss), or None for a divergence or a server loss that is not
+    finite. Two or more probes are split by epochs with a free world.helper
+    (README "Lanes")."""
+    args = (global_w, ids, round_index, seed_key)
     if world.helper and not world.helper.busy and len(probes) > 1:
         mine, theirs = ({i: probes[i] for i in share} for share in lanes.split(
             probes, lambda i: max(1, world.train_hp(probes[i]).epochs), 2))
@@ -178,8 +175,7 @@ def _train_probes(world, probes, global_w, ids, round_index, seed_key, words):
 
     def train(i):
         try:
-            out = flcore.train_cohort(world, global_w, probes[i], cohort, round_index, seed_key,
-                                      True, words)
+            out = flcore.train_cohort(world, global_w, probes[i], cohort, round_index, seed_key)
         except NumericDivergenceError:
             return None
         gl = models.evaluate(world.model_spec, out[0], world.val_set.features,
@@ -197,8 +193,7 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     current global weights, every probe under the round's own training key
     (flcore.train_key): common random numbers, so the probes see the same
     batch orders and dropout draws, and the chosen probe's pass is exactly
-    the round's. The cycle reads that key's words once (flcore.pass_words),
-    and every probe trains on them. Each probe is timed under its own key,
+    the round's. Each probe is timed under its own key,
     (base_seed, "probe", trial_index, round, config_id). _train_probes
     trains and scores them, in lanes when world.helper is set (README
     "Lanes"), and the first error in probe order is raised. Each score is
@@ -218,9 +213,8 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     extra_time = sum((flcore.cohort_time(cohort, world.train_hp(p).epochs,
                                          (world.base_seed, "probe", trial_index, j, p.config_id))
                       for p in probes), 0.0)
-    key = flcore.train_key(world, trial_index, j)
     passes = dict(_train_probes(world, dict(enumerate(probes)), state.global_weights,
-                                cohort.ids, j, key, flcore.pass_words(world, cohort.ids, key)))
+                                cohort.ids, j, flcore.train_key(world, trial_index, j)))
     results = []
     for i, p in enumerate(probes):
         if isinstance(passes[i], Exception):  # a lane ran nothing past its first error
@@ -307,10 +301,9 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     up to cpus lanes (lanes.run_jobs), balanced by cohort training rows
     times epochs, on the group a dry sched.dispatch of its rounds' times
     issues it to (README "Lanes"); the lanes fork after it and read the
-    round times it drew (flcore.round_time), whose words it computes in
-    one call. A lane trains its share as one wave (flcore.run_trials); a
-    wave that raises gives its share no result, so dispatch runs those
-    inline, where the one-CPU run raises the error.
+    round times it drew (flcore.round_time). A lane trains its share as one
+    wave (flcore.run_trials); a wave that raises gives its share no result,
+    so dispatch runs those inline, where the one-CPU run raises the error.
     Returns eval index -> (group id, config id, EvalOutcome) or {}.
     """
     if cpus < 2 or not sampler.feedback_free:
@@ -318,9 +311,6 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
     # A feedback_free sampler's configs and plans do not depend on the schedule.
     configs = [sampler.start_config(e) for e in range(sampler.num_evals)]
     plans = [sampler.plan(e, config) for e, config in enumerate(configs)]
-    rounds = [(key, j) for key, n, _ in plans for j in range(1, n + 1)]
-    seeds = [derive_seed(world.base_seed, "time", *r) for r in rounds]
-    words = dict(zip(rounds, pcg64_words(seeds).tolist()))
     issues = {}
 
     def issue(group, e):
@@ -329,7 +319,7 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
 
     def predict(group, config, e):
         (key, n, _), cohort = plans[e], world.cohort(group.members)
-        return sum(flcore.round_time(world, cohort, config, key, j, words[key, j])
+        return sum(flcore.round_time(world, cohort, config, key, j)
                    for j in range(1, n + 1)), lambda: None
 
     sched.dispatch(groups, sampler.num_evals, issue, predict)

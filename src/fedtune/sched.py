@@ -43,8 +43,7 @@ def completion_time(base_time, scale, sigma, epochs: int,
     max(1, n_i)/100 of its n_i training rows and its jitter_sigma (sigma).
     Member i takes base_time * epochs * scale times one
     lognormal(0, jitter_sigma) jitter, drawn in member order from rng, a
-    generator at the start of its stream (np.random.default_rng or
-    common.seeded).
+    generator at the start of the pass's stream (common.seeded).
     """
     jitter = rng.lognormal(0.0, sigma)
     return base_time * epochs * scale * jitter

@@ -25,11 +25,16 @@ from fedtune.common import derive_seed
 
 
 def stream(*key) -> np.random.Generator:
-    """A new generator at the start of key's stream: np.random.default_rng
-    of the 63-bit seed the SHA-256 digest of the key's parts begins with."""
-    text = "|".join(repr(p) for p in key)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little") >> 1))
+    """A new generator at the start of key's stream: PCG64 whose 128-bit
+    state is the first 16 bytes of the SHA-256 digest of the key's parts
+    and whose increment is the last 16, OR 1, both little-endian."""
+    digest = hashlib.sha256("|".join(repr(p) for p in key).encode("utf-8")).digest()
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64",
+                  "state": {"state": int.from_bytes(digest[:16], "little"),
+                            "inc": int.from_bytes(digest[16:], "little") | 1},
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
 
 
 def train_hp(world, config) -> models.TrainHp:
@@ -87,9 +92,10 @@ def cohort_train(world, w, config, members, key):
         outs.append(out)
     counts = [len(c.shard.train) for c in members]
     agg = 0.0
-    for (values, _), n in zip(outs, counts):
-        agg = agg + (values * (n / sum(counts)) if world.agg_mode == "weighted"
-                     else values / len(outs))
+    with np.errstate(all="ignore"):
+        for (values, _), n in zip(outs, counts):
+            agg = agg + (values * (n / sum(counts)) if world.agg_mode == "weighted"
+                         else values / len(outs))
     if not np.isfinite(agg).all():
         return None
     return agg, [(c.client_id, loss) for c, (_, loss) in zip(members, outs)]

@@ -123,8 +123,8 @@ def test_reused_round_is_charged_no_cohort_time(monkeypatch):
     passes, steered = [], []  # (kind, round, seconds); (round, reused?) per cycle
     real_time, real_cycle = flcore.cohort_time, runner.run_probe_cycle
 
-    def recording_time(cohort, epochs, seed_key, words=None):
-        passes.append((seed_key[1], seed_key[3], real_time(cohort, epochs, seed_key, words)))
+    def recording_time(cohort, epochs, seed_key):
+        passes.append((seed_key[1], seed_key[3], real_time(cohort, epochs, seed_key)))
         return passes[-1][2]
 
     def recording_cycle(state, *args):
@@ -254,7 +254,7 @@ def test_evaluation_shapes_no_evaluation_issued_before_it_finishes(monkeypatch):
         assert issued_before and not issued_before & changed
 
 
-# 20 clients in 8 async groups and 4 evaluations of 5 rounds, with the
+# 20 clients in 6 async groups and 4 evaluations of 5 rounds, with the
 # default search space: the evaluation cadence (5) leaves no probe cycle,
 # and the default epochs grid starts at 0.
 TIME_ZERO_ASYNC = {
@@ -271,7 +271,7 @@ def test_async_groups_at_least_budget_issue_every_evaluation_at_time_zero():
     # when no feedback precedes it: here evaluation 1 takes 0 s, so
     # evaluations 2 and 3 see its feedback.
     cfg = config_from_dict(TIME_ZERO_ASYNC)
-    assert len(runner.make_groups(cfg, runner.build_world(cfg, 1), 1)) == 8
+    assert len(runner.make_groups(cfg, runner.build_world(cfg, 1), 1)) == 6
     events = runner.run_experiment(cfg).per_seed[0].events
     issues = [i for i, ev in enumerate(events) if ev.event_kind == "issue"]
     assert [events[i].sim_time for i in issues] == [0.0] * 4

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fedtune import data, models
-from fedtune.common import ConfigurationError, DataError, PartitionError, derive_seed
+from fedtune.common import ConfigurationError, DataError, PartitionError
 from fedtune.models import ModelSpec, TrainHp
+
+from reference_run import stream
 
 
 def all_indices(shard) -> np.ndarray:
@@ -138,7 +140,7 @@ def reference_partition(ds, n_clients, alpha, split, seed, min_train):
                 f"Dirichlet draws (alpha={alpha}, n_clients={n_clients})")
     shards = []
     for cid, alloc in enumerate(allocations):
-        np.random.default_rng(derive_seed(seed, "shard-split", cid)).shuffle(alloc)
+        stream(seed, "shard-split", cid).shuffle(alloc)
         n_tr, n_va, _ = largest_remainder_counts(len(alloc), split)
         shards.append((alloc[:n_tr], alloc[n_tr:n_tr + n_va], alloc[n_tr + n_va:]))
     return shards

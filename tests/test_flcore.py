@@ -24,6 +24,8 @@ from fedtune.flcore import (
 from fedtune.hpo import HpConfig
 from fedtune.models import ModelSpec, WeightVector
 
+from reference_run import stream
+
 HP_DEFAULTS = {"learning_rate": 0.1, "weight_decay": 1e-5, "epochs": 1,
                "batch_size": 16, "dropout": 0.1}
 
@@ -132,7 +134,7 @@ class TestFedAvg:
 
 def expected_cohort_time(cohort, epochs, seed_key):
     members = sorted(cohort, key=lambda c: c.client_id)
-    rng = np.random.default_rng(derive_seed(*seed_key))
+    rng = stream(*seed_key)
     jitter = rng.lognormal(0.0, [c.latency.jitter_sigma for c in members])
     return max(c.latency.base_time * epochs * (len(c.shard.train) / 100.0) * j
                for c, j in zip(members, jitter))
@@ -196,7 +198,7 @@ class TestTrainCohort:
         for c in world.clients:
             w, vl = models.local_train(
                 world.model_spec, w0, hp, c.shard.train.features, c.shard.train.labels,
-                c.shard.val.features, c.shard.val.labels, derive_seed(*key, c.client_id),
+                c.shard.val.features, c.shard.val.labels, *key, c.client_id,
             )
             updates.append((w, len(c.shard.train)))
             expected.append((c.client_id, vl))
@@ -277,9 +279,9 @@ class TestRoundTime:
     def recording_cohort_time(monkeypatch):
         calls, real = [], flcore.cohort_time
 
-        def spy(cohort, epochs, seed_key, words=None):
+        def spy(cohort, epochs, seed_key):
             calls.append((cohort.ids, epochs, seed_key))
-            return real(cohort, epochs, seed_key, words)
+            return real(cohort, epochs, seed_key)
 
         monkeypatch.setattr(flcore, "cohort_time", spy)
         return calls
@@ -694,8 +696,8 @@ class TestDivergedTrialTime:
         passes = []
         real = flcore.cohort_time
 
-        def recording_cohort_time(cohort, epochs, seed_key, words=None):
-            passes.append((seed_key[1], real(cohort, epochs, seed_key, words)))
+        def recording_cohort_time(cohort, epochs, seed_key):
+            passes.append((seed_key[1], real(cohort, epochs, seed_key)))
             return passes[-1][1]
 
         monkeypatch.setattr(flcore, "cohort_time", recording_cohort_time)
@@ -753,7 +755,7 @@ class TestNonFiniteScores:
     or objective fails as a divergence; the run goes on."""
 
     def test_non_finite_server_loss_fails_the_trial(self):
-        world, hp, huge = scaled_resume(19, 5.948892077934136e307)
+        world, hp, huge = scaled_resume(24, 5.948892077934136e307)
         assert np.isnan(models.evaluate(world.model_spec, huge.final_weights,
                                         world.val_set.features, world.val_set.labels)[0])
         result = run_trial(hp, 2, world, resume=huge)
@@ -765,12 +767,12 @@ class TestNonFiniteScores:
         assert result.final_weights is None
         cfg = {"sampler": "random", "early_stop_patience": 0}
         group = sched.ClientGroup(0, ids(world))
-        outcome = runner._run_one_eval(cfg, world, group, hp, 0, 19, (0, 2, None), huge)
+        outcome = runner._run_one_eval(cfg, world, group, hp, 0, 24, (0, 2, None), huge)
         assert outcome.row.failed and outcome.row.objective == np.inf
         assert outcome.row.entry()["objective"] == "inf" and outcome.records == []
 
     def test_probe_with_a_non_finite_server_loss_scores_inf_and_writes_no_record(self):
-        world, hp, huge = scaled_resume(19, 5.948892077934136e307)
+        world, hp, huge = scaled_resume(24, 5.948892077934136e307)
         space = hpo.default_search_space()
         walk = hpo.AdaptiveSampler(space, ["learning_rate"], 0.0, 0, 1, 2)
         state = RoundState(2, huge.final_weights, hp)
@@ -783,7 +785,7 @@ class TestNonFiniteScores:
         cfg = {"sampler": "adaptive", "early_stop_patience": 0}
         group = sched.ClientGroup(0, ids(world))
         walk = hpo.AdaptiveSampler(space, ["learning_rate"], 0.0, 0, 1, 2)
-        outcome = runner._run_one_eval(cfg, world, group, hp, 0, 19, (0, 2, walk), huge)
+        outcome = runner._run_one_eval(cfg, world, group, hp, 0, 24, (0, 2, walk), huge)
         assert outcome.row.failed and outcome.row.objective == np.inf
         assert outcome.result.failure.round_index == 2 and outcome.records == []
 
@@ -1022,10 +1024,10 @@ def ragged_world():
                            dict(HP_DEFAULTS, batch_size=16), base_seed=0)
 
 
-def cold_batches(spec, train, seed, epochs, batch_size, dropout):
+def cold_batches(spec, train, key, epochs, batch_size, dropout):
     """One shard's batches drawn and padded from its raw arrays, one epoch
     after another: [(features, labels, uniforms or None, ends an epoch)]."""
-    (x, y), rng = train, np.random.default_rng(seed)
+    (x, y), rng = train, stream(*key)
     width = models._padded_width(len(y), batch_size)
     out = []
     for _ in range(epochs):
@@ -1051,13 +1053,12 @@ class TestCohort:
                            world.hp_defaults) for d, lr in ((0.3, 0.1), (0.0, 0.1), (0.3, 0.5))]
         for k, hp in enumerate(hps):
             key = (0, "train", 0, k)  # a fresh key: plans built on the cached pool
-            plans = world.plans.get(spec, hp, cohort, key,
-                                    flcore.pass_words(world, cohort.ids, key))
+            plans = world.plans.get(spec, hp, cohort, key, [(*key, i) for i in cohort.ids])
             trained, losses, failures = models.train_stack(spec, w, hp, cohort.pool, plans)
             assert failures == [None] * 5
             assert [p.features.shape[1] for p in plans] == [1, 4, 16]
             cold = [cold_batches(spec, (c.shard.train.features, c.shard.train.labels),
-                                 derive_seed(*key, c.client_id), *models.plan_key(spec, hp))
+                                 (*key, c.client_id), *models.plan_key(spec, hp))
                     for c in world.clients]
             seen = [0] * 5
             for plan in plans:

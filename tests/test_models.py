@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from fedtune import models
-from fedtune.common import ConfigurationError, DataError, pcg64_words
+from fedtune.common import ConfigurationError, DataError
 from fedtune.models import ModelSpec, TrainHp, WeightVector
+
+from reference_run import stream
+
+
+def stream_keys(seeds):
+    """plan_batches' keys: shard i draws from the stream keyed (seeds[i],)."""
+    return [(s,) for s in seeds]
 
 
 def make_blob(seed, n=40, d=4, c=2, sep=6.0):
@@ -89,7 +96,7 @@ class TestLocalTrain:
         spec = ModelSpec("logistic", 4, 2)
         w = models.init_weights(spec, 1)
         out, _ = models.local_train(spec, w, default_hp(learning_rate=0.0),
-                                    x, y, x, y, rng_seed=3)
+                                    x, y, x, y, 3)
         assert np.array_equal(out.values, w.values)
 
     def test_zero_epochs_is_noop(self):
@@ -97,7 +104,7 @@ class TestLocalTrain:
         spec = ModelSpec("mlp", 4, 2, hidden_dim=6)
         w = models.init_weights(spec, 1)
         out, _ = models.local_train(spec, w, default_hp(epochs=0),
-                                    x, y, x, y, rng_seed=3)
+                                    x, y, x, y, 3)
         assert np.array_equal(out.values, w.values)
         pre, _ = models.evaluate(spec, w, x, y)
         post, _ = models.evaluate(spec, out, x, y)
@@ -108,8 +115,8 @@ class TestLocalTrain:
         spec = ModelSpec("mlp", 4, 2, hidden_dim=6)
         w = models.init_weights(spec, 2)
         hp = default_hp(epochs=3, dropout=0.2)
-        a = models.local_train(spec, w, hp, x, y, x, y, rng_seed=11)
-        b = models.local_train(spec, w, hp, x, y, x, y, rng_seed=11)
+        a = models.local_train(spec, w, hp, x, y, x, y, 11)
+        b = models.local_train(spec, w, hp, x, y, x, y, 11)
         assert np.array_equal(a[0].values, b[0].values)
         assert a[1:] == b[1:]
 
@@ -147,7 +154,7 @@ class TestLocalTrain:
 def reference_train(spec, w, hp, x, y, rng_seed):
     """Per-client SGD loop on unpadded batches, drawing dropout per batch."""
     values = w.values.copy()
-    rng = np.random.default_rng(rng_seed)
+    rng = stream(rng_seed)
     keep = 1.0 - hp.dropout
     for _ in range(hp.epochs):
         order = rng.permutation(len(y))
@@ -171,7 +178,7 @@ ENGINE_CASES = [
 def stack(spec, w, hp, shards, seeds):
     """train_stack over a pool and plans built cold from shards and seeds."""
     pool = models.pool_shards(spec.input_dim, shards)
-    plans = models.plan_batches(spec, pool, pcg64_words(seeds), *models.plan_key(spec, hp))
+    plans = models.plan_batches(spec, pool, stream_keys(seeds), *models.plan_key(spec, hp))
     return models.train_stack(spec, w, hp, pool, plans)
 
 
@@ -215,7 +222,7 @@ class TestTrainStack:
                for r in range(len(rows))]
         starts = np.array([models.init_weights(spec, 10 + r).values for r in range(len(rows))])
         pool = models.pool_shards(spec.input_dim, shards, rows)
-        plans = models.plan_batches(spec, pool, pcg64_words(seeds), *models.plan_key(spec, hp))
+        plans = models.plan_batches(spec, pool, stream_keys(seeds), *models.plan_key(spec, hp))
         assert {models.plan_key(spec, h) for h in hps} == {models.plan_key(spec, hp)}
         waved, wave_losses, failures = models.train_stack(
             spec, WeightVector(starts, spec.layout_id),
@@ -315,7 +322,7 @@ class TestTrainStack:
         bad[0] = bad[0] * 1e200
         shards[3] = tuple(bad)
         pool = models.pool_shards(spec.input_dim, shards)
-        plans = models.plan_batches(spec, pool, pcg64_words(seeds), *models.plan_key(spec, hp))
+        plans = models.plan_batches(spec, pool, stream_keys(seeds), *models.plan_key(spec, hp))
         (plan,) = [p for p in plans if 3 in p.order]
         assert plan.order[0] == 3  # the longest row trains first, in every step
         steps, real = [], models.loss_and_grad
@@ -374,7 +381,7 @@ class TestBatchPlan:
                    default_hp(epochs=2, dropout=0.5, learning_rate=1e200, weight_decay=1.0),
                    default_hp(epochs=2, dropout=0.3, learning_rate=0.02, weight_decay=0.1)]
         pool = models.pool_shards(spec.input_dim, shards)
-        plans = models.plan_batches(spec, pool, pcg64_words(seeds),
+        plans = models.plan_batches(spec, pool, stream_keys(seeds),
                                     *models.plan_key(spec, configs[0]))
         for hp in configs:
             shared = models.train_stack(spec, w, hp, pool, plans)
@@ -390,14 +397,14 @@ class TestBatchPlan:
         spec, hp = ENGINE_CASES[1]
         shards = engine_shards()
         pool = models.pool_shards(spec.input_dim, shards)
-        plans = models.plan_batches(spec, pool, pcg64_words([0] * 6), *models.plan_key(spec, hp))
+        plans = models.plan_batches(spec, pool, stream_keys([0] * 6), *models.plan_key(spec, hp))
         assert len(plans) == 2
         # each shard trains in exactly one stack row of one plan
         assert sorted(np.concatenate([plan.order for plan in plans])) == list(range(6))
         with pytest.raises(DataError, match="^plan_batches: empty training split$"):
             empty = (np.empty((0, 4)), np.empty(0, int))
             models.plan_batches(spec, models.pool_shards(4, shards + [empty * 2]),
-                                pcg64_words([0] * 7), *models.plan_key(spec, hp))
+                                stream_keys([0] * 7), *models.plan_key(spec, hp))
         blocks = {f"val_blocks[{n}][{j}]": a for n, block in enumerate(pool.val_blocks)
                   for j, a in enumerate(block)}
         for plan in list(plans) + [pool]:
@@ -434,10 +441,10 @@ class TestBatchLayout:
                 # two seed lists in a row: a draw that wrote into a kept
                 # layout would show in the second
                 for seeds in ([3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8]):
-                    words = pcg64_words(seeds)
-                    kept = models.plan_batches(spec, pool, words, epochs, batch_size, dropout,
+                    keys = stream_keys(seeds)
+                    kept = models.plan_batches(spec, pool, keys, epochs, batch_size, dropout,
                                                layouts)
-                    fresh = models.plan_batches(spec, pool, words, epochs, batch_size, dropout)
+                    fresh = models.plan_batches(spec, pool, keys, epochs, batch_size, dropout)
                     assert len(kept) == len(widths)
                     assert plan_bytes(kept) == plan_bytes(fresh)
         assert sorted(layouts) == [(e, batch_size) for e in range(4)]
@@ -446,7 +453,7 @@ class TestBatchLayout:
         spec, hp = ENGINE_CASES[1]
         pool = models.pool_shards(spec.input_dim, engine_shards())
         layouts = {}
-        models.plan_batches(spec, pool, pcg64_words([0] * 6), *models.plan_key(spec, hp), layouts)
+        models.plan_batches(spec, pool, stream_keys([0] * 6), *models.plan_key(spec, hp), layouts)
         (kept,) = layouts.values()
         assert len(kept) == 2
         for layout in kept:
@@ -470,7 +477,7 @@ class TestUnscoredPass:
         w = WeightVector(w.values * factor, w.layout_id)
         with np.errstate(over="ignore"):  # 1e308: the L1 norm overflows
             assert (pool.scale * np.abs(w.values).sum() >= 1e300) == scored
-        plans = models.plan_batches(spec, pool, pcg64_words([0] * 6), *models.plan_key(spec, hp))
+        plans = models.plan_batches(spec, pool, stream_keys([0] * 6), *models.plan_key(spec, hp))
         every = models.train_stack(spec, w, hp, pool, plans)
         some = models.train_stack(spec, w, hp, pool, plans, score=False)
         assert some[0].tobytes() == every[0].tobytes()

@@ -29,7 +29,7 @@ import yaml
 import fedtune
 from fedtune import cli, flcore, hpo, lanes, models, runner, sched
 from fedtune.common import (FedTuneError, FeedbackError, NumericDivergenceError,
-                            PartitionError, derive_seed, derive_seeds, pcg64_words)
+                            PartitionError, derive_seed)
 from fedtune.config import config_from_dict
 
 # Lanes are forked, and several tests rely on that: patches made in this
@@ -389,15 +389,17 @@ WIDE_ASYNC = {
 
 @pytest.mark.parametrize("world,mode,seed,digest", [
     ("criterion7", "sync", 2, "fcb5100450e06954a4015128b6129bc01cf6f0c6e7833bb0f32a8acccc628e9c"),
-    ("criterion7", "async", 2, "e0f2040d8089bb7e5035f7079347b5613f4f8bbe44c353d86d7c2d40874d2f19"),
-    ("criterion7", "async", 61, "ea2580b32d7a1b3a861f355c07ad49bd95a3c50f01b44a9ad8e3be6147afd689"),
+    ("criterion7", "async", 2, "da63c39eedccbbcb188fa14ca78c7e20a1548f0ce239933d7748e23f58b1489d"),
+    ("criterion7", "async", 61, "2f73da047343fc7270bf2ac6aa46bbf2516ef5e30067e8099a417cac6b0b0df6"),
     ("wide", "sync", 2, "a22f6a6dcfc79698eb8744fd7c6194a5df806c0fd79638c99af9b0bed72fbe2c"),
-    ("wide", "async", 2, "603fee277ea3d5313a0ffb1a107c8125617f4ebd4675cad0caa0382e7c2b553f"),
-    ("wide", "async", 61, "7f5fdca614e3ff680011bf4ce431912b5e6aa986062f9da2872e45ae86c8dc59"),
+    ("wide", "async", 2, "9ab08100fef1e16e5c9469d51d6df906156704546aa47b565db9547b01cc8caa"),
+    ("wide", "async", 61, "e86cbf8168fddad23ec2bc6501432930df41c39c58c06bc079a2715718d52fc8"),
 ])
 def test_make_groups_pinned(monkeypatch, world, mode, seed, digest):
     # SHA-256 of the repr of the groups' members and of the calibration times
     # make_groups hands sched.form_groups (none in sync mode), as float.hex
+    # (async digests re-recorded when every per-client stream was keyed
+    # straight from its key's digest; tests/test_sched.py checks the times)
     seen, form = [], sched.form_groups
     monkeypatch.setattr(sched, "form_groups",
                         lambda comps, window: seen.append(comps) or form(comps, window))
@@ -544,10 +546,10 @@ class TestRunAhead:
         inline.clear()
         times, real = [], flcore.cohort_time
 
-        def recording_cohort_time(cohort, epochs, seed_key, words=None):
+        def recording_cohort_time(cohort, epochs, seed_key):
             if seed_key[1] == "time":  # (dispatch call, eval index, cohort ids)
                 times.append((len(calls), seed_key[2], cohort.ids))
-            return real(cohort, epochs, seed_key, words)
+            return real(cohort, epochs, seed_key)
 
         monkeypatch.setattr(flcore, "cohort_time", recording_cohort_time)
         laned = one_seed_report(monkeypatch, MISPREDICTED, 2)
@@ -735,7 +737,7 @@ class TestHelper:
         assert seen == {(frozenset(cpus[:1]), frozenset(cpus[1:2]))}
 
     @pytest.mark.parametrize("sampler", ["halving", "adaptive"])
-    def test_each_request_carries_its_shares_words(self, sampler, monkeypatch):
+    def test_each_request_carries_the_rounds_key_and_no_words(self, sampler, monkeypatch):
         # halving's rungs (5, 1), (3, 2), (2, 4), (1, 6), each later one resuming
         # its trials after round 1, send nothing; adaptive runs a probe cycle
         # before rounds 2-4, and sends a probe share of each
@@ -750,13 +752,11 @@ class TestHelper:
         monkeypatch.setattr(lanes.Helper, "send", recording_send)
         one_seed_report(monkeypatch, overrides, 2)
         ids, rounds = tuple(range(SPLIT["n_clients"])), []
-        for fn, *args in requests:  # the whole cohort's rows under the cycle's key
+        for fn, *args in requests:  # the whole cohort under the cycle's training key
             assert fn is runner._train_probes
-            _, _, share, _, key, words = args
-            assert share == ids
-            expected = pcg64_words(derive_seeds(key, share))
-            assert (words.dtype, words.shape, words.tobytes()) == \
-                (expected.dtype, expected.shape, expected.tobytes()), key
+            _, w, share, j, key = args  # the helper draws each member's stream itself
+            assert isinstance(w, models.WeightVector) and share == ids
+            assert key == (1, "train", key[2], j)
             rounds.append(key[2:])  # (trial, round)
         assert rounds == ([] if sampler == "halving" else
                           [(t, j) for t in range(overrides["budget_configs"])
@@ -872,18 +872,17 @@ class TestReceive:
     def test_probes_train_inline_beside_a_request_out(self, monkeypatch):
         world = runner.build_world(config_from_dict(PROBING), 1)
         w, key, cohort = models.init_weights(world.model_spec, 0), (1, "train", 0, 3), ids(world)
-        words = flcore.pass_words(world, tuple(cohort), key)
         probes = dict(enumerate(hpo.probe_set(SPACE, START, EVEN)))
 
         def train(probes):
-            passes = runner._train_probes(world, probes, w, cohort, 3, key, words)
+            passes = runner._train_probes(world, probes, w, cohort, 3, key)
             return [(i, p[0].values.tobytes(), repr(p[1:])) for i, p in passes]
 
         alone, sent = train(probes), []
         with probe_helper(world):
             send = world.helper.send
             monkeypatch.setattr(world.helper, "send", lambda *request: sent.append(request))
-            send(runner._train_probes, {0: probes[0]}, w, cohort, 3, key, words)
+            send(runner._train_probes, {0: probes[0]}, w, cohort, 3, key)
             here = train(probes)
             reply = world.helper.receive()
         assert sent == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fedtune import runner, sched
-from fedtune.common import derive_seed
 from fedtune.config import config_from_dict
 from fedtune.hpo import HpConfig
 from fedtune.sched import (
@@ -13,6 +12,8 @@ from fedtune.sched import (
     dispatch,
     form_groups,
 )
+
+from reference_run import stream
 
 
 def rng(seed):
@@ -47,7 +48,7 @@ def calibration_reference(client, epochs, seed):
     """One client's calibration time, drawn from its own generator."""
     t = client.latency.base_time * epochs * (max(1, len(client.shard.train)) / 100.0)
     if client.latency.jitter_sigma > 0:
-        rng = np.random.default_rng(derive_seed(seed, "calibration", client.client_id))
+        rng = stream(seed, "calibration", client.client_id)
         t *= rng.lognormal(0.0, client.latency.jitter_sigma)
     return t
 
