@@ -1,8 +1,8 @@
 """Work run in lanes: this process and pinned helper processes.
 
-The one place fedtune forks. helpers starts the helpers; run_jobs and
-runner._train_probes send them work, and Helper.receive reads every
-reply (README "Lanes").
+The one place fedtune forks. helpers starts the helpers, each bound to
+its copy of one object; run_jobs is the one place work is split across
+them, and Helper.receive reads every reply (README "Lanes").
 """
 
 import contextlib
@@ -46,33 +46,31 @@ def run_each(run, keys) -> list:
     return done
 
 
-def run_jobs(jobs: dict, cost, run_share, lanes: int) -> dict:
+def run_jobs(started, bound, jobs: dict, cost, fn, *args) -> dict:
     """The keys of jobs split by cost(key) (split) across this process and
-    the helpers started for up to min(lanes, len(jobs)) lanes, each lane's
-    share run by one call, run_share(keys) -> [(key, result or exception)]:
-    a seed lane's is functools.partial(run_each, run), a run-ahead lane's
-    one wave (runner._run_ahead). Replies are read by Helper.receive
-    (README "Lanes"). Returns key -> result or exception for the keys the
-    lanes ran, or {} when no helper started; the caller runs the rest inline.
+    the helpers started (lanes.helpers over bound), each lane's share
+    {key: jobs[key]} run by one call, fn(bound, *args, share) -> [(key,
+    result or exception)]; a helper gets it as the request (fn, *args,
+    share), and its reply is read by Helper.receive (README "Lanes").
+    Returns key -> result or exception for every key.
     """
-    with helpers(run_share, min(lanes, len(jobs))) as started:
-        if not started:
-            return {}
-        shares = split(jobs, cost, len(started) + 1)
-        for helper, share in zip(started, shares[1:]):
-            helper.send(share)
-        done = run_share(shares[0])
-        for helper in started:
-            done += helper.receive()
+    shares = [{key: jobs[key] for key in keys} for keys in split(jobs, cost, len(started) + 1)]
+    for helper, share in zip(started, shares[1:]):
+        helper.send(fn, *args, share)
+    done = fn(bound, *args, shares[0])
+    for helper in started[:len(shares) - 1]:
+        done += helper.receive()
     return dict(done)
 
 
 @contextlib.contextmanager
-def helpers(serve, lanes: int):
-    """Up to lanes - 1 started Helpers for serve, pinned as README "Lanes"
-    says. Fewer start, down to none, when CPUs, fork or sched_setaffinity
-    are lacking or a fork or pin fails. On exit, however the body ended,
-    every helper is closed and this process's affinity restored."""
+def helpers(bound, lanes: int):
+    """A list of up to lanes - 1 started Helpers, each serving a request
+    (fn, *args) as fn(bound, *args) on its copy of bound, pinned as README
+    "Lanes" says. Fewer start, down to none, when CPUs, fork or
+    sched_setaffinity are lacking or a fork or pin fails. On exit, however
+    the body ended, every helper is closed, the list emptied and this
+    process's affinity restored."""
     pinnable = hasattr(os, "fork") and hasattr(os, "sched_setaffinity")
     affinity = os.sched_getaffinity(0) if pinnable else set()
     cpus, started, pinned = sorted(affinity)[:lanes], [], False
@@ -82,13 +80,14 @@ def helpers(serve, lanes: int):
                 os.sched_setaffinity(0, cpus[:1])
                 pinned = True
                 for cpu in cpus[1:]:
-                    started.append(Helper(serve, cpu))
+                    started.append(Helper(lambda fn, *args: fn(bound, *args), cpu))
             except OSError:  # a failed fork or pin: the helpers started so far
                 pass
         yield started
     finally:
         for helper in started:
             helper.close()
+        started.clear()
         if pinned:
             os.sched_setaffinity(0, affinity)
 

@@ -2,7 +2,6 @@
 
 import csv
 import ctypes
-import functools
 import json
 import math
 import os
@@ -157,20 +156,13 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     return sched.form_groups(completions, float(window))
 
 
-def _train_probes(world, probes, global_w, ids, round_index, seed_key):
-    """lanes.run_each over probes (index -> config): the pass of the clients
-    ids from global_w under each config (flcore.train_cohort under seed_key),
-    its aggregate then scored on the server validation set by
-    models.evaluate in the same lane. A result is (aggregate, local losses,
-    server loss), or None for a divergence or a server loss that is not
-    finite. Two or more probes are split by epochs with a free world.helper
-    (README "Lanes")."""
-    args = (global_w, ids, round_index, seed_key)
-    if world.helper and not world.helper.busy and len(probes) > 1:
-        mine, theirs = ({i: probes[i] for i in share} for share in lanes.split(
-            probes, lambda i: max(1, world.train_hp(probes[i]).epochs), 2))
-        world.helper.send(_train_probes, theirs, *args)
-        return _train_probes(world, mine, *args) + world.helper.receive()
+def _train_probes(world, global_w, ids, round_index, seed_key, probes):
+    """lanes.run_each over probes (index -> config), a probe cycle's share
+    (run_probe_cycle): the pass of the clients ids from global_w under each
+    config (flcore.train_cohort under seed_key), its aggregate then scored
+    on the server validation set by models.evaluate in the same lane. A
+    result is (aggregate, local losses, server loss), or None for a
+    divergence or a server loss that is not finite."""
     cohort = world.cohort(ids)
 
     def train(i):
@@ -195,8 +187,9 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     batch orders and dropout draws, and the chosen probe's pass is exactly
     the round's. Each probe is timed under its own key,
     (base_seed, "probe", trial_index, round, config_id). _train_probes
-    trains and scores them, in lanes when world.helper is set (README
-    "Lanes"), and the first error in probe order is raised. Each score is
+    trains and scores them, split by epochs across this process and
+    world.helpers (lanes.run_jobs, README "Lanes"), and the first error in
+    probe order is raised. Each score is
     combined with that probe's local validation losses. A probe that
     diverges, or whose server loss is not finite, scores +inf, so the step
     never adopts it, and writes no record; the cycle goes on. Appends one
@@ -213,8 +206,10 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     extra_time = sum((flcore.cohort_time(cohort, world.train_hp(p).epochs,
                                          (world.base_seed, "probe", trial_index, j, p.config_id))
                       for p in probes), 0.0)
-    passes = dict(_train_probes(world, dict(enumerate(probes)), state.global_weights,
-                                cohort.ids, j, flcore.train_key(world, trial_index, j)))
+    passes = lanes.run_jobs(world.helpers, world, dict(enumerate(probes)),
+                            lambda i: max(1, world.train_hp(probes[i]).epochs), _train_probes,
+                            state.global_weights, cohort.ids, j,
+                            flcore.train_key(world, trial_index, j))
     results = []
     for i, p in enumerate(probes):
         if isinstance(passes[i], Exception):  # a lane ran nothing past its first error
@@ -296,25 +291,18 @@ def _eval_outcome(cfg, world, group, eval_index, seed, plan, resume, result, rec
     return EvalOutcome(plan[0], row, result, records, plan[2])
 
 
-def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
-    """Every evaluation of a feedback_free sampler, run before dispatch in
-    up to cpus lanes (lanes.run_jobs), balanced by cohort training rows
-    times epochs, on the group a dry sched.dispatch of its rounds' times
-    issues it to (README "Lanes"); the lanes fork after it and read the
-    round times it drew (flcore.round_time). A lane trains its share as one
-    wave (flcore.run_trials); a wave that raises gives its share no result,
-    so dispatch runs those inline, where the one-CPU run raises the error.
-    Returns eval index -> (group id, config id, EvalOutcome) or {}.
-    """
-    if cpus < 2 or not sampler.feedback_free:
-        return {}
+def _plan_ahead(world, sampler, groups) -> dict:
+    """Eval index -> (group, config, plan) for every evaluation of a
+    feedback_free sampler, on the group a dry sched.dispatch of its rounds'
+    times issues it to (README "Lanes"); the lanes fork after it and read
+    the round times it drew (flcore.round_time)."""
     # A feedback_free sampler's configs and plans do not depend on the schedule.
     configs = [sampler.start_config(e) for e in range(sampler.num_evals)]
     plans = [sampler.plan(e, config) for e, config in enumerate(configs)]
     issues = {}
 
     def issue(group, e):
-        issues[e] = group, configs[e]
+        issues[e] = group, configs[e], plans[e]
         return configs[e]
 
     def predict(group, config, e):
@@ -323,37 +311,32 @@ def _run_ahead(cfg, world, sampler, groups, seed, cpus) -> dict:
                    for j in range(1, n + 1)), lambda: None
 
     sched.dispatch(groups, sampler.num_evals, issue, predict)
-
-    def cost(e):
-        group, config = issues[e]
-        rows = sum(len(c.shard.train) for c in world.cohort(group.members).members)
-        return rows * max(1, world.train_hp(config).epochs)
-
-    def run_share(keys):
-        keys = sorted(keys)
-        try:  # a random search's evaluations share one round budget
-            results = flcore.run_trials(
-                [flcore.Trial(issues[e][1], world.cohort(issues[e][0].members), plans[e][0])
-                 for e in keys], plans[keys[0]][1], world, cfg["early_stop_patience"])
-            return [(e, _eval_outcome(cfg, world, issues[e][0], e, seed, plans[e], None, r, []))
-                    for e, r in zip(keys, results)]
-        except Exception:  # raised again where the inline run reaches it
-            return []
-
-    done = lanes.run_jobs(issues, cost, run_share, cpus)
-    return {e: (issues[e][0].group_id, issues[e][1].config_id, r) for e, r in done.items()}
+    return issues
 
 
-def _world_server(world):
-    """A lanes.Helper's serve: a request (fn, *args) runs fn(world, *args),
-    for a probe share of a cycle (_train_probes)."""
-    return lambda fn, *args: fn(world, *args)
+def _run_wave(world, cfg, seed, share) -> list:
+    """A run-ahead lane's share {eval index: (group, config, plan)}
+    (_plan_ahead) trained as one wave (flcore.run_trials): [(eval index,
+    EvalOutcome)], or [] if the wave raised, so dispatch runs those inline,
+    where the one-CPU run raises the error."""
+    keys = sorted(share)
+    try:  # a random search's evaluations share one round budget
+        results = flcore.run_trials(
+            [flcore.Trial(share[e][1], world.cohort(share[e][0].members), share[e][2][0])
+             for e in keys], share[keys[0]][2][1], world, cfg["early_stop_patience"])
+        return [(e, _eval_outcome(cfg, world, share[e][0], e, seed, share[e][2], None, r, []))
+                for e, r in zip(keys, results)]
+    except Exception:  # raised again where the inline run reaches it
+        return []
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
-    """One seed's report, in up to cpus lanes: a feedback_free sampler runs
-    its evaluations ahead (_run_ahead), and adaptive search shares its
-    probe cycles with one helper (README "Lanes")."""
+    """One seed's report, in up to cpus lanes over the helpers it starts
+    once (world.helpers): a feedback_free sampler runs every evaluation
+    before dispatch, forking after its dry dispatch (_plan_ahead) and
+    splitting them by cohort training rows times epochs into waves
+    (_run_wave), and adaptive search splits its probe cycles with one
+    helper (README "Lanes")."""
     world = build_world(cfg, seed)
     space = cfg.search_space()
     n, rounds = cfg["budget_configs"], cfg["rounds_per_trial"]
@@ -371,21 +354,27 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
         sampler.commit(outcome)
         committed[outcome.trial_key] = outcome
 
-    ahead = _run_ahead(cfg, world, sampler, groups, seed, cpus)
+    issues = _plan_ahead(world, sampler, groups) if cpus > 1 and sampler.feedback_free else {}
+
+    def cost(e):
+        group, config, _ = issues[e]
+        rows = sum(len(c.shard.train) for c in world.cohort(group.members).members)
+        return rows * max(1, world.train_hp(config).epochs)
 
     def run_eval(group, config, eval_index):
         plan = sampler.plan(eval_index, config)  # (trial key, round budget, walk)
         resume = committed[plan[0]].result if plan[0] in committed else None
-        *issued, outcome = ahead.pop(eval_index, (None, None, None))
+        outcome = ahead.pop(eval_index, None)
         # Not run ahead: its lane's wave raised, or a trial that diverged or
         # stopped early freed its group sooner than predicted.
-        if issued != [group.group_id, config.config_id]:
+        if outcome is None or issues[eval_index][:2] != (group, config):
             outcome = _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume)
         return outcome.row.sim_time, lambda: commit(outcome)
 
     probing = isinstance(sampler, hpo.AdaptiveSampler)  # a cycle splits in two
-    with lanes.helpers(_world_server(world), min(cpus, 2) if probing else 1) as started:
-        world.helper = started[0] if started else None
+    with lanes.helpers(world, min(cpus, len(issues) or (2 if probing else 1))) as world.helpers:
+        ahead = lanes.run_jobs(world.helpers, world, issues, cost, _run_wave, cfg,
+                               seed) if issues and world.helpers else {}
         result = sched.dispatch(groups, sampler.num_evals,
                                 lambda group, e: sampler.start_config(e), run_eval)
     # One row per trial key, in key order, numbered 0..n-1.
@@ -404,6 +393,11 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
         best_weights=best.result.final_weights,
         feedback_history=sampler.store.history,
     )
+
+
+def _run_seeds(cfg, seeds) -> list:
+    """A seed lane's share: lanes.run_each over seeds, each run on one CPU."""
+    return lanes.run_each(lambda s: _run_seed(cfg, s), seeds)
 
 
 def _usable_cpus() -> int:
@@ -440,16 +434,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run every seed of cfg and collect one SeedReport per seed, in
     cfg["seeds"] order; each equals that seed's one-seed run on one CPU.
 
-    The seeds run in lanes (lanes.run_jobs), and a seed no lane ran runs
-    inline here, with lanes of its own (README "Lanes"). Every lane
-    inherits the allocator thresholds fixed first, and this process keeps
-    them after the call. A failing seed raises its own error, the first in
-    seed order; a lane that dies raises FedTuneError.
+    The seeds run in lanes (lanes.run_jobs over helpers bound to cfg, a
+    lane's share by _run_seeds), and a seed no lane ran runs inline here,
+    with lanes of its own (README "Lanes"). Every lane inherits the
+    allocator thresholds fixed first, and this process keeps them after
+    the call. A failing seed raises its own error, the first in seed
+    order; a lane that dies raises FedTuneError.
     """
     _keep_freed_memory()
     seeds, cpus = cfg["seeds"], _usable_cpus()
-    done = lanes.run_jobs(dict.fromkeys(seeds), lambda s: 1,
-                          functools.partial(lanes.run_each, lambda s: _run_seed(cfg, s)), cpus)
+    with lanes.helpers(cfg, min(cpus, len(seeds))) as started:
+        done = lanes.run_jobs(started, cfg, dict.fromkeys(seeds), lambda s: 1,
+                              _run_seeds) if started else {}
     per_seed = []
     for seed in seeds:
         if isinstance(done.get(seed), Exception):

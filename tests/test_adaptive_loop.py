@@ -98,11 +98,9 @@ def test_probe_aggregates_scored_in_one_call_equal_one_evaluate_each(monkeypatch
     monkeypatch.setattr(flcore, "train_cohort", train_cohort)
     for cpus in (1, 2):
         records = []
-        with lanes.helpers(runner._world_server(world), cpus) as started:
-            world.helper = started[0] if started else None
+        with lanes.helpers(world, cpus) as world.helpers:
             runner.run_probe_cycle(state, cohort, world, 0,
                                    AdaptiveSampler(space, tuned, 0.0, 0, 1, 6), records)
-            world.helper = None
         assert [r.config_id for r in records] == list(alone)
         assert [r.server_loss.hex() for r in records] == [x.hex() for x in alone.values()]
 

@@ -11,9 +11,9 @@ cycle with one helper, with the same report and errors as inline, while a
 one-seed halving search forks nothing."""
 
 import contextlib
-import functools
 import gc
 import hashlib
+import io
 import os
 import pickle
 import platform
@@ -94,6 +94,23 @@ def fork_pids(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+def call(fn, *args):
+    """fn(*args): a request to a helper bound to fn."""
+    return fn(*args)
+
+
+def pickled_types(obj) -> set:
+    """The type of every object that pickling obj pickles."""
+    seen = set()
+
+    class Recording(pickle.Pickler):
+        def persistent_id(self, o):
+            seen.add(type(o))
+
+    Recording(io.BytesIO()).dump(obj)
+    return seen
 
 
 def assert_reaped(pids):
@@ -655,8 +672,9 @@ def test_prefetched_evaluation_raises_like_inline(error, monkeypatch):
 
 @pytest.mark.usefixtures("affinity_is_restored")
 class TestRunJobs:
-    """lanes.run_jobs runs each share but this process's in a pinned helper
-    and merges the replies."""
+    """lanes.run_jobs runs each share but this process's in a pinned helper,
+    as the request (fn, *args, share) it answers with fn(bound, *args,
+    share), and merges the replies."""
 
     @needs_cpus(3)
     def test_three_lanes_run_on_three_pinned_cpus(self, monkeypatch):
@@ -665,7 +683,8 @@ class TestRunJobs:
 
         cpus, jobs = sorted(os.sched_getaffinity(0)), dict.fromkeys([1, 2, 3])
         pids = fork_pids(monkeypatch)
-        done = lanes.run_jobs(jobs, lambda k: 1, functools.partial(lanes.run_each, run), 3)
+        with lanes.helpers(run, 3) as started:
+            done = lanes.run_jobs(started, run, jobs, lambda k: 1, lanes.run_each)
         assert len(pids) == 2
         assert_reaped(pids)
         assert {k: r[0] for k, r in done.items()} == {k: run(k)[0] for k in jobs}
@@ -686,8 +705,9 @@ class TestRunJobs:
             return key * key
 
         pids = fork_pids(monkeypatch)
-        done = lanes.run_jobs(dict.fromkeys(range(4)), lambda k: 1,
-                              functools.partial(lanes.run_each, run), 2)
+        with lanes.helpers(run, 2) as started:
+            done = lanes.run_jobs(started, run, dict.fromkeys(range(4)), lambda k: 1,
+                                  lanes.run_each)
         assert len(pids) == 1
         assert_reaped(pids)
         # the shares are [0, 2] and [1, 3]; the helper's whole share runs again here
@@ -725,9 +745,9 @@ class TestHelper:
         parent, train_cohort, seen = os.getpid(), flcore.train_cohort, set()
 
         def spy(world, *args):
-            if os.getpid() == parent and world.helper and world.helper.busy:
+            if os.getpid() == parent and world.helpers and world.helpers[0].busy:
                 seen.add((frozenset(os.sched_getaffinity(0)),
-                          frozenset(os.sched_getaffinity(world.helper.pid))))
+                          frozenset(os.sched_getaffinity(world.helpers[0].pid))))
             return train_cohort(world, *args)
 
         monkeypatch.setattr(flcore, "train_cohort", spy)
@@ -736,13 +756,17 @@ class TestHelper:
         # this process trains its probes while the helper trains the others
         assert seen == {(frozenset(cpus[:1]), frozenset(cpus[1:2]))}
 
-    @pytest.mark.parametrize("sampler", ["halving", "adaptive"])
+    @pytest.mark.parametrize("sampler", ["halving", "random", "adaptive"])
     def test_each_request_carries_the_rounds_key_and_no_words(self, sampler, monkeypatch):
-        # halving's rungs (5, 1), (3, 2), (2, 4), (1, 6), each later one resuming
-        # its trials after round 1, send nothing; adaptive runs a probe cycle
-        # before rounds 2-4, and sends a probe share of each
-        overrides = {**SPLIT, "sampler": "halving", "budget_configs": 5, "rounds_per_trial": 6,
-                     "eval_cadence": 2} if sampler == "halving" else PROBING
+        # Every run forks one helper and sends it requests of one form,
+        # (fn, *args, share), which pickle no world: two seeds of halving send
+        # the seed lane its seed, one seed of random search sends the run-ahead
+        # lane its wave, and one seed of adaptive search runs a probe cycle
+        # before rounds 2-4 and sends a probe share of each.
+        overrides = {"halving": {**SPLIT, "sampler": "halving", "seeds": [1, 2]},
+                     "random": RANDOM_ASYNC, "adaptive": PROBING}[sampler]
+        fn = {"halving": runner._run_seeds, "random": runner._run_wave,
+              "adaptive": runner._train_probes}[sampler]
         requests, send = [], lanes.Helper.send
 
         def recording_send(helper, *request):
@@ -750,17 +774,27 @@ class TestHelper:
             return send(helper, *request)
 
         monkeypatch.setattr(lanes.Helper, "send", recording_send)
+        pids = fork_pids(monkeypatch)
         one_seed_report(monkeypatch, overrides, 2)
-        ids, rounds = tuple(range(SPLIT["n_clients"])), []
-        for fn, *args in requests:  # the whole cohort under the cycle's training key
-            assert fn is runner._train_probes
-            _, w, share, j, key = args  # the helper draws each member's stream itself
-            assert isinstance(w, models.WeightVector) and share == ids
-            assert key == (1, "train", key[2], j)
-            rounds.append(key[2:])  # (trial, round)
-        assert rounds == ([] if sampler == "halving" else
-                          [(t, j) for t in range(overrides["budget_configs"])
-                           for j in range(2, overrides["rounds_per_trial"] + 1)])
+        assert len(pids) == 1
+        assert_reaped(pids)
+        assert requests and all(request[0] is fn and isinstance(request[-1], dict)
+                                for request in requests)
+        assert flcore.ExperimentWorld not in pickled_types(requests)
+        if sampler == "halving":
+            assert requests == [(fn, {2: None})]
+        elif sampler == "random":
+            (_, cfg, seed, share), = requests
+            assert (cfg["sampler"], seed) == ("random", 1)
+            assert all(plan[2] is None for _, _, plan in share.values())  # no walk
+        else:
+            ids, rounds = tuple(range(SPLIT["n_clients"])), []
+            for _, w, members, j, key, _ in requests:  # the whole cohort, the cycle's key
+                assert isinstance(w, models.WeightVector) and members == ids
+                assert key == (1, "train", key[2], j)  # the helper draws each stream itself
+                rounds.append(key[2:])  # (trial, round)
+            assert rounds == [(t, j) for t in range(overrides["budget_configs"])
+                              for j in range(2, overrides["rounds_per_trial"] + 1)]
 
     @pytest.mark.parametrize("which", ["this process", "the helper"])
     def test_failing_sched_setaffinity_runs_inline(self, which, monkeypatch):
@@ -794,7 +828,7 @@ class TestHelper:
         parent, train_cohort = os.getpid(), flcore.train_cohort
 
         def interrupted(world, *args):
-            if os.getpid() == parent and world.helper.busy:  # while the helper trains its share
+            if os.getpid() == parent and world.helpers[0].busy:  # while the helper trains its share
                 raise KeyboardInterrupt
             return train_cohort(world, *args)
 
@@ -835,7 +869,7 @@ class TestHelper:
 @pytest.mark.usefixtures("affinity_is_restored")
 class TestReceive:
     """Helper.receive is the one place a reply is read, and a helper with a
-    request out is busy: no further work is split across it."""
+    request out is busy: another request to it raises."""
 
     def test_reply_that_does_not_unpickle_is_computed_here(self, monkeypatch):
         parent, busy_here, started = os.getpid(), [], []
@@ -848,7 +882,7 @@ class TestReceive:
         pids = fork_pids(monkeypatch)
         with lanes.helpers(serve, 2) as helpers:
             started += helpers
-            started[0].send(7)
+            started[0].send(call, 7)
             reply = started[0].receive()
             assert reply is not None
             assert not started[0].busy
@@ -863,32 +897,11 @@ class TestReceive:
         with lanes.helpers(lambda x: x * x, 2) as (helper,):
             with pytest.raises(FedTuneError, match="^a reply was awaited from an idle worker"):
                 helper.receive()
-            helper.send(3)
+            helper.send(call, 3)
             with pytest.raises(FedTuneError, match="^a request was sent to a busy worker"):
-                helper.send(4)
+                helper.send(call, 4)
             assert helper.receive() == 9 and not helper.busy
         assert_reaped(pids)
-
-    def test_probes_train_inline_beside_a_request_out(self, monkeypatch):
-        world = runner.build_world(config_from_dict(PROBING), 1)
-        w, key, cohort = models.init_weights(world.model_spec, 0), (1, "train", 0, 3), ids(world)
-        probes = dict(enumerate(hpo.probe_set(SPACE, START, EVEN)))
-
-        def train(probes):
-            passes = runner._train_probes(world, probes, w, cohort, 3, key)
-            return [(i, p[0].values.tobytes(), repr(p[1:])) for i, p in passes]
-
-        alone, sent = train(probes), []
-        with probe_helper(world):
-            send = world.helper.send
-            monkeypatch.setattr(world.helper, "send", lambda *request: sent.append(request))
-            send(runner._train_probes, {0: probes[0]}, w, cohort, 3, key)
-            here = train(probes)
-            reply = world.helper.receive()
-        assert sent == []
-        assert here == alone
-        # the reply is the one to the request out
-        assert [(i, p[0].values.tobytes(), repr(p[1:])) for i, p in reply] == alone[:1]
 
 
 # SPLIT with a probe cycle of four probes before every round after the first.
@@ -918,12 +931,9 @@ def probe_cycle(world, tuned, round_index=2):
 @contextlib.contextmanager
 def probe_helper(world):
     """world with its helper started, as a one-seed adaptive search has it."""
-    with lanes.helpers(runner._world_server(world), 2) as started:
-        world.helper, = started
-        try:
-            yield world
-        finally:
-            world.helper = None
+    with lanes.helpers(world, 2) as world.helpers:
+        assert len(world.helpers) == 1
+        yield world
 
 
 def failing_probes(monkeypatch, failing, make_error, log=None):
@@ -992,7 +1002,7 @@ class TestProbeLanes:
             log.write_text("")
             with probe_helper(world) as laned:
                 assert probe_cycle(laned, tuned) == alone
-                helper = laned.helper.pid
+                helper = laned.helpers[0].pid
             passes = [line.split() for line in log.read_text().splitlines()]
             mine = [int(size) for pid, size in passes if int(pid) == os.getpid()]
             theirs = [int(size) for pid, size in passes if int(pid) == helper]
@@ -1024,7 +1034,7 @@ class TestProbeLanes:
         with probe_helper(world) as laned:
             # the helper's reply is taken, so the next cycle gets its own
             assert (probe_cycle(laned, EVEN), probe_cycle(laned, EVEN, round_index=3)) == alone
-            helper = laned.helper.pid
+            helper = laned.helpers[0].pid
         ran = [line.split() for line in log.read_text().splitlines()]
         first_cycle = ran[:len(ran) - 4]  # the second cycle trains each probe once
         theirs = [c for i, c in enumerate(p.config_id for p in probes) if i % 2]
