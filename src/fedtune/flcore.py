@@ -58,6 +58,11 @@ class Cohort:
         """The members' training and validation rows (member_pool)."""
         return member_pool(self.members)
 
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        """The members' training row counts, as floats: their FedAvg weights."""
+        return np.array([len(c.shard.train) for c in self.members], dtype=float)
+
 
 def member_pool(members: list[ClientState]) -> models.ShardPool:
     """models.pool_shards of the members' splits, a client listed twice pooled once."""
@@ -167,8 +172,6 @@ def fedavg_aggregate(updates, mode: str = "weighted") -> WeightVector:
     """
     if not updates:
         raise AggregationError("fedavg_aggregate: no updates")
-    if mode not in ("weighted", "uniform"):
-        raise AggregationError(f"fedavg_aggregate: unknown mode {mode!r}")
     layout = updates[0][0].layout_id
     for w, n in updates:
         if w.layout_id != layout:
@@ -177,18 +180,25 @@ def fedavg_aggregate(updates, mode: str = "weighted") -> WeightVector:
             )
         if mode == "weighted" and n < 1:
             raise AggregationError("weighted mode requires n_samples >= 1")
-    stack = np.array([w.values for w, _ in updates])
+    return WeightVector(_fedavg(np.array([w.values for w, _ in updates]),
+                                np.array([n for _, n in updates], dtype=float), mode), layout)
+
+
+def _fedavg(stack: np.ndarray, counts: np.ndarray, mode: str) -> np.ndarray:
+    """FedAvg of the (k, P) stack's rows, row i of counts[i] samples;
+    stack, which the caller owns, is scaled in place."""
     if mode == "weighted":
-        counts = np.array([n for _, n in updates], dtype=float)
         stack *= (counts / counts.sum())[:, None]
         # For P >= 2 numpy adds the rows in order to the zero start, so this
         # equals a running sum bit for bit.
         acc = stack.sum(axis=0, initial=0.0)
-    else:
+    elif mode == "uniform":
         acc = stack.mean(axis=0)
+    else:
+        raise AggregationError(f"fedavg_aggregate: unknown mode {mode!r}")
     if not np.all(np.isfinite(acc)):
         raise AggregationError("aggregate produced non-finite entries")
-    return WeightVector(acc, layout)
+    return acc
 
 
 def to_train_hp(config: HpConfig, defaults: dict) -> TrainHp:
@@ -238,10 +248,9 @@ def train_cohorts(world: ExperimentWorld, passes, score: bool = True,
                 f"client {c.client_id} diverged in round {round_index}: {failure}",
                 client_id=c.client_id, round_index=round_index, config_id=config.config_id))
             continue
-        updates = [(WeightVector(v, global_w.layout_id), len(c.shard.train))
-                   for v, c in zip(trained[rows], cohort.members)]
-        out.append((fedavg_aggregate(updates, world.agg_mode),
-                    [(c.client_id, float(vl)) for c, vl in zip(cohort.members, val_losses[rows])]))
+        aggregate = _fedavg(trained[rows], cohort.counts, world.agg_mode)
+        out.append((WeightVector(aggregate, global_w.layout_id),
+                    list(zip(cohort.ids, val_losses[rows].tolist()))))
     return out
 
 

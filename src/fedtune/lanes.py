@@ -16,8 +16,11 @@ import time
 from .common import FedTuneError
 
 _LENGTH = struct.Struct("<Q")  # the byte count that precedes each message
-# Longer than about 90-95% of a helper's waits for its next request on
-# adaptive-sync (2-vCPU VM, seeds 71-72); the median wait is about 0.5 ms.
+# How long a helper polls before its read blocks. A probe request now comes
+# once per cycle, several passes apart: on adaptive-sync (2-vCPU VM, world
+# seeds 71-75) a helper waited 7-15 ms for each (median 7.5-10.6 ms), so
+# every wait outlasts the poll and blocks, and the helper woke a median
+# 0.37-0.40 ms (p90 0.5-0.6 ms) after the request was sent.
 _SPIN_S = 0.002
 
 

@@ -112,22 +112,41 @@ def _forward(spec: ModelSpec, params, features: np.ndarray, dropout_mask=None):
     """
     if spec.kind == LOGISTIC:
         w, b = params
-        return features @ w + b, None, None
+        logits = features @ w
+        logits += b
+        return logits, None, None
     w1, b1, w2, b2 = params
-    act = np.tanh(features @ w1 + b1)
+    act = features @ w1
+    act += b1
+    np.tanh(act, out=act)
     hidden = act if dropout_mask is None else act * dropout_mask
-    return hidden @ w2 + b2, act, hidden
+    logits = hidden @ w2
+    logits += b2
+    return logits, act, hidden
+
+
+def _class_max(logits: np.ndarray) -> np.ndarray:
+    """logits.max(axis=-1, keepdims=True), by np.maximum chained over the
+    class columns: a reduction over a short last axis costs more per row
+    than its arithmetic. The bytes are equal, NaN and infinities included,
+    except that a tie of 0.0 and -0.0 may pick the other zero."""
+    top = np.maximum(logits[..., :1], logits[..., 1:2])
+    for c in range(2, logits.shape[-1]):
+        np.maximum(top, logits[..., c : c + 1], out=top)
+    return top
 
 
 def _softmax_parts(logits: np.ndarray, labels: np.ndarray, pick: bool = True):
-    """Stabilized log-softmax over the last axis.
+    """Stabilized log-softmax over the last axis, shifted by _class_max.
 
     Returns (log-probability of each row's label, exp of the shifted
     logits, their sum). A label of -1 reads the last class; callers mask
     those rows. Without pick the log-probabilities are None if every
-    shifted logit is finite, which makes every one of them finite.
+    shifted logit is finite, which makes every one of them finite. A row
+    whose max is a tie of two signed zeros sums to at least 2, so what is
+    returned does not depend on which zero shifts it.
     """
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - _class_max(logits)
     exp_z = np.exp(z)
     denom = exp_z.sum(axis=-1, keepdims=True)
     if not pick and np.isfinite(z.min(initial=0.0)):
@@ -139,7 +158,7 @@ def _softmax_parts(logits: np.ndarray, labels: np.ndarray, pick: bool = True):
 
 
 def loss_and_grad(spec: ModelSpec, values: np.ndarray, features: np.ndarray, labels: np.ndarray,
-                  dropout_mask: np.ndarray | None = None, with_loss: bool = True):
+                  dropout_mask: np.ndarray | None = None, with_loss: bool = True, targets=None):
     """Mean cross-entropy and its gradient w.r.t. the flat weight vector.
 
     One model: values (P,), features (n, d), labels (n,); returns a scalar
@@ -152,7 +171,9 @@ def loss_and_grad(spec: ModelSpec, values: np.ndarray, features: np.ndarray, lab
     the hidden layer output). Without with_loss the gradient alone is
     returned, with the same bytes, and the loss is computed only if some
     row's may be non-finite: such a row's gradient is NaN instead, so its
-    weights stay non-finite from that step on.
+    weights stay non-finite from that step on. targets, when given, is
+    loss_targets of the stack's labels, built once per BatchPlan; the
+    result has the same bytes either way.
     """
     labels = np.asarray(labels)
     single = values.ndim == 1
@@ -160,36 +181,50 @@ def loss_and_grad(spec: ModelSpec, values: np.ndarray, features: np.ndarray, lab
         values, features, labels = values[None], features[None], labels[None]
         if dropout_mask is not None:
             dropout_mask = dropout_mask[None]
+    onehot, divisor = loss_targets(spec, labels) if targets is None else targets
     k = values.shape[0]
     params = _unpack(spec, values)
     logits, act, hidden = _forward(spec, params, features, dropout_mask)
     picked, exp_z, denom = _softmax_parts(logits, labels, pick=with_loss)
-    real = labels >= 0
-    count = real.sum(axis=-1)
-    dlogits = exp_z / denom
-    dlogits -= labels[..., None] == np.arange(spec.num_classes)
-    dlogits /= np.where(real, count[:, None], np.inf)[..., None]  # padding rows -> 0
+    dlogits = np.divide(exp_z, denom, out=exp_z)
+    dlogits -= onehot
+    dlogits /= divisor  # padding rows -> 0
     if spec.kind == LOGISTIC:
         grads = [features.swapaxes(1, 2) @ dlogits, dlogits.sum(axis=1)]
     else:
-        dhidden = dlogits @ params[2].swapaxes(1, 2)
+        dw2 = hidden.swapaxes(1, 2) @ dlogits  # before act, which hidden may be, is overwritten
+        dpre = dlogits @ params[2].swapaxes(1, 2)
         if dropout_mask is not None:
-            dhidden = dhidden * dropout_mask
-        dpre = dhidden * (1.0 - act ** 2)
-        grads = [features.swapaxes(1, 2) @ dpre, dpre.sum(axis=1),
-                 hidden.swapaxes(1, 2) @ dlogits, dlogits.sum(axis=1)]
+            dpre *= dropout_mask
+        np.square(act, out=act)
+        dpre *= np.subtract(1.0, act, out=act)  # dhidden * (1 - act ** 2)
+        grads = [features.swapaxes(1, 2) @ dpre, dpre.sum(axis=1), dw2, dlogits.sum(axis=1)]
     grad = np.concatenate([g.reshape(k, -1) for g in grads], axis=1)
     if picked is not None:
-        loss = -np.where(real, picked, 0.0).sum(axis=-1) / count
+        real = labels >= 0
+        loss = -np.where(real, picked, 0.0).sum(axis=-1) / real.sum(axis=-1)
         if with_loss:
             return (loss[0], grad[0]) if single else (loss, grad)
         grad[~np.isfinite(loss)] = np.nan
     return grad[0] if single else grad
 
 
+def loss_targets(spec: ModelSpec, labels: np.ndarray):
+    """(one-hot, divisor) of (..., rows) labels, as loss_and_grad reads them:
+    the (..., rows, classes) bool one-hot of each label, all False for a
+    padding label -1, and the (..., rows, 1) count of real rows of each
+    row's stack row, inf on padding rows."""
+    real = labels >= 0
+    onehot = np.take(np.eye(spec.num_classes + 1, spec.num_classes, dtype=bool), labels, axis=0)
+    return onehot, np.where(real, real.sum(axis=-1)[..., None], np.inf)[..., None]
+
+
 def sgd_step(values: np.ndarray, grad: np.ndarray, lr: float, weight_decay: float) -> np.ndarray:
-    """w <- w - lr * (grad + weight_decay * w)."""
-    return values - lr * (grad + weight_decay * values)
+    """w <- w - lr * (grad + weight_decay * w), in one new array."""
+    step = weight_decay * values
+    np.add(grad, step, out=step)
+    np.multiply(lr, step, out=step)
+    return np.subtract(values, step, out=step)
 
 
 def _pool(sets, input_dim: int):
@@ -340,7 +375,8 @@ class BatchPlan:
     dropout is on, never on the learning rate, weight decay or dropout
     rate, so passes of several configs under one training key can share
     it. Stack row r trains shard order[r]; rows run longest first, so step
-    t trains rows 0..active[t]-1 on entries start[t]:start[t+1]. Every
+    t trains rows 0..active[t]-1 on entries start[t]:start[t+1]. onehot and
+    divisor are loss_targets of labels, built once for every step. Every
     array is read-only.
     """
 
@@ -351,6 +387,8 @@ class BatchPlan:
     features: np.ndarray  # (entries, width, input_dim) batch features
     labels: np.ndarray  # (entries, width); -1 marks a padding row
     uniforms: np.ndarray | None  # (entries, width, hidden) dropout draws; 1.0 on padding
+    onehot: np.ndarray  # (entries, width, classes)
+    divisor: np.ndarray  # (entries, width, 1)
 
 
 def plan_key(spec: ModelSpec, hp: TrainHp) -> tuple:
@@ -361,7 +399,7 @@ def plan_key(spec: ModelSpec, hp: TrainHp) -> tuple:
 @dataclass(frozen=True)
 class BatchLayout:
     """What a BatchPlan of one padded width holds before any seed draws:
-    plan, without the three arrays it gathers (None); slots, its batches of
+    plan, without the five arrays it gathers (None); slots, its batches of
     row indices unshuffled, each row's epochs back to back, slot p of an
     epoch reading the shard's p-th row; batch_of[e], the batch entry e
     reads; and draws, per training row, (shard position, rows, the flat
@@ -389,7 +427,8 @@ def _layout(pool: ShardPool, members, width: int, epochs: int) -> BatchLayout:
     step_of, row_of = np.nonzero(steps > np.arange(steps.max(initial=0))[:, None])
     active = np.bincount(step_of, minlength=steps.max(initial=0))
     start = np.concatenate([[0], np.cumsum(active)])
-    plan = BatchPlan(order, active, start, (step_of + 1) % batches[row_of] == 0, None, None, None)
+    plan = BatchPlan(order, active, start, (step_of + 1) % batches[row_of] == 0,
+                     None, None, None, None, None)
     draws = zip(order.tolist(), sizes.tolist(), base.tolist(), base[1:].tolist(), batches.tolist())
     layout = BatchLayout(plan, slots.reshape(-1, width), base[row_of] // width + step_of, tuple(
         (i, n, tuple(range(b, e, k * width))) for i, n, b, e, k in draws if e > b))
@@ -401,7 +440,8 @@ def _layout(pool: ShardPool, members, width: int, epochs: int) -> BatchLayout:
 def _draw(spec: ModelSpec, pool: ShardPool, keys: list, layout: BatchLayout, dropout: bool):
     """The BatchPlan of layout, shard i drawing from the stream of keys[i]:
     each epoch's draw shuffles a copy of its slots in place, then draws its
-    dropout uniforms, on the one generator common.seeded sets."""
+    dropout uniforms, on the one generator common.seeded sets. Rows are
+    gathered with np.take, which copies them for less than indexing does."""
     slots = layout.slots.copy()
     flat = slots.reshape(-1)
     uniforms = np.ones((len(flat), spec.hidden_dim)) if dropout else None
@@ -411,11 +451,14 @@ def _draw(spec: ModelSpec, pool: ShardPool, keys: list, layout: BatchLayout, dro
             rng.shuffle(flat[o : o + n])  # the draws of rng.permutation(n)
             if dropout:
                 rng.random(out=uniforms[o : o + n])
-    idx = slots[layout.batch_of]
+    idx = np.take(slots, layout.batch_of, axis=0)
     if dropout:
-        uniforms = uniforms.reshape(-1, slots.shape[1], spec.hidden_dim)[layout.batch_of]
-    plan = replace(layout.plan, features=pool.features[idx], labels=pool.labels[idx],
-                   uniforms=uniforms)
+        uniforms = np.take(uniforms.reshape(-1, slots.shape[1], spec.hidden_dim),
+                           layout.batch_of, axis=0)
+    labels = np.take(pool.labels, idx)
+    onehot, divisor = loss_targets(spec, labels)
+    plan = replace(layout.plan, features=np.take(pool.features, idx, axis=0), labels=labels,
+                   uniforms=uniforms, onehot=onehot, divisor=divisor)
     for a in vars(plan).values():
         if a is not None:
             a.flags.writeable = False
@@ -474,7 +517,7 @@ def _sgd_pass(spec: ModelSpec, w: WeightVector, hp, plan: BatchPlan):
         s = slice(plan.start[t], plan.start[t + 1])
         grad = loss_and_grad(spec, values[:m], plan.features[s], plan.labels[s],
                              dropout_mask=None if kept is None else kept[s] / keep,
-                             with_loss=False)
+                             with_loss=False, targets=(plan.onehot[s], plan.divisor[s]))
         values[:m] = sgd_step(values[:m], grad, lr, wd)
         ends = plan.epoch_end[s]
         if ends.any():

@@ -8,6 +8,7 @@ completion_time times every training pass, from per-member arrays
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,23 @@ def completion_time(base_time, scale, sigma, epochs: int,
     Member i takes base_time * epochs * scale times one
     lognormal(0, jitter_sigma) jitter, drawn in member order from rng, a
     generator at the start of the pass's stream (common.seeded).
+
+    The jitters are rng.lognormal(0.0, sigma)'s, byte for byte, and leave
+    rng where it would: numpy computes each as libm's exp(0.0 + sigma_i *
+    z_i) of one standard normal z_i, and so does this, without lognormal's
+    checks of its array parameters, which cost more than the draws.
     """
-    jitter = rng.lognormal(0.0, sigma)
-    return base_time * epochs * scale * jitter
+    z = rng.standard_normal(len(sigma)).tolist()
+    jitter = [_exp(0.0 + s * x) for s, x in zip(sigma.tolist(), z)]
+    return base_time * epochs * scale * np.array(jitter)
+
+
+def _exp(x: float) -> float:
+    """libm's exp, which math.exp calls; inf where it overflows, as in numpy."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def form_groups(completions, window: float) -> list[ClientGroup]:

@@ -124,6 +124,36 @@ class TestFedAvg:
                 out = fedavg_aggregate(list(zip(vecs, counts)), mode)
                 assert out.values.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("mode", ["weighted", "uniform"])
+    def test_a_pass_aggregates_its_rows_as_fedavg_aggregate_does(self, monkeypatch, mode):
+        world = make_world(n_clients=5, alpha=0.5)
+        world.agg_mode = mode
+        seen, train_stack = [], models.train_stack
+
+        def with_negative_zeros(*args):
+            trained, losses, failures = train_stack(*args)
+            trained[:, 3] = -0.0  # a column whose entries are all -0.0
+            seen.append(trained.copy())
+            return trained, losses, failures
+
+        monkeypatch.setattr(models, "train_stack", with_negative_zeros)
+        w0 = models.init_weights(world.model_spec, 0)
+        cohorts = [world.cohort([0, 2, 4]), world.cohort([1, 3])]
+        stack = flcore.Stack(tuple(c.ids for c in cohorts), flcore.member_pool(
+            cohorts[0].members + cohorts[1].members), {})
+        # one pass alone, then two passes in one stack
+        for group, on in ((cohorts[:1], None), (cohorts, stack)):
+            passes = [(w0, hp_config(), c, 1, (0, "train", t, 1)) for t, c in enumerate(group)]
+            out = flcore.train_cohorts(world, passes, True, on)
+            trained, o = seen.pop(), 0
+            for cohort, (aggregate, losses) in zip(group, out):
+                rows, o = trained[o : o + len(cohort.members)], o + len(cohort.members)
+                expected = fedavg_aggregate([(WeightVector(v, w0.layout_id), len(c.shard.train))
+                                             for v, c in zip(rows, cohort.members)], mode)
+                assert aggregate.layout_id == expected.layout_id
+                assert aggregate.values.tobytes() == expected.values.tobytes()
+                assert [cid for cid, _ in losses] == list(cohort.ids)
+
     def test_modes_coincide_for_equal_counts(self):
         rng = np.random.default_rng(4)
         vecs = [wv(rng.standard_normal(5), layout="x") for _ in range(4)]
@@ -256,8 +286,9 @@ class TestTrainCohort:
         world.clients[1].shard.train.features[:] *= 1e200
         steps, real = [], models.loss_and_grad
 
-        def spy(spec, values, features, labels, dropout_mask=None, with_loss=True):
-            loss, grad = real(spec, values, features, labels, dropout_mask)
+        def spy(spec, values, features, labels, dropout_mask=None, with_loss=True,
+                targets=None):
+            loss, grad = real(spec, values, features, labels, dropout_mask, targets=targets)
             steps.append(np.isfinite(loss).tolist())  # one entry per stack row
             return (loss, grad) if with_loss else grad
 

@@ -277,9 +277,11 @@ class TestTrainStack:
         calls = []
         real_loss_and_grad = models.loss_and_grad
 
-        def recording(spec, values, features, labels, dropout_mask=None, with_loss=True):
+        def recording(spec, values, features, labels, dropout_mask=None, with_loss=True,
+                      targets=None):
             calls.append(features.shape[:2])
-            return real_loss_and_grad(spec, values, features, labels, dropout_mask, with_loss)
+            return real_loss_and_grad(spec, values, features, labels, dropout_mask, with_loss,
+                                      targets)
 
         monkeypatch.setattr(models, "loss_and_grad", recording)
         shards = engine_shards()
@@ -327,8 +329,9 @@ class TestTrainStack:
         assert plan.order[0] == 3  # the longest row trains first, in every step
         steps, real = [], models.loss_and_grad
 
-        def spy(spec, values, features, labels, dropout_mask=None, with_loss=True):
-            loss, grad = real(spec, values, features, labels, dropout_mask)
+        def spy(spec, values, features, labels, dropout_mask=None, with_loss=True,
+                targets=None):
+            loss, grad = real(spec, values, features, labels, dropout_mask, targets=targets)
             if features.shape[1] == plan.features.shape[1]:  # a step of shard 3's plan
                 steps.append((np.isfinite(loss[0]), np.isfinite(values[0]).all()))
             return (loss, grad) if with_loss else grad
@@ -632,3 +635,60 @@ def test_gradient_only_call_gives_a_row_whose_loss_is_not_finite_a_nan_gradient(
         only = models.loss_and_grad(spec, values, x, y, with_loss=False)
     assert loss[0] == np.inf and np.isfinite(loss[1]) and np.isfinite(grad).all()
     assert np.isnan(only[0]).all() and only[1].tobytes() == grad[1].tobytes()
+
+
+class TestStepShortcuts:
+    """The stacked step's shortcuts keep the bytes of the plain computation."""
+
+    def test_chained_class_max_equals_the_max_reduction(self):
+        rng = np.random.default_rng(11)
+        for classes in (2, 3, 10, 17):
+            logits = rng.standard_normal((3, 40, classes)) * 50.0
+            special = rng.random(logits.shape) < 0.15
+            logits[special] = rng.choice([np.nan, np.inf, -np.inf], int(special.sum()))
+            logits[0, :3] = [[np.nan] * classes, [np.inf] * classes, [-np.inf] * classes]
+            assert np.isnan(logits).any(axis=-1).sum() > 1
+            assert models._class_max(logits).tobytes() == \
+                logits.max(axis=-1, keepdims=True).tobytes()
+
+    def test_a_max_tied_between_signed_zeros_returns_the_same_parts(self):
+        # which zero tops such a row may differ from the reduction's pick;
+        # nothing _softmax_parts returns does
+        rng = np.random.default_rng(12)
+        logits = -np.abs(rng.standard_normal((400, 6)))
+        zeros = rng.random(logits.shape) < 0.4
+        logits[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+        labels = rng.integers(0, 6, 400)
+        z = logits - logits.max(axis=-1, keepdims=True)
+        exp_z = np.exp(z)
+        denom = exp_z.sum(axis=-1, keepdims=True)
+        picked = z[np.arange(400), labels] - np.log(denom[:, 0])
+        got = models._softmax_parts(logits, labels)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in (picked, exp_z, denom)]
+
+    @pytest.mark.parametrize("spec,dropout", [(ModelSpec("mlp", 4, 3, hidden_dim=5), 0.3),
+                                              (ModelSpec("logistic", 4, 3), 0.0)])
+    def test_plan_targets_give_the_bytes_of_the_labels(self, spec, dropout):
+        pool = models.pool_shards(spec.input_dim, engine_shards())
+        hp = default_hp(epochs=2, dropout=dropout)
+        plans = models.plan_batches(spec, pool, stream_keys(range(6)), *models.plan_key(spec, hp))
+        assert any((plan.labels == -1).any() for plan in plans)  # padding rows are covered
+        rng = np.random.default_rng(13)
+        size = len(models.init_weights(spec, 0).values)
+        for plan in plans:
+            real = plan.labels >= 0
+            assert plan.onehot.tobytes() == \
+                (plan.labels[..., None] == np.arange(spec.num_classes)).tobytes()
+            assert plan.divisor.tobytes() == \
+                np.where(real, real.sum(axis=-1)[:, None], np.inf)[..., None].tobytes()
+            for t, m in enumerate(plan.active.tolist()):
+                s = slice(plan.start[t], plan.start[t + 1])
+                values = rng.standard_normal((m, size))
+                mask = None if plan.uniforms is None else (plan.uniforms[s] < 0.7) / 0.7
+                args = spec, values, plan.features[s], plan.labels[s], mask
+                for with_loss in (True, False):
+                    plain = models.loss_and_grad(*args, with_loss)
+                    fast = models.loss_and_grad(*args, with_loss,
+                                                targets=(plan.onehot[s], plan.divisor[s]))
+                    plain, fast = (plain, fast) if with_loss else ((plain,), (fast,))
+                    assert [a.tobytes() for a in fast] == [a.tobytes() for a in plain]

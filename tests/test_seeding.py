@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedtune import data, flcore, models, runner
+from fedtune import data, flcore, models, runner, sched
 from fedtune.common import derive_seed, seeded
 from fedtune.config import config_from_dict
 
@@ -35,6 +35,19 @@ class TestRule:
                      lambda g: g.lognormal(0.0, np.array([0.0, 0.25, 0.8])).tobytes(),
                      lambda g: g.uniform(0.5, 2.0)):
             assert draw(seeded(*key)) == draw(stream(*key)), key
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_round_times_take_lognormals_jitters_and_leave_the_stream_where_it_does(self, key):
+        # sigma 0 draws a jitter of exactly 1; sigma 400 overflows to inf for z > 1.78
+        sigma = np.array([0.0, 0.3, 1.0, 0.0, 2.5, 0.05, 400.0, 0.8])
+        base, scale = np.linspace(0.5, 3.5, 8), np.linspace(0.02, 1.4, 8)
+        rng = seeded(*key)
+        got = sched.completion_time(base, scale, sigma, 3, rng)
+        after = rng.random(3)
+        ref = stream(*key)
+        expected = base * 3 * scale * ref.lognormal(0.0, sigma)
+        assert got.tobytes() == expected.tobytes()
+        assert after.tobytes() == ref.random(3).tobytes()
 
     def test_derive_seed_is_the_digests_first_63_bits(self):
         digest = hashlib.sha256(b"3|'data'").digest()
