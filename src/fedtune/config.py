@@ -60,6 +60,9 @@ _SECTION_FIELDS = {
 }
 # Keys of one custom search_space entry.
 _DIM_FIELDS = {"name", "scale", "low", "high", "step"}
+# libyaml's parser where PyYAML was built with it: it feeds the same resolver
+# and constructor as SafeLoader, so a document loads to the same values.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass
@@ -255,7 +258,10 @@ def _parse_override(text: str):
     if "=" not in text:
         raise ConfigurationError(f"--set {text!r}: expected key=value")
     key, value = text.split("=", 1)
-    parsed = yaml.safe_load(value)
+    try:
+        parsed = yaml.load(value, Loader=_LOADER)
+    except yaml.YAMLError as err:
+        raise ConfigurationError(f"--set {text!r}: invalid YAML: {err}") from None
     node: dict = {}
     leaf = node
     parts = key.split(".")
@@ -271,7 +277,7 @@ def load_config(path, overrides=(), env=None) -> ExperimentConfig:
     env = os.environ if env is None else env
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=_LOADER) or {}
     except OSError as err:
         raise ConfigurationError(f"config file: {err}") from err
     except yaml.YAMLError as err:

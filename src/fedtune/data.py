@@ -61,7 +61,8 @@ def gen_synthetic(
     means = dirs * (class_sep / np.sqrt(2.0))
     labels = np.arange(n) % num_classes
     rng.shuffle(labels)
-    features = means[labels] + rng.standard_normal((n, input_dim))
+    features = means[labels]
+    features += rng.standard_normal((n, input_dim))
     return Dataset(features, labels.astype(np.int64))
 
 
@@ -106,8 +107,13 @@ def partition_dirichlet(
     if len(ds) == 0:
         raise DataError("partition_dirichlet: empty dataset")
     rng = np.random.default_rng(seed)
-    by_class = [np.flatnonzero(ds.labels == c) for c in np.unique(ds.labels)]
-    class_sizes = np.array([len(idx) for idx in by_class])
+    # each present class's row indices in row order: one stable sort, cut by
+    # class counts (labels are never negative)
+    class_sizes = np.bincount(ds.labels)
+    class_sizes = class_sizes[class_sizes > 0]
+    by_class = np.split(np.argsort(ds.labels, kind="stable"), np.cumsum(class_sizes)[:-1])
+    concentration = np.full(n_clients, alpha)
+    fractions = np.tile(split, (n_clients, 1))
 
     for _ in range(_MAX_DRAWS):
         shuffled, props = [], []
@@ -115,10 +121,14 @@ def partition_dirichlet(
             idx = idx.copy()
             rng.shuffle(idx)
             shuffled.append(idx)
-            props.append(rng.dirichlet(np.full(n_clients, alpha)))
+            props.append(rng.dirichlet(concentration))
         counts = _largest_remainder_rows(class_sizes, np.array(props))  # (classes, clients)
         sizes = counts.sum(axis=0)
-        splits = _largest_remainder_rows(sizes, np.tile(split, (n_clients, 1)))
+        # a train part is its floor or one more, so a client short even of
+        # that fails the draw before the rounding
+        if (np.floor(fractions[:, 0] * sizes) + 1 < min_train).any():
+            continue
+        splits = _largest_remainder_rows(sizes, fractions)
         if (splits[:, 0] >= min_train).all():
             break
     else:
@@ -129,27 +139,31 @@ def partition_dirichlet(
         )
 
     # each client's allocation: its part of every class, in class order,
-    # gathered from the class-major concatenation of the shuffled classes
+    # gathered from the class-major concatenation of the shuffled classes,
+    # then shuffled in place with its own stream
     starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape).T.ravel()
     lens = counts.T.ravel()
     gather = np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
     flat = np.concatenate(shuffled)[gather]
-    shards = []
-    for cid, alloc in enumerate(np.split(flat, np.cumsum(sizes)[:-1])):
+    ends = np.cumsum(sizes)
+    for cid, alloc in enumerate(np.split(flat, ends[:-1])):
         seeded(seed, "shard-split", cid).shuffle(alloc)
-        n_tr, n_va, _ = splits[cid]
-        tr = alloc[:n_tr]
-        va = alloc[n_tr : n_tr + n_va]
-        te = alloc[n_tr + n_va :]
+    # one gather of every allocated row; each split is a row slice of it
+    features, labels = ds.features[flat], ds.labels[flat]
+    # per client: its start, train end, validation end and end in flat
+    bounds = np.cumsum(np.column_stack([ends - sizes, splits]), axis=1)
+    shards = []
+    for cid, (a, b, c, d) in enumerate(bounds.tolist()):
+        tr, va, te = slice(a, b), slice(b, c), slice(c, d)
         shards.append(
             DataShard(
                 client_id=cid,
-                train=Dataset(ds.features[tr], ds.labels[tr]),
-                val=Dataset(ds.features[va], ds.labels[va]),
-                test=Dataset(ds.features[te], ds.labels[te]),
-                train_idx=tr,
-                val_idx=va,
-                test_idx=te,
+                train=Dataset(features[tr], labels[tr]),
+                val=Dataset(features[va], labels[va]),
+                test=Dataset(features[te], labels[te]),
+                train_idx=flat[tr],
+                val_idx=flat[va],
+                test_idx=flat[te],
             )
         )
     return shards

@@ -40,7 +40,7 @@ class Cohort:
     builds it, and pool is built on first use, in the process that trains.
 
     base_time, scale and sigma are the members' sched.completion_time
-    arrays, which cohort_time reads. layouts keeps the pool's
+    arrays (pass_arrays), which cohort_time reads. layouts keeps the pool's
     models.BatchLayouts (models.plan_batches), and times its round times
     (round_time).
     """
@@ -71,6 +71,13 @@ def member_pool(members: list[ClientState]) -> models.ShardPool:
     return models.pool_shards(members[0].shard.train.features.shape[1], [
         (c.shard.train.features, c.shard.train.labels, c.shard.val.features, c.shard.val.labels)
         for c in distinct.values()], [at[c.client_id] for c in members])
+
+
+def pass_arrays(members: list[ClientState]) -> tuple:
+    """The members' sched.completion_time arrays: base_time, scale, sigma."""
+    return (np.array([c.latency.base_time for c in members]),
+            np.maximum(1, [len(c.shard.train) for c in members]) / 100.0,
+            np.array([c.latency.jitter_sigma for c in members]))
 
 
 # A stack of a wave (run_trials): its cohorts' members in turn, each client's
@@ -135,16 +142,17 @@ class ExperimentWorld:
         return self.hps.get(config.config_id) or self.hps.setdefault(
             config.config_id, to_train_hp(config, self.hp_defaults))
 
+    @functools.cached_property
+    def by_id(self) -> dict:
+        """Each client's ClientState by its client_id."""
+        return {c.client_id: c for c in self.clients}
+
     def cohort(self, ids) -> Cohort:
         """The Cohort of the clients ids (client_ids, in any order), one per id tuple."""
         ids = tuple(sorted(ids))
         if ids not in self.cohorts:
-            by_id = {c.client_id: c for c in self.clients}
-            members = [by_id[i] for i in ids]
-            self.cohorts[ids] = Cohort(
-                members, ids, np.array([c.latency.base_time for c in members]),
-                np.maximum(1, [len(c.shard.train) for c in members]) / 100.0,
-                np.array([c.latency.jitter_sigma for c in members]))
+            members = [self.by_id[i] for i in ids]
+            self.cohorts[ids] = Cohort(members, ids, *pass_arrays(members))
         return self.cohorts[ids]
 
 

@@ -145,9 +145,11 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     if cfg["grouping"]["mode"] == "sync":
         return [sched.ClientGroup(0, sorted(c.client_id for c in world.clients))]
     epochs = max(1, int(world.hp_defaults["epochs"]))
-    completions = [  # each client timed as a one-member pass
-        (c.client_id, flcore.cohort_time(world.cohort([c.client_id]), epochs,
-                                         (seed, "calibration", c.client_id)))
+    # each client timed as a one-member pass (flcore.cohort_time, whose max
+    # of one time is that time), without building or keeping its cohort
+    completions = [
+        (c.client_id, float(sched.completion_time(*flcore.pass_arrays([c]), epochs,
+                                                  seeded(seed, "calibration", c.client_id))[0]))
         for c in world.clients
     ]
     window = cfg["grouping"]["window"]

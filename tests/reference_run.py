@@ -7,11 +7,13 @@ timed from their own streams. Probe cycles, reuse of the chosen probe's
 pass, early stopping and resumed rungs follow flcore.run_trial's and
 runner.run_probe_cycle's documented contracts.
 
-It reuses runner.build_world for the world, sched.dispatch and
-sched.form_groups for simulated time, and the hpo samplers for configs.
-It does not call flcore, the batch engine (models.train_stack,
-models.plan_batches), common's stream functions or lanes, so it checks
-a whole run's meaning, not only its bytes.
+Its world (reference_world) is built client by client from README's
+"Seeds" and fedtune.data's documented rules, without fedtune.data or
+runner.build_world. It reuses sched.dispatch and sched.form_groups for
+simulated time, and the hpo samplers for configs. It does not call
+flcore, the batch engine (models.train_stack, models.plan_batches),
+common's seeds and streams or lanes, so it checks a whole run's meaning,
+not only its bytes.
 """
 
 import hashlib
@@ -20,21 +22,139 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fedtune import hpo, models, runner, sched
-from fedtune.common import derive_seed
+from fedtune import hpo, models, sched
+
+MAX_DRAWS = 100  # Dirichlet draws before a partition gives up
+MIN_TRAIN = 10  # training rows every client needs
+
+
+def digest(*key) -> bytes:
+    """The SHA-256 digest of the key's parts' reprs joined by "|"."""
+    return hashlib.sha256("|".join(repr(p) for p in key).encode("utf-8")).digest()
+
+
+def derive_seed(*key) -> int:
+    """The key's 63-bit seed: the digest's first 8 bytes, little-endian, >> 1."""
+    return int.from_bytes(digest(*key)[:8], "little") >> 1
 
 
 def stream(*key) -> np.random.Generator:
     """A new generator at the start of key's stream: PCG64 whose 128-bit
-    state is the first 16 bytes of the SHA-256 digest of the key's parts
-    and whose increment is the last 16, OR 1, both little-endian."""
-    digest = hashlib.sha256("|".join(repr(p) for p in key).encode("utf-8")).digest()
+    state is the first 16 bytes of the key's digest and whose increment
+    is the last 16, OR 1, both little-endian."""
+    digest_ = digest(*key)
     bits = np.random.PCG64()
     bits.state = {"bit_generator": "PCG64",
-                  "state": {"state": int.from_bytes(digest[:16], "little"),
-                            "inc": int.from_bytes(digest[16:], "little") | 1},
+                  "state": {"state": int.from_bytes(digest_[:16], "little"),
+                            "inc": int.from_bytes(digest_[16:], "little") | 1},
                   "has_uint32": 0, "uinteger": 0}
     return np.random.Generator(bits)
+
+
+class Rows(SimpleNamespace):
+    """A set's features and labels; its length is its row count."""
+
+    def __len__(self):
+        return len(self.labels)
+
+
+def blobs(num_classes, input_dim, n, class_sep, seed):
+    """(features, labels): one mean per class at pairwise distance class_sep
+    (orthonormal directions from a QR when num_classes <= input_dim, else
+    normalized Gaussian ones), labels round-robin then shuffled, and
+    unit noise on every row, all from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((num_classes, input_dim))
+    if num_classes <= input_dim:
+        dirs = np.linalg.qr(g.T)[0][:, :num_classes].T
+    else:
+        dirs = np.array([row / np.sqrt(np.sum(row * row)) for row in g])
+    means = dirs * (class_sep / np.sqrt(2.0))
+    labels = np.array([i % num_classes for i in range(n)], dtype=np.int64)
+    rng.shuffle(labels)
+    noise = rng.standard_normal((n, input_dim))
+    return np.array([means[y] + z for y, z in zip(labels, noise)]).reshape(n, input_dim), labels
+
+
+def largest_remainder(total, fractions) -> list:
+    """total split by fractions into whole parts, each its floor or one
+    more: the units left after flooring go to the largest remainders, ties
+    to the lower index."""
+    raw = [float(f) * total for f in fractions]
+    parts = [math.floor(r) for r in raw]
+    by_remainder = sorted(range(len(raw)), key=lambda i: (parts[i] - raw[i], i))
+    for i in by_remainder[:total - sum(parts)]:
+        parts[i] += 1
+    return parts
+
+
+def dirichlet_shards(labels, n_clients, alpha, split, seed):
+    """(each client's (train, val, test) row indices, draws made): per draw,
+    every class's rows shuffled then split across the clients by a
+    Dirichlet(alpha) draw, in class order, all from default_rng(seed),
+    until every client holds MIN_TRAIN training rows. Client k takes
+    class c's k-th part of the class-major order, its parts in class order,
+    then shuffles them on (seed, "shard-split", k) and splits them by split."""
+    rng = np.random.default_rng(seed)
+    by_class = [np.array([i for i, y in enumerate(labels) if y == c], dtype=np.intp)
+                for c in sorted(set(labels.tolist()))]
+    for draw in range(1, MAX_DRAWS + 1):
+        shuffled, counts = [], []
+        for rows in by_class:
+            rows = rows.copy()
+            rng.shuffle(rows)
+            shuffled.append(rows)
+            counts.append(largest_remainder(len(rows), rng.dirichlet([alpha] * n_clients)))
+        sizes = [sum(c[k] for c in counts) for k in range(n_clients)]
+        parts = [largest_remainder(size, split) for size in sizes]
+        if all(p[0] >= MIN_TRAIN for p in parts):
+            break
+    else:
+        raise AssertionError("no partition")
+    shards = []
+    for k in range(n_clients):
+        alloc = []
+        for rows, c in zip(shuffled, counts):
+            start = sum(c[:k])
+            alloc.extend(rows[start : start + c[k]].tolist())
+        alloc = np.array(alloc, dtype=np.intp)
+        stream(seed, "shard-split", k).shuffle(alloc)
+        n_tr, n_va, _ = parts[k]
+        shards.append((alloc[:n_tr], alloc[n_tr : n_tr + n_va], alloc[n_tr + n_va :]))
+    return shards, draw
+
+
+def reference_world(cfg, seed):
+    """A synthetic-data world as runner.build_world documents it: the blobs
+    of (seed, "data"), a server validation set of round(fraction * n) rows
+    from the permutation of (seed, "server-val"), the rest partitioned on
+    (seed, "partition"), and each client's base time uniform in
+    [base_min, base_max] on (seed, "latency", client_id). Also holds
+    draws, the partition's Dirichlet draws."""
+    ds, lat, model = cfg["dataset"], cfg["latency"], cfg["model"]
+    x, y = blobs(ds["num_classes"], ds["input_dim"], ds["n"], ds["class_sep"],
+                 derive_seed(seed, "data"))
+    order = np.random.default_rng(derive_seed(seed, "server-val")).permutation(len(y))
+    n_server = int(round(cfg["server_val_fraction"] * len(y)))
+    server, rest = order[:n_server], order[n_server:]
+    x_c, y_c = x[rest], y[rest]
+    shards, draws = dirichlet_shards(y_c, cfg["n_clients"], cfg["alpha"], cfg["split"],
+                                     derive_seed(seed, "partition"))
+    clients = []
+    for k, idx in enumerate(shards):
+        train, val, test = (Rows(features=x_c[i], labels=y_c[i]) for i in idx)
+        base = stream(seed, "latency", k).uniform(lat["base_min"], lat["base_max"])
+        clients.append(SimpleNamespace(
+            client_id=k, latency=SimpleNamespace(base_time=base, jitter_sigma=lat["jitter_sigma"]),
+            shard=SimpleNamespace(train=train, val=val, test=test, train_idx=idx[0],
+                                  val_idx=idx[1], test_idx=idx[2])))
+    spec = models.ModelSpec(model["kind"], ds["input_dim"], ds["num_classes"],
+                            model["hidden_dim"] if model["kind"] == models.MLP else 0)
+    return SimpleNamespace(
+        model_spec=spec, clients=clients,
+        val_set=Rows(features=x[server], labels=y[server]),
+        eval_cadence=cfg["eval_cadence"], hp_defaults=dict(cfg["hp_defaults"]),
+        base_seed=seed, agg_mode=cfg["aggregation"], draws=draws)
 
 
 def train_hp(world, config) -> models.TrainHp:
@@ -213,7 +333,7 @@ def calibration_groups(cfg, world, seed):
 def reference_seed(cfg, seed) -> dict:
     """One seed's rows (in trial key order), best row index, events,
     makespan and best weights."""
-    world = runner.build_world(cfg, seed)
+    world = reference_world(cfg, seed)
     space, n, rounds = cfg.search_space(), cfg["budget_configs"], cfg["rounds_per_trial"]
     sampler = {
         "random": lambda: hpo.RandomSampler(space, derive_seed(seed, "sampler"), n, rounds),

@@ -208,23 +208,25 @@ def test_criterion_08_adaptive_beats_random_direction():
            f"median gap {median_gap:+.4f}, mean gap {mean_gap:+.4f}, {elapsed:.0f}s")
 
 
+CLI_CONFIG = {
+    "dataset": {"type": "synthetic", "num_classes": 3, "input_dim": 6,
+                "n": 300, "class_sep": 4.0},
+    "n_clients": 4,
+    "alpha": 1.0,
+    "model": {"kind": "logistic"},
+    "sampler": "adaptive",
+    "budget_configs": 3,
+    "rounds_per_trial": 10,
+    "eval_cadence": 5,
+    "seeds": [7],
+}
+
+
 def test_criterion_09_cli_determinism(tmp_path):
     import yaml
 
-    cfg = {
-        "dataset": {"type": "synthetic", "num_classes": 3, "input_dim": 6,
-                    "n": 300, "class_sep": 4.0},
-        "n_clients": 4,
-        "alpha": 1.0,
-        "model": {"kind": "logistic"},
-        "sampler": "adaptive",
-        "budget_configs": 3,
-        "rounds_per_trial": 10,
-        "eval_cadence": 5,
-        "seeds": [7],
-    }
     path = tmp_path / "exp.yaml"
-    path.write_text(yaml.safe_dump(cfg))
+    path.write_text(yaml.safe_dump(CLI_CONFIG))
     assert cli.main(["run", str(path), "--output", str(tmp_path / "a")]) == 0
     assert cli.main(["run", str(path), "--output", str(tmp_path / "b")]) == 0
     identical = True

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import yaml
 
 import fedtune
 from fedtune import cli, flcore, hpo, runner
+from fedtune import config as config_module
 from fedtune.common import ConfigurationError
 from fedtune.config import config_from_dict, load_config
 
@@ -216,6 +218,104 @@ class TestConfig:
     def test_seed_env_override(self, config_path):
         cfg = load_config(config_path, env={"FEDTUNE_SEED": "99"})
         assert cfg["seeds"] == [99]
+
+
+def ci_console_script() -> str:
+    """The run script of CI's "Console script" step, as the shell sees it."""
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    steps = yaml.safe_load(workflow.read_text())["jobs"]["tests"]["steps"]
+    return next(step["run"] for step in steps if step.get("name") == "Console script")
+
+
+def yaml_written() -> dict:
+    """Every config file the tests, the benchmark and CI's console-script
+    step write, by name."""
+    from test_acceptance import CLI_CONFIG
+    from test_reference_outputs import CONFIGS
+    from test_runner import TINY
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = {"test_cli": yaml.safe_dump(dict(SMALL, output_dir="out")),
+             "test_runner": yaml.safe_dump(TINY),
+             "test_acceptance": yaml.safe_dump(CLI_CONFIG),
+             **{f"test_reference_outputs-{k}": yaml.safe_dump({**cfg, "output_dir": "out"})
+                for k, cfg in CONFIGS.items()},
+             **{f"perfbench-{name}": yaml.safe_dump(workloads.experiment_config(w, [1, 2]))
+                for name, w in workloads.WORKLOADS.items()}}
+    heredocs = re.findall(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\n", ci_console_script(), re.S)
+    texts.update({f"ci-{name}": body for name, body in heredocs})
+    return texts
+
+
+def ci_overrides() -> list:
+    """The value of every --set in CI's console-script step."""
+    return [quoted or bare for quoted, bare in
+            re.findall(r"(?<=\s)--set (?:'([^']*)'|(\S+))", ci_console_script())]
+
+
+SET_SCALARS = ["2", "1e-5", "1.0e-5", "[9]", "{mode: async}", "true"]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+class TestLoaderParity:
+    """libyaml's CSafeLoader, which load_config uses where PyYAML has it,
+    reads every config as the pure-Python SafeLoader does."""
+
+    LOADERS = [pytest.param("CSafeLoader", id="libyaml"),
+               pytest.param("SafeLoader", id="python")]
+
+    @staticmethod
+    def load_both(monkeypatch, load):
+        out = []
+        for loader in ("CSafeLoader", "SafeLoader"):
+            monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+            out.append(load())
+        return out
+
+    def test_loader_is_libyaml(self):
+        assert config_module._LOADER is yaml.CSafeLoader
+
+    def test_every_written_config_loads_the_same(self, monkeypatch, tmp_path):
+        texts = yaml_written()
+        assert len([k for k in texts if k.startswith("ci-")]) >= 4
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text)
+            c, python = self.load_both(monkeypatch, lambda: load_config(str(path)).to_dict())
+            assert c == python, name
+
+    def test_every_override_parses_the_same(self, monkeypatch):
+        values = ci_overrides()
+        assert len(values) >= 20
+        for text in values + [f"x={v}" for v in SET_SCALARS]:
+            c, python = self.load_both(monkeypatch,
+                                       lambda: config_module._parse_override(text))
+            assert c == python and repr(c) == repr(python), text
+
+    def test_scalars_resolve_as_yaml_1_1(self, monkeypatch):
+        # an unquoted 1e-5 has no dot, so YAML 1.1 reads it as a string
+        want = [2, "1e-5", 1.0e-5, [9], {"mode": "async"}, True]
+        for value, expected in zip(SET_SCALARS, want):
+            for got in self.load_both(monkeypatch,
+                                      lambda: config_module._parse_override(f"x={value}")):
+                assert got == {"x": expected} and type(got["x"]) is type(expected), value
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_invalid_yaml_exit_code(self, monkeypatch, tmp_path, capsys, loader):
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        path = tmp_path / "bad.yaml"
+        path.write_text("alpha: [0.5\nn_clients: 3\n")
+        assert cli.main(["validate", str(path)]) == cli.EXIT_CONFIG
+        assert "config error: config file: invalid YAML" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_invalid_override_exit_code(self, monkeypatch, config_path, capsys, loader):
+        monkeypatch.setattr(config_module, "_LOADER", getattr(yaml, loader))
+        assert cli.main(["validate", config_path, "--set", "seeds=[1"]) == cli.EXIT_CONFIG
+        assert "config error: --set 'seeds=[1': invalid YAML" in capsys.readouterr().err
 
 
 class TestCliCommands:

@@ -16,6 +16,7 @@ import pytest
 
 from fedtune import runner
 from fedtune.config import config_from_dict
+from fedtune.data import Dataset
 
 import reference_run
 
@@ -116,3 +117,60 @@ def test_cases_cover_what_they_name():
     assert not any(math.isinf(r.objective) for r in rows["adaptive"])
     # the second rung's rows carry their first rung's trace points
     assert sorted(len(r.trace) for r in rows["halving"]) == [2, 4, 4]
+
+
+# benchmark's 100-client world of tiny ragged shards; seed 5002 draws its
+# partition ten times
+WIDE = {"dataset": {"type": "synthetic", "num_classes": 10, "input_dim": 16, "n": 10000,
+                    "class_sep": 3.0},
+        "n_clients": 100, "alpha": 0.3, "model": {"kind": "logistic"},
+        "grouping": {"mode": "async"}}
+WORLDS = {**{case: (CASES[case], 3) for case in CASES},
+          **{f"wide-{seed}": (WIDE, seed) for seed in (5001, 5002, 5007)}}
+
+
+def as_bytes(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+class TestWorld:
+    """runner.build_world against reference_run.reference_world, array for
+    array and byte for byte, so a signed zero or a dtype counts."""
+
+    @staticmethod
+    def worlds(name):
+        raw, seed = WORLDS[name]
+        cfg = config_from_dict(raw)
+        return cfg, seed, runner.build_world(cfg, seed), reference_run.reference_world(cfg, seed)
+
+    @pytest.mark.parametrize("name", WORLDS)
+    def test_world_equals_reference(self, name):
+        _, _, world, ref = self.worlds(name)
+        assert world.model_spec == ref.model_spec
+        assert isinstance(world.val_set, Dataset)
+        for part in ("features", "labels"):
+            assert as_bytes(getattr(world.val_set, part)) == as_bytes(getattr(ref.val_set, part))
+        assert [c.client_id for c in world.clients] == [c.client_id for c in ref.clients]
+        for c, r in zip(world.clients, ref.clients):
+            for split in ("train", "val", "test"):
+                for part in ("features", "labels"):
+                    got = getattr(getattr(c.shard, split), part)
+                    want = getattr(getattr(r.shard, split), part)
+                    assert as_bytes(got) == as_bytes(want), (c.client_id, split, part)
+                got, want = getattr(c.shard, f"{split}_idx"), getattr(r.shard, f"{split}_idx")
+                assert as_bytes(got) == as_bytes(want), (c.client_id, split)
+            assert as_bytes(c.latency.base_time) == as_bytes(r.latency.base_time)
+            assert as_bytes(c.latency.jitter_sigma) == as_bytes(r.latency.jitter_sigma)
+
+    @pytest.mark.parametrize("name", ["random-async", "wide-5001", "wide-5002"])
+    def test_groups_equal_reference(self, name):
+        cfg, seed, world, ref = self.worlds(name)
+        groups = runner.make_groups(cfg, world, seed)
+        assert [(g.group_id, g.members) for g in groups] == \
+            [(g.group_id, g.members) for g in reference_run.calibration_groups(cfg, ref, seed)]
+        assert len(groups) > 1
+
+    def test_worlds_cover_redraws(self):
+        draws = [self.worlds(name)[3].draws for name in WORLDS if name.startswith("wide")]
+        assert max(draws) >= 6 and min(draws) == 1

@@ -427,6 +427,27 @@ def test_make_groups_pinned(monkeypatch, world, mode, seed, digest):
     assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
 
 
+def test_calibration_builds_no_cohort(monkeypatch):
+    # each client is timed as flcore.cohort_time times its one-member cohort,
+    # byte for byte, but no cohort is built or kept for it
+    seen, form = [], sched.form_groups
+    monkeypatch.setattr(sched, "form_groups",
+                        lambda comps, window: seen.append(comps) or form(comps, window))
+    cfg = config_from_dict({**WIDE_ASYNC, "hp_defaults": {"epochs": 2}})
+    world = runner.build_world(cfg, 5)
+    runner.make_groups(cfg, world, 5)
+    assert world.cohorts == {}
+    want = [(c.client_id, flcore.cohort_time(world.cohort([c.client_id]), 2,
+                                             (5, "calibration", c.client_id)))
+            for c in world.clients]
+    assert [(i, t.hex()) for i, t in seen[0]] == [(i, t.hex()) for i, t in want]
+    # a cohort of ids given in any order holds its members in id order
+    given = [7, 3, 29, 0, 12]
+    cohort = world.cohort(given)
+    assert [c.client_id for c in cohort.members] == sorted(given)
+    assert cohort.members == [world.clients[i] for i in sorted(given)]
+
+
 def test_worlds_built_one_after_another_keep_their_own_cohorts():
     # Cohort records live on their world. Two seeds of one shape run here one
     # after the other, the second world built once the first is freed, when
