@@ -130,8 +130,6 @@ class ExperimentWorld:
     cohorts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     plans: PlanMemo = field(default_factory=PlanMemo, init=False, repr=False, compare=False)
     hps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # The lanes.Helpers its seed started, which run-ahead and probe cycles split work with.
-    helpers: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.eval_cadence < 1:

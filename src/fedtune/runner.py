@@ -158,27 +158,6 @@ def make_groups(cfg: ExperimentConfig, world: ExperimentWorld, seed: int) -> lis
     return sched.form_groups(completions, float(window))
 
 
-def _train_probes(world, global_w, ids, round_index, seed_key, probes):
-    """lanes.run_each over probes (index -> config), a probe cycle's share
-    (run_probe_cycle): the pass of the clients ids from global_w under each
-    config (flcore.train_cohort under seed_key), its aggregate then scored
-    on the server validation set by models.evaluate in the same lane. A
-    result is (aggregate, local losses, server loss), or None for a
-    divergence or a server loss that is not finite."""
-    cohort = world.cohort(ids)
-
-    def train(i):
-        try:
-            out = flcore.train_cohort(world, global_w, probes[i], cohort, round_index, seed_key)
-        except NumericDivergenceError:
-            return None
-        gl = models.evaluate(world.model_spec, out[0], world.val_set.features,
-                             world.val_set.labels)[0]
-        return (*out, gl) if math.isfinite(gl) else None
-
-    return lanes.run_each(train, probes)
-
-
 def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     """Step-wise feedback before round state.round_index: evaluate the probe
     set and choose the round's config.
@@ -188,15 +167,14 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     (flcore.train_key): common random numbers, so the probes see the same
     batch orders and dropout draws, and the chosen probe's pass is exactly
     the round's. Each probe is timed under its own key,
-    (base_seed, "probe", trial_index, round, config_id). _train_probes
-    trains and scores them, split by epochs across this process and
-    world.helpers (lanes.run_jobs, README "Lanes"), and the first error in
-    probe order is raised. Each score is
-    combined with that probe's local validation losses. A probe that
-    diverges, or whose server loss is not finite, scores +inf, so the step
-    never adopts it, and writes no record; the cycle goes on. Appends one
-    FeedbackRecord per finished probe to records, each with its combined
-    feedback as val_loss.
+    (base_seed, "probe", trial_index, round, config_id). The probes train,
+    are scored on the server validation set by models.evaluate and are
+    recorded here, one after another in probe order, so the first error in
+    probe order is raised. Each score is combined with that probe's local
+    validation losses. A probe that diverges, or whose server loss is not
+    finite, scores +inf, so the step never adopts it, and writes no record;
+    the cycle goes on. Appends one FeedbackRecord per finished probe to
+    records, each with its combined feedback as val_loss.
     Returns (new config, extra simulated time, reused): the extra time is
     the sum of every probe's cohort time, a diverging one's included, and
     reused is the new config's (aggregate, local losses) when it is a probe
@@ -208,19 +186,20 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
     extra_time = sum((flcore.cohort_time(cohort, world.train_hp(p).epochs,
                                          (world.base_seed, "probe", trial_index, j, p.config_id))
                       for p in probes), 0.0)
-    passes = lanes.run_jobs(world.helpers, world, dict(enumerate(probes)),
-                            lambda i: max(1, world.train_hp(probes[i]).epochs), _train_probes,
-                            state.global_weights, cohort.ids, j,
-                            flcore.train_key(world, trial_index, j))
-    results = []
-    for i, p in enumerate(probes):
-        if isinstance(passes[i], Exception):  # a lane ran nothing past its first error
-            raise passes[i]
-        if passes[i] is None:
+    key = flcore.train_key(world, trial_index, j)
+    results, passes = [], {}  # passes: config_id -> a finished probe's pass
+    for p in probes:
+        try:
+            out = flcore.train_cohort(world, state.global_weights, p, cohort, j, key)
+        except NumericDivergenceError:
+            out = None
+        gf = out and models.evaluate(world.model_spec, out[0], world.val_set.features,
+                                     world.val_set.labels)[0]
+        if out is None or not math.isfinite(gf):
             results.append((p, math.inf))
             continue
-        gf = passes[i][2]
-        combined = combine_feedback([vl for _, vl in passes[i][1]], gf, n)
+        passes[p.config_id] = out
+        combined = combine_feedback([vl for _, vl in out[1]], gf, n)
         results.append((p, combined))
         records.append(FeedbackRecord(
             config_id=p.config_id,
@@ -232,8 +211,7 @@ def run_probe_cycle(state, cohort, world, trial_index, sampler, records):
             probe_target=hpo.probe_target_of(current, p),
         ))
     new = sampler.step(current, results)
-    chosen = {p.config_id: passes[i] for i, p in enumerate(probes)}.get(new.config_id)
-    return new, extra_time, chosen and chosen[:2]
+    return new, extra_time, passes.get(new.config_id)
 
 
 @dataclass
@@ -320,7 +298,7 @@ def _run_wave(world, cfg, seed, share) -> list:
     """A run-ahead lane's share {eval index: (group, config, plan)}
     (_plan_ahead) trained as one wave (flcore.run_trials): [(eval index,
     EvalOutcome)], or [] if the wave raised, so dispatch runs those inline,
-    where the one-CPU run raises the error."""
+    where the inline run raises the error."""
     keys = sorted(share)
     try:  # a random search's evaluations share one round budget
         results = flcore.run_trials(
@@ -333,12 +311,11 @@ def _run_wave(world, cfg, seed, share) -> list:
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
-    """One seed's report, in up to cpus lanes over the helpers it starts
-    once (world.helpers): a feedback_free sampler runs every evaluation
-    before dispatch, forking after its dry dispatch (_plan_ahead) and
-    splitting them by cohort training rows times epochs into waves
-    (_run_wave), and adaptive search splits its probe cycles with one
-    helper (README "Lanes")."""
+    """One seed's report. A feedback_free sampler runs every evaluation
+    before dispatch: a dry dispatch plans them (_plan_ahead), and they are
+    split by cohort training rows times epochs into waves (_run_wave) over
+    up to cpus lanes (lanes.run_jobs; one lane runs here). Adaptive search
+    and halving run every evaluation in this process (README "Lanes")."""
     world = build_world(cfg, seed)
     space = cfg.search_space()
     n, rounds = cfg["budget_configs"], cfg["rounds_per_trial"]
@@ -356,7 +333,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
         sampler.commit(outcome)
         committed[outcome.trial_key] = outcome
 
-    issues = _plan_ahead(world, sampler, groups) if cpus > 1 and sampler.feedback_free else {}
+    issues = _plan_ahead(world, sampler, groups) if sampler.feedback_free else {}
 
     def cost(e):
         group, config, _ = issues[e]
@@ -373,12 +350,9 @@ def _run_seed(cfg: ExperimentConfig, seed: int, cpus: int = 1) -> SeedReport:
             outcome = _run_one_eval(cfg, world, group, config, eval_index, seed, plan, resume)
         return outcome.row.sim_time, lambda: commit(outcome)
 
-    probing = isinstance(sampler, hpo.AdaptiveSampler)  # a cycle splits in two
-    with lanes.helpers(world, min(cpus, len(issues) or (2 if probing else 1))) as world.helpers:
-        ahead = lanes.run_jobs(world.helpers, world, issues, cost, _run_wave, cfg,
-                               seed) if issues and world.helpers else {}
-        result = sched.dispatch(groups, sampler.num_evals,
-                                lambda group, e: sampler.start_config(e), run_eval)
+    ahead = lanes.run_jobs(world, cpus, issues, cost, _run_wave, cfg, seed) if issues else {}
+    result = sched.dispatch(groups, sampler.num_evals,
+                            lambda group, e: sampler.start_config(e), run_eval)
     # One row per trial key, in key order, numbered 0..n-1.
     outcomes = [committed[k] for k in sorted(committed)]
     for i, o in enumerate(outcomes):
@@ -436,18 +410,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run every seed of cfg and collect one SeedReport per seed, in
     cfg["seeds"] order; each equals that seed's one-seed run on one CPU.
 
-    The seeds run in lanes (lanes.run_jobs over helpers bound to cfg, a
-    lane's share by _run_seeds), and a seed no lane ran runs inline here,
-    with lanes of its own (README "Lanes"). Every lane inherits the
-    allocator thresholds fixed first, and this process keeps them after
-    the call. A failing seed raises its own error, the first in seed
-    order; a lane that dies raises FedTuneError.
+    Two or more seeds run in lanes (lanes.run_jobs over cfg, a lane's share
+    by _run_seeds), and a seed no lane ran runs here when its turn comes;
+    one seed runs here, with lanes of its own (README "Lanes"). Every lane
+    inherits the allocator thresholds fixed first, and this process keeps
+    them after the call. A failing seed raises its own error, the first in
+    seed order; a lane that dies raises FedTuneError.
     """
     _keep_freed_memory()
     seeds, cpus = cfg["seeds"], _usable_cpus()
-    with lanes.helpers(cfg, min(cpus, len(seeds))) as started:
-        done = lanes.run_jobs(started, cfg, dict.fromkeys(seeds), lambda s: 1,
-                              _run_seeds) if started else {}
+    done = lanes.run_jobs(cfg, cpus, dict.fromkeys(seeds), lambda s: 1,
+                          _run_seeds) if len(seeds) > 1 else {}
     per_seed = []
     for seed in seeds:
         if isinstance(done.get(seed), Exception):

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from fedtune import data, flcore, lanes, models, runner, sched
+from fedtune import data, flcore, models, runner, sched
 from fedtune.common import NumericDivergenceError, derive_seed
 from fedtune.config import config_from_dict
 from fedtune.flcore import ClientState, ExperimentWorld, RoundState, run_round, train_cohort
@@ -71,10 +71,10 @@ def test_reused_round_equals_a_fresh_pass_of_the_chosen_config():
 
 
 def test_probe_aggregates_scored_in_one_call_equal_one_evaluate_each(monkeypatch):
-    # Each lane of a probe cycle scores a probe's finished aggregate on the
-    # server validation set with its own models.evaluate call; each score
-    # must equal that call on a fresh pass of the probe bit for bit, with a
-    # diverged probe between two finished ones, inline and with a helper.
+    # A probe cycle scores each probe's finished aggregate on the server
+    # validation set with its own models.evaluate call; each score must
+    # equal that call on a fresh pass of the probe bit for bit, with a
+    # diverged probe between two finished ones.
     cfg = config_from_dict({**SMALL_ADAPTIVE, "dataset": {**SMALL_ADAPTIVE["dataset"],
                                                           "n": 2000}})
     world = runner.build_world(cfg, 1)
@@ -96,13 +96,11 @@ def test_probe_aggregates_scored_in_one_call_equal_one_evaluate_each(monkeypatch
         return real_train(world, global_w, config, *args)
 
     monkeypatch.setattr(flcore, "train_cohort", train_cohort)
-    for cpus in (1, 2):
-        records = []
-        with lanes.helpers(world, cpus) as world.helpers:
-            runner.run_probe_cycle(state, cohort, world, 0,
-                                   AdaptiveSampler(space, tuned, 0.0, 0, 1, 6), records)
-        assert [r.config_id for r in records] == list(alone)
-        assert [r.server_loss.hex() for r in records] == [x.hex() for x in alone.values()]
+    records = []
+    runner.run_probe_cycle(state, cohort, world, 0, AdaptiveSampler(space, tuned, 0.0, 0, 1, 6),
+                           records)
+    assert [r.config_id for r in records] == list(alone)
+    assert [r.server_loss.hex() for r in records] == [x.hex() for x in alone.values()]
 
 
 # One seed, one sync group: 6 MLP clients, 3 evaluations of 6 rounds, a
@@ -165,9 +163,9 @@ def test_row_names_the_config_that_trained_its_final_weights(rounds, final_run_r
     monkeypatch.setattr(flcore, "train_cohorts", recording_train)
     monkeypatch.setattr(flcore, "run_round", recording_round)
     monkeypatch.setattr(runner, "_run_one_eval", recording_eval)
-    # The spies see only this process's passes, and a helper may train a
-    # cycle's probes, so the run is inline; the next test checks that the
-    # laned run gives the same report.
+    # The spies see this process's passes, which at any CPU count are every
+    # pass of a one-seed adaptive search; the next test checks that a run
+    # at two CPUs gives the same report.
     monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
     runner.run_experiment(config_from_dict({**SMALL_ADAPTIVE, "rounds_per_trial": rounds}))
     assert len(outcomes) == 3

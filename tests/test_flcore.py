@@ -249,9 +249,7 @@ class TestTrainCohort:
 
         monkeypatch.setattr(runner, "run_probe_cycle", recording_cycle)
         # A first run finds the first cycle's probes. In the second, the
-        # probe of the learning-rate neighbour diverges, in whichever lane
-        # trains it: the probes of a cycle may train in a helper, which
-        # counts no call here.
+        # probe of the learning-rate neighbour diverges.
         runner.run_experiment(cfg)
         diverge_probe(monkeypatch, 2, cycles[0][1][1].config_id)
         cycles.clear()

@@ -122,8 +122,9 @@ def test_outputs_match_reference(sampler, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_random_outputs_match_reference_at_usable_cpus(cpus, tmp_path, monkeypatch):
-    # One seed of random search runs its first evaluations in forked lanes
-    # when a CPU is spare, and inline on one CPU; both write the same bytes.
+    # One seed of random search runs its evaluations ahead as waves, in
+    # forked lanes when a CPU is spare and in this process on one CPU; both
+    # write the same bytes.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
     assert output_digests(CONFIGS["random"]) == REFERENCE["random"]
@@ -139,8 +140,8 @@ def test_halving_outputs_match_reference_at_usable_cpus(cpus, tmp_path, monkeypa
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_adaptive_outputs_match_reference_at_usable_cpus(cpus, tmp_path, monkeypatch):
-    # One seed of adaptive search splits each cohort pass with a pinned
-    # helper lane when a CPU is spare, and trains it inline on one CPU.
+    # One seed of adaptive search trains every pass in this process, at
+    # any CPU count.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
     assert output_digests(CONFIGS["adaptive"]) == REFERENCE["adaptive"]

@@ -1,19 +1,20 @@
 """run_experiment's seeds run in lanes (fedtune.lanes: this process and
-helpers, each pinned to a CPU of its own) when there is more than one seed
-and more than one usable CPU, with the same reports, files and errors as
-running them one after another. And the runner's continuation rule: an
-evaluation continues the latest committed one of its trial key, which
-random and adaptive search never repeat. And a one-seed random search,
-which reads no feedback, runs every evaluation ahead in lanes, on the
-group a dry dispatch of simulated durations predicts, with the same report
-and errors as inline. And a one-seed adaptive search splits every probe
-cycle with one helper, with the same report and errors as inline, while a
-one-seed halving search forks nothing."""
+children forked for one share each, each pinned to a CPU of its own) when
+there is more than one seed and more than one usable CPU, with the same
+reports, files and errors as running them one after another. And the
+runner's continuation rule: an evaluation continues the latest committed
+one of its trial key, which random and adaptive search never repeat. And a
+one-seed random search, which reads no feedback, runs every evaluation
+ahead as waves, in lanes where a CPU is spare, on the group a dry dispatch
+of simulated durations predicts, with the same report and errors as each
+evaluation run inline. And one-seed adaptive and halving searches fork
+nothing: every probe of a cycle trains in this process."""
 
 import contextlib
 import gc
 import hashlib
 import io
+import math
 import os
 import pickle
 import platform
@@ -96,11 +97,6 @@ def fork_pids(monkeypatch):
     return pids
 
 
-def call(fn, *args):
-    """fn(*args): a request to a helper bound to fn."""
-    return fn(*args)
-
-
 def pickled_types(obj) -> set:
     """The type of every object that pickling obj pickles."""
     seen = set()
@@ -161,7 +157,7 @@ class TestSeedPool:
             alone = runner.run_experiment(config_from_dict({**TINY, "seeds": [sr.seed]}))
             assert seed_report_key(sr) == seed_report_key(alone.per_seed[0])
             assert sr.feedback_history  # the adaptive sampler's probes were recorded
-        assert len(pids) == 4  # and each one-seed run one helper
+        assert len(pids) == 1  # and no one-seed adaptive run forks
         assert_reaped(pids)
 
     @needs_two_cpus
@@ -340,12 +336,21 @@ def one_seed_report(monkeypatch, overrides, cpus):
     return runner.run_experiment(config_from_dict(overrides)).per_seed[0]
 
 
+def inline_report(monkeypatch, overrides):
+    """The one-CPU report with nothing planned ahead: dispatch runs every
+    evaluation of a random search inline, one _run_one_eval each."""
+    with monkeypatch.context() as patched:
+        patched.setattr(runner, "_plan_ahead", lambda world, sampler, groups: {})
+        return one_seed_report(patched, overrides, 1)
+
+
 def dispatches(monkeypatch):
     """One list per sched.dispatch call from now on, of [eval index, group id,
-    duration] for each evaluation it issued; a one-seed random run at two
-    CPUs makes a dry call, whose durations are predicted, before the one
-    that runs evaluations. Evaluation e is listed before it runs, so one
-    that raises is listed without a duration."""
+    duration] for each evaluation it issued; a one-seed random run makes a
+    dry call, whose durations are predicted, before the one that runs
+    evaluations (an inline_report makes only the second). Evaluation e is
+    listed before it runs, so one that raises is listed without a
+    duration."""
     calls, dispatch = [], sched.dispatch
 
     def recording_dispatch(groups, num_evals, issue, run_eval):
@@ -366,8 +371,8 @@ def dispatches(monkeypatch):
 
 def inline_evals(monkeypatch):
     """The eval index of every evaluation this process computes inside
-    sched.dispatch: every one at one CPU; with lanes, which run before
-    dispatch, only the ones computed again inline."""
+    sched.dispatch: every one of an inline_report; with waves, which run
+    before dispatch, only the ones computed again inline."""
     inline, depth = [], []
     run_one_eval, dispatch = runner._run_one_eval, sched.dispatch
 
@@ -491,8 +496,10 @@ MISPREDICTED = {
 
 @pytest.mark.usefixtures("affinity_is_restored")
 class TestRunAhead:
-    """A one-seed random run computes every evaluation in lanes before
-    dispatch, on the group a dry dispatch predicts, with the same report."""
+    """A one-seed random run computes every evaluation as waves before
+    dispatch, on the group a dry dispatch predicts, at every CPU count (in
+    this process alone at one), with the report of each evaluation run
+    inline."""
 
     @needs_two_cpus
     @pytest.mark.parametrize("overrides", [RANDOM_ASYNC, {**RANDOM_ASYNC, "grouping":
@@ -501,12 +508,13 @@ class TestRunAhead:
     def test_report_equals_one_cpu_run_and_one_child_is_reaped(self, overrides,
                                                                 monkeypatch):
         pids = fork_pids(monkeypatch)
+        inline = inline_report(monkeypatch, overrides)
         alone = one_seed_report(monkeypatch, overrides, 1)
         assert pids == []
         laned = one_seed_report(monkeypatch, overrides, 2)
         assert len(pids) == 1
         assert_reaped(pids)
-        assert seed_report_key(laned) == seed_report_key(alone)
+        assert seed_report_key(laned) == seed_report_key(alone) == seed_report_key(inline)
 
     def test_dry_schedule_equals_one_cpu_issues_and_durations(self, monkeypatch):
         # The predicted duration is the sum of the rounds' cohort times under
@@ -514,13 +522,15 @@ class TestRunAhead:
         calls, waves = dispatches(monkeypatch), []
         for seed in (1 + 1000 * k for k in range(8)):
             calls.clear()
-            alone = one_seed_report(monkeypatch, {**WIDE_ASYNC, "seeds": [seed]}, 1)
-            laned = one_seed_report(monkeypatch, {**WIDE_ASYNC, "seeds": [seed]}, 2)
-            one_cpu, dry, ran = calls
-            assert [(e, g) for e, g, _ in dry] == [(e, g) for e, g, _ in one_cpu]
-            assert [d for _, _, d in dry] == [alone.trials[e].sim_time for e, _, _ in dry]
-            assert ran == one_cpu
-            assert seed_report_key(laned) == seed_report_key(alone)
+            overrides = {**WIDE_ASYNC, "seeds": [seed]}
+            inline = inline_report(monkeypatch, overrides)
+            reports = [one_seed_report(monkeypatch, overrides, cpus) for cpus in (1, 2)]
+            ran_inline, dry, ran, dry_laned, ran_laned = calls
+            assert [(e, g) for e, g, _ in dry] == [(e, g) for e, g, _ in ran_inline]
+            assert [d for _, _, d in dry] == [inline.trials[e].sim_time for e, _, _ in dry]
+            assert dry_laned == dry
+            assert ran == ran_laned == ran_inline
+            assert all(seed_report_key(r) == seed_report_key(inline) for r in reports)
             waves.append(len({g for _, g, _ in dry}))
         assert 1 < min(waves) and max(waves) < WIDE_ASYNC["budget_configs"]
 
@@ -528,7 +538,7 @@ class TestRunAhead:
     def test_zero_duration_evaluations_are_foreseen(self, monkeypatch):
         pids = fork_pids(monkeypatch)
         inline = inline_evals(monkeypatch)
-        alone = one_seed_report(monkeypatch, CRITERION7, 1)
+        alone = inline_report(monkeypatch, CRITERION7)
         assert inline == list(range(6))
         inline.clear()
         laned = one_seed_report(monkeypatch, CRITERION7, 2)
@@ -539,6 +549,24 @@ class TestRunAhead:
         # again, which the dry dispatch foresees: nothing is computed twice
         assert alone.trials[0].sim_time == 0.0
         assert inline == []
+
+    def test_inline_evaluations_equal_the_in_process_wave(self, monkeypatch):
+        # Each evaluation run by its own _run_one_eval against one wave in
+        # this process, on an async world where some trials diverge and
+        # early stopping ends others, so some evaluations are computed again
+        # inline; at one CPU nothing forks.
+        pids, inline = fork_pids(monkeypatch), inline_evals(monkeypatch)
+        alone = inline_report(monkeypatch, MISPREDICTED)
+        assert inline == list(range(MISPREDICTED["budget_configs"]))
+        inline.clear()
+        wave = one_seed_report(monkeypatch, MISPREDICTED, 1)
+        assert pids == []
+        assert [repr(t) for t in wave.trials] == [repr(t) for t in alone.trials]
+        assert seed_report_key(wave) == seed_report_key(alone)
+        assert any(t.failed for t in alone.trials)
+        assert any(len(t.trace) < MISPREDICTED["rounds_per_trial"]
+                   for t in alone.trials if not t.failed)
+        assert 0 < len(inline) < MISPREDICTED["budget_configs"]
 
     @needs_two_cpus
     def test_waves_that_mix_plan_keys_leave_nothing_to_run_inline(self, monkeypatch):
@@ -602,16 +630,14 @@ class TestRunAhead:
 
     @needs_two_cpus
     @pytest.mark.parametrize("sampler", ["adaptive", "halving"])
-    def test_only_the_sampler_that_probes_forks_a_helper(self, sampler, monkeypatch):
+    def test_samplers_that_read_feedback_fork_nothing(self, sampler, monkeypatch):
         pids = fork_pids(monkeypatch)
         overrides = {**TINY, "sampler": sampler, "budget_configs": 3, "seeds": [1]}
         alone = one_seed_report(monkeypatch, overrides, 1)
+        two_cpus = one_seed_report(monkeypatch, overrides, 2)
+        # both run every evaluation inline, with no run-ahead lanes
         assert pids == []
-        split = one_seed_report(monkeypatch, overrides, 2)
-        # adaptive search's probe helper; halving runs inline, with no run-ahead lanes
-        assert len(pids) == (sampler == "adaptive")
-        assert_reaped(pids)
-        assert seed_report_key(split) == seed_report_key(alone)
+        assert seed_report_key(two_cpus) == seed_report_key(alone)
 
     def test_runs_inline_when_fork_fails_or_is_missing(self, monkeypatch):
         alone = one_seed_report(monkeypatch, RANDOM_ASYNC, 1)
@@ -662,8 +688,9 @@ def test_prefetched_evaluation_raises_like_inline(error, monkeypatch):
     with pytest.raises((pickle.PicklingError, AttributeError)):
         pickle.dumps(UnpicklableError("x", 1))
     # the point an error surfaces at: the evaluations dispatch has issued,
-    # and those it has committed
-    # (the dispatch that runs evaluations is the last; at two CPUs a dry one
+    # and those it has committed, equal with every evaluation run inline and
+    # with waves run ahead at one CPU and at two
+    # (the dispatch that runs evaluations is the last; with waves a dry one
     # predicts the schedule first). The error is raised where an evaluation,
     # inline or in a run-ahead wave, becomes its outcome.
     eval_outcome, calls, committed = runner._eval_outcome, dispatches(monkeypatch), []
@@ -679,23 +706,28 @@ def test_prefetched_evaluation_raises_like_inline(error, monkeypatch):
 
         monkeypatch.setattr(runner, "_eval_outcome", raising)
         seen = {}
-        for cpus in (1, 2):
+        for cpus in ("inline", 1, 2):
             calls.clear()
             committed.clear()
             with pytest.raises(error) as info:
-                one_seed_report(monkeypatch, RANDOM_ASYNC, cpus)
-            assert len(calls) == cpus
+                if cpus == "inline":
+                    inline_report(monkeypatch, RANDOM_ASYNC)
+                else:
+                    one_seed_report(monkeypatch, RANDOM_ASYNC, cpus)
+            assert len(calls) == (1 if cpus == "inline" else 2)
             issued = [ran[0] for ran in calls[-1]]
             seen[cpus] = (type(info.value), str(info.value), issued, list(committed))
-        assert seen[2] == seen[1]
+        assert seen[2] == seen[1] == seen["inline"]
         assert str(failing) in seen[1][1] and seen[1][2] == list(range(failing + 1))
 
 
 @pytest.mark.usefixtures("affinity_is_restored")
 class TestRunJobs:
-    """lanes.run_jobs runs each share but this process's in a pinned helper,
-    as the request (fn, *args, share) it answers with fn(bound, *args,
-    share), and merges the replies."""
+    """lanes.run_jobs runs each share but this process's in a child forked
+    for that share alone and pinned to a CPU of its own, as fn(bound,
+    *args, share), and merges the replies. Every child is reaped, and this
+    process's affinity restored, before the call returns, raises or is
+    interrupted."""
 
     @needs_cpus(3)
     def test_three_lanes_run_on_three_pinned_cpus(self, monkeypatch):
@@ -704,8 +736,7 @@ class TestRunJobs:
 
         cpus, jobs = sorted(os.sched_getaffinity(0)), dict.fromkeys([1, 2, 3])
         pids = fork_pids(monkeypatch)
-        with lanes.helpers(run, 3) as started:
-            done = lanes.run_jobs(started, run, jobs, lambda k: 1, lanes.run_each)
+        done = lanes.run_jobs(run, 3, jobs, lambda k: 1, lanes.run_each)
         assert len(pids) == 2
         assert_reaped(pids)
         assert {k: r[0] for k, r in done.items()} == {k: run(k)[0] for k in jobs}
@@ -726,27 +757,79 @@ class TestRunJobs:
             return key * key
 
         pids = fork_pids(monkeypatch)
-        with lanes.helpers(run, 2) as started:
-            done = lanes.run_jobs(started, run, dict.fromkeys(range(4)), lambda k: 1,
-                                  lanes.run_each)
+        done = lanes.run_jobs(run, 2, dict.fromkeys(range(4)), lambda k: 1, lanes.run_each)
         assert len(pids) == 1
         assert_reaped(pids)
-        # the shares are [0, 2] and [1, 3]; the helper's whole share runs again here
+        # the shares are [0, 2] and [1, 3]; the child's whole share runs again here
         assert ran_here == [0, 2, 1, 3]
         assert [done[k] for k in range(3)] == [0, 1, 4]
         assert (type(done[3]), str(done[3])) == (UnpicklableError, "boom at 3")
+
+    @needs_two_cpus
+    def test_reply_that_does_not_unpickle_is_computed_here(self, tmp_path, monkeypatch):
+        parent, log = os.getpid(), tmp_path / "runs"
+
+        def run(key):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {key}\n")
+            return os.getpid(), TwoArgError(f"made for {key}", key)  # pickles, never unpickles
+
+        pids = fork_pids(monkeypatch)
+        done = lanes.run_jobs(run, 2, dict.fromkeys(range(2)), lambda k: 1, lanes.run_each)
+        assert len(pids) == 1
+        assert_reaped(pids)
+        # the child ran its share, [1], and its reply was dropped and computed here
+        runs = log.read_text().splitlines()
+        assert [r for r in runs if r.startswith(f"{parent} ")] == [f"{parent} 0", f"{parent} 1"]
+        assert [r for r in runs if not r.startswith(f"{parent} ")] == [f"{pids[0]} 1"]
+        assert {k: (pid, type(err), str(err)) for k, (pid, err) in done.items()} == \
+            {k: (parent, TwoArgError, f"made for {k}") for k in range(2)}
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("ending", ["returns", "raises here", "raises in the child",
+                                        "is interrupted"])
+    def test_every_child_is_reaped_and_affinity_restored(self, ending, monkeypatch):
+        parent, before = os.getpid(), os.sched_getaffinity(0)
+        cpus = sorted(before)
+
+        def work(bound, share):
+            here = os.getpid() == parent
+            if ending == ("raises here" if here else "raises in the child"):
+                raise FeedbackError(f"boom {ending[7:]}")
+            if ending == "is interrupted":
+                if here:
+                    raise KeyboardInterrupt
+                time.sleep(60)  # killed, not waited for
+            return [(key, (bound, frozenset(os.sched_getaffinity(0)))) for key in share]
+
+        pids = fork_pids(monkeypatch)
+        error = {"returns": None, "is interrupted": KeyboardInterrupt}.get(ending, FeedbackError)
+        started = time.perf_counter()
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            done = lanes.run_jobs("bound", 2, dict.fromkeys("ab"), lambda k: 1, work)
+            assert done == {"a": ("bound", {cpus[0]}), "b": ("bound", {cpus[1]})}
+        assert time.perf_counter() - started < 30
+        assert len(pids) == 1
+        assert_reaped(pids)
+        assert os.sched_getaffinity(0) == before
+
+    def test_one_lane_runs_here_and_forks_nothing(self, monkeypatch):
+        pids = fork_pids(monkeypatch)
+        done = lanes.run_jobs(None, 1, dict.fromkeys(range(5)), lambda k: k,
+                              lambda bound, share: [(k, os.getpid()) for k in share])
+        assert pids == [] and done == dict.fromkeys(range(5), os.getpid())
 
 
 # Six clients and one seed; PROBING (below) adds a probe cycle before rounds 2-4.
 SPLIT = {**TINY, "dataset": {**TINY["dataset"], "n": 600}, "n_clients": 6, "seeds": [1]}
 
 
-def failing_setaffinity(which):
-    """os.sched_setaffinity, failing for this process (pid 0) or for the helper."""
+def failing_setaffinity(which, parent):
+    """os.sched_setaffinity, failing in this process (parent) or in a child."""
     setaffinity = os.sched_setaffinity
 
     def failing(pid, cpus):
-        if (pid == 0) == (which == "this process"):
+        if (os.getpid() == parent) == (which == "this process"):
             raise OSError(22, "Invalid argument")
         return setaffinity(pid, cpus)
 
@@ -755,81 +838,74 @@ def failing_setaffinity(which):
 
 @needs_two_cpus
 @pytest.mark.usefixtures("affinity_is_restored")
-class TestHelper:
-    """A one-seed adaptive search trains one share of every probe cycle in a
-    pinned helper lane, with the same report and errors as inline, and
-    leaves this process's CPU affinity as it found it."""
+class TestLaneFailures:
+    """A run-ahead or seed lane whose pin fails, or that is interrupted,
+    leaves no child behind, and a lane that could not run its share leaves
+    it to this process, with the report of one CPU."""
 
-    def test_shares_train_on_two_pinned_cpus(self, monkeypatch):
-        cpus = sorted(os.sched_getaffinity(0))
-        alone = one_seed_report(monkeypatch, PROBING, 1)
-        parent, train_cohort, seen = os.getpid(), flcore.train_cohort, set()
-
-        def spy(world, *args):
-            if os.getpid() == parent and world.helpers and world.helpers[0].busy:
-                seen.add((frozenset(os.sched_getaffinity(0)),
-                          frozenset(os.sched_getaffinity(world.helpers[0].pid))))
-            return train_cohort(world, *args)
-
-        monkeypatch.setattr(flcore, "train_cohort", spy)
-        split = one_seed_report(monkeypatch, PROBING, 2)
-        assert seed_report_key(split) == seed_report_key(alone)
-        # this process trains its probes while the helper trains the others
-        assert seen == {(frozenset(cpus[:1]), frozenset(cpus[1:2]))}
-
-    @pytest.mark.parametrize("sampler", ["halving", "random", "adaptive"])
-    def test_each_request_carries_the_rounds_key_and_no_words(self, sampler, monkeypatch):
-        # Every run forks one helper and sends it requests of one form,
-        # (fn, *args, share), which pickle no world: two seeds of halving send
-        # the seed lane its seed, one seed of random search sends the run-ahead
-        # lane its wave, and one seed of adaptive search runs a probe cycle
-        # before rounds 2-4 and sends a probe share of each.
+    @pytest.mark.parametrize("sampler", ["halving", "random"])
+    def test_each_child_runs_one_share_and_replies_no_world(self, sampler, monkeypatch):
+        # two seeds of halving fork the seed lane for its seed, one seed of
+        # random search forks the run-ahead lane for its wave; neither reply
+        # pickles a world
         overrides = {"halving": {**SPLIT, "sampler": "halving", "seeds": [1, 2]},
-                     "random": RANDOM_ASYNC, "adaptive": PROBING}[sampler]
-        fn = {"halving": runner._run_seeds, "random": runner._run_wave,
-              "adaptive": runner._train_probes}[sampler]
-        requests, send = [], lanes.Helper.send
+                     "random": RANDOM_ASYNC}[sampler]
+        fn = {"halving": runner._run_seeds, "random": runner._run_wave}[sampler]
+        forks, replies, fork, receive = [], [], lanes._fork, lanes._receive
 
-        def recording_send(helper, *request):
-            requests.append(request)
-            return send(helper, *request)
+        def recording_fork(cpu, *request):
+            forks.append(request)
+            return fork(cpu, *request)
 
-        monkeypatch.setattr(lanes.Helper, "send", recording_send)
+        def recording_receive(*args):
+            replies.append(receive(*args))
+            return replies[-1]
+
+        monkeypatch.setattr(lanes, "_fork", recording_fork)
+        monkeypatch.setattr(lanes, "_receive", recording_receive)
         pids = fork_pids(monkeypatch)
-        one_seed_report(monkeypatch, overrides, 2)
-        assert len(pids) == 1
+        usable_cpus(monkeypatch, 2)
+        laned = runner.run_experiment(config_from_dict(overrides))
+        assert len(pids) == len(forks) == len(replies) == 1
         assert_reaped(pids)
-        assert requests and all(request[0] is fn and isinstance(request[-1], dict)
-                                for request in requests)
-        assert flcore.ExperimentWorld not in pickled_types(requests)
+        assert forks[0][0] is fn and isinstance(forks[0][-1], dict)
+        assert flcore.ExperimentWorld not in pickled_types(replies)
         if sampler == "halving":
-            assert requests == [(fn, {2: None})]
-        elif sampler == "random":
-            (_, cfg, seed, share), = requests
+            cfg, share = forks[0][1:]
+            assert (cfg["seeds"], share) == ([1, 2], {2: None})
+            assert [seed for seed, _ in replies[0]] == [2]
+        else:
+            world, cfg, seed, share = forks[0][1:]
+            assert isinstance(world, flcore.ExperimentWorld)
             assert (cfg["sampler"], seed) == ("random", 1)
             assert all(plan[2] is None for _, _, plan in share.values())  # no walk
-        else:
-            ids, rounds = tuple(range(SPLIT["n_clients"])), []
-            for _, w, members, j, key, _ in requests:  # the whole cohort, the cycle's key
-                assert isinstance(w, models.WeightVector) and members == ids
-                assert key == (1, "train", key[2], j)  # the helper draws each stream itself
-                rounds.append(key[2:])  # (trial, round)
-            assert rounds == [(t, j) for t in range(overrides["budget_configs"])
-                              for j in range(2, overrides["rounds_per_trial"] + 1)]
+            assert sorted(e for e, _ in replies[0]) == sorted(share)
+        usable_cpus(monkeypatch, 1)
+        alone = runner.run_experiment(config_from_dict(overrides)).per_seed
+        assert [seed_report_key(sr) for sr in laned.per_seed] == \
+            [seed_report_key(sr) for sr in alone]
 
-    @pytest.mark.parametrize("which", ["this process", "the helper"])
-    def test_failing_sched_setaffinity_runs_inline(self, which, monkeypatch):
-        alone = one_seed_report(monkeypatch, SPLIT, 1)
-        monkeypatch.setattr(os, "sched_setaffinity", failing_setaffinity(which))
+    @pytest.mark.parametrize("which", ["this process", "the child"])
+    @pytest.mark.parametrize("overrides", [RANDOM_ASYNC, {**SPLIT, "sampler": "halving",
+                                                          "seeds": [1, 2]}],
+                             ids=["run-ahead", "seeds"])
+    def test_failing_sched_setaffinity_runs_inline(self, which, overrides, monkeypatch):
+        def reports(cpus):
+            usable_cpus(monkeypatch, cpus)
+            return [seed_report_key(sr)
+                    for sr in runner.run_experiment(config_from_dict(overrides)).per_seed]
+
+        alone = reports(1)
+        monkeypatch.setattr(os, "sched_setaffinity", failing_setaffinity(which, os.getpid()))
         pids = fork_pids(monkeypatch)
-        inline = one_seed_report(monkeypatch, SPLIT, 2)
-        assert seed_report_key(inline) == seed_report_key(alone)
-        assert len(pids) == (which == "the helper")  # pinned after the fork
+        assert reports(2) == alone
+        assert len(pids) == (which == "the child")  # a child pins itself after the fork
         assert_reaped(pids)
 
-    def test_world_is_freed_when_its_run_returns(self, monkeypatch):
+    @pytest.mark.parametrize("overrides", [SPLIT, RANDOM_ASYNC], ids=["adaptive", "random"])
+    def test_world_is_freed_when_its_run_returns(self, overrides, monkeypatch):
         # without a garbage collection: a world kept alive by a cycle through
-        # its helper would hold its pools and plans until the next one
+        # a lane would hold its pools and plans until the next one
         build_world, worlds = runner.build_world, []
 
         def keeping_a_weakref(cfg, seed):
@@ -840,88 +916,24 @@ class TestHelper:
         monkeypatch.setattr(runner, "build_world", keeping_a_weakref)
         gc.disable()
         try:
-            one_seed_report(monkeypatch, SPLIT, 2)
+            one_seed_report(monkeypatch, overrides, 2)
             assert len(worlds) == 1 and worlds[0]() is None
         finally:
             gc.enable()
 
-    def test_interrupt_reaps_helper(self, monkeypatch):
-        parent, train_cohort = os.getpid(), flcore.train_cohort
+    def test_interrupt_reaps_the_run_ahead_lane(self, monkeypatch):
+        parent, run_trials = os.getpid(), flcore.run_trials
 
-        def interrupted(world, *args):
-            if os.getpid() == parent and world.helpers[0].busy:  # while the helper trains its share
+        def interrupted(*args):
+            if os.getpid() == parent:  # while the child trains its share
                 raise KeyboardInterrupt
-            return train_cohort(world, *args)
+            return run_trials(*args)
 
-        monkeypatch.setattr(flcore, "train_cohort", interrupted)
+        monkeypatch.setattr(flcore, "run_trials", interrupted)
         pids = fork_pids(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
-            one_seed_report(monkeypatch, PROBING, 2)
+            one_seed_report(monkeypatch, RANDOM_ASYNC, 2)
         assert len(pids) == 1
-        assert_reaped(pids)
-
-    @pytest.mark.parametrize("error", [FeedbackError, TwoArgError, UnpicklableError])
-    def test_error_in_either_share_raises_like_one_cpu(self, error, monkeypatch):
-        cfg, train_cohort = config_from_dict(PROBING), flcore.train_cohort
-        sampler = hpo.AdaptiveSampler(SPACE, cfg["tuned"], cfg["epsilon"],
-                                      derive_seed(1, "sampler"), 1, cfg["rounds_per_trial"])
-        probes = sampler.probes(sampler.start_config(0))  # the first cycle's, before round 2
-        pids = fork_pids(monkeypatch)
-        for failing in (p.config_id for p in probes):  # in either share
-
-            def raising(world, global_w, config, cohort, j, *args):
-                if (j, config.config_id) == (2, failing):
-                    raise (error(f"boom at {failing}") if error is FeedbackError
-                           else error(f"boom at {failing}", failing))
-                return train_cohort(world, global_w, config, cohort, j, *args)
-
-            monkeypatch.setattr(flcore, "train_cohort", raising)
-            seen = {}
-            for cpus in (1, 2):
-                with pytest.raises(error) as info:
-                    one_seed_report(monkeypatch, PROBING, cpus)
-                seen[cpus] = type(info.value), str(info.value)
-            assert seen[2] == seen[1] == (error, f"boom at {failing}")
-        assert len(pids) == len(probes) > 1
-        assert_reaped(pids)
-
-
-@needs_two_cpus
-@pytest.mark.usefixtures("affinity_is_restored")
-class TestReceive:
-    """Helper.receive is the one place a reply is read, and a helper with a
-    request out is busy: another request to it raises."""
-
-    def test_reply_that_does_not_unpickle_is_computed_here(self, monkeypatch):
-        parent, busy_here, started = os.getpid(), [], []
-
-        def serve(x):
-            if os.getpid() == parent:
-                busy_here.append(started[0].busy)
-            return os.getpid(), TwoArgError(f"made for {x}", x)  # pickles, never unpickles
-
-        pids = fork_pids(monkeypatch)
-        with lanes.helpers(serve, 2) as helpers:
-            started += helpers
-            started[0].send(call, 7)
-            reply = started[0].receive()
-            assert reply is not None
-            assert not started[0].busy
-        assert_reaped(pids)
-        pid, err = reply
-        assert (pid, type(err), str(err)) == (parent, TwoArgError, "made for 7")
-        assert busy_here == [True]  # computed here while the request was still out
-
-    def test_send_to_a_busy_helper_and_receive_from_an_idle_one_raise(self, monkeypatch):
-        # either would leave a reply unread, or wait for one that never comes
-        pids = fork_pids(monkeypatch)
-        with lanes.helpers(lambda x: x * x, 2) as (helper,):
-            with pytest.raises(FedTuneError, match="^a reply was awaited from an idle worker"):
-                helper.receive()
-            helper.send(call, 3)
-            with pytest.raises(FedTuneError, match="^a request was sent to a busy worker"):
-                helper.send(call, 4)
-            assert helper.receive() == 9 and not helper.busy
         assert_reaped(pids)
 
 
@@ -949,18 +961,10 @@ def probe_cycle(world, tuned, round_index=2):
             reused and (reused[0].values.tobytes(), repr(reused[1])))
 
 
-@contextlib.contextmanager
-def probe_helper(world):
-    """world with its helper started, as a one-seed adaptive search has it."""
-    with lanes.helpers(world, 2) as world.helpers:
-        assert len(world.helpers) == 1
-        yield world
-
-
 def failing_probes(monkeypatch, failing, make_error, log=None):
     """Make flcore.train_cohort raise make_error(i) for the probes failing
-    (indices into the probe set of EVEN) of the cycle before round 2, in
-    either lane; with log, every pass appends its pid and config_id there."""
+    (indices into the probe set of EVEN) of the cycle before round 2; with
+    log, every pass appends its pid and config_id there."""
     world = runner.build_world(config_from_dict(PROBING), 1)
     probes = hpo.probe_set(SPACE, START, EVEN)
     ids = {probes[i].config_id: i for i in failing}
@@ -978,110 +982,130 @@ def failing_probes(monkeypatch, failing, make_error, log=None):
     return world, probes
 
 
-@needs_two_cpus
 @pytest.mark.usefixtures("affinity_is_restored")
-class TestProbeLanes:
-    """With a helper, a cycle of two or more probes is split by probe: each
-    lane trains whole-cohort passes of its probes, with one request to the
-    helper, and the cycle's records, step, errors and reused pass are those
-    of one CPU."""
+class TestProbeCycle:
+    """A probe cycle trains, scores and records its probes in this process,
+    one whole-cohort pass each in probe order, at any CPU count: a diverging
+    probe scores +inf and writes no record, the first error in probe order
+    is raised, and the reused pass is the chosen probe's."""
 
-    def test_report_equals_one_cpu_run(self, monkeypatch):
-        parent, train_cohort, here = os.getpid(), flcore.train_cohort, []
+    @needs_two_cpus
+    def test_two_cpus_fork_nothing_and_train_every_probe_here(self, monkeypatch):
+        parent, train_cohort, here, there = os.getpid(), flcore.train_cohort, [], []
 
         def spy(world, global_w, config, cohort, j, seed_key, *args):
-            if os.getpid() == parent:
-                here.append(seed_key)
+            (here if os.getpid() == parent else there).append(seed_key)
             return train_cohort(world, global_w, config, cohort, j, seed_key, *args)
 
         monkeypatch.setattr(flcore, "train_cohort", spy)
         pids = fork_pids(monkeypatch)
         alone = one_seed_report(monkeypatch, PROBING, 1)
-        here_alone, here[:] = len(here), []
-        laned = one_seed_report(monkeypatch, PROBING, 2)
-        assert seed_report_key(laned) == seed_report_key(alone)
-        # here, only this process's probes trained
-        assert 0 < len(here) < here_alone
-        assert len(pids) == 1
-        assert_reaped(pids)
+        passes_alone, here[:] = list(here), []
+        two_cpus = one_seed_report(monkeypatch, PROBING, 2)
+        assert seed_report_key(two_cpus) == seed_report_key(alone)
+        assert pids == [] and there == []
+        probes = sum(1 for r in two_cpus.feedback_history if r.kind == "probe")
+        assert probes and here == passes_alone and len(here) >= probes
 
-    def test_three_probes_split_two_one_and_one_probe_trains_here(self, tmp_path,
-                                                                  monkeypatch):
+    def test_every_probe_trains_the_whole_cohort_here_in_probe_order(self, tmp_path,
+                                                                       monkeypatch):
         log, train_cohort = tmp_path / "passes", flcore.train_cohort
 
         def logging(world, global_w, config, cohort, *args):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {len(cohort.members)}\n")
+                fh.write(f"{os.getpid()} {len(cohort.members)} {config.config_id}\n")
             return train_cohort(world, global_w, config, cohort, *args)
 
         monkeypatch.setattr(flcore, "train_cohort", logging)
         world = runner.build_world(config_from_dict(PROBING), 1)
         n = len(world.clients)
-        for tuned, here, there in [(EVEN[:2], [n, n], [n]), ([], [n], [])]:
-            alone = probe_cycle(world, tuned)
-            assert len(alone[0]) == len(tuned) + 1  # every probe finished
+        for tuned in (EVEN[:2], []):
             log.write_text("")
-            with probe_helper(world) as laned:
-                assert probe_cycle(laned, tuned) == alone
-                helper = laned.helpers[0].pid
-            passes = [line.split() for line in log.read_text().splitlines()]
-            mine = [int(size) for pid, size in passes if int(pid) == os.getpid()]
-            theirs = [int(size) for pid, size in passes if int(pid) == helper]
-            assert (mine, theirs) == (here, there)
+            records = probe_cycle(world, tuned)[0]
+            assert len(records) == len(tuned) + 1  # every probe finished
+            probes = hpo.probe_set(SPACE, START, tuned)
+            assert [line.split() for line in log.read_text().splitlines()] == \
+                [[str(os.getpid()), str(n), p.config_id] for p in probes]
 
     @pytest.mark.parametrize("diverging", [{0}, {1}, {2}, {3}, {0, 1}, {2, 3}, {0, 1, 2, 3}])
-    def test_diverging_probes_give_the_records_and_step_of_one_cpu(self, diverging,
-                                                                   monkeypatch):
-        assert lanes.split(range(4), lambda i: 1, 2) == [[0, 2], [1, 3]]  # mine, the helper's
-        world, _ = failing_probes(monkeypatch, diverging, lambda i: NumericDivergenceError(
+    def test_diverging_probes_score_inf_and_write_no_record(self, diverging, monkeypatch):
+        world, probes = failing_probes(monkeypatch, diverging, lambda i: NumericDivergenceError(
             f"client 0 diverged in round 2: probe {i}", client_id=0, round_index=2))
-        alone = probe_cycle(world, EVEN)
-        with probe_helper(world) as laned:
-            assert probe_cycle(laned, EVEN) == alone
-        assert len(alone[0]) == 4 - len(diverging)
+        steps, step = [], hpo.AdaptiveSampler.step
+
+        def recording_step(self, current, results):
+            steps.append([(p.config_id, score) for p, score in results])
+            return step(self, current, results)
+
+        monkeypatch.setattr(hpo.AdaptiveSampler, "step", recording_step)
+        sampler = hpo.AdaptiveSampler(SPACE, EVEN, 0.0, 0, 1, 4)
+        state = flcore.RoundState(2, models.init_weights(world.model_spec, 0), START)
+        records = []
+        new, _, reused = runner.run_probe_cycle(state, world.cohort(ids(world)), world, 0,
+                                                sampler, records)
+        # the cycle went on past every diverging probe
+        (scores,) = steps
+        assert [c for c, _ in scores] == [p.config_id for p in probes]
+        assert [i for i, (_, score) in enumerate(scores) if score == math.inf] == \
+            sorted(diverging)
+        assert [r.config_id for r in records] == \
+            [p.config_id for i, p in enumerate(probes) if i not in diverging]
+        assert all(r.kind == "probe" and math.isfinite(r.val_loss) for r in records)
+        # the step adopts no diverged neighbor's move
+        for i in diverging - {0}:  # probe 0 is the current config
+            name = hpo.probe_target_of(START, probes[i])
+            assert new.values[name] == START.values[name]
+        # the reused pass is the new config's when it is a probe that finished
+        if new.config_id in {p.config_id for i, p in enumerate(probes) if i not in diverging}:
+            fresh = flcore.train_cohort(world, state.global_weights, new,
+                                        world.cohort(ids(world)), 2,
+                                        flcore.train_key(world, 0, 2))
+            assert reused[0].values.tobytes() == fresh[0].values.tobytes()
+            assert repr(reused[1]) == repr(fresh[1])
+        else:
+            assert reused is None
 
     @pytest.mark.parametrize("error", [FeedbackError, TwoArgError, UnpicklableError])
     @pytest.mark.parametrize("failing", [{0}, {1}, {2}, {3}, {1, 2}, {2, 3}, {0, 3}])
-    def test_error_in_either_share_raises_like_one_cpu(self, error, failing, tmp_path,
-                                                        monkeypatch):
+    def test_first_error_in_probe_order_is_raised(self, error, failing, tmp_path,
+                                                  monkeypatch):
         log = tmp_path / "passes"
         world, probes = failing_probes(
             monkeypatch, failing,
             lambda i: error(f"boom at {i}") if error is FeedbackError else error(f"boom at {i}", i),
             log)
-        alone = probe_cycle(world, EVEN), probe_cycle(world, EVEN, round_index=3)
-        assert alone[0] == (error, f"boom at {min(failing)}")
-        log.write_text("")
-        with probe_helper(world) as laned:
-            # the helper's reply is taken, so the next cycle gets its own
-            assert (probe_cycle(laned, EVEN), probe_cycle(laned, EVEN, round_index=3)) == alone
-            helper = laned.helpers[0].pid
+        assert probe_cycle(world, EVEN) == (error, f"boom at {min(failing)}")
+        # no probe after the first error trained, and the next cycle trains every probe
+        next_cycle = probe_cycle(world, EVEN, round_index=3)
+        assert len(next_cycle[0]) == len(probes)
         ran = [line.split() for line in log.read_text().splitlines()]
-        first_cycle = ran[:len(ran) - 4]  # the second cycle trains each probe once
-        theirs = [c for i, c in enumerate(p.config_id for p in probes) if i % 2]
-        rerun = error is not FeedbackError and failing & {1, 3}
-        # a reply that does not pickle or unpickle: the helper's share runs again here
-        assert any(pid == str(os.getpid()) and c in theirs for pid, c in first_cycle) == \
-            bool(rerun)
-        assert any(pid == str(helper) for pid, _ in first_cycle)
+        assert ran == [[str(os.getpid()), p.config_id]
+                       for p in probes[:min(failing) + 1] + probes]
 
-    def test_helper_killed_in_a_probe_request_exits_3(self, tmp_path, monkeypatch, capsys):
-        parent, train_cohort = os.getpid(), flcore.train_cohort
-
-        def dying(*args):
-            # a helper trains only probes, so it dies in its first probe request
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return train_cohort(*args)
-
-        monkeypatch.setattr(flcore, "train_cohort", dying)
-        usable_cpus(monkeypatch, 2)
+    @needs_two_cpus
+    @pytest.mark.parametrize("error", [FeedbackError, TwoArgError, UnpicklableError])
+    def test_error_in_any_probe_raises_like_one_cpu(self, error, monkeypatch):
+        cfg, train_cohort = config_from_dict(PROBING), flcore.train_cohort
+        sampler = hpo.AdaptiveSampler(SPACE, cfg["tuned"], cfg["epsilon"],
+                                      derive_seed(1, "sampler"), 1, cfg["rounds_per_trial"])
+        probes = sampler.probes(sampler.start_config(0))  # the first cycle's, before round 2
         pids = fork_pids(monkeypatch)
-        path = write_config(tmp_path, **PROBING)
-        assert cli.main(["run", path, "--output", str(tmp_path / "out")]) == cli.EXIT_RUNTIME
-        assert "error: a worker process died" in capsys.readouterr().err
-        assert len(pids) == 1
-        assert_reaped(pids)
+        for failing in (p.config_id for p in probes):
+
+            def raising(world, global_w, config, cohort, j, *args):
+                if (j, config.config_id) == (2, failing):
+                    raise (error(f"boom at {failing}") if error is FeedbackError
+                           else error(f"boom at {failing}", failing))
+                return train_cohort(world, global_w, config, cohort, j, *args)
+
+            monkeypatch.setattr(flcore, "train_cohort", raising)
+            seen = {}
+            for cpus in (1, 2):
+                with pytest.raises(error) as info:
+                    one_seed_report(monkeypatch, PROBING, cpus)
+                seen[cpus] = type(info.value), str(info.value)
+            assert seen[2] == seen[1] == (error, f"boom at {failing}")
+        assert len(probes) > 1 and pids == []
 
 
 CRITERION8_HALVING = {
